@@ -227,7 +227,8 @@ impl CellCtx<'_> {
     }
 }
 
-fn unpoisoned<T>(r: Result<T, PoisonError<T>>) -> T {
+/// The value behind a lock result, poisoned or not.
+pub(crate) fn unpoisoned<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -13,13 +13,13 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::{
     simulate, simulate_uops, simulate_uops_with_recorder, simulate_with_recorder, RunMetrics,
-    SimConfig,
+    SimConfig, WarmState,
 };
 use hbat_isa::trace::TraceInst;
 use hbat_isa::tracefile::{read_trace, write_trace};
@@ -36,8 +36,8 @@ use crate::ckpt::{
     WarmTrace,
 };
 use crate::executor::{
-    parallel_map, parallel_map_outcomes, timed, worker_threads, RunPolicy, SweepTelemetry,
-    TraceCache,
+    parallel_map, parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy,
+    SweepTelemetry, TraceCache,
 };
 use crate::faults::{FaultKind, FaultPlan};
 use crate::journal::{
@@ -45,7 +45,8 @@ use crate::journal::{
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
-    ckpt_sample_fingerprint, ipc_interval, run_sampled_uops, sample_fingerprint, SamplePlan,
+    ckpt_sample_fingerprint, ipc_interval, run_sampled_windows, sample_fingerprint, warm_schedule,
+    SamplePlan,
 };
 
 /// A built workload in both forms: the raw trace (kept for paths that
@@ -784,6 +785,51 @@ enum BenchInput {
     Warm(Box<WarmTrace>),
 }
 
+/// One program's warm schedule in a sampled sweep (DESIGN.md §15). The
+/// first of the program's cells to run builds it, the other designs
+/// share it, and the last cell to finish drops it, so only programs
+/// with cells still to run hold one.
+struct SharedSchedule {
+    /// The schedule once built, and how many of the program's cells
+    /// have yet to finish with it.
+    state: Mutex<(Option<Arc<Vec<WarmState>>>, usize)>,
+}
+
+impl SharedSchedule {
+    fn new(cells: usize) -> SharedSchedule {
+        SharedSchedule {
+            state: Mutex::new((None, cells)),
+        }
+    }
+
+    /// The schedule, built by `build` if no cell has built it yet. The
+    /// lock is held across the build, so the program's other cells wait
+    /// for it instead of warming a second time. A build that panics
+    /// leaves the slot empty and its poisoned lock is recovered, so the
+    /// next cell (or the retry) builds it afresh.
+    fn get_or_build(&self, build: impl FnOnce() -> Vec<WarmState>) -> Arc<Vec<WarmState>> {
+        let mut state = unpoisoned(self.state.lock());
+        state.0.get_or_insert_with(|| Arc::new(build())).clone()
+    }
+
+    /// Marks one of the program's cells finished; the last one drops
+    /// the schedule. A cell that fails for good never finishes, and its
+    /// program's schedule then lives until the sweep returns.
+    fn finish_cell(&self) {
+        let mut state = unpoisoned(self.state.lock());
+        state.1 = state.1.saturating_sub(1);
+        if state.1 == 0 {
+            state.0 = None;
+        }
+    }
+
+    /// Whether a schedule is currently held.
+    #[cfg(test)]
+    fn is_held(&self) -> bool {
+        unpoisoned(self.state.lock()).0.is_some()
+    }
+}
+
 /// What one phase-2 cell job produced (before outcome classification).
 /// The window vector is empty for full detailed runs; sampled runs
 /// carry one [`IntervalRecord`] per measurement window.
@@ -985,17 +1031,31 @@ pub fn sweep_ft_on(
     // Phase 2: one queue of benchmark × design cells. Restored cells
     // return without executing (and without re-journalling); fresh
     // completions journal themselves before returning.
+    // hbat-lint: allow(panic) every caller passes bi < benches.len() and di < designs.len()
+    let key_of = |bi: usize, di: usize| CellKey {
+        bench: benches[bi].name().to_owned(),
+        design: format!("{:?}", designs[di]),
+        config: fingerprint.clone(),
+        seed: cfg.design_seed,
+    };
+    // A sampled sweep warms each program once: its cells still to run
+    // share one schedule, built lazily here in the cell phase (so
+    // `trace_build` keeps timing trace builds alone). A full sweep has
+    // none.
+    let schedules: Vec<SharedSchedule> = (0..opts.sample.map_or(0, |_| benches.len()))
+        .map(|bi| {
+            let pending = (0..designs.len())
+                .filter(|&di| !restored.contains_key(&key_of(bi, di)))
+                .count();
+            SharedSchedule::new(pending)
+        })
+        .collect();
     let phase_detailed = prof::scope("detailed-run");
     // hbat-lint: allow(panic) bi/di derive from i < n_cells, and a panic inside a cell job is exactly what the isolation layer catches
     let (flat, cell_exec) = timed(|| {
         parallel_map_outcomes(n_cells, threads, &opts.policy, |i, ctx| {
             let (bi, di) = (i / designs.len(), i % designs.len());
-            let key = CellKey {
-                bench: benches[bi].name().to_owned(),
-                design: format!("{:?}", designs[di]),
-                config: fingerprint.clone(),
-                seed: cfg.design_seed,
-            };
+            let key = key_of(bi, di);
             if let Some(metrics) = restored.get(&key) {
                 // A sampled cell restored from the journal gets its
                 // windows back from the sidecar too; an incomplete or
@@ -1046,18 +1106,15 @@ pub fn sweep_ft_on(
             let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
-                    let cell = match input {
-                        BenchInput::Full((_, uops)) => {
-                            run_sampled_uops(uops.ops(), designs[di], cfg, None, plan)
-                        }
-                        BenchInput::Warm(wt) => run_sampled_uops(
-                            wt.tail.ops(),
-                            designs[di],
-                            cfg,
-                            Some(&wt.export),
-                            plan,
-                        ),
+                    let (ops, export) = match input {
+                        BenchInput::Full((_, uops)) => (uops.ops(), None),
+                        BenchInput::Warm(wt) => (wt.tail.ops(), Some(&wt.export)),
                     };
+                    let schedule =
+                        schedules[bi].get_or_build(|| warm_schedule(ops, cfg, export, plan));
+                    let cell = run_sampled_windows(ops, designs[di], cfg, plan, &schedule);
+                    drop(schedule);
+                    schedules[bi].finish_cell();
                     (cell.metrics, None, Some((cell.windows, 0)))
                 } else {
                     match (opts.observe, opts.intervals) {
@@ -1249,6 +1306,39 @@ mod tests {
         assert!(fig.contains("T4") && fig.contains("T1"));
         let details = r.render_details();
         assert!(details.contains("Compress") && details.contains("Xlisp"));
+    }
+
+    #[test]
+    fn shared_schedule_builds_once_and_drops_after_the_last_cell() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let slot = SharedSchedule::new(3);
+        let builds = AtomicUsize::new(0);
+        let build = || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            vec![WarmState::default(); 2]
+        };
+        let got = parallel_map(3, 3, |_| slot.get_or_build(build));
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build, shared");
+        assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+        slot.finish_cell();
+        slot.finish_cell();
+        assert!(slot.is_held(), "a cell is still to finish");
+        slot.finish_cell();
+        assert!(!slot.is_held(), "the last cell drops the schedule");
+    }
+
+    #[test]
+    fn shared_schedule_survives_a_panicking_build() {
+        let slot = SharedSchedule::new(2);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.get_or_build(|| panic!("schedule build exploded"))
+        }));
+        assert!(r.is_err());
+        assert!(!slot.is_held(), "a failed build publishes nothing");
+        // The poisoned lock is recovered and the next cell rebuilds.
+        let s = slot.get_or_build(|| vec![WarmState::default()]);
+        assert_eq!(s.len(), 1);
+        assert!(slot.is_held());
     }
 
     #[test]

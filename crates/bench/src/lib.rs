@@ -64,5 +64,6 @@ pub use journal::{
 pub use outcome::{CellFailure, CellOutcome, FailureManifest};
 pub use sample::{
     ckpt_sample_fingerprint, cpi_interval, ipc_interval, plan_windows, run_sampled_uops,
-    sample_fingerprint, SamplePlan, SampleWindow, SampledCell, WindowGate,
+    run_sampled_windows, sample_fingerprint, warm_schedule, SamplePlan, SampleWindow, SampledCell,
+    WindowGate,
 };

@@ -13,6 +13,13 @@
 //! counters gated off), then measures exactly `window_len` committed
 //! instructions into one [`IntervalRecord`].
 //!
+//! The warming and the timing are separate halves. [`warm_schedule`]
+//! makes the one functional pass and keeps the warm state at each
+//! window's start; it takes no design. [`run_sampled_windows`] times
+//! the windows of one design from that schedule. A sweep warms each
+//! program once and shares the schedule across its designs;
+//! [`run_sampled_uops`] composes the two for a single cell.
+//!
 //! The estimator is the classic systematic-sample Student-t interval
 //! over per-window CPI (cycles per instruction). Windows hold an equal
 //! number of committed instructions, so the mean of per-window CPIs *is*
@@ -24,7 +31,9 @@
 //! identical plans give byte-identical journals and reports.
 
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport};
+use hbat_cpu::{
+    simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport, WarmState,
+};
 use hbat_isa::uop::MicroOp;
 use hbat_obs::{IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
@@ -358,25 +367,64 @@ impl SampledCell {
     }
 }
 
-/// Runs one sampled (trace, design) cell: chains functional gaps and
-/// detailed windows over `ops`, starting from the warm-accumulator
-/// state in `export` (`None` = cold start, i.e. the trace begins at
-/// program start). Deterministic: identical `(ops, design, cfg, plan,
-/// export)` give identical results.
-pub fn run_sampled_uops(
+/// The design-independent half of a sampled cell: one install-form
+/// [`WarmState`] per window of `plan_windows(plan, ops.len())`, taken
+/// from a single functional-warming pass over `ops` that starts from
+/// `export` (`None` = cold start, i.e. the trace begins at program
+/// start). State `k` is what the accumulator holds at window `k`'s
+/// `warm_start`.
+///
+/// Nothing here depends on the translation design, so a sweep builds
+/// the schedule once per program and every design's
+/// [`run_sampled_windows`] replays it (DESIGN.md §15).
+pub fn warm_schedule(
     ops: &[MicroOp],
-    design: DesignSpec,
     cfg: &ExperimentConfig,
     export: Option<&WarmExport>,
     plan: &SamplePlan,
-) -> SampledCell {
+) -> Vec<WarmState> {
     let mut acc = match export {
         Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
         None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
     };
     let windows = plan_windows(plan, ops.len() as u64);
-    let mut records = Vec::with_capacity(windows.len());
+    let mut states = Vec::with_capacity(windows.len());
     let mut pos = 0usize;
+    for w in &windows {
+        // Functional gap up to the window, then the window's own ops —
+        // the accumulator is the sole warm-state carrier, so it must
+        // see every committed instruction exactly once. The detailed
+        // run's drain ops past `end` are timing throwaway: they are
+        // re-played (once) here by a later gap or window.
+        let (warm_start, end) = (w.warm_start as usize, w.end as usize);
+        acc.warm_gap(ops.get(pos..warm_start).unwrap_or_default());
+        states.push(acc.warm_state());
+        acc.warm_gap(ops.get(warm_start..end).unwrap_or_default());
+        pos = end;
+    }
+    // Ops past the last window never influence a measurement; skipping
+    // them is where the tail of the speedup comes from.
+    states
+}
+
+/// The per-design half of a sampled cell: times every planned window
+/// of `ops` in detail under `design`, installing `schedule[k]` (from
+/// [`warm_schedule`] over the same `ops`, `cfg` and `plan`) before
+/// window `k`. The schedule is only read, so any number of designs
+/// may share one.
+pub fn run_sampled_windows(
+    ops: &[MicroOp],
+    design: DesignSpec,
+    cfg: &ExperimentConfig,
+    plan: &SamplePlan,
+    schedule: &[WarmState],
+) -> SampledCell {
+    let windows = plan_windows(plan, ops.len() as u64);
+    debug_assert_eq!(
+        windows.len(),
+        schedule.len(),
+        "schedule built for another plan"
+    );
     // The detailed slice runs past the measured window by a drain
     // margin so the gate closes while the pipeline is still full —
     // ending the simulation exactly at the window boundary would let
@@ -384,37 +432,43 @@ pub fn run_sampled_uops(
     // ROB's worth of pre-issued work) without paying any tail, biasing
     // IPC high by roughly rob_entries / window_len.
     let drain = 4 * cfg.sim.rob_entries;
-    for w in &windows {
-        // Functional gap up to the window, then the window's own ops —
-        // the accumulator is the sole warm-state carrier, so it must
-        // see every committed instruction exactly once. The drain ops
-        // past `end` are timing throwaway: they are re-played (once)
-        // through the accumulator by a later gap or window.
-        let (warm_start, end) = (w.warm_start as usize, w.end as usize);
-        let detail_end = end.saturating_add(drain).min(ops.len());
-        let gap = ops.get(pos..warm_start).unwrap_or_default();
-        let win_ops = ops.get(warm_start..end).unwrap_or_default();
-        let detail_ops = ops.get(warm_start..detail_end).unwrap_or_default();
-        acc.warm_gap(gap);
-        let warm = acc.warm_state();
-        let mut translator = design.build(cfg.geometry, cfg.design_seed);
-        let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-        let _metrics = simulate_uops_warm_with_recorder(
-            &cfg.sim,
-            detail_ops,
-            translator.as_mut(),
-            &warm,
-            &mut gate,
-        );
-        let mut rec = gate.record();
-        rec.start = w.meas_start;
-        records.push(rec);
-        acc.warm_gap(win_ops);
-        pos = end;
-    }
-    // Ops past the last window never influence a measurement; skipping
-    // them is where the tail of the speedup comes from.
+    let records = windows
+        .iter()
+        .zip(schedule)
+        .map(|(w, warm)| {
+            let detail_end = (w.end as usize).saturating_add(drain).min(ops.len());
+            let detail_ops = ops
+                .get(w.warm_start as usize..detail_end)
+                .unwrap_or_default();
+            let mut translator = design.build(cfg.geometry, cfg.design_seed);
+            let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
+            let _metrics = simulate_uops_warm_with_recorder(
+                &cfg.sim,
+                detail_ops,
+                translator.as_mut(),
+                warm,
+                &mut gate,
+            );
+            let mut rec = gate.record();
+            rec.start = w.meas_start;
+            rec
+        })
+        .collect();
     SampledCell::from_windows(records)
+}
+
+/// Runs one sampled (trace, design) cell: [`warm_schedule`] then
+/// [`run_sampled_windows`]. Deterministic: identical `(ops, design,
+/// cfg, plan, export)` give identical results.
+pub fn run_sampled_uops(
+    ops: &[MicroOp],
+    design: DesignSpec,
+    cfg: &ExperimentConfig,
+    export: Option<&WarmExport>,
+    plan: &SamplePlan,
+) -> SampledCell {
+    let schedule = warm_schedule(ops, cfg, export, plan);
+    run_sampled_windows(ops, design, cfg, plan, &schedule)
 }
 
 /// The primary estimator: a Student-t interval over per-window CPI
@@ -712,6 +766,34 @@ mod tests {
             ipc.render(4),
             full.ipc()
         );
+    }
+
+    // The schedule is the accumulator's state at each window start,
+    // whichever state it starts from and however many windows fit.
+    #[test]
+    fn warm_schedule_holds_the_accumulator_state_at_each_window_start() {
+        use hbat_workloads::Benchmark;
+        let cfg = ExperimentConfig::baseline(Scale::Test);
+        let check = |ops: &[MicroOp], export: Option<&WarmExport>, p: &SamplePlan| {
+            let windows = plan_windows(p, ops.len() as u64);
+            let schedule = warm_schedule(ops, &cfg, export, p);
+            assert_eq!(schedule.len(), windows.len(), "one state per window");
+            for (k, (w, state)) in windows.iter().zip(&schedule).enumerate() {
+                let mut acc = match export {
+                    Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
+                    None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
+                };
+                acc.warm_gap(&ops[..w.warm_start as usize]);
+                assert!(*state == acc.warm_state(), "window {k}: state differs");
+            }
+            windows.len()
+        };
+        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        assert_eq!(check(uops.ops(), None, &plan(8, 300, 50)), 8);
+        let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
+        assert_eq!(check(wt.tail.ops(), Some(&wt.export), &plan(6, 200, 50)), 6);
+        // 900 ops hold three 250-op windows, not the eight asked for.
+        assert_eq!(check(&uops.ops()[..900], None, &plan(8, 200, 50)), 3);
     }
 
     #[test]

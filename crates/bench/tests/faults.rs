@@ -6,15 +6,21 @@
 //! n-cell sweep → the sweep completes the remaining n−k cells and
 //! reports exactly k manifest entries, and a `--resume` run re-executes
 //! only the failed cells, bit-identical to an unfaulted serial sweep.
+//! Sampled sweeps, whose cells share one warm schedule per program,
+//! recover the same way.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hbat_bench::executor::RunPolicy;
-use hbat_bench::experiment::{sweep_ft_on, sweep_serial, ExperimentConfig, SweepOptions};
+use hbat_bench::experiment::{
+    iv_sidecar_path, sweep_ft_on, sweep_serial, ExperimentConfig, SweepOptions,
+};
 use hbat_bench::faults::{FaultKind, FaultPlan};
 use hbat_bench::journal::read_journal;
 use hbat_bench::outcome::CellOutcome;
+use hbat_bench::sample::SamplePlan;
 use hbat_bench::TraceCache;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_workloads::Scale;
@@ -289,5 +295,122 @@ fn partial_results_render_with_explicit_missing_markers() {
             line.split_whitespace().count() == designs().len() + 1,
             "rows keep full width: {line:?}"
         );
+    }
+}
+
+/// The distinct lines of a journal or sidecar file.
+fn line_set(path: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(path).expect("readable journal");
+    text.lines().map(str::to_owned).collect()
+}
+
+#[test]
+fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
+    // In a sampled sweep the first cell of a program builds the warm
+    // schedule its other designs share. Panic that cell once and stall
+    // a sibling: the retry must find (or rebuild) the schedule, the
+    // stall must time out alone, and nothing may deadlock on the
+    // program's schedule lock or cascade a poisoned one.
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let sample = Some(SamplePlan::parse("12:400:100", 1996).expect("valid plan"));
+    let first = 3 * designs().len();
+    let stalled = first + 2;
+    let clean_journal = temp_journal("sampled-clean");
+    let clean = sweep_ft_on(
+        designs(),
+        &cfg,
+        &SweepOptions {
+            threads: THREADS,
+            journal: Some(clean_journal.clone()),
+            sample,
+            ..SweepOptions::default()
+        },
+        &TraceCache::new(),
+    )
+    .expect("journal I/O");
+    assert!(clean.manifest.is_empty(), "{}", clean.manifest.render());
+
+    let journal = temp_journal("sampled-faulted");
+    let faulted_opts = SweepOptions {
+        threads: THREADS,
+        policy: RunPolicy::default()
+            .with_retries(1)
+            .with_timeout(Duration::from_secs(2)),
+        faults: FaultPlan::none()
+            .with(first, FaultKind::Panic { failures: 1 })
+            .with(stalled, FaultKind::Stall),
+        journal: Some(journal.clone()),
+        sample,
+        ..SweepOptions::default()
+    };
+    let faulted =
+        sweep_ft_on(designs(), &cfg, &faulted_opts, &TraceCache::new()).expect("journal I/O");
+    assert_eq!(faulted.manifest.len(), 1, "{}", faulted.manifest.render());
+    assert_eq!(faulted.manifest.failures[0].index, stalled);
+    assert_eq!(faulted.manifest.failures[0].kind, "timed_out");
+    for (row, clean_row) in faulted.cells.iter().zip(&clean.cells) {
+        for (cell, clean_cell) in row.iter().zip(clean_row) {
+            if let Some(c) = cell.ok() {
+                let e = clean_cell.ok().expect("clean sweep completes");
+                assert_eq!(c.metrics, e.metrics, "{}/{:?}", c.bench, c.design);
+                assert_eq!(c.windows, e.windows, "{}/{:?}", c.bench, c.design);
+            }
+        }
+    }
+
+    // The faulted journal pair holds the clean lines of every cell but
+    // the stalled one: one journal record and its block of windows.
+    let stalled_bench = hbat_workloads::Benchmark::ALL[stalled / designs().len()].name();
+    let stalled_design = format!("{:?}", designs()[stalled % designs().len()]);
+    let of_stalled = |l: &String| {
+        l.contains(&format!("\"bench\":\"{stalled_bench}\""))
+            && l.contains(&format!("\"design\":\"{stalled_design}\""))
+    };
+    for path in [clean_journal.clone(), iv_sidecar_path(&clean_journal)] {
+        let faulted_path = if path == clean_journal {
+            journal.clone()
+        } else {
+            iv_sidecar_path(&journal)
+        };
+        let (all, got) = (line_set(&path), line_set(&faulted_path));
+        let missing: Vec<&String> = all.difference(&got).collect();
+        assert!(
+            got.is_subset(&all),
+            "{}: foreign lines",
+            faulted_path.display()
+        );
+        assert!(!missing.is_empty(), "{}", faulted_path.display());
+        assert!(
+            missing.iter().all(|l| of_stalled(l)),
+            "{}: only the stalled cell may be missing: {missing:?}",
+            faulted_path.display()
+        );
+    }
+
+    // Resuming without faults runs the stalled cell alone and converges
+    // on the clean line sets.
+    let resumed = sweep_ft_on(
+        designs(),
+        &cfg,
+        &SweepOptions {
+            threads: THREADS,
+            journal: Some(journal.clone()),
+            resume: true,
+            sample,
+            ..SweepOptions::default()
+        },
+        &TraceCache::new(),
+    )
+    .expect("journal I/O");
+    assert!(resumed.manifest.is_empty(), "{}", resumed.manifest.render());
+    assert_eq!(resumed.resumed, resumed.completed() - 1);
+    assert_eq!(line_set(&journal), line_set(&clean_journal));
+    assert_eq!(
+        line_set(&iv_sidecar_path(&journal)),
+        line_set(&iv_sidecar_path(&clean_journal))
+    );
+    for path in [&journal, &clean_journal] {
+        std::fs::remove_file(iv_sidecar_path(path)).ok();
+        std::fs::remove_file(path).ok();
     }
 }

@@ -10,6 +10,10 @@
 //!   all thirteen Table-2 designs at test scale;
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
+//! * a sweep warms each program once and shares the schedule across
+//!   its designs, and every cell still equals a standalone
+//!   `run_sampled_uops` of it, at 1 and 4 workers, with and without
+//!   `--ff`;
 //! * `--sample` with `--observe`/`--intervals` is rejected before any
 //!   cell runs.
 
@@ -20,7 +24,7 @@ use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
     iv_sidecar_path, run_cell_uops, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
-use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
+use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
 use hbat_bench::FtSweepResult;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_stats::ConfLevel;
@@ -264,6 +268,78 @@ fn sampling_composes_with_checkpointed_fast_forward() {
     assert!(
         line.contains(&format!("\"config\":\"{combined}\"")),
         "journal must carry the combined fingerprint {combined}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the 13-design × 10-program sampled grid at 1 and 4 workers
+/// and checks every cell against `standalone(bench)`, the program's
+/// row of standalone `run_sampled_uops` cells in Table-2 order: the
+/// shared warm schedule must change nothing, and no design may disturb
+/// the states the other designs install after it.
+fn assert_grid_matches_standalone(
+    checkpoint: impl Fn(usize) -> Option<CheckpointOptions>,
+    standalone: impl Fn(Benchmark) -> Vec<SampledCell>,
+) {
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let expected: Vec<Vec<SampledCell>> = Benchmark::ALL.iter().map(|&b| standalone(b)).collect();
+    for threads in [1, 4] {
+        let opts = SweepOptions {
+            threads,
+            sample: Some(plan()),
+            checkpoint: checkpoint(threads),
+            ..SweepOptions::default()
+        };
+        let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &TraceCache::new()).unwrap();
+        assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+        for (row, erow) in r.cells.iter().zip(&expected) {
+            for (cell, e) in row.iter().zip(erow) {
+                let c = cell.ok().unwrap();
+                let tag = format!("{}/{} at {threads} workers", c.bench, c.design.mnemonic());
+                assert!(!c.windows.is_empty(), "{tag}: no windows");
+                assert_eq!(c.windows, e.windows, "{tag}: windows differ");
+                assert_eq!(c.metrics, e.metrics, "{tag}: metrics differ");
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_warm_schedules_match_standalone_cells_on_the_table2_grid() {
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let cache = TraceCache::new();
+    assert_grid_matches_standalone(
+        |_| None,
+        |bench| {
+            let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+            DesignSpec::TABLE2
+                .map(|design| run_sampled_uops(uops.ops(), design, &cfg, None, &plan()))
+                .to_vec()
+        },
+    );
+}
+
+#[test]
+fn shared_warm_schedules_match_standalone_cells_under_fast_forward() {
+    let dir = tmp_dir("share-ff");
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let boundary = 1_000;
+    assert_grid_matches_standalone(
+        |threads| {
+            Some(CheckpointOptions {
+                dir: dir.join(format!("snaps-{threads}")),
+                interval: 400,
+                boundary,
+            })
+        },
+        |bench| {
+            let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, boundary).unwrap();
+            DesignSpec::TABLE2
+                .map(|design| {
+                    run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &plan())
+                })
+                .to_vec()
+        },
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -649,13 +649,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     "--intervals needs --journal <path> (the sidecar lives next to it)".to_owned(),
                 );
             }
-            if opts.sample.is_some() && (opts.observe || opts.intervals.is_some()) {
-                return Err(
-                    "--sample is mutually exclusive with --observe / --intervals \
-                     (sampled windows own the interval sidecar)"
-                        .to_owned(),
-                );
-            }
             if opts.ckpt_dir.is_some() && opts.ff.is_none() {
                 return Err("--ckpt-dir needs --ff <n> (the fast-forward boundary)".to_owned());
             }

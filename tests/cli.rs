@@ -282,6 +282,25 @@ fn interval_flag_is_validated() {
 }
 
 #[test]
+fn sampled_sweep_rejects_observe_and_intervals_before_writing() {
+    let dir = std::env::temp_dir().join(format!("hbat-cli-sample-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("sweep.journal");
+    let journal_s = journal.to_str().unwrap();
+    for extra in [&["--observe"][..], &["--intervals", "512"][..]] {
+        let mut args = vec!["sweep", "--scale", "test", "--journal", journal_s];
+        args.extend_from_slice(&["--sample", "4:200:50"]);
+        args.extend_from_slice(extra);
+        let (ok, _, stderr) = hbat(&args);
+        assert!(!ok, "{extra:?} with --sample must be rejected");
+        assert!(stderr.contains("mutually exclusive"), "{stderr}");
+        assert!(!journal.exists(), "a rejected sweep writes no journal");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn prof_flag_prints_the_self_profile() {
     let (ok, _, stderr) = hbat(&["run", "Espresso", "M8", "--scale", "test", "--prof"]);
     assert!(ok, "{stderr}");
