@@ -12,16 +12,12 @@
 //! Compress has the worst reference locality of the suite (most walks);
 //! Espresso the best (most combining). Reported per simulated
 //! instruction.
-//!
-//! Each design is benchmarked on the predecoded micro-op path (the one
-//! the sweeps use — bare mnemonic) and on the legacy `TraceInst`
-//! decoder (`*_legacy`), so the decode-once win stays measured.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate, simulate_uops, SimConfig};
+use hbat_cpu::{simulate_uops, SimConfig};
 use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
@@ -31,10 +27,9 @@ fn bench_hotloop(c: &mut Criterion) {
         (Benchmark::Compress, ["T1", "P8"].as_slice()),
         (Benchmark::Espresso, ["PB2", "P8"].as_slice()),
     ] {
-        let trace = bench.build(&cfg).trace();
-        let uops = PredecodedTrace::predecode(&trace);
+        let uops = PredecodedTrace::predecode(&bench.build(&cfg).trace());
         let mut group = c.benchmark_group(format!("engine_hotloop_{bench}"));
-        group.throughput(Throughput::Elements(trace.len() as u64));
+        group.throughput(Throughput::Elements(uops.len() as u64));
         group.sample_size(20);
         for mnemonic in designs {
             let spec = DesignSpec::parse(mnemonic).expect("known design");
@@ -43,13 +38,6 @@ fn bench_hotloop(c: &mut Criterion) {
                 b.iter(|| {
                     let mut tlb = spec.build(PageGeometry::KB4, 1996);
                     black_box(simulate_uops(&sim, &uops, tlb.as_mut()))
-                })
-            });
-            group.bench_function(format!("{mnemonic}_legacy"), |b| {
-                let sim = SimConfig::baseline();
-                b.iter(|| {
-                    let mut tlb = spec.build(PageGeometry::KB4, 1996);
-                    black_box(simulate(&sim, &trace, tlb.as_mut()))
                 })
             });
         }

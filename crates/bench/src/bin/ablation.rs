@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
-use hbat_bench::experiment::{scale_from_args, trace_for, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, uops_for, ExperimentConfig};
 use hbat_core::designs::interleaved::{BankSelect, InterleavedTlb};
 use hbat_core::designs::multilevel::MultiLevelTlb;
 use hbat_core::designs::piggyback::PiggybackTlb;
@@ -22,15 +22,15 @@ use hbat_core::designs::pretranslation::PretranslationTlb;
 use hbat_core::designs::victim::VictimTlb;
 use hbat_core::pagetable::PageTable;
 use hbat_core::translator::AddressTranslator;
-use hbat_cpu::{simulate, SimConfig};
-use hbat_isa::trace::TraceInst;
+use hbat_cpu::{simulate_uops, SimConfig};
+use hbat_isa::uop::MicroOp;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
 
 const SEED: u64 = 1996;
 
-fn run(trace: &[TraceInst], mut t: Box<dyn AddressTranslator>) -> (u64, f64, f64) {
-    let m = simulate(&SimConfig::baseline(), trace, t.as_mut());
+fn run(uops: &[MicroOp], mut t: Box<dyn AddressTranslator>) -> (u64, f64, f64) {
+    let m = simulate_uops(&SimConfig::baseline(), uops, t.as_mut());
     (m.cycles, m.ipc(), m.tlb.shield_rate())
 }
 
@@ -38,8 +38,8 @@ fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale);
     // One locality-poor and one locality-rich program.
-    let compress = trace_for(Benchmark::Compress, &cfg);
-    let xlisp = trace_for(Benchmark::Xlisp, &cfg);
+    let compress = uops_for(Benchmark::Compress, &cfg);
+    let xlisp = uops_for(Benchmark::Xlisp, &cfg);
     let pt = || PageTable::new(cfg.geometry);
 
     println!(
@@ -89,7 +89,7 @@ fn main() {
         );
         let mut xt: Box<dyn AddressTranslator> =
             Box::new(PiggybackTlb::new("PBx", 1, pb, 128, pt(), SEED));
-        let mx = simulate(&SimConfig::baseline(), &xlisp, xt.as_mut());
+        let mx = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
         t.row(vec![
             pb.to_string(),
             fnum(ic, 3),
@@ -114,7 +114,7 @@ fn main() {
                 PretranslationTlb::new("Px", entries, 4, 128, pt(), SEED)
                     .with_offset_tag_bits(bits),
             );
-            let m = simulate(&SimConfig::baseline(), &xlisp, xt.as_mut());
+            let m = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
             t.row(vec![
                 entries.to_string(),
                 bits.to_string(),
@@ -151,9 +151,9 @@ fn main() {
             ))
         };
         let mut ct: Box<dyn AddressTranslator> = mk();
-        let mc = simulate(&SimConfig::baseline(), &compress, ct.as_mut());
+        let mc = simulate_uops(&SimConfig::baseline(), &compress, ct.as_mut());
         let mut xt: Box<dyn AddressTranslator> = mk();
-        let mx = simulate(&SimConfig::baseline(), &xlisp, xt.as_mut());
+        let mx = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
         t.row(vec![
             banks.to_string(),
             fnum(mc.ipc(), 3),
@@ -172,10 +172,10 @@ fn main() {
             let mut base: Box<dyn AddressTranslator> = Box::new(
                 hbat_core::designs::multiported::MultiPortedTlb::new("T1", 1, 128, pt(), SEED),
             );
-            simulate(&SimConfig::baseline(), &compress, base.as_mut())
+            simulate_uops(&SimConfig::baseline(), &compress, base.as_mut())
         } else {
             let mut vt = VictimTlb::new("V", 1, 128, v, pt(), SEED);
-            let m = simulate(&SimConfig::baseline(), &compress, &mut vt);
+            let m = simulate_uops(&SimConfig::baseline(), &compress, &mut vt);
             t.row(vec![
                 v.to_string(),
                 fnum(m.ipc(), 3),

@@ -1,11 +1,12 @@
 //! Regenerates Figure 7: relative performance with in-order issue.
 
-use hbat_bench::experiment::{scale_from_args, sweep_table2, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, sweep, ExperimentConfig};
+use hbat_core::designs::spec::DesignSpec;
 
 fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale).with_inorder();
-    let r = sweep_table2(&cfg);
+    let r = sweep(&DesignSpec::TABLE2, &cfg);
     println!(
         "{}",
         r.render_figure(&format!(

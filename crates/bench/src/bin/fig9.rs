@@ -3,12 +3,13 @@
 //! the spilling register assigner, which inserts the extra stack traffic
 //! the paper measures (up to several times more loads and stores).
 
-use hbat_bench::experiment::{scale_from_args, sweep_table2, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, sweep, ExperimentConfig};
+use hbat_core::designs::spec::DesignSpec;
 
 fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale).with_small_regs();
-    let r = sweep_table2(&cfg);
+    let r = sweep(&DesignSpec::TABLE2, &cfg);
     println!(
         "{}",
         r.render_figure(&format!(

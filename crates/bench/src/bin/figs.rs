@@ -9,8 +9,9 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin figs [scale]`
 
-use hbat_bench::experiment::{scale_from_args, sweep_table2, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, sweep, ExperimentConfig};
 use hbat_bench::TraceCache;
+use hbat_core::designs::spec::DesignSpec;
 
 fn main() {
     let scale = scale_from_args();
@@ -33,7 +34,7 @@ fn main() {
         ),
     ];
     for (title, cfg) in figures {
-        let r = sweep_table2(&cfg);
+        let r = sweep(&DesignSpec::TABLE2, &cfg);
         println!(
             "{}\n",
             r.render_figure(&format!("{title} ({scale:?} scale)"))

@@ -1,7 +1,8 @@
-//! Times the parallel sweep executor against the single-threaded
-//! reference sweep on the Figure-5 configuration, verifies the results
-//! are bit-identical, and records the measurement in
-//! `results/BENCH_sweep.json`.
+//! Times the parallel sweep executor against the same sweep on one
+//! worker (the serial reference) on the Figure-5 configuration, verifies
+//! the results are bit-identical, and records the measurement in
+//! `results/BENCH_sweep.json`. Each sweep builds its traces in a fresh
+//! trace cache, so both time trace builds too.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin sweep_bench [scale]`
 //! (`HBAT_THREADS` overrides the worker count).
@@ -9,8 +10,22 @@
 use std::path::Path;
 
 use hbat_bench::executor::{timed, worker_threads, JsonReport, TraceCache};
-use hbat_bench::experiment::{scale_from_args, sweep_on, sweep_serial, ExperimentConfig};
+use hbat_bench::experiment::{
+    scale_from_args, sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult,
+};
 use hbat_core::designs::spec::DesignSpec;
+
+/// A fail-fast sweep of `designs` on `threads` workers and a fresh
+/// trace cache.
+fn sweep_with(designs: &[DesignSpec], cfg: &ExperimentConfig, threads: usize) -> SweepResult {
+    let opts = SweepOptions {
+        threads,
+        ..SweepOptions::default()
+    };
+    let r = sweep_ft_on(designs, cfg, &opts, &TraceCache::new())
+        .expect("a sweep without a journal does no I/O");
+    r.into_complete().expect("every cell completes")
+}
 
 fn main() {
     let scale = scale_from_args();
@@ -19,14 +34,13 @@ fn main() {
     let threads = worker_threads();
 
     eprintln!(
-        "serial reference sweep ({scale:?} scale, {} designs)...",
+        "1-worker reference sweep ({scale:?} scale, {} designs)...",
         designs.len()
     );
-    let (serial, serial_wall) = timed(|| sweep_serial(&designs, &cfg));
+    let (serial, serial_wall) = timed(|| sweep_with(&designs, &cfg, 1));
 
     eprintln!("parallel sweep on {threads} threads...");
-    let cache = TraceCache::new();
-    let (parallel, parallel_wall) = timed(|| sweep_on(&designs, &cfg, threads, &cache));
+    let (parallel, parallel_wall) = timed(|| sweep_with(&designs, &cfg, threads));
 
     let identical = serial
         .cells

@@ -6,7 +6,7 @@
 //! cycle, and branch prediction rate are the comparable columns. Wrong
 //! paths are not simulated, so issue and commit rates coincide here.
 
-use hbat_bench::experiment::{run_cell, scale_from_args, trace_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell_uops, scale_from_args, uops_for, ExperimentConfig};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_stats::table::{fnum, percent, TextTable};
 use hbat_workloads::Benchmark;
@@ -27,8 +27,8 @@ fn main() {
     ]);
     t.numeric();
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, &cfg);
-        let m = run_cell(&trace, DesignSpec::MultiPorted { ports: 4 }, &cfg);
+        let uops = uops_for(bench, &cfg);
+        let m = run_cell_uops(uops.ops(), DesignSpec::MultiPorted { ports: 4 }, &cfg);
         t.row(vec![
             bench.name().to_owned(),
             fnum(m.committed as f64 / 1e3, 1),

@@ -24,9 +24,12 @@ use std::sync::atomic::AtomicBool;
 use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate_uops_warm, RunMetrics, WarmAccumulator, WarmExport, WarmState};
+use hbat_cpu::{
+    simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport, WarmState,
+};
 use hbat_isa::uop::PredecodedTrace;
 use hbat_isa::Machine;
+use hbat_obs::NullRecorder;
 use hbat_workloads::{Benchmark, Workload};
 
 use crate::experiment::ExperimentConfig;
@@ -299,30 +302,11 @@ pub fn build_warm_trace(
     })
 }
 
-/// Runs one (warm trace, design) timing cell: installs the warm state,
-/// then replays the tail. The checkpointed counterpart of
-/// [`crate::experiment::run_cell_uops`].
-pub fn run_warm_cell(wt: &WarmTrace, design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops_warm(&cfg.sim, wt.tail.ops(), translator.as_mut(), &wt.warm)
-}
-
-/// [`run_warm_cell`] under a [`hbat_obs::TraceRecorder`] — the observed
-/// sweep's checkpointed cell path. Metrics stay bit-identical to the
-/// unobserved run (the observability contract).
-pub fn run_warm_cell_traced(
-    wt: &WarmTrace,
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-) -> (RunMetrics, hbat_obs::TraceRecorder) {
-    let mut rec = hbat_obs::TraceRecorder::new();
-    let metrics = run_warm_cell_with(wt, design, cfg, &mut rec);
-    (metrics, rec)
-}
-
-/// [`run_warm_cell`] under any recorder — the checkpointed counterpart
-/// of [`crate::experiment::run_cell_uops_with`], used by the interval
-/// sweep paths. Metrics are bit-identical whatever `R` is.
+/// Runs one (warm trace, design) timing cell under `rec`: installs the
+/// warm state, then replays the tail. The checkpointed counterpart of
+/// [`crate::experiment::run_cell_uops_with`]; pass
+/// [`hbat_obs::NullRecorder`] for an unobserved run. Metrics are
+/// bit-identical whatever `R` is.
 pub fn run_warm_cell_with<R: hbat_obs::Recorder>(
     wt: &WarmTrace,
     design: DesignSpec,
@@ -330,13 +314,7 @@ pub fn run_warm_cell_with<R: hbat_obs::Recorder>(
     rec: R,
 ) -> RunMetrics {
     let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    hbat_cpu::simulate_uops_warm_with_recorder(
-        &cfg.sim,
-        wt.tail.ops(),
-        translator.as_mut(),
-        &wt.warm,
-        rec,
-    )
+    simulate_uops_warm_with_recorder(&cfg.sim, wt.tail.ops(), translator.as_mut(), &wt.warm, rec)
 }
 
 /// What [`verify_restore_equivalence`] proved.
@@ -416,8 +394,8 @@ pub fn verify_restore_equivalence(
         ));
     }
     for design in designs {
-        let a = run_warm_cell(&cold, *design, cfg);
-        let b = run_warm_cell(&restored, *design, cfg);
+        let a = run_warm_cell_with(&cold, *design, cfg, NullRecorder);
+        let b = run_warm_cell_with(&restored, *design, cfg, NullRecorder);
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",

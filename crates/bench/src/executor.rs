@@ -2,14 +2,10 @@
 //! (benchmark, design) cells, with a process-wide trace cache and
 //! fault-tolerant cell execution.
 //!
-//! The old sweep path parallelised per benchmark: one thread generated a
-//! trace and then ran every design against it serially, so the sweep's
-//! critical path was the slowest benchmark times the full design count,
-//! and a multi-figure binary rebuilt every trace per figure. Here the two
-//! phases are separated and each is scheduled at cell granularity:
+//! A sweep runs in two phases, each scheduled at cell granularity:
 //!
-//! 1. **Trace build** — each benchmark's trace is generated once, in
-//!    parallel, and published as `Arc<[TraceInst]>` through the
+//! 1. **Trace build** — each benchmark's trace is generated and
+//!    predecoded once, in parallel, and published through the
 //!    [`TraceCache`], so later sweeps in the same process reuse it.
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
@@ -25,8 +21,8 @@
 //!
 //! Scheduling is invisible in the results: every cell seeds its design's
 //! replacement RNG from the experiment's `design_seed` and replays an
-//! immutable shared trace, so the metrics are bit-identical to a serial
-//! sweep regardless of worker count or claim order (tested in
+//! immutable shared trace, so the metrics are bit-identical to a
+//! one-worker sweep regardless of worker count or claim order (tested in
 //! `tests/executor.rs`).
 
 use std::collections::HashMap;

@@ -17,14 +17,13 @@ use std::sync::{Arc, Mutex};
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{
-    simulate, simulate_uops, simulate_uops_with_recorder, simulate_with_recorder, RunMetrics,
-    SimConfig, WarmState,
-};
+use hbat_cpu::{simulate_uops, simulate_uops_with_recorder, RunMetrics, SimConfig, WarmState};
 use hbat_isa::trace::TraceInst;
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
-use hbat_obs::{prof, IntervalRecord, IntervalRecorder, PortResource, Tee, TraceRecorder};
+use hbat_obs::{
+    prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
+};
 use hbat_stats::agg::runtime_weighted_ipc;
 use hbat_stats::chart::BarChart;
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
@@ -32,12 +31,10 @@ use hbat_stats::table::{fnum, fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 use crate::ckpt::{
-    build_warm_trace, ckpt_fingerprint, run_warm_cell, run_warm_cell_with, CheckpointOptions,
-    WarmTrace,
+    build_warm_trace, ckpt_fingerprint, run_warm_cell_with, CheckpointOptions, WarmTrace,
 };
 use crate::executor::{
-    parallel_map, parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy,
-    SweepTelemetry, TraceCache,
+    parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
 use crate::faults::{FaultKind, FaultPlan};
 use crate::journal::{
@@ -48,11 +45,6 @@ use crate::sample::{
     ckpt_sample_fingerprint, ipc_interval, run_sampled_windows, sample_fingerprint, warm_schedule,
     SamplePlan,
 };
-
-/// A built workload in both forms: the raw trace (kept for paths that
-/// serialise `TraceInst` records) and its predecoded micro-ops (what
-/// cells actually execute).
-type BuiltTrace = (Arc<[TraceInst]>, Arc<PredecodedTrace>);
 
 /// Everything one experiment (one figure) varies.
 #[derive(Debug, Clone)]
@@ -216,44 +208,24 @@ pub fn trace_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<[TraceInst]> {
     TraceCache::global().get_or_build(bench, &cfg.workload)
 }
 
-/// Like [`trace_for`], but returning both the raw trace and its
-/// predecoded micro-op form, each built at most once process-wide.
-pub fn uops_for(
-    bench: Benchmark,
-    cfg: &ExperimentConfig,
-) -> (Arc<[TraceInst]>, Arc<PredecodedTrace>) {
-    TraceCache::global().get_or_build_uops(bench, &cfg.workload)
+/// The predecoded micro-op form of one benchmark's trace under `cfg`,
+/// built at most once process-wide (see [`trace_for`]).
+pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
+    TraceCache::global()
+        .get_or_build_uops(bench, &cfg.workload)
+        .1
 }
 
-/// Runs one (trace, design) cell through the legacy `TraceInst` decoder.
-pub fn run_cell(trace: &[TraceInst], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate(&cfg.sim, trace, translator.as_mut())
-}
-
-/// Runs one (micro-ops, design) cell through the predecoded engine.
-/// Bit-identical metrics to [`run_cell`] on the same workload (the
-/// `uop_parity` suite pins this); the sweeps use this path.
+/// Runs one (micro-ops, design) cell through the engine.
 pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
     let mut translator = design.build(cfg.geometry, cfg.design_seed);
     simulate_uops(&cfg.sim, uops, translator.as_mut())
 }
 
-/// [`run_cell_uops`] under a [`TraceRecorder`]; see [`run_cell_traced`].
-pub fn run_cell_uops_traced(
-    uops: &[MicroOp],
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-) -> (RunMetrics, TraceRecorder) {
-    let mut rec = TraceRecorder::new();
-    let metrics = run_cell_uops_with(uops, design, cfg, &mut rec);
-    (metrics, rec)
-}
-
-/// [`run_cell_uops`] under any recorder — the form the interval paths
-/// use (an [`hbat_obs::IntervalRecorder`], or a [`hbat_obs::Tee`] of
-/// trace + interval). Metrics are bit-identical whatever `R` is; the
-/// recorder only reads.
+/// [`run_cell_uops`] under any recorder: a [`TraceRecorder`] for the
+/// stall taxonomy, an [`hbat_obs::IntervalRecorder`], or a
+/// [`hbat_obs::Tee`] of both. Metrics are bit-identical whatever `R`
+/// is; the recorder only reads.
 pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     uops: &[MicroOp],
     design: DesignSpec,
@@ -264,125 +236,18 @@ pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     simulate_uops_with_recorder(&cfg.sim, uops, translator.as_mut(), rec)
 }
 
-/// Runs one (trace, design) cell under a [`TraceRecorder`] and returns
-/// the metrics together with the recorder. The metrics are bit-identical
-/// to [`run_cell`]'s (the observability contract, tested in
-/// `crates/cpu/tests/observability.rs` and `tests/obs.rs`).
-pub fn run_cell_traced(
-    trace: &[TraceInst],
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-) -> (RunMetrics, TraceRecorder) {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    let mut rec = TraceRecorder::new();
-    let metrics = simulate_with_recorder(&cfg.sim, trace, translator.as_mut(), &mut rec);
-    (metrics, rec)
-}
-
 /// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
-/// workers, sharing traces through the process-wide cache.
-pub fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
-    sweep_on(designs, cfg, worker_threads(), TraceCache::global())
-}
-
-/// [`sweep`] with explicit worker count and trace cache — the form the
-/// determinism tests and the sweep benchmark drive directly.
+/// workers, sharing traces through the process-wide cache: the
+/// fail-fast convenience over [`sweep_ft`] with default options.
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by any trace build or cell run —
-/// this is the fail-fast sweep; [`sweep_ft_on`] is the isolating one.
-pub fn sweep_on(
-    designs: &[DesignSpec],
-    cfg: &ExperimentConfig,
-    threads: usize,
-    cache: &TraceCache,
-) -> SweepResult {
-    let benches = Benchmark::ALL;
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-
-    // Phase 1: every distinct trace, built and predecoded in parallel.
-    let (traces, trace_build) = {
-        let _prof = prof::scope("trace-build");
-        timed(|| {
-            parallel_map(benches.len(), threads, |bi| {
-                let (_raw, uops) = cache.get_or_build_uops(benches[bi], &cfg.workload);
-                uops
-            })
-        })
-    };
-
-    // Phase 2: one queue of benchmark × design cells; workers claim the
-    // next cell until the queue drains.
-    let n_cells = benches.len() * designs.len();
-    let (flat, cell_exec) = {
-        let _prof = prof::scope("detailed-run");
-        timed(|| {
-            parallel_map(n_cells, threads, |i| {
-                let (bi, di) = (i / designs.len(), i % designs.len());
-                CellResult {
-                    bench: benches[bi],
-                    design: designs[di],
-                    metrics: run_cell_uops(&traces[bi], designs[di], cfg),
-                    windows: Vec::new(),
-                }
-            })
-        })
-    };
-
-    let mut cells: Vec<Vec<CellResult>> = Vec::with_capacity(benches.len());
-    let mut flat = flat.into_iter();
-    for _ in 0..benches.len() {
-        cells.push(flat.by_ref().take(designs.len()).collect());
-    }
-    SweepResult {
-        designs: designs.to_vec(),
-        cells,
-        telemetry: SweepTelemetry {
-            threads,
-            cells: n_cells,
-            traces_built: cache.misses() - misses0,
-            trace_cache_hits: cache.hits() - hits0,
-            trace_build,
-            cell_exec,
-        },
-    }
-}
-
-/// A single-threaded reference sweep that bypasses the scheduler and the
-/// shared cache entirely: the ground truth the parallel executor must
-/// reproduce bit-for-bit.
-pub fn sweep_serial(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
-    let cells: Vec<Vec<CellResult>> = Benchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let trace = bench.build(&cfg.workload).trace();
-            designs
-                .iter()
-                .map(|&design| CellResult {
-                    bench,
-                    design,
-                    metrics: run_cell(&trace, design, cfg),
-                    windows: Vec::new(),
-                })
-                .collect()
-        })
-        .collect();
-    SweepResult {
-        designs: designs.to_vec(),
-        cells,
-        telemetry: SweepTelemetry {
-            threads: 1,
-            cells: Benchmark::ALL.len() * designs.len(),
-            traces_built: Benchmark::ALL.len() as u64,
-            ..SweepTelemetry::default()
-        },
-    }
-}
-
-/// Sweeps the full Table-2 design set.
-pub fn sweep_table2(cfg: &ExperimentConfig) -> SweepResult {
-    sweep(&DesignSpec::TABLE2, cfg)
+/// If any cell fails, with the rendered failure manifest.
+pub fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
+    let r = sweep_ft(designs, cfg, &SweepOptions::default())
+        .expect("a sweep without a journal does no I/O");
+    let manifest = r.manifest.render();
+    r.into_complete().unwrap_or_else(|| panic!("{manifest}"))
 }
 
 // ---- fault-tolerant sweeps -----------------------------------------------
@@ -779,7 +644,7 @@ impl FtSweepResult {
 /// or a checkpointed warm trace (timing tail + warm state).
 enum BenchInput {
     /// Full trace from program start; timing covers every instruction.
-    Full(BuiltTrace),
+    Full(Arc<PredecodedTrace>),
     /// Fast-forwarded through the checkpoint layer; timing covers the
     /// tail past the boundary with warm state installed.
     Warm(Box<WarmTrace>),
@@ -843,7 +708,8 @@ enum CellJob {
 }
 
 /// Exercises the corrupt-input recovery path for a `CorruptTrace`
-/// fault: the cell's trace is serialised, truncated at the plan's
+/// fault: the cell's micro-ops are decoded back to `TraceInst` records
+/// and serialised, the image is truncated at the plan's
 /// deterministic offset, and fed back through [`read_trace`], which
 /// must reject it. Diverges either way: the rejection (the expected
 /// path) fails the cell cleanly into the manifest, and an accepted
@@ -853,9 +719,9 @@ enum CellJob {
 ///
 /// Always — both branches diverge by design; the surrounding cell
 /// isolation turns the panic into a manifest entry.
-fn run_with_corrupt_trace(index: usize, trace: &[TraceInst], plan: &FaultPlan) -> ! {
+fn run_with_corrupt_trace(index: usize, uops: &PredecodedTrace, plan: &FaultPlan) -> ! {
     let mut buf = Vec::new();
-    if let Err(e) = write_trace(&mut buf, trace) {
+    if let Err(e) = write_trace(&mut buf, &uops.decode()) {
         panic!("injected fault: trace serialisation failed: {e}");
     }
     buf.truncate(plan.corruption_offset(index, buf.len()));
@@ -901,6 +767,21 @@ pub fn sweep_ft_on(
     } else {
         opts.threads
     };
+    // The journal rules: resuming replays the journal, and the
+    // observability and interval records live in sidecars next to it.
+    // Checked before any file is opened.
+    let needs_journal = if opts.resume {
+        Some("--resume needs --journal <path>")
+    } else if opts.observe {
+        Some("--observe needs --journal <path> (the sidecar lives next to it)")
+    } else if opts.intervals.is_some() {
+        Some("--intervals needs --journal <path> (the sidecar lives next to it)")
+    } else {
+        None
+    };
+    if let (None, Some(msg)) = (&opts.journal, needs_journal) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
     // Reject bad interval widths here, with an error, rather than
     // letting the recorder's constructor panic inside every isolated
     // cell job.
@@ -947,19 +828,17 @@ pub fn sweep_ft_on(
     // its block, window starts go non-monotonic at the seam — reset
     // and keep the latest complete block.
     let mut restored_windows: HashMap<CellKey, Vec<IntervalRecord>> = HashMap::new();
-    if opts.resume {
-        if let Some(path) = &opts.journal {
-            for rec in read_journal(path)? {
-                restored.insert(rec.key, rec.metrics);
-            }
-            if opts.sample.is_some() {
-                for rec in read_interval_sidecar(&iv_sidecar_path(path))? {
-                    let wins = restored_windows.entry(rec.key).or_default();
-                    if wins.last().is_some_and(|w| rec.window.start <= w.start) {
-                        wins.clear();
-                    }
-                    wins.push(rec.window);
+    if let (true, Some(path)) = (opts.resume, &opts.journal) {
+        for rec in read_journal(path)? {
+            restored.insert(rec.key, rec.metrics);
+        }
+        if opts.sample.is_some() {
+            for rec in read_interval_sidecar(&iv_sidecar_path(path))? {
+                let wins = restored_windows.entry(rec.key).or_default();
+                if wins.last().is_some_and(|w| rec.window.start <= w.start) {
+                    wins.clear();
                 }
+                wins.push(rec.window);
             }
         }
     }
@@ -1011,13 +890,11 @@ pub fn sweep_ft_on(
                     });
                     BenchInput::Warm(Box::new(wt))
                 }
-                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload)),
+                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload).1),
             }
         })
     });
     drop(phase_trace_build);
-    // The raw trace stays available for the corrupt-trace fault path,
-    // which serialises `TraceInst` records; cells run on the micro-ops.
     let mut traces: Vec<Option<BenchInput>> = Vec::with_capacity(benches.len());
     let mut trace_errs: Vec<String> = Vec::with_capacity(benches.len());
     for outcome in trace_outcomes {
@@ -1073,15 +950,11 @@ pub fn sweep_ft_on(
                 "injected fault: cell {i} stalled past its deadline"
             );
             if opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace) {
-                let decoded_tail;
-                let trace: &[TraceInst] = match input {
-                    BenchInput::Full((trace, _)) => trace,
-                    BenchInput::Warm(wt) => {
-                        decoded_tail = wt.tail.decode();
-                        &decoded_tail
-                    }
+                let uops = match input {
+                    BenchInput::Full(uops) => uops,
+                    BenchInput::Warm(wt) => &wt.tail,
                 };
-                run_with_corrupt_trace(i, trace, &opts.faults);
+                run_with_corrupt_trace(i, uops, &opts.faults);
             }
             // One generic execution path per input form; the recorder
             // combination (none / trace / interval / both via Tee) is
@@ -1094,7 +967,7 @@ pub fn sweep_ft_on(
                 rec: R,
             ) -> RunMetrics {
                 match input {
-                    BenchInput::Full((_, uops)) => run_cell_uops_with(uops, design, cfg, rec),
+                    BenchInput::Full(uops) => run_cell_uops_with(uops, design, cfg, rec),
                     BenchInput::Warm(wt) => run_warm_cell_with(wt, design, cfg, rec),
                 }
             }
@@ -1107,7 +980,7 @@ pub fn sweep_ft_on(
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
                     let (ops, export) = match input {
-                        BenchInput::Full((_, uops)) => (uops.ops(), None),
+                        BenchInput::Full(uops) => (uops.ops(), None),
                         BenchInput::Warm(wt) => (wt.tail.ops(), Some(&wt.export)),
                     };
                     let schedule =
@@ -1118,15 +991,7 @@ pub fn sweep_ft_on(
                     (cell.metrics, None, Some((cell.windows, 0)))
                 } else {
                     match (opts.observe, opts.intervals) {
-                        (false, None) => {
-                            let metrics = match input {
-                                BenchInput::Full((_, uops)) => {
-                                    run_cell_uops(uops, designs[di], cfg)
-                                }
-                                BenchInput::Warm(wt) => run_warm_cell(wt, designs[di], cfg),
-                            };
-                            (metrics, None, None)
-                        }
+                        (false, None) => (exec(input, designs[di], cfg, NullRecorder), None, None),
                         (true, None) => {
                             let mut rec = TraceRecorder::new();
                             let metrics = exec(input, designs[di], cfg, &mut rec);
@@ -1287,6 +1152,7 @@ pub fn scale_from_args() -> Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::parallel_map;
 
     #[test]
     fn tiny_sweep_produces_sane_relative_ipcs() {
@@ -1339,6 +1205,42 @@ mod tests {
         let s = slot.get_or_build(|| vec![WarmState::default()]);
         assert_eq!(s.len(), 1);
         assert!(slot.is_held());
+    }
+
+    #[test]
+    fn journal_only_options_need_a_journal() {
+        let cfg = ExperimentConfig::baseline(Scale::Test);
+        let designs = [DesignSpec::MultiPorted { ports: 4 }];
+        for (flag, opts) in [
+            (
+                "--resume",
+                SweepOptions {
+                    resume: true,
+                    ..SweepOptions::default()
+                },
+            ),
+            (
+                "--observe",
+                SweepOptions {
+                    observe: true,
+                    ..SweepOptions::default()
+                },
+            ),
+            (
+                "--intervals",
+                SweepOptions {
+                    intervals: Some(512),
+                    ..SweepOptions::default()
+                },
+            ),
+        ] {
+            let cache = TraceCache::new();
+            let err = sweep_ft_on(&designs, &cfg, &opts, &cache).expect_err(flag);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{flag}");
+            let want = format!("{flag} needs --journal <path>");
+            assert!(err.to_string().starts_with(&want), "{err}");
+            assert_eq!(cache.misses(), 0, "{flag}: rejected before any work");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | `fig8` | relative IPC, 8 KB pages |
 //! | `fig9` | relative IPC, 8 int / 8 fp registers |
 //! | `figs` | Figures 5/7/8/9 in one process, sharing cached traces |
-//! | `sweep_bench` | serial-vs-parallel sweep timing → `results/BENCH_sweep.json` |
+//! | `sweep_bench` | 1-worker-vs-parallel sweep timing → `results/BENCH_sweep.json` |
 //!
 //! Each binary accepts a scale argument (`test`, `small`, `reference`);
 //! the default is `small`. Run them with
@@ -21,7 +21,7 @@
 //!
 //! Sweeps run on the cell-level parallel executor in [`executor`]
 //! (worker count from `HBAT_THREADS`, default all cores) and are
-//! bit-identical to the single-threaded [`sweep_serial`] reference.
+//! bit-identical to the same sweep on one worker.
 //!
 //! The executor is fault-tolerant: each cell runs under `catch_unwind`
 //! with bounded retries and an optional deadline ([`RunPolicy`]), a
@@ -43,7 +43,7 @@ pub mod perfdb;
 pub mod sample;
 
 pub use ckpt::{
-    build_warm_trace, build_warm_trace_cold, ckpt_fingerprint, run_warm_cell, run_warm_cell_with,
+    build_warm_trace, build_warm_trace_cold, ckpt_fingerprint, run_warm_cell_with,
     verify_restore_equivalence, CheckpointOptions, EquivalenceReport, WarmTrace,
 };
 pub use executor::{
@@ -52,9 +52,8 @@ pub use executor::{
 };
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
-    render_obs_record, run_cell, run_cell_traced, run_cell_uops, run_cell_uops_with,
-    scale_from_args, sweep, sweep_ft, sweep_ft_on, sweep_on, sweep_serial, sweep_table2, trace_for,
-    CellResult, ExperimentConfig, FtSweepResult, SweepOptions, SweepResult,
+    render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep, sweep_ft,
+    sweep_ft_on, trace_for, CellResult, ExperimentConfig, FtSweepResult, SweepOptions, SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{

@@ -1,6 +1,6 @@
 //! The performance-regression database: `hbat perfdb add | check`.
 //!
-//! Every macro-benchmark (`obs_bench`, `uop_bench`, `sweep_bench`)
+//! Every macro-benchmark (`obs_bench`, `sample_bench`, `sweep_bench`)
 //! already writes a flat `results/BENCH_*.json` report. This module
 //! turns those one-off reports into a history and a gate:
 //!
@@ -380,7 +380,7 @@ mod tests {
         .unwrap();
         assert_eq!(c.bench, "obs_overhead");
         assert_eq!(c.kind, CheckKind::Max(0.35));
-        let c = parse_baseline_line(r#"{"v":1,"bench":"uop_engine","metric":"speedup","min":1}"#)
+        let c = parse_baseline_line(r#"{"v":1,"bench":"fig5_sweep","metric":"speedup","min":1}"#)
             .unwrap();
         assert_eq!(c.kind, CheckKind::Min(1.0));
         let c = parse_baseline_line(

@@ -711,7 +711,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let p = plan(12, 400, 100);
 
         let a = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
@@ -758,7 +758,7 @@ mod tests {
         let b = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
-        let full = crate::ckpt::run_warm_cell(&wt, design, &cfg);
+        let full = crate::ckpt::run_warm_cell_with(&wt, design, &cfg, hbat_obs::NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -788,7 +788,7 @@ mod tests {
             }
             windows.len()
         };
-        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         assert_eq!(check(uops.ops(), None, &plan(8, 300, 50)), 8);
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         assert_eq!(check(wt.tail.ops(), Some(&wt.export), &plan(6, 200, 50)), 6);
@@ -801,7 +801,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 1 };
-        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan(5, 300, 50));
         let rebuilt = SampledCell::from_windows(cell.windows.clone());
         assert_eq!(

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use hbat_bench::executor::RunPolicy;
 use hbat_bench::experiment::{
-    iv_sidecar_path, sweep_ft_on, sweep_serial, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_bench::faults::{FaultKind, FaultPlan};
 use hbat_bench::journal::read_journal;
@@ -39,9 +39,22 @@ fn temp_journal(tag: &str) -> PathBuf {
     path
 }
 
+/// The serial reference: an unfaulted sweep on one worker and a fresh
+/// trace cache.
+fn reference_sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
+    let opts = SweepOptions {
+        threads: 1,
+        ..SweepOptions::default()
+    };
+    sweep_ft_on(designs, cfg, &opts, &TraceCache::new())
+        .expect("no journal, no I/O")
+        .into_complete()
+        .expect("an unfaulted sweep completes every cell")
+}
+
 /// All completed cells of `r` match the serial reference bit-for-bit.
 fn assert_matches_serial(r: &hbat_bench::experiment::FtSweepResult, tag: &str) {
-    let reference = sweep_serial(designs(), &ExperimentConfig::baseline(Scale::Test));
+    let reference = reference_sweep(designs(), &ExperimentConfig::baseline(Scale::Test));
     for (bi, row) in r.cells.iter().enumerate() {
         for (di, outcome) in row.iter().enumerate() {
             if let Some(cell) = outcome.ok() {
@@ -116,7 +129,7 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
         "the resume run journals the re-executed cells"
     );
     let complete = resumed.into_complete().expect("all cells finished");
-    let reference = sweep_serial(designs(), &cfg);
+    let reference = reference_sweep(designs(), &cfg);
     for (r_row, s_row) in complete.cells.iter().zip(&reference.cells) {
         for (r, s) in r_row.iter().zip(s_row) {
             assert_eq!(r.metrics, s.metrics);

@@ -187,7 +187,9 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     for bench in Benchmark::ALL {
         let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, 2_000).unwrap();
         for design in designs() {
-            let truth = hbat_bench::ckpt::run_warm_cell(&wt, design, &cfg).ipc();
+            let truth =
+                hbat_bench::ckpt::run_warm_cell_with(&wt, design, &cfg, hbat_obs::NullRecorder)
+                    .ipc();
             let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(

@@ -40,7 +40,8 @@ use hbat_core::cycle::Cycle;
 use hbat_core::request::{TranslateRequest, WritebackKind};
 use hbat_core::translator::AddressTranslator;
 use hbat_core::Outcome;
-use hbat_isa::trace::{OpClass, TraceInst};
+use hbat_isa::trace::OpClass;
+use hbat_isa::uop::{MicroOp, NO_REG};
 use hbat_mem::cache::{Cache, CacheAccess};
 use hbat_obs::{NullRecorder, OccupancySample, PortResource, Recorder, StallCause};
 
@@ -48,7 +49,6 @@ use crate::bpred::BranchPredictor;
 use crate::config::{IssueModel, SimConfig};
 use crate::fu::FuPool;
 use crate::metrics::RunMetrics;
-use crate::uop::{EngineOp, NO_REG};
 
 /// Progress of one in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,10 +118,10 @@ fn unpack_waiter(w: u16) -> (u64, WaiterKind) {
 }
 
 #[derive(Debug, Clone)]
-struct Slot<O: EngineOp> {
+struct Slot {
     /// Unique, monotonically increasing dispatch id (never reused).
     id: u64,
-    t: O,
+    t: MicroOp,
     /// True for wrong-path instructions (squashed, never committed).
     phantom: bool,
     state: State,
@@ -288,21 +288,19 @@ struct ObsFlags {
     dcache_noport: bool,
 }
 
-/// The timing engine. Construct with [`Engine::new`] (uninstrumented) or
-/// [`Engine::with_recorder`], then call [`Engine::run`].
+/// The timing engine. Construct with [`Engine::with_recorder`], then
+/// call [`Engine::run`].
 ///
-/// The engine is generic over a [`Recorder`]; with the default
+/// The engine is generic over a [`Recorder`]; with
 /// [`NullRecorder`] every probe is statically compiled out and the run
 /// is bit-identical to an unobserved one (`Recorder::ENABLED` is a
 /// `const`).
 ///
-/// It is also generic over the dynamic-instruction representation
-/// [`EngineOp`]: the legacy [`TraceInst`] records (default) or the
-/// predecoded `MicroOp`s (see [`crate::simulate_uops`]). Both produce
-/// bit-identical [`RunMetrics`] — the parity suite pins this.
-pub struct Engine<'a, R: Recorder = NullRecorder, O: EngineOp = TraceInst> {
+/// It replays predecoded [`MicroOp`]s (see `hbat_isa::uop`): every
+/// operand fetch in the per-cycle scans is a plain field read.
+pub struct Engine<'a, R: Recorder = NullRecorder> {
     cfg: &'a SimConfig,
-    trace: &'a [O],
+    trace: &'a [MicroOp],
     translator: &'a mut dyn AddressTranslator,
     now: Cycle,
     /// Re-order buffer storage: a power-of-two ring indexed by slot id.
@@ -312,7 +310,7 @@ pub struct Engine<'a, R: Recorder = NullRecorder, O: EngineOp = TraceInst> {
     /// The vector grows on first touch of each position and never shrinks;
     /// positions outside the live window hold stale slots that are
     /// overwritten before they can be observed.
-    rob: Vec<Slot<O>>,
+    rob: Vec<Slot>,
     rob_mask: usize,
     /// Number of live slots (`rob` positions are a window, not a length).
     rob_len: usize,
@@ -384,25 +382,15 @@ pub struct Engine<'a, R: Recorder = NullRecorder, O: EngineOp = TraceInst> {
     obs: ObsFlags,
 }
 
-impl<'a, O: EngineOp> Engine<'a, NullRecorder, O> {
-    /// Builds an uninstrumented engine over `trace` using `translator`
-    /// for data-memory address translation.
-    pub fn new(
-        cfg: &'a SimConfig,
-        trace: &'a [O],
-        translator: &'a mut dyn AddressTranslator,
-    ) -> Self {
-        Engine::with_recorder(cfg, trace, translator, NullRecorder)
-    }
-}
-
-impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
-    /// Builds an engine whose probes report to `rec`. Pass a recorder by
+impl<'a, R: Recorder> Engine<'a, R> {
+    /// Builds an engine over `trace` that translates data addresses
+    /// through `translator` and reports its probes to `rec`
+    /// ([`NullRecorder`] for an uninstrumented run). Pass a recorder by
     /// `&mut` to read it back after [`run`](Engine::run) consumes the
     /// engine.
     pub fn with_recorder(
         cfg: &'a SimConfig,
-        trace: &'a [O],
+        trace: &'a [MicroOp],
         translator: &'a mut dyn AddressTranslator,
         rec: R,
     ) -> Self {
@@ -546,8 +534,8 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                         let s = self.slot(0);
                         (
                             s.id,
-                            s.t.serial(),
-                            s.t.class(),
+                            s.t.serial,
+                            s.t.class,
                             s.phantom,
                             s.state,
                             s.mispredicted,
@@ -607,7 +595,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 s.state != State::Complete,
                 "active mask out of sync at rob[{i}]"
             );
-            if s.t.class() != OpClass::Store {
+            if s.t.class != OpClass::Store {
                 continue;
             }
             let rec = mirror.next().expect("store missing from mirror");
@@ -616,8 +604,8 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             if rec.state == State::Complete {
                 debug_assert_eq!(rec.finish, s.finish, "store mirror finish diverged");
             }
-            debug_assert_eq!(rec.lo, s.t.mem_vaddr().0);
-            debug_assert_eq!(rec.hi, rec.lo + s.t.mem_width_bytes());
+            debug_assert_eq!(rec.lo, s.t.vaddr);
+            debug_assert_eq!(rec.hi, rec.lo + s.t.width.bytes());
         }
         debug_assert_eq!(self.active >> self.rob_len, 0, "stale high bits");
         debug_assert!(mirror.next().is_none(), "squashed store left in mirror");
@@ -701,7 +689,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     /// If `idx` names a ring position no [`Self::push_slot`] ever
     /// touched — a broken live-window invariant.
     #[inline(always)]
-    fn slot(&self, idx: usize) -> &Slot<O> {
+    fn slot(&self, idx: usize) -> &Slot {
         debug_assert!(idx < self.rob_len);
         &self.rob[(self.front_id as usize).wrapping_add(idx) & self.rob_mask]
     }
@@ -711,7 +699,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     /// # Panics
     /// Same live-window invariant as [`Self::slot`].
     #[inline(always)]
-    fn slot_mut(&mut self, idx: usize) -> &mut Slot<O> {
+    fn slot_mut(&mut self, idx: usize) -> &mut Slot {
         debug_assert!(idx < self.rob_len);
         &mut self.rob[(self.front_id as usize).wrapping_add(idx) & self.rob_mask]
     }
@@ -724,7 +712,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     /// If the window is already full, the wrapped position skips past
     /// the vector's end — callers check occupancy first.
     #[inline(always)]
-    fn push_slot(&mut self, s: Slot<O>) {
+    fn push_slot(&mut self, s: Slot) {
         let pos = (self.front_id as usize).wrapping_add(self.rob_len) & self.rob_mask;
         if pos == self.rob.len() {
             self.rob.push(s);
@@ -740,7 +728,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     /// Same live-window invariant as [`Self::slot`]: a live id's ring
     /// position must have been pushed.
     #[inline(always)]
-    fn slot_by_id(&self, id: u64) -> Option<&Slot<O>> {
+    fn slot_by_id(&self, id: u64) -> Option<&Slot> {
         if id < self.front_id || id - self.front_id >= self.rob_len as u64 {
             return None;
         }
@@ -970,7 +958,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             return Verdict::Ready;
         }
         let mask = if addr_only {
-            self.slot(idx).t.addr_src_mask()
+            self.slot(idx).t.addr_src_mask
         } else {
             0b111
         };
@@ -1099,13 +1087,13 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             if head.state != State::Complete || head.finish > self.now {
                 break;
             }
-            let class = head.t.class();
+            let class = head.t.class;
             if class == OpClass::Store {
                 // Committed stores write the data cache; they need a port.
                 let pa = self
                     .translator
                     .geometry()
-                    .splice(head.ppn, head.t.mem_vaddr());
+                    .splice(head.ppn, VirtAddr(head.t.vaddr));
                 match self.dcache.access(pa, true) {
                     CacheAccess::Served { was_miss, .. } => {
                         if R::ENABLED {
@@ -1214,7 +1202,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     fn try_issue(&mut self, idx: usize, in_order: bool) -> bool {
         let (class, is_mem) = {
             let s = self.slot(idx);
-            (s.t.class(), s.t.is_mem())
+            (s.t.class, s.t.is_mem())
         };
 
         // Operand readiness: memory ops need address operands only in
@@ -1268,19 +1256,19 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
     fn try_issue_mem(&mut self, idx: usize) -> bool {
         let (serial, phantom, t) = {
             let s = self.slot(idx);
-            (s.t.serial(), s.phantom, s.t)
+            (s.t.serial, s.phantom, s.t)
         };
         // Apply pretranslation register writebacks in program order up to
         // this instruction (only the pretranslation design queues any).
         if self.track_wb {
             self.drain_writebacks(serial);
         }
-        let bc = t.mem_base_code();
+        let bc = t.base_reg;
         let req = TranslateRequest {
-            vaddr: t.mem_vaddr(),
+            vaddr: VirtAddr(t.vaddr),
             kind: t.mem_kind(),
             base_reg: (bc != 0).then_some(bc),
-            offset: t.mem_offset(),
+            offset: t.offset,
             serial,
         };
         let outcome = self.translator.translate(&req);
@@ -1290,7 +1278,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 // translator had no port: the retry next cycle goes through
                 // an AGU again, so port contention also burns load/store
                 // unit bandwidth.
-                self.fus.issue(t.class());
+                self.fus.issue(t.class);
                 self.metrics.translation_retries += 1;
                 if R::ENABLED {
                     self.obs.tlb_retry = true;
@@ -1332,14 +1320,14 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             self.metrics.wrong_path_translations += 1;
         }
         self.metrics.issued_mem += 1;
-        let finish_agu = self.fus.issue(t.class());
+        let finish_agu = self.fus.issue(t.class);
         let now = self.now;
         let slot = self.slot_mut(idx);
         slot.addr_ready = addr_ready;
         slot.aux_finish = finish_agu; // post-increment writeback
         slot.state = State::Translated;
         slot.translated_at = now;
-        if t.class() == OpClass::Store {
+        if t.class == OpClass::Store {
             let id = slot.id;
             let rec = self
                 .stores
@@ -1417,7 +1405,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             let vpn = self
                 .translator
                 .geometry()
-                .vpn(self.slot(idx).t.mem_vaddr())
+                .vpn(VirtAddr(self.slot(idx).t.vaddr))
                 .0;
             let shared = self
                 .walk_done
@@ -1461,7 +1449,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
         }
         let slot = self.slot(idx);
         let my_id = slot.id;
-        match slot.t.class() {
+        match slot.t.class {
             OpClass::Store => {
                 let verdict = self.deps_verdict(idx, false);
                 if verdict != Verdict::Ready {
@@ -1502,8 +1490,8 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 // overlapping this access (the mirror holds exactly the
                 // in-flight stores, in program order).
                 let slot = self.slot(idx);
-                let lo = slot.t.mem_vaddr().0;
-                let hi = lo + slot.t.mem_width_bytes();
+                let lo = slot.t.vaddr;
+                let hi = lo + slot.t.width.bytes();
                 let forward = self
                     .stores
                     .iter()
@@ -1535,7 +1523,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 let pa = self
                     .translator
                     .geometry()
-                    .splice(slot.ppn, slot.t.mem_vaddr());
+                    .splice(slot.ppn, VirtAddr(slot.t.vaddr));
                 match self.dcache.access(pa, false) {
                     CacheAccess::Served { data_at, was_miss } => {
                         if R::ENABLED {
@@ -1634,11 +1622,11 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 break;
             }
             // Fetch-group rule: all instructions from one I-cache block.
-            let iblock = (t.pc() as u64 * 4) >> self.iblock_shift;
+            let iblock = (t.pc as u64 * 4) >> self.iblock_shift;
             match block {
                 None => {
                     // First instruction: access the I-cache for the block.
-                    let pa = hbat_core::addr::PhysAddr(t.pc() as u64 * 4);
+                    let pa = hbat_core::addr::PhysAddr(t.pc as u64 * 4);
                     match self.icache.access(pa, false) {
                         CacheAccess::Served { data_at, was_miss } => {
                             if was_miss {
@@ -1672,13 +1660,13 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                         // Phantom branches consult but never train the
                         // predictor; a second misprediction ends the
                         // speculative fetch stream.
-                        if self.bpred.predict(t.pc()) != br.taken {
+                        if self.bpred.predict(t.pc) != br.taken {
                             self.spec.as_mut().expect("phantom mode").fetch_stopped = true;
                             end_group = true;
                         }
                     } else {
                         self.metrics.cond_branches += 1;
-                        let correct = self.bpred.update(t.pc(), br.taken);
+                        let correct = self.bpred.update(t.pc, br.taken);
                         if correct {
                             self.metrics.bpred_correct += 1;
                         } else {
@@ -1742,7 +1730,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
         // bookkeeping below without a 40-byte stack copy.
         let trace = self.trace;
         let t = &trace[ptr];
-        let srcs = t.src_codes();
+        let srcs = t.srcs;
         // Producers already readable at dispatch are pruned to the "no
         // producer" sentinel: readiness is monotone (a completed value
         // never becomes un-ready), so the issue stage would find them
@@ -1757,8 +1745,8 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                 }
             }
         }
-        let dest = t.dest_code();
-        let aux = t.aux_dest_code();
+        let dest = t.dest;
+        let aux = t.aux_dest;
         let waw = if dest != NO_REG {
             let p = self.rename[dest as usize];
             if self.value_ready(p) {
@@ -1789,7 +1777,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
                     }
                 }
                 self.pending_wb.push_back(PendingWb {
-                    serial: t.serial(),
+                    serial: t.serial,
                     dest,
                     srcs: wsrcs,
                     kind: t.dest_kind(),
@@ -1797,7 +1785,7 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
             }
             if aux != NO_REG {
                 self.pending_wb.push_back(PendingWb {
-                    serial: t.serial(),
+                    serial: t.serial,
                     dest: aux,
                     srcs: [Some(aux), None, None],
                     kind: WritebackKind::PointerArith,
@@ -1807,12 +1795,12 @@ impl<'a, R: Recorder, O: EngineOp> Engine<'a, R, O> {
         if t.is_mem() {
             self.lsq_occupancy += 1;
         }
-        if t.class() == OpClass::Store {
-            let lo = t.mem_vaddr().0;
+        if t.class == OpClass::Store {
+            let lo = t.vaddr;
             self.stores.push_back(StoreRec {
                 id,
                 lo,
-                hi: lo + t.mem_width_bytes(),
+                hi: lo + t.width.bytes(),
                 state: State::Waiting,
                 finish: Cycle::ZERO,
             });

@@ -6,14 +6,16 @@
 //! 32-entry load/store queue) or in-order issue with stall-on-hazard.
 //!
 //! The simulator is trace-driven: the functional executor in `hbat-isa`
-//! produces the committed-path dynamic trace, and [`simulate`] replays it
-//! against any address-translation design from `hbat-core`, measuring how
+//! produces the committed-path dynamic trace, predecoded once into flat
+//! `MicroOp` records, and [`simulate_uops`] replays it against any
+//! address-translation design from `hbat-core`, measuring how
 //! translation bandwidth and latency shape IPC.
 //!
 //! ```
 //! use hbat_core::designs::spec::DesignSpec;
 //! use hbat_core::PageGeometry;
-//! use hbat_cpu::{simulate, SimConfig};
+//! use hbat_cpu::{simulate_uops, SimConfig};
+//! use hbat_isa::uop::PredecodedTrace;
 //! use hbat_isa::{Inst, Machine, Program, Reg};
 //! use hbat_isa::inst::{AddrMode, Width};
 //!
@@ -26,9 +28,9 @@
 //!     },
 //!     Inst::Halt,
 //! ])?;
-//! let trace = Machine::new(program).run_to_vec(100);
+//! let uops = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(100));
 //! let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-//! let metrics = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+//! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert_eq!(metrics.committed, 2);
 //! # Ok::<(), hbat_isa::ProgramError>(())
 //! ```
@@ -38,106 +40,53 @@ pub mod config;
 pub mod engine;
 pub mod fu;
 pub mod metrics;
-pub mod uop;
 pub mod warm;
 
 pub use bpred::BranchPredictor;
 pub use config::{IssueModel, SimConfig};
 pub use metrics::RunMetrics;
-pub use uop::EngineOp;
 pub use warm::{WarmAccumulator, WarmExport, WarmState};
 
 use hbat_core::translator::AddressTranslator;
-use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::MicroOp;
 
-/// Replays `trace` on the machine described by `cfg`, translating data
-/// addresses through `translator`, and returns the run metrics.
-pub fn simulate(
+/// Replays the predecoded micro-op trace `uops` (see
+/// `hbat_isa::uop::PredecodedTrace`) on the machine described by `cfg`,
+/// translating data addresses through `translator`, and returns the run
+/// metrics. The hot loop reads flat fixed-size records, and the
+/// predecode cost is paid once per workload rather than once per design
+/// cell.
+pub fn simulate_uops(
     cfg: &SimConfig,
-    trace: &[TraceInst],
+    uops: &[MicroOp],
     translator: &mut dyn AddressTranslator,
 ) -> RunMetrics {
-    engine::Engine::new(cfg, trace, translator).run()
+    simulate_uops_with_recorder(cfg, uops, translator, hbat_obs::NullRecorder)
 }
 
-/// Like [`simulate`], but reporting cycle-level observations to `rec`
-/// (see `hbat-obs`). Pass the recorder by `&mut` to inspect it after the
-/// run; enabling one never changes the returned metrics.
+/// Like [`simulate_uops`], but reporting cycle-level observations to
+/// `rec` (see `hbat-obs`). Pass the recorder by `&mut` to inspect it
+/// after the run; enabling one never changes the returned metrics.
 ///
 /// ```
 /// # use hbat_core::designs::spec::DesignSpec;
 /// # use hbat_core::PageGeometry;
-/// # use hbat_cpu::{simulate_with_recorder, SimConfig};
+/// # use hbat_cpu::{simulate_uops_with_recorder, SimConfig};
+/// # use hbat_isa::uop::PredecodedTrace;
 /// # use hbat_isa::{Inst, Machine, Program, Reg};
-/// # use hbat_isa::inst::{AddrMode, Width};
 /// use hbat_obs::TraceRecorder;
 ///
 /// # let program = Program::new(vec![
 /// #     Inst::Li { d: Reg::int(1), imm: 0x1000 },
 /// #     Inst::Halt,
 /// # ])?;
-/// # let trace = Machine::new(program).run_to_vec(100);
+/// # let uops = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(100));
 /// # let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
 /// let mut rec = TraceRecorder::new();
-/// let metrics = simulate_with_recorder(&SimConfig::baseline(), &trace, tlb.as_mut(), &mut rec);
+/// let metrics = simulate_uops_with_recorder(&SimConfig::baseline(), &uops, tlb.as_mut(), &mut rec);
 /// assert_eq!(rec.cycles(), metrics.cycles);
 /// # Ok::<(), hbat_isa::ProgramError>(())
 /// ```
-pub fn simulate_with_recorder<R: hbat_obs::Recorder>(
-    cfg: &SimConfig,
-    trace: &[TraceInst],
-    translator: &mut dyn AddressTranslator,
-    rec: R,
-) -> RunMetrics {
-    engine::Engine::with_recorder(cfg, trace, translator, rec).run()
-}
-
-/// Like [`simulate`], but replaying a predecoded micro-op trace (see
-/// `hbat_isa::uop::PredecodedTrace`): the hot loop reads flat fixed-size
-/// records instead of chasing `Option` structure, and the predecode cost
-/// is paid once per workload rather than once per design cell.
-///
-/// Produces bit-identical [`RunMetrics`] to [`simulate`] on the
-/// equivalent `TraceInst` slice — the `uop_parity` suite pins this.
-///
-/// ```
-/// use hbat_core::designs::spec::DesignSpec;
-/// use hbat_core::PageGeometry;
-/// use hbat_cpu::{simulate, simulate_uops, SimConfig};
-/// use hbat_isa::uop::PredecodedTrace;
-/// use hbat_isa::{Inst, Machine, Program, Reg};
-/// use hbat_isa::inst::{AddrMode, Width};
-///
-/// let program = Program::new(vec![
-///     Inst::Li { d: Reg::int(1), imm: 0x1000 },
-///     Inst::Load {
-///         d: Reg::int(2),
-///         addr: AddrMode::BaseOffset { base: Reg::int(1), offset: 0 },
-///         width: Width::B8,
-///     },
-///     Inst::Halt,
-/// ])?;
-/// let trace = Machine::new(program).run_to_vec(100);
-/// let uops = PredecodedTrace::predecode(&trace);
-/// let spec = DesignSpec::parse("T4").unwrap();
-/// let mut tlb = spec.build(PageGeometry::KB4, 1);
-/// let fast = simulate_uops(&SimConfig::baseline(), uops.ops(), tlb.as_mut());
-/// let mut tlb = spec.build(PageGeometry::KB4, 1);
-/// let slow = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
-/// assert_eq!(fast, slow);
-/// # Ok::<(), hbat_isa::ProgramError>(())
-/// ```
-pub fn simulate_uops(
-    cfg: &SimConfig,
-    uops: &[MicroOp],
-    translator: &mut dyn AddressTranslator,
-) -> RunMetrics {
-    engine::Engine::new(cfg, uops, translator).run()
-}
-
-/// Like [`simulate_uops`], but reporting cycle-level observations to
-/// `rec` (see [`simulate_with_recorder`]).
 pub fn simulate_uops_with_recorder<R: hbat_obs::Recorder>(
     cfg: &SimConfig,
     uops: &[MicroOp],
@@ -147,23 +96,10 @@ pub fn simulate_uops_with_recorder<R: hbat_obs::Recorder>(
     engine::Engine::with_recorder(cfg, uops, translator, rec).run()
 }
 
-/// Like [`simulate_uops`], but installing checkpointed warm state (TLB
-/// entries, cache blocks, branch-predictor tables — see [`warm`]) before
-/// the detailed run starts. Passing an empty [`WarmState`] is equivalent
-/// to [`simulate_uops`].
-pub fn simulate_uops_warm(
-    cfg: &SimConfig,
-    uops: &[MicroOp],
-    translator: &mut dyn AddressTranslator,
-    warm: &WarmState,
-) -> RunMetrics {
-    let mut e = engine::Engine::new(cfg, uops, translator);
-    e.install_warm(warm);
-    e.run()
-}
-
-/// Like [`simulate_uops_warm`], but reporting cycle-level observations to
-/// `rec` (see [`simulate_with_recorder`]).
+/// Like [`simulate_uops_with_recorder`], but installing checkpointed
+/// warm state (TLB entries, cache blocks, branch-predictor tables — see
+/// [`warm`]) before the detailed run starts. Passing an empty
+/// [`WarmState`] is equivalent to [`simulate_uops_with_recorder`].
 pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     cfg: &SimConfig,
     uops: &[MicroOp],

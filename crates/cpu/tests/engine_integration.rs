@@ -4,16 +4,17 @@
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
-use hbat_cpu::{simulate, RunMetrics, SimConfig};
+use hbat_cpu::{simulate_uops, RunMetrics, SimConfig};
+use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn run(bench: Benchmark, design: &str, cfg: &SimConfig) -> RunMetrics {
     let w = bench.build(&WorkloadConfig::new(Scale::Test));
-    let trace = w.trace();
+    let trace = PredecodedTrace::predecode(&w.trace());
     let mut tlb = DesignSpec::parse(design)
         .unwrap()
         .build(PageGeometry::KB4, 1996);
-    simulate(cfg, &trace, tlb.as_mut())
+    simulate_uops(cfg, &trace, tlb.as_mut())
 }
 
 #[test]
@@ -35,10 +36,10 @@ fn every_table2_design_completes_every_test_benchmark() {
     let cfg = SimConfig::baseline();
     for bench in Benchmark::ALL {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = PredecodedTrace::predecode(&w.trace());
         for spec in DesignSpec::TABLE2 {
             let mut tlb = spec.build(PageGeometry::KB4, 7);
-            let m = simulate(&cfg, &trace, tlb.as_mut());
+            let m = simulate_uops(&cfg, &trace, tlb.as_mut());
             assert_eq!(
                 m.committed,
                 trace.len() as u64,
@@ -81,11 +82,11 @@ fn unlimited_bandwidth_is_an_upper_bound() {
     let cfg = SimConfig::baseline();
     for bench in [Benchmark::Compress, Benchmark::Perl] {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = PredecodedTrace::predecode(&w.trace());
         let mut unlim = DesignSpec::Unlimited.build(PageGeometry::KB4, 7);
         let mut t4 = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 7);
-        let mu = simulate(&cfg, &trace, unlim.as_mut());
-        let m4 = simulate(&cfg, &trace, t4.as_mut());
+        let mu = simulate_uops(&cfg, &trace, unlim.as_mut());
+        let m4 = simulate_uops(&cfg, &trace, t4.as_mut());
         assert!(
             mu.cycles <= m4.cycles,
             "{bench}: unlimited {} vs T4 {}",
@@ -176,12 +177,12 @@ fn identical_runs_are_deterministic() {
 #[test]
 fn eight_kb_pages_do_not_break_anything() {
     let w = Benchmark::Compress.build(&WorkloadConfig::new(Scale::Test));
-    let trace = w.trace();
+    let trace = PredecodedTrace::predecode(&w.trace());
     let mut t4k = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
     let mut t8k = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB8, 7);
     let cfg = SimConfig::baseline();
-    let m4k = simulate(&cfg, &trace, t4k.as_mut());
-    let m8k = simulate(&cfg, &trace, t8k.as_mut());
+    let m4k = simulate_uops(&cfg, &trace, t4k.as_mut());
+    let m8k = simulate_uops(&cfg, &trace, t8k.as_mut());
     assert_eq!(m4k.committed, m8k.committed);
     // Bigger pages map more memory: the shield can only get better.
     assert!(m8k.tlb.miss_rate() <= m4k.tlb.miss_rate() + 1e-9);

@@ -3,17 +3,18 @@
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
-use hbat_cpu::{simulate, RunMetrics, SimConfig};
+use hbat_cpu::{simulate_uops, RunMetrics, SimConfig};
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
+use hbat_isa::uop::PredecodedTrace;
 
 fn run_insts(insts: Vec<Inst>, cfg: &SimConfig) -> RunMetrics {
     let program = Program::new(insts).expect("valid test program");
-    let trace = Machine::new(program).run_to_vec(1_000_000);
+    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
     let mut tlb = DesignSpec::Unlimited.build(PageGeometry::KB4, 1);
-    simulate(cfg, &trace, tlb.as_mut())
+    simulate_uops(cfg, &trace, tlb.as_mut())
 }
 
 fn add(d: u8, a: u8, imm: i32) -> Inst {
@@ -218,9 +219,9 @@ fn tlb_misses_stall_dispatch_for_the_walk() {
     }
     insts.push(Inst::Halt);
     let program = Program::new(insts).expect("valid");
-    let trace = Machine::new(program).run_to_vec(10_000);
+    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(10_000));
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-    let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+    let m = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
     assert_eq!(m.tlb.misses, 300, "every page is new");
     // Each miss costs ~30 cycles of dispatch stall; they dominate.
     assert!(

@@ -3,18 +3,19 @@
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
-use hbat_cpu::{simulate, simulate_with_recorder, SimConfig};
+use hbat_cpu::{simulate_uops, simulate_uops_with_recorder, SimConfig};
+use hbat_isa::uop::PredecodedTrace;
 use hbat_obs::{PortResource, TraceRecorder};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn traced(bench: Benchmark, design: &str) -> (hbat_cpu::RunMetrics, TraceRecorder) {
     let w = bench.build(&WorkloadConfig::new(Scale::Test));
-    let trace = w.trace();
+    let trace = PredecodedTrace::predecode(&w.trace());
     let mut tlb = DesignSpec::parse(design)
         .unwrap()
         .build(PageGeometry::KB4, 1996);
     let mut rec = TraceRecorder::new();
-    let m = simulate_with_recorder(&SimConfig::baseline(), &trace, tlb.as_mut(), &mut rec);
+    let m = simulate_uops_with_recorder(&SimConfig::baseline(), &trace, tlb.as_mut(), &mut rec);
     (m, rec)
 }
 
@@ -44,16 +45,16 @@ fn recording_is_invisible_to_the_simulation() {
     // TraceRecorder are bit-identical to an uninstrumented run.
     for bench in [Benchmark::Xlisp, Benchmark::Tomcatv] {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = PredecodedTrace::predecode(&w.trace());
         let cfg = SimConfig::baseline();
         for design in ["I4", "M8", "P8"] {
             let spec = DesignSpec::parse(design).unwrap();
             let mut plain_tlb = spec.build(PageGeometry::KB4, 7);
-            let plain = simulate(&cfg, &trace, plain_tlb.as_mut());
+            let plain = simulate_uops(&cfg, &trace, plain_tlb.as_mut());
 
             let mut rec = TraceRecorder::new();
             let mut traced_tlb = spec.build(PageGeometry::KB4, 7);
-            let traced = simulate_with_recorder(&cfg, &trace, traced_tlb.as_mut(), &mut rec);
+            let traced = simulate_uops_with_recorder(&cfg, &trace, traced_tlb.as_mut(), &mut rec);
 
             assert_eq!(plain, traced, "{bench}/{design}: recorder changed the run");
             assert!(rec.cycles() > 0, "{bench}/{design}: recorder saw the run");

@@ -2,11 +2,12 @@
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
-use hbat_cpu::{simulate, RunMetrics, SimConfig};
+use hbat_cpu::{simulate_uops, RunMetrics, SimConfig};
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
+use hbat_isa::uop::PredecodedTrace;
 
 /// A loop with an unpredictable inner branch and steady memory traffic.
 fn chaotic_mem_loop(iters: i64) -> Vec<Inst> {
@@ -110,9 +111,9 @@ fn chaotic_mem_loop(iters: i64) -> Vec<Inst> {
 
 fn run(insts: Vec<Inst>) -> RunMetrics {
     let program = Program::new(insts).expect("valid");
-    let trace = Machine::new(program).run_to_vec(1_000_000);
+    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-    simulate(&SimConfig::baseline(), &trace, tlb.as_mut())
+    simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut())
 }
 
 #[test]
@@ -206,11 +207,11 @@ fn speculation_affects_timing_but_not_results() {
     // The same chaotic program under in-order and out-of-order issue
     // commits identical instruction/load/store counts.
     let program = Program::new(chaotic_mem_loop(800)).expect("valid");
-    let trace = Machine::new(program).run_to_vec(1_000_000);
+    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
     let mut a = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     let mut b = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-    let ooo = simulate(&SimConfig::baseline(), &trace, a.as_mut());
-    let ino = simulate(&SimConfig::baseline_inorder(), &trace, b.as_mut());
+    let ooo = simulate_uops(&SimConfig::baseline(), &trace, a.as_mut());
+    let ino = simulate_uops(&SimConfig::baseline_inorder(), &trace, b.as_mut());
     assert_eq!(ooo.committed, ino.committed);
     assert_eq!(ooo.loads, ino.loads);
     assert_eq!(ooo.stores, ino.stores);

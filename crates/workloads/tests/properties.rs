@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{Cond, Width};
+use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::builder::Builder;
 use hbat_workloads::layout::{HEAP_BASE, STACK_BASE};
 use hbat_workloads::{Benchmark, RegBudget, Scale, WorkloadConfig};
@@ -147,4 +148,22 @@ fn small_budget_inflates_memory_traffic_substantially() {
         inflated >= 6,
         "expected most benchmarks to inflate ≥30%, got {inflated}/10"
     );
+}
+
+/// The predecoded form loses nothing: decoding it back yields the
+/// original dynamic trace record-for-record, for every workload. The
+/// sweeps serialise a workload's trace from its micro-ops (the
+/// corrupt-trace fault path), so this must hold on every workload, not
+/// only on the instruction forms `hbat-isa` tests.
+#[test]
+fn every_workload_predecodes_losslessly() {
+    let cfg = WorkloadConfig::new(Scale::Test);
+    for bench in Benchmark::ALL {
+        let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&trace);
+        assert_eq!(uops.len(), trace.len());
+        for (i, t) in trace.iter().enumerate() {
+            assert_eq!(uops[i].decode(), *t, "{bench}: record {i} not lossless");
+        }
+    }
 }

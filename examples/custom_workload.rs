@@ -79,7 +79,7 @@ fn main() {
     for (base, bytes) in &image {
         machine.memory_mut().write_bytes(VirtAddr(*base), bytes);
     }
-    let trace = machine.run_to_vec(3_000_000);
+    let trace = PredecodedTrace::predecode(&machine.run_to_vec(3_000_000));
     assert!(machine.is_halted(), "list walk must terminate");
     println!("ping-pong list walk: {} dynamic instructions", trace.len());
 
@@ -90,7 +90,7 @@ fn main() {
     for mnemonic in ["T4", "T1", "PB1", "M4"] {
         let design = DesignSpec::parse(mnemonic).expect("known design");
         let mut tlb = design.build(PageGeometry::KB4, 7);
-        let m = simulate(&cfg, &trace, tlb.as_mut());
+        let m = simulate_uops(&cfg, &trace, tlb.as_mut());
         println!(
             "{:<4} cycles {:>8}  IPC {:.3}  shielded {:>5.1}%  retries {:>6}",
             mnemonic,

@@ -13,7 +13,7 @@ use hbat_suite::prelude::*;
 
 fn main() {
     let workload = Benchmark::Compress.build(&WorkloadConfig::new(Scale::Small));
-    let trace = workload.trace();
+    let trace = PredecodedTrace::predecode(&workload.trace());
     println!(
         "Compress ({} instructions) across page sizes\n",
         trace.len()
@@ -28,7 +28,7 @@ fn main() {
             let geom = PageGeometry::new(page_bits);
             let design = DesignSpec::parse(mnemonic).expect("known design");
             let mut tlb = design.build(geom, 1996);
-            let m = simulate(&cfg, &trace, tlb.as_mut());
+            let m = simulate_uops(&cfg, &trace, tlb.as_mut());
             println!(
                 "{:<10} {:>6}KB {:>10.3} {:>9.3}% {:>10.1}%",
                 mnemonic,

@@ -17,12 +17,12 @@ fn main() {
     // 2. Build a workload — the Espresso analogue at a small scale — and
     //    run it functionally to obtain the dynamic instruction trace.
     let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Small));
-    let trace = workload.trace();
+    let trace = PredecodedTrace::predecode(&workload.trace());
     println!("{}: {} dynamic instructions", workload.name, trace.len());
 
     // 3. Replay the trace on the paper's baseline 8-way out-of-order
     //    machine, translating every data access through the design.
-    let metrics = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+    let metrics = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
 
     println!(
         "design            : {} ({})",

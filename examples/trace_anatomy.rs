@@ -41,9 +41,10 @@ fn main() {
 
     // What the real mechanisms achieve.
     let cfg = SimConfig::baseline();
+    let uops = PredecodedTrace::predecode(&trace);
     for mnemonic in ["M8", "PB1", "P8"] {
         let mut tlb = DesignSpec::parse(mnemonic).expect("known").build(geom, 7);
-        let m = simulate(&cfg, &trace, tlb.as_mut());
+        let m = simulate_uops(&cfg, &uops, tlb.as_mut());
         println!(
             "{:<4} shields {:>5.1}% of its requests (IPC {:.3})",
             mnemonic,

@@ -79,7 +79,6 @@ use hbat_suite::bench::perfdb;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
 use hbat_suite::isa::tracefile;
-use hbat_suite::isa::PredecodedTrace;
 use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
 use hbat_suite::stats::chart::BarChart;
@@ -457,6 +456,13 @@ fn main() -> ExitCode {
     }
 }
 
+/// Builds `bench` under `cfg` and predecodes its trace: the
+/// `trace-build` phase of `run` and `trace`.
+fn build_uops(bench: Benchmark, cfg: &ExperimentConfig) -> PredecodedTrace {
+    let _p = prof::scope("trace-build");
+    PredecodedTrace::predecode(&bench.build(&cfg.workload).trace())
+}
+
 fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
     match cmd {
         "list" => {
@@ -474,16 +480,13 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let trace = {
-                let _p = prof::scope("trace-build");
-                bench.build(&cfg.workload).trace()
-            };
+            let uops = build_uops(bench, &cfg);
             let mut tlb = design.build(cfg.geometry, cfg.design_seed);
             let m = {
                 let _p = prof::scope("detailed-run");
-                simulate(&cfg.sim, &trace, tlb.as_mut())
+                simulate_uops(&cfg.sim, &uops, tlb.as_mut())
             };
-            println!("{bench}: {} instructions\n", trace.len());
+            println!("{bench}: {} instructions\n", uops.len());
             print_metrics(design, &m);
             Ok(())
         }
@@ -491,10 +494,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let trace = {
-                let _p = prof::scope("trace-build");
-                bench.build(&cfg.workload).trace()
-            };
+            let uops = build_uops(bench, &cfg);
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
                     return Err(
@@ -502,7 +502,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                             .to_owned(),
                     );
                 }
-                let uops = PredecodedTrace::predecode(&trace);
                 let phase = prof::scope("sampled-run");
                 let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan);
                 drop(phase);
@@ -510,7 +509,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     "{bench} on {} ({}): {} instructions, sampled {} (windows:len:warmup)\n",
                     design.mnemonic(),
                     design.description(),
-                    trace.len(),
+                    uops.len(),
                     plan.render()
                 );
                 print_sample_windows(&cell.windows);
@@ -547,12 +546,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let (m, rec, iv) = match opts.intervals {
                 None => {
                     let mut rec = TraceRecorder::new();
-                    let m = simulate_with_recorder(&cfg.sim, &trace, tlb.as_mut(), &mut rec);
+                    let m = simulate_uops_with_recorder(&cfg.sim, &uops, tlb.as_mut(), &mut rec);
                     (m, rec, None)
                 }
                 Some(width) => {
                     let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                    let m = simulate_with_recorder(&cfg.sim, &trace, tlb.as_mut(), &mut tee);
+                    let m = simulate_uops_with_recorder(&cfg.sim, &uops, tlb.as_mut(), &mut tee);
                     tee.b.finish();
                     (m, tee.a, Some(tee.b))
                 }
@@ -562,7 +561,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 "{bench} on {} ({}): {} instructions, {} cycles, IPC {:.3}\n",
                 design.mnemonic(),
                 design.description(),
-                trace.len(),
+                uops.len(),
                 m.cycles,
                 m.ipc()
             );
@@ -636,19 +635,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "sweep" => {
-            if opts.resume && opts.journal.is_none() {
-                return Err("--resume needs --journal <path>".to_owned());
-            }
-            if opts.observe && opts.journal.is_none() {
-                return Err(
-                    "--observe needs --journal <path> (the sidecar lives next to it)".to_owned(),
-                );
-            }
-            if opts.intervals.is_some() && opts.journal.is_none() {
-                return Err(
-                    "--intervals needs --journal <path> (the sidecar lives next to it)".to_owned(),
-                );
-            }
             if opts.ckpt_dir.is_some() && opts.ff.is_none() {
                 return Err("--ckpt-dir needs --ff <n> (the fast-forward boundary)".to_owned());
             }
@@ -818,11 +804,13 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let design = opts.design(1)?;
             let mut f =
                 std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
-            let trace = tracefile::read_trace(&mut f).map_err(|e| e.to_string())?;
+            let uops = PredecodedTrace::predecode(
+                &tracefile::read_trace(&mut f).map_err(|e| e.to_string())?,
+            );
             let cfg = opts.experiment();
             let mut tlb = design.build(cfg.geometry, cfg.design_seed);
-            let m = simulate(&cfg.sim, &trace, tlb.as_mut());
-            println!("{path}: {} instructions\n", trace.len());
+            let m = simulate_uops(&cfg.sim, &uops, tlb.as_mut());
+            println!("{path}: {} instructions\n", uops.len());
             print_metrics(design, &m);
             Ok(())
         }

@@ -32,9 +32,9 @@
 //!
 //! // Build the paper's M8 design and one benchmark, then measure IPC.
 //! let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let trace = workload.trace();
+//! let uops = PredecodedTrace::predecode(&workload.trace());
 //! let mut tlb = DesignSpec::parse("M8")?.build(PageGeometry::KB4, 1996);
-//! let metrics = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+//! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert!(metrics.ipc() > 0.5);
 //! # Ok::<(), hbat_core::designs::spec::ParseDesignError>(())
 //! ```
@@ -53,13 +53,15 @@ pub use hbat_workloads as workloads;
 /// The names most users need, in one import.
 pub mod prelude {
     pub use hbat_analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
-    pub use hbat_bench::experiment::{sweep, sweep_table2, ExperimentConfig};
+    pub use hbat_bench::experiment::{sweep, ExperimentConfig};
     pub use hbat_core::designs::spec::DesignSpec;
     pub use hbat_core::{
         AddressTranslator, Cycle, Outcome, PageGeometry, PageTable, TranslateRequest,
     };
-    pub use hbat_cpu::{simulate, simulate_with_recorder, IssueModel, RunMetrics, SimConfig};
-    pub use hbat_isa::{Machine, Program};
+    pub use hbat_cpu::{
+        simulate_uops, simulate_uops_with_recorder, IssueModel, RunMetrics, SimConfig,
+    };
+    pub use hbat_isa::{Machine, PredecodedTrace, Program};
     pub use hbat_obs::{NullRecorder, Recorder, StallCause, TraceRecorder};
     pub use hbat_workloads::{Benchmark, RegBudget, Scale, Workload, WorkloadConfig};
 }

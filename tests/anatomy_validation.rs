@@ -33,10 +33,11 @@ fn reuse_profile_predicts_the_multilevel_shield() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Espresso, Benchmark::Perl, Benchmark::Tomcatv] {
         let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&trace);
         let predicted_hit =
             1.0 - ReuseProfile::of_trace(&trace, PageGeometry::KB4).lru_miss_rate(8);
         let mut tlb = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+        let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         let measured = m.tlb.shield_rate();
         assert!(
             (predicted_hit - measured).abs() < 0.08,
@@ -59,12 +60,13 @@ fn adjacency_bounds_piggyback_combining() {
         Benchmark::Xlisp,
     ] {
         let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&trace);
         let profile = AdjacencyProfile::of_trace(&trace, PageGeometry::KB4, 4);
         let ceiling = profile.regrouped_combinable_fraction();
         let mut tlb = DesignSpec::parse("PB1")
             .unwrap()
             .build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+        let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         assert!(
             m.tlb.shield_rate() <= ceiling + 0.12,
             "{bench}: PB1 shields {:.3} vs adjacency ceiling {:.3}",
@@ -82,9 +84,10 @@ fn pointer_profile_bounds_pretranslation() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Perl, Benchmark::Tomcatv, Benchmark::Gcc] {
         let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&trace);
         let ceiling = PointerProfile::of_trace(&trace, PageGeometry::KB4).reuse_fraction();
         let mut tlb = DesignSpec::parse("P8").unwrap().build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+        let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         assert!(
             m.tlb.shield_rate() <= ceiling + 0.10,
             "{bench}: P8 shields {:.3} vs pointer ceiling {:.3}",

@@ -125,6 +125,17 @@ fn resume_without_journal_is_an_error() {
 }
 
 #[test]
+fn observe_without_journal_is_rejected_before_running() {
+    let (ok, stdout, stderr) = hbat(&["sweep", "--observe", "--scale", "test"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--observe needs --journal <path> (the sidecar lives next to it)"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "no cell ran: {stdout}");
+}
+
+#[test]
 fn trace_prints_attribution_and_writes_valid_jsonl() {
     use hbat_suite::bench::journal::parse_json_object;
 
@@ -438,11 +449,6 @@ fn observed_sweep_writes_sidecar_and_heartbeat_is_controllable() {
         !stderr.contains("heartbeat:"),
         "heartbeat must default off at test scale: {stderr}"
     );
-
-    // --observe without a journal is a usage error.
-    let (ok, _, stderr) = hbat(&["sweep", "--observe", "--scale", "test"]);
-    assert!(!ok);
-    assert!(stderr.contains("--journal"), "{stderr}");
 }
 
 #[test]

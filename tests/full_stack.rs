@@ -13,9 +13,9 @@ fn test_cfg() -> ExperimentConfig {
 #[test]
 fn facade_prelude_covers_the_basics() {
     let w = Benchmark::Doduc.build(&WorkloadConfig::new(Scale::Test));
-    let trace = w.trace();
+    let trace = PredecodedTrace::predecode(&w.trace());
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-    let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+    let m = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
     assert_eq!(m.committed, trace.len() as u64);
 }
 
@@ -113,16 +113,18 @@ fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
 fn eight_kb_pages_help_the_shielding_designs() {
     // Figure 8's mechanism: larger pages raise L1-TLB and pretranslation
     // shield rates on a locality-poor workload.
-    let trace = Benchmark::Compress
-        .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
+    let trace = PredecodedTrace::predecode(
+        &Benchmark::Compress
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace(),
+    );
     let cfg = SimConfig::baseline();
     for mnemonic in ["M8", "P8"] {
         let spec = DesignSpec::parse(mnemonic).unwrap();
         let mut t4k = spec.build(PageGeometry::KB4, 7);
         let mut t8k = spec.build(PageGeometry::KB8, 7);
-        let m4k = simulate(&cfg, &trace, t4k.as_mut());
-        let m8k = simulate(&cfg, &trace, t8k.as_mut());
+        let m4k = simulate_uops(&cfg, &trace, t4k.as_mut());
+        let m8k = simulate_uops(&cfg, &trace, t8k.as_mut());
         assert!(
             m8k.tlb.shield_rate() >= m4k.tlb.shield_rate() - 0.01,
             "{mnemonic}: 8k shield {} vs 4k {}",
@@ -179,13 +181,15 @@ fn shield_rates_reflect_design_structure() {
     // The framework quantities of Section 2 behave as the paper says:
     // f_shielded is high for multi-level and pretranslation, zero for
     // plain multi-ported TLBs.
-    let trace = Benchmark::Perl
-        .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
+    let trace = PredecodedTrace::predecode(
+        &Benchmark::Perl
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace(),
+    );
     let cfg = SimConfig::baseline();
     let shield = |m: &str| {
         let mut tlb = DesignSpec::parse(m).unwrap().build(PageGeometry::KB4, 7);
-        simulate(&cfg, &trace, tlb.as_mut()).tlb.shield_rate()
+        simulate_uops(&cfg, &trace, tlb.as_mut()).tlb.shield_rate()
     };
     assert_eq!(shield("T4"), 0.0);
     assert!(shield("M16") >= shield("M8"));

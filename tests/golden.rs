@@ -71,7 +71,8 @@ fn fig9_small_regs() {
 /// Pins the traced path beyond `RunMetrics`: the stall taxonomy, port
 /// conflicts, walks and occupancy summaries `hbat trace` and observed
 /// sweeps report, for every workload under one interleaved, one
-/// multi-level and one pretranslation design.
+/// multi-level and one pretranslation design, and checks that the
+/// stall taxonomy accounts for every cycle.
 #[test]
 fn observed_cells_render_the_same_obs_records() {
     let cfg = test_cfg();
@@ -82,6 +83,12 @@ fn observed_cells_render_the_same_obs_records() {
             let design = DesignSpec::parse(design).unwrap();
             let mut rec = TraceRecorder::new();
             run_cell_uops_with(uops.ops(), design, &cfg, &mut rec);
+            // Every cycle is an issue cycle or charged to one stall cause.
+            assert_eq!(
+                rec.issue_cycles() + rec.stall_total(),
+                rec.cycles(),
+                "{bench}/{design:?}"
+            );
             let key = CellKey {
                 bench: bench.name().to_owned(),
                 design: format!("{design:?}"),
