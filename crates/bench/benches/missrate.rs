@@ -5,18 +5,23 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use hbat_bench::missrate::{miss_count, FIG6_SIZES};
 use hbat_core::addr::PageGeometry;
+use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn bench_missrate(c: &mut Criterion) {
     let trace = Benchmark::Compress
         .build(&WorkloadConfig::new(Scale::Test))
         .trace();
-    let refs = trace.iter().filter(|t| t.is_mem()).count() as u64;
+    let uops = PredecodedTrace::predecode(&trace);
+    let refs = uops
+        .iter()
+        .filter(|op| op.flags & MicroOp::F_MEM != 0)
+        .count() as u64;
     let mut group = c.benchmark_group("fig6_missrate_kernel");
     group.throughput(Throughput::Elements(refs));
     for (entries, policy) in FIG6_SIZES {
         group.bench_function(format!("{entries}_entries"), |b| {
-            b.iter(|| black_box(miss_count(&trace, entries, policy, PageGeometry::KB4, 1996)))
+            b.iter(|| black_box(miss_count(&uops, entries, policy, PageGeometry::KB4, 1996)))
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 use hbat_analysis::{
     page_stream, working_set, AdjacencyProfile, BankConflictProfile, PointerProfile, ReuseProfile,
 };
-use hbat_bench::experiment::{scale_from_args, trace_for, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
 use hbat_core::designs::interleaved::BankSelect;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
@@ -33,7 +33,7 @@ fn main() {
     t.numeric();
 
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, &cfg);
+        let trace = bench.build(&cfg.workload).trace();
         let pages = page_stream(&trace, geom);
         let reuse = ReuseProfile::of_pages(pages.iter().map(|&p| hbat_core::addr::Vpn(p)));
         let adj = AdjacencyProfile::of_trace(&trace, geom, 4);

@@ -2,9 +2,7 @@
 //! to 128 entries (LRU replacement up to 16 entries, random from 32), per
 //! benchmark plus the run-time weighted average.
 
-use hbat_bench::experiment::{
-    run_cell_uops, scale_from_args, trace_for, uops_for, ExperimentConfig,
-};
+use hbat_bench::experiment::{run_cell_uops, scale_from_args, uops_for, ExperimentConfig};
 use hbat_bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_stats::agg::weighted_average;
@@ -24,13 +22,12 @@ fn main() {
     let mut weights = Vec::new();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); FIG6_SIZES.len()];
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, &cfg);
         let uops = uops_for(bench, &cfg);
         let t4 = run_cell_uops(uops.ops(), DesignSpec::MultiPorted { ports: 4 }, &cfg);
         weights.push(t4.cycles as f64);
         let mut cells = vec![bench.name().to_owned()];
         for (i, (entries, policy)) in FIG6_SIZES.iter().enumerate() {
-            let rate = miss_rate_percent(&trace, *entries, *policy, cfg.geometry, 1996);
+            let rate = miss_rate_percent(uops.ops(), *entries, *policy, cfg.geometry, 1996);
             rates[i].push(rate);
             cells.push(fnum(rate, 2));
         }

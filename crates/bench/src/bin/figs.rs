@@ -5,7 +5,8 @@
 //! size changes), so their traces are generated once and replayed three
 //! times; only Figure 9's reduced-register workloads need a second
 //! generation pass. The cache and scheduling statistics are printed at
-//! the end.
+//! the end. Each figure prints as its relative-IPC table and chart
+//! followed by the per-benchmark IPC detail.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin figs [scale]`
 
@@ -25,20 +26,18 @@ fn main() {
             ExperimentConfig::baseline(scale).with_inorder(),
         ),
         (
-            "Figure 8: Relative Performance with 8 KB Pages",
+            "Figure 8: Relative Performance with 8k Pages",
             ExperimentConfig::baseline(scale).with_8k_pages(),
         ),
         (
-            "Figure 9: Relative Performance with 8 Int / 8 FP Registers",
+            "Figure 9: Relative Performance with Fewer Registers (8 int/8 fp)",
             ExperimentConfig::baseline(scale).with_small_regs(),
         ),
     ];
     for (title, cfg) in figures {
         let r = sweep(&DesignSpec::TABLE2, &cfg);
-        println!(
-            "{}\n",
-            r.render_figure(&format!("{title} ({scale:?} scale)"))
-        );
+        println!("{}", r.render_figure(&format!("{title} ({scale:?} scale)")));
+        println!("Per-benchmark IPC detail:\n\n{}", r.render_details());
         eprintln!("[{}] {}", &title[..8], r.telemetry.summary());
     }
     let cache = TraceCache::global();

@@ -32,7 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, WorkloadConfig};
 
@@ -442,29 +441,23 @@ where
     out
 }
 
-/// A process-wide cache of generated benchmark traces, keyed by the
-/// complete workload identity. Traces are immutable once built, so they
-/// are shared as `Arc<[TraceInst]>`; a multi-figure binary that sweeps
-/// the same workload under several machine models builds each trace
-/// exactly once.
+/// A process-wide cache of predecoded benchmark traces, keyed by the
+/// complete workload identity. Each workload is generated, predecoded
+/// into micro-ops and its raw trace dropped, so the cache holds one form
+/// per workload. The micro-ops are immutable once built and shared as
+/// `Arc<PredecodedTrace>`; a multi-figure binary that sweeps the same
+/// workload under several machine models builds each trace exactly once.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     /// One slot per workload; the `OnceLock` lets concurrent requesters
     /// of the same trace block on a single builder instead of racing.
     slots: Mutex<HashMap<(Benchmark, WorkloadConfig), TraceSlot>>,
-    /// Predecoded micro-op form of the same workloads, built lazily from
-    /// the raw trace on first request (a separate map so the raw-only
-    /// path pays nothing for it).
-    uops: Mutex<HashMap<(Benchmark, WorkloadConfig), UopSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A shared once-built trace slot in the [`TraceCache`].
-type TraceSlot = Arc<OnceLock<Arc<[TraceInst]>>>;
-
-/// A shared once-predecoded micro-op slot in the [`TraceCache`].
-type UopSlot = Arc<OnceLock<Arc<PredecodedTrace>>>;
+/// A shared once-built micro-op slot in the [`TraceCache`].
+type TraceSlot = Arc<OnceLock<Arc<PredecodedTrace>>>;
 
 impl TraceCache {
     /// An empty cache (tests use private caches; sweeps share
@@ -479,9 +472,10 @@ impl TraceCache {
         GLOBAL.get_or_init(TraceCache::new)
     }
 
-    /// Returns the trace for `bench` under `cfg`, building and publishing
-    /// it if no other caller has yet. Concurrent requests for the same
-    /// trace build it once; the rest block and share the result.
+    /// Returns the micro-ops of `bench` under `cfg`, building and
+    /// publishing them if no other caller has yet, and whether this call
+    /// built them. Concurrent requests for the same workload build it
+    /// once; the rest block and share the result.
     ///
     /// # Panics
     ///
@@ -489,15 +483,23 @@ impl TraceCache {
     /// wedged by that: the builder panic leaves the `OnceLock`
     /// uninitialized, so the next requester retries the build (see the
     /// builder-panic regression test).
-    pub fn get_or_build(&self, bench: Benchmark, cfg: &WorkloadConfig) -> Arc<[TraceInst]> {
+    pub fn get_or_build_uops(
+        &self,
+        bench: Benchmark,
+        cfg: &WorkloadConfig,
+    ) -> (bool, Arc<PredecodedTrace>) {
         self.get_or_build_with(bench, cfg, || {
-            let _prof = hbat_obs::prof::scope("workload-build");
-            bench.build(cfg).trace().into()
+            let trace = {
+                let _prof = hbat_obs::prof::scope("workload-build");
+                bench.build(cfg).trace()
+            };
+            let _prof = hbat_obs::prof::scope("predecode");
+            PredecodedTrace::predecode(&trace)
         })
     }
 
-    /// [`TraceCache::get_or_build`] with an explicit builder — the form
-    /// the fault-injection tests drive to exercise builder panics.
+    /// [`TraceCache::get_or_build_uops`] with an explicit builder — the
+    /// form the fault-injection tests drive to exercise builder panics.
     ///
     /// # Panics
     ///
@@ -506,8 +508,8 @@ impl TraceCache {
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
-        build: impl FnOnce() -> Arc<[TraceInst]>,
-    ) -> Arc<[TraceInst]> {
+        build: impl FnOnce() -> PredecodedTrace,
+    ) -> (bool, Arc<PredecodedTrace>) {
         let slot = {
             // Poison-tolerant: the map lock is never held across the
             // builder, so a poisoned lock only means another worker
@@ -516,49 +518,15 @@ impl TraceCache {
             slots.entry((bench, *cfg)).or_default().clone()
         };
         let mut built = false;
-        let trace = slot
-            .get_or_init(|| {
-                built = true;
-                build()
-            })
-            .clone();
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        trace
-    }
-
-    /// Returns both forms of the workload — the raw trace and its
-    /// predecoded micro-ops — building each at most once process-wide.
-    ///
-    /// Counts exactly one hit-or-miss, like [`TraceCache::get_or_build`]
-    /// (which it calls for the raw form): the predecode is a cheap
-    /// derived artifact, not a second trace generation, so sweep
-    /// telemetry still reports one build per workload.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from the trace builder (both slots stay
-    /// retryable).
-    pub fn get_or_build_uops(
-        &self,
-        bench: Benchmark,
-        cfg: &WorkloadConfig,
-    ) -> (Arc<[TraceInst]>, Arc<PredecodedTrace>) {
-        let raw = self.get_or_build(bench, cfg);
-        let slot = {
-            let mut slots = unpoisoned(self.uops.lock());
-            slots.entry((bench, *cfg)).or_default().clone()
-        };
         let uops = slot
             .get_or_init(|| {
-                let _prof = hbat_obs::prof::scope("predecode");
-                Arc::new(PredecodedTrace::predecode(&raw))
+                built = true;
+                Arc::new(build())
             })
             .clone();
-        (raw, uops)
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (built, uops)
     }
 
     /// Requests served from an already-built trace.
@@ -611,8 +579,8 @@ impl SweepTelemetry {
 }
 
 /// A flat key → value record serialised as one JSON object; the sweep
-/// benchmark writes its report through this (no serde dependency in the
-/// hot tree — the format is trivial).
+/// benchmark writes its report through this (the format is trivial, so
+/// no serialization library is needed).
 #[derive(Debug, Clone, Default)]
 pub struct JsonReport {
     entries: Vec<(String, JsonValue)>,
@@ -899,14 +867,16 @@ mod tests {
     fn trace_cache_counts_hits_and_misses() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
-        let a = cache.get_or_build(Benchmark::Compress, &cfg);
+        let (built, a) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        assert!(built);
         assert_eq!((cache.misses(), cache.hits()), (1, 0));
-        let b = cache.get_or_build(Benchmark::Compress, &cfg);
+        let (built, b) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        assert!(!built);
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared trace");
         // A different workload identity is a different trace.
-        cache.get_or_build(Benchmark::Compress, &cfg.with_small_regs());
-        cache.get_or_build(Benchmark::Xlisp, &cfg);
+        cache.get_or_build_uops(Benchmark::Compress, &cfg.with_small_regs());
+        cache.get_or_build_uops(Benchmark::Xlisp, &cfg);
         assert_eq!((cache.misses(), cache.hits()), (3, 1));
     }
 
@@ -914,10 +884,11 @@ mod tests {
     fn concurrent_requests_build_once() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
-        let traces = parallel_map(8, 4, |_| cache.get_or_build(Benchmark::Doduc, &cfg));
+        let got = parallel_map(8, 4, |_| cache.get_or_build_uops(Benchmark::Doduc, &cfg));
         assert_eq!(cache.misses(), 1, "one builder, everyone else waits");
         assert_eq!(cache.hits(), 7);
-        assert!(traces.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+        assert_eq!(got.iter().filter(|(built, _)| *built).count(), 1);
+        assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0].1, &w[1].1)));
     }
 
     #[test]
@@ -932,12 +903,12 @@ mod tests {
         assert_eq!((cache.misses(), cache.hits()), (0, 0));
         // …but the slot is not deadlocked or poisoned: the next
         // requester retries the build and succeeds.
-        let trace = cache.get_or_build(Benchmark::Gcc, &cfg);
-        assert!(!trace.is_empty());
+        let (built, trace) = cache.get_or_build_uops(Benchmark::Gcc, &cfg);
+        assert!(built && !trace.is_empty());
         assert_eq!((cache.misses(), cache.hits()), (1, 0));
         // And a plain hit still works afterwards.
-        let again = cache.get_or_build(Benchmark::Gcc, &cfg);
-        assert!(Arc::ptr_eq(&trace, &again));
+        let (built, again) = cache.get_or_build_uops(Benchmark::Gcc, &cfg);
+        assert!(!built && Arc::ptr_eq(&trace, &again));
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 
@@ -951,12 +922,12 @@ mod tests {
         let outcomes = parallel_map_outcomes(6, 3, &RunPolicy::default(), |i, _ctx| {
             cache.get_or_build_with(Benchmark::Perl, &cfg, || {
                 assert!(i != 0, "first builder exploded");
-                Benchmark::Perl.build(&cfg).trace().into()
+                PredecodedTrace::predecode(&Benchmark::Perl.build(&cfg).trace())
             })
         });
         let completed = outcomes.iter().filter(|o| o.is_ok()).count();
         assert!(completed >= 5, "only the panicking builder may fail");
-        let trace = cache.get_or_build(Benchmark::Perl, &cfg);
+        let (_, trace) = cache.get_or_build_uops(Benchmark::Perl, &cfg);
         assert!(!trace.is_empty());
     }
 

@@ -18,7 +18,6 @@ use std::sync::{Arc, Mutex};
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::{simulate_uops, simulate_uops_with_recorder, RunMetrics, SimConfig, WarmState};
-use hbat_isa::trace::TraceInst;
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_obs::{
@@ -201,15 +200,9 @@ impl SweepResult {
     }
 }
 
-/// Generates the dynamic trace for one benchmark under `cfg` through the
-/// process-wide cache: the first request builds it, later requests for
-/// the same workload share the stored copy.
-pub fn trace_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<[TraceInst]> {
-    TraceCache::global().get_or_build(bench, &cfg.workload)
-}
-
 /// The predecoded micro-op form of one benchmark's trace under `cfg`,
-/// built at most once process-wide (see [`trace_for`]).
+/// through the process-wide cache: the first request builds it, later
+/// requests for the same workload share the stored copy.
 pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
     TraceCache::global()
         .get_or_build_uops(bench, &cfg.workload)

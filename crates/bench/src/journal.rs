@@ -690,6 +690,9 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
 mod tests {
     use super::*;
 
+    /// Every metric field holds a distinct non-zero value, so a field
+    /// that `render_record`/`parse_record` drops or swaps fails the
+    /// round-trip tests.
     fn sample_record() -> JournalRecord {
         JournalRecord {
             key: CellKey {
@@ -716,27 +719,27 @@ mod tests {
                     shielded: 20_000,
                     base_hits: 19_000,
                     misses: 1_000,
-                    retries: 55,
+                    retries: 56,
                     internal_queueing_cycles: 12,
                     status_writes: 3,
                     inclusion_invalidations: 2,
                     shield_flushes: 1,
                 },
                 dcache: CacheStats {
-                    accesses: 40_000,
-                    hits: 39_000,
-                    misses: 1_000,
+                    accesses: 40_010,
+                    hits: 39_008,
+                    misses: 1_002,
                     merged: 10,
                     writebacks: 200,
                     port_rejects: 5,
                 },
                 icache: CacheStats {
-                    accesses: 100_000,
+                    accesses: 100_100,
                     hits: 99_500,
-                    misses: 500,
+                    misses: 600,
                     merged: 7,
-                    writebacks: 0,
-                    port_rejects: 0,
+                    writebacks: 4,
+                    port_rejects: 6,
                 },
             },
         }

@@ -7,17 +7,13 @@
 //! | `table1` | the baseline machine configuration |
 //! | `table2` | the thirteen analysed designs |
 //! | `table3` | per-program execution statistics |
-//! | `fig5` | relative IPC, out-of-order baseline |
 //! | `fig6` | TLB miss rate vs TLB size |
-//! | `fig7` | relative IPC, in-order issue |
-//! | `fig8` | relative IPC, 8 KB pages |
-//! | `fig9` | relative IPC, 8 int / 8 fp registers |
-//! | `figs` | Figures 5/7/8/9 in one process, sharing cached traces |
+//! | `figs` | relative IPC: Figures 5 (out-of-order baseline), 7 (in-order issue), 8 (8 KB pages) and 9 (8 int / 8 fp registers), in one process sharing cached traces |
 //! | `sweep_bench` | 1-worker-vs-parallel sweep timing → `results/BENCH_sweep.json` |
 //!
 //! Each binary accepts a scale argument (`test`, `small`, `reference`);
 //! the default is `small`. Run them with
-//! `cargo run --release -p hbat-bench --bin fig5 -- small`.
+//! `cargo run --release -p hbat-bench --bin figs -- small`.
 //!
 //! Sweeps run on the cell-level parallel executor in [`executor`]
 //! (worker count from `HBAT_THREADS`, default all cores) and are
@@ -53,7 +49,7 @@ pub use executor::{
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
     render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep, sweep_ft,
-    sweep_ft_on, trace_for, CellResult, ExperimentConfig, FtSweepResult, SweepOptions, SweepResult,
+    sweep_ft_on, CellResult, ExperimentConfig, FtSweepResult, SweepOptions, SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{

@@ -5,11 +5,11 @@
 //! 4–16-entry TLBs use LRU replacement (as the L1 TLBs do) and the
 //! 32–128-entry TLBs use random replacement (as the base TLBs do).
 
-use hbat_core::addr::PageGeometry;
+use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::bank::TlbBank;
 use hbat_core::entry::{Protection, TlbEntry};
 use hbat_core::replacement::ReplacementPolicy;
-use hbat_isa::trace::TraceInst;
+use hbat_isa::uop::MicroOp;
 
 /// The TLB sizes of Figure 6 with their replacement policies.
 pub const FIG6_SIZES: [(usize, ReplacementPolicy); 6] = [
@@ -21,10 +21,10 @@ pub const FIG6_SIZES: [(usize, ReplacementPolicy); 6] = [
     (128, ReplacementPolicy::Random),
 ];
 
-/// Runs `trace`'s data references through one fully-associative TLB and
-/// returns `(misses, references)`.
+/// Runs the data references of `ops` through one fully-associative TLB
+/// and returns `(misses, references)`.
 pub fn miss_count(
-    trace: &[TraceInst],
+    ops: &[MicroOp],
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
@@ -34,10 +34,12 @@ pub fn miss_count(
     let mut misses = 0u64;
     let mut refs = 0u64;
     let mut next_ppn = 0x100u64;
-    for t in trace {
-        let Some(mem) = t.mem else { continue };
+    for op in ops {
+        if op.flags & MicroOp::F_MEM == 0 {
+            continue;
+        }
         refs += 1;
-        let vpn = geometry.vpn(mem.vaddr);
+        let vpn = geometry.vpn(VirtAddr(op.vaddr));
         if bank.lookup(vpn).is_none() {
             misses += 1;
             bank.insert(TlbEntry::new(
@@ -53,13 +55,13 @@ pub fn miss_count(
 
 /// Miss rate (percent of references) for one trace and size.
 pub fn miss_rate_percent(
-    trace: &[TraceInst],
+    ops: &[MicroOp],
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
     seed: u64,
 ) -> f64 {
-    let (m, r) = miss_count(trace, entries, policy, geometry, seed);
+    let (m, r) = miss_count(ops, entries, policy, geometry, seed);
     if r == 0 {
         0.0
     } else {
@@ -70,25 +72,28 @@ pub fn miss_rate_percent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_isa::uop::PredecodedTrace;
     use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
+
+    fn uops(bench: Benchmark) -> PredecodedTrace {
+        PredecodedTrace::predecode(&bench.build(&WorkloadConfig::new(Scale::Test)).trace())
+    }
 
     #[test]
     fn miss_rate_is_monotone_in_size_for_lru() {
-        let w = Benchmark::Gcc.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let ops = uops(Benchmark::Gcc);
         let g = PageGeometry::KB4;
-        let m4 = miss_rate_percent(&trace, 4, ReplacementPolicy::Lru, g, 1);
-        let m8 = miss_rate_percent(&trace, 8, ReplacementPolicy::Lru, g, 1);
-        let m16 = miss_rate_percent(&trace, 16, ReplacementPolicy::Lru, g, 1);
+        let m4 = miss_rate_percent(&ops, 4, ReplacementPolicy::Lru, g, 1);
+        let m8 = miss_rate_percent(&ops, 8, ReplacementPolicy::Lru, g, 1);
+        let m16 = miss_rate_percent(&ops, 16, ReplacementPolicy::Lru, g, 1);
         assert!(m4 >= m8 && m8 >= m16, "LRU inclusion: {m4} {m8} {m16}");
     }
 
     #[test]
     fn locality_poor_programs_miss_more() {
-        let cfg = WorkloadConfig::new(Scale::Test);
         let g = PageGeometry::KB4;
-        let compress = Benchmark::Compress.build(&cfg).trace();
-        let espresso = Benchmark::Espresso.build(&cfg).trace();
+        let compress = uops(Benchmark::Compress);
+        let espresso = uops(Benchmark::Espresso);
         let mc = miss_rate_percent(&compress, 16, ReplacementPolicy::Lru, g, 1);
         let me = miss_rate_percent(&espresso, 16, ReplacementPolicy::Lru, g, 1);
         assert!(
@@ -99,18 +104,19 @@ mod tests {
 
     #[test]
     fn bigger_pages_reduce_misses() {
-        let w = Benchmark::Compress.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
-        let m4k = miss_rate_percent(&trace, 32, ReplacementPolicy::Random, PageGeometry::KB4, 1);
-        let m8k = miss_rate_percent(&trace, 32, ReplacementPolicy::Random, PageGeometry::KB8, 1);
+        let ops = uops(Benchmark::Compress);
+        let m4k = miss_rate_percent(&ops, 32, ReplacementPolicy::Random, PageGeometry::KB4, 1);
+        let m8k = miss_rate_percent(&ops, 32, ReplacementPolicy::Random, PageGeometry::KB8, 1);
         assert!(m8k <= m4k, "8k pages map more memory: {m8k} vs {m4k}");
     }
 
     #[test]
     fn counts_only_memory_references() {
-        let w = Benchmark::Doduc.build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
-        let (_, refs) = miss_count(&trace, 128, ReplacementPolicy::Random, PageGeometry::KB4, 1);
+        let trace = Benchmark::Doduc
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace();
+        let ops = PredecodedTrace::predecode(&trace);
+        let (_, refs) = miss_count(&ops, 128, ReplacementPolicy::Random, PageGeometry::KB4, 1);
         let mem = trace.iter().filter(|t| t.is_mem()).count() as u64;
         assert_eq!(refs, mem);
     }

@@ -9,22 +9,18 @@
 use std::fmt;
 
 /// A virtual byte address produced by the processor core.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(pub u64);
 
 /// A physical byte address, the product of address translation.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 /// A virtual page number: the virtual address with the page offset removed.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vpn(pub u64);
 
 /// A physical page number (page frame number).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ppn(pub u64);
 
@@ -90,7 +86,6 @@ impl VirtAddr {
 /// assert_eq!(g.vpn(va).0, 0x12345);
 /// assert_eq!(g.page_offset(va), 0x678);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageGeometry {
     page_bits: u32,

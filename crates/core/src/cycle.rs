@@ -14,7 +14,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t, Cycle(15));
 /// assert_eq!(t - Cycle(10), 5);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 

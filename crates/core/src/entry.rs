@@ -8,7 +8,6 @@ use crate::addr::{Ppn, Vpn};
 /// number (piggyback ports may share protection between requesters in the
 /// same protection domain), so the entry carries it explicitly even though
 /// the user-level workloads never fault.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Protection {
     /// Loads permitted.
@@ -47,7 +46,6 @@ impl Default for Protection {
 /// referenced and dirty — whose maintenance drives the write-through status
 /// traffic the paper describes for the multi-level and pretranslation
 /// designs (Section 4.1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbEntry {
     /// Virtual page this entry maps.

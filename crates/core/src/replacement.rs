@@ -9,7 +9,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Which victim-selection policy a bank uses.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used way (used for L1 TLBs, ≤16 entries).

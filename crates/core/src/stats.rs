@@ -6,7 +6,6 @@
 /// `shielded` accesses never reach the base TLB mechanism
 /// (`f_shielded`), `retries` approximate port-contention queueing
 /// (`t_stalled`), and `misses / accesses` is `M_TLB`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TranslatorStats {
     /// Translation requests accepted (excludes retried presentations).

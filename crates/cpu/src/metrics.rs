@@ -5,7 +5,6 @@ use hbat_mem::cache::CacheStats;
 
 /// Everything a run reports; the experiment harness aggregates these into
 /// the paper's tables and figures.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Total simulated cycles.

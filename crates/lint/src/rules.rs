@@ -26,7 +26,7 @@ pub const SIM_CRATES: &[&str] = &["core", "cpu", "mem", "isa", "obs"];
 pub const PANIC_CRATES: &[&str] = &["isa", "workloads", "stats", "core", "bench", "obs"];
 
 /// Crate names resolved to offline shims (R4).
-pub const SHIM_ROOTS: &[&str] = &["rand", "proptest", "criterion", "serde", "serde_derive"];
+pub const SHIM_ROOTS: &[&str] = &["rand", "proptest", "criterion"];
 
 const HASH_ITER_METHODS: &[&str] = &[
     "iter",
@@ -520,7 +520,8 @@ pub struct ShimImport {
 }
 
 /// Finds every item a file pulls from the shimmed crates, through `use`
-/// trees and inline qualified paths (`serde::Serialize` in a derive).
+/// trees and inline qualified paths (`rand::rngs::SmallRng::seed_from_u64(1)`
+/// in an expression).
 pub fn collect_shim_imports(src: &str) -> Vec<ShimImport> {
     let tokens = lex(src);
     let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
@@ -587,19 +588,9 @@ pub fn shim_drift(
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for imp in imports {
-        // `serde` re-exports its derive macros from `serde_derive`; treat
-        // the pair as one namespace in both directions.
-        let roots: &[&str] = if imp.root.starts_with("serde") {
-            &["serde", "serde_derive"]
-        } else {
-            &[]
-        };
         let found = exports
             .get(&imp.root)
-            .is_some_and(|set| set.contains(&imp.item))
-            || roots
-                .iter()
-                .any(|r| exports.get(*r).is_some_and(|set| set.contains(&imp.item)));
+            .is_some_and(|set| set.contains(&imp.item));
         if !found {
             out.push(Diagnostic {
                 rule: Rule::ShimDrift,
@@ -742,10 +733,11 @@ mod tests {
 
     #[test]
     fn inline_qualified_path_checked() {
-        let user = "#[cfg_attr(feature = \"serde\", derive(serde::Serialize))]\nstruct S;\n";
+        let user = "fn f() {\n    let rng = rand::rngs::SmallRng::seed_from_u64(1);\n}\n";
         let imports = collect_shim_imports(user);
         assert_eq!(imports.len(), 1);
-        assert_eq!(imports[0].root, "serde");
-        assert_eq!(imports[0].item, "Serialize");
+        assert_eq!(imports[0].root, "rand");
+        assert_eq!(imports[0].item, "rngs");
+        assert_eq!(imports[0].line, 2);
     }
 }

@@ -9,7 +9,6 @@ use hbat_core::addr::PhysAddr;
 use hbat_core::cycle::Cycle;
 
 /// Cache configuration.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total size in bytes.
@@ -59,7 +58,6 @@ impl CacheConfig {
 }
 
 /// Counters accumulated by a [`Cache`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses accepted.

@@ -95,10 +95,10 @@ fn in_order_reduces_bandwidth_sensitivity() {
 fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in Benchmark::ALL {
-        let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&bench.build(&cfg).trace());
         let mut last = f64::INFINITY;
         for (entries, policy) in FIG6_SIZES {
-            let rate = miss_rate_percent(&trace, entries, policy, PageGeometry::KB4, 1);
+            let rate = miss_rate_percent(&uops, entries, policy, PageGeometry::KB4, 1);
             // Random replacement adds noise; allow a small inversion.
             assert!(
                 rate <= last + 1.5,
