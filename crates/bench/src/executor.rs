@@ -27,7 +27,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -35,7 +34,6 @@ use std::time::{Duration, Instant};
 use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, WorkloadConfig};
 
-use crate::journal::write_atomic;
 use crate::outcome::{panic_message, CellOutcome};
 
 /// How many workers a sweep uses: `HBAT_THREADS` when set to a positive
@@ -578,89 +576,6 @@ impl SweepTelemetry {
     }
 }
 
-/// A flat key → value record serialised as one JSON object; the sweep
-/// benchmark writes its report through this (the format is trivial, so
-/// no serialization library is needed).
-#[derive(Debug, Clone, Default)]
-pub struct JsonReport {
-    entries: Vec<(String, JsonValue)>,
-}
-
-#[derive(Debug, Clone)]
-enum JsonValue {
-    Num(f64),
-    Int(u64),
-    Str(String),
-    Bool(bool),
-}
-
-impl JsonReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        JsonReport::default()
-    }
-
-    /// Adds a float field (serialised with enough digits to round-trip).
-    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
-        self.entries.push((key.to_owned(), JsonValue::Num(value)));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        self.entries.push((key.to_owned(), JsonValue::Int(value)));
-        self
-    }
-
-    /// Adds a string field.
-    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.entries
-            .push((key.to_owned(), JsonValue::Str(value.to_owned())));
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.entries.push((key.to_owned(), JsonValue::Bool(value)));
-        self
-    }
-
-    /// Renders the report as pretty-printed JSON.
-    ///
-    /// **Non-finite policy:** JSON has no representation for `NaN` or
-    /// `±inf`, so non-finite float fields are emitted as `null`. Every
-    /// consumer of these reports (plot scripts, the CI trend checker)
-    /// must treat `null` as "measurement unavailable", never as zero.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in self.entries.iter().enumerate() {
-            out.push_str(&format!("  {}: ", escape_json(key)));
-            match value {
-                JsonValue::Num(v) if v.is_finite() => out.push_str(&format!("{v}")),
-                JsonValue::Num(_) => out.push_str("null"),
-                JsonValue::Int(v) => out.push_str(&format!("{v}")),
-                JsonValue::Str(v) => out.push_str(&escape_json(v)),
-                JsonValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            }
-            if i + 1 < self.entries.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push('}');
-        out
-    }
-
-    /// Writes the report to `path` atomically (temp file + rename,
-    /// creating parent directories), so a crash or kill mid-write never
-    /// leaves a torn `BENCH_*.json` behind.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let mut contents = self.render();
-        contents.push('\n');
-        write_atomic(path, &contents)
-    }
-}
-
 /// Escapes a string as a JSON string literal (quotes included).
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -932,70 +847,30 @@ mod tests {
     }
 
     #[test]
-    fn json_report_renders_and_escapes() {
-        let mut r = JsonReport::new();
-        r.str("name", "fig5 \"small\"")
-            .int("cells", 130)
-            .num("speedup", 2.5);
-        let s = r.render();
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains("\"name\": \"fig5 \\\"small\\\"\""));
-        assert!(s.contains("\"cells\": 130,"));
-        assert!(s.contains("\"speedup\": 2.5\n"));
-    }
-
-    #[test]
-    fn json_report_nulls_non_finite_floats() {
-        let mut r = JsonReport::new();
-        r.num("nan", f64::NAN)
-            .num("inf", f64::INFINITY)
-            .num("ninf", f64::NEG_INFINITY)
-            .num("fine", 1.25);
-        let s = r.render();
-        assert!(s.contains("\"nan\": null,"));
-        assert!(s.contains("\"inf\": null,"));
-        assert!(s.contains("\"ninf\": null,"));
-        assert!(s.contains("\"fine\": 1.25"));
-        assert!(!s.contains("NaN") && !s.contains("inf\": i"), "{s}");
-    }
-
-    #[test]
-    fn json_report_escapes_control_chars_and_keys() {
-        let mut r = JsonReport::new();
-        r.str("quote\"back\\slash", "tab\there")
-            .str("ctrl", "bell\u{7}null\u{0}cr\r")
-            .str("newline\nkey", "v");
-        let s = r.render();
-        assert!(s.contains("\"quote\\\"back\\\\slash\": \"tab\\there\""));
-        assert!(s.contains("\\u0007"));
-        assert!(s.contains("\\u0000"));
-        assert!(s.contains("\\u000d"));
-        assert!(s.contains("\"newline\\nkey\""));
-        // The rendered report round-trips through the journal's strict
-        // JSON parser — i.e. it is actually valid JSON.
-        let parsed = crate::journal::parse_json_object(&s).expect("render emits valid JSON");
+    fn escape_json_escapes_quotes_backslashes_and_control_chars() {
+        assert_eq!(escape_json("fig5 \"small\""), "\"fig5 \\\"small\\\"\"");
+        assert_eq!(
+            escape_json("quote\"back\\slash"),
+            "\"quote\\\"back\\\\slash\""
+        );
+        assert_eq!(escape_json("tab\there"), "\"tab\\there\"");
+        assert_eq!(escape_json("newline\nkey"), "\"newline\\nkey\"");
+        let ctrl = escape_json("bell\u{7}null\u{0}cr\r");
+        assert!(ctrl.contains("\\u0007"));
+        assert!(ctrl.contains("\\u0000"));
+        assert!(ctrl.contains("\\u000d"));
+        // Escaped keys and values assemble into an object that the
+        // journal's strict JSON parser accepts, i.e. valid JSON.
+        let object = format!(
+            "{{{}: {}, {}: {}, {}: {}}}",
+            escape_json("quote\"back\\slash"),
+            escape_json("tab\there"),
+            escape_json("ctrl"),
+            ctrl,
+            escape_json("newline\nkey"),
+            escape_json("v"),
+        );
+        let parsed = crate::journal::parse_json_object(&object).expect("escaped JSON parses");
         assert_eq!(parsed.len(), 3);
-    }
-
-    #[test]
-    fn json_report_write_is_atomic_and_creates_dirs() {
-        let dir = std::env::temp_dir().join(format!("hbat-report-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("deep").join("BENCH_test.json");
-        let mut r = JsonReport::new();
-        r.int("value", 1);
-        r.write(&path).unwrap();
-        let first = std::fs::read_to_string(&path).unwrap();
-        assert!(first.ends_with("}\n"));
-        let mut r2 = JsonReport::new();
-        r2.int("value", 2);
-        r2.write(&path).unwrap();
-        assert!(std::fs::read_to_string(&path).unwrap().contains("2"));
-        let tmp_left = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.file_name().to_string_lossy().contains("tmp"));
-        assert!(!tmp_left, "no temp files may survive");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

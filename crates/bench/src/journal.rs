@@ -14,10 +14,6 @@
 //! Each record is written and flushed as a single line, so a kill can
 //! tear at most the final line; [`read_journal`] tolerates exactly that
 //! (a torn tail is dropped, a corrupt interior line is an error).
-//!
-//! The module also provides [`write_atomic`]: temp-file + rename in the
-//! target directory, used by every report writer so readers never see a
-//! half-written `BENCH_*.json` or figure file.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -67,20 +63,6 @@ pub fn fnv1a_hex(s: &str) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{h:016x}")
-}
-
-/// Writes `contents` to `path` atomically *and durably*, via
-/// [`hbat_ckpt::write_atomic_bytes`]: the bytes are fsynced into a
-/// unique temp file in the target directory, a `rename` publishes them,
-/// and the parent directory is fsynced so the rename itself survives a
-/// power cut. Concurrent readers (and a kill at any instant) observe
-/// either the old complete file or the new complete file, never a torn
-/// prefix. An earlier version of this function synced only the temp
-/// file, leaving the rename in the directory's page cache — the
-/// checkpoint layer closed that gap and everything now shares its
-/// writer.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    hbat_ckpt::write_atomic_bytes(path, contents.as_bytes())
 }
 
 // ---- serialization -------------------------------------------------------
@@ -382,65 +364,6 @@ pub fn parse_json_object(s: &str) -> Result<Vec<String>, String> {
         return Err("trailing bytes after JSON object".to_owned());
     }
     Ok(top.keys().cloned().collect())
-}
-
-/// One scalar value from a flat JSON object — the perf-database record
-/// shape (see [`crate::perfdb`]), which deliberately has no nesting so
-/// baseline comparisons stay line-oriented.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// A JSON string.
-    Str(String),
-    /// A non-negative integer (JSON numbers that fit `u64`).
-    Int(u64),
-    /// Any other JSON number.
-    Num(f64),
-    /// A JSON boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-}
-
-impl Scalar {
-    /// The value as `f64` when it is numeric (`Int` or `Num`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Scalar::Int(v) => Some(*v as f64),
-            Scalar::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Strictly parses a standalone *flat* JSON object — string, number,
-/// boolean, or null values only. Nested objects (and trailing bytes)
-/// are errors: the perf database stores one flat record per line so a
-/// baseline check never has to address into substructure.
-pub fn parse_scalars(s: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut cur = Cursor {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let Val::Obj(top) = cur.parse_object()? else {
-        return Err("not a JSON object".to_owned());
-    };
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err("trailing bytes after JSON object".to_owned());
-    }
-    top.into_iter()
-        .map(|(k, v)| {
-            let scalar = match v {
-                Val::Str(s) => Scalar::Str(s),
-                Val::Int(i) => Scalar::Int(i),
-                Val::Num(n) => Scalar::Num(n),
-                Val::Bool(b) => Scalar::Bool(b),
-                Val::Null => Scalar::Null,
-                Val::Obj(_) => return Err(format!("field {k:?} is nested, not a scalar")),
-            };
-            Ok((k, scalar))
-        })
-        .collect()
 }
 
 /// Parses one journal line back into a record.
@@ -869,66 +792,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_scalars_accepts_flat_objects_and_rejects_nesting() {
-        let m =
-            parse_scalars(r#"{"bench":"obs","ok":true,"ratio":0.125,"n":7,"gap":null}"#).unwrap();
-        assert_eq!(m.get("bench"), Some(&Scalar::Str("obs".into())));
-        assert_eq!(m.get("ok"), Some(&Scalar::Bool(true)));
-        assert_eq!(m.get("ratio"), Some(&Scalar::Num(0.125)));
-        assert_eq!(m.get("n"), Some(&Scalar::Int(7)));
-        assert_eq!(m.get("gap"), Some(&Scalar::Null));
-        assert_eq!(m["ratio"].as_f64(), Some(0.125));
-        assert_eq!(m["n"].as_f64(), Some(7.0));
-        assert_eq!(m["bench"].as_f64(), None);
-
-        let nested = parse_scalars(r#"{"a":{"b":1}}"#);
-        assert!(nested.unwrap_err().contains("nested"));
-        assert!(parse_scalars(r#"{"a":1} "#.trim_end()).is_ok());
-        assert!(parse_scalars(r#"{"a":1}x"#).is_err(), "trailing bytes");
-        assert!(parse_scalars("[1,2]").is_err(), "not an object");
-    }
-
-    #[test]
     fn fnv1a_is_stable_and_distinguishes() {
         let a = fnv1a_hex("config-a");
         assert_eq!(a, fnv1a_hex("config-a"));
         assert_ne!(a, fnv1a_hex("config-b"));
         assert_eq!(a.len(), 16);
-    }
-
-    #[test]
-    fn write_atomic_is_durable() {
-        // The durability seam: one write_atomic must fsync both the temp
-        // file (contents) and the parent directory (the rename). The
-        // counters are process-wide, so assert deltas, not absolutes.
-        let dir = std::env::temp_dir().join(format!("hbat-durable-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let (f0, d0) = (
-            hbat_ckpt::atomic::file_syncs(),
-            hbat_ckpt::atomic::dir_syncs(),
-        );
-        write_atomic(&dir.join("r.json"), "{}\n").unwrap();
-        assert!(hbat_ckpt::atomic::file_syncs() > f0, "contents fsynced");
-        assert!(hbat_ckpt::atomic::dir_syncs() > d0, "rename fsynced");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn write_atomic_replaces_whole_files_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("hbat-atomic-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("nested").join("report.json");
-        write_atomic(&path, "{\"first\": 1}\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"first\": 1}\n");
-        write_atomic(&path, "{\"second\": 2}\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"second\": 2}\n");
-        // No temp files left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,7 +9,9 @@
 //! | `table3` | per-program execution statistics |
 //! | `fig6` | TLB miss rate vs TLB size |
 //! | `figs` | relative IPC: Figures 5 (out-of-order baseline), 7 (in-order issue), 8 (8 KB pages) and 9 (8 int / 8 fp registers), in one process sharing cached traces |
-//! | `sweep_bench` | 1-worker-vs-parallel sweep timing → `results/BENCH_sweep.json` |
+//! | `anatomy` | trace-anatomy ceilings per benchmark (extension) |
+//! | `ablation` | design-parameter sweeps (extension) |
+//! | `scaling` | TLB bandwidth demand vs machine width (extension) |
 //!
 //! Each binary accepts a scale argument (`test`, `small`, `reference`);
 //! the default is `small`. Run them with
@@ -35,7 +37,6 @@ pub mod faults;
 pub mod journal;
 pub mod missrate;
 pub mod outcome;
-pub mod perfdb;
 pub mod sample;
 
 pub use ckpt::{
@@ -43,8 +44,8 @@ pub use ckpt::{
     verify_restore_equivalence, CheckpointOptions, EquivalenceReport, WarmTrace,
 };
 pub use executor::{
-    parallel_map, parallel_map_outcomes, worker_threads, CellCtx, JsonReport, RunPolicy,
-    SweepTelemetry, TraceCache,
+    parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,
+    TraceCache,
 };
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
@@ -53,8 +54,8 @@ pub use experiment::{
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{
-    read_interval_sidecar, read_journal, write_atomic, CellKey, IntervalSidecarRecord,
-    JournalRecord, JournalWriter, Scalar,
+    read_interval_sidecar, read_journal, CellKey, IntervalSidecarRecord, JournalRecord,
+    JournalWriter,
 };
 pub use outcome::{CellFailure, CellOutcome, FailureManifest};
 pub use sample::{

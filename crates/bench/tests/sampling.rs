@@ -8,6 +8,9 @@
 //! * the 95% confidence intervals cover the full-detailed-run ground
 //!   truth for every workload × {I4, M8, P8} and for Compress across
 //!   all thirteen Table-2 designs at test scale;
+//! * on the reference cell (Compress × M8 at reference scale, plan
+//!   `25:1000:250`) the sampled IPC is within 2% of the full run, its
+//!   CI covers the full-run IPC, and a rerun is identical;
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
 //! * a sweep warms each program once and shares the schedule across
@@ -225,6 +228,45 @@ fn sampled_cis_cover_ground_truth_on_all_thirteen_table2_designs() {
             ci.render(4)
         );
     }
+}
+
+#[test]
+fn reference_cell_sampled_ipc_is_within_two_percent_of_the_full_run() {
+    // The cell EXPERIMENTS.md quotes: Compress × M8 at reference scale,
+    // 25 windows of 1000 measured micro-ops, 250 warm ops ahead of each.
+    // Smaller scales are too short for this plan to meet the bound.
+    let cfg = ExperimentConfig::baseline(Scale::Reference);
+    let design = DesignSpec::parse("M8").unwrap();
+    let p = SamplePlan::parse("25:1000:250", 1996).unwrap();
+    let (_, uops) = TraceCache::new().get_or_build_uops(Benchmark::Compress, &cfg.workload);
+
+    let full_ipc = run_cell_uops(uops.ops(), design, &cfg).ipc();
+    let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
+    let ci = ipc_interval(&cell.windows, ConfLevel::P95);
+    let rel_err = (ci.mean - full_ipc).abs() / full_ipc;
+    assert!(
+        rel_err <= 0.02,
+        "sampled IPC {} is {:.2}% off the full run's {full_ipc:.4}",
+        ci.render(4),
+        rel_err * 100.0
+    );
+    assert!(
+        ci.covers(full_ipc),
+        "CI {} misses the full-run IPC {full_ipc:.4}",
+        ci.render(4)
+    );
+    // The plan measures ~1.1% of the trace; that fraction is what makes
+    // a sampled cell several times cheaper than the full one.
+    let measured: u64 = cell.windows.iter().map(|w| w.committed).sum();
+    assert!(
+        (measured as f64) < 0.02 * uops.len() as f64,
+        "{measured} of {} micro-ops measured",
+        uops.len()
+    );
+
+    let again = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
+    assert_eq!(again.windows, cell.windows, "windows differ between runs");
+    assert_eq!(again.metrics, cell.metrics, "metrics differ between runs");
 }
 
 #[test]

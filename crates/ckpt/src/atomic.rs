@@ -1,14 +1,12 @@
 //! Durable atomic file publication: temp file + fsync + rename + parent
 //! directory fsync.
 //!
-//! The sweep journal's `write_atomic` already made publication *atomic*
-//! (readers see the old or the new file, never a torn one) and made the
-//! *contents* durable (`sync_all` on the temp file before the rename),
-//! but the rename itself lived only in the directory's page cache: a
-//! power cut after the rename could roll the directory entry back. This
-//! module closes that gap by fsyncing the parent directory after the
-//! rename, and exposes test-visible counters so a unit test can prove
-//! both syncs actually happen on the write path.
+//! Publication is *atomic* (readers see the old or the new file, never a
+//! torn one) and *durable*: the contents are synced (`sync_all` on the
+//! temp file before the rename), and so is the rename itself, by
+//! fsyncing the parent directory afterwards; without that a power cut
+//! could roll the directory entry back. Test-visible counters let a
+//! unit test prove both syncs actually happen on the write path.
 
 use std::fs::File;
 use std::io::{self, Write};

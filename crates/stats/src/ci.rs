@@ -17,10 +17,7 @@
 //! Degenerate inputs stay well-defined: zero or one window yields an
 //! interval of infinite half-width (the honest "no spread information"
 //! answer), never NaN. Callers that serialise intervals should map a
-//! non-finite half-width to `null` (as [`JsonReport`] in `hbat-bench`
-//! already does for every non-finite float).
-//!
-//! [`JsonReport`]: https://docs.rs/ — see `hbat_bench::executor::JsonReport`
+//! non-finite half-width to `null`, since JSON has no infinity.
 
 use crate::agg::Summary;
 

@@ -3,9 +3,8 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! resolves `criterion` to this shim (see `shims/README.md`). It keeps
-//! criterion's API shape (`criterion_group!`, benchmark groups,
-//! `iter`/`iter_batched`, throughput annotation) over a simple wall-clock
-//! harness:
+//! criterion's API shape (`criterion_group!`, benchmark groups, `iter`,
+//! element-throughput annotation) over a simple wall-clock harness:
 //!
 //! * under `cargo bench` (cargo passes `--bench`), each benchmark is
 //!   warmed up and then timed over an adaptive iteration count, and the
@@ -21,31 +20,11 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// How `iter_batched` amortises setup; the shim accepts every variant and
-/// runs one setup per measured batch regardless.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    /// Small routine input: many iterations per batch in real criterion.
-    SmallInput,
-    /// Large routine input: few iterations per batch.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
-    /// Explicit batch count.
-    NumBatches(u64),
-    /// Explicit iteration count.
-    NumIterations(u64),
-}
-
 /// Work-per-iteration annotation, used to derive a rate column.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// Iteration processes this many logical elements.
     Elements(u64),
-    /// Iteration processes this many bytes.
-    Bytes(u64),
-    /// Bytes, reported in decimal multiples.
-    BytesDecimal(u64),
 }
 
 /// True when invoked by `cargo bench` (which passes `--bench`); false
@@ -54,18 +33,19 @@ fn measuring() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
+/// Timed samples per benchmark when measuring.
+const SAMPLES: usize = 10;
+
 /// Runs `routine` repeatedly and reports the median per-iteration time.
 struct Sampler {
     /// Target wall time per benchmark when measuring.
     budget: Duration,
-    samples: usize,
 }
 
 impl Sampler {
-    fn new(samples: usize) -> Self {
+    fn new() -> Self {
         Sampler {
             budget: Duration::from_millis(300),
-            samples: samples.max(5),
         }
     }
 
@@ -80,10 +60,10 @@ impl Sampler {
         let start = Instant::now();
         f();
         let estimate = start.elapsed().max(Duration::from_nanos(1));
-        let per_sample = (self.budget / self.samples as u32).max(Duration::from_micros(50));
+        let per_sample = (self.budget / SAMPLES as u32).max(Duration::from_micros(50));
         let iters_per_sample = (per_sample.as_nanos() / estimate.as_nanos()).clamp(1, 100_000);
-        let mut medians: Vec<Duration> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
+        let mut medians: Vec<Duration> = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
             let t0 = Instant::now();
             for _ in 0..iters_per_sample {
                 f();
@@ -108,21 +88,6 @@ impl Bencher<'_> {
             black_box(routine());
         });
     }
-
-    /// Times the routine with a fresh setup value per call; setup time is
-    /// excluded in real criterion but simply kept small here by the
-    /// caller's convention.
-    pub fn iter_batched<I, O>(
-        &mut self,
-        mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
-    ) {
-        self.result = self.sampler.run(|| {
-            let input = setup();
-            black_box(routine(input));
-        });
-    }
 }
 
 fn report(group: &str, id: &str, result: Option<Duration>, throughput: Option<Throughput>) {
@@ -131,12 +96,8 @@ fn report(group: &str, id: &str, result: Option<Duration>, throughput: Option<Th
         return;
     };
     let nanos = t.as_nanos().max(1);
-    let rate = throughput.map(|tp| match tp {
-        Throughput::Elements(n) => format!(" ({:.3} Melem/s)", n as f64 * 1e3 / nanos as f64),
-        Throughput::Bytes(n) | Throughput::BytesDecimal(n) => {
-            format!(" ({:.3} MB/s)", n as f64 * 1e3 / nanos as f64)
-        }
-    });
+    let rate = throughput
+        .map(|Throughput::Elements(n)| format!(" ({:.3} Melem/s)", n as f64 * 1e3 / nanos as f64));
     println!(
         "{group}/{id}: {:.3} µs/iter{}",
         nanos as f64 / 1e3,
@@ -144,24 +105,17 @@ fn report(group: &str, id: &str, result: Option<Duration>, throughput: Option<Th
     );
 }
 
-/// A named set of related benchmarks sharing throughput/sample settings.
+/// A named set of related benchmarks sharing a throughput setting.
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
-    sample_size: usize,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets the work-per-iteration annotation.
     pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
         self.throughput = Some(throughput);
-        self
-    }
-
-    /// Sets the sample count (measurement granularity in the shim).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n;
         self
     }
 
@@ -172,7 +126,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let id = id.into();
-        let sampler = Sampler::new(self.sample_size);
+        let sampler = Sampler::new();
         let mut bencher = Bencher {
             sampler: &sampler,
             result: None,
@@ -198,17 +152,7 @@ impl Criterion {
             _criterion: self,
             name: name.into(),
             throughput: None,
-            sample_size: 10,
         }
-    }
-
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let id = id.to_owned();
-        let mut g = self.benchmark_group("bench");
-        g.bench_function(id, f);
-        g.finish();
-        self
     }
 }
 

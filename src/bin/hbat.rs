@@ -9,8 +9,6 @@
 //! hbat dump <bench> <file> [opts]       write a binary trace file
 //! hbat replay <file> <design> [opts]    simulate a dumped trace
 //! hbat ckpt <file> [--json]             inspect and verify a snapshot
-//! hbat perfdb add [reports…] [opts]     append BENCH reports to the perf DB
-//! hbat perfdb check [reports…] [opts]   gate reports against the frozen baseline
 //!
 //! options: --scale test|small|reference   (default small)
 //!          --inorder                      in-order issue
@@ -37,12 +35,6 @@
 //!          --heartbeat <secs>             progress line interval, 0 = off
 //!                                         (HBAT_HEARTBEAT; default: off at test
 //!                                         scale, 30 s otherwise)
-//!
-//! perf database (see DESIGN.md § 14):
-//!          --db <path>                    database file (default results/perf.jsonl)
-//!          --baseline <path>              frozen baseline for `check`
-//!                                         (default results/perf_baseline.jsonl)
-//!          --host <tag>                   host tag for `add` (HBAT_HOST)
 //!
 //! sampled simulation (SMARTS-style; see DESIGN.md § 15):
 //!          --sample N[:len[:warmup]]      detailed timing only in N systematic
@@ -75,7 +67,6 @@ use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::executor::RunPolicy;
 use hbat_suite::bench::experiment::{sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
-use hbat_suite::bench::perfdb;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
 use hbat_suite::isa::tracefile;
@@ -106,9 +97,6 @@ struct Options {
     // Raw `--sample` spec; parsed into a SamplePlan once the seed is
     // known (flag order is free, so the seed may arrive after it).
     sample: Option<String>,
-    db: Option<std::path::PathBuf>,
-    baseline: Option<std::path::PathBuf>,
-    host: Option<String>,
     json: bool,
     positional: Vec<String>,
 }
@@ -133,9 +121,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         ckpt_interval: None,
         ff: None,
         sample: None,
-        db: None,
-        baseline: None,
-        host: None,
         json: false,
         positional: Vec::new(),
     };
@@ -189,18 +174,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 o.intervals = Some(n);
             }
             "--prof" => o.prof = true,
-            "--db" => {
-                let v = it.next().ok_or("--db needs a path")?;
-                o.db = Some(v.into());
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                o.baseline = Some(v.into());
-            }
-            "--host" => {
-                let v = it.next().ok_or("--host needs a tag")?;
-                o.host = Some(v.clone());
-            }
             "--heartbeat" => {
                 let v = it.next().ok_or("--heartbeat needs seconds (0 = off)")?;
                 let secs: f64 = v.parse().map_err(|e| format!("bad heartbeat: {e}"))?;
@@ -430,7 +403,7 @@ fn print_sample_windows(windows: &[hbat_suite::obs::IntervalRecord]) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: hbat <list|run|trace|sweep|anatomy|dump|replay|ckpt|perfdb> …");
+        eprintln!("usage: hbat <list|run|trace|sweep|anatomy|dump|replay|ckpt> …");
         return ExitCode::FAILURE;
     };
     let opts = match parse_args(rest) {
@@ -813,84 +786,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             println!("{path}: {} instructions\n", uops.len());
             print_metrics(design, &m);
             Ok(())
-        }
-        "perfdb" => {
-            let action = opts
-                .positional
-                .first()
-                .ok_or("usage: hbat perfdb <add|check> [reports…]")?;
-            // Explicit report paths, or every results/BENCH_*.json.
-            let reports: Vec<std::path::PathBuf> = if opts.positional.len() > 1 {
-                opts.positional[1..].iter().map(Into::into).collect()
-            } else {
-                let mut found: Vec<std::path::PathBuf> = std::fs::read_dir("results")
-                    .map_err(|e| format!("results/: {e} (pass report paths explicitly)"))?
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| {
-                        p.file_name()
-                            .and_then(|n| n.to_str())
-                            .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                    })
-                    .collect();
-                found.sort();
-                found
-            };
-            if reports.is_empty() {
-                return Err("no BENCH_*.json reports found".to_owned());
-            }
-            match action.as_str() {
-                "add" => {
-                    let db = opts
-                        .db
-                        .clone()
-                        .unwrap_or_else(|| "results/perf.jsonl".into());
-                    let host = perfdb::host_tag(opts.host.as_deref());
-                    for report in &reports {
-                        perfdb::add_report(report, &db, &host)
-                            .map_err(|e| format!("{}: {e}", report.display()))?;
-                        println!(
-                            "added {} to {} (host {host})",
-                            report.display(),
-                            db.display()
-                        );
-                    }
-                    Ok(())
-                }
-                "check" => {
-                    let baseline = opts
-                        .baseline
-                        .clone()
-                        .unwrap_or_else(|| "results/perf_baseline.jsonl".into());
-                    let checks = perfdb::read_baseline(&baseline)
-                        .map_err(|e| format!("{}: {e}", baseline.display()))?;
-                    let mut ran = 0usize;
-                    let mut failed = 0usize;
-                    for report in &reports {
-                        let r = perfdb::read_report(report)
-                            .map_err(|e| format!("{}: {e}", report.display()))?;
-                        for outcome in perfdb::check_report(&r, &checks) {
-                            ran += 1;
-                            failed += usize::from(!outcome.pass);
-                            println!("{}", perfdb::render_outcome(&outcome));
-                        }
-                    }
-                    if ran == 0 {
-                        return Err(format!(
-                            "no baseline check matched any report ({} check(s) in {})",
-                            checks.len(),
-                            baseline.display()
-                        ));
-                    }
-                    if failed > 0 {
-                        Err(format!("{failed} of {ran} perf check(s) failed"))
-                    } else {
-                        println!("all {ran} perf check(s) passed");
-                        Ok(())
-                    }
-                }
-                other => Err(format!("unknown perfdb action `{other}` (add|check)")),
-            }
         }
         other => Err(format!("unknown command `{other}`")),
     }

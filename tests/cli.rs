@@ -324,96 +324,6 @@ fn prof_flag_prints_the_self_profile() {
 }
 
 #[test]
-fn perfdb_add_and_check_gate_reports() {
-    let dir = std::env::temp_dir().join("hbat-cli-perfdb");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let report = dir.join("BENCH_fake.json");
-    let db = dir.join("perf.jsonl");
-    let baseline = dir.join("baseline.jsonl");
-    std::fs::write(
-        &report,
-        r#"{"benchmark":"fake_bench","scale":"test","ratio":0.5,"identical":"true"}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &baseline,
-        "{\"v\":1,\"bench\":\"fake_bench\",\"metric\":\"ratio\",\"max\":0.9}\n\
-         {\"v\":1,\"bench\":\"fake_bench\",\"metric\":\"identical\",\"equals\":\"true\"}\n",
-    )
-    .unwrap();
-    let report_s = report.to_str().unwrap();
-
-    // add: appends one flat record per invocation, tagged by host.
-    let (ok, stdout, stderr) = hbat(&[
-        "perfdb",
-        "add",
-        report_s,
-        "--db",
-        db.to_str().unwrap(),
-        "--host",
-        "cli-test",
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("added"), "{stdout}");
-    let db_text = std::fs::read_to_string(&db).unwrap();
-    assert_eq!(db_text.lines().count(), 1);
-    assert!(db_text.contains("\"bench\":\"fake_bench\""));
-    assert!(db_text.contains("\"host\":\"cli-test\""));
-    assert!(!db_text.contains("time"), "no timestamps in the database");
-
-    // check: passes against the generous baseline…
-    let (ok, stdout, stderr) = hbat(&[
-        "perfdb",
-        "check",
-        report_s,
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("all 2 perf check(s) passed"), "{stdout}");
-
-    // … and fails with a nonzero exit when a bound regresses.
-    std::fs::write(
-        &baseline,
-        "{\"v\":1,\"bench\":\"fake_bench\",\"metric\":\"ratio\",\"max\":0.1}\n",
-    )
-    .unwrap();
-    let (ok, stdout, stderr) = hbat(&[
-        "perfdb",
-        "check",
-        report_s,
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    assert!(!ok, "regression must fail the check");
-    assert!(stdout.contains("FAIL fake_bench ratio"), "{stdout}");
-    assert!(stderr.contains("1 of 1 perf check(s) failed"), "{stderr}");
-
-    // A baseline whose checks match nothing is an error, not a pass.
-    std::fs::write(
-        &baseline,
-        "{\"v\":1,\"bench\":\"no_such_bench\",\"metric\":\"x\",\"max\":1}\n",
-    )
-    .unwrap();
-    let (ok, _, stderr) = hbat(&[
-        "perfdb",
-        "check",
-        report_s,
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("no baseline check matched"), "{stderr}");
-
-    // Unknown action.
-    let (ok, _, stderr) = hbat(&["perfdb", "frob", report_s]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown perfdb action"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn observed_sweep_writes_sidecar_and_heartbeat_is_controllable() {
     let dir = std::env::temp_dir().join("hbat-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
