@@ -15,8 +15,8 @@
 //! warm-state accumulator, so a run restored at any intermediate index
 //! reaches the boundary with bit-identical state to a run that never
 //! crashed. [`verify_restore_equivalence`] proves that end to end, and
-//! `F` is folded into [`ckpt_fingerprint`] so journals and snapshots
-//! from different boundaries can never be mixed up.
+//! `F` is folded into the [`sweep_fingerprint`] so journals and
+//! snapshots from different boundaries can never be mixed up.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -24,17 +24,14 @@ use std::sync::atomic::AtomicBool;
 use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{
-    simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport, WarmState,
-};
+use hbat_cpu::{simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator};
 use hbat_isa::uop::PredecodedTrace;
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
 use hbat_workloads::{Benchmark, Workload};
 
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{sweep_fingerprint, ExperimentConfig};
 use crate::faults::{CkptFault, FaultPlan};
-use crate::journal::fnv1a_hex;
 
 /// Where and how a checkpointed sweep snapshots.
 #[derive(Debug, Clone)]
@@ -50,27 +47,17 @@ pub struct CheckpointOptions {
     pub boundary: u64,
 }
 
-/// The checkpoint identity fingerprint: the experiment fingerprint with
-/// the fast-forward boundary folded in. Metrics depend on both, so two
-/// runs share snapshots (and journal records) only when the whole
-/// configuration *and* the boundary match.
-pub fn ckpt_fingerprint(cfg: &ExperimentConfig, boundary: u64) -> String {
-    fnv1a_hex(&format!("{cfg:?}/ff={boundary}"))
-}
-
 /// One benchmark's warm timing input: the detailed-timing tail of the
-/// trace plus the warm state to install before replaying it.
+/// trace plus the warm state at its start.
 #[derive(Debug, Clone)]
 pub struct WarmTrace {
     /// Predecoded committed-path tail, from the boundary to the end.
     pub tail: PredecodedTrace,
-    /// Warm micro-architectural state at the boundary.
-    pub warm: WarmState,
-    /// The full warm-state accumulator export at the boundary — the
-    /// sampled runner re-imports this to *continue* accumulation through
-    /// functional gaps between detailed windows (the derived [`WarmState`]
-    /// alone cannot be extended).
-    pub export: WarmExport,
+    /// The warm-state accumulator at the boundary. A full run installs
+    /// its [`warm_state`](WarmAccumulator::warm_state); the sampled
+    /// runner clones it to *continue* accumulation through the
+    /// functional gaps between detailed windows.
+    pub acc: WarmAccumulator,
     /// Where timing starts: `min(F, halt point)`.
     pub start: u64,
     /// The snapshot index this build restored from (`None` = cold start).
@@ -80,26 +67,17 @@ pub struct WarmTrace {
     pub rejected: Vec<(PathBuf, String)>,
 }
 
-/// Fast-forwards `machine` to `target` (or the halt point), then runs it
-/// to completion collecting the timing tail.
-fn finish(
-    workload: &Workload,
-    machine: &mut Machine,
-    acc: &WarmAccumulator,
-    tail_guard: u64,
-) -> Result<(PredecodedTrace, WarmState, WarmExport), CkptError> {
-    let tail = machine.run_to_vec(tail_guard);
+/// Runs a fast-forwarded `machine` to completion, collecting the
+/// predecoded timing tail.
+fn finish(workload: &Workload, machine: &mut Machine) -> Result<PredecodedTrace, CkptError> {
+    let tail = machine.run_to_vec(workload.max_steps);
     if !machine.is_halted() {
         return Err(CkptError::Malformed(format!(
-            "workload {} did not halt within {tail_guard} tail steps",
-            workload.name
+            "workload {} did not halt within {} tail steps",
+            workload.name, workload.max_steps
         )));
     }
-    Ok((
-        PredecodedTrace::predecode(&tail),
-        acc.warm_state(),
-        acc.export(),
-    ))
+    Ok(PredecodedTrace::predecode(&tail))
 }
 
 /// Builds a benchmark's warm trace with *no* disk involvement: a pure
@@ -128,11 +106,9 @@ pub fn build_warm_trace_cold(
         None,
         |_, _, _| Ok(()),
     )?;
-    let (tail, warm, export) = finish(&workload, &mut machine, &acc, workload.max_steps)?;
     Ok(WarmTrace {
-        tail,
-        warm,
-        export,
+        tail: finish(&workload, &mut machine)?,
+        acc,
         start: out.index,
         restored_from: None,
         rejected: Vec::new(),
@@ -224,7 +200,7 @@ pub fn build_warm_trace(
     cancel: Option<&AtomicBool>,
 ) -> Result<WarmTrace, CkptError> {
     let _prof = hbat_obs::prof::scope("warm-build");
-    let fingerprint = ckpt_fingerprint(cfg, opts.boundary);
+    let fingerprint = sweep_fingerprint(cfg, Some(opts.boundary), None);
     let store = CheckpointStore::new(&opts.dir, bench.name(), &fingerprint);
     if let Some(fault) = faults.ckpt_fault_for(bi) {
         corrupt_newest(&store, fault)?;
@@ -287,11 +263,9 @@ pub fn build_warm_trace(
         },
     )?;
 
-    let (tail, warm, export) = finish(&workload, &mut machine, &acc, workload.max_steps)?;
     Ok(WarmTrace {
-        tail,
-        warm,
-        export,
+        tail: finish(&workload, &mut machine)?,
+        acc,
         start: out.index,
         restored_from,
         rejected: scan
@@ -314,7 +288,8 @@ pub fn run_warm_cell_with<R: hbat_obs::Recorder>(
     rec: R,
 ) -> RunMetrics {
     let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops_warm_with_recorder(&cfg.sim, wt.tail.ops(), translator.as_mut(), &wt.warm, rec)
+    let warm = wt.acc.warm_state();
+    simulate_uops_warm_with_recorder(&cfg.sim, wt.tail.ops(), translator.as_mut(), &warm, rec)
 }
 
 /// What [`verify_restore_equivalence`] proved.
@@ -324,6 +299,11 @@ pub struct EquivalenceReport {
     pub restored_from: u64,
     /// Designs whose metrics were compared (all bit-identical).
     pub designs_checked: usize,
+    /// Distinct data pages the cold run touched before the boundary.
+    /// Above [`hbat_core::designs::BASE_TLB_ENTRIES`] the warm state's
+    /// random-replacement TLB model has evicted, so the check covers the
+    /// model's exact restore.
+    pub pages_touched: usize,
 }
 
 /// Differential proof that restore is exact: builds the benchmark's warm
@@ -364,7 +344,7 @@ pub fn verify_restore_equivalence(
 
     // Delete the newest snapshot so pass 2 must restore mid-stream and
     // actually re-execute instructions up to the boundary.
-    let fingerprint = ckpt_fingerprint(cfg, opts.boundary);
+    let fingerprint = sweep_fingerprint(cfg, Some(opts.boundary), None);
     let store = CheckpointStore::new(&opts.dir, bench.name(), &fingerprint);
     let indices = store.indices().map_err(|e| err("index scan", e))?;
     let Some((&newest, earlier)) = indices.split_last() else {
@@ -385,7 +365,7 @@ pub fn verify_restore_equivalence(
         ));
     };
 
-    if cold.start != restored.start || cold.warm != restored.warm {
+    if cold.start != restored.start || cold.acc.export() != restored.acc.export() {
         return Err(format!(
             "{}: warm state diverged (cold start {} vs restored start {})",
             bench.name(),
@@ -407,6 +387,7 @@ pub fn verify_restore_equivalence(
     Ok(EquivalenceReport {
         restored_from,
         designs_checked: designs.len(),
+        pages_touched: cold.acc.export().pages.len(),
     })
 }
 
@@ -430,16 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_boundaries() {
-        let cfg = ExperimentConfig::baseline(Scale::Test);
-        assert_ne!(ckpt_fingerprint(&cfg, 100), ckpt_fingerprint(&cfg, 200));
-        assert_ne!(
-            ckpt_fingerprint(&cfg, 100),
-            crate::experiment::config_fingerprint(&cfg)
-        );
-    }
-
-    #[test]
     fn checkpointed_build_matches_cold_build() {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let dir = tdir("match");
@@ -456,7 +427,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cold.start, ck.start);
-        assert_eq!(cold.warm, ck.warm);
+        assert_eq!(cold.acc.export(), ck.acc.export());
         assert_eq!(cold.tail.ops(), ck.tail.ops());
         assert!(ck.restored_from.is_none(), "first pass cold-starts");
 
@@ -473,7 +444,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(again.restored_from, Some(cold.start.min(o.boundary)));
-        assert_eq!(again.warm, cold.warm);
+        assert_eq!(again.acc.export(), cold.acc.export());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -524,7 +495,8 @@ mod tests {
                 "{fault:?}: corruption must be detected"
             );
             assert_eq!(
-                recovered.warm, clean.warm,
+                recovered.acc.export(),
+                clean.acc.export(),
                 "{fault:?}: recovery must reach identical state"
             );
             assert!(
@@ -553,7 +525,11 @@ mod tests {
         assert!(attempt2.restored_from.is_some(), "retry must restore");
 
         let cold = build_warm_trace_cold(Benchmark::Compress, &cfg, o.boundary).unwrap();
-        assert_eq!(attempt2.warm, cold.warm, "retry reaches identical state");
+        assert_eq!(
+            attempt2.acc.export(),
+            cold.acc.export(),
+            "retry reaches identical state"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,9 +29,7 @@ use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum, fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-use crate::ckpt::{
-    build_warm_trace, ckpt_fingerprint, run_warm_cell_with, CheckpointOptions, WarmTrace,
-};
+use crate::ckpt::{build_warm_trace, run_warm_cell_with, CheckpointOptions, WarmTrace};
 use crate::executor::{
     parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
@@ -40,10 +38,7 @@ use crate::journal::{
     fnv1a_hex, read_interval_sidecar, read_journal, CellKey, JournalRecord, JournalWriter,
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
-use crate::sample::{
-    ckpt_sample_fingerprint, ipc_interval, run_sampled_windows, sample_fingerprint, warm_schedule,
-    SamplePlan,
-};
+use crate::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
 
 /// Everything one experiment (one figure) varies.
 #[derive(Debug, Clone)]
@@ -245,12 +240,26 @@ pub fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
 
 // ---- fault-tolerant sweeps -----------------------------------------------
 
-/// Fingerprint of everything that affects a cell's metrics, for the
+/// Fingerprint of everything that affects a full run's metrics, for the
 /// journal's cell identity: scale, machine model, page geometry,
-/// workload configuration, and design seed. Two runs share journal
-/// records only when their fingerprints match.
+/// workload configuration, and design seed.
 pub fn config_fingerprint(cfg: &ExperimentConfig) -> String {
-    fnv1a_hex(&format!("{cfg:?}"))
+    sweep_fingerprint(cfg, None, None)
+}
+
+/// [`config_fingerprint`] with the fast-forward `boundary` and the
+/// sample `plan` folded in when the sweep has them. Checkpointed metrics
+/// start timing at the boundary and sampled metrics are window
+/// estimates, so two runs share journal records (and snapshots) only
+/// when the configuration, the boundary and the plan all match.
+pub fn sweep_fingerprint(
+    cfg: &ExperimentConfig,
+    boundary: Option<u64>,
+    plan: Option<&SamplePlan>,
+) -> String {
+    let ff = boundary.map(|f| format!("/ff={f}")).unwrap_or_default();
+    let sample = plan.map(|p| format!("/sample={p:?}")).unwrap_or_default();
+    fnv1a_hex(&format!("{cfg:?}{ff}{sample}"))
 }
 
 /// How a fault-tolerant sweep runs: worker count, retry/deadline
@@ -798,18 +807,11 @@ pub fn sweep_ft_on(
         ));
     }
     let n_cells = benches.len() * designs.len();
-    // Checkpointed sweeps fold the fast-forward boundary into the cell
-    // identity: their metrics start timing at the boundary, so they must
-    // never share journal records (or snapshots) with full sweeps or
-    // with a different boundary. Sampled sweeps likewise fold the
-    // sample plan in: their metrics are window estimates, not full-run
-    // totals.
-    let fingerprint = match (&opts.checkpoint, &opts.sample) {
-        (Some(ck), Some(p)) => ckpt_sample_fingerprint(cfg, ck.boundary, p),
-        (Some(ck), None) => ckpt_fingerprint(cfg, ck.boundary),
-        (None, Some(p)) => sample_fingerprint(cfg, p),
-        (None, None) => config_fingerprint(cfg),
-    };
+    let fingerprint = sweep_fingerprint(
+        cfg,
+        opts.checkpoint.as_ref().map(|ck| ck.boundary),
+        opts.sample.as_ref(),
+    );
     let (hits0, misses0) = (cache.hits(), cache.misses());
 
     // Resume: restore completed cells from the journal. Records keyed
@@ -972,12 +974,12 @@ pub fn sweep_ft_on(
             let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
-                    let (ops, export) = match input {
+                    let (ops, start) = match input {
                         BenchInput::Full(uops) => (uops.ops(), None),
-                        BenchInput::Warm(wt) => (wt.tail.ops(), Some(&wt.export)),
+                        BenchInput::Warm(wt) => (wt.tail.ops(), Some(&wt.acc)),
                     };
                     let schedule =
-                        schedules[bi].get_or_build(|| warm_schedule(ops, cfg, export, plan));
+                        schedules[bi].get_or_build(|| warm_schedule(ops, cfg, start, plan));
                     let cell = run_sampled_windows(ops, designs[di], cfg, plan, &schedule);
                     drop(schedule);
                     schedules[bi].finish_cell();
@@ -1165,6 +1167,37 @@ mod tests {
         assert!(fig.contains("T4") && fig.contains("T1"));
         let details = r.render_details();
         assert!(details.contains("Compress") && details.contains("Xlisp"));
+    }
+
+    #[test]
+    fn sweep_fingerprints_separate_boundaries_plans_and_configs() {
+        let cfg = ExperimentConfig::baseline(Scale::Test);
+        let p = SamplePlan {
+            n_windows: 10,
+            window_len: 100,
+            warmup_len: 25,
+            seed: 1996,
+        };
+        let ids = [
+            config_fingerprint(&cfg),
+            config_fingerprint(&ExperimentConfig::baseline(Scale::Small)),
+            sweep_fingerprint(&cfg, Some(1000), None),
+            sweep_fingerprint(&cfg, Some(2000), None),
+            sweep_fingerprint(&cfg, None, Some(&p)),
+            sweep_fingerprint(&cfg, None, Some(&SamplePlan { seed: 2, ..p })),
+            sweep_fingerprint(&cfg, None, Some(&SamplePlan { n_windows: 11, ..p })),
+            sweep_fingerprint(&cfg, Some(1000), Some(&p)),
+            sweep_fingerprint(&cfg, Some(2000), Some(&p)),
+        ];
+        for (i, a) in ids.iter().enumerate() {
+            for b in &ids[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        // Journal keys and snapshot names written before the boundary
+        // and plan were folded into one function stay valid.
+        assert_eq!(ids[0], fnv1a_hex(&format!("{cfg:?}")));
+        assert_eq!(ids[7], fnv1a_hex(&format!("{cfg:?}/ff=1000/sample={p:?}")));
     }
 
     #[test]

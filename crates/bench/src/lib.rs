@@ -40,8 +40,8 @@ pub mod outcome;
 pub mod sample;
 
 pub use ckpt::{
-    build_warm_trace, build_warm_trace_cold, ckpt_fingerprint, run_warm_cell_with,
-    verify_restore_equivalence, CheckpointOptions, EquivalenceReport, WarmTrace,
+    build_warm_trace, build_warm_trace_cold, run_warm_cell_with, verify_restore_equivalence,
+    CheckpointOptions, EquivalenceReport, WarmTrace,
 };
 pub use executor::{
     parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,
@@ -49,8 +49,9 @@ pub use executor::{
 };
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
-    render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep, sweep_ft,
-    sweep_ft_on, CellResult, ExperimentConfig, FtSweepResult, SweepOptions, SweepResult,
+    render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep,
+    sweep_fingerprint, sweep_ft, sweep_ft_on, CellResult, ExperimentConfig, FtSweepResult,
+    SweepOptions, SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{
@@ -59,7 +60,6 @@ pub use journal::{
 };
 pub use outcome::{CellFailure, CellOutcome, FailureManifest};
 pub use sample::{
-    ckpt_sample_fingerprint, cpi_interval, ipc_interval, plan_windows, run_sampled_uops,
-    run_sampled_windows, sample_fingerprint, warm_schedule, SamplePlan, SampleWindow, SampledCell,
-    WindowGate,
+    cpi_interval, ipc_interval, plan_windows, run_sampled_uops, run_sampled_windows, warm_schedule,
+    SamplePlan, SampleWindow, SampledCell, WindowGate,
 };

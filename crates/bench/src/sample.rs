@@ -31,15 +31,12 @@
 //! identical plans give byte-identical journals and reports.
 
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{
-    simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport, WarmState,
-};
+use hbat_cpu::{simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmState};
 use hbat_isa::uop::MicroOp;
 use hbat_obs::{IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 
 use crate::experiment::ExperimentConfig;
-use crate::journal::fnv1a_hex;
 
 /// How a sampled run slices its trace: `n_windows` detailed windows of
 /// `window_len` measured instructions, each preceded by `warmup_len`
@@ -47,8 +44,8 @@ use crate::journal::fnv1a_hex;
 /// seed-derived offset.
 ///
 /// The plan (including the seed) is folded into the journal fingerprint
-/// — see [`sample_fingerprint`] — so sampled and full runs, or two
-/// different plans, can never share journal records.
+/// — see [`crate::experiment::sweep_fingerprint`] — so sampled and full
+/// runs, or two different plans, can never share journal records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplePlan {
     /// Detailed measurement windows per cell.
@@ -119,21 +116,6 @@ fn parse_field(part: Option<&str>, what: &str) -> Result<u64, String> {
         return Err(format!("--sample {what} must be >= 1"));
     }
     Ok(v)
-}
-
-/// The journal fingerprint of a sampled sweep: the experiment
-/// fingerprint with the sample plan folded in. Sampled metrics are
-/// estimates over a subset of the trace, so they must never share
-/// journal records with full runs or with a different plan.
-pub fn sample_fingerprint(cfg: &ExperimentConfig, plan: &SamplePlan) -> String {
-    fnv1a_hex(&format!("{cfg:?}/sample={plan:?}"))
-}
-
-/// [`sample_fingerprint`] for a checkpointed sampled sweep: both the
-/// fast-forward boundary and the plan are folded in (composes
-/// [`crate::ckpt::ckpt_fingerprint`] with [`sample_fingerprint`]).
-pub fn ckpt_sample_fingerprint(cfg: &ExperimentConfig, boundary: u64, plan: &SamplePlan) -> String {
-    fnv1a_hex(&format!("{cfg:?}/ff={boundary}/sample={plan:?}"))
 }
 
 /// SplitMix64: one multiply-xor-shift round, used to turn the plan seed
@@ -369,10 +351,10 @@ impl SampledCell {
 
 /// The design-independent half of a sampled cell: one install-form
 /// [`WarmState`] per window of `plan_windows(plan, ops.len())`, taken
-/// from a single functional-warming pass over `ops` that starts from
-/// `export` (`None` = cold start, i.e. the trace begins at program
-/// start). State `k` is what the accumulator holds at window `k`'s
-/// `warm_start`.
+/// from a single functional-warming pass over `ops` that continues a
+/// clone of `start` (`None` = cold start, i.e. the trace begins at
+/// program start). State `k` is what the accumulator holds at window
+/// `k`'s `warm_start`.
 ///
 /// Nothing here depends on the translation design, so a sweep builds
 /// the schedule once per program and every design's
@@ -380,13 +362,12 @@ impl SampledCell {
 pub fn warm_schedule(
     ops: &[MicroOp],
     cfg: &ExperimentConfig,
-    export: Option<&WarmExport>,
+    start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> Vec<WarmState> {
-    let mut acc = match export {
-        Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
-        None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
-    };
+    let mut acc = start
+        .cloned()
+        .unwrap_or_else(|| WarmAccumulator::new(&cfg.sim, cfg.geometry));
     let windows = plan_windows(plan, ops.len() as u64);
     let mut states = Vec::with_capacity(windows.len());
     let mut pos = 0usize;
@@ -459,15 +440,15 @@ pub fn run_sampled_windows(
 
 /// Runs one sampled (trace, design) cell: [`warm_schedule`] then
 /// [`run_sampled_windows`]. Deterministic: identical `(ops, design,
-/// cfg, plan, export)` give identical results.
+/// cfg, start, plan)` give identical results.
 pub fn run_sampled_uops(
     ops: &[MicroOp],
     design: DesignSpec,
     cfg: &ExperimentConfig,
-    export: Option<&WarmExport>,
+    start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let schedule = warm_schedule(ops, cfg, export, plan);
+    let schedule = warm_schedule(ops, cfg, start, plan);
     run_sampled_windows(ops, design, cfg, plan, &schedule)
 }
 
@@ -567,20 +548,6 @@ mod tests {
             self.seed = seed;
             self
         }
-    }
-
-    #[test]
-    fn fingerprints_separate_plans_configs_and_full_runs() {
-        let cfg = ExperimentConfig::baseline(Scale::Test);
-        let p = plan(10, 100, 25);
-        let fp = sample_fingerprint(&cfg, &p);
-        assert_ne!(fp, crate::experiment::config_fingerprint(&cfg));
-        assert_ne!(fp, sample_fingerprint(&cfg, &plan(11, 100, 25)));
-        assert_ne!(fp, sample_fingerprint(&cfg, &p.with_seed(2)));
-        let ck = ckpt_sample_fingerprint(&cfg, 1000, &p);
-        assert_ne!(ck, fp);
-        assert_ne!(ck, crate::ckpt::ckpt_fingerprint(&cfg, 1000));
-        assert_ne!(ck, ckpt_sample_fingerprint(&cfg, 2000, &p));
     }
 
     #[test]
@@ -744,9 +711,9 @@ mod tests {
         );
     }
 
-    // A sampled run chained from a warm export must place windows in
-    // the tail and still behave: this is the checkpoint-composition
-    // path (restore → gap → window …).
+    // A sampled run chained from a fast-forward's accumulator must place
+    // windows in the tail and still behave: this is the
+    // checkpoint-composition path (restore → gap → window …).
     #[test]
     fn sampled_cell_chains_from_a_checkpoint_export() {
         use hbat_workloads::Benchmark;
@@ -754,8 +721,8 @@ mod tests {
         let design = DesignSpec::MultiPorted { ports: 4 };
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let p = plan(6, 200, 50);
-        let a = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
-        let b = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
+        let a = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
+        let b = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
         let full = crate::ckpt::run_warm_cell_with(&wt, design, &cfg, hbat_obs::NullRecorder);
@@ -769,31 +736,40 @@ mod tests {
     }
 
     // The schedule is the accumulator's state at each window start,
-    // whichever state it starts from and however many windows fit.
+    // whichever state it starts from and however many windows fit. A
+    // schedule chained from a fast-forward's accumulator is the exact
+    // continuation: it equals a cold accumulation of the whole trace up
+    // to each window.
     #[test]
     fn warm_schedule_holds_the_accumulator_state_at_each_window_start() {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
-        let check = |ops: &[MicroOp], export: Option<&WarmExport>, p: &SamplePlan| {
-            let windows = plan_windows(p, ops.len() as u64);
-            let schedule = warm_schedule(ops, &cfg, export, p);
-            assert_eq!(schedule.len(), windows.len(), "one state per window");
-            for (k, (w, state)) in windows.iter().zip(&schedule).enumerate() {
-                let mut acc = match export {
-                    Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
-                    None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
-                };
-                acc.warm_gap(&ops[..w.warm_start as usize]);
-                assert!(*state == acc.warm_state(), "window {k}: state differs");
-            }
-            windows.len()
-        };
         let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
-        assert_eq!(check(uops.ops(), None, &plan(8, 300, 50)), 8);
+        let full = uops.ops();
+        // `ops` is the suffix of `full` from `skip` on, warmed from
+        // `start`.
+        let check =
+            |skip: usize, ops: &[MicroOp], start: Option<&WarmAccumulator>, p: &SamplePlan| {
+                let windows = plan_windows(p, ops.len() as u64);
+                let schedule = warm_schedule(ops, &cfg, start, p);
+                assert_eq!(schedule.len(), windows.len(), "one state per window");
+                for (k, (w, state)) in windows.iter().zip(&schedule).enumerate() {
+                    let mut acc = WarmAccumulator::new(&cfg.sim, cfg.geometry);
+                    acc.warm_gap(&full[..skip + w.warm_start as usize]);
+                    assert!(*state == acc.warm_state(), "window {k}: state differs");
+                }
+                windows.len()
+            };
+        assert_eq!(check(0, full, None, &plan(8, 300, 50)), 8);
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
-        assert_eq!(check(wt.tail.ops(), Some(&wt.export), &plan(6, 200, 50)), 6);
+        let skip = wt.start as usize;
+        assert_eq!(&full[skip..], wt.tail.ops());
+        assert_eq!(
+            check(skip, wt.tail.ops(), Some(&wt.acc), &plan(6, 200, 50)),
+            6
+        );
         // 900 ops hold three 250-op windows, not the eight asked for.
-        assert_eq!(check(&uops.ops()[..900], None, &plan(8, 200, 50)), 3);
+        assert_eq!(check(0, &full[..900], None, &plan(8, 200, 50)), 3);
     }
 
     #[test]

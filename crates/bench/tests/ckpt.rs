@@ -14,11 +14,14 @@ use std::path::PathBuf;
 
 use hbat_bench::ckpt::{verify_restore_equivalence, CheckpointOptions};
 use hbat_bench::executor::RunPolicy;
-use hbat_bench::experiment::{sweep_ft_on, ExperimentConfig, FtSweepResult, SweepOptions};
+use hbat_bench::experiment::{
+    sweep_fingerprint, sweep_ft_on, ExperimentConfig, FtSweepResult, SweepOptions,
+};
 use hbat_bench::faults::{CkptFault, FaultPlan};
 use hbat_bench::journal::read_journal;
 use hbat_bench::TraceCache;
 use hbat_core::designs::spec::DesignSpec;
+use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_workloads::{Benchmark, Scale};
 
 const THREADS: usize = 4;
@@ -67,19 +70,35 @@ fn assert_same_metrics(r: &FtSweepResult, reference: &FtSweepResult, tag: &str) 
 
 /// The tentpole acceptance criterion: a mid-stream restore reproduces
 /// the never-crashed run bit-for-bit across all 13 Table-2 designs.
+/// Two inputs: Compress at test scale, and MPEG_play at small scale,
+/// whose prefix touches more pages than the random-replacement TLB
+/// model holds, so the model has evicted by the time it is snapshotted.
 #[test]
 fn restore_equivalence_holds_for_all_table2_designs() {
-    let cfg = ExperimentConfig::baseline(Scale::Test);
     let dir = temp_dir("equiv13");
-    let report = verify_restore_equivalence(
-        Benchmark::Compress,
-        &cfg,
-        &ck_opts(&dir),
-        &DesignSpec::TABLE2,
-    )
-    .expect("restore must be bit-exact");
-    assert_eq!(report.designs_checked, DesignSpec::TABLE2.len());
-    assert_eq!(report.designs_checked, 13, "the paper analyses 13 designs");
+    let past_capacity = CheckpointOptions {
+        dir: dir.join("small"),
+        interval: 50_000,
+        boundary: 200_000,
+    };
+    for (bench, scale, opts) in [
+        (Benchmark::Compress, Scale::Test, ck_opts(&dir)),
+        (Benchmark::MpegPlay, Scale::Small, past_capacity),
+    ] {
+        let cfg = ExperimentConfig::baseline(scale);
+        let report = verify_restore_equivalence(bench, &cfg, &opts, &DesignSpec::TABLE2)
+            .expect("restore must be bit-exact");
+        assert_eq!(report.designs_checked, DesignSpec::TABLE2.len());
+        assert_eq!(report.designs_checked, 13, "the paper analyses 13 designs");
+        if scale == Scale::Small {
+            assert!(
+                report.pages_touched > BASE_TLB_ENTRIES,
+                "{} touched only {} pages: the model never evicted",
+                bench.name(),
+                report.pages_touched
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -100,7 +119,7 @@ fn checkpointed_sweep_completes_and_resumes() {
 
     let records = read_journal(&journal).unwrap();
     assert_eq!(records.len(), n);
-    let expected_fp = hbat_bench::ckpt::ckpt_fingerprint(&cfg, ck_opts(&dir).boundary);
+    let expected_fp = sweep_fingerprint(&cfg, Some(ck_opts(&dir).boundary), None);
     assert!(
         records.iter().all(|r| r.key.config == expected_fp),
         "journal keys must carry the boundary-aware fingerprint"

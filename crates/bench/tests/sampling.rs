@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use hbat_bench::ckpt::CheckpointOptions;
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell_uops, sweep_ft_on, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, run_cell_uops, sweep_fingerprint, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
 use hbat_bench::FtSweepResult;
@@ -193,7 +193,7 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
             let truth =
                 hbat_bench::ckpt::run_warm_cell_with(&wt, design, &cfg, hbat_obs::NullRecorder)
                     .ipc();
-            let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
+            let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
                 ci.covers(truth),
@@ -301,11 +301,11 @@ fn sampling_composes_with_checkpointed_fast_forward() {
     // checkpointed-only, or sampled-only journals: its cells carry the
     // combined fingerprint, distinct from every other variant's.
     let p = SamplePlan::parse("6:200:50", 1996).unwrap();
-    let combined = hbat_bench::sample::ckpt_sample_fingerprint(&cfg, 1_000, &p);
+    let combined = sweep_fingerprint(&cfg, Some(1_000), Some(&p));
     let others = [
-        hbat_bench::experiment::config_fingerprint(&cfg),
-        hbat_bench::ckpt::ckpt_fingerprint(&cfg, 1_000),
-        hbat_bench::sample::sample_fingerprint(&cfg, &p),
+        sweep_fingerprint(&cfg, None, None),
+        sweep_fingerprint(&cfg, Some(1_000), None),
+        sweep_fingerprint(&cfg, None, Some(&p)),
     ];
     assert!(!others.contains(&combined));
     let line = std::fs::read_to_string(&journal).unwrap();
@@ -379,9 +379,7 @@ fn shared_warm_schedules_match_standalone_cells_under_fast_forward() {
         |bench| {
             let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, boundary).unwrap();
             DesignSpec::TABLE2
-                .map(|design| {
-                    run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &plan())
-                })
+                .map(|design| run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &plan()))
                 .to_vec()
         },
     );

@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hbat_cpu::WarmAccumulator;
+use hbat_isa::uop::MicroOp;
 use hbat_isa::Machine;
 
 use crate::format::CkptError;
@@ -65,7 +66,7 @@ pub fn fast_forward(
         }
         match machine.step() {
             Some(t) => {
-                acc.note(&t);
+                acc.note_uop(&MicroOp::encode(&t));
                 i += 1;
                 if i.is_multiple_of(interval) && i < target {
                     emit(machine, acc, i)?;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! offset 0   magic      "HBATCKP1"
-//! offset 8   version    u32 LE (currently 1)
+//! offset 8   version    u32 LE (currently 2)
 //! offset 12  total_len  u64 LE — whole file, checksum included
 //! offset 20  body       identity + tagged sections (below)
 //! len-8      checksum   u64 LE — FNV-1a-64 over bytes[0 .. len-8]
@@ -11,11 +11,19 @@
 //! The body is the snapshot identity (benchmark name, configuration
 //! fingerprint, instruction index) followed by a section count and the
 //! sections themselves, each `tag[4] + u64 length + payload`, in a fixed
-//! order for version 1: `REGS` (architectural registers), `MEM.`
-//! (functional memory chunks, ascending), `WPGS`/`WTLB`/`WDBK`/`WIBK`/
-//! `WSTM`/`BPRD` (the exact warm accumulator), and `MSHR` (in-flight
-//! miss count — always zero: snapshots are taken at functional quiesce
-//! points only, and a nonzero count is rejected as [`CkptError::NonQuiescent`]).
+//! order for version 2: `REGS` (architectural registers), `MEM.`
+//! (functional memory chunks, ascending), `WPGS`/`WTLB`/`STLB`/`WDBK`/
+//! `WIBK`/`WSTM`/`BPRD` (the exact warm accumulator), and `MSHR`
+//! (in-flight miss count — always zero: snapshots are taken at functional
+//! quiesce points only, and a nonzero count is rejected as
+//! [`CkptError::NonQuiescent`]).
+//!
+//! `STLB` is the random-replacement TLB model: its splitmix64 counter,
+//! then its resident VPNs in slot order. Version 1 lacked it, so a
+//! restore had to re-seed the model and diverged from a cold run on any
+//! program that touched more pages than the model holds. Version-1 files
+//! are rejected as [`CkptError::UnsupportedVersion`]; the store then
+//! falls back to a cold start.
 //!
 //! Decoding is hardened the way `read_trace` was: every read is
 //! bounds-checked (truncation at any byte is a typed error, never a
@@ -23,12 +31,13 @@
 //! any allocation, preallocation is capped, and trailing bytes after the
 //! checksum are rejected.
 
+use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_cpu::WarmExport;
 use hbat_isa::executor::ArchState;
 use hbat_isa::mem::Memory;
 
 /// Current snapshot format version.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"HBATCKP1";
@@ -39,9 +48,10 @@ const MAX_PREALLOC: usize = 1 << 16;
 /// Longest accepted benchmark-name or fingerprint string.
 const MAX_IDENT: usize = 256;
 
-/// Section order for version 1.
-const SECTION_TAGS: [[u8; 4]; 9] = [
-    *b"REGS", *b"MEM.", *b"WPGS", *b"WTLB", *b"WDBK", *b"WIBK", *b"WSTM", *b"BPRD", *b"MSHR",
+/// Section order for version 2.
+const SECTION_TAGS: [[u8; 4]; 10] = [
+    *b"REGS", *b"MEM.", *b"WPGS", *b"WTLB", *b"STLB", *b"WDBK", *b"WIBK", *b"WSTM", *b"BPRD",
+    *b"MSHR",
 ];
 
 /// Everything a resumed run needs: identity, architectural state,
@@ -110,8 +120,8 @@ pub enum CkptError {
         /// Benchmark found in the snapshot.
         found: String,
     },
-    /// The snapshot claims in-flight microarchitectural state; version-1
-    /// snapshots are only taken at functional quiesce points.
+    /// The snapshot claims in-flight microarchitectural state; snapshots
+    /// are only taken at functional quiesce points.
     NonQuiescent,
     /// Fast-forward was cancelled before reaching its target.
     Cancelled,
@@ -202,6 +212,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(u64, u64)]) {
+    put_u64(out, pairs.len() as u64);
+    for (k, s) in pairs {
+        put_u64(out, *k);
+        put_u64(out, *s);
+    }
+}
+
 fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
     out.extend_from_slice(&tag);
     put_u64(out, payload.len() as u64);
@@ -265,36 +283,43 @@ impl Snapshot {
         put_section(&mut out, SECTION_TAGS[2], &sec);
         sec.clear();
 
-        // WTLB / WDBK / WIBK
+        // WTLB / STLB / WDBK / WIBK
+        put_pairs(&mut sec, &self.warm.tlb);
+        put_section(&mut out, SECTION_TAGS[3], &sec);
+        sec.clear();
+
+        put_u64(&mut sec, self.warm.steady_rng);
+        put_u64(&mut sec, self.warm.steady.len() as u64);
+        for vpn in &self.warm.steady {
+            put_u64(&mut sec, *vpn);
+        }
+        put_section(&mut out, SECTION_TAGS[4], &sec);
+        sec.clear();
+
         for (tag, pairs) in [
-            (SECTION_TAGS[3], &self.warm.tlb),
-            (SECTION_TAGS[4], &self.warm.dblocks),
-            (SECTION_TAGS[5], &self.warm.iblocks),
+            (SECTION_TAGS[5], &self.warm.dblocks),
+            (SECTION_TAGS[6], &self.warm.iblocks),
         ] {
-            put_u64(&mut sec, pairs.len() as u64);
-            for (k, s) in pairs {
-                put_u64(&mut sec, *k);
-                put_u64(&mut sec, *s);
-            }
+            put_pairs(&mut sec, pairs);
             put_section(&mut out, tag, &sec);
             sec.clear();
         }
 
         // WSTM
         put_u64(&mut sec, self.warm.stamp);
-        put_section(&mut out, SECTION_TAGS[6], &sec);
+        put_section(&mut out, SECTION_TAGS[7], &sec);
         sec.clear();
 
         // BPRD
         put_u32(&mut sec, self.warm.ghr);
         put_u64(&mut sec, self.warm.pht.len() as u64);
         sec.extend_from_slice(&self.warm.pht);
-        put_section(&mut out, SECTION_TAGS[7], &sec);
+        put_section(&mut out, SECTION_TAGS[8], &sec);
         sec.clear();
 
         // MSHR — always zero in-flight entries at a quiesce point.
         put_u64(&mut sec, 0);
-        put_section(&mut out, SECTION_TAGS[8], &sec);
+        put_section(&mut out, SECTION_TAGS[9], &sec);
 
         let total = (out.len() + 8) as u64;
         out[len_at..len_at + 8].copy_from_slice(&total.to_le_bytes());
@@ -360,7 +385,7 @@ impl Snapshot {
         let nsections = cur.u32()? as usize;
         if nsections != SECTION_TAGS.len() {
             return Err(CkptError::Malformed(format!(
-                "version-1 snapshots have {} sections, found {nsections}",
+                "version-{CKPT_VERSION} snapshots have {} sections, found {nsections}",
                 SECTION_TAGS.len()
             )));
         }
@@ -444,6 +469,24 @@ impl Snapshot {
                         b"WTLB" => snap.warm.tlb = pairs,
                         b"WDBK" => snap.warm.dblocks = pairs,
                         _ => snap.warm.iblocks = pairs,
+                    }
+                }
+                b"STLB" => {
+                    snap.warm.steady_rng = s.u64()?;
+                    let count = s.count(8)?;
+                    if count > BASE_TLB_ENTRIES {
+                        return Err(CkptError::Malformed(format!(
+                            "TLB model holds {count} entries, more than {BASE_TLB_ENTRIES}"
+                        )));
+                    }
+                    for _ in 0..count {
+                        let vpn = s.u64()?;
+                        if snap.warm.steady.contains(&vpn) {
+                            return Err(CkptError::Malformed(format!(
+                                "TLB model holds VPN {vpn:#x} twice"
+                            )));
+                        }
+                        snap.warm.steady.push(vpn);
                     }
                 }
                 b"WSTM" => {
@@ -588,6 +631,8 @@ mod tests {
             warm: WarmExport {
                 pages: vec![1, 5, 2],
                 tlb: vec![(5, 10), (1, 11), (2, 12)],
+                steady: vec![2, 5, 1],
+                steady_rng: 0x5EAD_71B0_5EAD_71B0,
                 dblocks: vec![(0x1000, 3), (0x5020, 13)],
                 iblocks: vec![(0, 0), (64, 7)],
                 stamp: 14,
@@ -648,20 +693,43 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn version_patch_with_valid_checksum_is_still_rejected() {
-        // A checksum-valid file with a future version must fail the
-        // version check, not the checksum check: prove the version gate
-        // is independent of integrity.
-        let mut bytes = sample().encode();
-        bytes[8] = 2;
+    /// Re-signs `bytes` so only the deliberately altered field is wrong.
+    fn resign(bytes: &mut [u8]) {
         let body_end = bytes.len() - 8;
         let sum = checksum_of(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(CkptError::UnsupportedVersion(2))
-        ));
+    }
+
+    #[test]
+    fn version_patch_with_valid_checksum_is_still_rejected() {
+        // A checksum-valid file with another version must fail the
+        // version check, not the checksum check: prove the version gate
+        // is independent of integrity. Version 1 (no TLB-model section)
+        // is rejected like any future version.
+        for v in [1u8, 3] {
+            let mut bytes = sample().encode();
+            bytes[8] = v;
+            resign(&mut bytes);
+            assert!(matches!(
+                Snapshot::decode(&bytes),
+                Err(CkptError::UnsupportedVersion(got)) if got == u32::from(v)
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_or_duplicate_tlb_model_is_malformed() {
+        let mut over = sample();
+        over.warm.steady = (0..=BASE_TLB_ENTRIES as u64).collect();
+        let mut dup = sample();
+        dup.warm.steady = vec![2, 5, 2];
+        for (snap, what) in [(over, "oversized"), (dup, "duplicate")] {
+            let r = Snapshot::decode(&snap.encode());
+            assert!(matches!(r, Err(CkptError::Malformed(_))), "{what}: {r:?}");
+        }
+        let mut full = sample();
+        full.warm.steady = (0..BASE_TLB_ENTRIES as u64).collect();
+        assert_eq!(Snapshot::decode(&full.encode()).unwrap(), full);
     }
 
     #[test]
@@ -708,9 +776,7 @@ mod tests {
         let mshr_payload_at = bytes.len() - 8 - 8; // count sits just before the trailer
         let mut c = bytes.clone();
         c[mshr_payload_at] = 3;
-        let body_end = c.len() - 8;
-        let sum = checksum_of(&c[..body_end]);
-        c[body_end..].copy_from_slice(&sum.to_le_bytes());
+        resign(&mut c);
         assert!(matches!(Snapshot::decode(&c), Err(CkptError::NonQuiescent)));
     }
 
@@ -727,9 +793,7 @@ mod tests {
             .expect("WPGS present");
         let count_at = pos + 4 + 8; // tag + section len
         bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let body_end = bytes.len() - 8;
-        let sum = checksum_of(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+        resign(&mut bytes);
         assert!(matches!(
             Snapshot::decode(&bytes),
             Err(CkptError::Malformed(_))

@@ -227,6 +227,27 @@ mod tests {
     }
 
     #[test]
+    fn version_one_snapshot_cold_starts() {
+        // A checksum-valid version-1 file: no TLB-model section, so it
+        // cannot restore exactly and must be passed over.
+        let dir = tmpdir("v1");
+        let store = CheckpointStore::new(&dir, "Compress", "aaaa");
+        let mut bytes = snap("Compress", "aaaa", 100).encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_end = bytes.len() - 8;
+        let sum = checksum_of(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+        write_atomic_bytes(&store.path_for(100), &bytes).unwrap();
+        let scan = store.latest_valid(u64::MAX).unwrap();
+        assert!(scan.snapshot.is_none(), "cold start");
+        assert!(matches!(
+            scan.rejected[0].1,
+            CkptError::UnsupportedVersion(1)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn foreign_identity_snapshots_are_invisible() {
         let dir = tmpdir("foreign");
         let ours = CheckpointStore::new(&dir, "Compress", "aaaa");

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 
-use hbat_ckpt::format::checksum_of;
-use hbat_ckpt::{CkptError, Snapshot};
+use hbat_ckpt::format::{checksum_of, MAGIC};
+use hbat_ckpt::{CkptError, Snapshot, CKPT_VERSION};
 use hbat_cpu::WarmExport;
 use hbat_isa::executor::ArchState;
 use hbat_isa::mem::Memory;
@@ -36,6 +36,8 @@ fn sample() -> Snapshot {
         warm: WarmExport {
             pages: vec![0, 3, 9],
             tlb: vec![(3, 100), (0, 101), (9, 102)],
+            steady: vec![9, 0, 3],
+            steady_rng: 0x0123_4567_89AB_CDEF,
             dblocks: vec![(0x3000, 50), (0x3040, 51)],
             iblocks: vec![(0, 1), (64, 2), (128, 3)],
             stamp: 103,
@@ -126,14 +128,22 @@ fn trailing_bytes_rejected_for_any_suffix() {
 #[test]
 fn resigned_hostile_counts_stay_typed() {
     let bytes = sample().encode();
-    for tag in [*b"WPGS", *b"WTLB", *b"WDBK", *b"WIBK", *b"MEM."] {
+    // `STLB` leads with its RNG counter, so its count sits 8 bytes later.
+    for (tag, skip) in [
+        (*b"WPGS", 0),
+        (*b"WTLB", 0),
+        (*b"STLB", 8),
+        (*b"WDBK", 0),
+        (*b"WIBK", 0),
+        (*b"MEM.", 0),
+    ] {
         let pos = bytes
             .windows(4)
             .position(|w| w == tag)
             .expect("section tag present");
         for hostile in [u64::MAX, u64::MAX / 2, 1 << 60] {
             let mut c = bytes.clone();
-            let count_at = pos + 4 + 8; // tag + section length
+            let count_at = pos + 4 + 8 + skip; // tag + section length
             c[count_at..count_at + 8].copy_from_slice(&hostile.to_le_bytes());
             // Re-sign so only the count is wrong.
             let body_end = c.len() - 8;
@@ -192,7 +202,8 @@ proptest! {
         let _ = Snapshot::decode(&bytes);
         // Also with a valid magic+version prefix grafted on, so parsing
         // gets past the header into the structural checks.
-        let mut grafted = b"HBATCKP1\x01\x00\x00\x00".to_vec();
+        let mut grafted = MAGIC.to_vec();
+        grafted.extend_from_slice(&CKPT_VERSION.to_le_bytes());
         grafted.extend_from_slice(&bytes);
         let _ = Snapshot::decode(&grafted);
     }

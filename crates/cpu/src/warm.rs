@@ -5,20 +5,23 @@
 //! locality state a detailed run starting at the boundary would otherwise
 //! have to rediscover: which pages were touched (and in what first-touch
 //! order, which pins down the page table's deterministic frame
-//! allocation), the most-recently-used TLB entries and cache blocks, and
-//! the trained branch-predictor tables.
+//! allocation), the most-recently-used TLB entries and cache blocks, the
+//! random-replacement TLB model's residents, and the trained
+//! branch-predictor tables. Fast-forward and sampling both feed it
+//! committed micro-ops through [`WarmAccumulator::note_uop`].
 //!
-//! Two forms exist:
+//! The [`WarmAccumulator`] is the one carrier of that state. It has two
+//! outputs:
 //!
-//! * [`WarmExport`] is the *exact* accumulator state — every key with its
-//!   last-touch stamp plus the stamp counter itself. This is what a
-//!   checkpoint serialises, so that an accumulator restored from a
-//!   snapshot and advanced to the boundary is bit-identical to one that
-//!   accumulated the whole prefix cold.
-//! * [`WarmState`] is the *install* form handed to the timing engine:
-//!   recency-ordered key lists truncated to fixed caps. Both the cold and
-//!   the restored path derive it from their (identical) accumulators, so
-//!   the caps never threaten restore equivalence.
+//! * [`WarmExport`] is the *exact* accumulator state: every key with its
+//!   last-touch stamp, the stamp counter, and the [`SteadyTlb`] model's
+//!   slots and RNG counter. This is what a checkpoint serialises, and
+//!   [`WarmAccumulator::import`] rebuilds from it an accumulator that
+//!   continues bit-identically to one that accumulated the whole prefix
+//!   cold.
+//! * [`WarmState`] is the *install* form handed to the timing engine,
+//!   from [`WarmAccumulator::warm_state`]: recency-ordered key lists
+//!   truncated to fixed caps. Nothing is rebuilt from it.
 //!
 //! The accumulator is also the *gap mode* of SMARTS-style sampling
 //! (DESIGN.md §15): between detailed windows the simulator only has to
@@ -35,7 +38,6 @@ use std::collections::HashMap;
 use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_core::hash::FastHashBuilder;
-use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::MicroOp;
 
 use crate::bpred::BranchPredictor;
@@ -87,6 +89,11 @@ pub struct WarmExport {
     /// `(vpn, last-touch stamp)` for every page referenced, stamp
     /// ascending.
     pub tlb: Vec<(u64, u64)>,
+    /// Residents of the random-replacement TLB model in slot order: at
+    /// most [`BASE_TLB_ENTRIES`] distinct VPNs.
+    pub steady: Vec<u64>,
+    /// The model's splitmix64 victim-selection counter.
+    pub steady_rng: u64,
     /// `(virtual block address, last-touch stamp)`, stamp ascending.
     pub dblocks: Vec<(u64, u64)>,
     /// `(physical block address, last-touch stamp)`, stamp ascending.
@@ -97,38 +104,6 @@ pub struct WarmExport {
     pub ghr: u32,
     /// Pattern history table counters.
     pub pht: Vec<u8>,
-}
-
-impl WarmExport {
-    /// Derives the install form: recency-ordered keys truncated to the
-    /// warm caps (newest survive), oldest-first so LRU replay leaves the
-    /// most recent touches youngest.
-    pub fn to_warm_state(&self) -> WarmState {
-        fn newest(pairs: &[(u64, u64)], cap: usize) -> Vec<u64> {
-            let skip = pairs.len().saturating_sub(cap);
-            pairs[skip..].iter().map(|&(k, _)| k).collect()
-        }
-        // The export does not carry the steady-TLB model (the snapshot
-        // format predates it); rebuild one by replaying every page in
-        // last-touch order. Traces that touch each page once replay the
-        // model's exact insert stream; re-touch-heavy traces get an
-        // approximation that the detailed warmup then repairs.
-        let mut steady = SteadyTlb::new(BASE_TLB_ENTRIES);
-        for &(k, _) in &self.tlb {
-            steady.touch(k);
-        }
-        let stamp_of: HashMap<u64, u64, FastHashBuilder> = self.tlb.iter().copied().collect();
-        let tlb_steady = steady.residents_by(|vpn| stamp_of.get(&vpn).copied().unwrap_or(0));
-        WarmState {
-            pages: self.pages.clone(),
-            tlb: newest(&self.tlb, WARM_TLB_CAP),
-            tlb_steady,
-            dblocks: newest(&self.dblocks, WARM_DBLOCK_CAP),
-            iblocks: newest(&self.iblocks, WARM_IBLOCK_CAP),
-            ghr: self.ghr,
-            pht: self.pht.clone(),
-        }
-    }
 }
 
 /// Stamp marking a vacant [`StampMap`] slot. Real stamps are bounded by
@@ -240,12 +215,11 @@ impl StampMap {
         self.len
     }
 
-    /// The newest `cap` keys, oldest-first: the install-form selection
-    /// done directly on the table — the per-window path of sampled runs
-    /// calls this where the export path would sort every key it ever
-    /// saw. One slot scan collects the occupied pairs, an O(n) select
-    /// partitions the newest `cap` to the tail (stamps are unique, so
-    /// the partition is exact), and only those survivors are sorted.
+    /// The newest `cap` keys, oldest-first: the install-form selection,
+    /// on the per-window path of sampled runs. One slot scan collects
+    /// the occupied pairs, an O(n) select partitions the newest `cap` to
+    /// the tail (stamps are unique, so the partition is exact), and only
+    /// those survivors are sorted.
     fn newest_keys(&self, cap: usize) -> Vec<u64> {
         let mut v: Vec<(u64, u64)> = Vec::with_capacity(self.len);
         for &(k, s) in &self.slots {
@@ -355,6 +329,23 @@ impl SteadyTlb {
     }
     // hbat-lint: cold
 
+    /// Rebuilds the model from its exported slots and RNG counter. The
+    /// repeat filter starts empty: the page it held is always resident,
+    /// so that page's next touch is a no-op hit either way.
+    fn restore(cap: usize, slots: &[u64], rng: u64) -> SteadyTlb {
+        let mut m = SteadyTlb::new(cap);
+        for &vpn in slots {
+            m.index.insert(vpn, m.slots.len() as u32);
+            m.slots.push(vpn);
+        }
+        debug_assert!(
+            m.slots.len() <= cap && m.index.len() == m.slots.len(),
+            "model slots must be at most {cap} distinct pages"
+        );
+        m.rng = rng;
+        m
+    }
+
     /// Residents ordered oldest-first by the caller-supplied stamp (the
     /// install order LRU L1s expect); slot order itself is an artifact
     /// of eviction history.
@@ -400,50 +391,24 @@ impl WarmAccumulator {
         }
     }
 
-    /// Notes one committed instruction.
-    pub fn note(&mut self, t: &TraceInst) {
-        // Instruction fetch: the engine's icache is physically addressed at
-        // `pc * 4` (one word per instruction slot).
-        let iblock = (u64::from(t.pc) * 4) & self.iblock_mask;
-        self.iblocks.insert(iblock, self.stamp);
-        self.stamp += 1;
-
-        if let Some(m) = &t.mem {
-            let vpn = self.geom.vpn(m.vaddr).0;
-            // The TLB map holds every VPN ever touched, so a fresh
-            // insert *is* the first touch of the page.
-            if self.tlb.insert(vpn, self.stamp) {
-                self.pages.push(vpn);
-            }
-            self.steady.touch(vpn);
-            self.dblocks
-                .insert(m.vaddr.0 & self.dblock_mask, self.stamp);
-            self.stamp += 1;
-        }
-
-        if let Some(b) = &t.branch {
-            if b.conditional {
-                self.bpred.update(t.pc, b.taken);
-            }
-        }
-    }
-
     // hbat-lint: hot — functional-warming gap loop of sampled runs; a few
     // stamp-map updates per instruction, no ROB/LSQ timing, no allocation
     // outside amortised table growth.
 
-    /// [`note`](Self::note) for a predecoded [`MicroOp`]: bit-identical
-    /// accumulation (asserted by the parity test below) without decoding
-    /// back to a [`TraceInst`]. This is the per-instruction step of the
-    /// sampled-run gap mode.
+    /// Notes one committed instruction: the per-instruction step of
+    /// both the checkpoint fast-forward and the sampled-run gap mode.
     #[inline]
     pub fn note_uop(&mut self, op: &MicroOp) {
+        // Instruction fetch: the engine's icache is physically addressed
+        // at `pc * 4` (one word per instruction slot).
         let iblock = (u64::from(op.pc) * 4) & self.iblock_mask;
         self.iblocks.insert(iblock, self.stamp);
         self.stamp += 1;
 
         if op.flags & MicroOp::F_MEM != 0 {
             let vpn = self.geom.vpn(VirtAddr(op.vaddr)).0;
+            // The TLB map holds every VPN ever touched, so a fresh
+            // insert *is* the first touch of the page.
             if self.tlb.insert(vpn, self.stamp) {
                 self.pages.push(vpn);
             }
@@ -475,6 +440,8 @@ impl WarmAccumulator {
         WarmExport {
             pages: self.pages.clone(),
             tlb: self.tlb.pairs_by_stamp(),
+            steady: self.steady.slots.clone(),
+            steady_rng: self.steady.rng,
             dblocks: self.dblocks.pairs_by_stamp(),
             iblocks: self.iblocks.pairs_by_stamp(),
             stamp: self.stamp,
@@ -483,11 +450,11 @@ impl WarmAccumulator {
         }
     }
 
-    /// The install form of the current state, derived directly from the
-    /// stamp tables — identical to `export().to_warm_state()` (asserted
-    /// by a test below) but without materialising and sorting the full
-    /// export. Sampled runs derive a fresh install state per detailed
-    /// window, so this sits on their per-window path.
+    /// The install form of the current state: the newest keys up to the
+    /// warm caps, oldest-first so LRU replay leaves the most recent
+    /// touches youngest. Selected directly on the stamp tables, without
+    /// sorting every key; sampled runs derive a fresh install state per
+    /// detailed window, so this sits on their per-window path.
     pub fn warm_state(&self) -> WarmState {
         WarmState {
             pages: self.pages.clone(),
@@ -503,18 +470,15 @@ impl WarmAccumulator {
     }
 
     /// Rebuilds an accumulator from an export so that continuing to
-    /// [`note`](Self::note) from the snapshot point produces exactly the
-    /// state a cold accumulation of the full prefix would.
+    /// [`note_uop`](Self::note_uop) from the snapshot point produces
+    /// exactly the state a cold accumulation of the full prefix would.
     pub fn import(cfg: &SimConfig, geom: PageGeometry, e: &WarmExport) -> Self {
         let mut acc = WarmAccumulator::new(cfg, geom);
         acc.pages = e.pages.clone();
         for &(k, s) in &e.tlb {
             acc.tlb.insert(k, s);
-            // The snapshot has no model state; seed it from the
-            // last-touch order (the same derivation `to_warm_state`
-            // uses), so restore stays deterministic.
-            acc.steady.touch(k);
         }
+        acc.steady = SteadyTlb::restore(BASE_TLB_ENTRIES, &e.steady, e.steady_rng);
         for &(k, s) in &e.dblocks {
             acc.dblocks.insert(k, s);
         }
@@ -530,50 +494,70 @@ impl WarmAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_core::addr::VirtAddr;
-    use hbat_core::request::AccessKind;
     use hbat_isa::inst::Width;
-    use hbat_isa::reg::Reg;
-    use hbat_isa::trace::{BranchRec, MemRef, OpClass};
+    use hbat_isa::trace::OpClass;
+    use hbat_isa::uop::NO_REG;
 
-    fn load(serial: u64, pc: u32, va: u64) -> TraceInst {
-        let mut t = TraceInst::blank(serial, pc, OpClass::Load);
-        t.mem = Some(MemRef {
-            vaddr: VirtAddr(va),
-            kind: AccessKind::Load,
-            width: Width::B8,
-            base_reg: Reg::int(1),
-            index_reg: None,
-            offset: 0,
-        });
-        t
-    }
-
-    fn branch(serial: u64, pc: u32, taken: bool) -> TraceInst {
-        let mut t = TraceInst::blank(serial, pc, OpClass::Branch);
-        t.branch = Some(BranchRec {
-            taken,
+    fn op(pc: u32, class: OpClass, flags: u8, vaddr: u64) -> MicroOp {
+        MicroOp {
+            serial: 0,
+            vaddr,
+            pc,
             target: 0,
-            conditional: true,
-        });
-        t
+            offset: 0,
+            class,
+            flags,
+            srcs: [NO_REG; 3],
+            dest: NO_REG,
+            aux_dest: NO_REG,
+            base_reg: NO_REG,
+            index_reg: NO_REG,
+            width: Width::B8,
+            addr_src_mask: 0,
+        }
     }
 
-    fn accumulate(insts: &[TraceInst]) -> WarmAccumulator {
+    fn load(pc: u32, va: u64) -> MicroOp {
+        op(pc, OpClass::Load, MicroOp::F_MEM, va)
+    }
+
+    fn branch(pc: u32, taken: bool) -> MicroOp {
+        let taken = if taken { MicroOp::F_BR_TAKEN } else { 0 };
+        let flags = MicroOp::F_BRANCH | MicroOp::F_BR_COND | taken;
+        op(pc, OpClass::Branch, flags, 0)
+    }
+
+    fn accumulate(ops: &[MicroOp]) -> WarmAccumulator {
         let mut acc = WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4);
-        for t in insts {
-            acc.note(t);
-        }
+        acc.warm_gap(ops);
         acc
     }
 
-    fn mixed_trace(n: u64) -> Vec<TraceInst> {
-        let mut insts = Vec::new();
+    fn mixed_trace(n: u64) -> Vec<MicroOp> {
+        let mut ops = Vec::new();
         for i in 0..n {
-            insts.push(load(i * 2, i as u32, 0x1000 + (i % 7) * 0x1000 + i * 8));
-            insts.push(branch(i * 2 + 1, (i % 13) as u32, i % 3 != 0));
+            ops.push(load(i as u32, 0x1000 + (i % 7) * 0x1000 + i * 8));
+            ops.push(branch((i % 13) as u32, i % 3 != 0));
         }
-        insts
+        ops
+    }
+
+    /// A load/branch stream over far more distinct pages than the
+    /// random-replacement model holds, with a hot set re-touched
+    /// throughout: the model evicts hundreds of times, and which pages
+    /// survive depends on its RNG, not on last-touch order.
+    fn past_capacity_trace(n: u64, salt: u64) -> Vec<MicroOp> {
+        let mut ops = Vec::new();
+        for i in 0..n {
+            let page = if i % 3 == 0 {
+                i % 17
+            } else {
+                (i * 7919 + salt) % 600
+            };
+            ops.push(load((i % 4096) as u32, (page << 12) + (i % 64) * 8));
+            ops.push(branch((i % 13) as u32, i % 5 != 0));
+        }
+        ops
     }
 
     #[test]
@@ -608,10 +592,10 @@ mod tests {
     #[test]
     fn pages_record_first_touch_order() {
         let acc = accumulate(&[
-            load(0, 0, 0x3000),
-            load(1, 1, 0x1000),
-            load(2, 2, 0x3008),
-            load(3, 3, 0x2000),
+            load(0, 0x3000),
+            load(1, 0x1000),
+            load(2, 0x3008),
+            load(3, 0x2000),
         ]);
         assert_eq!(acc.export().pages, vec![3, 1, 2]);
     }
@@ -619,9 +603,9 @@ mod tests {
     #[test]
     fn tlb_entries_ordered_by_recency() {
         let acc = accumulate(&[
-            load(0, 0, 0x1000),
-            load(1, 1, 0x2000),
-            load(2, 2, 0x1000), // re-touch: page 1 is now newest
+            load(0, 0x1000),
+            load(1, 0x2000),
+            load(2, 0x1000), // re-touch: page 1 is now newest
         ]);
         let keys: Vec<u64> = acc.export().tlb.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, vec![2, 1]);
@@ -630,36 +614,29 @@ mod tests {
 
     #[test]
     fn export_import_round_trips_exactly() {
-        let insts = mixed_trace(200);
-        let acc = accumulate(&insts);
+        let mut ops = mixed_trace(200);
+        ops.extend(past_capacity_trace(2000, 0));
+        let acc = accumulate(&ops);
         let e = acc.export();
+        assert!(
+            e.pages.len() > 3 * BASE_TLB_ENTRIES,
+            "{} pages",
+            e.pages.len()
+        );
+        assert_eq!(e.steady.len(), BASE_TLB_ENTRIES, "the model is full");
         let imported = WarmAccumulator::import(&SimConfig::baseline(), PageGeometry::KB4, &e);
         assert_eq!(imported.export(), e);
 
-        // Continuing from the import matches continuing from the original.
+        // Continuing from the import matches continuing from the
+        // original, through hundreds more evictions.
+        let more = past_capacity_trace(1500, 211);
         let mut a = acc.clone();
         let mut b = imported;
-        for i in 0..50u64 {
-            let t = load(400 + i, i as u32, 0x9000 + i * 64);
-            a.note(&t);
-            b.note(&t);
-        }
+        a.warm_gap(&more);
+        b.warm_gap(&more);
+        assert_ne!(a.export().steady_rng, e.steady_rng, "the model evicted");
         assert_eq!(a.export(), b.export());
         assert_eq!(a.warm_state(), b.warm_state());
-    }
-
-    // The gap-mode contract: streaming predecoded micro-ops through
-    // `note_uop` accumulates bit-identically to streaming the original
-    // trace records through `note`.
-    #[test]
-    fn uop_accumulation_is_bit_identical_to_trace_accumulation() {
-        let insts = mixed_trace(300);
-        let by_trace = accumulate(&insts);
-        let mut by_uop = WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4);
-        let uops: Vec<MicroOp> = insts.iter().map(MicroOp::encode).collect();
-        by_uop.warm_gap(&uops);
-        assert_eq!(by_uop.export(), by_trace.export());
-        assert_eq!(by_uop.warm_state(), by_trace.warm_state());
     }
 
     // A sampled run's chain: restore an accumulator from an export, gap
@@ -667,46 +644,35 @@ mod tests {
     // accumulation does.
     #[test]
     fn gap_mode_chains_from_an_imported_export() {
-        let insts = mixed_trace(250);
-        let boundary = 180;
-        let full = accumulate(&insts);
+        let ops = past_capacity_trace(3000, 5);
+        let boundary = 3601; // mid-stream, between a load and its branch
+        let full = accumulate(&ops);
+        assert!(full.export().pages.len() > 3 * BASE_TLB_ENTRIES);
 
-        let prefix = accumulate(&insts[..boundary]);
+        let prefix = accumulate(&ops[..boundary]);
         let mut resumed =
             WarmAccumulator::import(&SimConfig::baseline(), PageGeometry::KB4, &prefix.export());
-        let suffix: Vec<MicroOp> = insts[boundary..].iter().map(MicroOp::encode).collect();
-        resumed.warm_gap(&suffix);
+        resumed.warm_gap(&ops[boundary..]);
         assert_eq!(resumed.export(), full.export());
-    }
-
-    #[test]
-    fn direct_warm_state_matches_the_export_derivation() {
-        // Far more distinct keys than the caps, so the selection path
-        // actually partitions; both derivations must agree exactly.
-        let mut insts = Vec::new();
-        for i in 0..3 * WARM_TLB_CAP as u64 {
-            insts.push(load(i * 2, (i % 4096) as u32, 0x1000 + i * 4096));
-            insts.push(branch(i * 2 + 1, (i % 13) as u32, i % 3 != 0));
-        }
-        let acc = accumulate(&insts);
-        assert_eq!(acc.warm_state(), acc.export().to_warm_state());
+        assert_eq!(resumed.warm_state(), full.warm_state());
     }
 
     #[test]
     fn warm_state_truncates_to_caps_keeping_newest() {
-        let e = WarmExport {
-            tlb: (0..2000u64).map(|i| (i, i)).collect(),
-            ..WarmExport::default()
-        };
-        let w = e.to_warm_state();
+        // One load per page, pages 0..2000 in order: the newest
+        // WARM_TLB_CAP pages survive, oldest first.
+        let ops: Vec<MicroOp> = (0..2000u64).map(|i| load(0, i << 12)).collect();
+        let w = accumulate(&ops).warm_state();
+        assert_eq!(w.pages.len(), 2000);
         assert_eq!(w.tlb.len(), WARM_TLB_CAP);
         assert_eq!(w.tlb[0], 2000 - WARM_TLB_CAP as u64);
         assert_eq!(*w.tlb.last().unwrap(), 1999);
+        assert_eq!(w.tlb_steady.len(), BASE_TLB_ENTRIES);
     }
 
     #[test]
     fn predictor_tables_survive_export() {
-        let acc = accumulate(&(0..100).map(|i| branch(i, 7, true)).collect::<Vec<_>>());
+        let acc = accumulate(&[branch(7, true); 100]);
         let w = acc.warm_state();
         let mut p = BranchPredictor::table1();
         p.restore_tables(w.ghr, &w.pht);

@@ -103,7 +103,9 @@ impl MicroOp {
     pub const F_DEST_PTR: u8 = 1 << 5;
 
     /// Predecodes one dynamic trace record. Lossless: see
-    /// [`MicroOp::decode`].
+    /// [`MicroOp::decode`]. Inlined into both per-op loops that call it,
+    /// predecode and the checkpoint fast-forward.
+    #[inline]
     pub fn encode(t: &TraceInst) -> MicroOp {
         let mut flags = 0u8;
         if t.dest_kind == WritebackKind::PointerArith {

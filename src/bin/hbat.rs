@@ -733,7 +733,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     "{{\"v\":{},\"bench\":\"{}\",\"fingerprint\":\"{}\",\"index\":{},\
                      \"bytes\":{},\"checksum\":\"{stored:016x}\",\"mem_chunks\":{},\
                      \"mem_bytes\":{mem_bytes},\"warm_pages\":{},\"warm_tlb\":{},\
-                     \"warm_dblocks\":{},\"warm_iblocks\":{},\"bpred_pht\":{},\
+                     \"warm_tlb_model\":{},\"warm_dblocks\":{},\"warm_iblocks\":{},\"bpred_pht\":{},\
                      \"halted\":{}}}",
                     hbat_suite::ckpt::CKPT_VERSION,
                     snap.bench,
@@ -743,6 +743,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     snap.mem_chunks.len(),
                     snap.warm.pages.len(),
                     snap.warm.tlb.len(),
+                    snap.warm.steady.len(),
                     snap.warm.dblocks.len(),
                     snap.warm.iblocks.len(),
                     snap.warm.pht.len(),
@@ -761,9 +762,10 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     snap.mem_chunks.len()
                 );
                 println!(
-                    "warm state        : {} pages / {} tlb / {} dblocks / {} iblocks",
+                    "warm state        : {} pages / {} tlb / {} tlb model / {} dblocks / {} iblocks",
                     snap.warm.pages.len(),
                     snap.warm.tlb.len(),
+                    snap.warm.steady.len(),
                     snap.warm.dblocks.len(),
                     snap.warm.iblocks.len()
                 );
