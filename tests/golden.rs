@@ -7,7 +7,8 @@
 //! behaviour change, and record the reason in CHANGES.md.
 //!
 //! Figure 6 is pinned the same way, over the `(misses, references)` of
-//! every workload and Figure-6 TLB size.
+//! every workload and Figure-6 TLB size, and the functional executor
+//! over every workload's micro-op stream.
 //!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
@@ -85,6 +86,20 @@ fn fig6_miss_counts() {
         }
     }
     assert_eq!(fnv1a_hex(&text), "cdefe8c3b7dee446");
+}
+
+/// Pins the functional executor: every micro-op of every test-scale
+/// workload, rendered as `"{bench} {op:?}\n"` in `Benchmark::ALL` order.
+#[test]
+fn uop_streams() {
+    let cfg = test_cfg();
+    let mut text = String::new();
+    for bench in Benchmark::ALL {
+        for op in uops_for(bench, &cfg).ops() {
+            text.push_str(&format!("{bench} {op:?}\n"));
+        }
+    }
+    assert_eq!(fnv1a_hex(&text), "8fd1127759a78881");
 }
 
 /// Pins the traced path beyond `RunMetrics`: the stall taxonomy, port
