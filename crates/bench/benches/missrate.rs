@@ -5,14 +5,13 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use hbat_bench::missrate::{miss_count, FIG6_SIZES};
 use hbat_core::addr::PageGeometry;
-use hbat_isa::uop::{MicroOp, PredecodedTrace};
+use hbat_isa::uop::MicroOp;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn bench_missrate(c: &mut Criterion) {
-    let trace = Benchmark::Compress
+    let uops = Benchmark::Compress
         .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
-    let uops = PredecodedTrace::predecode(&trace);
+        .uops();
     let refs = uops
         .iter()
         .filter(|op| op.flags & MicroOp::F_MEM != 0)

@@ -68,16 +68,16 @@ pub struct WarmTrace {
 }
 
 /// Runs a fast-forwarded `machine` to completion, collecting the
-/// predecoded timing tail.
+/// timing tail's micro-ops.
 fn finish(workload: &Workload, machine: &mut Machine) -> Result<PredecodedTrace, CkptError> {
-    let tail = machine.run_to_vec(workload.max_steps);
+    let tail = machine.run_to_uops(workload.max_steps);
     if !machine.is_halted() {
         return Err(CkptError::Malformed(format!(
             "workload {} did not halt within {} tail steps",
             workload.name, workload.max_steps
         )));
     }
-    Ok(PredecodedTrace::predecode(&tail))
+    Ok(tail)
 }
 
 /// Builds a benchmark's warm trace with *no* disk involvement: a pure

@@ -4,9 +4,9 @@
 //!
 //! A sweep runs in two phases, each scheduled at cell granularity:
 //!
-//! 1. **Trace build** — each benchmark's trace is generated and
-//!    predecoded once, in parallel, and published through the
-//!    [`TraceCache`], so later sweeps in the same process reuse it.
+//! 1. **Trace build** — each benchmark runs once, in parallel, straight
+//!    to micro-ops, published through the [`TraceCache`], so later
+//!    sweeps in the same process reuse it.
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
 //!    until the queue drains, so a slow cell never idles the other
@@ -439,10 +439,9 @@ where
     out
 }
 
-/// A process-wide cache of predecoded benchmark traces, keyed by the
-/// complete workload identity. Each workload is generated, predecoded
-/// into micro-ops and its raw trace dropped, so the cache holds one form
-/// per workload. The micro-ops are immutable once built and shared as
+/// A process-wide cache of benchmark micro-op traces, keyed by the
+/// complete workload identity. Each workload runs once straight to
+/// micro-ops (`Workload::uops`), the one form the cache holds. The micro-ops are immutable once built and shared as
 /// `Arc<PredecodedTrace>`; a multi-figure binary that sweeps the same
 /// workload under several machine models builds each trace exactly once.
 #[derive(Debug, Default)]
@@ -487,12 +486,8 @@ impl TraceCache {
         cfg: &WorkloadConfig,
     ) -> (bool, Arc<PredecodedTrace>) {
         self.get_or_build_with(bench, cfg, || {
-            let trace = {
-                let _prof = hbat_obs::prof::scope("workload-build");
-                bench.build(cfg).trace()
-            };
-            let _prof = hbat_obs::prof::scope("predecode");
-            PredecodedTrace::predecode(&trace)
+            let _prof = hbat_obs::prof::scope("workload-build");
+            bench.build(cfg).uops()
         })
     }
 
@@ -837,7 +832,7 @@ mod tests {
         let outcomes = parallel_map_outcomes(6, 3, &RunPolicy::default(), |i, _ctx| {
             cache.get_or_build_with(Benchmark::Perl, &cfg, || {
                 assert!(i != 0, "first builder exploded");
-                PredecodedTrace::predecode(&Benchmark::Perl.build(&cfg).trace())
+                Benchmark::Perl.build(&cfg).uops()
             })
         });
         let completed = outcomes.iter().filter(|o| o.is_ok()).count();

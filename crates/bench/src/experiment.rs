@@ -195,7 +195,7 @@ impl SweepResult {
     }
 }
 
-/// The predecoded micro-op form of one benchmark's trace under `cfg`,
+/// The micro-ops of one benchmark's trace under `cfg`,
 /// through the process-wide cache: the first request builds it, later
 /// requests for the same workload share the stored copy.
 pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {

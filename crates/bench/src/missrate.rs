@@ -76,7 +76,7 @@ mod tests {
     use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
     fn uops(bench: Benchmark) -> PredecodedTrace {
-        PredecodedTrace::predecode(&bench.build(&WorkloadConfig::new(Scale::Test)).trace())
+        bench.build(&WorkloadConfig::new(Scale::Test)).uops()
     }
 
     #[test]
@@ -112,12 +112,9 @@ mod tests {
 
     #[test]
     fn counts_only_memory_references() {
-        let trace = Benchmark::Doduc
-            .build(&WorkloadConfig::new(Scale::Test))
-            .trace();
-        let ops = PredecodedTrace::predecode(&trace);
+        let ops = uops(Benchmark::Doduc);
         let (_, refs) = miss_count(&ops, 128, ReplacementPolicy::Random, PageGeometry::KB4, 1);
-        let mem = trace.iter().filter(|t| t.is_mem()).count() as u64;
+        let mem = ops.iter().filter(|u| u.is_mem()).count() as u64;
         assert_eq!(refs, mem);
     }
 }

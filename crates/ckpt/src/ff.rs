@@ -11,7 +11,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hbat_cpu::WarmAccumulator;
-use hbat_isa::uop::MicroOp;
 use hbat_isa::Machine;
 
 use crate::format::CkptError;
@@ -64,15 +63,13 @@ pub fn fast_forward(
                 return Err(CkptError::Cancelled);
             }
         }
-        match machine.step() {
-            Some(t) => {
-                acc.note_uop(&MicroOp::encode(&t));
-                i += 1;
-                if i.is_multiple_of(interval) && i < target {
-                    emit(machine, acc, i)?;
-                }
-            }
-            None => break, // halted: the Halt step retires nothing
+        let Some(u) = machine.step() else {
+            break; // halted: the Halt step retires nothing
+        };
+        acc.note_uop(&u);
+        i += 1;
+        if i.is_multiple_of(interval) && i < target {
+            emit(machine, acc, i)?;
         }
     }
     emit(machine, acc, i)?;

@@ -6,8 +6,8 @@
 //! 32-entry load/store queue) or in-order issue with stall-on-hazard.
 //!
 //! The simulator is trace-driven: the functional executor in `hbat-isa`
-//! produces the committed-path dynamic trace, predecoded once into flat
-//! `MicroOp` records, and [`simulate_uops`] replays it against any
+//! emits the committed-path dynamic trace as flat `MicroOp` records
+//! (`Machine::run_to_uops`), and [`simulate_uops`] replays it against any
 //! address-translation design from `hbat-core`, measuring how
 //! translation bandwidth and latency shape IPC.
 //!
@@ -15,7 +15,6 @@
 //! use hbat_core::designs::spec::DesignSpec;
 //! use hbat_core::PageGeometry;
 //! use hbat_cpu::{simulate_uops, SimConfig};
-//! use hbat_isa::uop::PredecodedTrace;
 //! use hbat_isa::{Inst, Machine, Program, Reg};
 //! use hbat_isa::inst::{AddrMode, Width};
 //!
@@ -28,7 +27,7 @@
 //!     },
 //!     Inst::Halt,
 //! ])?;
-//! let uops = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(100));
+//! let uops = Machine::new(program).run_to_uops(100);
 //! let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
 //! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert_eq!(metrics.committed, 2);
@@ -72,7 +71,6 @@ pub fn simulate_uops(
 /// # use hbat_core::designs::spec::DesignSpec;
 /// # use hbat_core::PageGeometry;
 /// # use hbat_cpu::{simulate_uops_with_recorder, SimConfig};
-/// # use hbat_isa::uop::PredecodedTrace;
 /// # use hbat_isa::{Inst, Machine, Program, Reg};
 /// use hbat_obs::TraceRecorder;
 ///
@@ -80,7 +78,7 @@ pub fn simulate_uops(
 /// #     Inst::Li { d: Reg::int(1), imm: 0x1000 },
 /// #     Inst::Halt,
 /// # ])?;
-/// # let uops = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(100));
+/// # let uops = Machine::new(program).run_to_uops(100);
 /// # let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
 /// let mut rec = TraceRecorder::new();
 /// let metrics = simulate_uops_with_recorder(&SimConfig::baseline(), &uops, tlb.as_mut(), &mut rec);

@@ -5,12 +5,11 @@
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
 use hbat_cpu::{simulate_uops, RunMetrics, SimConfig};
-use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn run(bench: Benchmark, design: &str, cfg: &SimConfig) -> RunMetrics {
     let w = bench.build(&WorkloadConfig::new(Scale::Test));
-    let trace = PredecodedTrace::predecode(&w.trace());
+    let trace = w.uops();
     let mut tlb = DesignSpec::parse(design)
         .unwrap()
         .build(PageGeometry::KB4, 1996);
@@ -36,7 +35,7 @@ fn every_table2_design_completes_every_test_benchmark() {
     let cfg = SimConfig::baseline();
     for bench in Benchmark::ALL {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = PredecodedTrace::predecode(&w.trace());
+        let trace = w.uops();
         for spec in DesignSpec::TABLE2 {
             let mut tlb = spec.build(PageGeometry::KB4, 7);
             let m = simulate_uops(&cfg, &trace, tlb.as_mut());
@@ -82,7 +81,7 @@ fn unlimited_bandwidth_is_an_upper_bound() {
     let cfg = SimConfig::baseline();
     for bench in [Benchmark::Compress, Benchmark::Perl] {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = PredecodedTrace::predecode(&w.trace());
+        let trace = w.uops();
         let mut unlim = DesignSpec::Unlimited.build(PageGeometry::KB4, 7);
         let mut t4 = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 7);
         let mu = simulate_uops(&cfg, &trace, unlim.as_mut());
@@ -177,7 +176,7 @@ fn identical_runs_are_deterministic() {
 #[test]
 fn eight_kb_pages_do_not_break_anything() {
     let w = Benchmark::Compress.build(&WorkloadConfig::new(Scale::Test));
-    let trace = PredecodedTrace::predecode(&w.trace());
+    let trace = w.uops();
     let mut t4k = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
     let mut t8k = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB8, 7);
     let cfg = SimConfig::baseline();

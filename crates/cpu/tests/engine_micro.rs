@@ -8,11 +8,10 @@ use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
-use hbat_isa::uop::PredecodedTrace;
 
 fn run_insts(insts: Vec<Inst>, cfg: &SimConfig) -> RunMetrics {
     let program = Program::new(insts).expect("valid test program");
-    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
+    let trace = Machine::new(program).run_to_uops(1_000_000);
     let mut tlb = DesignSpec::Unlimited.build(PageGeometry::KB4, 1);
     simulate_uops(cfg, &trace, tlb.as_mut())
 }
@@ -219,7 +218,7 @@ fn tlb_misses_stall_dispatch_for_the_walk() {
     }
     insts.push(Inst::Halt);
     let program = Program::new(insts).expect("valid");
-    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(10_000));
+    let trace = Machine::new(program).run_to_uops(10_000);
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     let m = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
     assert_eq!(m.tlb.misses, 300, "every page is new");

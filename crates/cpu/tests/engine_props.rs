@@ -9,7 +9,6 @@ use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
-use hbat_isa::uop::PredecodedTrace;
 
 /// Random programs with loops, branches, and memory traffic — valid by
 /// construction.
@@ -89,7 +88,7 @@ proptest! {
         in_order in any::<bool>(),
     ) {
         let program = Program::new(insts).expect("generated programs are valid");
-        let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(50_000));
+        let trace = Machine::new(program).run_to_uops(50_000);
         let cfg = if in_order {
             SimConfig::baseline_inorder()
         } else {
@@ -115,7 +114,7 @@ proptest! {
     #[test]
     fn more_ports_never_hurt(insts in looping_program()) {
         let program = Program::new(insts).expect("valid");
-        let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(50_000));
+        let trace = Machine::new(program).run_to_uops(50_000);
         let cfg = SimConfig::baseline();
         let cycles = |ports| {
             let mut tlb = DesignSpec::MultiPorted { ports }.build(PageGeometry::KB4, 3);

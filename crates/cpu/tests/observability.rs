@@ -4,13 +4,12 @@
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
 use hbat_cpu::{simulate_uops, simulate_uops_with_recorder, SimConfig};
-use hbat_isa::uop::PredecodedTrace;
 use hbat_obs::{PortResource, TraceRecorder};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn traced(bench: Benchmark, design: &str) -> (hbat_cpu::RunMetrics, TraceRecorder) {
     let w = bench.build(&WorkloadConfig::new(Scale::Test));
-    let trace = PredecodedTrace::predecode(&w.trace());
+    let trace = w.uops();
     let mut tlb = DesignSpec::parse(design)
         .unwrap()
         .build(PageGeometry::KB4, 1996);
@@ -45,7 +44,7 @@ fn recording_is_invisible_to_the_simulation() {
     // TraceRecorder are bit-identical to an uninstrumented run.
     for bench in [Benchmark::Xlisp, Benchmark::Tomcatv] {
         let w = bench.build(&WorkloadConfig::new(Scale::Test));
-        let trace = PredecodedTrace::predecode(&w.trace());
+        let trace = w.uops();
         let cfg = SimConfig::baseline();
         for design in ["I4", "M8", "P8"] {
             let spec = DesignSpec::parse(design).unwrap();

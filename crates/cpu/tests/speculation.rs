@@ -7,7 +7,6 @@ use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
-use hbat_isa::uop::PredecodedTrace;
 
 /// A loop with an unpredictable inner branch and steady memory traffic.
 fn chaotic_mem_loop(iters: i64) -> Vec<Inst> {
@@ -111,7 +110,7 @@ fn chaotic_mem_loop(iters: i64) -> Vec<Inst> {
 
 fn run(insts: Vec<Inst>) -> RunMetrics {
     let program = Program::new(insts).expect("valid");
-    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
+    let trace = Machine::new(program).run_to_uops(1_000_000);
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut())
 }
@@ -207,7 +206,7 @@ fn speculation_affects_timing_but_not_results() {
     // The same chaotic program under in-order and out-of-order issue
     // commits identical instruction/load/store counts.
     let program = Program::new(chaotic_mem_loop(800)).expect("valid");
-    let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(1_000_000));
+    let trace = Machine::new(program).run_to_uops(1_000_000);
     let mut a = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     let mut b = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     let ooo = simulate_uops(&SimConfig::baseline(), &trace, a.as_mut());

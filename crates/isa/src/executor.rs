@@ -1,5 +1,5 @@
 //! The functional executor: runs a [`Program`] and emits the dynamic
-//! instruction trace the timing models consume.
+//! micro-op stream the timing models consume.
 //!
 //! Execution is architecturally exact (register and memory values are
 //! real), which is what makes the workload behaviour — pointer reuse,
@@ -13,7 +13,7 @@ use crate::mem::Memory;
 use crate::program::Program;
 use crate::reg::Reg;
 use crate::trace::TraceInst;
-use crate::uop::{AddrKind, DecodedInst, Handler, PredecodedProgram};
+use crate::uop::{AddrKind, DecodedInst, Handler, MicroOp, PredecodedProgram, PredecodedTrace};
 
 /// A complete export of a [`Machine`]'s architectural register and
 /// control state (everything except memory and the static program),
@@ -34,18 +34,52 @@ pub struct ArchState {
     pub halted: bool,
 }
 
-/// Architectural machine state plus the trace generator.
+/// The integer register file, then the FP one as raw IEEE-754 bits.
+type Regs = [[i64; 32]; 2];
+
+/// Reads a register (the hardwired zero register reads 0).
+#[inline(always)]
+fn read(regs: &Regs, r: Reg) -> i64 {
+    if r.is_zero() {
+        0
+    } else {
+        // hbat-lint: allow(panic-reach) is_fp() is 0 or 1 and Reg::index() is masked to 0..32
+        regs[usize::from(r.is_fp())][r.index()]
+    }
+}
+
+/// Writes a register (writes to the zero register are discarded).
+#[inline(always)]
+fn write(regs: &mut Regs, r: Reg, v: i64) {
+    if !r.is_zero() {
+        // hbat-lint: allow(panic-reach) is_fp() is 0 or 1 and Reg::index() is masked to 0..32
+        regs[usize::from(r.is_fp())][r.index()] = v;
+    }
+}
+
+/// Effective address from a predecoded memory instruction's
+/// pre-extracted operands.
+#[inline(always)]
+fn ea(regs: &Regs, di: &DecodedInst) -> VirtAddr {
+    let base = read(regs, di.a) as u64;
+    match di.mode {
+        AddrKind::BaseOffset => VirtAddr(base.wrapping_add(di.imm as u64)),
+        AddrKind::BaseIndex => VirtAddr(base.wrapping_add(read(regs, di.b) as u64)),
+        AddrKind::PostInc => VirtAddr(base),
+    }
+}
+
+/// Architectural machine state plus the micro-op generator.
 ///
 /// The program is predecoded once at construction into a flat
 /// [`PredecodedProgram`] table, so [`Machine::step`] is an indexed
-/// handler dispatch with pre-extracted operands — the `Inst` enum is
-/// never re-matched on the hot path.
+/// handler dispatch with pre-extracted operands that emits the entry's
+/// [`MicroOp`] template — the `Inst` enum is never re-matched and no
+/// micro-op is re-encoded on the hot path.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    program: Program,
     code: PredecodedProgram,
-    iregs: [i64; 32],
-    fregs: [f64; 32],
+    regs: Regs,
     mem: Memory,
     pc: u32,
     serial: u64,
@@ -55,22 +89,14 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine at the entry of `program` with zeroed state.
     pub fn new(program: Program) -> Self {
-        let code = PredecodedProgram::from_program(&program);
         Machine {
-            program,
-            code,
-            iregs: [0; 32],
-            fregs: [0.0; 32],
+            code: PredecodedProgram::from_program(&program),
+            regs: [[0; 32]; 2],
             mem: Memory::new(),
             pc: 0,
             serial: 0,
             halted: false,
         }
-    }
-
-    /// The static program this machine executes.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// The functional memory (e.g. to pre-seed workload data).
@@ -84,26 +110,14 @@ impl Machine {
     }
 
     /// Reads an architected register (integer or FP, FP as raw bits).
-    // hbat-lint: allow(panic) register-file indices come from Reg::index(), masked to 0..32
     pub fn read_reg(&self, r: Reg) -> i64 {
-        if r.is_fp() {
-            self.fregs[r.index()].to_bits() as i64
-        } else if r.is_zero() {
-            0
-        } else {
-            self.iregs[r.index()]
-        }
+        read(&self.regs, r)
     }
 
     /// Writes an architected register (writes to the zero register are
     /// discarded).
-    // hbat-lint: allow(panic) register-file indices come from Reg::index(), masked to 0..32
     pub fn write_reg(&mut self, r: Reg, v: i64) {
-        if r.is_fp() {
-            self.fregs[r.index()] = f64::from_bits(v as u64);
-        } else if !r.is_zero() {
-            self.iregs[r.index()] = v;
-        }
+        write(&mut self.regs, r, v)
     }
 
     /// True once a `Halt` has executed.
@@ -125,13 +139,10 @@ impl Machine {
     /// checkpointing. FP registers are exported as raw IEEE-754 bits so
     /// a snapshot round-trip is exact even for NaN payloads.
     pub fn arch_state(&self) -> ArchState {
-        let mut freg_bits = [0u64; 32];
-        for (bits, f) in freg_bits.iter_mut().zip(&self.fregs) {
-            *bits = f.to_bits();
-        }
+        let [iregs, fp] = self.regs;
         ArchState {
-            iregs: self.iregs,
-            freg_bits,
+            iregs,
+            freg_bits: fp.map(|v| v as u64),
             pc: self.pc,
             serial: self.serial,
             halted: self.halted,
@@ -153,10 +164,7 @@ impl Machine {
                 self.code.code().len()
             ));
         }
-        self.iregs = s.iregs;
-        for (f, bits) in self.fregs.iter_mut().zip(&s.freg_bits) {
-            *f = f64::from_bits(*bits);
-        }
+        self.regs = [s.iregs, s.freg_bits.map(|bits| bits as i64)];
         self.pc = s.pc;
         self.serial = s.serial;
         self.halted = s.halted;
@@ -164,149 +172,128 @@ impl Machine {
     }
 
     // hbat-lint: hot — predecoded handler dispatch, one table access per step
-    /// Effective address from a predecoded memory instruction's
-    /// pre-extracted operands.
-    #[inline(always)]
-    fn decoded_ea(&self, di: &DecodedInst) -> VirtAddr {
-        let base = self.read_reg(di.a) as u64;
-        match di.mode {
-            AddrKind::BaseOffset => VirtAddr(base.wrapping_add(di.imm as u64)),
-            AddrKind::BaseIndex => VirtAddr(base.wrapping_add(self.read_reg(di.b) as u64)),
-            AddrKind::PostInc => VirtAddr(base),
-        }
-    }
-
-    /// Executes one instruction, returning its trace record, or `None` if
-    /// the machine has halted.
+    /// Executes one instruction, returning its micro-op, or `None` if the
+    /// machine has halted.
     ///
     /// The dependence lists, class, and static memory/branch fields come
     /// from the predecoded template; only the serial number, effective
     /// address, and branch direction are patched per dynamic instance.
-    // hbat-lint: allow(panic) register-file indices come from Reg::index(), masked to 0..32
-    pub fn step(&mut self) -> Option<TraceInst> {
-        if self.halted {
+    // hbat-lint: allow(panic) a pc run past the last instruction is a program bug
+    pub fn step(&mut self) -> Option<MicroOp> {
+        let Machine {
+            code,
+            regs,
+            mem,
+            pc,
+            serial,
+            halted,
+        } = self;
+        if *halted {
             return None;
         }
-        let pc = self.pc;
-        let di = self.code.code()[pc as usize];
-        let mut next_pc = pc + 1;
+        let di = &code.code()[*pc as usize];
+        let mut next_pc = *pc + 1;
 
-        let mut t = di.template;
-        t.serial = self.serial;
+        let mut u = di.template;
+        u.serial = *serial;
         match di.handler {
             Handler::Halt => {
-                self.halted = true;
+                *halted = true;
                 return None;
             }
             Handler::Nop => {}
-            Handler::Li => {
-                self.write_reg(di.d, di.imm);
-            }
+            Handler::Li => write(regs, di.d, di.imm),
             Handler::AluRR => {
-                let v = di.alu.apply(self.read_reg(di.a), self.read_reg(di.b));
-                self.write_reg(di.d, v);
+                let v = di.alu.apply(read(regs, di.a), read(regs, di.b));
+                write(regs, di.d, v);
             }
             Handler::AluRI => {
-                let v = di.alu.apply(self.read_reg(di.a), di.imm);
-                self.write_reg(di.d, v);
+                let v = di.alu.apply(read(regs, di.a), di.imm);
+                write(regs, di.d, v);
             }
             Handler::Mul => {
-                let v = self.read_reg(di.a).wrapping_mul(self.read_reg(di.b));
-                self.write_reg(di.d, v);
+                let v = read(regs, di.a).wrapping_mul(read(regs, di.b));
+                write(regs, di.d, v);
             }
             Handler::Div => {
-                let bv = self.read_reg(di.b);
+                let bv = read(regs, di.b);
                 let v = if bv == 0 {
                     0
                 } else {
-                    self.read_reg(di.a).wrapping_div(bv)
+                    read(regs, di.a).wrapping_div(bv)
                 };
-                self.write_reg(di.d, v);
+                write(regs, di.d, v);
             }
             Handler::Fpu => {
                 debug_assert!(di.d.is_fp() && di.a.is_fp() && di.b.is_fp());
-                let v = di
-                    .fpu
-                    .apply(self.fregs[di.a.index()], self.fregs[di.b.index()]);
-                self.fregs[di.d.index()] = v;
+                let f = |r| f64::from_bits(read(regs, r) as u64);
+                let v = di.fpu.apply(f(di.a), f(di.b));
+                write(regs, di.d, v.to_bits() as i64);
             }
             Handler::Load => {
-                let ea = self.decoded_ea(&di);
-                let raw = self.mem.read_le(ea, di.width.bytes());
-                if di.d.is_fp() {
-                    debug_assert_eq!(di.width, Width::B8, "FP loads are 8 bytes");
-                    self.fregs[di.d.index()] = f64::from_bits(raw);
-                } else if !di.d.is_zero() {
-                    self.iregs[di.d.index()] = raw as i64; // zero-extended
-                }
-                if let Some(m) = t.mem.as_mut() {
-                    m.vaddr = ea;
-                }
+                let (ea, width) = (ea(regs, di), di.template.width);
+                debug_assert!(!di.d.is_fp() || width == Width::B8, "FP loads are 8 bytes");
+                // Zero-extended into an integer register; raw bits into an
+                // FP one.
+                write(regs, di.d, mem.read_le(ea, width.bytes()) as i64);
+                u.vaddr = ea.0;
                 if di.mode == AddrKind::PostInc {
                     // Base writeback after the destination write: base wins
                     // when d == base, matching the legacy decoder.
-                    let nv = self.read_reg(di.a).wrapping_add(di.imm);
-                    self.write_reg(di.a, nv);
+                    let nv = read(regs, di.a).wrapping_add(di.imm);
+                    write(regs, di.a, nv);
                 }
             }
             Handler::Store => {
-                let ea = self.decoded_ea(&di);
-                let raw = if di.d.is_fp() {
-                    debug_assert_eq!(di.width, Width::B8, "FP stores are 8 bytes");
-                    self.fregs[di.d.index()].to_bits()
-                } else {
-                    self.read_reg(di.d) as u64
-                };
-                self.mem.write_le(ea, raw, di.width.bytes());
-                if let Some(m) = t.mem.as_mut() {
-                    m.vaddr = ea;
-                }
+                let (ea, width) = (ea(regs, di), di.template.width);
+                debug_assert!(!di.d.is_fp() || width == Width::B8, "FP stores are 8 bytes");
+                mem.write_le(ea, read(regs, di.d) as u64, width.bytes());
+                u.vaddr = ea.0;
                 if di.mode == AddrKind::PostInc {
-                    let nv = self.read_reg(di.a).wrapping_add(di.imm);
-                    self.write_reg(di.a, nv);
+                    let nv = read(regs, di.a).wrapping_add(di.imm);
+                    write(regs, di.a, nv);
                 }
             }
             Handler::Branch => {
-                let taken = di.cond.holds(self.read_reg(di.a), self.read_reg(di.b));
-                if taken {
-                    next_pc = di.target;
-                }
-                if let Some(b) = t.branch.as_mut() {
-                    b.taken = taken;
+                if di.cond.holds(read(regs, di.a), read(regs, di.b)) {
+                    next_pc = di.template.target;
+                    u.flags |= MicroOp::F_BR_TAKEN;
                 }
             }
             Handler::Jump => {
-                next_pc = di.target;
+                next_pc = di.template.target;
             }
         }
 
-        self.pc = next_pc;
-        self.serial += 1;
-        Some(t)
+        *pc = next_pc;
+        *serial += 1;
+        Some(u)
     }
     // hbat-lint: cold
 
-    /// Runs until halt or `max_steps`, feeding each record to `sink`.
+    /// Runs until halt or `max_steps`, feeding each micro-op to `sink`.
     /// Returns the number of instructions executed.
-    pub fn run<F: FnMut(TraceInst)>(&mut self, max_steps: u64, mut sink: F) -> u64 {
+    pub fn run<F: FnMut(MicroOp)>(&mut self, max_steps: u64, mut sink: F) -> u64 {
         let mut n = 0;
         while n < max_steps {
-            match self.step() {
-                Some(t) => {
-                    sink(t);
-                    n += 1;
-                }
-                None => break,
-            }
+            let Some(u) = self.step() else { break };
+            sink(u);
+            n += 1;
         }
         n
     }
 
-    /// Runs until halt or `max_steps`, collecting the trace.
+    /// Runs until halt or `max_steps`, collecting the micro-ops.
+    pub fn run_to_uops(&mut self, max_steps: u64) -> PredecodedTrace {
+        let mut ops = Vec::new();
+        self.run(max_steps, |u| ops.push(u));
+        PredecodedTrace::from(ops)
+    }
+
+    /// [`Machine::run_to_uops`], returned as the [`TraceInst`] decode
+    /// view.
     pub fn run_to_vec(&mut self, max_steps: u64) -> Vec<TraceInst> {
-        let mut v = Vec::new();
-        self.run(max_steps, |t| v.push(t));
-        v
+        self.run_to_uops(max_steps).decode()
     }
 }
 
@@ -513,7 +500,7 @@ mod tests {
             },
             Inst::Halt,
         ]);
-        assert_eq!(m.fregs[1], 6.25);
+        assert_eq!(f64::from_bits(m.read_reg(Reg::fp(1)) as u64), 6.25);
         assert_eq!(trace[4].class, OpClass::FpMul);
     }
 

@@ -7,13 +7,13 @@
 //!
 //! * [`inst`] / [`reg`] / [`program`] — the static instruction set;
 //! * [`mem`] — sparse, zero-filled functional memory;
-//! * [`executor`] — an architecturally exact interpreter;
-//! * [`trace`] — the dynamic instruction records consumed by the
-//!   cycle-timing models in `hbat-cpu`;
+//! * [`executor`] — an architecturally exact interpreter emitting the
+//!   [`uop`] micro-ops the cycle-timing models in `hbat-cpu` consume;
+//! * [`trace`] — [`TraceInst`], the `Option`-shaped view of a micro-op;
 //! * [`tracefile`] — a compact binary on-disk trace format (dump once,
 //!   replay against many designs).
 //!
-//! ## Example: trace a tiny loop
+//! ## Example: run a tiny loop to micro-ops
 //!
 //! ```
 //! use hbat_isa::executor::Machine;
@@ -27,8 +27,8 @@
 //!     Inst::Branch { cond: Cond::Gt, a: Reg::int(1), b: Reg::ZERO, target: 1 },
 //!     Inst::Halt,
 //! ])?;
-//! let trace = Machine::new(program).run_to_vec(1_000);
-//! assert_eq!(trace.len(), 1 + 3 * 2); // li + three (sub, branch) pairs
+//! let uops = Machine::new(program).run_to_uops(1_000);
+//! assert_eq!(uops.len(), 1 + 3 * 2); // li + three (sub, branch) pairs
 //! # Ok::<(), hbat_isa::program::ProgramError>(())
 //! ```
 

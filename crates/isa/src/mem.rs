@@ -3,14 +3,17 @@
 //! Backs the executor with byte-addressable storage allocated lazily in
 //! fixed 4 KiB chunks (a storage granule, independent of the simulated
 //! virtual-memory page size). Unwritten memory reads as zero, like
-//! demand-zero pages.
+//! demand-zero pages. An access that stays inside one chunk costs one
+//! map lookup.
 
 use std::collections::HashMap;
 
 use hbat_core::addr::VirtAddr;
+use hbat_core::hash::FastHashBuilder;
 
 const CHUNK_BITS: u32 = 12;
 const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
+const CHUNK_MASK: u64 = CHUNK_SIZE as u64 - 1;
 
 /// Sparse, zero-initialised functional memory.
 ///
@@ -27,7 +30,7 @@ const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    chunks: HashMap<u64, Box<[u8; CHUNK_SIZE]>>,
+    chunks: HashMap<u64, Box<[u8; CHUNK_SIZE]>, FastHashBuilder>,
 }
 
 impl Memory {
@@ -49,39 +52,39 @@ impl Memory {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: VirtAddr) -> u8 {
-        let off = (addr.0 & (CHUNK_SIZE as u64 - 1)) as usize;
-        self.chunks
-            .get(&(addr.0 >> CHUNK_BITS))
-            .and_then(|c| c.get(off))
-            .copied()
-            .unwrap_or(0)
+        self.read_le(addr, 1) as u8
     }
 
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: VirtAddr, val: u8) {
-        let off = (addr.0 & (CHUNK_SIZE as u64 - 1)) as usize;
-        if let Some(b) = self.chunk_mut(addr.0).get_mut(off) {
-            *b = val;
-        }
-    }
-
-    /// Reads `n` bytes little-endian into a u64 (`n <= 8`); accesses may
-    /// straddle chunk boundaries.
+    /// Reads `n` bytes little-endian into a u64; accesses may straddle
+    /// chunk boundaries and wrap at the top of the address space. Never
+    /// materialises a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 8`.
     pub fn read_le(&self, addr: VirtAddr, n: u64) -> u64 {
-        debug_assert!(n <= 8);
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(VirtAddr(addr.0.wrapping_add(i))) as u64) << (8 * i);
+        let (off, n) = ((addr.0 & CHUNK_MASK) as usize, n as usize);
+        let mut buf = [0u8; 8];
+        if off + n <= CHUNK_SIZE {
+            if let Some(c) = self.chunks.get(&(addr.0 >> CHUNK_BITS)) {
+                buf[..n].copy_from_slice(&c[off..off + n]);
+            }
+        } else {
+            for (i, b) in (0u64..).zip(&mut buf[..n]) {
+                *b = self.read_u8(VirtAddr(addr.0.wrapping_add(i)));
+            }
         }
-        v
+        u64::from_le_bytes(buf)
     }
 
-    /// Writes the low `n` bytes of `val` little-endian (`n <= 8`).
+    /// Writes the low `n` bytes of `val` little-endian (one chunk lookup
+    /// unless the access straddles a chunk boundary).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 8`.
     pub fn write_le(&mut self, addr: VirtAddr, val: u64, n: u64) {
-        debug_assert!(n <= 8);
-        for i in 0..n {
-            self.write_u8(VirtAddr(addr.0.wrapping_add(i)), (val >> (8 * i)) as u8);
-        }
+        self.write_bytes(addr, &val.to_le_bytes()[..n as usize]);
     }
 
     /// Reads a little-endian u64.
@@ -104,10 +107,16 @@ impl Memory {
         self.write_u64(addr, val.to_bits())
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: VirtAddr, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(VirtAddr(addr.0.wrapping_add(i as u64)), b);
+    /// Copies a byte slice into memory starting at `addr`, chunk by chunk.
+    pub fn write_bytes(&mut self, addr: VirtAddr, mut bytes: &[u8]) {
+        let mut a = addr.0;
+        while !bytes.is_empty() {
+            let off = (a & CHUNK_MASK) as usize;
+            let (head, rest) = bytes.split_at(bytes.len().min(CHUNK_SIZE - off));
+            // hbat-lint: allow(panic, panic-reach) head.len() <= CHUNK_SIZE - off by construction
+            self.chunk_mut(a)[off..off + head.len()].copy_from_slice(head);
+            a = a.wrapping_add(head.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -138,7 +147,7 @@ impl Memory {
     /// Returns `Err` when `base` is not chunk-aligned or `bytes` is not
     /// exactly one chunk — a malformed snapshot, not a caller bug.
     pub fn import_chunk(&mut self, base: u64, bytes: &[u8]) -> Result<(), String> {
-        if base & (CHUNK_SIZE as u64 - 1) != 0 {
+        if base & CHUNK_MASK != 0 {
             return Err(format!(
                 "chunk base {base:#x} is not {CHUNK_SIZE}-byte aligned"
             ));
@@ -213,7 +222,7 @@ mod tests {
         let mut m = Memory::new();
         m.write_u64(VirtAddr(0x100), 0x1111);
         m.write_u64(VirtAddr(0x5000), 0x2222);
-        m.write_u8(VirtAddr(0xffc), 7); // straddles nothing, chunk 0
+        m.write_le(VirtAddr(0xffc), 7, 1); // straddles nothing, chunk 0
         let exported: Vec<(u64, Vec<u8>)> = m
             .export_chunks()
             .into_iter()

@@ -1,5 +1,6 @@
-//! Dynamic trace records: what the functional executor hands to the timing
-//! simulator.
+//! Dynamic trace records: the `Option`-shaped view of a micro-op
+//! ([`MicroOp::decode`](crate::uop::MicroOp::decode)) that the trace
+//! analyses and the on-disk trace file read.
 //!
 //! A [`TraceInst`] carries exactly the information the cycle-timing models
 //! need — register dependences for scheduling, the effective address and

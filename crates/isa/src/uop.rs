@@ -1,32 +1,27 @@
-//! Predecoded micro-ops: decode-once representations for both execution
-//! paths, following the decode-once-into-struct + table-dispatch idiom
-//! of interpreter-class emulators.
-//!
-//! Two hot loops used to re-parse their inputs on every visit:
-//!
-//! * the functional executor matched the nested [`Inst`] enum (operand
-//!   enums, addressing-mode enums) once per dynamic instruction, and
-//! * the timing engine chased `Option<Reg>` / `Option<MemRef>` /
-//!   `Option<BranchRec>` structure inside [`TraceInst`] once per cycle
-//!   per ROB slot.
-//!
-//! This module predecodes each side exactly once:
+//! Micro-ops: the one dynamic-instruction form, and the decode-once
+//! static table that emits it, following the decode-once-into-struct +
+//! table-dispatch idiom of interpreter-class emulators.
 //!
 //! * [`PredecodedProgram`] flattens the *static* program into
-//!   [`DecodedInst`] records — a [`Handler`] index plus pre-extracted
-//!   operands and a prebuilt [`TraceInst`] template — so
-//!   `Machine::step` becomes an indexed table dispatch;
-//! * [`PredecodedTrace`] flattens the *dynamic* trace into fixed-size
-//!   [`MicroOp`] records — register codes as sentinel-coded bytes, the
-//!   memory/branch records as plain fields behind a flags byte, and the
-//!   address-generation source mask precomputed — so the engine's
-//!   scheduling scans read flat words with zero `Option` chasing.
+//!   [`DecodedInst`] records — a [`Handler`] index, pre-extracted
+//!   operands and a prebuilt [`MicroOp`] template — so `Machine::step`
+//!   is an indexed table dispatch that patches three fields of the
+//!   template (serial, effective address, branch direction) and emits
+//!   it. [`MicroOp::encode`] runs once per *static* instruction.
+//! * [`MicroOp`] is the fixed-size record the timing engine scans:
+//!   register codes as sentinel-coded bytes, the memory/branch records
+//!   as plain fields behind a flags byte, and the address-generation
+//!   source mask precomputed, so the engine's scheduling scans read flat
+//!   words with zero `Option` chasing. [`PredecodedTrace`] is a
+//!   workload's micro-ops in program order (`Machine::run_to_uops`).
 //!
-//! Both forms are lossless: [`MicroOp::decode`] reproduces the original
-//! [`TraceInst`] byte-for-byte and [`DecodedInst::reencode`] reproduces
-//! the original [`Inst`], which is what the round-trip regression tests
-//! pin (a newly added instruction form that predecodes lossily fails at
-//! test time, not mid-simulation).
+//! [`TraceInst`] is a decode view derived with [`MicroOp::decode`], for
+//! analyses that want `Option`-shaped records. Both predecoded forms are
+//! lossless: [`MicroOp::decode`] reproduces a [`TraceInst`] that
+//! [`MicroOp::encode`] maps back byte-for-byte, and
+//! [`DecodedInst::reencode`] reproduces the original [`Inst`], which is
+//! what the round-trip regression tests pin (a newly added instruction
+//! form that predecodes lossily fails at test time, not mid-simulation).
 
 use hbat_core::addr::VirtAddr;
 use hbat_core::request::{AccessKind, WritebackKind};
@@ -102,10 +97,9 @@ impl MicroOp {
     /// `flags`: the destination writeback is pointer arithmetic.
     pub const F_DEST_PTR: u8 = 1 << 5;
 
-    /// Predecodes one dynamic trace record. Lossless: see
-    /// [`MicroOp::decode`]. Inlined into both per-op loops that call it,
-    /// predecode and the checkpoint fast-forward.
-    #[inline]
+    /// Encodes one trace record. Lossless: see [`MicroOp::decode`].
+    /// Runs once per static instruction (the [`DecodedInst`] template)
+    /// and in [`PredecodedTrace::predecode`]; no per-op path calls it.
     pub fn encode(t: &TraceInst) -> MicroOp {
         let mut flags = 0u8;
         if t.dest_kind == WritebackKind::PointerArith {
@@ -248,17 +242,24 @@ impl MicroOp {
     // hbat-lint: cold
 }
 
-/// A dynamic trace predecoded into a flat [`MicroOp`] array, built once
-/// per workload and shared (`Arc<PredecodedTrace>`) across every design
-/// cell that replays it.
+/// A dynamic trace as a flat [`MicroOp`] array, collected once per
+/// workload by `Machine::run_to_uops` and shared
+/// (`Arc<PredecodedTrace>`) across every design cell that replays it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredecodedTrace {
     ops: Box<[MicroOp]>,
 }
 
+impl From<Vec<MicroOp>> for PredecodedTrace {
+    fn from(ops: Vec<MicroOp>) -> Self {
+        PredecodedTrace { ops: ops.into() }
+    }
+}
+
 impl PredecodedTrace {
-    /// Predecodes a dynamic trace (one pass; the only allocation on the
-    /// fast path, amortised across every replay of the workload).
+    /// Encodes a decode-view trace (a trace file read back from disk, or
+    /// a hand-built trace in tests); the executor emits micro-ops
+    /// directly and never comes through here.
     pub fn predecode(trace: &[TraceInst]) -> PredecodedTrace {
         PredecodedTrace {
             ops: trace.iter().map(MicroOp::encode).collect(),
@@ -280,7 +281,7 @@ impl PredecodedTrace {
         self.ops.is_empty()
     }
 
-    /// Decodes back to the original trace (round-trip tests).
+    /// The [`TraceInst`] decode view of every op, in program order.
     pub fn decode(&self) -> Vec<TraceInst> {
         self.ops.iter().map(MicroOp::decode).collect()
     }
@@ -340,16 +341,17 @@ pub enum AddrKind {
 }
 
 /// One predecoded static instruction: handler index, pre-extracted
-/// operands, and a prebuilt [`TraceInst`] template whose static fields
-/// (class, dependence lists, displacement, branch target) were computed
-/// once at predecode time. Per dynamic instance the executor patches
+/// operands, and a prebuilt [`MicroOp`] template whose static fields
+/// (class, dependence lists, displacement, access width, branch target)
+/// were encoded once at predecode time; the executor reads the width
+/// and target from the template. Per dynamic instance the executor patches
 /// only the serial number, the effective address, and the branch
 /// direction.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodedInst {
-    /// Prebuilt trace record (`serial`, memory `vaddr`, and branch
-    /// `taken` patched at run time).
-    pub template: TraceInst,
+    /// Prebuilt micro-op (`serial`, `vaddr`, and [`MicroOp::F_BR_TAKEN`]
+    /// patched at run time).
+    pub template: MicroOp,
     /// Semantic dispatch index.
     pub handler: Handler,
     /// ALU operation (`AluRR`/`AluRI`).
@@ -369,14 +371,10 @@ pub struct DecodedInst {
     /// Immediate: `Li` constant, `AluRI` operand, `BaseOffset`
     /// displacement, or `PostInc` step.
     pub imm: i64,
-    /// Access width (`Load`/`Store`).
-    pub width: Width,
-    /// Control-transfer target (`Branch`/`Jump`).
-    pub target: u32,
 }
 
-/// Mirrors the executor's source-dependence recording: registers
-/// deduplicate, the hardwired zero register never appears.
+/// Source-dependence recording: registers deduplicate, the hardwired
+/// zero register never appears.
 fn push_src(t: &mut TraceInst, r: Reg) {
     if r.is_zero() {
         return;
@@ -392,8 +390,8 @@ fn push_src(t: &mut TraceInst, r: Reg) {
     }
 }
 
-/// Mirrors the executor's destination recording: writes to the zero
-/// register produce no architectural destination.
+/// Destination recording: writes to the zero register produce no
+/// architectural destination.
 fn set_dest(t: &mut TraceInst, r: Reg, kind: WritebackKind) {
     if !r.is_zero() {
         t.dest = Some(r);
@@ -404,8 +402,9 @@ fn set_dest(t: &mut TraceInst, r: Reg, kind: WritebackKind) {
 impl DecodedInst {
     /// Predecodes one static instruction at index `pc`.
     pub fn from_inst(pc: u32, inst: Inst) -> DecodedInst {
+        let mut t = TraceInst::blank(0, pc, OpClass::IntAlu);
         let mut di = DecodedInst {
-            template: TraceInst::blank(0, pc, OpClass::IntAlu),
+            template: MicroOp::encode(&t),
             handler: Handler::Nop,
             alu: AluOp::Add,
             fpu: FpuOp::Add,
@@ -415,10 +414,8 @@ impl DecodedInst {
             a: Reg::ZERO,
             b: Reg::ZERO,
             imm: 0,
-            width: Width::B8,
-            target: 0,
         };
-        let t = &mut di.template;
+        let t = &mut t;
         match inst {
             Inst::Halt => di.handler = Handler::Halt,
             Inst::Nop => di.handler = Handler::Nop,
@@ -490,26 +487,22 @@ impl DecodedInst {
             Inst::Load { d, addr, width } => {
                 di.handler = Handler::Load;
                 di.d = d;
-                di.width = width;
-                Self::decode_addr(&mut di, addr);
-                let t = &mut di.template;
+                Self::decode_addr(&mut di, t, addr, width);
                 t.class = OpClass::Load;
                 set_dest(t, d, WritebackKind::Opaque);
             }
             Inst::Store { s, addr, width } => {
                 di.handler = Handler::Store;
                 di.d = s;
-                di.width = width;
                 push_src(t, s);
-                Self::decode_addr(&mut di, addr);
-                di.template.class = OpClass::Store;
+                Self::decode_addr(&mut di, t, addr, width);
+                t.class = OpClass::Store;
             }
             Inst::Branch { cond, a, b, target } => {
                 di.handler = Handler::Branch;
                 di.cond = cond;
                 di.a = a;
                 di.b = b;
-                di.target = target;
                 t.class = OpClass::Branch;
                 push_src(t, a);
                 push_src(t, b);
@@ -521,7 +514,6 @@ impl DecodedInst {
             }
             Inst::Jump { target } => {
                 di.handler = Handler::Jump;
-                di.target = target;
                 t.class = OpClass::Branch;
                 t.branch = Some(BranchRec {
                     taken: true,
@@ -530,16 +522,17 @@ impl DecodedInst {
                 });
             }
         }
+        di.template = MicroOp::encode(t);
         di
     }
 
     /// Flattens the addressing mode and builds the static part of the
-    /// memory record (source-dependence order matches the executor:
-    /// base before index, after any store data register).
-    fn decode_addr(di: &mut DecodedInst, addr: AddrMode) {
+    /// memory record (source-dependence order: base before index, after
+    /// any store data register).
+    fn decode_addr(di: &mut DecodedInst, t: &mut TraceInst, addr: AddrMode, width: Width) {
         let base = addr.base();
         di.a = base;
-        push_src(&mut di.template, base);
+        push_src(t, base);
         let mut index_reg = None;
         match addr {
             AddrMode::BaseOffset { offset, .. } => {
@@ -550,29 +543,28 @@ impl DecodedInst {
                 di.mode = AddrKind::BaseIndex;
                 di.b = index;
                 index_reg = Some(index);
-                push_src(&mut di.template, index);
+                push_src(t, index);
             }
             AddrMode::PostInc { step, .. } => {
                 di.mode = AddrKind::PostInc;
                 di.imm = step as i64;
                 if !base.is_zero() {
-                    di.template.aux_dest = Some(base);
+                    t.aux_dest = Some(base);
                 }
             }
         }
-        di.template.mem = Some(MemRef {
-            vaddr: VirtAddr(0),     // patched per dynamic instance
-            kind: AccessKind::Load, // Store overwrites below
-            width: di.width,
+        t.mem = Some(MemRef {
+            vaddr: VirtAddr(0), // patched per dynamic instance
+            kind: if di.handler == Handler::Store {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            },
+            width,
             base_reg: base,
             index_reg,
             offset: addr.displacement(),
         });
-        if di.handler == Handler::Store {
-            if let Some(m) = di.template.mem.as_mut() {
-                m.kind = AccessKind::Store;
-            }
-        }
     }
 
     /// Reconstructs the addressing mode from the flattened operands.
@@ -634,28 +626,29 @@ impl DecodedInst {
             Handler::Load => Inst::Load {
                 d: self.d,
                 addr: self.addr_mode(),
-                width: self.width,
+                width: self.template.width,
             },
             Handler::Store => Inst::Store {
                 s: self.d,
                 addr: self.addr_mode(),
-                width: self.width,
+                width: self.template.width,
             },
             Handler::Branch => Inst::Branch {
                 cond: self.cond,
                 a: self.a,
                 b: self.b,
-                target: self.target,
+                target: self.template.target,
             },
             Handler::Jump => Inst::Jump {
-                target: self.target,
+                target: self.template.target,
             },
         }
     }
 }
 
 /// A static program predecoded into a flat [`DecodedInst`] table,
-/// indexed by pc. Built once in `Machine::new`.
+/// indexed by pc. Built once in `Machine::new`; this is where each
+/// static instruction's [`MicroOp`] template is encoded.
 #[derive(Debug, Clone)]
 pub struct PredecodedProgram {
     code: Box<[DecodedInst]>,

@@ -290,3 +290,93 @@ proptest! {
         prop_assert_eq!(m.read_le(VirtAddr(addr), width.bytes()), val & mask);
     }
 }
+
+/// One access in a memory differential test.
+#[derive(Debug, Clone)]
+enum MemOp {
+    Read(u64, u64),
+    Write(u64, u64, u64),
+    Bytes(u64, Vec<u8>),
+}
+
+/// Strategy: an address that is chunk-straddling (offsets 4088–4095 of
+/// a 4 KiB chunk), within 16 bytes of the top of the address space (so
+/// accesses wrap to 0), or anywhere in a small dense region.
+fn mem_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..4, 4088u64..4096).prop_map(|(chunk, off)| chunk * 4096 + off),
+        (0u64..16).prop_map(|d| u64::MAX - d),
+        0u64..0x4000,
+    ]
+}
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    let width = prop_oneof![Just(1u64), Just(2u64), Just(4u64), Just(8u64)];
+    prop_oneof![
+        (mem_addr(), width.clone()).prop_map(|(a, n)| MemOp::Read(a, n)),
+        (mem_addr(), any::<u64>(), width).prop_map(|(a, v, n)| MemOp::Write(a, v, n)),
+        (mem_addr(), prop::collection::vec(any::<u8>(), 0..9000))
+            .prop_map(|(a, b)| MemOp::Bytes(a, b)),
+    ]
+}
+
+/// Byte-at-a-time reference memory: every written byte, and the 4 KiB
+/// chunks those bytes live in.
+#[derive(Default)]
+struct ByteModel {
+    bytes: std::collections::HashMap<u64, u8>,
+    chunks: std::collections::HashSet<u64>,
+}
+
+impl ByteModel {
+    fn write(&mut self, addr: u64, b: u8) {
+        self.bytes.insert(addr, b);
+        self.chunks.insert(addr >> 12);
+    }
+
+    fn read_le(&self, addr: u64, n: u64) -> u64 {
+        (0..n).fold(0, |v, i| {
+            let b = self.bytes.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+            v | u64::from(b) << (8 * i)
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `read_le`/`write_le`/`write_bytes` agree with a byte-at-a-time
+    /// model for widths 1/2/4/8, chunk-straddling offsets and addresses
+    /// that wrap past `u64::MAX`; reads never materialise a chunk, and
+    /// writes materialise exactly the chunks they touch.
+    #[test]
+    fn memory_matches_a_byte_model(ops in prop::collection::vec(mem_op(), 1..40)) {
+        let mut m = Memory::new();
+        let mut model = ByteModel::default();
+        for op in &ops {
+            match op {
+                MemOp::Read(a, n) => {
+                    let before = m.chunk_count();
+                    prop_assert_eq!(m.read_le(VirtAddr(*a), *n), model.read_le(*a, *n), "{:?}", op);
+                    prop_assert_eq!(m.chunk_count(), before, "a read materialised a chunk");
+                }
+                MemOp::Write(a, v, n) => {
+                    m.write_le(VirtAddr(*a), *v, *n);
+                    for i in 0..*n {
+                        model.write(a.wrapping_add(i), (v >> (8 * i)) as u8);
+                    }
+                }
+                MemOp::Bytes(a, bytes) => {
+                    m.write_bytes(VirtAddr(*a), bytes);
+                    for (i, &b) in (0u64..).zip(bytes) {
+                        model.write(a.wrapping_add(i), b);
+                    }
+                }
+            }
+            prop_assert_eq!(m.chunk_count(), model.chunks.len(), "after {:?}", op);
+        }
+        for (&a, &b) in &model.bytes {
+            prop_assert_eq!(m.read_u8(VirtAddr(a)), b);
+        }
+    }
+}

@@ -4,9 +4,9 @@
 //! * statically, `DecodedInst::from_inst` → `reencode` reproduces the
 //!   original `Inst` exactly for every variant, operand shape,
 //!   addressing mode, width, register file, and immediate extreme;
-//! * dynamically, executing a program that exercises every form and
-//!   predecoding the resulting trace (`PredecodedTrace`) → `decode`
-//!   reproduces the executor's `TraceInst` records byte-for-byte.
+//! * dynamically, every micro-op the executor emits for a program that
+//!   exercises every form survives `decode` → `encode` byte-for-byte,
+//!   so the `TraceInst` decode view loses nothing.
 
 use hbat_isa::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 use hbat_isa::uop::{DecodedInst, MicroOp, PredecodedTrace};
@@ -297,18 +297,21 @@ fn exercise_program() -> Program {
 
 #[test]
 fn executed_trace_of_every_form_round_trips() {
-    let trace = Machine::new(exercise_program()).run_to_vec(10_000);
-    assert!(trace.len() > 80, "exercise program barely ran");
+    let uops = Machine::new(exercise_program()).run_to_uops(10_000);
+    assert!(uops.len() > 80, "exercise program barely ran");
 
-    // Per-record: encode → decode is the identity.
-    for t in &trace {
-        let u = MicroOp::encode(t);
-        assert_eq!(u.decode(), *t, "record {} not lossless", t.serial);
+    // Per-record: decode → encode is the identity.
+    for u in uops.iter() {
+        assert_eq!(
+            MicroOp::encode(&u.decode()),
+            *u,
+            "op {} not lossless",
+            u.serial
+        );
     }
 
-    // Whole-trace: PredecodedTrace preserves order and content.
-    let uops = PredecodedTrace::predecode(&trace);
-    assert_eq!(uops.decode(), trace);
+    // Whole-trace: the decode view re-encodes to the same stream.
+    assert_eq!(PredecodedTrace::predecode(&uops.decode()), uops);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!   occupancy means over *time* instead of end-of-run totals — with
 //!   [`Tee`] to run it alongside a [`TraceRecorder`];
 //! * a scoped wall-clock self-profiler ([`prof`]) for the simulator's
-//!   own phases (trace build, predecode, warm restore, detailed run),
+//!   own phases (trace build, warm restore, detailed run),
 //!   `HBAT_PROF`-gated and off by default.
 //!
 //! The determinism contract: enabling a recorder never changes the

@@ -3,7 +3,7 @@
 //! ROADMAP item 1 stalled on a flat line profile: after the micro-op
 //! rewrite no single function dominates, so the next optimization
 //! round needs *phase*-level attribution — how long trace build,
-//! predecode, warm restore, the detailed run, and report rendering
+//! warm restore, the detailed run, and report rendering
 //! actually take — not another line profiler. This module is that
 //! attribution: a dependency-free scoped timer, hierarchical (nested
 //! scopes join their names with `/`), counted, and off by default.

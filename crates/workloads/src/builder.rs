@@ -756,16 +756,14 @@ mod tests {
         let prog = b.finish().unwrap();
         let mut m = Machine::new(prog);
         let mut stack_stores = 0;
-        m.run(10_000, |t| {
-            if let Some(mem) = t.mem {
-                if mem.kind == hbat_core::request::AccessKind::Store {
-                    assert!(
-                        mem.vaddr.0 >= STACK_BASE,
-                        "spill store outside stack region: {}",
-                        mem.vaddr
-                    );
-                    stack_stores += 1;
-                }
+        m.run(10_000, |u| {
+            if u.is_mem() && u.mem_kind() == hbat_core::request::AccessKind::Store {
+                assert!(
+                    u.vaddr >= STACK_BASE,
+                    "spill store outside stack region: {:#x}",
+                    u.vaddr
+                );
+                stack_stores += 1;
             }
         });
         assert!(stack_stores >= 5);

@@ -8,6 +8,8 @@
 
 use hbat_isa::executor::Machine;
 use hbat_isa::program::Program;
+use hbat_isa::trace::TraceInst;
+use hbat_isa::uop::PredecodedTrace;
 
 use crate::config::{Scale, WorkloadConfig};
 use crate::programs;
@@ -36,22 +38,32 @@ impl Workload {
         m
     }
 
-    /// Runs the workload to completion, returning its dynamic trace.
+    /// Runs the workload to completion, returning its micro-ops.
     ///
     /// # Panics
     ///
     /// Panics if the program fails to halt within `max_steps` (a workload
     /// bug, not an input condition).
-    pub fn trace(&self) -> Vec<hbat_isa::trace::TraceInst> {
+    pub fn uops(&self) -> PredecodedTrace {
         let mut m = self.instantiate();
-        let t = m.run_to_vec(self.max_steps);
+        let uops = m.run_to_uops(self.max_steps);
         assert!(
             m.is_halted(),
             "workload {} did not halt within {} steps",
             self.name,
             self.max_steps
         );
-        t
+        uops
+    }
+
+    /// [`Workload::uops`] as the [`TraceInst`] decode view, for the
+    /// analyses that read `Option`-shaped records.
+    ///
+    /// # Panics
+    ///
+    /// As [`Workload::uops`].
+    pub fn trace(&self) -> Vec<TraceInst> {
+        self.uops().decode()
     }
 }
 

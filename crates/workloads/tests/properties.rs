@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{Cond, Width};
-use hbat_isa::uop::PredecodedTrace;
+use hbat_isa::uop::MicroOp;
 use hbat_workloads::builder::Builder;
 use hbat_workloads::layout::{HEAP_BASE, STACK_BASE};
 use hbat_workloads::{Benchmark, RegBudget, Scale, WorkloadConfig};
@@ -80,9 +80,9 @@ proptest! {
         let program = b.finish().expect("valid");
         let mut m = Machine::new(program);
         let mut ok = true;
-        m.run(1_000_000, |t| {
-            if let Some(mem) = t.mem {
-                ok &= mem.vaddr.0 >= STACK_BASE;
+        m.run(1_000_000, |u| {
+            if u.is_mem() {
+                ok &= u.vaddr >= STACK_BASE;
             }
         });
         prop_assert!(ok, "a spill escaped the stack region");
@@ -150,8 +150,8 @@ fn small_budget_inflates_memory_traffic_substantially() {
     );
 }
 
-/// The predecoded form loses nothing: decoding it back yields the
-/// original dynamic trace record-for-record, for every workload. The
+/// The decode view loses nothing: every micro-op of every workload
+/// re-encodes from its `TraceInst` view byte-for-byte. The
 /// sweeps serialise a workload's trace from its micro-ops (the
 /// corrupt-trace fault path), so this must hold on every workload, not
 /// only on the instruction forms `hbat-isa` tests.
@@ -159,11 +159,12 @@ fn small_budget_inflates_memory_traffic_substantially() {
 fn every_workload_predecodes_losslessly() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in Benchmark::ALL {
-        let trace = bench.build(&cfg).trace();
-        let uops = PredecodedTrace::predecode(&trace);
-        assert_eq!(uops.len(), trace.len());
-        for (i, t) in trace.iter().enumerate() {
-            assert_eq!(uops[i].decode(), *t, "{bench}: record {i} not lossless");
+        for (i, u) in bench.build(&cfg).uops().iter().enumerate() {
+            assert_eq!(
+                MicroOp::encode(&u.decode()),
+                *u,
+                "{bench}: op {i} not lossless"
+            );
         }
     }
 }

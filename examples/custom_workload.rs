@@ -79,7 +79,7 @@ fn main() {
     for (base, bytes) in &image {
         machine.memory_mut().write_bytes(VirtAddr(*base), bytes);
     }
-    let trace = PredecodedTrace::predecode(&machine.run_to_vec(3_000_000));
+    let trace = machine.run_to_uops(3_000_000);
     assert!(machine.is_halted(), "list walk must terminate");
     println!("ping-pong list walk: {} dynamic instructions", trace.len());
 

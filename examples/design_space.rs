@@ -21,7 +21,7 @@ fn main() {
         });
 
     let workload = bench.build(&WorkloadConfig::new(Scale::Small));
-    let trace = PredecodedTrace::predecode(&workload.trace());
+    let trace = workload.uops();
     println!(
         "{}: {} instructions, sweeping {} designs\n",
         bench,

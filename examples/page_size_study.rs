@@ -13,7 +13,7 @@ use hbat_suite::prelude::*;
 
 fn main() {
     let workload = Benchmark::Compress.build(&WorkloadConfig::new(Scale::Small));
-    let trace = PredecodedTrace::predecode(&workload.trace());
+    let trace = workload.uops();
     println!(
         "Compress ({} instructions) across page sizes\n",
         trace.len()

@@ -17,7 +17,7 @@ fn main() {
     // 2. Build a workload — the Espresso analogue at a small scale — and
     //    run it functionally to obtain the dynamic instruction trace.
     let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Small));
-    let trace = PredecodedTrace::predecode(&workload.trace());
+    let trace = workload.uops();
     println!("{}: {} dynamic instructions", workload.name, trace.len());
 
     // 3. Replay the trace on the paper's baseline 8-way out-of-order

@@ -14,7 +14,8 @@ fn main() {
         .into_iter()
         .find(|b| b.name().eq_ignore_ascii_case(&which))
         .unwrap_or(Benchmark::Perl);
-    let trace = bench.build(&WorkloadConfig::new(Scale::Small)).trace();
+    let uops = bench.build(&WorkloadConfig::new(Scale::Small)).uops();
+    let trace = uops.decode();
     let geom = PageGeometry::KB4;
 
     // Ceilings from the trace alone.
@@ -41,7 +42,6 @@ fn main() {
 
     // What the real mechanisms achieve.
     let cfg = SimConfig::baseline();
-    let uops = PredecodedTrace::predecode(&trace);
     for mnemonic in ["M8", "PB1", "P8"] {
         let mut tlb = DesignSpec::parse(mnemonic).expect("known").build(geom, 7);
         let m = simulate_uops(&cfg, &uops, tlb.as_mut());

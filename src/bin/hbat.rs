@@ -429,11 +429,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds `bench` under `cfg` and predecodes its trace: the
-/// `trace-build` phase of `run` and `trace`.
+/// Builds and runs `bench` under `cfg`: the `trace-build` phase of
+/// `run` and `trace`.
 fn build_uops(bench: Benchmark, cfg: &ExperimentConfig) -> PredecodedTrace {
     let _p = prof::scope("trace-build");
-    PredecodedTrace::predecode(&bench.build(&cfg.workload).trace())
+    bench.build(&cfg.workload).uops()
 }
 
 fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {

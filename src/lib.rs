@@ -8,7 +8,7 @@
 //!   behind one cycle-level [`AddressTranslator`](hbat_core::AddressTranslator)
 //!   trait, plus the page table and replacement policies;
 //! * `isa` — the simulated MIPS-like instruction set and the
-//!   functional executor that produces dynamic traces;
+//!   functional executor that emits each workload's micro-ops;
 //! * `workloads` — ten synthetic analogues of the
 //!   paper's benchmarks, built by a spilling register assigner;
 //! * `mem` — the 32 KB split caches;
@@ -32,7 +32,7 @@
 //!
 //! // Build the paper's M8 design and one benchmark, then measure IPC.
 //! let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let uops = PredecodedTrace::predecode(&workload.trace());
+//! let uops = workload.uops();
 //! let mut tlb = DesignSpec::parse("M8")?.build(PageGeometry::KB4, 1996);
 //! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert!(metrics.ipc() > 0.5);

@@ -32,8 +32,8 @@ fn reuse_profile_predicts_the_multilevel_shield() {
     // differences are port effects and wrong-path traffic).
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Espresso, Benchmark::Perl, Benchmark::Tomcatv] {
-        let trace = bench.build(&cfg).trace();
-        let uops = PredecodedTrace::predecode(&trace);
+        let uops = bench.build(&cfg).uops();
+        let trace = uops.decode();
         let predicted_hit =
             1.0 - ReuseProfile::of_trace(&trace, PageGeometry::KB4).lru_miss_rate(8);
         let mut tlb = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
@@ -59,8 +59,8 @@ fn adjacency_bounds_piggyback_combining() {
         Benchmark::Espresso,
         Benchmark::Xlisp,
     ] {
-        let trace = bench.build(&cfg).trace();
-        let uops = PredecodedTrace::predecode(&trace);
+        let uops = bench.build(&cfg).uops();
+        let trace = uops.decode();
         let profile = AdjacencyProfile::of_trace(&trace, PageGeometry::KB4, 4);
         let ceiling = profile.regrouped_combinable_fraction();
         let mut tlb = DesignSpec::parse("PB1")
@@ -83,8 +83,8 @@ fn pointer_profile_bounds_pretranslation() {
     // offset-nibble effect allows.
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Perl, Benchmark::Tomcatv, Benchmark::Gcc] {
-        let trace = bench.build(&cfg).trace();
-        let uops = PredecodedTrace::predecode(&trace);
+        let uops = bench.build(&cfg).uops();
+        let trace = uops.decode();
         let ceiling = PointerProfile::of_trace(&trace, PageGeometry::KB4).reuse_fraction();
         let mut tlb = DesignSpec::parse("P8").unwrap().build(PageGeometry::KB4, 7);
         let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());

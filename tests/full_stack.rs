@@ -13,7 +13,7 @@ fn test_cfg() -> ExperimentConfig {
 #[test]
 fn facade_prelude_covers_the_basics() {
     let w = Benchmark::Doduc.build(&WorkloadConfig::new(Scale::Test));
-    let trace = PredecodedTrace::predecode(&w.trace());
+    let trace = w.uops();
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
     let m = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
     assert_eq!(m.committed, trace.len() as u64);
@@ -95,7 +95,7 @@ fn in_order_reduces_bandwidth_sensitivity() {
 fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in Benchmark::ALL {
-        let uops = PredecodedTrace::predecode(&bench.build(&cfg).trace());
+        let uops = bench.build(&cfg).uops();
         let mut last = f64::INFINITY;
         for (entries, policy) in FIG6_SIZES {
             let rate = miss_rate_percent(&uops, entries, policy, PageGeometry::KB4, 1);
@@ -113,11 +113,9 @@ fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
 fn eight_kb_pages_help_the_shielding_designs() {
     // Figure 8's mechanism: larger pages raise L1-TLB and pretranslation
     // shield rates on a locality-poor workload.
-    let trace = PredecodedTrace::predecode(
-        &Benchmark::Compress
-            .build(&WorkloadConfig::new(Scale::Test))
-            .trace(),
-    );
+    let trace = Benchmark::Compress
+        .build(&WorkloadConfig::new(Scale::Test))
+        .uops();
     let cfg = SimConfig::baseline();
     for mnemonic in ["M8", "P8"] {
         let spec = DesignSpec::parse(mnemonic).unwrap();
@@ -181,11 +179,9 @@ fn shield_rates_reflect_design_structure() {
     // The framework quantities of Section 2 behave as the paper says:
     // f_shielded is high for multi-level and pretranslation, zero for
     // plain multi-ported TLBs.
-    let trace = PredecodedTrace::predecode(
-        &Benchmark::Perl
-            .build(&WorkloadConfig::new(Scale::Test))
-            .trace(),
-    );
+    let trace = Benchmark::Perl
+        .build(&WorkloadConfig::new(Scale::Test))
+        .uops();
     let cfg = SimConfig::baseline();
     let shield = |m: &str| {
         let mut tlb = DesignSpec::parse(m).unwrap().build(PageGeometry::KB4, 7);
