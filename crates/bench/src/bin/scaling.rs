@@ -44,12 +44,13 @@ fn main() {
             ..ExperimentConfig::baseline(scale)
         };
         let r = sweep(&designs, &cfg);
+        let rel = |d: DesignSpec| r.relative_ipc(d).expect("a complete sweep with T4");
         t.row(vec![
             width.to_string(),
             ldst.to_string(),
-            fnum(r.weighted_ipc(designs[0]), 3),
-            format!("{:5.1}%", r.relative_ipc(designs[1]) * 100.0),
-            format!("{:5.1}%", r.relative_ipc(designs[2]) * 100.0),
+            fnum(r.weighted_ipc(designs[0]).expect("T4 swept"), 3),
+            format!("{:5.1}%", rel(designs[1]) * 100.0),
+            format!("{:5.1}%", rel(designs[2]) * 100.0),
         ]);
     }
     println!(

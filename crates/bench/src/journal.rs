@@ -78,47 +78,84 @@ fn push_u64_fields(out: &mut String, fields: &[(&str, u64)]) {
     }
 }
 
-fn translator_fields(t: &TranslatorStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("accesses", t.accesses),
-        ("shielded", t.shielded),
-        ("base_hits", t.base_hits),
-        ("misses", t.misses),
-        ("retries", t.retries),
-        ("internal_queueing_cycles", t.internal_queueing_cycles),
-        ("status_writes", t.status_writes),
-        ("inclusion_invalidations", t.inclusion_invalidations),
-        ("shield_flushes", t.shield_flushes),
-    ]
+/// Writes a stats struct's render and parse functions from one list of
+/// its fields, so the two cannot drift apart: the listed `u64` fields
+/// render in order as `"name":value`, then each nested struct as
+/// `"name":{…}` through its own pair. The parser's struct literal names
+/// every field, so a field added to the struct and not to the list
+/// fails to compile.
+macro_rules! stats_codec {
+    (
+        $ty:ident, $render:ident, $parse:ident,
+        [$($field:ident),* $(,)?]
+        $(, $nested:ident: ($nrender:ident, $nparse:ident))* $(,)?
+    ) => {
+        fn $render(out: &mut String, s: &$ty) {
+            push_u64_fields(out, &[$((stringify!($field), s.$field)),*]);
+            $(
+                out.push(',');
+                out.push_str(&escape_json(stringify!($nested)));
+                out.push_str(":{");
+                $nrender(out, &s.$nested);
+                out.push('}');
+            )*
+        }
+
+        fn $parse(obj: &BTreeMap<String, Val>) -> Result<$ty, String> {
+            Ok($ty {
+                $($field: get_int(obj, stringify!($field))?,)*
+                $($nested: $nparse(get_obj(obj, stringify!($nested))?)?,)*
+            })
+        }
+    };
 }
 
-fn cache_fields(c: &CacheStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("accesses", c.accesses),
-        ("hits", c.hits),
-        ("misses", c.misses),
-        ("merged", c.merged),
-        ("writebacks", c.writebacks),
-        ("port_rejects", c.port_rejects),
-    ]
-}
+stats_codec!(
+    TranslatorStats,
+    render_translator,
+    parse_translator,
+    [
+        accesses,
+        shielded,
+        base_hits,
+        misses,
+        retries,
+        internal_queueing_cycles,
+        status_writes,
+        inclusion_invalidations,
+        shield_flushes,
+    ],
+);
 
-fn metrics_scalar_fields(m: &RunMetrics) -> Vec<(&'static str, u64)> {
-    vec![
-        ("cycles", m.cycles),
-        ("committed", m.committed),
-        ("issued", m.issued),
-        ("squashed", m.squashed),
-        ("wrong_path_translations", m.wrong_path_translations),
-        ("issued_mem", m.issued_mem),
-        ("loads", m.loads),
-        ("stores", m.stores),
-        ("cond_branches", m.cond_branches),
-        ("bpred_correct", m.bpred_correct),
-        ("tlb_dispatch_stall_cycles", m.tlb_dispatch_stall_cycles),
-        ("translation_retries", m.translation_retries),
-    ]
-}
+stats_codec!(
+    CacheStats,
+    render_cache,
+    parse_cache,
+    [accesses, hits, misses, merged, writebacks, port_rejects],
+);
+
+stats_codec!(
+    RunMetrics,
+    render_metrics,
+    parse_metrics,
+    [
+        cycles,
+        committed,
+        issued,
+        squashed,
+        wrong_path_translations,
+        issued_mem,
+        loads,
+        stores,
+        cond_branches,
+        bpred_correct,
+        tlb_dispatch_stall_cycles,
+        translation_retries,
+    ],
+    tlb: (render_translator, parse_translator),
+    dcache: (render_cache, parse_cache),
+    icache: (render_cache, parse_cache),
+);
 
 /// Renders one journal record as a single JSON line (no newline).
 pub fn render_record(rec: &JournalRecord) -> String {
@@ -130,18 +167,7 @@ pub fn render_record(rec: &JournalRecord) -> String {
         escape_json(&rec.key.config),
         rec.key.seed,
     ));
-    push_u64_fields(&mut out, &metrics_scalar_fields(&rec.metrics));
-    for (name, fields) in [
-        ("tlb", translator_fields(&rec.metrics.tlb)),
-        ("dcache", cache_fields(&rec.metrics.dcache)),
-        ("icache", cache_fields(&rec.metrics.icache)),
-    ] {
-        out.push(',');
-        out.push_str(&escape_json(name));
-        out.push_str(":{");
-        push_u64_fields(&mut out, &fields);
-        out.push('}');
-    }
+    render_metrics(&mut out, &rec.metrics);
     out.push_str("}}");
     out
 }
@@ -248,7 +274,7 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b'{') => self.parse_object(),
+            Some(b'{') => self.parse_object().map(Val::Obj),
             Some(b'n') => self.parse_keyword("null", Val::Null),
             Some(b't') => self.parse_keyword("true", Val::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Val::Bool(false)),
@@ -272,13 +298,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Val, String> {
+    fn parse_object(&mut self) -> Result<BTreeMap<String, Val>, String> {
         self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Val::Obj(map));
+            return Ok(map);
         }
         loop {
             self.skip_ws();
@@ -291,7 +317,7 @@ impl<'a> Cursor<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Val::Obj(map));
+                    return Ok(map);
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -323,94 +349,55 @@ fn get_obj<'v>(
     }
 }
 
-fn parse_translator(obj: &BTreeMap<String, Val>) -> Result<TranslatorStats, String> {
-    Ok(TranslatorStats {
-        accesses: get_int(obj, "accesses")?,
-        shielded: get_int(obj, "shielded")?,
-        base_hits: get_int(obj, "base_hits")?,
-        misses: get_int(obj, "misses")?,
-        retries: get_int(obj, "retries")?,
-        internal_queueing_cycles: get_int(obj, "internal_queueing_cycles")?,
-        status_writes: get_int(obj, "status_writes")?,
-        inclusion_invalidations: get_int(obj, "inclusion_invalidations")?,
-        shield_flushes: get_int(obj, "shield_flushes")?,
-    })
-}
-
-fn parse_cache(obj: &BTreeMap<String, Val>) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        accesses: get_int(obj, "accesses")?,
-        hits: get_int(obj, "hits")?,
-        misses: get_int(obj, "misses")?,
-        merged: get_int(obj, "merged")?,
-        writebacks: get_int(obj, "writebacks")?,
-        port_rejects: get_int(obj, "port_rejects")?,
-    })
-}
-
 /// Strictly parses a standalone JSON object and returns its top-level
 /// keys in sorted order. Rejects trailing bytes. Report and CLI tests
 /// use this to check that rendered output really is valid JSON.
 pub fn parse_json_object(s: &str) -> Result<Vec<String>, String> {
+    Ok(parse_top(s, "JSON object")?.keys().cloned().collect())
+}
+
+/// Strictly parses one JSON object (`what` names it in errors),
+/// rejecting trailing bytes.
+fn parse_top(s: &str, what: &str) -> Result<BTreeMap<String, Val>, String> {
     let mut cur = Cursor {
         bytes: s.as_bytes(),
         pos: 0,
     };
-    let Val::Obj(top) = cur.parse_object()? else {
-        return Err("not a JSON object".to_owned());
-    };
+    let top = cur.parse_object()?;
     cur.skip_ws();
     if cur.pos != cur.bytes.len() {
-        return Err("trailing bytes after JSON object".to_owned());
+        return Err(format!("trailing bytes after {what}"));
     }
-    Ok(top.keys().cloned().collect())
+    Ok(top)
+}
+
+/// [`parse_top`] for a schema-versioned line: its `v` field must be
+/// `version`.
+fn parse_versioned(line: &str, what: &str, version: u64) -> Result<BTreeMap<String, Val>, String> {
+    let top = parse_top(line, what)?;
+    let v = get_int(&top, "v")?;
+    if v != version {
+        return Err(format!("{what} version {v} (this build reads {version})"));
+    }
+    Ok(top)
+}
+
+/// The cell identity every journal and sidecar line carries.
+fn parse_key(top: &BTreeMap<String, Val>) -> Result<CellKey, String> {
+    Ok(CellKey {
+        bench: get_str(top, "bench")?,
+        design: get_str(top, "design")?,
+        config: get_str(top, "config")?,
+        seed: get_int(top, "seed")?,
+    })
 }
 
 /// Parses one journal line back into a record.
 pub fn parse_record(line: &str) -> Result<JournalRecord, String> {
-    let mut cur = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let Val::Obj(top) = cur.parse_object()? else {
-        return Err("journal line is not an object".to_owned());
-    };
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err("trailing bytes after journal record".to_owned());
-    }
-    let version = get_int(&top, "v")?;
-    if version != JOURNAL_VERSION {
-        return Err(format!(
-            "journal version {version} (this build reads {JOURNAL_VERSION})"
-        ));
-    }
-    let m = get_obj(&top, "metrics")?;
-    let metrics = RunMetrics {
-        cycles: get_int(m, "cycles")?,
-        committed: get_int(m, "committed")?,
-        issued: get_int(m, "issued")?,
-        squashed: get_int(m, "squashed")?,
-        wrong_path_translations: get_int(m, "wrong_path_translations")?,
-        issued_mem: get_int(m, "issued_mem")?,
-        loads: get_int(m, "loads")?,
-        stores: get_int(m, "stores")?,
-        cond_branches: get_int(m, "cond_branches")?,
-        bpred_correct: get_int(m, "bpred_correct")?,
-        tlb_dispatch_stall_cycles: get_int(m, "tlb_dispatch_stall_cycles")?,
-        translation_retries: get_int(m, "translation_retries")?,
-        tlb: parse_translator(get_obj(m, "tlb")?)?,
-        dcache: parse_cache(get_obj(m, "dcache")?)?,
-        icache: parse_cache(get_obj(m, "icache")?)?,
-    };
+    let top = parse_versioned(line, "journal record", JOURNAL_VERSION)?;
     Ok(JournalRecord {
-        key: CellKey {
-            bench: get_str(&top, "bench")?,
-            design: get_str(&top, "design")?,
-            config: get_str(&top, "config")?,
-            seed: get_int(&top, "seed")?,
-        },
-        metrics,
+        key: parse_key(&top)?,
+        metrics: parse_metrics(get_obj(&top, "metrics")?)?,
     })
 }
 
@@ -433,23 +420,7 @@ pub struct IntervalSidecarRecord {
 /// A human-readable message for any malformed line, including a
 /// sidecar schema-version mismatch.
 pub fn parse_interval_record(line: &str) -> Result<IntervalSidecarRecord, String> {
-    let mut cur = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let Val::Obj(top) = cur.parse_object()? else {
-        return Err("interval record is not an object".to_owned());
-    };
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err("trailing bytes after interval record".to_owned());
-    }
-    let version = get_int(&top, "v")?;
-    if version != u64::from(INTERVAL_SCHEMA_VERSION) {
-        return Err(format!(
-            "interval schema version {version} (this build reads {INTERVAL_SCHEMA_VERSION})"
-        ));
-    }
+    let top = parse_versioned(line, "interval record", u64::from(INTERVAL_SCHEMA_VERSION))?;
     let w = get_obj(&top, "window")?;
     let stalls_obj = get_obj(w, "stalls")?;
     let mut stalls = [0u64; StallCause::COUNT];
@@ -462,12 +433,7 @@ pub fn parse_interval_record(line: &str) -> Result<IntervalSidecarRecord, String
     let walks = get_obj(w, "walks")?;
     let occ = get_obj(w, "occupancy")?;
     Ok(IntervalSidecarRecord {
-        key: CellKey {
-            bench: get_str(&top, "bench")?,
-            design: get_str(&top, "design")?,
-            config: get_str(&top, "config")?,
-            seed: get_int(&top, "seed")?,
-        },
+        key: parse_key(&top)?,
         window: IntervalRecord {
             start: get_int(w, "start")?,
             cycles: get_int(w, "cycles")?,
@@ -489,38 +455,13 @@ pub fn parse_interval_record(line: &str) -> Result<IntervalSidecarRecord, String
 }
 
 /// Reads every complete record from an interval sidecar, with the same
-/// torn-tail tolerance as [`read_journal`]: a torn *final* line is
-/// dropped silently, a corrupt interior line is an error, a missing
-/// file reads as empty.
+/// torn-tail tolerance as [`read_journal`].
 ///
 /// # Errors
 ///
 /// I/O errors, or corruption anywhere but the final line.
 pub fn read_interval_sidecar(path: &Path) -> io::Result<Vec<IntervalSidecarRecord>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut records = Vec::new();
-    let lines: Vec<String> = BufReader::new(file).lines().collect::<io::Result<_>>()?;
-    let last = lines.len().saturating_sub(1);
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_interval_record(line) {
-            Ok(rec) => records.push(rec),
-            Err(_) if i == last => break, // torn tail from a killed run
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}:{}: {e}", path.display(), i + 1),
-                ))
-            }
-        }
-    }
-    Ok(records)
+    read_jsonl(path, parse_interval_record)
 }
 
 // ---- file I/O ------------------------------------------------------------
@@ -582,7 +523,19 @@ impl JournalWriter {
 /// (the signature of a killed run) is silently dropped; an unparseable
 /// interior line is real corruption and errors. A missing file reads as
 /// an empty journal.
+///
+/// # Errors
+///
+/// I/O errors, or corruption anywhere but the final line.
 pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
+    read_jsonl(path, parse_record)
+}
+
+/// The one torn-tail reader behind every JSONL stream: each non-blank
+/// line goes through `parse`; a torn final line is dropped, a corrupt
+/// interior line is an error naming `path:line`, and a missing file
+/// reads as empty.
+fn read_jsonl<T>(path: &Path, parse: fn(&str) -> Result<T, String>) -> io::Result<Vec<T>> {
     let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -595,7 +548,7 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_record(line) {
+        match parse(line) {
             Ok(rec) => records.push(rec),
             Err(_) if i == last => break, // torn tail from a killed run
             Err(e) => {

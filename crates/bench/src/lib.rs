@@ -19,7 +19,9 @@
 //!
 //! Sweeps run on the cell-level parallel executor in [`executor`]
 //! (worker count from `HBAT_THREADS`, default all cores) and are
-//! bit-identical to the same sweep on one worker.
+//! bit-identical to the same sweep on one worker. Every sweep goes
+//! through [`sweep_ft_on`] ([`sweep`] is its fail-fast convenience) and
+//! returns one [`SweepResult`], which renders each figure.
 //!
 //! The executor is fault-tolerant: each cell runs under `catch_unwind`
 //! with bounded retries and an optional deadline ([`RunPolicy`]), a
@@ -50,8 +52,7 @@ pub use executor::{
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
     render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep,
-    sweep_fingerprint, sweep_ft, sweep_ft_on, CellResult, ExperimentConfig, FtSweepResult,
-    SweepOptions, SweepResult,
+    sweep_fingerprint, sweep_ft_on, CellResult, ExperimentConfig, SweepOptions, SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{

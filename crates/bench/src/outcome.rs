@@ -54,6 +54,25 @@ impl<T> CellOutcome<T> {
         }
     }
 
+    /// Chains a completed cell into `f`; a failed cell keeps its
+    /// failure whatever `f` would have made of it.
+    pub fn and_then<U>(self, f: impl FnOnce(T) -> CellOutcome<U>) -> CellOutcome<U> {
+        match self {
+            CellOutcome::Ok(v) => f(v),
+            CellOutcome::Panicked {
+                msg,
+                attempts,
+                payload,
+            } => CellOutcome::Panicked {
+                msg,
+                attempts,
+                payload,
+            },
+            CellOutcome::TimedOut { attempts } => CellOutcome::TimedOut { attempts },
+            CellOutcome::Skipped { reason } => CellOutcome::Skipped { reason },
+        }
+    }
+
     /// Did the cell complete?
     pub fn is_ok(&self) -> bool {
         matches!(self, CellOutcome::Ok(_))
@@ -200,6 +219,30 @@ mod tests {
         };
         assert_eq!(skipped.kind(), "skipped");
         assert_eq!(skipped.attempts(), 0);
+    }
+
+    #[test]
+    fn and_then_chains_completions_and_keeps_failures() {
+        let ok: CellOutcome<u32> = CellOutcome::Ok(7);
+        assert_eq!(ok.and_then(|v| CellOutcome::Ok(v * 2)).into_ok(), Some(14));
+        let ok: CellOutcome<u32> = CellOutcome::Ok(7);
+        let skipped = ok.and_then(|_| CellOutcome::<u32>::Skipped {
+            reason: "no trace".into(),
+        });
+        assert_eq!(skipped.detail(), "no trace");
+        let timed: CellOutcome<u32> = CellOutcome::TimedOut { attempts: 3 };
+        let timed = timed.and_then(|v| CellOutcome::Ok(v + 1));
+        assert_eq!((timed.kind(), timed.attempts()), ("timed_out", 3));
+        let p: CellOutcome<u32> = CellOutcome::Panicked {
+            msg: "boom".into(),
+            attempts: 2,
+            payload: Box::new("boom"),
+        };
+        let p = p.and_then(|v| CellOutcome::Ok(v + 1));
+        assert_eq!(
+            (p.kind(), p.detail(), p.attempts()),
+            ("panicked", "boom".to_owned(), 2)
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use hbat_bench::ckpt::{verify_restore_equivalence, CheckpointOptions};
 use hbat_bench::executor::RunPolicy;
 use hbat_bench::experiment::{
-    sweep_fingerprint, sweep_ft_on, ExperimentConfig, FtSweepResult, SweepOptions,
+    sweep_fingerprint, sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_bench::faults::{CkptFault, FaultPlan};
 use hbat_bench::journal::read_journal;
@@ -54,7 +54,7 @@ fn checkpointed(dir: &std::path::Path) -> SweepOptions {
 }
 
 /// Every completed cell of `r` matches `reference` bit-for-bit.
-fn assert_same_metrics(r: &FtSweepResult, reference: &FtSweepResult, tag: &str) {
+fn assert_same_metrics(r: &SweepResult, reference: &SweepResult, tag: &str) {
     for (bi, (row, ref_row)) in r.cells.iter().zip(&reference.cells).enumerate() {
         for (di, (outcome, ref_outcome)) in row.iter().zip(ref_row).enumerate() {
             let (Some(cell), Some(ref_cell)) = (outcome.ok(), ref_outcome.ok()) else {

@@ -28,7 +28,7 @@ fn designs() -> [DesignSpec; 3] {
     ]
 }
 
-fn run_sweep(journal: &Path, observe: bool) -> hbat_bench::FtSweepResult {
+fn run_sweep(journal: &Path, observe: bool) -> hbat_bench::SweepResult {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let opts = SweepOptions {
         threads: 1, // deterministic journal line order for byte comparison

@@ -28,7 +28,7 @@ use hbat_bench::experiment::{
     iv_sidecar_path, run_cell_uops, sweep_fingerprint, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
-use hbat_bench::FtSweepResult;
+use hbat_bench::SweepResult;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_stats::ConfLevel;
 use hbat_workloads::{Benchmark, Scale};
@@ -52,7 +52,7 @@ fn plan() -> SamplePlan {
     SamplePlan::parse("12:400:100", 1996).unwrap()
 }
 
-fn run_sampled_sweep(journal: &Path, resume: bool) -> FtSweepResult {
+fn run_sampled_sweep(journal: &Path, resume: bool) -> SweepResult {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let opts = SweepOptions {
         threads: 1, // deterministic journal line order for byte comparison

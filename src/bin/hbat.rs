@@ -64,8 +64,8 @@ use std::time::Duration;
 
 use hbat_suite::analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
-use hbat_suite::bench::executor::RunPolicy;
-use hbat_suite::bench::experiment::{sweep_ft, ExperimentConfig, SweepOptions};
+use hbat_suite::bench::executor::{RunPolicy, TraceCache};
+use hbat_suite::bench::experiment::{sweep_ft_on, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
@@ -655,14 +655,15 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 checkpoint,
                 sample,
             };
-            let r = sweep_ft(&DesignSpec::TABLE2, &cfg, &sweep_opts).map_err(|e| e.to_string())?;
-            if sample.is_some() {
-                println!("{}", r.render_sample_figure("design sweep (sampled)"));
-                println!("{}", r.render_sample_details());
+            let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &sweep_opts, TraceCache::global())
+                .map_err(|e| e.to_string())?;
+            let title = if sample.is_some() {
+                "design sweep (sampled)"
             } else {
-                println!("{}", r.render_figure("design sweep"));
-                println!("{}", r.render_details());
-            }
+                "design sweep"
+            };
+            println!("{}", r.render_figure(title));
+            println!("{}", r.render_details());
             if r.resumed > 0 {
                 eprintln!("resumed {} cell(s) from the journal", r.resumed);
             }
