@@ -201,6 +201,34 @@ fn trace_is_deterministic() {
 }
 
 #[test]
+fn trace_sample_prints_the_window_table_deterministically() {
+    let args = [
+        "trace",
+        "Compress",
+        "M8",
+        "--scale",
+        "test",
+        "--sample",
+        "6:400:100",
+    ];
+    let (ok1, out1, stderr) = hbat(&args);
+    assert!(ok1, "{stderr}");
+    for needle in [
+        "sampled 6:400:100 (windows:len:warmup)",
+        "op index",
+        "committed",
+        "tlb hit",
+        "IPC (95% CI)",
+        "in 6 window(s)",
+    ] {
+        assert!(out1.contains(needle), "missing {needle}:\n{out1}");
+    }
+    let (ok2, out2, _) = hbat(&args);
+    assert!(ok2);
+    assert_eq!(out1, out2, "sampled trace output must be deterministic");
+}
+
+#[test]
 fn trace_intervals_prints_time_series_and_writes_interval_jsonl() {
     use hbat_suite::bench::journal::parse_json_object;
 

@@ -12,7 +12,12 @@
 //!
 //! The rendered text is pinned too: each of Figures 5/7/8/9 exactly as
 //! the `figs` binary prints it, and a sampled Figure 5 exactly as
-//! `hbat sweep --sample` prints it.
+//! `hbat sweep --sample` prints it, together with every sampled
+//! window's `IntervalRecord` beneath it.
+//!
+//! The observed path is pinned by the traced records of every workload
+//! under I4/M8/P8 and under all 13 Table-2 designs, and by the
+//! 256-cycle interval windows of every workload under T1.
 //!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
@@ -24,6 +29,7 @@ use hbat_suite::bench::experiment::{
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
 use hbat_suite::bench::sample::SamplePlan;
+use hbat_suite::obs::IntervalRecorder;
 use hbat_suite::prelude::*;
 
 /// The digest of every cell of a sweep, in grid order.
@@ -117,10 +123,8 @@ fn fig9_small_regs() {
     );
 }
 
-/// Pins the sampled renderer: Figure 5 under the plan `6:400:100`,
-/// exactly as `hbat sweep --scale test --sample 6:400:100` prints it.
-#[test]
-fn fig5_sampled_text() {
+/// The sampled Figure 5 of `hbat sweep --scale test --sample 6:400:100`.
+fn sampled_fig5() -> SweepResult {
     let opts = SweepOptions {
         sample: Some(SamplePlan::parse("6:400:100", 1996).unwrap()),
         ..SweepOptions::default()
@@ -133,12 +137,44 @@ fn fig5_sampled_text() {
     )
     .unwrap();
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+    r
+}
+
+/// Pins the sampled renderer: Figure 5 under the plan `6:400:100`,
+/// exactly as `hbat sweep --scale test --sample 6:400:100` prints it.
+#[test]
+fn fig5_sampled_text() {
+    let r = sampled_fig5();
     let text = format!(
         "{}\n{}\n",
         r.render_figure("design sweep (sampled)"),
         r.render_details()
     );
     assert_eq!(fnv1a_hex(&text), "1d5f456e2009be8f");
+}
+
+/// Pins the sampled windows beneath that text: every field of every
+/// window's `IntervalRecord` (cycles, issue and stall buckets, walks,
+/// occupancy sums) for all 130 cells. The figure shows only each cell's
+/// mean and interval, so a change to a window's stall attribution or
+/// occupancy shows here and nowhere else.
+#[test]
+fn fig5_sampled_windows() {
+    let r = sampled_fig5();
+    let mut text = String::new();
+    for row in &r.cells {
+        for c in row {
+            let c = c.ok().expect("the sampled sweep completes every cell");
+            for w in &c.windows {
+                text.push_str(&format!(
+                    "{}/{} {w:?}\n",
+                    c.bench.name(),
+                    c.design.mnemonic()
+                ));
+            }
+        }
+    }
+    assert_eq!(fnv1a_hex(&text), "a32fc43ad909ca63");
 }
 
 #[test]
@@ -170,19 +206,15 @@ fn uop_streams() {
     assert_eq!(fnv1a_hex(&text), "8fd1127759a78881");
 }
 
-/// Pins the traced path beyond `RunMetrics`: the stall taxonomy, port
-/// conflicts, walks and occupancy summaries `hbat trace` and observed
-/// sweeps report, for every workload under one interleaved, one
-/// multi-level and one pretranslation design, and checks that the
+/// The traced records of every workload under each of `designs`,
+/// rendered as an observed sweep journals them, after checking that the
 /// stall taxonomy accounts for every cycle.
-#[test]
-fn observed_cells_render_the_same_obs_records() {
+fn obs_records(designs: &[DesignSpec]) -> String {
     let cfg = test_cfg();
     let mut text = String::new();
     for bench in Benchmark::ALL {
         let (_, uops) = TraceCache::global().get_or_build_uops(bench, &cfg.workload);
-        for design in ["I4", "M8", "P8"] {
-            let design = DesignSpec::parse(design).unwrap();
+        for &design in designs {
             let mut rec = TraceRecorder::new();
             run_cell_uops_with(uops.ops(), design, &cfg, &mut rec);
             // Every cycle is an issue cycle or charged to one stall cause.
@@ -201,5 +233,48 @@ fn observed_cells_render_the_same_obs_records() {
             text.push('\n');
         }
     }
-    assert_eq!(fnv1a_hex(&text), "5cabc9ae848613e6");
+    text
+}
+
+/// Pins the traced path beyond `RunMetrics`: the stall taxonomy, port
+/// conflicts, walks and occupancy summaries `hbat trace` and observed
+/// sweeps report, for every workload under one interleaved, one
+/// multi-level and one pretranslation design, and checks that the
+/// stall taxonomy accounts for every cycle.
+#[test]
+fn observed_cells_render_the_same_obs_records() {
+    let designs = ["I4", "M8", "P8"].map(|d| DesignSpec::parse(d).unwrap());
+    assert_eq!(fnv1a_hex(&obs_records(&designs)), "5cabc9ae848613e6");
+}
+
+/// The same records for all 13 Table-2 designs. Blessed while enabled
+/// recorders still ran the engine's full issue scan, so it pins that
+/// the sleep/wake fast path reports exactly the probes the full scan did.
+#[test]
+fn observed_cells_render_the_same_obs_records_on_table2() {
+    assert_eq!(
+        fnv1a_hex(&obs_records(&DesignSpec::TABLE2)),
+        "e60e900b75857ac1"
+    );
+}
+
+/// Pins the interval time series `hbat trace --intervals 256` records:
+/// every field of every 256-cycle window of every workload under T1,
+/// plus the count of windows dropped past the buffer.
+#[test]
+fn interval_windows() {
+    let cfg = test_cfg();
+    let design = DesignSpec::parse("T1").unwrap();
+    let mut text = String::new();
+    for bench in Benchmark::ALL {
+        let (_, uops) = TraceCache::global().get_or_build_uops(bench, &cfg.workload);
+        let mut iv = IntervalRecorder::new(256);
+        run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+        iv.finish();
+        for w in iv.windows() {
+            text.push_str(&format!("{bench} {w:?}\n"));
+        }
+        text.push_str(&format!("{bench} dropped {}\n", iv.dropped_windows()));
+    }
+    assert_eq!(fnv1a_hex(&text), "c991cf6813f44467");
 }
