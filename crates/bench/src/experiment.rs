@@ -1029,6 +1029,11 @@ mod tests {
         assert_eq!(ids[7], fnv1a_hex(&format!("{cfg:?}/ff=1000/sample={p:?}")));
     }
 
+    /// The install form of an accumulator that has seen nothing.
+    fn cold_state() -> WarmState {
+        hbat_cpu::WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4).warm_state()
+    }
+
     #[test]
     fn shared_schedule_builds_once_and_drops_after_the_last_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1036,7 +1041,7 @@ mod tests {
         let builds = AtomicUsize::new(0);
         let build = || {
             builds.fetch_add(1, Ordering::SeqCst);
-            vec![WarmState::default(); 2]
+            vec![cold_state(); 2]
         };
         let got = parallel_map(3, 3, |_| slot.get_or_build(build));
         assert_eq!(builds.load(Ordering::SeqCst), 1, "one build, shared");
@@ -1057,7 +1062,7 @@ mod tests {
         assert!(r.is_err());
         assert!(!slot.is_held(), "a failed build publishes nothing");
         // The poisoned lock is recovered and the next cell rebuilds.
-        let s = slot.get_or_build(|| vec![WarmState::default()]);
+        let s = slot.get_or_build(|| vec![cold_state()]);
         assert_eq!(s.len(), 1);
         assert!(slot.is_held());
     }

@@ -6,7 +6,7 @@
 const TAKEN_THRESHOLD: u8 = 2;
 
 /// GAp predictor state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     /// Global history register (low `history_bits` bits valid).
     ghr: u32,

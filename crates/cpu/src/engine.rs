@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 
-use hbat_core::addr::{PhysAddr, Ppn, VirtAddr, Vpn};
+use hbat_core::addr::{Ppn, VirtAddr, Vpn};
 use hbat_core::cycle::Cycle;
 use hbat_core::request::{TranslateRequest, WritebackKind};
 use hbat_core::translator::AddressTranslator;
@@ -292,9 +292,10 @@ struct ObsFlags {
 /// call [`Engine::run`].
 ///
 /// The engine is generic over a [`Recorder`]; with
-/// [`NullRecorder`] every probe is statically compiled out and the run
-/// is bit-identical to an unobserved one (`Recorder::ENABLED` is a
-/// `const`).
+/// [`NullRecorder`] every probe is statically compiled out
+/// (`Recorder::ENABLED` is a `const`). Any recorder leaves the run
+/// bit-identical to an unobserved one, and observed runs keep the
+/// sleep/wake fast path of the issue scan (see the `asleep` field).
 ///
 /// It replays predecoded [`MicroOp`]s (see `hbat_isa::uop`): every
 /// operand fetch in the per-cycle scans is a plain field read.
@@ -359,9 +360,10 @@ pub struct Engine<'a, R: Recorder = NullRecorder> {
     /// the issue scan skips it. Spurious wakes are harmless — a woken
     /// slot just re-evaluates — so every wake path may over-approximate;
     /// only a *missed* wake would change timing. Sleeping is disabled
-    /// under a live recorder (`R::ENABLED`) and under in-order issue,
-    /// which keeps the legacy full scan as the reference the
-    /// observability byte-identity tests diff this fast path against.
+    /// under in-order issue only, which keeps the full scan. The
+    /// golden obs-record and sampled-window digests were blessed while
+    /// recorders still forced the full scan, so they pin that the fast
+    /// path reports the same probes.
     asleep: u128,
     /// Sleepers blocked on a deferred TLB-miss walk: also woken when any
     /// walk enters the walk table, since a new walk can be shared by any
@@ -441,20 +443,26 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// Installs warm state captured at a checkpoint boundary before the
     /// detailed run starts: pre-walks pages in first-touch order (pinning
     /// the page table's deterministic frame allocation), replays TLB
-    /// entries and cache blocks oldest-first through the stat-free warm
-    /// paths, and restores the branch-predictor tables. Deterministic for
-    /// a given `warm`, so cold and restored differential runs that install
-    /// the same state stay bit-identical.
+    /// entries oldest-first through the stat-free warm path, and clones
+    /// the ready-made caches and predictor. Deterministic for a given
+    /// `warm`, so cold and restored differential runs that install the
+    /// same state stay bit-identical.
+    ///
+    /// # Panics
+    /// If `warm` was built for other cache shapes than this engine's.
     pub fn install_warm(&mut self, warm: &crate::warm::WarmState) {
-        // One walk per distinct page, with the frame captured for the
-        // block replays below (every warm data block's page is in
-        // `pages`, so the lookups never allocate out of order).
-        let mut frames: Vec<(u64, hbat_core::addr::Ppn)> = Vec::with_capacity(warm.pages.len());
-        for &vpn in &warm.pages {
-            let e = self.translator.page_table_mut().walk(Vpn(vpn));
-            frames.push((vpn, e.ppn));
+        assert!(
+            *warm.dcache.config() == self.cfg.dcache && *warm.icache.config() == self.cfg.icache,
+            "warm state built for another cache configuration"
+        );
+        // One walk per distinct page. The warm data cache was translated
+        // through the frames a fresh page table allocates in this order,
+        // so this design's page table must allocate the same ones.
+        let pt = self.translator.page_table_mut();
+        for (&vpn, &frame) in warm.pages.iter().zip(&warm.frames) {
+            let e = pt.walk(Vpn(vpn));
+            debug_assert_eq!(e.ppn.0, frame, "page table allocates other frames");
         }
-        frames.sort_unstable_by_key(|&(v, _)| v);
         // If every touched page fits the design without evictions, the
         // recency list is exact for any replacement policy. Once it
         // overflows, replaying it would churn random-replacement banks
@@ -474,30 +482,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
             e.referenced = true;
             self.translator.warm_insert(e);
         }
-        // Translate the data blocks via the captured frames, then replay
-        // only the blocks LRU replacement would let survive anyway — the
-        // warm list is capped well above one cache's capacity, and the
-        // survivor filter keeps the install cost proportional to the
-        // cache, not the cap (the sampled runner installs per window).
-        let geom = self.translator.geometry();
-        let pas: Vec<u64> = warm
-            .dblocks
-            .iter()
-            .map(|&va| {
-                let vpn = geom.vpn(VirtAddr(va)).0;
-                let i = frames
-                    .binary_search_by_key(&vpn, |&(v, _)| v)
-                    .expect("warm data block outside the touched-page set");
-                geom.splice(frames[i].1, VirtAddr(va)).0
-            })
-            .collect();
-        for pa in self.dcache.warm_survivors(&pas) {
-            self.dcache.warm_insert(PhysAddr(pa));
-        }
-        for pa in self.icache.warm_survivors(&warm.iblocks) {
-            self.icache.warm_insert(PhysAddr(pa));
-        }
-        self.bpred.restore_tables(warm.ghr, &warm.pht);
+        self.dcache = warm.dcache.clone();
+        self.icache = warm.icache.clone();
+        self.bpred = warm.bpred.clone();
     }
 
     // hbat-lint: hot — the per-cycle engine loop: run/commit/issue/dispatch must stay allocation-free
@@ -743,13 +730,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
 
     // ---- sleep/wake scheduling ------------------------------------------
 
-    /// Sleeping applies only to the uninstrumented out-of-order path:
-    /// a live recorder wants the per-cycle stall evidence the full scan
-    /// produces, and in-order issue pivots on its oldest waiting slot
-    /// anyway. `R::ENABLED` is const, so this folds at compile time.
+    /// Sleeping applies to out-of-order issue, observed or not. In-order
+    /// issue pivots on its oldest waiting slot anyway, so it keeps the
+    /// full scan. A recorder loses nothing to sleeping: the one probe a
+    /// sleeping slot's visit would have raised (`walk_wait`) is taken
+    /// from `walk_sleepers` at the start of [`Self::issue`].
     #[inline(always)]
     fn sleep_enabled(&self) -> bool {
-        !R::ENABLED && self.cfg.issue_model == IssueModel::OutOfOrder
+        self.cfg.issue_model == IssueModel::OutOfOrder
     }
 
     /// Schedules a wake for slot `id` at cycle `at` (clamped into the
@@ -1140,6 +1128,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let mut issue_slots = self.cfg.width;
         let in_order = self.cfg.issue_model == IssueModel::InOrder;
         let use_sleep = self.sleep_enabled();
+        if R::ENABLED && self.walk_sleepers != 0 {
+            // A full scan would visit each of these sleepers and find
+            // it sitting on its pending walk; the evidence is the same.
+            self.obs.walk_wait = true;
+        }
         // Snapshot of the not-yet-complete slots: the legacy loop visited
         // every ROB index and `continue`d the completed ones; walking the
         // set bits visits exactly the remainder, in the same ascending

@@ -96,8 +96,9 @@ pub fn simulate_uops_with_recorder<R: hbat_obs::Recorder>(
 
 /// Like [`simulate_uops_with_recorder`], but installing checkpointed
 /// warm state (TLB entries, cache blocks, branch-predictor tables — see
-/// [`warm`]) before the detailed run starts. Passing an empty
-/// [`WarmState`] is equivalent to [`simulate_uops_with_recorder`].
+/// [`warm`]) before the detailed run starts. Installing the
+/// [`WarmState`] of an accumulator that has seen nothing is equivalent
+/// to [`simulate_uops_with_recorder`].
 pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     cfg: &SimConfig,
     uops: &[MicroOp],

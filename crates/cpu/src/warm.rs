@@ -20,8 +20,12 @@
 //!   continues bit-identically to one that accumulated the whole prefix
 //!   cold.
 //! * [`WarmState`] is the *install* form handed to the timing engine,
-//!   from [`WarmAccumulator::warm_state`]: recency-ordered key lists
-//!   truncated to fixed caps. Nothing is rebuilt from it.
+//!   from [`WarmAccumulator::warm_state`]. Its design-independent half
+//!   is built ready to clone: the data and instruction caches with the
+//!   warm blocks already replayed, and the trained branch predictor.
+//!   Only the page and TLB lists stay key lists, because every design
+//!   pre-walks its own page table and replays its own TLB. Nothing is
+//!   rebuilt from it.
 //!
 //! The accumulator is also the *gap mode* of SMARTS-style sampling
 //! (DESIGN.md §15): between detailed windows the simulator only has to
@@ -35,10 +39,12 @@
 
 use std::collections::HashMap;
 
-use hbat_core::addr::{PageGeometry, VirtAddr};
+use hbat_core::addr::{PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_core::hash::FastHashBuilder;
+use hbat_core::pagetable::PageTable;
 use hbat_isa::uop::MicroOp;
+use hbat_mem::cache::{Cache, CacheConfig};
 
 use crate::bpred::BranchPredictor;
 use crate::config::SimConfig;
@@ -55,12 +61,21 @@ pub const WARM_DBLOCK_CAP: usize = 4096;
 pub const WARM_IBLOCK_CAP: usize = 4096;
 
 /// Warm state in install form: what [`crate::engine::Engine::install_warm`]
-/// replays before the detailed run starts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// installs before the detailed run starts.
+///
+/// The caches and the predictor do not depend on the translation
+/// design, so they are built here once and cloned by each install. The
+/// data cache is physically tagged, so its blocks were translated
+/// through `frames`: the frames a fresh `PageTable` allocates when
+/// `pages` are walked in order. Every Table-2 design builds exactly such
+/// a page table, and the install checks that in debug builds.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmState {
     /// All distinct data VPNs in first-touch order (reproduces frame
     /// allocation when pre-walked in order).
     pub pages: Vec<u64>,
+    /// The frame (PPN) of each of `pages`, in the same order.
+    pub frames: Vec<u64>,
     /// Data VPNs to warm the TLB with, oldest touch first.
     pub tlb: Vec<u64>,
     /// Residents of the [`SteadyTlb`] random-replacement model, oldest
@@ -70,15 +85,13 @@ pub struct WarmState {
     /// frequency-shaped, not recency-shaped) that a one-shot recency
     /// replay cannot reproduce.
     pub tlb_steady: Vec<u64>,
-    /// Virtual block addresses to warm the data cache with, oldest first.
-    pub dblocks: Vec<u64>,
-    /// Physical block addresses to warm the instruction cache with,
-    /// oldest first.
-    pub iblocks: Vec<u64>,
-    /// Trained global history register.
-    pub ghr: u32,
-    /// Trained pattern history table.
-    pub pht: Vec<u8>,
+    /// The data cache holding the newest warm data blocks, replayed
+    /// oldest-first.
+    pub dcache: Cache,
+    /// The instruction cache holding the newest warm fetch blocks.
+    pub icache: Cache,
+    /// A fresh predictor carrying the trained history and tables.
+    pub bpred: BranchPredictor,
 }
 
 /// Exact accumulator state, as serialised in a checkpoint.
@@ -361,6 +374,8 @@ impl SteadyTlb {
 #[derive(Debug, Clone)]
 pub struct WarmAccumulator {
     geom: PageGeometry,
+    dcache: CacheConfig,
+    icache: CacheConfig,
     dblock_mask: u64,
     iblock_mask: u64,
     pages: Vec<u64>,
@@ -374,11 +389,13 @@ pub struct WarmAccumulator {
 
 impl WarmAccumulator {
     /// Creates an empty accumulator for the given machine configuration
-    /// (block sizes come from the cache configs; the predictor mirrors the
-    /// engine's Table 1 shape).
+    /// (the install-form caches take the configured shapes; the
+    /// predictor mirrors the engine's Table 1 shape).
     pub fn new(cfg: &SimConfig, geom: PageGeometry) -> Self {
         WarmAccumulator {
             geom,
+            dcache: cfg.dcache,
+            icache: cfg.icache,
             dblock_mask: !(cfg.dcache.block_bytes - 1),
             iblock_mask: !(cfg.icache.block_bytes - 1),
             pages: Vec::new(),
@@ -450,22 +467,62 @@ impl WarmAccumulator {
         }
     }
 
-    /// The install form of the current state: the newest keys up to the
-    /// warm caps, oldest-first so LRU replay leaves the most recent
-    /// touches youngest. Selected directly on the stamp tables, without
-    /// sorting every key; sampled runs derive a fresh install state per
-    /// detailed window, so this sits on their per-window path.
+    /// The install form of the current state. The TLB lists keep the
+    /// newest keys up to the warm caps, oldest-first, so a replay leaves
+    /// the most recent touches youngest. The caches are built here:
+    /// the data blocks are translated through the frames a fresh page
+    /// table allocates to `pages`, and each cache replays only the blocks
+    /// LRU replacement would keep anyway (the warm lists are capped well
+    /// above one cache's capacity). Sampled runs build one state per
+    /// window and every design installs it, so this is the
+    /// design-independent part of the per-window cost.
+    ///
+    /// # Panics
+    /// If a warm data block lies on a page missing from `pages`; every
+    /// noted access records its page, so this is a corrupted accumulator.
     pub fn warm_state(&self) -> WarmState {
+        let mut pt = PageTable::new(self.geom);
+        let frames: Vec<u64> = self.pages.iter().map(|&v| pt.walk(Vpn(v)).ppn.0).collect();
+        let mut by_vpn: Vec<(u64, u64)> = self
+            .pages
+            .iter()
+            .copied()
+            .zip(frames.iter().copied())
+            .collect();
+        by_vpn.sort_unstable_by_key(|&(v, _)| v);
+        let geom = self.geom;
+        let pas: Vec<u64> = self
+            .dblocks
+            .newest_keys(WARM_DBLOCK_CAP)
+            .into_iter()
+            .map(|va| {
+                let vpn = geom.vpn(VirtAddr(va)).0;
+                let i = by_vpn
+                    .binary_search_by_key(&vpn, |&(v, _)| v)
+                    .expect("warm data block outside the touched-page set");
+                geom.splice(Ppn(by_vpn[i].1), VirtAddr(va)).0
+            })
+            .collect();
+        let mut dcache = Cache::new(self.dcache);
+        for pa in dcache.warm_survivors(&pas) {
+            dcache.warm_insert(PhysAddr(pa));
+        }
+        let mut icache = Cache::new(self.icache);
+        for pa in icache.warm_survivors(&self.iblocks.newest_keys(WARM_IBLOCK_CAP)) {
+            icache.warm_insert(PhysAddr(pa));
+        }
+        let mut bpred = BranchPredictor::table1();
+        bpred.restore_tables(self.bpred.ghr(), self.bpred.pht());
         WarmState {
             pages: self.pages.clone(),
+            frames,
             tlb: self.tlb.newest_keys(WARM_TLB_CAP),
             tlb_steady: self
                 .steady
                 .residents_by(|vpn| self.tlb.get(vpn).unwrap_or(0)),
-            dblocks: self.dblocks.newest_keys(WARM_DBLOCK_CAP),
-            iblocks: self.iblocks.newest_keys(WARM_IBLOCK_CAP),
-            ghr: self.bpred.ghr(),
-            pht: self.bpred.pht().to_vec(),
+            dcache,
+            icache,
+            bpred,
         }
     }
 
@@ -674,8 +731,26 @@ mod tests {
     fn predictor_tables_survive_export() {
         let acc = accumulate(&[branch(7, true); 100]);
         let w = acc.warm_state();
-        let mut p = BranchPredictor::table1();
-        p.restore_tables(w.ghr, &w.pht);
-        assert!(p.predict(7), "trained always-taken branch");
+        assert!(w.bpred.predict(7), "trained always-taken branch");
+        assert_eq!(w.bpred.predictions(), 0, "accuracy counts start fresh");
+    }
+
+    #[test]
+    fn warm_caches_hold_the_newest_blocks_through_the_first_touch_frames() {
+        // Page 5 is touched first, so it gets the first frame a fresh
+        // page table hands out; page 2 gets the second.
+        let acc = accumulate(&[load(0, 0x5010), load(64, 0x2020)]);
+        let w = acc.warm_state();
+        assert_eq!(w.pages, vec![5, 2]);
+        let mut pt = PageTable::new(PageGeometry::KB4);
+        let f5 = pt.walk(Vpn(5)).ppn;
+        let f2 = pt.walk(Vpn(2)).ppn;
+        assert_eq!(w.frames, vec![f5.0, f2.0]);
+        let geom = PageGeometry::KB4;
+        assert!(w.dcache.contains(geom.splice(f5, VirtAddr(0x5010))));
+        assert!(w.dcache.contains(geom.splice(f2, VirtAddr(0x2020))));
+        assert!(w.icache.contains(PhysAddr(0)));
+        assert!(w.icache.contains(PhysAddr(256)));
+        assert_eq!(w.dcache.stats().accesses, 0, "a warm install is stat-free");
     }
 }

@@ -85,7 +85,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     dirty: bool,
@@ -139,7 +139,7 @@ impl CacheAccess {
 /// assert!(matches!(first, CacheAccess::Served { was_miss: true, .. }));
 /// assert!(matches!(again, CacheAccess::Served { was_miss: false, .. }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// All lines in one flat array, `ways` entries per set (set-major):
