@@ -187,9 +187,13 @@ pub fn plan_windows(plan: &SamplePlan, n_ops: u64) -> Vec<SampleWindow> {
 /// detailed slice) is what makes the measurement steady-state: the
 /// in-flight work the window inherits from the warmup at open is
 /// balanced by the in-flight work it leaves behind at close. The
-/// issue/stall probe of a boundary cycle fires before its commit
-/// probe, so the opening cycle is excluded and the closing cycle
-/// included; the boundary is deterministic to the cycle.
+/// engine commits before it issues, so a cycle's commit probe fires
+/// before its issue/stall probe: the opening cycle is counted and the
+/// closing cycle is not, and a window's `cycles` is the distance
+/// between its opening and closing commit cycles (a gate with
+/// `skip == 0` opens at cycle 0). Once closed the gate is
+/// [`finished`](Recorder::finished), so the engine stops right after
+/// the closing cycle instead of simulating the rest of the slice.
 #[derive(Debug)]
 pub struct WindowGate {
     skip: u64,
@@ -302,6 +306,10 @@ impl Recorder for WindowGate {
     fn sample_interval(&self) -> u64 {
         hbat_obs::interval::DEFAULT_SAMPLE_INTERVAL
     }
+
+    fn finished(&self) -> bool {
+        self.done
+    }
 }
 
 /// One sampled cell's result: the per-window measurements plus their
@@ -406,36 +414,45 @@ pub fn run_sampled_windows(
         schedule.len(),
         "schedule built for another plan"
     );
-    // The detailed slice runs past the measured window by a drain
-    // margin so the gate closes while the pipeline is still full —
-    // ending the simulation exactly at the window boundary would let
-    // the window pocket the warmup's in-flight head start (up to a
-    // ROB's worth of pre-issued work) without paying any tail, biasing
-    // IPC high by roughly rob_entries / window_len.
-    let drain = 4 * cfg.sim.rob_entries;
     let records = windows
         .iter()
         .zip(schedule)
         .map(|(w, warm)| {
-            let detail_end = (w.end as usize).saturating_add(drain).min(ops.len());
-            let detail_ops = ops
-                .get(w.warm_start as usize..detail_end)
-                .unwrap_or_default();
-            let mut translator = design.build(cfg.geometry, cfg.design_seed);
             let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-            let _metrics = simulate_uops_warm_with_recorder(
-                &cfg.sim,
-                detail_ops,
-                translator.as_mut(),
-                warm,
-                &mut gate,
-            );
+            time_window(ops, w, design, cfg, warm, &mut gate);
             let mut rec = gate.record();
             rec.start = w.meas_start;
             rec
         })
         .collect();
     SampledCell::from_windows(records)
+}
+
+/// Times window `w` of `ops` in detail under `design`, starting from
+/// `warm` and reporting to `rec`. The detailed slice is the window's
+/// warmup and measured ops plus a drain margin of `4 × rob_entries`
+/// ops, so the gate closes while the pipeline is still full. Ending
+/// the slice exactly at the window boundary would let the window
+/// pocket the warmup's in-flight head start (up to a ROB's worth of
+/// pre-issued work) without paying any tail, biasing IPC high by
+/// roughly `rob_entries / window_len`. A [`WindowGate`] finishes at its
+/// close and the run ends there, so the margin is fetched behind the
+/// measured ops but not simulated past the close.
+fn time_window<R: Recorder>(
+    ops: &[MicroOp],
+    w: &SampleWindow,
+    design: DesignSpec,
+    cfg: &ExperimentConfig,
+    warm: &WarmState,
+    rec: R,
+) -> RunMetrics {
+    let drain = 4 * cfg.sim.rob_entries;
+    let detail_end = (w.end as usize).saturating_add(drain).min(ops.len());
+    let detail_ops = ops
+        .get(w.warm_start as usize..detail_end)
+        .unwrap_or_default();
+    let mut translator = design.build(cfg.geometry, cfg.design_seed);
+    simulate_uops_warm_with_recorder(&cfg.sim, detail_ops, translator.as_mut(), warm, rec)
 }
 
 /// Runs one sampled (trace, design) cell: [`warm_schedule`] then
@@ -504,6 +521,7 @@ pub fn ipc_interval(windows: &[IntervalRecord], level: ConfLevel) -> ConfidenceI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_obs::Tee;
     use hbat_workloads::Scale;
 
     fn plan(n: u64, len: u64, warm: u64) -> SamplePlan {
@@ -605,7 +623,9 @@ mod tests {
         assert_eq!(r.committed, 2, "excess beyond the warmup is measured");
         assert_eq!(r.tlb_lookups, 0, "pre-open lookups are discarded");
         // 3 stall/issue cycle pairs; the limit of 5 is reached on the
-        // last commit (probes within a cycle fire before its commit).
+        // last commit. (This synthetic sequence fires a cycle's other
+        // probes before its commit; the engine's order, commit first,
+        // is checked below.)
         for now in 4..7u64 {
             g.stall_cycle(2 * now, StallCause::DcacheMiss);
             g.issue_cycle(2 * now + 1, 1);
@@ -638,6 +658,40 @@ mod tests {
         g.commit_cycle(1, 2);
         assert_eq!(g.record().cycles, 2);
         assert_eq!(g.record().committed, 2);
+
+        // The engine's order: each cycle commits, then looks up, then
+        // charges the cycle to issue or a stall. The opening cycle (1)
+        // is counted and the closing cycle (3) is not.
+        let mut g = WindowGate::new(4, 6);
+        let cycles: [(u32, Option<u32>); 5] = [
+            (2, Some(2)),
+            (3, Some(1)),
+            (2, None),
+            (4, Some(3)),
+            (1, Some(1)),
+        ];
+        for (now, &(committed, issued)) in cycles.iter().enumerate() {
+            let now = now as u64;
+            g.commit_cycle(now, committed);
+            g.tlb_lookup(now, false);
+            match issued {
+                Some(n) => g.issue_cycle(now, n),
+                None => g.stall_cycle(now, StallCause::NoReadyOp),
+            }
+            assert_eq!(g.finished(), now >= 3, "finished from the close on");
+        }
+        let r = g.record();
+        assert_eq!(r.committed, 6, "1 excess at open + 2 + 3 clipped at close");
+        assert_eq!(
+            r.cycles,
+            3 - 1,
+            "closing commit cycle - opening commit cycle"
+        );
+        assert_eq!((r.issue_cycles, r.stall_cycles()), (1, 1));
+        assert_eq!(
+            r.tlb_lookups, 2,
+            "cycles 1 and 2; the close shuts out cycle 3's"
+        );
     }
 
     #[test]
@@ -770,6 +824,87 @@ mod tests {
         );
         // 900 ops hold three 250-op windows, not the eight asked for.
         assert_eq!(check(0, &full[..900], None, &plan(8, 200, 50)), 3);
+    }
+
+    /// Logs every commit cycle with the running committed count, and
+    /// never finishes.
+    #[derive(Default)]
+    struct CommitLog(Vec<(u64, u64)>);
+    impl Recorder for CommitLog {
+        const ENABLED: bool = true;
+        fn commit_cycle(&mut self, now: u64, committed: u32) {
+            let total = self.0.last().map_or(0, |&(_, t)| t) + u64::from(committed);
+            self.0.push((now, total));
+        }
+    }
+
+    // On the real engine, a window's cycles run from the cycle whose
+    // commit opens the gate (counted) to the one whose commit closes it
+    // (not counted), and a gate-only run stops right after the close
+    // with the commits it retired.
+    #[test]
+    fn window_cycles_span_the_opening_to_the_closing_commit_cycle() {
+        use hbat_workloads::Benchmark;
+        let cfg = ExperimentConfig::baseline(Scale::Test);
+        let design = DesignSpec::MultiPorted { ports: 4 };
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let ops = uops.ops();
+        let p = plan(6, 400, 100);
+        let schedule = warm_schedule(ops, &cfg, None, &p);
+        for (w, warm) in plan_windows(&p, ops.len() as u64).iter().zip(&schedule) {
+            let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
+            let (mut gate, mut log) = (WindowGate::new(skip, limit), CommitLog::default());
+            time_window(ops, w, design, &cfg, warm, Tee::new(&mut gate, &mut log));
+            let first_reaching = |n: u64| *log.0.iter().find(|&&(_, t)| t >= n).unwrap();
+            let open = first_reaching(skip).0;
+            let (close, retired) = first_reaching(skip + limit);
+            assert_eq!(gate.record().cycles, close - open, "{w:?}");
+            assert_eq!(gate.record().committed, limit);
+
+            let mut stopped = WindowGate::new(skip, limit);
+            let m = time_window(ops, w, design, &cfg, warm, &mut stopped);
+            assert_eq!(stopped.record(), gate.record(), "{w:?}");
+            assert_eq!(m.cycles, close + 1, "stops after the closing cycle");
+            assert_eq!(m.committed, retired, "reports what it retired");
+        }
+    }
+
+    // Stopping at the close changes no measurement: for every Table-2
+    // design under both issue models, the sampled cell equals one whose
+    // gate is teed with a recorder that never finishes, and the stopped
+    // runs simulate fewer cycles.
+    #[test]
+    fn early_stop_leaves_every_window_record_unchanged() {
+        use hbat_workloads::Benchmark;
+        let p = plan(6, 400, 100);
+        for cfg in [
+            ExperimentConfig::baseline(Scale::Test),
+            ExperimentConfig::baseline(Scale::Test).with_inorder(),
+        ] {
+            let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+            let ops = uops.ops();
+            let windows = plan_windows(&p, ops.len() as u64);
+            let schedule = warm_schedule(ops, &cfg, None, &p);
+            for design in DesignSpec::TABLE2 {
+                let cell = run_sampled_windows(ops, design, &cfg, &p, &schedule);
+                let (mut stopped_cycles, mut full_cycles) = (0, 0);
+                for ((w, warm), got) in windows.iter().zip(&schedule).zip(&cell.windows) {
+                    let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
+                    let mut gate = WindowGate::new(skip, limit);
+                    let tee = Tee::new(&mut gate, hbat_obs::NullRecorder);
+                    full_cycles += time_window(ops, w, design, &cfg, warm, tee).cycles;
+                    let mut want = gate.record();
+                    want.start = w.meas_start;
+                    assert_eq!(*got, want, "{design:?} {:?} {w:?}", cfg.sim.issue_model);
+                    let mut gate = WindowGate::new(skip, limit);
+                    stopped_cycles += time_window(ops, w, design, &cfg, warm, &mut gate).cycles;
+                }
+                assert!(
+                    stopped_cycles < full_cycles,
+                    "{design:?}: stopped {stopped_cycles} vs full {full_cycles} cycles"
+                );
+            }
+        }
     }
 
     #[test]

@@ -396,6 +396,58 @@ impl<'a, R: Recorder> Engine<'a, R> {
         translator: &'a mut dyn AddressTranslator,
         rec: R,
     ) -> Self {
+        let (dcache, icache) = (Cache::new(cfg.dcache), Cache::new(cfg.icache));
+        let bpred = BranchPredictor::table1();
+        Engine::assemble(cfg, trace, translator, rec, dcache, icache, bpred)
+    }
+
+    /// Like [`with_recorder`](Engine::with_recorder), but starting from
+    /// warm state captured at a checkpoint boundary: pre-walks pages in
+    /// first-touch order (pinning the page table's deterministic frame
+    /// allocation), replays TLB entries oldest-first through the
+    /// stat-free warm path, and starts from clones of the ready-made
+    /// caches and predictor. Deterministic for a given `warm`, so cold
+    /// and restored differential runs that start from the same state
+    /// stay bit-identical.
+    ///
+    /// # Panics
+    /// If `warm` was built for other cache shapes than `cfg`'s.
+    pub fn with_warm(
+        cfg: &'a SimConfig,
+        trace: &'a [MicroOp],
+        translator: &'a mut dyn AddressTranslator,
+        warm: &crate::warm::WarmState,
+        rec: R,
+    ) -> Self {
+        assert!(
+            *warm.dcache.config() == cfg.dcache && *warm.icache.config() == cfg.icache,
+            "warm state built for another cache configuration"
+        );
+        let (dcache, icache) = (warm.dcache.clone(), warm.icache.clone());
+        let mut e = Engine::assemble(
+            cfg,
+            trace,
+            translator,
+            rec,
+            dcache,
+            icache,
+            warm.bpred.clone(),
+        );
+        e.warm_translator(warm);
+        e
+    }
+
+    /// The one constructor body: a cold pipeline around the given
+    /// caches and predictor.
+    fn assemble(
+        cfg: &'a SimConfig,
+        trace: &'a [MicroOp],
+        translator: &'a mut dyn AddressTranslator,
+        rec: R,
+        dcache: Cache,
+        icache: Cache,
+        bpred: BranchPredictor,
+    ) -> Self {
         assert!(
             cfg.rob_entries <= 128,
             "the issue-stage active mask holds at most 128 ROB entries"
@@ -416,10 +468,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
             lsq_occupancy: 0,
             rename: [PROD_NONE; 64],
             fus: FuPool::new(cfg),
-            dcache: Cache::new(cfg.dcache),
-            icache: Cache::new(cfg.icache),
+            dcache,
+            icache,
             iblock_shift: cfg.icache.block_bytes.trailing_zeros(),
-            bpred: BranchPredictor::table1(),
+            bpred,
             fetch_stall_until: Cycle::ZERO,
             dispatch_stall_until: Cycle::ZERO,
             spec_tlb_miss_stall: false,
@@ -440,21 +492,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
-    /// Installs warm state captured at a checkpoint boundary before the
-    /// detailed run starts: pre-walks pages in first-touch order (pinning
-    /// the page table's deterministic frame allocation), replays TLB
-    /// entries oldest-first through the stat-free warm path, and clones
-    /// the ready-made caches and predictor. Deterministic for a given
-    /// `warm`, so cold and restored differential runs that install the
-    /// same state stay bit-identical.
-    ///
-    /// # Panics
-    /// If `warm` was built for other cache shapes than this engine's.
-    pub fn install_warm(&mut self, warm: &crate::warm::WarmState) {
-        assert!(
-            *warm.dcache.config() == self.cfg.dcache && *warm.icache.config() == self.cfg.icache,
-            "warm state built for another cache configuration"
-        );
+    /// The translator half of [`with_warm`](Engine::with_warm): page
+    /// walks in first-touch order, then the TLB replay.
+    fn warm_translator(&mut self, warm: &crate::warm::WarmState) {
         // One walk per distinct page. The warm data cache was translated
         // through the frames a fresh page table allocates in this order,
         // so this design's page table must allocate the same ones.
@@ -482,13 +522,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
             e.referenced = true;
             self.translator.warm_insert(e);
         }
-        self.dcache = warm.dcache.clone();
-        self.icache = warm.icache.clone();
-        self.bpred = warm.bpred.clone();
     }
 
     // hbat-lint: hot — the per-cycle engine loop: run/commit/issue/dispatch must stay allocation-free
-    /// Runs to completion and returns the metrics.
+    /// Runs to completion, or until the recorder reports
+    /// [`finished`](Recorder::finished) after a cycle, and returns the
+    /// metrics of the cycles actually simulated.
     ///
     /// # Panics
     ///
@@ -496,7 +535,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// input condition) or if the engine stops making progress.
     pub fn run(mut self) -> RunMetrics {
         let mut idle_cycles = 0u64;
-        while self.next_fetch < self.trace.len() || self.rob_len > 0 {
+        while (self.next_fetch < self.trace.len() || self.rob_len > 0)
+            && !(R::ENABLED && self.rec.finished())
+        {
             assert!(self.now.0 < self.cfg.max_cycles, "cycle budget exceeded");
             self.begin_cycle();
             let issued_before = self.metrics.issued;
@@ -544,7 +585,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.now += 1;
         }
         self.metrics.cycles = self.now.0;
-        self.metrics.committed = self.trace.len() as u64;
+        // Fetched real ops less those still in the ROB: the whole trace
+        // after a complete run, the retired prefix after an early stop.
+        let in_flight = (0..self.rob_len).filter(|&i| !self.slot(i).phantom).count();
+        self.metrics.committed = (self.next_fetch - in_flight) as u64;
         self.metrics.tlb = *self.translator.stats();
         self.metrics.dcache = *self.dcache.stats();
         self.metrics.icache = *self.icache.stats();

@@ -65,7 +65,10 @@ pub fn simulate_uops(
 
 /// Like [`simulate_uops`], but reporting cycle-level observations to
 /// `rec` (see `hbat-obs`). Pass the recorder by `&mut` to inspect it
-/// after the run; enabling one never changes the returned metrics.
+/// after the run. Enabling a recorder never changes the returned
+/// metrics, unless it [`finished`](hbat_obs::Recorder::finished) early:
+/// the run then ends there and reports the cycles and commits it
+/// simulated.
 ///
 /// ```
 /// # use hbat_core::designs::spec::DesignSpec;
@@ -106,7 +109,5 @@ pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     warm: &WarmState,
     rec: R,
 ) -> RunMetrics {
-    let mut e = engine::Engine::with_recorder(cfg, uops, translator, rec);
-    e.install_warm(warm);
-    e.run()
+    engine::Engine::with_warm(cfg, uops, translator, warm, rec).run()
 }

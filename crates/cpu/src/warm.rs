@@ -60,7 +60,7 @@ pub const WARM_DBLOCK_CAP: usize = 4096;
 /// Most-recent instruction-cache blocks kept for install time.
 pub const WARM_IBLOCK_CAP: usize = 4096;
 
-/// Warm state in install form: what [`crate::engine::Engine::install_warm`]
+/// Warm state in install form: what [`crate::engine::Engine::with_warm`]
 /// installs before the detailed run starts.
 ///
 /// The caches and the predictor do not depend on the translation

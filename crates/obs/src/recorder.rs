@@ -195,6 +195,15 @@ pub trait Recorder {
     fn sample_interval(&self) -> u64 {
         0
     }
+
+    /// Whether this recorder has taken everything it will ever take.
+    /// The engine checks it after each cycle and ends the run once it
+    /// holds, so a recorder that measures a bounded span (a sampled
+    /// window) stops the simulation there. Recorders that observe a
+    /// whole run never finish.
+    fn finished(&self) -> bool {
+        false
+    }
 }
 
 /// The do-nothing recorder: every probe is an empty `#[inline]` default
@@ -247,6 +256,10 @@ impl<R: Recorder> Recorder for &mut R {
 
     fn sample_interval(&self) -> u64 {
         (**self).sample_interval()
+    }
+
+    fn finished(&self) -> bool {
+        (**self).finished()
     }
 }
 
@@ -320,6 +333,12 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
             (a, 0) => a,
             (a, b) => a.min(b),
         }
+    }
+
+    /// Finished only once both sides are: the run must go on while
+    /// either still observes it.
+    fn finished(&self) -> bool {
+        self.a.finished() && self.b.finished()
     }
 }
 
@@ -431,6 +450,47 @@ mod tests {
             },
         );
         assert_eq!(zero.sample_interval(), 64);
+    }
+
+    // A recorder that finishes on demand, to drive `finished` through
+    // the delegation and fan-out impls.
+    struct Closes(bool);
+    impl Recorder for Closes {
+        const ENABLED: bool = true;
+        fn finished(&self) -> bool {
+            self.0
+        }
+    }
+
+    // Asks `r` itself, so a `&mut` argument goes through the
+    // delegation impl.
+    fn finished_as<R: Recorder>(r: R) -> bool {
+        r.finished()
+    }
+
+    #[test]
+    fn null_recorder_never_finishes() {
+        assert!(!NullRecorder.finished());
+        assert!(!finished_as(&mut NullRecorder));
+    }
+
+    #[test]
+    fn mut_ref_delegates_finished() {
+        assert!(!finished_as(&mut Closes(false)));
+        assert!(finished_as(&mut Closes(true)));
+        // Nested borrows delegate all the way down.
+        assert!(finished_as(&mut &mut Closes(true)));
+    }
+
+    #[test]
+    fn tee_finishes_only_when_both_sides_have() {
+        assert!(!Tee::new(Closes(false), Closes(false)).finished());
+        assert!(!Tee::new(Closes(true), Closes(false)).finished());
+        assert!(!Tee::new(Closes(false), Closes(true)).finished());
+        assert!(Tee::new(Closes(true), Closes(true)).finished());
+        // A never-finishing side keeps the run going.
+        assert!(!Tee::new(Closes(true), NullRecorder).finished());
+        assert!(!Tee::new(NullRecorder, Closes(true)).finished());
     }
 
     #[test]
