@@ -539,7 +539,13 @@ impl SharedSchedule {
     /// next cell (or the retry) builds it afresh.
     fn get_or_build(&self, build: impl FnOnce() -> Vec<WarmState>) -> Arc<Vec<WarmState>> {
         let mut state = unpoisoned(self.state.lock());
-        state.0.get_or_insert_with(|| Arc::new(build())).clone()
+        state
+            .0
+            .get_or_insert_with(|| {
+                let _build = prof::scope("sched-build");
+                Arc::new(build())
+            })
+            .clone()
     }
 
     /// Marks one of the program's cells finished; the last one drops
@@ -558,6 +564,29 @@ impl SharedSchedule {
     fn is_held(&self) -> bool {
         unpoisoned(self.state.lock()).0.is_some()
     }
+}
+
+/// The order the workers claim a `rows × cols` grid of cells in, as
+/// grid indices. Each program's first cell is handed out `lookahead`
+/// programs early, ahead of the current program's remaining cells: at
+/// lookahead 1 the order is `p0d0, p1d0, p0d1..dN, p2d0, p1d1..dN, …`.
+/// In a sampled sweep the first cell builds the program's warm
+/// schedule, so with `threads − 1` lookahead a worker that would wait
+/// on the current program's build builds the next one instead, and
+/// about `threads + 1` schedules are held at once. Lookahead 0 is grid
+/// order.
+fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
+    if cols == 0 {
+        return Vec::new();
+    }
+    let mut order: Vec<usize> = (0..rows.min(lookahead + 1)).map(|b| b * cols).collect();
+    for b in 0..rows {
+        order.extend(b * cols + 1..(b + 1) * cols);
+        if b + lookahead + 1 < rows {
+            order.push((b + lookahead + 1) * cols);
+        }
+    }
+    order
 }
 
 /// Exercises the corrupt-input recovery path for a `CorruptTrace`
@@ -768,10 +797,19 @@ pub fn sweep_ft_on(
             .collect(),
         None => Vec::new(),
     };
+    // A sampled sweep looks ahead so schedule builds overlap other
+    // programs' windows; see `dispatch_order`. Everything but the order
+    // the workers claim cells in stays indexed by grid position.
+    let lookahead = match opts.sample {
+        Some(_) => threads.saturating_sub(1),
+        None => 0,
+    };
+    let order = dispatch_order(benches.len(), designs.len(), lookahead);
     let phase_detailed = prof::scope("detailed-run");
     // hbat-lint: allow(panic) bi/di derive from i < n_cells, and a panic inside a cell job is exactly what the isolation layer catches
-    let (flat, cell_exec) = timed(|| {
-        parallel_map_outcomes(n_cells, threads, &opts.policy, |i, ctx| {
+    let (by_claim, cell_exec) = timed(|| {
+        parallel_map_outcomes(n_cells, threads, &opts.policy, |claim, ctx| {
+            let i = order[claim];
             let (bi, di) = (i / designs.len(), i % designs.len());
             let key = key_of(bi, di);
             let done = |metrics: RunMetrics, windows: Vec<IntervalRecord>| {
@@ -836,7 +874,10 @@ pub fn sweep_ft_on(
                     };
                     let schedule =
                         schedules[bi].get_or_build(|| warm_schedule(ops, cfg, start, plan));
-                    let cell = run_sampled_windows(ops, designs[di], cfg, plan, &schedule);
+                    let cell = {
+                        let _windows = prof::scope("windows");
+                        run_sampled_windows(ops, designs[di], cfg, plan, &schedule)
+                    };
                     drop(schedule);
                     schedules[bi].finish_cell();
                     (cell.metrics, None, Some((cell.windows, 0)))
@@ -911,10 +952,15 @@ pub fn sweep_ft_on(
     });
     drop(phase_detailed);
 
-    // A cell job's own outcome (completed, or skipped for want of a
-    // trace) inside its isolation outcome: flatten, then split into the
-    // manifest and rows.
-    let flat: Vec<CellOutcome<CellResult>> = flat.into_iter().map(|o| o.and_then(|o| o)).collect();
+    // Back into grid order. A cell job's own outcome (completed, or
+    // skipped for want of a trace) inside its isolation outcome:
+    // flatten, then split into the manifest and rows.
+    let mut by_grid: Vec<(usize, _)> = order.into_iter().zip(by_claim).collect();
+    by_grid.sort_unstable_by_key(|&(i, _)| i);
+    let flat: Vec<CellOutcome<CellResult>> = by_grid
+        .into_iter()
+        .map(|(_, o)| o.and_then(|o| o))
+        .collect();
     let failures = flat.iter().enumerate().filter(|(_, o)| !o.is_ok());
     // hbat-lint: allow(panic) i < n_cells = benches.len() * designs.len()
     let manifest = FailureManifest {
@@ -977,6 +1023,27 @@ pub fn scale_from_args() -> Scale {
 mod tests {
     use super::*;
     use crate::executor::parallel_map;
+
+    #[test]
+    fn dispatch_order_hands_out_first_cells_early_and_permutes_the_grid() {
+        assert_eq!(dispatch_order(3, 4, 0), (0..12).collect::<Vec<_>>());
+        assert_eq!(
+            dispatch_order(3, 3, 1),
+            [0, 3, 1, 2, 6, 4, 5, 7, 8],
+            "p0d0, p1d0, p0 rest, p2d0, p1 rest, p2 rest"
+        );
+        assert_eq!(dispatch_order(3, 3, 2), [0, 3, 6, 1, 2, 4, 5, 7, 8]);
+        // A lookahead past the last program, one-design rows and an
+        // empty grid.
+        assert_eq!(dispatch_order(2, 3, 7), [0, 3, 1, 2, 4, 5]);
+        assert_eq!(dispatch_order(4, 1, 1), [0, 1, 2, 3]);
+        assert!(dispatch_order(5, 0, 1).is_empty());
+        for (rows, cols, ahead) in [(10, 13, 1), (10, 13, 3), (1, 13, 1), (10, 2, 9)] {
+            let mut order = dispatch_order(rows, cols, ahead);
+            order.sort_unstable();
+            assert_eq!(order, (0..rows * cols).collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn tiny_sweep_produces_sane_relative_ipcs() {
