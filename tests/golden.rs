@@ -19,8 +19,14 @@
 //! under I4/M8/P8 and under all 13 Table-2 designs, and by the
 //! 256-cycle interval windows of every workload under T1.
 //!
+//! The checkpointed paths are pinned by a Figure-5 sweep fast-forwarded
+//! to instruction 20,000 (`hbat sweep --ff 20000 --ckpt-dir <dir>`):
+//! every cell's metrics, and every window of the same sweep sampled
+//! under `6:400:100`.
+//!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
+use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::executor::TraceCache;
 use hbat_suite::bench::experiment::{
     config_fingerprint, render_obs_record, run_cell_uops_with, sweep, sweep_ft_on, uops_for,
@@ -123,20 +129,62 @@ fn fig9_small_regs() {
     );
 }
 
+/// The Figure-5 sweep under `opts`, failing on any failed cell.
+fn fig5_with(opts: &SweepOptions) -> SweepResult {
+    let r = sweep_ft_on(&DesignSpec::TABLE2, &test_cfg(), opts, TraceCache::global()).unwrap();
+    assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+    r
+}
+
+fn sample_6_400_100() -> Option<SamplePlan> {
+    Some(SamplePlan::parse("6:400:100", 1996).unwrap())
+}
+
 /// The sampled Figure 5 of `hbat sweep --scale test --sample 6:400:100`.
 fn sampled_fig5() -> SweepResult {
-    let opts = SweepOptions {
-        sample: Some(SamplePlan::parse("6:400:100", 1996).unwrap()),
+    fig5_with(&SweepOptions {
+        sample: sample_6_400_100(),
         ..SweepOptions::default()
-    };
-    let r = sweep_ft_on(
-        &DesignSpec::TABLE2,
-        &test_cfg(),
-        &opts,
-        TraceCache::global(),
-    )
-    .unwrap();
-    assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+    })
+}
+
+/// The digest of every sampled window of a sweep, in grid order.
+fn windows_digest(r: &SweepResult) -> String {
+    let mut text = String::new();
+    for row in &r.cells {
+        for c in row {
+            let c = c.ok().expect("the sampled sweep completes every cell");
+            for w in &c.windows {
+                text.push_str(&format!(
+                    "{}/{} {w:?}\n",
+                    c.bench.name(),
+                    c.design.mnemonic()
+                ));
+            }
+        }
+    }
+    fnv1a_hex(&text)
+}
+
+/// Figure 5 as `hbat sweep --scale test --ff 20000 --ckpt-dir <dir>`
+/// runs it: every program fast-forwarded to instruction 20,000 through
+/// a fresh snapshot directory (snapshots every 5,000, the CLI default),
+/// timing the tail from the boundary's warm state. Six of the ten
+/// test-scale programs run past the boundary; the other four halt
+/// before it and leave an empty tail.
+fn ff_fig5(tag: &str, sample: Option<SamplePlan>) -> SweepResult {
+    let dir = std::env::temp_dir().join(format!("hbat-golden-ff-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let r = fig5_with(&SweepOptions {
+        checkpoint: Some(CheckpointOptions {
+            dir: dir.clone(),
+            interval: 5_000,
+            boundary: 20_000,
+        }),
+        sample,
+        ..SweepOptions::default()
+    });
+    std::fs::remove_dir_all(&dir).ok();
     r
 }
 
@@ -160,21 +208,25 @@ fn fig5_sampled_text() {
 /// occupancy shows here and nowhere else.
 #[test]
 fn fig5_sampled_windows() {
-    let r = sampled_fig5();
-    let mut text = String::new();
-    for row in &r.cells {
-        for c in row {
-            let c = c.ok().expect("the sampled sweep completes every cell");
-            for w in &c.windows {
-                text.push_str(&format!(
-                    "{}/{} {w:?}\n",
-                    c.bench.name(),
-                    c.design.mnemonic()
-                ));
-            }
-        }
-    }
-    assert_eq!(fnv1a_hex(&text), "a32fc43ad909ca63");
+    assert_eq!(windows_digest(&sampled_fig5()), "a32fc43ad909ca63");
+}
+
+/// Pins the checkpointed full path: every cell of the fast-forwarded
+/// Figure 5, timed from the boundary's warm state to the program's end.
+#[test]
+fn fig5_ff_cells() {
+    assert_eq!(grid_digest(&ff_fig5("cells", None)), "8c36b8fe46f5372d");
+}
+
+/// Pins the checkpointed sampled path: every window of the same sweep
+/// under `6:400:100`, its schedule chained from the boundary's warm
+/// accumulator.
+#[test]
+fn fig5_ff_sampled_windows() {
+    assert_eq!(
+        windows_digest(&ff_fig5("sampled", sample_6_400_100())),
+        "30676526e23ca55a"
+    );
 }
 
 #[test]
