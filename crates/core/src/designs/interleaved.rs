@@ -123,16 +123,6 @@ impl InterleavedTlb {
         self.banks.len()
     }
 
-    /// Bank-selection function in force.
-    pub fn bank_select(&self) -> BankSelect {
-        self.select
-    }
-
-    /// True if banks carry piggyback ports (design I4/PB).
-    pub fn has_piggyback(&self) -> bool {
-        self.piggyback
-    }
-
     /// Which bank `va` maps to.
     pub fn bank_of(&self, va: VirtAddr) -> usize {
         self.select

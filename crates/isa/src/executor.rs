@@ -114,12 +114,6 @@ impl Machine {
         read(&self.regs, r)
     }
 
-    /// Writes an architected register (writes to the zero register are
-    /// discarded).
-    pub fn write_reg(&mut self, r: Reg, v: i64) {
-        write(&mut self.regs, r, v)
-    }
-
     /// True once a `Halt` has executed.
     pub fn is_halted(&self) -> bool {
         self.halted

@@ -131,7 +131,6 @@ pub struct TraceRecorder {
     lsq: Histogram,
     mshrs: Histogram,
     tlb_queue: Histogram,
-    sample_interval: u64,
     events: Vec<Event>,
     dropped: u64,
 }
@@ -143,8 +142,8 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder with default histogram capacities, event capacity,
-    /// and sampling interval.
+    /// A recorder with default histogram capacities and event capacity.
+    /// It samples occupancy every [`DEFAULT_SAMPLE_INTERVAL`] cycles.
     pub fn new() -> Self {
         Self::with_caps(OccupancyCaps::default())
     }
@@ -163,16 +162,9 @@ impl TraceRecorder {
             lsq: Histogram::new(caps.lsq),
             mshrs: Histogram::new(caps.mshrs),
             tlb_queue: Histogram::new(caps.tlb_queue),
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
             events: Vec::with_capacity(DEFAULT_EVENT_CAPACITY),
             dropped: 0,
         }
-    }
-
-    /// Set the occupancy sampling interval (0 disables sampling).
-    pub fn set_sample_interval(&mut self, cycles: u64) -> &mut Self {
-        self.sample_interval = cycles;
-        self
     }
 
     /// Resize the bounded event buffer (0 keeps only counters).
@@ -331,7 +323,7 @@ impl Recorder for TraceRecorder {
     // hbat-lint: cold
 
     fn sample_interval(&self) -> u64 {
-        self.sample_interval
+        DEFAULT_SAMPLE_INTERVAL
     }
 }
 

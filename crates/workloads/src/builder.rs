@@ -158,15 +158,6 @@ impl Builder {
         self.spill_ops
     }
 
-    /// True if the variable got an architected register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` was not created by this builder.
-    pub fn is_register_resident(&self, v: Var) -> bool {
-        matches!(self.vars[v.0 as usize].0, Storage::Reg(_))
-    }
-
     fn storage(&self, v: Var) -> Storage {
         self.vars[v.0 as usize].0
     }

@@ -11,7 +11,7 @@ use hbat_isa::program::Program;
 use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::PredecodedTrace;
 
-use crate::config::{Scale, WorkloadConfig};
+use crate::config::WorkloadConfig;
 use crate::programs;
 
 /// A buildable workload: program plus initial memory image.
@@ -146,11 +146,6 @@ impl Benchmark {
             Benchmark::Tomcatv => programs::tomcatv::build(cfg),
             Benchmark::Xlisp => programs::xlisp::build(cfg),
         }
-    }
-
-    /// Convenience: build at a given scale with the default config.
-    pub fn build_at(self, scale: Scale) -> Workload {
-        self.build(&WorkloadConfig::new(scale))
     }
 }
 
