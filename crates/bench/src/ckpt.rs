@@ -24,13 +24,13 @@ use std::sync::atomic::AtomicBool;
 use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator};
+use hbat_cpu::WarmAccumulator;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
 use hbat_workloads::{Benchmark, Workload};
 
-use crate::experiment::{sweep_fingerprint, ExperimentConfig};
+use crate::experiment::{run_cell, sweep_fingerprint, ExperimentConfig};
 use crate::faults::{CkptFault, FaultPlan};
 
 /// Where and how a checkpointed sweep snapshots.
@@ -276,22 +276,6 @@ pub fn build_warm_trace(
     })
 }
 
-/// Runs one (warm trace, design) timing cell under `rec`: installs the
-/// warm state, then replays the tail. The checkpointed counterpart of
-/// [`crate::experiment::run_cell_uops_with`]; pass
-/// [`hbat_obs::NullRecorder`] for an unobserved run. Metrics are
-/// bit-identical whatever `R` is.
-pub fn run_warm_cell_with<R: hbat_obs::Recorder>(
-    wt: &WarmTrace,
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-    rec: R,
-) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    let warm = wt.acc.warm_state();
-    simulate_uops_warm_with_recorder(&cfg.sim, wt.tail.ops(), translator.as_mut(), &warm, rec)
-}
-
 /// What [`verify_restore_equivalence`] proved.
 #[derive(Debug)]
 pub struct EquivalenceReport {
@@ -373,9 +357,16 @@ pub fn verify_restore_equivalence(
             restored.start
         ));
     }
+    let (cold_warm, restored_warm) = (cold.acc.warm_state(), restored.acc.warm_state());
     for design in designs {
-        let a = run_warm_cell_with(&cold, *design, cfg, NullRecorder);
-        let b = run_warm_cell_with(&restored, *design, cfg, NullRecorder);
+        let a = run_cell(cold.tail.ops(), *design, cfg, &cold_warm, NullRecorder);
+        let b = run_cell(
+            restored.tail.ops(),
+            *design,
+            cfg,
+            &restored_warm,
+            NullRecorder,
+        );
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",

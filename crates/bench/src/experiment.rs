@@ -22,7 +22,8 @@ use std::sync::{Arc, Mutex};
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate_uops, simulate_uops_with_recorder, RunMetrics, SimConfig, WarmState};
+use hbat_cpu::engine::Engine;
+use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_obs::{
@@ -34,7 +35,7 @@ use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-use crate::ckpt::{build_warm_trace, run_warm_cell_with, CheckpointOptions, WarmTrace};
+use crate::ckpt::{build_warm_trace, CheckpointOptions};
 use crate::executor::{
     parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
@@ -306,24 +307,39 @@ pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace
         .1
 }
 
-/// Runs one (micro-ops, design) cell through the engine.
-pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
+/// Runs one cell: `design` times `ops` in detail from `warm`, reporting
+/// to `rec` ([`NullRecorder`] for an unobserved run; a [`TraceRecorder`]
+/// for the stall taxonomy, an [`IntervalRecorder`], a [`Tee`] of both,
+/// or a sampled window's gate). The one cell runner: a full cell starts
+/// from the empty state, an `--ff` cell from the boundary's and a
+/// sampled window from its schedule entry. Metrics are bit-identical
+/// whatever `R` is, unless the recorder
+/// [`finished`](hbat_obs::Recorder::finished) early.
+pub fn run_cell<R: hbat_obs::Recorder>(
+    ops: &[MicroOp],
+    design: DesignSpec,
+    cfg: &ExperimentConfig,
+    warm: &WarmState,
+    rec: R,
+) -> RunMetrics {
     let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops(&cfg.sim, uops, translator.as_mut())
+    Engine::new(&cfg.sim, ops, translator.as_mut(), warm, rec).run()
 }
 
-/// [`run_cell_uops`] under any recorder: a [`TraceRecorder`] for the
-/// stall taxonomy, an [`hbat_obs::IntervalRecorder`], or a
-/// [`hbat_obs::Tee`] of both. Metrics are bit-identical whatever `R`
-/// is; the recorder only reads.
+/// [`run_cell`] of a full trace, unobserved.
+pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
+    run_cell_uops_with(uops, design, cfg, NullRecorder)
+}
+
+/// [`run_cell`] of a full trace from the empty state, under `rec`.
 pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     uops: &[MicroOp],
     design: DesignSpec,
     cfg: &ExperimentConfig,
     rec: R,
 ) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops_with_recorder(&cfg.sim, uops, translator.as_mut(), rec)
+    let cold = WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state();
+    run_cell(uops, design, cfg, &cold, rec)
 }
 
 /// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
@@ -505,14 +521,19 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
     out
 }
 
-/// What phase 1 built for one benchmark: the full trace (normal sweeps)
-/// or a checkpointed warm trace (timing tail + warm state).
-enum BenchInput {
-    /// Full trace from program start; timing covers every instruction.
-    Full(Arc<PredecodedTrace>),
-    /// Fast-forwarded through the checkpoint layer; timing covers the
-    /// tail past the boundary with warm state installed.
-    Warm(Box<WarmTrace>),
+/// What phase 1 built for one program: the ops that timing covers and
+/// the warm state at their start. A plain sweep times the whole trace
+/// from the empty state; a checkpointed one times the tail past the
+/// boundary from the fast-forwarded state.
+struct BenchInput {
+    /// The ops every cell of the program times.
+    ops: Arc<PredecodedTrace>,
+    /// The accumulator at the first op; a sampled sweep's schedule
+    /// continues a clone of it through the gaps.
+    start: WarmAccumulator,
+    /// Its install form, which every full cell of the program starts
+    /// from.
+    warm: WarmState,
 }
 
 /// One program's warm schedule in a sampled sweep (DESIGN.md §15). The
@@ -733,7 +754,7 @@ pub fn sweep_ft_on(
                 "injected fault: trace build for {} panicked",
                 benches[bi].name()
             );
-            match &opts.checkpoint {
+            let (ops, start) = match &opts.checkpoint {
                 // Checkpointed: restore from the newest valid snapshot
                 // (retries resume from whatever the crashed attempt
                 // published), fast-forward the remainder, snapshot as we
@@ -752,10 +773,15 @@ pub fn sweep_ft_on(
                     .unwrap_or_else(|e| {
                         panic!("checkpointed build for {}: {e}", benches[bi].name())
                     });
-                    BenchInput::Warm(Box::new(wt))
+                    (Arc::new(wt.tail), wt.acc)
                 }
-                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload).1),
-            }
+                None => (
+                    cache.get_or_build_uops(benches[bi], &cfg.workload).1,
+                    WarmAccumulator::new(&cfg.sim, cfg.geometry),
+                ),
+            };
+            let warm = start.warm_state();
+            BenchInput { ops, start, warm }
         })
     });
     drop(phase_trace_build);
@@ -839,27 +865,12 @@ pub fn sweep_ft_on(
                 "injected fault: cell {i} stalled past its deadline"
             );
             if opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace) {
-                let uops = match input {
-                    BenchInput::Full(uops) => uops,
-                    BenchInput::Warm(wt) => &wt.tail,
-                };
-                run_with_corrupt_trace(i, uops, &opts.faults);
+                run_with_corrupt_trace(i, &input.ops, &opts.faults);
             }
-            // One generic execution path per input form; the recorder
-            // combination (none / trace / interval / both via Tee) is
-            // picked here with static dispatch, so the unobserved arm
-            // stays the NullRecorder hot loop.
-            fn exec<R: hbat_obs::Recorder>(
-                input: &BenchInput,
-                design: DesignSpec,
-                cfg: &ExperimentConfig,
-                rec: R,
-            ) -> RunMetrics {
-                match input {
-                    BenchInput::Full(uops) => run_cell_uops_with(uops, design, cfg, rec),
-                    BenchInput::Warm(wt) => run_warm_cell_with(wt, design, cfg, rec),
-                }
-            }
+            // The recorder combination (none / trace / interval / both
+            // via Tee) is picked here with static dispatch, so the
+            // unobserved arm stays the NullRecorder hot loop.
+            let (ops, design, warm) = (input.ops.ops(), designs[di], &input.warm);
             // `windows` unifies the two interval sources: cycle-width
             // intervals from the recorder (which can drop on buffer
             // overflow) and sampled measurement windows (which never
@@ -868,30 +879,28 @@ pub fn sweep_ft_on(
             let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
-                    let (ops, start) = match input {
-                        BenchInput::Full(uops) => (uops.ops(), None),
-                        BenchInput::Warm(wt) => (wt.tail.ops(), Some(&wt.acc)),
-                    };
-                    let schedule =
-                        schedules[bi].get_or_build(|| warm_schedule(ops, cfg, start, plan));
+                    let schedule = schedules[bi]
+                        .get_or_build(|| warm_schedule(ops, cfg, Some(&input.start), plan));
                     let cell = {
                         let _windows = prof::scope("windows");
-                        run_sampled_windows(ops, designs[di], cfg, plan, &schedule)
+                        run_sampled_windows(ops, design, cfg, plan, &schedule)
                     };
                     drop(schedule);
                     schedules[bi].finish_cell();
                     (cell.metrics, None, Some((cell.windows, 0)))
                 } else {
                     match (opts.observe, opts.intervals) {
-                        (false, None) => (exec(input, designs[di], cfg, NullRecorder), None, None),
+                        (false, None) => {
+                            (run_cell(ops, design, cfg, warm, NullRecorder), None, None)
+                        }
                         (true, None) => {
                             let mut rec = TraceRecorder::new();
-                            let metrics = exec(input, designs[di], cfg, &mut rec);
+                            let metrics = run_cell(ops, design, cfg, warm, &mut rec);
                             (metrics, Some(rec), None)
                         }
                         (false, Some(width)) => {
                             let mut iv = IntervalRecorder::new(width);
-                            let metrics = exec(input, designs[di], cfg, &mut iv);
+                            let metrics = run_cell(ops, design, cfg, warm, &mut iv);
                             iv.finish();
                             (
                                 metrics,
@@ -902,7 +911,7 @@ pub fn sweep_ft_on(
                         (true, Some(width)) => {
                             let mut tee =
                                 Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                            let metrics = exec(input, designs[di], cfg, &mut tee);
+                            let metrics = run_cell(ops, design, cfg, warm, &mut tee);
                             tee.b.finish();
                             let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
                             (metrics, Some(tee.a), Some(wins))

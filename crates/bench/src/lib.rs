@@ -42,8 +42,8 @@ pub mod outcome;
 pub mod sample;
 
 pub use ckpt::{
-    build_warm_trace, build_warm_trace_cold, run_warm_cell_with, verify_restore_equivalence,
-    CheckpointOptions, EquivalenceReport, WarmTrace,
+    build_warm_trace, build_warm_trace_cold, verify_restore_equivalence, CheckpointOptions,
+    EquivalenceReport, WarmTrace,
 };
 pub use executor::{
     parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,
@@ -51,7 +51,7 @@ pub use executor::{
 };
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
-    render_obs_record, run_cell_uops, run_cell_uops_with, scale_from_args, sweep,
+    render_obs_record, run_cell, run_cell_uops, run_cell_uops_with, scale_from_args, sweep,
     sweep_fingerprint, sweep_ft_on, CellResult, ExperimentConfig, SweepOptions, SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};

@@ -25,7 +25,8 @@ use std::path::{Path, PathBuf};
 use hbat_bench::ckpt::CheckpointOptions;
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell_uops, sweep_fingerprint, sweep_ft_on, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, run_cell, run_cell_uops, sweep_fingerprint, sweep_ft_on, ExperimentConfig,
+    SweepOptions,
 };
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
 use hbat_bench::SweepResult;
@@ -189,10 +190,9 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     let p = plan();
     for bench in Benchmark::ALL {
         let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, 2_000).unwrap();
+        let warm = wt.acc.warm_state();
         for design in designs() {
-            let truth =
-                hbat_bench::ckpt::run_warm_cell_with(&wt, design, &cfg, hbat_obs::NullRecorder)
-                    .ipc();
+            let truth = run_cell(wt.tail.ops(), design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
             let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(

@@ -33,7 +33,7 @@ pub const DEFAULT_MISS_LATENCY: u64 = 30;
 /// assert_ne!(a, b);
 /// assert_eq!(pt.walk(Vpn(10)).ppn, a); // stable mapping
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageTable {
     geometry: PageGeometry,
     map: BTreeMap<Vpn, TlbEntry>,

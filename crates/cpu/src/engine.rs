@@ -49,6 +49,7 @@ use crate::bpred::BranchPredictor;
 use crate::config::{IssueModel, SimConfig};
 use crate::fu::FuPool;
 use crate::metrics::RunMetrics;
+use crate::warm::WarmState;
 
 /// Progress of one in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,8 +289,9 @@ struct ObsFlags {
     dcache_noport: bool,
 }
 
-/// The timing engine. Construct with [`Engine::with_recorder`], then
-/// call [`Engine::run`].
+/// The timing engine. Construct with [`Engine::new`] from a
+/// [`WarmState`] (the empty one for a cold start), then call
+/// [`Engine::run`].
 ///
 /// The engine is generic over a [`Recorder`]; with
 /// [`NullRecorder`] every probe is statically compiled out
@@ -384,74 +386,77 @@ pub struct Engine<'a, R: Recorder = NullRecorder> {
     obs: ObsFlags,
 }
 
-impl<'a, R: Recorder> Engine<'a, R> {
-    /// Builds an engine over `trace` that translates data addresses
-    /// through `translator` and reports its probes to `rec`
-    /// ([`NullRecorder`] for an uninstrumented run). Pass a recorder by
-    /// `&mut` to read it back after [`run`](Engine::run) consumes the
-    /// engine.
-    pub fn with_recorder(
-        cfg: &'a SimConfig,
-        trace: &'a [MicroOp],
-        translator: &'a mut dyn AddressTranslator,
-        rec: R,
-    ) -> Self {
-        let (dcache, icache) = (Cache::new(cfg.dcache), Cache::new(cfg.icache));
-        let bpred = BranchPredictor::table1();
-        Engine::assemble(cfg, trace, translator, rec, dcache, icache, bpred)
+/// Replays `warm`'s TLB list into `translator`, whose page table
+/// already holds the warm mappings. If every touched page fits the
+/// design without evictions, the recency list is exact for any
+/// replacement policy. Once it overflows, replaying it would churn
+/// random-replacement banks (and the newest-capacity suffix is only an
+/// LRU proxy), so the steady-state model's residents replay instead —
+/// see the `SteadyTlb` docs. Either list replays oldest-first,
+/// truncated to what the design can hold eviction-free.
+fn replay_tlb(translator: &mut dyn AddressTranslator, warm: &WarmState) {
+    let cap = translator.warm_tlb_capacity();
+    let replay: &[u64] = if warm.tlb.len() <= cap || warm.tlb_steady.is_empty() {
+        &warm.tlb
+    } else {
+        &warm.tlb_steady
+    };
+    let keep = replay.len().saturating_sub(cap);
+    for &vpn in &replay[keep..] {
+        let mut e = translator.page_table_mut().walk(Vpn(vpn));
+        e.referenced = true;
+        translator.warm_insert(e);
     }
+}
 
-    /// Like [`with_recorder`](Engine::with_recorder), but starting from
-    /// warm state captured at a checkpoint boundary: pre-walks pages in
-    /// first-touch order (pinning the page table's deterministic frame
-    /// allocation), replays TLB entries oldest-first through the
-    /// stat-free warm path, and starts from clones of the ready-made
-    /// caches and predictor. Deterministic for a given `warm`, so cold
-    /// and restored differential runs that start from the same state
-    /// stay bit-identical.
+impl<'a, R: Recorder> Engine<'a, R> {
+    /// Builds an engine over `trace` that starts from `warm`,
+    /// translates data addresses through `translator` and reports its
+    /// probes to `rec` ([`NullRecorder`] for an uninstrumented run).
+    /// Pass a recorder by `&mut` to read it back after
+    /// [`run`](Engine::run) consumes the engine.
+    ///
+    /// A cold start is the [`WarmState`] of a
+    /// [`WarmAccumulator`](crate::warm::WarmAccumulator) that has seen
+    /// nothing: an empty page table, empty caches and an untrained
+    /// predictor. Otherwise `warm` was captured at a checkpoint boundary
+    /// or a sampled window's start. The translator gets a clone of the
+    /// warm page table, so it maps every touched page to the frame the
+    /// warm data cache was translated through; then the TLB replays
+    /// oldest-first through the stat-free warm path, and the caches and
+    /// predictor start as clones of the warm ones. Deterministic for a
+    /// given `warm`, so cold and restored differential runs that start
+    /// from the same state stay bit-identical.
     ///
     /// # Panics
-    /// If `warm` was built for other cache shapes than `cfg`'s.
-    pub fn with_warm(
+    /// If `warm` was built for other cache shapes than `cfg`'s, or for a
+    /// page table of another geometry or miss latency than the
+    /// translator's.
+    pub fn new(
         cfg: &'a SimConfig,
         trace: &'a [MicroOp],
         translator: &'a mut dyn AddressTranslator,
-        warm: &crate::warm::WarmState,
+        warm: &WarmState,
         rec: R,
-    ) -> Self {
-        assert!(
-            *warm.dcache.config() == cfg.dcache && *warm.icache.config() == cfg.icache,
-            "warm state built for another cache configuration"
-        );
-        let (dcache, icache) = (warm.dcache.clone(), warm.icache.clone());
-        let mut e = Engine::assemble(
-            cfg,
-            trace,
-            translator,
-            rec,
-            dcache,
-            icache,
-            warm.bpred.clone(),
-        );
-        e.warm_translator(warm);
-        e
-    }
-
-    /// The one constructor body: a cold pipeline around the given
-    /// caches and predictor.
-    fn assemble(
-        cfg: &'a SimConfig,
-        trace: &'a [MicroOp],
-        translator: &'a mut dyn AddressTranslator,
-        rec: R,
-        dcache: Cache,
-        icache: Cache,
-        bpred: BranchPredictor,
     ) -> Self {
         assert!(
             cfg.rob_entries <= 128,
             "the issue-stage active mask holds at most 128 ROB entries"
         );
+        assert!(
+            *warm.dcache.config() == cfg.dcache && *warm.icache.config() == cfg.icache,
+            "warm state built for another cache configuration"
+        );
+        let pt = translator.page_table_mut();
+        assert!(
+            pt.geometry() == warm.page_table.geometry()
+                && pt.miss_latency() == warm.page_table.miss_latency(),
+            "warm state built for another page table"
+        );
+        // Installing the table changes only the mappings: every design
+        // starts from an empty `PageTable::new(geometry)`.
+        *pt = warm.page_table.clone();
+        replay_tlb(translator, warm);
         let track_wb = translator.uses_writebacks();
         let rob_cap = cfg.rob_entries.next_power_of_two();
         Engine {
@@ -468,10 +473,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
             lsq_occupancy: 0,
             rename: [PROD_NONE; 64],
             fus: FuPool::new(cfg),
-            dcache,
-            icache,
+            dcache: warm.dcache.clone(),
+            icache: warm.icache.clone(),
             iblock_shift: cfg.icache.block_bytes.trailing_zeros(),
-            bpred,
+            bpred: warm.bpred.clone(),
             fetch_stall_until: Cycle::ZERO,
             dispatch_stall_until: Cycle::ZERO,
             spec_tlb_miss_stall: false,
@@ -489,38 +494,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             metrics: RunMetrics::default(),
             rec,
             obs: ObsFlags::default(),
-        }
-    }
-
-    /// The translator half of [`with_warm`](Engine::with_warm): page
-    /// walks in first-touch order, then the TLB replay.
-    fn warm_translator(&mut self, warm: &crate::warm::WarmState) {
-        // One walk per distinct page. The warm data cache was translated
-        // through the frames a fresh page table allocates in this order,
-        // so this design's page table must allocate the same ones.
-        let pt = self.translator.page_table_mut();
-        for (&vpn, &frame) in warm.pages.iter().zip(&warm.frames) {
-            let e = pt.walk(Vpn(vpn));
-            debug_assert_eq!(e.ppn.0, frame, "page table allocates other frames");
-        }
-        // If every touched page fits the design without evictions, the
-        // recency list is exact for any replacement policy. Once it
-        // overflows, replaying it would churn random-replacement banks
-        // (and the newest-capacity suffix is only an LRU proxy), so
-        // switch to the steady-state model's residents — see the
-        // `SteadyTlb` docs. Either list replays oldest-first,
-        // truncated to what the design can hold eviction-free.
-        let cap = self.translator.warm_tlb_capacity();
-        let replay: &[u64] = if warm.tlb.len() <= cap || warm.tlb_steady.is_empty() {
-            &warm.tlb
-        } else {
-            &warm.tlb_steady
-        };
-        let keep = replay.len().saturating_sub(cap);
-        for &vpn in &replay[keep..] {
-            let mut e = self.translator.page_table_mut().walk(Vpn(vpn));
-            e.referenced = true;
-            self.translator.warm_insert(e);
         }
     }
 

@@ -94,14 +94,16 @@ pub fn simulate_uops_with_recorder<R: hbat_obs::Recorder>(
     translator: &mut dyn AddressTranslator,
     rec: R,
 ) -> RunMetrics {
-    engine::Engine::with_recorder(cfg, uops, translator, rec).run()
+    let cold = WarmAccumulator::new(cfg, translator.geometry()).warm_state();
+    simulate_uops_warm_with_recorder(cfg, uops, translator, &cold, rec)
 }
 
-/// Like [`simulate_uops_with_recorder`], but installing checkpointed
-/// warm state (TLB entries, cache blocks, branch-predictor tables — see
-/// [`warm`]) before the detailed run starts. Installing the
-/// [`WarmState`] of an accumulator that has seen nothing is equivalent
-/// to [`simulate_uops_with_recorder`].
+/// Like [`simulate_uops_with_recorder`], but starting from warm state
+/// (page mappings, TLB entries, cache blocks, branch-predictor tables —
+/// see [`warm`]) captured at a checkpoint boundary or a sampled
+/// window's start. Every run starts from a [`WarmState`]: the one of an
+/// accumulator that has seen nothing is the cold start
+/// [`simulate_uops_with_recorder`] installs.
 pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     cfg: &SimConfig,
     uops: &[MicroOp],
@@ -109,5 +111,5 @@ pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     warm: &WarmState,
     rec: R,
 ) -> RunMetrics {
-    engine::Engine::with_warm(cfg, uops, translator, warm, rec).run()
+    engine::Engine::new(cfg, uops, translator, warm, rec).run()
 }

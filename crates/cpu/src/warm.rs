@@ -20,12 +20,15 @@
 //!   continues bit-identically to one that accumulated the whole prefix
 //!   cold.
 //! * [`WarmState`] is the *install* form handed to the timing engine,
-//!   from [`WarmAccumulator::warm_state`]. Its design-independent half
-//!   is built ready to clone: the data and instruction caches with the
-//!   warm blocks already replayed, and the trained branch predictor.
-//!   Only the page and TLB lists stay key lists, because every design
-//!   pre-walks its own page table and replays its own TLB. Nothing is
-//!   rebuilt from it.
+//!   from [`WarmAccumulator::warm_state`]. Everything that does not
+//!   depend on the translation design is built ready to clone: the page
+//!   table with every touched page mapped, the data and instruction
+//!   caches with the warm blocks already replayed, and the trained
+//!   branch predictor. Only the TLB lists stay key lists, because every
+//!   design replays its own TLB. Nothing is rebuilt from it. The state
+//!   of an accumulator that has seen nothing is the engine's cold
+//!   start, so one constructor serves full runs, checkpointed tails and
+//!   sampled windows.
 //!
 //! The accumulator is also the *gap mode* of SMARTS-style sampling
 //! (DESIGN.md §15): between detailed windows the simulator only has to
@@ -39,7 +42,7 @@
 
 use std::collections::HashMap;
 
-use hbat_core::addr::{PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
+use hbat_core::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_core::hash::FastHashBuilder;
 use hbat_core::pagetable::PageTable;
@@ -60,22 +63,23 @@ pub const WARM_DBLOCK_CAP: usize = 4096;
 /// Most-recent instruction-cache blocks kept for install time.
 pub const WARM_IBLOCK_CAP: usize = 4096;
 
-/// Warm state in install form: what [`crate::engine::Engine::with_warm`]
-/// installs before the detailed run starts.
+/// Warm state in install form: what [`crate::engine::Engine::new`]
+/// installs before the detailed run starts. The state of an
+/// accumulator that has seen nothing is the cold start.
 ///
-/// The caches and the predictor do not depend on the translation
-/// design, so they are built here once and cloned by each install. The
-/// data cache is physically tagged, so its blocks were translated
-/// through `frames`: the frames a fresh `PageTable` allocates when
-/// `pages` are walked in order. Every Table-2 design builds exactly such
-/// a page table, and the install checks that in debug builds.
+/// The page table, caches and predictor do not depend on the
+/// translation design, so they are built here once and cloned by each
+/// install. The page table is a fresh `PageTable` walked over the
+/// touched pages in first-touch order, which pins its deterministic
+/// frame allocation; the data cache is physically tagged, and its
+/// blocks were translated through that table. Each design starts from
+/// an empty page table of the same geometry and miss latency, so
+/// installing a clone changes only the mappings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmState {
-    /// All distinct data VPNs in first-touch order (reproduces frame
-    /// allocation when pre-walked in order).
-    pub pages: Vec<u64>,
-    /// The frame (PPN) of each of `pages`, in the same order.
-    pub frames: Vec<u64>,
+    /// Every touched data page, mapped to the frame the data cache's
+    /// blocks were translated through.
+    pub page_table: PageTable,
     /// Data VPNs to warm the TLB with, oldest touch first.
     pub tlb: Vec<u64>,
     /// Residents of the [`SteadyTlb`] random-replacement model, oldest
@@ -469,38 +473,33 @@ impl WarmAccumulator {
 
     /// The install form of the current state. The TLB lists keep the
     /// newest keys up to the warm caps, oldest-first, so a replay leaves
-    /// the most recent touches youngest. The caches are built here:
-    /// the data blocks are translated through the frames a fresh page
-    /// table allocates to `pages`, and each cache replays only the blocks
-    /// LRU replacement would keep anyway (the warm lists are capped well
-    /// above one cache's capacity). Sampled runs build one state per
-    /// window and every design installs it, so this is the
-    /// design-independent part of the per-window cost.
+    /// the most recent touches youngest. The page table and caches are
+    /// built here: a fresh page table walks every touched page in
+    /// first-touch order, the data blocks are translated through it, and
+    /// each cache replays only the blocks LRU replacement would keep
+    /// anyway (the warm lists are capped well above one cache's
+    /// capacity). Sampled runs build one state per window and every
+    /// design installs it, so this is the design-independent part of the
+    /// per-window cost.
     ///
     /// # Panics
-    /// If a warm data block lies on a page missing from `pages`; every
+    /// If a warm data block lies on a page that was never touched; every
     /// noted access records its page, so this is a corrupted accumulator.
     pub fn warm_state(&self) -> WarmState {
-        let mut pt = PageTable::new(self.geom);
-        let frames: Vec<u64> = self.pages.iter().map(|&v| pt.walk(Vpn(v)).ppn.0).collect();
-        let mut by_vpn: Vec<(u64, u64)> = self
-            .pages
-            .iter()
-            .copied()
-            .zip(frames.iter().copied())
-            .collect();
-        by_vpn.sort_unstable_by_key(|&(v, _)| v);
+        let mut page_table = PageTable::new(self.geom);
+        for &vpn in &self.pages {
+            page_table.walk(Vpn(vpn));
+        }
         let geom = self.geom;
         let pas: Vec<u64> = self
             .dblocks
             .newest_keys(WARM_DBLOCK_CAP)
             .into_iter()
             .map(|va| {
-                let vpn = geom.vpn(VirtAddr(va)).0;
-                let i = by_vpn
-                    .binary_search_by_key(&vpn, |&(v, _)| v)
+                let e = page_table
+                    .probe(geom.vpn(VirtAddr(va)))
                     .expect("warm data block outside the touched-page set");
-                geom.splice(Ppn(by_vpn[i].1), VirtAddr(va)).0
+                geom.splice(e.ppn, VirtAddr(va)).0
             })
             .collect();
         let mut dcache = Cache::new(self.dcache);
@@ -514,8 +513,7 @@ impl WarmAccumulator {
         let mut bpred = BranchPredictor::table1();
         bpred.restore_tables(self.bpred.ghr(), self.bpred.pht());
         WarmState {
-            pages: self.pages.clone(),
-            frames,
+            page_table,
             tlb: self.tlb.newest_keys(WARM_TLB_CAP),
             tlb_steady: self
                 .steady
@@ -720,7 +718,7 @@ mod tests {
         // WARM_TLB_CAP pages survive, oldest first.
         let ops: Vec<MicroOp> = (0..2000u64).map(|i| load(0, i << 12)).collect();
         let w = accumulate(&ops).warm_state();
-        assert_eq!(w.pages.len(), 2000);
+        assert_eq!(w.page_table.resident_pages(), 2000);
         assert_eq!(w.tlb.len(), WARM_TLB_CAP);
         assert_eq!(w.tlb[0], 2000 - WARM_TLB_CAP as u64);
         assert_eq!(*w.tlb.last().unwrap(), 1999);
@@ -741,11 +739,12 @@ mod tests {
         // page table hands out; page 2 gets the second.
         let acc = accumulate(&[load(0, 0x5010), load(64, 0x2020)]);
         let w = acc.warm_state();
-        assert_eq!(w.pages, vec![5, 2]);
         let mut pt = PageTable::new(PageGeometry::KB4);
         let f5 = pt.walk(Vpn(5)).ppn;
         let f2 = pt.walk(Vpn(2)).ppn;
-        assert_eq!(w.frames, vec![f5.0, f2.0]);
+        let frame = |vpn| w.page_table.probe(Vpn(vpn)).map(|e| e.ppn);
+        assert_eq!((frame(5), frame(2)), (Some(f5), Some(f2)));
+        assert_eq!(w.page_table.resident_pages(), 2);
         let geom = PageGeometry::KB4;
         assert!(w.dcache.contains(geom.splice(f5, VirtAddr(0x5010))));
         assert!(w.dcache.contains(geom.splice(f2, VirtAddr(0x2020))));

@@ -3,6 +3,7 @@
 //! is built on.
 
 use hbat_core::designs::spec::DesignSpec;
+use hbat_core::pagetable::PageTable;
 use hbat_core::PageGeometry;
 use hbat_cpu::{simulate_uops, RunMetrics, SimConfig};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
@@ -45,6 +46,21 @@ fn every_table2_design_completes_every_test_benchmark() {
                 "{bench} under {spec} lost instructions"
             );
             assert!(m.tlb.is_consistent(), "{bench}/{spec} stats inconsistent");
+        }
+    }
+}
+
+// The engine installs a clone of the warm state's page table into the
+// design's translator. That changes only the mappings because every
+// design starts from an empty `PageTable::new(geometry)`: the same
+// geometry and miss latency, nothing mapped and nothing walked.
+#[test]
+fn every_table2_design_starts_from_an_empty_default_page_table() {
+    for geom in [PageGeometry::KB4, PageGeometry::KB8] {
+        let fresh = PageTable::new(geom);
+        for spec in DesignSpec::TABLE2 {
+            let t = spec.build(geom, 7);
+            assert_eq!(*t.page_table(), fresh, "{spec} at {geom:?}");
         }
     }
 }
