@@ -9,7 +9,10 @@
 //! * the `.iv.jsonl` sidecar is valid JSONL with a stable schema and is
 //!   deterministic across runs;
 //! * degenerate widths are rejected up front, and runs shorter than one
-//!   window or not dividing evenly produce a correct partial window.
+//!   window or not dividing evenly produce a correct partial window;
+//! * the three recorders agree: a `TraceRecorder`'s totals, the sum of
+//!   an `IntervalRecorder`'s windows and a never-closing `WindowGate`'s
+//!   record count the same cycles, ops, stalls, walks and lookups.
 
 use std::path::{Path, PathBuf};
 
@@ -18,8 +21,9 @@ use hbat_bench::experiment::{
     iv_sidecar_path, run_cell_uops, run_cell_uops_with, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::journal::parse_json_object;
+use hbat_bench::WindowGate;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_obs::IntervalRecorder;
+use hbat_obs::{IntervalRecord, IntervalRecorder, StallCause, Tee, TraceRecorder};
 use hbat_workloads::{Benchmark, Scale};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -231,6 +235,78 @@ fn short_runs_and_awkward_widths_produce_correct_partial_windows() {
     let expect_tail = m.cycles - (windows.len() as u64 - 1) * width;
     assert_eq!(tail.cycles, expect_tail, "tail carries the remainder");
     assert_windows_account_for(&iv, m.cycles, m.committed, "awkward-width");
+}
+
+/// Field-wise sum of `windows`, `start` left 0.
+fn window_sum(windows: &[IntervalRecord]) -> IntervalRecord {
+    let mut s = IntervalRecord::default();
+    for w in windows {
+        s.cycles += w.cycles;
+        s.issue_cycles += w.issue_cycles;
+        s.issued += w.issued;
+        s.committed += w.committed;
+        for (acc, n) in s.stalls.iter_mut().zip(w.stalls) {
+            *acc += n;
+        }
+        s.tlb_lookups += w.tlb_lookups;
+        s.tlb_misses += w.tlb_misses;
+        s.dcache_accesses += w.dcache_accesses;
+        s.dcache_misses += w.dcache_misses;
+        s.walks += w.walks;
+        s.walk_cycles += w.walk_cycles;
+        s.rob_sum += w.rob_sum;
+        s.lsq_sum += w.lsq_sum;
+        s.samples += w.samples;
+    }
+    s
+}
+
+/// The run-level recorder, the interval recorder and a sampled window's
+/// gate keep the same accounting of one run: a gate that opens at cycle
+/// 0 and never closes records exactly what the interval windows sum to,
+/// and the trace recorder's totals match both on every counter it
+/// reports.
+#[test]
+fn trace_interval_and_gate_recorders_agree() {
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let cache = TraceCache::new();
+    for bench in Benchmark::ALL {
+        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        for mnemonic in ["T1", "I4", "M8", "P8"] {
+            let tag = format!("{bench}/{mnemonic}");
+            let design = DesignSpec::parse(mnemonic).unwrap();
+            let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(1000));
+            let m = run_cell_uops_with(uops.ops(), design, &cfg, &mut tee);
+            tee.b.finish();
+            let mut gate = WindowGate::new(0, u64::MAX);
+            let gated = run_cell_uops_with(uops.ops(), design, &cfg, &mut gate);
+            assert_eq!(gated, m, "{tag}: an open gate changed the run");
+
+            let (trace, gate) = (&tee.a, gate.record());
+            let sum = window_sum(tee.b.windows());
+            assert_eq!(tee.b.dropped_windows(), 0, "{tag}: dropped windows");
+            assert_eq!(gate, sum, "{tag}: gate record != interval window sum");
+            assert_eq!(trace.cycles(), m.cycles, "{tag}: trace cycles");
+            assert_eq!(sum.cycles, m.cycles, "{tag}: window cycles");
+            assert_eq!(
+                trace.issue_cycles(),
+                sum.issue_cycles,
+                "{tag}: issue cycles"
+            );
+            assert_eq!(trace.issued_ops(), sum.issued, "{tag}: ops issued");
+            for cause in StallCause::ALL {
+                assert_eq!(
+                    trace.stall(cause),
+                    sum.stalls[cause.index()],
+                    "{tag}: {} stalls",
+                    cause.name()
+                );
+            }
+            assert_eq!(trace.walks(), sum.walks, "{tag}: walks");
+            assert_eq!(trace.walk_cycles(), sum.walk_cycles, "{tag}: walk cycles");
+            assert_eq!(trace.rob_occupancy().total(), sum.samples, "{tag}: samples");
+        }
+    }
 }
 
 #[test]
