@@ -17,7 +17,7 @@
 //! [`CellOutcome::Panicked`] slot instead of unwinding the whole
 //! `thread::scope` and losing every completed cell. A [`RunPolicy`]
 //! adds bounded deterministic retries and a watchdog-enforced per-cell
-//! deadline (`HBAT_CELL_TIMEOUT`); see [`parallel_map_outcomes`].
+//! deadline; see [`parallel_map_outcomes`].
 //!
 //! Scheduling is invisible in the results: every cell seeds its design's
 //! replacement RNG from the experiment's `design_seed` and replays an
@@ -66,43 +66,6 @@ pub struct RunPolicy {
 }
 
 impl RunPolicy {
-    /// Policy from the environment: `HBAT_CELL_TIMEOUT` (seconds, may be
-    /// fractional), `HBAT_CELL_RETRIES` (non-negative integer), and
-    /// `HBAT_HEARTBEAT` (seconds, may be fractional; `0` switches the
-    /// heartbeat off). Malformed values warn to stderr and are ignored.
-    pub fn from_env() -> RunPolicy {
-        let mut policy = RunPolicy::default();
-        if let Ok(raw) = std::env::var("HBAT_CELL_TIMEOUT") {
-            match raw.parse::<f64>() {
-                Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                    policy.timeout = Some(Duration::from_secs_f64(secs));
-                }
-                _ => eprintln!(
-                    "warning: ignoring HBAT_CELL_TIMEOUT={raw:?} (expected positive seconds)"
-                ),
-            }
-        }
-        if let Ok(raw) = std::env::var("HBAT_CELL_RETRIES") {
-            match raw.parse::<u32>() {
-                Ok(n) => policy.retries = n,
-                _ => eprintln!(
-                    "warning: ignoring HBAT_CELL_RETRIES={raw:?} (expected a non-negative integer)"
-                ),
-            }
-        }
-        if let Ok(raw) = std::env::var("HBAT_HEARTBEAT") {
-            match raw.parse::<f64>() {
-                Ok(secs) if secs >= 0.0 && secs.is_finite() => {
-                    policy.heartbeat = Some(Duration::from_secs_f64(secs));
-                }
-                _ => eprintln!(
-                    "warning: ignoring HBAT_HEARTBEAT={raw:?} (expected seconds, 0 = off)"
-                ),
-            }
-        }
-        policy
-    }
-
     /// Sets the per-cell deadline.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {

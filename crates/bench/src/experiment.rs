@@ -201,33 +201,33 @@ impl SweepResult {
     /// sweeps: the weighted mean of the per-benchmark window-estimate
     /// means, with a *conservatively* weighted half-width
     /// (`Σw·hw / Σw` — at least as wide as a pooled-variance interval,
-    /// never narrower). Weights are the T4 cell's sampled cycles,
-    /// mirroring [`Self::weighted_ipc`]. `None` when the sweep was not
-    /// sampled, the design is absent, or no benchmark completed both
-    /// this design's cell and the weight cell. A completed cell with
-    /// no windows (lost sidecar) degrades the whole interval to an
-    /// infinite half-width rather than quietly narrowing it.
+    /// never narrower). Weights are the weight cell's sampled cycles, as
+    /// in [`Self::weighted_ipc`], so a benchmark whose weight cell timed
+    /// nothing (an `--ff` boundary past its end) drops out of both the
+    /// mean and the half-width. `None` when the sweep was not sampled,
+    /// the design is absent, or no benchmark has weight. A weighted cell
+    /// with fewer than two windows (a one-window tail, a lost sidecar)
+    /// degrades the whole interval to an infinite half-width rather
+    /// than quietly narrowing it.
     pub fn weighted_ipc_interval(&self, design: DesignSpec) -> Option<ConfidenceInterval> {
         self.sample?;
-        let rows = self.completed_pairs(design)?;
-        if rows.is_empty() {
-            return None;
-        }
         let mut w_sum = 0.0f64;
         let mut mean_sum = 0.0f64;
         let mut hw_sum = 0.0f64;
         let mut n_min = u64::MAX;
-        for (c, w) in rows {
+        for (c, w) in self.completed_pairs(design)? {
+            if w.metrics.cycles == 0 {
+                continue;
+            }
             let ci = ipc_interval(&c.windows, ConfLevel::P95);
             #[allow(clippy::cast_precision_loss)]
             let weight = w.metrics.cycles as f64;
-            let weight = if weight > 0.0 { weight } else { 1.0 };
             w_sum += weight;
             mean_sum += weight * ci.mean;
             hw_sum += weight * ci.half_width;
             n_min = n_min.min(ci.n);
         }
-        Some(ConfidenceInterval {
+        (w_sum > 0.0).then(|| ConfidenceInterval {
             mean: mean_sum / w_sum,
             half_width: hw_sum / w_sum,
             level: ConfLevel::P95.value(),
@@ -387,7 +387,7 @@ pub fn sweep_fingerprint(
 pub struct SweepOptions {
     /// Worker threads (0 = [`worker_threads`]).
     pub threads: usize,
-    /// Retry and deadline policy (see [`RunPolicy::from_env`]).
+    /// Retry, deadline and heartbeat policy.
     pub policy: RunPolicy,
     /// Injected faults; [`FaultPlan::none`] for production runs.
     pub faults: FaultPlan,
@@ -1007,12 +1007,11 @@ pub fn sweep_ft_on(
     })
 }
 
-/// Parses the scale from a CLI argument / env (`test`, `small`,
-/// `reference`); used by the figure binaries.
+/// Parses the scale from the first CLI argument (`test`, `small`,
+/// `reference`; default `small`); used by the figure binaries.
 pub fn scale_from_args() -> Scale {
     let arg = std::env::args()
         .nth(1)
-        .or_else(|| std::env::var("HBAT_SCALE").ok())
         .unwrap_or_else(|| "small".to_owned());
     match arg.to_ascii_lowercase().as_str() {
         "test" => Scale::Test,
@@ -1072,6 +1071,94 @@ mod tests {
         assert!(fig.contains("T4") && fig.contains("T1"));
         let details = r.render_details();
         assert!(details.contains("Compress") && details.contains("Xlisp"));
+    }
+
+    /// A T4/T1 sampled sweep, one row per `(t4, t1)` pair of window
+    /// lists; each cell's metrics are its windows' sums.
+    fn sampled_result(rows: Vec<(Vec<IntervalRecord>, Vec<IntervalRecord>)>) -> SweepResult {
+        let designs = vec![T4, DesignSpec::MultiPorted { ports: 1 }];
+        let cell = |design, windows: Vec<IntervalRecord>| {
+            CellOutcome::Ok(CellResult {
+                bench: Benchmark::Compress,
+                design,
+                metrics: RunMetrics {
+                    cycles: windows.iter().map(|w| w.cycles).sum(),
+                    committed: windows.iter().map(|w| w.committed).sum(),
+                    ..RunMetrics::default()
+                },
+                windows,
+            })
+        };
+        SweepResult {
+            cells: rows
+                .into_iter()
+                .map(|(t4, t1)| vec![cell(designs[0], t4), cell(designs[1], t1)])
+                .collect(),
+            designs,
+            manifest: FailureManifest::default(),
+            resumed: 0,
+            telemetry: SweepTelemetry::default(),
+            sample: Some(SamplePlan {
+                n_windows: 3,
+                window_len: 100,
+                warmup_len: 0,
+                seed: 1996,
+            }),
+        }
+    }
+
+    fn windows(commits: &[u64]) -> Vec<IntervalRecord> {
+        let window = |&committed| IntervalRecord {
+            cycles: 100,
+            committed,
+            ..IntervalRecord::default()
+        };
+        commits.iter().map(window).collect()
+    }
+
+    #[test]
+    fn weighted_interval_drops_programs_whose_weight_cell_timed_nothing() {
+        let t1 = DesignSpec::MultiPorted { ports: 1 };
+        let timed = windows(&[90, 100, 110]);
+        // The second program halted before the boundary: no windows.
+        let r = sampled_result(vec![
+            (windows(&[150, 150, 150]), timed.clone()),
+            (Vec::new(), Vec::new()),
+        ]);
+        let ci = r.weighted_ipc_interval(t1).expect("one program has weight");
+        let alone = ipc_interval(&timed, ConfLevel::P95);
+        assert!(ci.half_width.is_finite(), "{ci:?}");
+        assert!((ci.mean - alone.mean).abs() < 1e-12, "{ci:?} vs {alone:?}");
+        assert!((ci.half_width - alone.half_width).abs() < 1e-12);
+        assert_eq!(ci.n, 3);
+        assert!((ci.mean - r.weighted_ipc(t1).unwrap()).abs() < 0.05);
+
+        // No program with weight: no interval at all.
+        let none = sampled_result(vec![(Vec::new(), Vec::new()); 2]);
+        assert!(none.weighted_ipc_interval(t1).is_none());
+    }
+
+    #[test]
+    fn weighted_interval_keeps_a_one_window_cell_infinite() {
+        let t1 = DesignSpec::MultiPorted { ports: 1 };
+        // A one-window tail: weighted, but no spread to estimate from.
+        let r = sampled_result(vec![
+            (windows(&[150, 150, 150]), windows(&[90, 100, 110])),
+            (windows(&[150]), windows(&[100])),
+        ]);
+        let ci = r.weighted_ipc_interval(t1).unwrap();
+        assert!(ci.mean.is_finite() && ci.mean > 0.0, "{ci:?}");
+        assert_eq!(ci.half_width, f64::INFINITY);
+        assert_eq!(ci.n, 1);
+
+        // A weighted cell whose windows were lost.
+        let lost = sampled_result(vec![
+            (windows(&[150, 150, 150]), windows(&[90, 100, 110])),
+            (windows(&[150, 150]), Vec::new()),
+        ]);
+        let ci = lost.weighted_ipc_interval(t1).unwrap();
+        assert_eq!(ci.half_width, f64::INFINITY);
+        assert_eq!(ci.n, 0);
     }
 
     #[test]

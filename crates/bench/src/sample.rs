@@ -232,18 +232,14 @@ impl Recorder for WindowGate {
     #[inline]
     fn issue_cycle(&mut self, _now: u64, issued: u32) {
         if self.open {
-            self.rec.cycles += 1;
-            self.rec.issue_cycles += 1;
-            self.rec.issued += u64::from(issued);
+            self.rec.issue_cycle(issued);
         }
     }
 
     #[inline]
     fn stall_cycle(&mut self, _now: u64, cause: StallCause) {
         if self.open {
-            self.rec.cycles += 1;
-            // hbat-lint: allow(panic, panic-reach) index() < COUNT by construction; the array is [_; COUNT]
-            self.rec.stalls[cause.index()] += 1;
+            self.rec.stall_cycle(cause);
         }
     }
 
@@ -256,10 +252,10 @@ impl Recorder for WindowGate {
         }
         if self.open {
             let room = self.limit - self.rec.committed;
-            self.rec.committed += c.min(room);
+            self.rec.commit(c.min(room));
         } else if self.seen >= self.skip {
             self.open = true;
-            self.rec.committed += (self.seen - self.skip).min(self.limit);
+            self.rec.commit((self.seen - self.skip).min(self.limit));
         } else {
             return;
         }
@@ -272,40 +268,31 @@ impl Recorder for WindowGate {
     #[inline]
     fn tlb_lookup(&mut self, _now: u64, hit: bool) {
         if self.open {
-            self.rec.tlb_lookups += 1;
-            self.rec.tlb_misses += u64::from(!hit);
+            self.rec.tlb_lookup(hit);
         }
     }
 
     #[inline]
     fn dcache_access(&mut self, _now: u64, hit: bool) {
         if self.open {
-            self.rec.dcache_accesses += 1;
-            self.rec.dcache_misses += u64::from(!hit);
+            self.rec.dcache_access(hit);
         }
     }
 
     #[inline]
     fn walk(&mut self, _now: u64, _vpn: u64, latency: u64) {
         if self.open {
-            self.rec.walks += 1;
-            self.rec.walk_cycles += latency;
+            self.rec.walk(latency);
         }
     }
 
     #[inline]
     fn sample(&mut self, _now: u64, occupancy: &OccupancySample) {
         if self.open {
-            self.rec.rob_sum += u64::from(occupancy.rob);
-            self.rec.lsq_sum += u64::from(occupancy.lsq);
-            self.rec.samples += 1;
+            self.rec.sample(occupancy);
         }
     }
     // hbat-lint: cold
-
-    fn sample_interval(&self) -> u64 {
-        hbat_obs::interval::DEFAULT_SAMPLE_INTERVAL
-    }
 
     fn finished(&self) -> bool {
         self.done

@@ -43,7 +43,9 @@ use hbat_core::Outcome;
 use hbat_isa::trace::OpClass;
 use hbat_isa::uop::{MicroOp, NO_REG};
 use hbat_mem::cache::{Cache, CacheAccess};
-use hbat_obs::{NullRecorder, OccupancySample, PortResource, Recorder, StallCause};
+use hbat_obs::{
+    NullRecorder, OccupancySample, PortResource, Recorder, StallCause, SAMPLE_INTERVAL,
+};
 
 use crate::bpred::BranchPredictor;
 use crate::config::{IssueModel, SimConfig};
@@ -639,8 +641,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             let cause = self.classify_stall();
             self.rec.stall_cycle(self.now.0, cause);
         }
-        let every = self.rec.sample_interval();
-        if every != 0 && self.now.0.is_multiple_of(every) {
+        if self.now.0.is_multiple_of(SAMPLE_INTERVAL) {
             let occupancy = OccupancySample {
                 rob: self.rob_len as u32,
                 lsq: self.lsq_occupancy as u32,

@@ -25,19 +25,22 @@ use crate::recorder::{OccupancySample, Recorder, StallCause};
 /// JSONL record. Bump on any key change.
 pub const INTERVAL_SCHEMA_VERSION: u32 = 1;
 
-/// Default capacity of the completed-window buffer (windows beyond it
-/// are counted in [`IntervalRecorder::dropped_windows`], not stored).
-pub const DEFAULT_WINDOW_CAPACITY: usize = 1 << 16;
+/// Capacity of the completed-window buffer (windows beyond it are
+/// counted in [`IntervalRecorder::dropped_windows`], not stored).
+pub const WINDOW_CAPACITY: usize = 1 << 16;
 
-/// Default occupancy sampling cadence, matching [`TraceRecorder`]'s so
-/// a [`Tee`](crate::Tee) of the two keeps one shared cadence.
+/// The counter block every recorder keeps: one completed window of
+/// `width` cycles (the final window of a run may be shorter;
+/// [`cycles`](IntervalRecord::cycles) says how many cycles it actually
+/// covered), a sampled window's measurement, or a whole run's totals.
+///
+/// The probe → counter mapping lives here once, as the `#[inline]`
+/// methods named after the [`Recorder`] probes they serve; the
+/// recorders are policies around it ([`IntervalRecorder`] rolls one
+/// every `width` cycles, a sampled window's gate feeds one while open,
+/// [`TraceRecorder`] keeps one for the run).
 ///
 /// [`TraceRecorder`]: crate::TraceRecorder
-pub const DEFAULT_SAMPLE_INTERVAL: u64 = 64;
-
-/// One completed window of `width` cycles (the final window of a run
-/// may be shorter; [`cycles`](IntervalRecord::cycles) says how many
-/// cycles it actually covered).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalRecord {
     /// First cycle of the window.
@@ -75,6 +78,59 @@ pub struct IntervalRecord {
 }
 
 impl IntervalRecord {
+    // hbat-lint: hot
+    /// A cycle in which `issued` operations issued.
+    #[inline]
+    pub fn issue_cycle(&mut self, issued: u32) {
+        self.cycles += 1;
+        self.issue_cycles += 1;
+        self.issued += u64::from(issued);
+    }
+
+    /// A cycle in which nothing issued, charged to `cause`.
+    #[inline]
+    pub fn stall_cycle(&mut self, cause: StallCause) {
+        self.cycles += 1;
+        // hbat-lint: allow(panic, panic-reach) index() < COUNT by construction; the array is [_; COUNT]
+        self.stalls[cause.index()] += 1;
+    }
+
+    /// `n` operations committed.
+    #[inline]
+    pub fn commit(&mut self, n: u64) {
+        self.committed += n;
+    }
+
+    /// A translation was served.
+    #[inline]
+    pub fn tlb_lookup(&mut self, hit: bool) {
+        self.tlb_lookups += 1;
+        self.tlb_misses += u64::from(!hit);
+    }
+
+    /// A data-cache access was served.
+    #[inline]
+    pub fn dcache_access(&mut self, hit: bool) {
+        self.dcache_accesses += 1;
+        self.dcache_misses += u64::from(!hit);
+    }
+
+    /// A page-table walk of `latency` cycles began.
+    #[inline]
+    pub fn walk(&mut self, latency: u64) {
+        self.walks += 1;
+        self.walk_cycles += latency;
+    }
+
+    /// An occupancy snapshot.
+    #[inline]
+    pub fn sample(&mut self, occupancy: &OccupancySample) {
+        self.rob_sum += u64::from(occupancy.rob);
+        self.lsq_sum += u64::from(occupancy.lsq);
+        self.samples += 1;
+    }
+    // hbat-lint: cold
+
     /// Committed instructions per cycle over the window.
     pub fn ipc(&self) -> f64 {
         ratio(self.committed, self.cycles)
@@ -209,12 +265,11 @@ pub struct IntervalRecorder {
     cur: IntervalRecord,
     windows: Vec<IntervalRecord>,
     dropped: u64,
-    sample_interval: u64,
 }
 
 impl IntervalRecorder {
-    /// A recorder with `width`-cycle windows and the default buffer
-    /// capacity.
+    /// A recorder with `width`-cycle windows and room for
+    /// [`WINDOW_CAPACITY`] of them.
     ///
     /// # Panics
     ///
@@ -223,16 +278,6 @@ impl IntervalRecorder {
     /// are rejected rather than silently producing noise. The CLI
     /// validates `--intervals` before construction.
     pub fn new(width: u64) -> Self {
-        Self::with_capacity(width, DEFAULT_WINDOW_CAPACITY)
-    }
-
-    /// Like [`new`](IntervalRecorder::new) with an explicit buffer
-    /// capacity (in windows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width < 2` (see [`new`](IntervalRecorder::new)).
-    pub fn with_capacity(width: u64, capacity: usize) -> Self {
         assert!(
             width >= 2,
             "interval width must be >= 2 cycles, got {width}"
@@ -241,9 +286,8 @@ impl IntervalRecorder {
             width,
             win_start: None,
             cur: IntervalRecord::default(),
-            windows: Vec::with_capacity(capacity),
+            windows: Vec::with_capacity(WINDOW_CAPACITY),
             dropped: 0,
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
         }
     }
 
@@ -345,58 +389,45 @@ impl Recorder for IntervalRecorder {
     #[inline]
     fn issue_cycle(&mut self, now: u64, issued: u32) {
         self.roll(now);
-        self.cur.cycles += 1;
-        self.cur.issue_cycles += 1;
-        self.cur.issued += u64::from(issued);
+        self.cur.issue_cycle(issued);
     }
 
     #[inline]
     fn stall_cycle(&mut self, now: u64, cause: StallCause) {
         self.roll(now);
-        self.cur.cycles += 1;
-        // hbat-lint: allow(panic, panic-reach) index() < COUNT by construction; the array is [_; COUNT]
-        self.cur.stalls[cause.index()] += 1;
+        self.cur.stall_cycle(cause);
     }
 
     #[inline]
     fn commit_cycle(&mut self, now: u64, committed: u32) {
         self.roll(now);
-        self.cur.committed += u64::from(committed);
+        self.cur.commit(u64::from(committed));
     }
 
     #[inline]
     fn tlb_lookup(&mut self, now: u64, hit: bool) {
         self.roll(now);
-        self.cur.tlb_lookups += 1;
-        self.cur.tlb_misses += u64::from(!hit);
+        self.cur.tlb_lookup(hit);
     }
 
     #[inline]
     fn dcache_access(&mut self, now: u64, hit: bool) {
         self.roll(now);
-        self.cur.dcache_accesses += 1;
-        self.cur.dcache_misses += u64::from(!hit);
+        self.cur.dcache_access(hit);
     }
 
     #[inline]
     fn walk(&mut self, now: u64, _vpn: u64, latency: u64) {
         self.roll(now);
-        self.cur.walks += 1;
-        self.cur.walk_cycles += latency;
+        self.cur.walk(latency);
     }
 
     #[inline]
     fn sample(&mut self, now: u64, occupancy: &OccupancySample) {
         self.roll(now);
-        self.cur.rob_sum += u64::from(occupancy.rob);
-        self.cur.lsq_sum += u64::from(occupancy.lsq);
-        self.cur.samples += 1;
+        self.cur.sample(occupancy);
     }
     // hbat-lint: cold
-
-    fn sample_interval(&self) -> u64 {
-        self.sample_interval
-    }
 }
 
 #[cfg(test)]
@@ -543,11 +574,13 @@ mod tests {
 
     #[test]
     fn window_buffer_is_bounded_and_counts_drops() {
-        let mut rec = IntervalRecorder::with_capacity(2, 3);
+        let mut rec = IntervalRecorder::new(2);
         let cap_before = rec.windows.capacity();
-        feed_cycles(&mut rec, 0..20); // 10 windows into a 3-slot buffer
+        // Seven windows more than the buffer holds.
+        let windows = WINDOW_CAPACITY as u64 + 7;
+        feed_cycles(&mut rec, 0..2 * windows);
         rec.finish();
-        assert_eq!(rec.windows().len(), 3);
+        assert_eq!(rec.windows().len(), WINDOW_CAPACITY);
         assert_eq!(rec.dropped_windows(), 7);
         assert_eq!(
             rec.windows.capacity(),

@@ -40,5 +40,7 @@ pub mod trace;
 
 pub use histogram::Histogram;
 pub use interval::{IntervalRecord, IntervalRecorder, INTERVAL_SCHEMA_VERSION};
-pub use recorder::{NullRecorder, OccupancySample, PortResource, Recorder, StallCause, Tee};
+pub use recorder::{
+    NullRecorder, OccupancySample, PortResource, Recorder, StallCause, Tee, SAMPLE_INTERVAL,
+};
 pub use trace::{Event, TraceRecorder, EVENT_SCHEMA_VERSION};

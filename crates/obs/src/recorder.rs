@@ -118,8 +118,13 @@ impl PortResource {
     }
 }
 
-/// One occupancy snapshot, taken every [`Recorder::sample_interval`]
-/// cycles: how full the machine's queues are.
+/// Cycles between occupancy snapshots: the engine hands every enabled
+/// recorder a [`sample`](Recorder::sample) on each cycle that is a
+/// multiple of this.
+pub const SAMPLE_INTERVAL: u64 = 64;
+
+/// One occupancy snapshot, taken every [`SAMPLE_INTERVAL`] cycles: how
+/// full the machine's queues are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OccupancySample {
     /// Re-order buffer entries occupied.
@@ -168,7 +173,7 @@ pub trait Recorder {
     }
 
     /// An occupancy snapshot (taken by the engine every
-    /// [`sample_interval`](Recorder::sample_interval) cycles).
+    /// [`SAMPLE_INTERVAL`] cycles).
     fn sample(&mut self, now: u64, occupancy: &OccupancySample) {
         let _ = (now, occupancy);
     }
@@ -189,11 +194,6 @@ pub trait Recorder {
     /// rejects arrive via [`port_conflict`](Recorder::port_conflict).
     fn dcache_access(&mut self, now: u64, hit: bool) {
         let _ = (now, hit);
-    }
-
-    /// Cycles between occupancy samples; 0 disables sampling.
-    fn sample_interval(&self) -> u64 {
-        0
     }
 
     /// Whether this recorder has taken everything it will ever take.
@@ -252,10 +252,6 @@ impl<R: Recorder> Recorder for &mut R {
 
     fn dcache_access(&mut self, now: u64, hit: bool) {
         (**self).dcache_access(now, hit);
-    }
-
-    fn sample_interval(&self) -> u64 {
-        (**self).sample_interval()
     }
 
     fn finished(&self) -> bool {
@@ -325,16 +321,6 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
         self.b.dcache_access(now, hit);
     }
 
-    /// The finer of the two sides' sampling cadences (a disabled side,
-    /// interval 0, defers to the other).
-    fn sample_interval(&self) -> u64 {
-        match (self.a.sample_interval(), self.b.sample_interval()) {
-            (0, b) => b,
-            (a, 0) => a,
-            (a, b) => a.min(b),
-        }
-    }
-
     /// Finished only once both sides are: the run must go on while
     /// either still observes it.
     fn finished(&self) -> bool {
@@ -374,7 +360,6 @@ mod tests {
         r.commit_cycle(5, 2);
         r.tlb_lookup(6, true);
         r.dcache_access(7, false);
-        assert_eq!(r.sample_interval(), 0);
     }
 
     // Compile-time: a tee of two null recorders stays statically off;
@@ -382,74 +367,56 @@ mod tests {
     struct On;
     impl Recorder for On {
         const ENABLED: bool = true;
-        fn sample_interval(&self) -> u64 {
-            96
-        }
     }
     const _: () = assert!(!<Tee<NullRecorder, NullRecorder> as Recorder>::ENABLED);
     const _: () = assert!(<Tee<NullRecorder, On> as Recorder>::ENABLED);
     const _: () = assert!(<Tee<On, NullRecorder> as Recorder>::ENABLED);
 
     #[test]
-    fn tee_forwards_to_both_sides_and_picks_finer_sampling() {
+    fn tee_forwards_every_probe_to_both_sides() {
+        // Counts each probe kind in its own slot, so a probe that is
+        // dropped, or forwarded as another, shows.
         #[derive(Default)]
-        struct Counting {
-            probes: u32,
-            interval: u64,
-        }
+        struct Counting([u32; 8]);
         impl Recorder for Counting {
             const ENABLED: bool = true;
             fn issue_cycle(&mut self, _now: u64, _issued: u32) {
-                self.probes += 1;
+                self.0[0] += 1;
             }
             fn stall_cycle(&mut self, _now: u64, _cause: StallCause) {
-                self.probes += 1;
+                self.0[1] += 1;
+            }
+            fn port_conflict(&mut self, _now: u64, _resource: PortResource) {
+                self.0[2] += 1;
+            }
+            fn walk(&mut self, _now: u64, _vpn: u64, _latency: u64) {
+                self.0[3] += 1;
+            }
+            fn sample(&mut self, _now: u64, _occupancy: &OccupancySample) {
+                self.0[4] += 1;
             }
             fn commit_cycle(&mut self, _now: u64, _committed: u32) {
-                self.probes += 1;
+                self.0[5] += 1;
             }
             fn tlb_lookup(&mut self, _now: u64, _hit: bool) {
-                self.probes += 1;
+                self.0[6] += 1;
             }
             fn dcache_access(&mut self, _now: u64, _hit: bool) {
-                self.probes += 1;
-            }
-            fn sample_interval(&self) -> u64 {
-                self.interval
+                self.0[7] += 1;
             }
         }
 
-        let mut tee = Tee::new(
-            Counting {
-                interval: 64,
-                ..Counting::default()
-            },
-            Counting {
-                interval: 32,
-                ..Counting::default()
-            },
-        );
+        let mut tee = Tee::new(Counting::default(), Counting::default());
         tee.issue_cycle(0, 4);
         tee.stall_cycle(1, StallCause::TlbWalk);
+        tee.port_conflict(1, PortResource::Dcache);
+        tee.walk(1, 7, 30);
+        tee.sample(SAMPLE_INTERVAL, &OccupancySample::default());
         tee.commit_cycle(1, 2);
         tee.tlb_lookup(2, true);
         tee.dcache_access(2, false);
-        assert_eq!(tee.a.probes, 5);
-        assert_eq!(tee.b.probes, 5);
-        assert_eq!(tee.sample_interval(), 32, "finer cadence wins");
-
-        // A disabled (interval 0) side defers to the other.
-        let zero = Tee::new(
-            Counting {
-                interval: 0,
-                ..Counting::default()
-            },
-            Counting {
-                interval: 64,
-                ..Counting::default()
-            },
-        );
-        assert_eq!(zero.sample_interval(), 64);
+        assert_eq!(tee.a.0, [1; 8]);
+        assert_eq!(tee.b.0, [1; 8]);
     }
 
     // A recorder that finishes on demand, to drive `finished` through

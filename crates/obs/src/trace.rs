@@ -2,6 +2,7 @@
 //! port-conflict counts, and a bounded cycle-stamped event stream.
 
 use crate::histogram::Histogram;
+use crate::interval::IntervalRecord;
 use crate::recorder::{OccupancySample, PortResource, Recorder, StallCause};
 
 /// Schema version stamped as the first key (`"v"`) of every rendered
@@ -9,11 +10,8 @@ use crate::recorder::{OccupancySample, PortResource, Recorder, StallCause};
 /// change; the golden test below pins the byte-exact layout.
 pub const EVENT_SCHEMA_VERSION: u32 = 1;
 
-/// Default capacity of the bounded event buffer.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
-
-/// Default occupancy sampling interval, in cycles.
-pub const DEFAULT_SAMPLE_INTERVAL: u64 = 64;
+/// Capacity of the bounded event buffer.
+pub const EVENT_CAPACITY: usize = 1 << 16;
 
 /// One cycle-stamped observation, renderable as a JSONL record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,44 +87,16 @@ impl Event {
     }
 }
 
-/// Queue capacities used to size the occupancy histograms; values
-/// beyond a capacity saturate into the last bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancyCaps {
-    /// Re-order buffer entries.
-    pub rob: u32,
-    /// Load/store queue entries.
-    pub lsq: u32,
-    /// Outstanding data-cache fills worth distinguishing.
-    pub mshrs: u32,
-    /// Translator queue depth worth distinguishing.
-    pub tlb_queue: u32,
-}
-
-impl Default for OccupancyCaps {
-    fn default() -> Self {
-        OccupancyCaps {
-            rob: 64,
-            lsq: 32,
-            mshrs: 16,
-            tlb_queue: 16,
-        }
-    }
-}
-
-/// A [`Recorder`] that keeps everything: per-cause stall counters, four
-/// occupancy histograms, per-resource port-conflict counts, walk
-/// statistics, and a *bounded* pre-allocated event buffer (events past
-/// the capacity are counted in [`dropped_events`](Self::dropped_events)
-/// rather than grown into — the recording path never allocates).
+/// A [`Recorder`] that keeps everything: the run's issue, stall and
+/// walk totals (one [`IntervalRecord`] counter block), four occupancy
+/// histograms, per-resource port-conflict counts, and a *bounded*
+/// pre-allocated event buffer (events past [`EVENT_CAPACITY`]
+/// are counted in [`dropped_events`](Self::dropped_events) rather than
+/// grown into — the recording path never allocates).
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
-    stalls: [u64; StallCause::COUNT],
-    issue_cycles: u64,
-    issued_ops: u64,
+    counts: IntervalRecord,
     port_conflicts: [u64; PortResource::COUNT],
-    walks: u64,
-    walk_cycles: u64,
     rob: Histogram,
     lsq: Histogram,
     mshrs: Histogram,
@@ -142,36 +112,21 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder with default histogram capacities and event capacity.
-    /// It samples occupancy every [`DEFAULT_SAMPLE_INTERVAL`] cycles.
+    /// An empty recorder. Its histograms cover occupancies up to the
+    /// queue sizes worth distinguishing (ROB 64, LSQ 32, in-flight
+    /// fills 16, translator queue 16); larger values saturate into the
+    /// last bucket.
     pub fn new() -> Self {
-        Self::with_caps(OccupancyCaps::default())
-    }
-
-    /// A recorder whose histograms are sized for the given queue
-    /// capacities.
-    pub fn with_caps(caps: OccupancyCaps) -> Self {
         TraceRecorder {
-            stalls: [0; StallCause::COUNT],
-            issue_cycles: 0,
-            issued_ops: 0,
+            counts: IntervalRecord::default(),
             port_conflicts: [0; PortResource::COUNT],
-            walks: 0,
-            walk_cycles: 0,
-            rob: Histogram::new(caps.rob),
-            lsq: Histogram::new(caps.lsq),
-            mshrs: Histogram::new(caps.mshrs),
-            tlb_queue: Histogram::new(caps.tlb_queue),
-            events: Vec::with_capacity(DEFAULT_EVENT_CAPACITY),
+            rob: Histogram::new(64),
+            lsq: Histogram::new(32),
+            mshrs: Histogram::new(16),
+            tlb_queue: Histogram::new(16),
+            events: Vec::with_capacity(EVENT_CAPACITY),
             dropped: 0,
         }
-    }
-
-    /// Resize the bounded event buffer (0 keeps only counters).
-    pub fn set_event_capacity(&mut self, cap: usize) -> &mut Self {
-        self.events = Vec::with_capacity(cap);
-        self.dropped = 0;
-        self
     }
 
     // hbat-lint: hot
@@ -187,38 +142,34 @@ impl TraceRecorder {
 
     /// Cycles in which at least one operation issued.
     pub fn issue_cycles(&self) -> u64 {
-        self.issue_cycles
+        self.counts.issue_cycles
     }
 
     /// Total operations issued across all issue cycles.
     pub fn issued_ops(&self) -> u64 {
-        self.issued_ops
+        self.counts.issued
     }
 
     /// Stall cycles charged to `cause`.
     pub fn stall(&self, cause: StallCause) -> u64 {
         // hbat-lint: allow(panic) index() < COUNT by construction; the array is [_; COUNT]
-        self.stalls[cause.index()]
+        self.counts.stalls[cause.index()]
     }
 
     /// Total stall cycles across the taxonomy.
     pub fn stall_total(&self) -> u64 {
-        self.stalls.iter().sum()
+        self.counts.stall_cycles()
     }
 
     /// Total cycles observed (`issue_cycles + stall_total`); matches
     /// the engine's cycle count by construction.
     pub fn cycles(&self) -> u64 {
-        self.issue_cycles + self.stall_total()
+        self.counts.cycles
     }
 
     /// The stall breakdown in classifier priority order.
     pub fn stall_breakdown(&self) -> [(StallCause, u64); StallCause::COUNT] {
-        let mut out = [(StallCause::TlbPort, 0); StallCause::COUNT];
-        for (slot, &cause) in out.iter_mut().zip(StallCause::ALL.iter()) {
-            *slot = (cause, self.stalls[cause.index()]);
-        }
-        out
+        StallCause::ALL.map(|cause| (cause, self.stall(cause)))
     }
 
     /// Port conflicts observed on `resource`.
@@ -229,12 +180,12 @@ impl TraceRecorder {
 
     /// Page-table walks begun.
     pub fn walks(&self) -> u64 {
-        self.walks
+        self.counts.walks
     }
 
     /// Total latency, in cycles, of all walks begun.
     pub fn walk_cycles(&self) -> u64 {
-        self.walk_cycles
+        self.counts.walk_cycles
     }
 
     /// Re-order buffer occupancy histogram.
@@ -280,19 +231,21 @@ impl TraceRecorder {
     }
 }
 
+/// Forwards to the counter block only the probes whose counters it
+/// reports: commits and TLB/D-cache lookups are left to the interval
+/// recorders, and occupancy goes to the histograms instead of sums.
 impl Recorder for TraceRecorder {
     const ENABLED: bool = true;
 
     // hbat-lint: hot
     #[inline]
     fn issue_cycle(&mut self, _now: u64, issued: u32) {
-        self.issue_cycles += 1;
-        self.issued_ops += issued as u64;
+        self.counts.issue_cycle(issued);
     }
 
     #[inline]
     fn stall_cycle(&mut self, now: u64, cause: StallCause) {
-        self.stalls[cause.index()] += 1;
+        self.counts.stall_cycle(cause);
         self.push_event(Event::Stall { now, cause });
     }
 
@@ -304,8 +257,7 @@ impl Recorder for TraceRecorder {
 
     #[inline]
     fn walk(&mut self, now: u64, vpn: u64, latency: u64) {
-        self.walks += 1;
-        self.walk_cycles += latency;
+        self.counts.walk(latency);
         self.push_event(Event::Walk { now, vpn, latency });
     }
 
@@ -321,10 +273,6 @@ impl Recorder for TraceRecorder {
         });
     }
     // hbat-lint: cold
-
-    fn sample_interval(&self) -> u64 {
-        DEFAULT_SAMPLE_INTERVAL
-    }
 }
 
 #[cfg(test)]
@@ -351,37 +299,43 @@ mod tests {
     #[test]
     fn events_are_bounded_not_grown() {
         let mut r = TraceRecorder::new();
-        r.set_event_capacity(2);
         let cap_before = r.events.capacity();
-        for now in 0..10 {
+        // Eight events more than the buffer holds.
+        let stalls = EVENT_CAPACITY as u64 + 8;
+        for now in 0..stalls {
             r.stall_cycle(now, StallCause::NoReadyOp);
         }
-        assert_eq!(r.events().len(), 2);
+        assert_eq!(r.events().len(), EVENT_CAPACITY);
         assert_eq!(r.dropped_events(), 8);
         assert_eq!(r.events.capacity(), cap_before, "buffer never reallocates");
-        assert_eq!(r.stall(StallCause::NoReadyOp), 10, "counters never drop");
+        assert_eq!(
+            r.stall(StallCause::NoReadyOp),
+            stalls,
+            "counters never drop"
+        );
     }
 
     #[test]
     fn samples_feed_histograms() {
-        let mut r = TraceRecorder::with_caps(OccupancyCaps {
-            rob: 4,
-            lsq: 4,
-            mshrs: 4,
-            tlb_queue: 4,
-        });
+        let mut r = TraceRecorder::new();
         r.sample(
             64,
             &OccupancySample {
                 rob: 3,
                 lsq: 1,
-                mshrs: 9,
+                mshrs: 99,
                 tlb_queue: 0,
             },
         );
         assert_eq!(r.rob_occupancy().count(3), 1);
         assert_eq!(r.lsq_occupancy().count(1), 1);
-        assert_eq!(r.mshr_occupancy().count(4), 1, "saturated into last bucket");
+        let mshrs = r.mshr_occupancy();
+        assert_eq!(
+            mshrs.count(mshrs.len() - 1),
+            1,
+            "saturated into last bucket"
+        );
+        assert_eq!(mshrs.max_seen(), 99);
         assert_eq!(r.tlb_queue_occupancy().count(0), 1);
     }
 
@@ -474,7 +428,6 @@ mod tests {
         fn drive<R: Recorder>(rec: &mut R) {
             rec.issue_cycle(0, 1);
             rec.stall_cycle(1, StallCause::LsqFull);
-            assert_eq!(rec.sample_interval(), DEFAULT_SAMPLE_INTERVAL);
         }
         let mut r = TraceRecorder::new();
         drive(&mut &mut r);

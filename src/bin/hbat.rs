@@ -27,14 +27,14 @@
 //! sweep fault tolerance (see DESIGN.md § 9) and observability:
 //!          --journal <path>               append completed cells (JSONL)
 //!          --resume                       replay the journal, re-run the rest
-//!          --timeout <secs>               per-cell deadline (HBAT_CELL_TIMEOUT)
-//!          --retries <n>                  per-cell retries (HBAT_CELL_RETRIES)
+//!          --timeout <secs>               per-cell deadline
+//!          --retries <n>                  per-cell retries
 //!          --observe                      per-cell obs sidecar (<journal>.obs.jsonl)
 //!          --intervals <n>                per-cell interval sidecar
 //!                                         (<journal>.iv.jsonl, needs --journal)
 //!          --heartbeat <secs>             progress line interval, 0 = off
-//!                                         (HBAT_HEARTBEAT; default: off at test
-//!                                         scale, 30 s otherwise)
+//!                                         (default: off at test scale, 30 s
+//!                                         otherwise)
 //!
 //! sampled simulation (SMARTS-style; see DESIGN.md § 15):
 //!          --sample N[:len[:warmup]]      detailed timing only in N systematic
@@ -620,21 +620,17 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 return Err("--ckpt-interval needs --ckpt-dir <path>".to_owned());
             }
             let cfg = opts.experiment();
-            let mut policy = RunPolicy::from_env();
-            if let Some(secs) = opts.timeout {
-                policy.timeout = Some(Duration::from_secs_f64(secs));
-            }
-            if let Some(n) = opts.retries {
-                policy.retries = n;
-            }
-            // Heartbeat resolution: CLI flag > HBAT_HEARTBEAT (already in
-            // `policy`) > scale default (off at test scale, 30 s otherwise).
-            if let Some(secs) = opts.heartbeat {
-                policy.heartbeat = Some(Duration::from_secs_f64(secs));
-            }
-            if policy.heartbeat.is_none() && opts.scale != Scale::Test {
-                policy.heartbeat = Some(Duration::from_secs(30));
-            }
+            // The heartbeat defaults to off at test scale, 30 s otherwise.
+            let heartbeat = match (opts.heartbeat, opts.scale) {
+                (Some(secs), _) => Duration::from_secs_f64(secs),
+                (None, Scale::Test) => Duration::ZERO,
+                (None, _) => Duration::from_secs(30),
+            };
+            let policy = RunPolicy {
+                retries: opts.retries.unwrap_or(0),
+                timeout: opts.timeout.map(Duration::from_secs_f64),
+                heartbeat: Some(heartbeat),
+            };
             let checkpoint = match (&opts.ckpt_dir, opts.ff) {
                 (Some(dir), Some(boundary)) => Some(CheckpointOptions {
                     dir: dir.clone(),
