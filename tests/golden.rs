@@ -24,6 +24,10 @@
 //! every cell's metrics, and every window of the same sweep sampled
 //! under `6:400:100`.
 //!
+//! The ported, banked and piggybacked translators are pinned directly,
+//! under seeded request batches that evict from their 128 entries, since
+//! no test-scale workload fills a 128-entry TLB.
+//!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
 use hbat_suite::bench::ckpt::CheckpointOptions;
@@ -35,6 +39,10 @@ use hbat_suite::bench::experiment::{
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
 use hbat_suite::bench::sample::SamplePlan;
+use hbat_suite::core::designs::interleaved::{BankSelect, InterleavedTlb};
+use hbat_suite::core::designs::multiported::MultiPortedTlb;
+use hbat_suite::core::designs::piggyback::PiggybackTlb;
+use hbat_suite::core::{VirtAddr, Vpn};
 use hbat_suite::obs::IntervalRecorder;
 use hbat_suite::prelude::*;
 
@@ -329,4 +337,137 @@ fn interval_windows() {
         text.push_str(&format!("{bench} dropped {}\n", iv.dropped_windows()));
     }
     assert_eq!(fnv1a_hex(&text), "c991cf6813f44467");
+}
+
+/// One seeded step of splitmix64.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Presents seeded same-cycle batches of 1-8 loads and stores to `t`,
+/// re-presenting each rejected request one cycle later, and records
+/// every outcome with the cycle it was accepted in and `queue_depth`
+/// after each cycle. Pages come from `pages`, and about one request in
+/// three repeats an earlier page of its batch.
+fn drive_seeded(
+    t: &mut dyn AddressTranslator,
+    rng: &mut u64,
+    now: &mut u64,
+    batches: usize,
+    pages: u64,
+    text: &mut String,
+) {
+    for _ in 0..batches {
+        let n = 1 + (splitmix(rng) % 8) as usize;
+        let mut reqs: Vec<TranslateRequest> = Vec::with_capacity(n);
+        for i in 0..n {
+            let r = splitmix(rng);
+            let page = if i > 0 && r.is_multiple_of(3) {
+                reqs[(r >> 8) as usize % i].vaddr.0 >> 12
+            } else {
+                (r >> 16) % pages
+            };
+            let va = VirtAddr(page << 12 | (r >> 40) & 0xff8);
+            let serial = *now * 8 + i as u64;
+            reqs.push(if r & 0x80 == 0 {
+                TranslateRequest::load(va, serial)
+            } else {
+                TranslateRequest::store(va, serial)
+            });
+        }
+        let mut pending: Vec<usize> = (0..n).collect();
+        while !pending.is_empty() {
+            t.begin_cycle(Cycle(*now));
+            pending.retain(|&i| match t.translate(&reqs[i]) {
+                Outcome::Retry => true,
+                o => {
+                    text.push_str(&format!("{i} {o:?} @{now}\n"));
+                    false
+                }
+            });
+            text.push_str(&format!("q{}\n", t.queue_depth(Cycle(*now))));
+            *now += 1;
+        }
+    }
+}
+
+/// Pins the translators that differ only in banks, real ports per bank
+/// and piggyback ports per bank: the nine such Table-2 designs at seeds
+/// 1 and 1996, every configuration the `ablation` binary builds, and a
+/// multiplicative-select interleaved TLB. Each is driven with seeded
+/// batches over four times its capacity in pages, so random replacement
+/// evicts and same-page requests combine, then given a run of
+/// `warm_insert`s and driven again. The digest covers every outcome,
+/// its accept cycle, `queue_depth` after each cycle, the final
+/// `TranslatorStats` and the page table's status bits.
+#[test]
+fn ported_translators() {
+    let geom = PageGeometry::KB4;
+    let pt = || PageTable::new(geom);
+    let mut designs: Vec<Box<dyn AddressTranslator>> = Vec::new();
+    for seed in [1, 1996] {
+        for spec in DesignSpec::TABLE2 {
+            if matches!(
+                spec,
+                DesignSpec::MultiPorted { .. }
+                    | DesignSpec::Interleaved { .. }
+                    | DesignSpec::Piggyback { .. }
+            ) {
+                designs.push(spec.build(geom, seed));
+            }
+        }
+    }
+    for pb in [0, 1, 2, 3, 7] {
+        designs.push(Box::new(PiggybackTlb::new("PBx", 1, pb, 128, pt(), 1996)));
+    }
+    for banks in [2, 4, 8, 16] {
+        designs.push(Box::new(InterleavedTlb::new(
+            "Ix",
+            banks,
+            128,
+            BankSelect::BitSelect,
+            false,
+            pt(),
+            1996,
+        )));
+    }
+    designs.push(Box::new(MultiPortedTlb::new("T1", 1, 128, pt(), 1996)));
+    designs.push(Box::new(InterleavedTlb::new(
+        "M4",
+        4,
+        128,
+        BankSelect::Multiplicative,
+        false,
+        pt(),
+        1996,
+    )));
+    assert_eq!(designs.len(), 29);
+
+    let mut text = String::new();
+    for (k, t) in designs.iter_mut().enumerate() {
+        let t = t.as_mut();
+        let pages = 4 * t.warm_tlb_capacity() as u64;
+        let mut rng = k as u64;
+        let mut now = 0;
+        text.push_str(&format!("== {k} {}\n", t.name()));
+        drive_seeded(t, &mut rng, &mut now, 600, pages, &mut text);
+        text.push_str(&format!("{:?}\nwarm\n", t.stats()));
+        for _ in 0..200 {
+            let vpn = Vpn(splitmix(&mut rng) % pages);
+            let entry = t.page_table_mut().walk(vpn);
+            t.warm_insert(entry);
+        }
+        drive_seeded(t, &mut rng, &mut now, 200, pages, &mut text);
+        text.push_str(&format!("{:?}\n", t.stats()));
+        for vpn in 0..pages {
+            if let Some(e) = t.page_table().probe(Vpn(vpn)) {
+                text.push_str(&format!("{e:?}\n"));
+            }
+        }
+    }
+    assert_eq!(fnv1a_hex(&text), "c8bf14819b257f80");
 }
