@@ -15,9 +15,8 @@
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
 use hbat_bench::experiment::{scale_from_args, uops_for, ExperimentConfig};
-use hbat_core::designs::interleaved::{BankSelect, InterleavedTlb};
 use hbat_core::designs::multilevel::MultiLevelTlb;
-use hbat_core::designs::piggyback::PiggybackTlb;
+use hbat_core::designs::ported::PortedTlb;
 use hbat_core::designs::pretranslation::PretranslationTlb;
 use hbat_core::designs::victim::VictimTlb;
 use hbat_core::pagetable::PageTable;
@@ -85,10 +84,10 @@ fn main() {
     for pb in [0usize, 1, 2, 3, 7] {
         let (_, ic, _) = run(
             &compress,
-            Box::new(PiggybackTlb::new("PBx", 1, pb, 128, pt(), SEED)),
+            Box::new(PortedTlb::new("PBx", 1, 1, pb, 128, pt(), SEED)),
         );
         let mut xt: Box<dyn AddressTranslator> =
-            Box::new(PiggybackTlb::new("PBx", 1, pb, 128, pt(), SEED));
+            Box::new(PortedTlb::new("PBx", 1, 1, pb, 128, pt(), SEED));
         let mx = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
         t.row(vec![
             pb.to_string(),
@@ -139,17 +138,7 @@ fn main() {
     ]);
     t.numeric();
     for banks in [2usize, 4, 8, 16] {
-        let mk = || {
-            Box::new(InterleavedTlb::new(
-                "Ix",
-                banks,
-                128,
-                BankSelect::BitSelect,
-                false,
-                pt(),
-                SEED,
-            ))
-        };
+        let mk = || Box::new(PortedTlb::new("Ix", banks, 1, 0, 128, pt(), SEED));
         let mut ct: Box<dyn AddressTranslator> = mk();
         let mc = simulate_uops(&SimConfig::baseline(), &compress, ct.as_mut());
         let mut xt: Box<dyn AddressTranslator> = mk();
@@ -169,9 +158,8 @@ fn main() {
     t.numeric();
     for v in [0usize, 4, 8, 16] {
         let m = if v == 0 {
-            let mut base: Box<dyn AddressTranslator> = Box::new(
-                hbat_core::designs::multiported::MultiPortedTlb::new("T1", 1, 128, pt(), SEED),
-            );
+            let mut base: Box<dyn AddressTranslator> =
+                Box::new(PortedTlb::new("T1", 1, 1, 0, 128, pt(), SEED));
             simulate_uops(&SimConfig::baseline(), &compress, base.as_mut())
         } else {
             let mut vt = VictimTlb::new("V", 1, 128, v, pt(), SEED);

@@ -138,6 +138,10 @@ pub struct SweepResult {
     pub sample: Option<SamplePlan>,
 }
 
+/// The fewest windows a sampled cell needs to enter a weighted
+/// confidence interval: one window has no spread to estimate from.
+const MIN_INTERVAL_WINDOWS: usize = 2;
+
 /// One benchmark's completed cells behind a figure aggregate: the
 /// design's cell and the weight (T4) cell.
 type Pair<'a> = (&'a CellResult, &'a CellResult);
@@ -159,11 +163,17 @@ impl SweepResult {
         self.cells.iter().flatten().filter(|o| o.is_ok()).count()
     }
 
-    /// The rows where both `design`'s cell and the weight cell
-    /// completed. The weight column is T4's, or the first design's when
-    /// T4 is not part of the sweep. `None` when `design` is not.
+    /// The weight column: T4's, or the first design's when T4 is not
+    /// part of the sweep.
+    fn weight_col(&self) -> usize {
+        self.designs.iter().position(|d| *d == T4).unwrap_or(0)
+    }
+
+    /// The rows where both `design`'s cell and the
+    /// [weight cell](Self::weight_col) completed. `None` when `design` is
+    /// not part of the sweep.
     fn completed_pairs(&self, design: DesignSpec) -> Option<Vec<Pair<'_>>> {
-        let weight_col = self.designs.iter().position(|d| *d == T4).unwrap_or(0);
+        let weight_col = self.weight_col();
         let col = self.designs.iter().position(|d| *d == design)?;
         Some(
             self.cells
@@ -207,8 +217,9 @@ impl SweepResult {
     /// mean and the half-width. `None` when the sweep was not sampled,
     /// the design is absent, or no benchmark has weight. A weighted cell
     /// with fewer than two windows (a one-window tail, a lost sidecar)
-    /// degrades the whole interval to an infinite half-width rather
-    /// than quietly narrowing it.
+    /// has no spread to estimate from, so it is left out too;
+    /// [`Self::render_figure`] names each such program under the table,
+    /// so the interval never narrows quietly.
     pub fn weighted_ipc_interval(&self, design: DesignSpec) -> Option<ConfidenceInterval> {
         self.sample?;
         let mut w_sum = 0.0f64;
@@ -216,7 +227,7 @@ impl SweepResult {
         let mut hw_sum = 0.0f64;
         let mut n_min = u64::MAX;
         for (c, w) in self.completed_pairs(design)? {
-            if w.metrics.cycles == 0 {
+            if w.metrics.cycles == 0 || c.windows.len() < MIN_INTERVAL_WINDOWS {
                 continue;
             }
             let ci = ipc_interval(&c.windows, ConfLevel::P95);
@@ -233,6 +244,32 @@ impl SweepResult {
             level: ConfLevel::P95.value(),
             n: n_min,
         })
+    }
+
+    /// The programs some design's [`Self::weighted_ipc_interval`] leaves
+    /// out, each with the fewest windows of its completed cells: those
+    /// whose weight cell timed something but whose cell under some design
+    /// has fewer than two windows. Empty for a full sweep.
+    fn programs_outside_interval(&self) -> Vec<(Benchmark, usize)> {
+        if self.sample.is_none() {
+            return Vec::new();
+        }
+        let weight_col = self.weight_col();
+        Benchmark::ALL
+            .iter()
+            .zip(&self.cells)
+            .filter_map(|(bench, row)| {
+                if row.get(weight_col)?.ok()?.metrics.cycles == 0 {
+                    return None;
+                }
+                let fewest = row
+                    .iter()
+                    .filter_map(|o| o.ok())
+                    .map(|c| c.windows.len())
+                    .min()?;
+                (fewest < MIN_INTERVAL_WINDOWS).then_some((*bench, fewest))
+            })
+            .collect()
     }
 
     /// Renders the figure as a text table plus the paper-style bar
@@ -270,7 +307,23 @@ impl SweepResult {
                 None => chart.bar_missing(d.mnemonic()),
             };
         }
-        let mut out = format!("{title}\n{plan}{}\n{}", t.render(), chart.render());
+        let mut out = format!("{title}\n{plan}{}", t.render());
+        let outside = self.programs_outside_interval();
+        if !outside.is_empty() {
+            let names: Vec<String> = outside
+                .iter()
+                .map(|(b, n)| {
+                    format!(
+                        "{} ({n} window{})",
+                        b.name(),
+                        if *n == 1 { "" } else { "s" }
+                    )
+                })
+                .collect();
+            out.push_str(&format!("not in the 95% CI: {}\n", names.join(", ")));
+        }
+        out.push('\n');
+        out.push_str(&chart.render());
         if !self.manifest.is_empty() {
             out.push('\n');
             out.push_str(&self.manifest.render());
@@ -1139,26 +1192,35 @@ mod tests {
     }
 
     #[test]
-    fn weighted_interval_keeps_a_one_window_cell_infinite() {
+    fn weighted_interval_leaves_out_and_names_cells_under_two_windows() {
         let t1 = DesignSpec::MultiPorted { ports: 1 };
-        // A one-window tail: weighted, but no spread to estimate from.
-        let r = sampled_result(vec![
-            (windows(&[150, 150, 150]), windows(&[90, 100, 110])),
-            (windows(&[150]), windows(&[100])),
-        ]);
-        let ci = r.weighted_ipc_interval(t1).unwrap();
-        assert!(ci.mean.is_finite() && ci.mean > 0.0, "{ci:?}");
-        assert_eq!(ci.half_width, f64::INFINITY);
-        assert_eq!(ci.n, 1);
-
-        // A weighted cell whose windows were lost.
-        let lost = sampled_result(vec![
-            (windows(&[150, 150, 150]), windows(&[90, 100, 110])),
-            (windows(&[150, 150]), Vec::new()),
-        ]);
-        let ci = lost.weighted_ipc_interval(t1).unwrap();
-        assert_eq!(ci.half_width, f64::INFINITY);
-        assert_eq!(ci.n, 0);
+        let full = || (windows(&[150, 150, 150]), windows(&[90, 100, 110]));
+        let alone = ipc_interval(&windows(&[90, 100, 110]), ConfLevel::P95);
+        // Row 0 is sampled in full; row 1 is a one-window tail, weighted
+        // but with no spread to estimate from.
+        let tail = sampled_result(vec![full(), (windows(&[150]), windows(&[100]))]);
+        // Row 1's weight cell has windows but its T1 windows were lost.
+        let lost = sampled_result(vec![full(), (windows(&[150, 150]), Vec::new())]);
+        for (r, note) in [
+            (&tail, "not in the 95% CI: Doduc (1 window)\n"),
+            (&lost, "not in the 95% CI: Doduc (0 windows)\n"),
+        ] {
+            // The short cell leaves both the mean and the half-width.
+            let ci = r.weighted_ipc_interval(t1).unwrap();
+            assert!((ci.mean - alone.mean).abs() < 1e-12, "{ci:?} vs {alone:?}");
+            assert!((ci.half_width - alone.half_width).abs() < 1e-12);
+            assert_eq!(ci.n, 3);
+            // It is named once, under the table and above the chart.
+            let fig = r.render_figure("t");
+            assert_eq!(fig.matches(note).count(), 1, "{fig}");
+            assert!(
+                fig.find(note) < fig.find("relative IPC (normalised"),
+                "{fig}"
+            );
+        }
+        // A fully sampled sweep names nothing.
+        let fig = sampled_result(vec![full(), full()]).render_figure("t");
+        assert!(!fig.contains("not in the 95% CI"), "{fig}");
     }
 
     #[test]

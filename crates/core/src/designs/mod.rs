@@ -2,10 +2,10 @@
 //!
 //! | Family | Module | Table-2 mnemonics |
 //! |---|---|---|
-//! | Multi-ported TLB | [`multiported`] | T4, T2, T1 |
-//! | Interleaved TLB | [`interleaved`] | I8, I4, X4 |
+//! | Multi-ported TLB | [`ported`] | T4, T2, T1 |
+//! | Interleaved TLB | [`ported`], banks chosen by [`interleaved`] | I8, I4, X4 |
 //! | Multi-level TLB | [`multilevel`] | M16, M8, M4 |
-//! | Piggyback ports | [`piggyback`] | PB2, PB1 (and I4/PB via [`interleaved`]) |
+//! | Piggyback ports | [`ported`] | PB2, PB1, I4/PB |
 //! | Pretranslation | [`pretranslation`] | P8 |
 //! | Unlimited reference | [`unlimited`] | — (testing/golden model) |
 //! | Victim-buffered TLB | [`victim`] | — (extension beyond the paper) |
@@ -14,8 +14,7 @@
 
 pub mod interleaved;
 pub mod multilevel;
-pub mod multiported;
-pub mod piggyback;
+pub mod ported;
 pub mod pretranslation;
 pub mod spec;
 pub mod unlimited;

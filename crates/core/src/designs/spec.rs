@@ -12,10 +12,9 @@ use crate::addr::PageGeometry;
 use crate::pagetable::PageTable;
 use crate::translator::AddressTranslator;
 
-use super::interleaved::{BankSelect, InterleavedTlb};
+use super::interleaved::BankSelect;
 use super::multilevel::MultiLevelTlb;
-use super::multiported::MultiPortedTlb;
-use super::piggyback::PiggybackTlb;
+use super::ported::PortedTlb;
 use super::pretranslation::PretranslationTlb;
 use super::unlimited::UnlimitedTlb;
 use super::BASE_TLB_ENTRIES;
@@ -231,34 +230,35 @@ impl DesignSpec {
     /// `geom`, seeding random replacement with `seed`.
     pub fn build(&self, geom: PageGeometry, seed: u64) -> Box<dyn AddressTranslator> {
         let pt = PageTable::new(geom);
-        self.build_with(pt, seed)
-    }
-
-    /// Instantiates this design over an existing page table.
-    pub fn build_with(&self, pt: PageTable, seed: u64) -> Box<dyn AddressTranslator> {
-        match *self {
-            DesignSpec::MultiPorted { ports } => Box::new(MultiPortedTlb::new(
-                self.mnemonic(),
+        let name = self.mnemonic();
+        let ported = |banks, ports, piggyback_ports, pt| {
+            PortedTlb::new(
+                name,
+                banks,
                 ports,
+                piggyback_ports,
                 BASE_TLB_ENTRIES,
                 pt,
                 seed,
-            )),
+            )
+        };
+        match *self {
+            DesignSpec::MultiPorted { ports } => Box::new(ported(1, ports, 0, pt)),
+            DesignSpec::Piggyback {
+                ports,
+                piggyback_ports,
+            } => Box::new(ported(1, ports, piggyback_ports, pt)),
             DesignSpec::Interleaved {
                 banks,
                 select,
                 piggyback,
-            } => Box::new(InterleavedTlb::new(
-                self.mnemonic(),
-                banks,
-                BASE_TLB_ENTRIES,
-                select,
-                piggyback,
-                pt,
-                seed,
-            )),
+            } => {
+                // I4/PB combines every same-page request at a busy bank.
+                let piggyback_ports = if piggyback { usize::MAX } else { 0 };
+                Box::new(ported(banks, 1, piggyback_ports, pt).with_select(select))
+            }
             DesignSpec::MultiLevel { l1_entries } => Box::new(MultiLevelTlb::new(
-                self.mnemonic(),
+                name,
                 l1_entries,
                 4,
                 BASE_TLB_ENTRIES,
@@ -267,20 +267,9 @@ impl DesignSpec {
                 seed,
             )),
             DesignSpec::Pretranslation { ptc_entries } => Box::new(PretranslationTlb::new(
-                self.mnemonic(),
+                name,
                 ptc_entries,
                 4,
-                BASE_TLB_ENTRIES,
-                pt,
-                seed,
-            )),
-            DesignSpec::Piggyback {
-                ports,
-                piggyback_ports,
-            } => Box::new(PiggybackTlb::new(
-                self.mnemonic(),
-                ports,
-                piggyback_ports,
                 BASE_TLB_ENTRIES,
                 pt,
                 seed,

@@ -8,13 +8,13 @@
 //! requests per cycle. This crate implements the paper's design space for
 //! serving them:
 //!
-//! * **multi-ported TLBs** ([`designs::multiported`]) — brute force, the
+//! * **multi-ported TLBs** ([`designs::ported`]) — brute force, the
 //!   baseline everything is normalised to;
-//! * **interleaved TLBs** ([`designs::interleaved`]) — banking with
-//!   bit-select or XOR-fold bank selection;
+//! * **interleaved TLBs** ([`designs::ported`]) — banking with
+//!   bit-select or XOR-fold bank selection ([`designs::interleaved`]);
 //! * **multi-level TLBs** ([`designs::multilevel`]) — a tiny multi-ported
 //!   LRU L1 TLB shields a large single-ported L2;
-//! * **piggyback ports** ([`designs::piggyback`]) — simultaneous requests
+//! * **piggyback ports** ([`designs::ported`]) — simultaneous requests
 //!   to the same page combine at the access port;
 //! * **pretranslation** ([`designs::pretranslation`]) — translations ride
 //!   on base-register values and are reused across dereferences.

@@ -114,10 +114,10 @@ pub trait AddressTranslator {
     }
 }
 
-/// Convenience driver used by tests and the miss-rate experiment: pushes a
-/// batch of same-cycle requests through `t`, retrying rejected requests in
-/// subsequent cycles, and returns the outcomes in request order along with
-/// the first cycle at which each request was *accepted*.
+/// Convenience driver used by tests: pushes a batch of same-cycle requests
+/// through `t`, retrying rejected requests in subsequent cycles, and
+/// returns the outcomes in request order along with the first cycle at
+/// which each request was *accepted*.
 ///
 /// This is a miniature stand-in for the load/store queue's retry loop.
 pub fn drive_batch(
@@ -157,13 +157,13 @@ pub fn drive_batch(
 mod tests {
     use super::*;
     use crate::addr::VirtAddr;
-    use crate::designs::multiported::MultiPortedTlb;
+    use crate::designs::ported::PortedTlb;
     use crate::pagetable::PageTable;
 
     #[test]
     fn drive_batch_retries_until_all_served() {
         let pt = PageTable::new(PageGeometry::KB4);
-        let mut t = MultiPortedTlb::new("T1", 1, 128, pt, 1);
+        let mut t = PortedTlb::new("T1", 1, 1, 0, 128, pt, 1);
         let reqs: Vec<_> = (0..3)
             .map(|i| TranslateRequest::load(VirtAddr(0x1000 * (i + 1)), i))
             .collect();

@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use hbat_core::addr::{PageGeometry, VirtAddr, Vpn};
 use hbat_core::bank::TlbBank;
 use hbat_core::cycle::Cycle;
-use hbat_core::designs::interleaved::{BankSelect, InterleavedTlb};
+use hbat_core::designs::interleaved::BankSelect;
 use hbat_core::designs::multilevel::MultiLevelTlb;
+use hbat_core::designs::ported::PortedTlb;
 use hbat_core::designs::pretranslation::PretranslationTlb;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::entry::{Protection, TlbEntry};
@@ -170,15 +171,8 @@ proptest! {
     #[test]
     fn interleaving_partitions_pages(stream in addr_stream(), xor in any::<bool>()) {
         let select = if xor { BankSelect::XorFold } else { BankSelect::BitSelect };
-        let mut t = InterleavedTlb::new(
-            "prop",
-            4,
-            32,
-            select,
-            false,
-            PageTable::new(PageGeometry::KB4),
-            9,
-        );
+        let mut t = PortedTlb::new("prop", 4, 1, 0, 32, PageTable::new(PageGeometry::KB4), 9)
+            .with_select(select);
         for (i, &(page, off)) in stream.iter().enumerate() {
             let a = va(page, off);
             let home = t.bank_of(a);

@@ -39,9 +39,8 @@ use hbat_suite::bench::experiment::{
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
 use hbat_suite::bench::sample::SamplePlan;
-use hbat_suite::core::designs::interleaved::{BankSelect, InterleavedTlb};
-use hbat_suite::core::designs::multiported::MultiPortedTlb;
-use hbat_suite::core::designs::piggyback::PiggybackTlb;
+use hbat_suite::core::designs::interleaved::BankSelect;
+use hbat_suite::core::designs::ported::PortedTlb;
 use hbat_suite::core::{VirtAddr, Vpn};
 use hbat_suite::obs::IntervalRecorder;
 use hbat_suite::prelude::*;
@@ -422,29 +421,15 @@ fn ported_translators() {
         }
     }
     for pb in [0, 1, 2, 3, 7] {
-        designs.push(Box::new(PiggybackTlb::new("PBx", 1, pb, 128, pt(), 1996)));
+        designs.push(Box::new(PortedTlb::new("PBx", 1, 1, pb, 128, pt(), 1996)));
     }
     for banks in [2, 4, 8, 16] {
-        designs.push(Box::new(InterleavedTlb::new(
-            "Ix",
-            banks,
-            128,
-            BankSelect::BitSelect,
-            false,
-            pt(),
-            1996,
-        )));
+        designs.push(Box::new(PortedTlb::new("Ix", banks, 1, 0, 128, pt(), 1996)));
     }
-    designs.push(Box::new(MultiPortedTlb::new("T1", 1, 128, pt(), 1996)));
-    designs.push(Box::new(InterleavedTlb::new(
-        "M4",
-        4,
-        128,
-        BankSelect::Multiplicative,
-        false,
-        pt(),
-        1996,
-    )));
+    designs.push(Box::new(PortedTlb::new("T1", 1, 1, 0, 128, pt(), 1996)));
+    designs.push(Box::new(
+        PortedTlb::new("M4", 4, 1, 0, 128, pt(), 1996).with_select(BankSelect::Multiplicative),
+    ));
     assert_eq!(designs.len(), 29);
 
     let mut text = String::new();
