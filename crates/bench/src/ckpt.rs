@@ -28,7 +28,7 @@ use hbat_cpu::WarmAccumulator;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
-use hbat_workloads::{Benchmark, Workload};
+use hbat_workloads::Benchmark;
 
 use crate::experiment::{run_cell, sweep_fingerprint, ExperimentConfig};
 use crate::faults::{CkptFault, FaultPlan};
@@ -67,17 +67,89 @@ pub struct WarmTrace {
     pub rejected: Vec<(PathBuf, String)>,
 }
 
-/// Runs a fast-forwarded `machine` to completion, collecting the
-/// timing tail's micro-ops.
-fn finish(workload: &Workload, machine: &mut Machine) -> Result<PredecodedTrace, CkptError> {
-    let tail = machine.run_to_uops(workload.max_steps);
-    if !machine.is_halted() {
-        return Err(CkptError::Malformed(format!(
-            "workload {} did not halt within {} tail steps",
-            workload.name, workload.max_steps
-        )));
+/// One benchmark at the start of detailed timing: the machine, ready to
+/// run the timing tail, and the warm state there. A full cell times the
+/// tail [`into_trace`](Self::into_trace) collects; a sampled sweep keeps
+/// the machine instead and streams a clone of it through the warm
+/// schedule, so it never holds the tail.
+#[derive(Debug)]
+pub struct WarmStart {
+    /// The benchmark.
+    pub bench: Benchmark,
+    /// The functional machine at the timing start.
+    pub machine: Machine,
+    /// The workload's runaway guard, applied to the tail.
+    pub max_steps: u64,
+    /// The warm-state accumulator at the timing start.
+    pub acc: WarmAccumulator,
+    /// Where timing starts: `min(F, halt point)`, or 0 without `--ff`.
+    pub start: u64,
+    /// The snapshot index the build restored from (`None` = cold start).
+    pub restored_from: Option<u64>,
+    /// Snapshots rejected during the restore scan, newest first, with
+    /// their typed errors rendered.
+    pub rejected: Vec<(PathBuf, String)>,
+}
+
+impl WarmStart {
+    /// The program's first instruction with nothing warmed: where a
+    /// sweep without `--ff` starts timing.
+    pub fn program_start(bench: Benchmark, cfg: &ExperimentConfig) -> WarmStart {
+        let workload = bench.build(&cfg.workload);
+        WarmStart {
+            bench,
+            machine: workload.instantiate(),
+            max_steps: workload.max_steps,
+            acc: WarmAccumulator::new(&cfg.sim, cfg.geometry),
+            start: 0,
+            restored_from: None,
+            rejected: Vec::new(),
+        }
     }
-    Ok(tail)
+
+    /// Fails unless `machine`, run from this start, halted within the
+    /// workload's step budget.
+    fn check_halted(&self, machine: &Machine) -> Result<(), CkptError> {
+        if machine.is_halted() {
+            return Ok(());
+        }
+        Err(CkptError::Malformed(format!(
+            "workload {} did not halt within {} tail steps",
+            self.bench.name(),
+            self.max_steps
+        )))
+    }
+
+    /// The number of ops in the timing tail: runs a clone of the machine
+    /// to halt and keeps none of them.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Malformed`] if the program does not halt within its
+    /// step budget.
+    pub fn tail_len(&self) -> Result<u64, CkptError> {
+        let mut machine = self.machine.clone();
+        let n = machine.run(self.max_steps, |_| {});
+        self.check_halted(&machine)?;
+        Ok(n)
+    }
+
+    /// Runs the machine to halt, collecting the timing tail.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::tail_len`].
+    pub fn into_trace(mut self) -> Result<WarmTrace, CkptError> {
+        let tail = self.machine.run_to_uops(self.max_steps);
+        self.check_halted(&self.machine)?;
+        Ok(WarmTrace {
+            tail,
+            acc: self.acc,
+            start: self.start,
+            restored_from: self.restored_from,
+            rejected: self.rejected,
+        })
+    }
 }
 
 /// Builds a benchmark's warm trace with *no* disk involvement: a pure
@@ -94,25 +166,18 @@ pub fn build_warm_trace_cold(
     boundary: u64,
 ) -> Result<WarmTrace, CkptError> {
     let _prof = hbat_obs::prof::scope("warm-build");
-    let workload = bench.build(&cfg.workload);
-    let mut machine = workload.instantiate();
-    let mut acc = WarmAccumulator::new(&cfg.sim, cfg.geometry);
+    let mut ws = WarmStart::program_start(bench, cfg);
     let out = fast_forward(
-        &mut machine,
-        &mut acc,
+        &mut ws.machine,
+        &mut ws.acc,
         0,
         boundary,
         boundary.max(1),
         None,
         |_, _, _| Ok(()),
     )?;
-    Ok(WarmTrace {
-        tail: finish(&workload, &mut machine)?,
-        acc,
-        start: out.index,
-        restored_from: None,
-        rejected: Vec::new(),
-    })
+    ws.start = out.index;
+    ws.into_trace()
 }
 
 /// Re-signs a snapshot image so only the deliberately-wrong field can be
@@ -166,11 +231,12 @@ fn corrupt_newest(store: &CheckpointStore, fault: CkptFault) -> Result<(), CkptE
     Ok(())
 }
 
-/// Builds a benchmark's warm trace through the checkpoint store:
+/// Fast-forwards a benchmark to the boundary through the checkpoint
+/// store:
 /// restores from the newest valid snapshot at or below the boundary
 /// (cold-starting past any rejected ones), fast-forwards the remainder
 /// while publishing snapshots every `opts.interval` instructions, and
-/// returns the timing tail plus warm state. Bit-identical to
+/// returns the machine and warm state there. Bit-identical to
 /// [`build_warm_trace_cold`] wherever it restores from, which
 /// [`verify_restore_equivalence`] checks.
 ///
@@ -182,15 +248,14 @@ fn corrupt_newest(store: &CheckpointStore, fault: CkptFault) -> Result<(), CkptE
 /// # Errors
 ///
 /// Disk and decode errors on the snapshot path, [`CkptError::Cancelled`]
-/// when the executor's watchdog fires, or a malformed workload.
+/// when the executor's watchdog fires, or a snapshot whose arch state or
+/// memory the workload's program rejects.
 ///
 /// # Panics
 ///
 /// Panics when an armed `FfPanic` fault fires (the injected fault — the
-/// executor's cell isolation catches it) or if the restored snapshot
-/// carries arch state the workload's program rejects, which the decode
-/// and identity layers make unreachable short of a bug.
-pub fn build_warm_trace(
+/// executor's cell isolation catches it).
+pub fn build_warm_start(
     bench: Benchmark,
     bi: usize,
     cfg: &ExperimentConfig,
@@ -198,7 +263,7 @@ pub fn build_warm_trace(
     faults: &FaultPlan,
     attempt: u32,
     cancel: Option<&AtomicBool>,
-) -> Result<WarmTrace, CkptError> {
+) -> Result<WarmStart, CkptError> {
     let _prof = hbat_obs::prof::scope("warm-build");
     let fingerprint = sweep_fingerprint(cfg, Some(opts.boundary), None);
     let store = CheckpointStore::new(&opts.dir, bench.name(), &fingerprint);
@@ -208,32 +273,32 @@ pub fn build_warm_trace(
 
     let restore = hbat_obs::prof::scope("warm-restore");
     let scan = store.latest_valid(opts.boundary)?;
-    let workload = bench.build(&cfg.workload);
-    let mut machine = workload.instantiate();
-    let (mut acc, from, restored_from) = match scan.snapshot {
+    let mut ws = WarmStart::program_start(bench, cfg);
+    let from = match scan.snapshot {
         Some(snap) => {
-            machine
+            ws.machine
                 .restore_arch_state(&snap.arch)
                 .map_err(CkptError::Malformed)?;
-            machine.memory_mut().clear();
+            ws.machine.memory_mut().clear();
             for (base, bytes) in &snap.mem_chunks {
-                machine
+                ws.machine
                     .memory_mut()
                     .import_chunk(*base, bytes)
                     .map_err(CkptError::Malformed)?;
             }
-            let acc = WarmAccumulator::import(&cfg.sim, cfg.geometry, &snap.warm);
-            (acc, snap.index, Some(snap.index))
+            ws.acc = WarmAccumulator::import(&cfg.sim, cfg.geometry, &snap.warm);
+            ws.restored_from = Some(snap.index);
+            snap.index
         }
-        None => (WarmAccumulator::new(&cfg.sim, cfg.geometry), 0, None),
+        None => 0,
     };
     drop(restore);
 
     let ff_panic = faults.ckpt_fault_for(bi) == Some(CkptFault::FfPanic) && attempt <= 1;
     let mut saved = 0u64;
     let out = fast_forward(
-        &mut machine,
-        &mut acc,
+        &mut ws.machine,
+        &mut ws.acc,
         from,
         opts.boundary,
         opts.interval,
@@ -263,17 +328,34 @@ pub fn build_warm_trace(
         },
     )?;
 
-    Ok(WarmTrace {
-        tail: finish(&workload, &mut machine)?,
-        acc,
-        start: out.index,
-        restored_from,
-        rejected: scan
-            .rejected
-            .into_iter()
-            .map(|(path, e)| (path, e.to_string()))
-            .collect(),
-    })
+    ws.start = out.index;
+    ws.rejected = scan
+        .rejected
+        .into_iter()
+        .map(|(path, e)| (path, e.to_string()))
+        .collect();
+    Ok(ws)
+}
+
+/// [`build_warm_start`], run on to collect the timing tail.
+///
+/// # Errors
+///
+/// As [`build_warm_start`], or a workload that does not halt.
+///
+/// # Panics
+///
+/// As [`build_warm_start`].
+pub fn build_warm_trace(
+    bench: Benchmark,
+    bi: usize,
+    cfg: &ExperimentConfig,
+    opts: &CheckpointOptions,
+    faults: &FaultPlan,
+    attempt: u32,
+    cancel: Option<&AtomicBool>,
+) -> Result<WarmTrace, CkptError> {
+    build_warm_start(bench, bi, cfg, opts, faults, attempt, cancel)?.into_trace()
 }
 
 /// What [`verify_restore_equivalence`] proved.
@@ -293,7 +375,7 @@ pub struct EquivalenceReport {
 /// Differential proof that restore is exact: builds the benchmark's warm
 /// trace cold (pure in-memory) and through the checkpoint store with a
 /// forced mid-stream restore, then runs both against every design in
-/// `designs` and demands bit-identical [`RunMetrics`].
+/// `designs` and demands bit-identical [`RunMetrics`](hbat_cpu::RunMetrics).
 ///
 /// The checkpointed side is populated by a first (cold) checkpointing
 /// pass; the boundary snapshot is then deleted so the verification pass

@@ -503,11 +503,13 @@ pub struct SweepTelemetry {
     pub threads: usize,
     /// Benchmark × design cells executed.
     pub cells: usize,
-    /// Traces generated by this sweep (cache misses).
+    /// Traces generated by this sweep (cache misses). A sampled sweep
+    /// streams each program from its machine and builds none.
     pub traces_built: u64,
-    /// Traces reused from the cache.
+    /// Traces reused from the cache (none in a sampled sweep).
     pub trace_cache_hits: u64,
-    /// Wall time of the trace-build phase.
+    /// Wall time of the trace-build phase: building traces, or in a
+    /// sampled sweep counting each program's ops.
     pub trace_build: Duration,
     /// Wall time of the cell-execution phase.
     pub cell_exec: Duration,
@@ -519,10 +521,12 @@ impl SweepTelemetry {
         self.trace_build + self.cell_exec
     }
 
-    /// One-line human summary (figure binaries print this to stderr).
+    /// One-line human summary (figure binaries print this to stderr). A
+    /// sampled sweep shows no traces built or cached, and its setup time
+    /// is the op count of each program.
     pub fn summary(&self) -> String {
         format!(
-            "{} cells on {} threads in {:.2?} (traces: {} built, {} cached; build {:.2?}, cells {:.2?})",
+            "{} cells on {} threads in {:.2?} (traces: {} built, {} cached; setup {:.2?}, cells {:.2?})",
             self.cells,
             self.threads,
             self.wall(),

@@ -20,6 +20,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use hbat_ckpt::CkptError;
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::engine::Engine;
@@ -35,7 +36,7 @@ use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-use crate::ckpt::{build_warm_trace, CheckpointOptions};
+use crate::ckpt::{build_warm_start, CheckpointOptions, WarmStart};
 use crate::executor::{
     parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
@@ -44,7 +45,9 @@ use crate::journal::{
     fnv1a_hex, read_interval_sidecar, read_journal, CellKey, JournalRecord, JournalWriter,
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
-use crate::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
+use crate::sample::{
+    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, ScheduledWindow,
+};
 
 /// The four-ported TLB: the design every figure normalises IPC to.
 const T4: DesignSpec = DesignSpec::MultiPorted { ports: 4 };
@@ -333,7 +336,8 @@ impl SweepResult {
 
     /// Renders the per-benchmark detail (the paper's FTP results file):
     /// one IPC per cell, `mean ± hw` in a sampled sweep, and `n/a` for a
-    /// failed cell.
+    /// failed cell or a sampled cell with no windows (a program that
+    /// halts before an `--ff` boundary, or a lost sidecar).
     pub fn render_details(&self) -> String {
         let mut headers = vec!["program".to_owned()];
         headers.extend(self.designs.iter().map(|d| d.mnemonic().to_owned()));
@@ -342,6 +346,7 @@ impl SweepResult {
         for (bench, row) in Benchmark::ALL.iter().zip(&self.cells) {
             let mut cells = vec![bench.name().to_owned()];
             cells.extend(row.iter().map(|o| match (o.ok(), self.sample) {
+                (Some(c), Some(_)) if c.windows.is_empty() => "n/a".to_owned(),
                 (Some(c), Some(_)) => ipc_interval(&c.windows, ConfLevel::P95).render(3),
                 (c, _) => fnum_opt(c.map(|c| c.metrics.ipc()), 3),
             }));
@@ -574,19 +579,30 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
     out
 }
 
-/// What phase 1 built for one program: the ops that timing covers and
-/// the warm state at their start. A plain sweep times the whole trace
-/// from the empty state; a checkpointed one times the tail past the
-/// boundary from the fast-forwarded state.
-struct BenchInput {
-    /// The ops every cell of the program times.
-    ops: Arc<PredecodedTrace>,
-    /// The accumulator at the first op; a sampled sweep's schedule
-    /// continues a clone of it through the gaps.
-    start: WarmAccumulator,
-    /// Its install form, which every full cell of the program starts
-    /// from.
-    warm: WarmState,
+/// What phase 1 built for one program. A full sweep times the whole
+/// trace from the empty state, or with `--ff` the tail past the boundary
+/// from the fast-forwarded state. A sampled sweep keeps the machine at
+/// the timing start instead of its trace.
+enum BenchInput {
+    /// A full sweep's input.
+    Trace {
+        /// The ops every cell of the program times.
+        ops: Arc<PredecodedTrace>,
+        /// The install form of the state at the first op, which every
+        /// cell of the program starts from.
+        warm: Box<WarmState>,
+    },
+    /// A sampled sweep's input: the program's first cell streams a clone
+    /// of `start.machine` through [`warm_schedule`], continuing a clone
+    /// of `start.acc`, so no trace of the program is ever held.
+    Stream {
+        /// The machine and accumulator at the timing start.
+        start: Box<WarmStart>,
+        /// The ops the machine runs from there to halt.
+        n: u64,
+        /// The sweep's sample plan.
+        plan: SamplePlan,
+    },
 }
 
 /// One program's warm schedule in a sampled sweep (DESIGN.md §15). The
@@ -596,7 +612,7 @@ struct BenchInput {
 struct SharedSchedule {
     /// The schedule once built, and how many of the program's cells
     /// have yet to finish with it.
-    state: Mutex<(Option<Arc<Vec<WarmState>>>, usize)>,
+    state: Mutex<(Option<Arc<Vec<ScheduledWindow>>>, usize)>,
 }
 
 impl SharedSchedule {
@@ -611,7 +627,10 @@ impl SharedSchedule {
     /// for it instead of warming a second time. A build that panics
     /// leaves the slot empty and its poisoned lock is recovered, so the
     /// next cell (or the retry) builds it afresh.
-    fn get_or_build(&self, build: impl FnOnce() -> Vec<WarmState>) -> Arc<Vec<WarmState>> {
+    fn get_or_build(
+        &self,
+        build: impl FnOnce() -> Vec<ScheduledWindow>,
+    ) -> Arc<Vec<ScheduledWindow>> {
         let mut state = unpoisoned(self.state.lock());
         state
             .0
@@ -664,20 +683,26 @@ fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
 }
 
 /// Exercises the corrupt-input recovery path for a `CorruptTrace`
-/// fault: the cell's micro-ops are decoded back to `TraceInst` records
-/// and serialised, the image is truncated at the plan's
-/// deterministic offset, and fed back through [`read_trace`], which
-/// must reject it. Diverges either way: the rejection (the expected
-/// path) fails the cell cleanly into the manifest, and an accepted
-/// corrupt image is a hardening bug surfaced loudly.
+/// fault: the ops the cell times (a sampled cell's detail slices) are
+/// decoded back to `TraceInst` records and serialised, the image is
+/// truncated at the plan's deterministic offset, and fed back through
+/// [`read_trace`], which must reject it. Diverges either way: the
+/// rejection (the expected path) fails the cell cleanly into the
+/// manifest, and an accepted corrupt image is a hardening bug surfaced
+/// loudly.
 ///
 /// # Panics
 ///
 /// Always — both branches diverge by design; the surrounding cell
 /// isolation turns the panic into a manifest entry.
-fn run_with_corrupt_trace(index: usize, uops: &PredecodedTrace, plan: &FaultPlan) -> ! {
+fn run_with_corrupt_trace<'o>(
+    index: usize,
+    ops: impl IntoIterator<Item = &'o MicroOp>,
+    plan: &FaultPlan,
+) -> ! {
+    let insts: Vec<_> = ops.into_iter().map(MicroOp::decode).collect();
     let mut buf = Vec::new();
-    if let Err(e) = write_trace(&mut buf, &uops.decode()) {
+    if let Err(e) = write_trace(&mut buf, &insts) {
         panic!("injected fault: trace serialisation failed: {e}");
     }
     buf.truncate(plan.corruption_offset(index, buf.len()));
@@ -795,46 +820,60 @@ pub fn sweep_ft_on(
         _ => None,
     };
 
-    // Phase 1: every distinct trace, built in parallel, isolated per
-    // benchmark — a failed build skips that benchmark's cells instead
-    // of aborting the sweep.
+    // Phase 1: every program's timing input, built in parallel, isolated
+    // per benchmark — a failed build skips that benchmark's cells
+    // instead of aborting the sweep. A full sweep builds traces; a
+    // sampled one counts each program's ops on a clone of its machine
+    // and keeps the machine.
     let phase_trace_build = prof::scope("trace-build");
     // hbat-lint: allow(panic) bi < benches.len() by parallel_map_outcomes' contract; an escaped panic here is caught per-cell anyway
     let (trace_outcomes, trace_build) = timed(|| {
         parallel_map_outcomes(benches.len(), threads, &opts.policy, |bi, ctx| {
+            let bench = benches[bi];
             assert!(
                 !opts.faults.trace_fault_for(bi),
                 "injected fault: trace build for {} panicked",
-                benches[bi].name()
+                bench.name()
             );
-            let (ops, start) = match &opts.checkpoint {
+            let fail = |e: CkptError| -> ! { panic!("timing input for {}: {e}", bench.name()) };
+            let start = match &opts.checkpoint {
                 // Checkpointed: restore from the newest valid snapshot
                 // (retries resume from whatever the crashed attempt
                 // published), fast-forward the remainder, snapshot as we
                 // go. A checkpoint-layer error fails this benchmark's
                 // cells cleanly via the isolation layer.
-                Some(ck) => {
-                    let wt = build_warm_trace(
-                        benches[bi],
-                        bi,
-                        cfg,
-                        ck,
-                        &opts.faults,
-                        ctx.attempt,
-                        Some(ctx.cancel_flag()),
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("checkpointed build for {}: {e}", benches[bi].name())
-                    });
-                    (Arc::new(wt.tail), wt.acc)
+                Some(ck) => build_warm_start(
+                    bench,
+                    bi,
+                    cfg,
+                    ck,
+                    &opts.faults,
+                    ctx.attempt,
+                    Some(ctx.cancel_flag()),
+                )
+                .unwrap_or_else(|e| fail(e)),
+                None if opts.sample.is_some() => WarmStart::program_start(bench, cfg),
+                None => {
+                    return BenchInput::Trace {
+                        ops: cache.get_or_build_uops(bench, &cfg.workload).1,
+                        warm: Box::new(WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state()),
+                    }
                 }
-                None => (
-                    cache.get_or_build_uops(benches[bi], &cfg.workload).1,
-                    WarmAccumulator::new(&cfg.sim, cfg.geometry),
-                ),
             };
-            let warm = start.warm_state();
-            BenchInput { ops, start, warm }
+            match opts.sample {
+                Some(plan) => BenchInput::Stream {
+                    n: start.tail_len().unwrap_or_else(|e| fail(e)),
+                    start: Box::new(start),
+                    plan,
+                },
+                None => {
+                    let wt = start.into_trace().unwrap_or_else(|e| fail(e));
+                    BenchInput::Trace {
+                        ops: Arc::new(wt.tail),
+                        warm: Box::new(wt.acc.warm_state()),
+                    }
+                }
+            }
         })
     });
     drop(phase_trace_build);
@@ -859,9 +898,8 @@ pub fn sweep_ft_on(
         seed: cfg.design_seed,
     };
     // A sampled sweep warms each program once: its cells still to run
-    // share one schedule, built lazily here in the cell phase (so
-    // `trace_build` keeps timing trace builds alone). A full sweep has
-    // none.
+    // share one schedule, built lazily here in the cell phase from the
+    // program's machine. A full sweep has none.
     let restored_in_row: Vec<usize> = (0..benches.len())
         .map(|bi| {
             (0..designs.len())
@@ -917,13 +955,8 @@ pub fn sweep_ft_on(
                 !ctx.cancelled(),
                 "injected fault: cell {i} stalled past its deadline"
             );
-            if opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace) {
-                run_with_corrupt_trace(i, &input.ops, &opts.faults);
-            }
-            // The recorder combination (none / trace / interval / both
-            // via Tee) is picked here with static dispatch, so the
-            // unobserved arm stays the NullRecorder hot loop.
-            let (ops, design, warm) = (input.ops.ops(), designs[di], &input.warm);
+            let corrupt = opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace);
+            let design = designs[di];
             // `windows` unifies the two interval sources: cycle-width
             // intervals from the recorder (which can drop on buffer
             // overflow) and sampled measurement windows (which never
@@ -931,43 +964,66 @@ pub fn sweep_ft_on(
             type Windows = Option<(Vec<IntervalRecord>, u64)>;
             let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
                 let _cell = prof::scope("cell-run");
-                if let Some(plan) = &opts.sample {
-                    let schedule = schedules[bi]
-                        .get_or_build(|| warm_schedule(ops, cfg, Some(&input.start), plan));
-                    let cell = {
-                        let _windows = prof::scope("windows");
-                        run_sampled_windows(ops, design, cfg, plan, &schedule)
-                    };
-                    drop(schedule);
-                    schedules[bi].finish_cell();
-                    (cell.metrics, None, Some((cell.windows, 0)))
-                } else {
-                    match (opts.observe, opts.intervals) {
-                        (false, None) => {
-                            (run_cell(ops, design, cfg, warm, NullRecorder), None, None)
+                match input {
+                    BenchInput::Stream { start, n, plan } => {
+                        let schedule = schedules[bi].get_or_build(|| {
+                            // A clone, so a build retried after a panic
+                            // starts afresh.
+                            let mut machine = start.machine.clone();
+                            let ops = std::iter::from_fn(|| machine.step());
+                            warm_schedule(ops, *n, cfg, Some(&start.acc), plan)
+                        });
+                        if corrupt {
+                            run_with_corrupt_trace(
+                                i,
+                                schedule.iter().flat_map(|w| &w.ops),
+                                &opts.faults,
+                            );
                         }
-                        (true, None) => {
-                            let mut rec = TraceRecorder::new();
-                            let metrics = run_cell(ops, design, cfg, warm, &mut rec);
-                            (metrics, Some(rec), None)
+                        let cell = {
+                            let _windows = prof::scope("windows");
+                            run_sampled_windows(design, cfg, &schedule)
+                        };
+                        drop(schedule);
+                        schedules[bi].finish_cell();
+                        (cell.metrics, None, Some((cell.windows, 0)))
+                    }
+                    BenchInput::Trace { ops, warm } => {
+                        let ops = ops.ops();
+                        if corrupt {
+                            run_with_corrupt_trace(i, ops, &opts.faults);
                         }
-                        (false, Some(width)) => {
-                            let mut iv = IntervalRecorder::new(width);
-                            let metrics = run_cell(ops, design, cfg, warm, &mut iv);
-                            iv.finish();
-                            (
-                                metrics,
-                                None,
-                                Some((iv.windows().to_vec(), iv.dropped_windows())),
-                            )
-                        }
-                        (true, Some(width)) => {
-                            let mut tee =
-                                Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                            let metrics = run_cell(ops, design, cfg, warm, &mut tee);
-                            tee.b.finish();
-                            let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
-                            (metrics, Some(tee.a), Some(wins))
+                        // The recorder combination (none / trace /
+                        // interval / both via Tee) is picked here with
+                        // static dispatch, so the unobserved arm stays
+                        // the NullRecorder hot loop.
+                        match (opts.observe, opts.intervals) {
+                            (false, None) => {
+                                (run_cell(ops, design, cfg, warm, NullRecorder), None, None)
+                            }
+                            (true, None) => {
+                                let mut rec = TraceRecorder::new();
+                                let metrics = run_cell(ops, design, cfg, warm, &mut rec);
+                                (metrics, Some(rec), None)
+                            }
+                            (false, Some(width)) => {
+                                let mut iv = IntervalRecorder::new(width);
+                                let metrics = run_cell(ops, design, cfg, warm, &mut iv);
+                                iv.finish();
+                                (
+                                    metrics,
+                                    None,
+                                    Some((iv.windows().to_vec(), iv.dropped_windows())),
+                                )
+                            }
+                            (true, Some(width)) => {
+                                let mut tee =
+                                    Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
+                                let metrics = run_cell(ops, design, cfg, warm, &mut tee);
+                                tee.b.finish();
+                                let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
+                                (metrics, Some(tee.a), Some(wins))
+                            }
                         }
                     }
                 }
@@ -1224,6 +1280,27 @@ mod tests {
     }
 
     #[test]
+    fn details_mark_sampled_cells_without_windows_not_available() {
+        // The second program halted before the boundary: no windows.
+        let r = sampled_result(vec![
+            (windows(&[150, 150, 150]), windows(&[90, 100, 110])),
+            (Vec::new(), Vec::new()),
+        ]);
+        let details = r.render_details();
+        let row = |name: &str| {
+            let line = details.lines().find(|l| l.starts_with(name)).unwrap();
+            line.split_whitespace()
+                .skip(1)
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let t1 = ipc_interval(&windows(&[90, 100, 110]), ConfLevel::P95).render(3);
+        assert_eq!(row("Compress"), format!("1.500 ± 0.000 {t1}"), "{details}");
+        assert_eq!(row("Doduc"), "n/a n/a", "{details}");
+        assert!(!details.contains("inf"), "{details}");
+    }
+
+    #[test]
     fn sweep_fingerprints_separate_boundaries_plans_and_configs() {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let p = SamplePlan {
@@ -1254,9 +1331,18 @@ mod tests {
         assert_eq!(ids[7], fnv1a_hex(&format!("{cfg:?}/ff=1000/sample={p:?}")));
     }
 
-    /// The install form of an accumulator that has seen nothing.
-    fn cold_state() -> WarmState {
-        hbat_cpu::WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4).warm_state()
+    /// A one-op window installing the state of an accumulator that has
+    /// seen nothing.
+    fn cold_window() -> ScheduledWindow {
+        ScheduledWindow {
+            window: crate::sample::SampleWindow {
+                warm_start: 0,
+                meas_start: 0,
+                end: 1,
+            },
+            warm: WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4).warm_state(),
+            ops: Vec::new(),
+        }
     }
 
     #[test]
@@ -1266,7 +1352,7 @@ mod tests {
         let builds = AtomicUsize::new(0);
         let build = || {
             builds.fetch_add(1, Ordering::SeqCst);
-            vec![cold_state(); 2]
+            vec![cold_window(); 2]
         };
         let got = parallel_map(3, 3, |_| slot.get_or_build(build));
         assert_eq!(builds.load(Ordering::SeqCst), 1, "one build, shared");
@@ -1287,7 +1373,7 @@ mod tests {
         assert!(r.is_err());
         assert!(!slot.is_held(), "a failed build publishes nothing");
         // The poisoned lock is recovered and the next cell rebuilds.
-        let s = slot.get_or_build(|| vec![cold_state()]);
+        let s = slot.get_or_build(|| vec![cold_window()]);
         assert_eq!(s.len(), 1);
         assert!(slot.is_held());
     }

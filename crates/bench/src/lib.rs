@@ -42,8 +42,8 @@ pub mod outcome;
 pub mod sample;
 
 pub use ckpt::{
-    build_warm_trace, build_warm_trace_cold, verify_restore_equivalence, CheckpointOptions,
-    EquivalenceReport, WarmTrace,
+    build_warm_start, build_warm_trace, build_warm_trace_cold, verify_restore_equivalence,
+    CheckpointOptions, EquivalenceReport, WarmStart, WarmTrace,
 };
 pub use executor::{
     parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,
@@ -62,5 +62,5 @@ pub use journal::{
 pub use outcome::{CellFailure, CellOutcome, FailureManifest};
 pub use sample::{
     cpi_interval, ipc_interval, plan_windows, run_sampled_uops, run_sampled_windows, warm_schedule,
-    SamplePlan, SampleWindow, SampledCell, WindowGate,
+    SamplePlan, SampleWindow, SampledCell, ScheduledWindow, WindowGate,
 };

@@ -14,11 +14,14 @@
 //! instructions into one [`IntervalRecord`].
 //!
 //! The warming and the timing are separate halves. [`warm_schedule`]
-//! makes the one functional pass and keeps the warm state at each
-//! window's start; it takes no design. [`run_sampled_windows`] times
-//! the windows of one design from that schedule. A sweep warms each
-//! program once and shares the schedule across its designs;
-//! [`run_sampled_uops`] composes the two for a single cell.
+//! makes the one functional pass over a stream of ops and keeps, for
+//! each window, the warm state at its start and the ops it times; it
+//! takes no design and holds no more of the stream than the windows'
+//! slices. [`run_sampled_windows`] times the windows of one design from
+//! that schedule. A sweep streams each program from its machine once and
+//! shares the schedule across its designs, so it never holds a trace;
+//! [`run_sampled_uops`] composes the two over a stored trace for a
+//! single cell.
 //!
 //! The estimator is the classic systematic-sample Student-t interval
 //! over per-window CPI (cycles per instruction). Windows hold an equal
@@ -26,7 +29,7 @@
 //! the ratio estimator for aggregate CPI, and IPC bounds follow by the
 //! exact monotone transform `ipc = 1/cpi` (see [`ipc_interval`]).
 //!
-//! Everything here is a pure function of `(trace, design, plan)`: window
+//! Everything here is a pure function of `(ops, design, plan)`: window
 //! placement derives from a splitmix64 hash of the plan seed, so
 //! identical plans give byte-identical journals and reports.
 
@@ -344,69 +347,117 @@ impl SampledCell {
     }
 }
 
-/// The design-independent half of a sampled cell: one install-form
-/// [`WarmState`] per window of `plan_windows(plan, ops.len())`, taken
-/// from a single functional-warming pass over `ops` that continues a
-/// clone of `start` (`None` = cold start, i.e. the trace begins at
-/// program start). State `k` is what the accumulator holds at window
-/// `k`'s `warm_start`.
+/// One window of a warm schedule: where it sits, the install-form
+/// [`WarmState`] at its `warm_start`, and the ops it times in detail.
+#[derive(Debug, Clone)]
+pub struct ScheduledWindow {
+    /// The window's placement in the sampled op stream.
+    pub window: SampleWindow,
+    /// The accumulator's install form at `window.warm_start`.
+    pub warm: WarmState,
+    /// The detail slice: the window's warmup and measured ops plus a
+    /// drain margin of `4 × rob_entries` ops, cut at the end of the
+    /// stream. The margin lets the gate close while the pipeline is
+    /// still full. Ending the slice exactly at the window boundary
+    /// would let the window pocket the warmup's in-flight head start
+    /// (up to a ROB's worth of pre-issued work) without paying any
+    /// tail, biasing IPC high by roughly `rob_entries / window_len`. A
+    /// [`WindowGate`] finishes at its close and the run ends there, so
+    /// the margin is fetched behind the measured ops but not simulated
+    /// past the close. A margin can reach into the next window, so on
+    /// short streams one op may sit in more than one slice.
+    pub ops: Vec<MicroOp>,
+}
+
+/// The design-independent half of a sampled cell: one
+/// [`ScheduledWindow`] per window of `plan_windows(plan, n)`, from a
+/// single functional-warming pass over `ops`, a stream of `n` committed
+/// micro-ops, that continues a clone of `start` (`None` = cold start,
+/// i.e. the stream begins at program start). Window `k`'s state is what
+/// the accumulator holds at its `warm_start`.
+///
+/// The stream is read only as far as the last detail slice reaches, and
+/// only the slices are kept, so a schedule holds the windows, not the
+/// stream: a sweep feeds it straight from a functional machine, and
+/// [`run_sampled_uops`] from a stored trace.
 ///
 /// Nothing here depends on the translation design, so a sweep builds
 /// the schedule once per program and every design's
 /// [`run_sampled_windows`] replays it (DESIGN.md §15).
+///
+/// # Panics
+///
+/// If `ops` ends before a planned window starts: the caller's `n`
+/// overstates the stream.
 pub fn warm_schedule(
-    ops: &[MicroOp],
+    ops: impl IntoIterator<Item = MicroOp>,
+    n: u64,
     cfg: &ExperimentConfig,
     start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
-) -> Vec<WarmState> {
+) -> Vec<ScheduledWindow> {
     let mut acc = start
         .cloned()
         .unwrap_or_else(|| WarmAccumulator::new(&cfg.sim, cfg.geometry));
-    let windows = plan_windows(plan, ops.len() as u64);
-    let mut states = Vec::with_capacity(windows.len());
-    let mut pos = 0usize;
-    for w in &windows {
-        // Functional gap up to the window, then the window's own ops —
-        // the accumulator is the sole warm-state carrier, so it must
-        // see every committed instruction exactly once. The detailed
-        // run's drain ops past `end` are timing throwaway: they are
-        // re-played (once) here by a later gap or window.
-        let (warm_start, end) = (w.warm_start as usize, w.end as usize);
-        acc.warm_gap(ops.get(pos..warm_start).unwrap_or_default());
-        states.push(acc.warm_state());
-        acc.warm_gap(ops.get(warm_start..end).unwrap_or_default());
-        pos = end;
+    let windows = plan_windows(plan, n);
+    let drain = 4 * cfg.sim.rob_entries as u64;
+    let slice_end = |w: &SampleWindow| w.end.saturating_add(drain).min(n);
+    let Some(last) = windows.last() else {
+        return Vec::new();
+    };
+    // The accumulator is the sole warm-state carrier, so it sees every
+    // op before the last window's start exactly once; later ops never
+    // reach a state.
+    let (last_start, stop) = (last.warm_start, slice_end(last));
+    let mut schedule: Vec<ScheduledWindow> = Vec::with_capacity(windows.len());
+    // Slices `open..schedule.len()` are still collecting ops.
+    let mut open = 0;
+    for (i, op) in (0..stop).zip(ops) {
+        if let Some(&window) = windows.get(schedule.len()).filter(|w| w.warm_start == i) {
+            schedule.push(ScheduledWindow {
+                window,
+                warm: acc.warm_state(),
+                ops: Vec::with_capacity((slice_end(&window) - i) as usize),
+            });
+        }
+        if i < last_start {
+            acc.note_uop(&op);
+        }
+        for w in &mut schedule[open..] {
+            w.ops.push(op);
+        }
+        while schedule
+            .get(open)
+            .is_some_and(|w| slice_end(&w.window) == i + 1)
+        {
+            open += 1;
+        }
     }
-    // Ops past the last window never influence a measurement; skipping
-    // them is where the tail of the speedup comes from.
-    states
+    assert_eq!(
+        schedule.len(),
+        windows.len(),
+        "the op stream ended before window {} of {}",
+        schedule.len(),
+        windows.len()
+    );
+    schedule
 }
 
-/// The per-design half of a sampled cell: times every planned window
-/// of `ops` in detail under `design`, starting window `k` from
-/// `schedule[k]` (from [`warm_schedule`] over the same `ops`, `cfg` and
-/// `plan`). The schedule is only read, so any number of designs may
-/// share one.
+/// The per-design half of a sampled cell: times every window of
+/// `schedule` (from [`warm_schedule`]) in detail under `design`, each
+/// from its own warm state. The schedule is only read, so any number
+/// of designs may share one.
 pub fn run_sampled_windows(
-    ops: &[MicroOp],
     design: DesignSpec,
     cfg: &ExperimentConfig,
-    plan: &SamplePlan,
-    schedule: &[WarmState],
+    schedule: &[ScheduledWindow],
 ) -> SampledCell {
-    let windows = plan_windows(plan, ops.len() as u64);
-    debug_assert_eq!(
-        windows.len(),
-        schedule.len(),
-        "schedule built for another plan"
-    );
-    let records = windows
+    let records = schedule
         .iter()
-        .zip(schedule)
-        .map(|(w, warm)| {
+        .map(|s| {
+            let w = &s.window;
             let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-            run_cell(detail_slice(ops, w, cfg), design, cfg, warm, &mut gate);
+            run_cell(&s.ops, design, cfg, &s.warm, &mut gate);
             let mut rec = gate.record();
             rec.start = w.meas_start;
             rec
@@ -415,25 +466,9 @@ pub fn run_sampled_windows(
     SampledCell::from_windows(records)
 }
 
-/// The ops window `w` of `ops` times in detail: its warmup and
-/// measured ops plus a drain margin of `4 × rob_entries` ops, so the
-/// gate closes while the pipeline is still full. Ending the slice
-/// exactly at the window boundary would let the window pocket the
-/// warmup's in-flight head start (up to a ROB's worth of pre-issued
-/// work) without paying any tail, biasing IPC high by roughly
-/// `rob_entries / window_len`. A [`WindowGate`] finishes at its close
-/// and the run ends there, so the margin is fetched behind the
-/// measured ops but not simulated past the close.
-fn detail_slice<'o>(ops: &'o [MicroOp], w: &SampleWindow, cfg: &ExperimentConfig) -> &'o [MicroOp] {
-    let drain = 4 * cfg.sim.rob_entries;
-    let detail_end = (w.end as usize).saturating_add(drain).min(ops.len());
-    ops.get(w.warm_start as usize..detail_end)
-        .unwrap_or_default()
-}
-
-/// Runs one sampled (trace, design) cell: [`warm_schedule`] then
-/// [`run_sampled_windows`]. Deterministic: identical `(ops, design,
-/// cfg, start, plan)` give identical results.
+/// Runs one sampled (trace, design) cell: [`warm_schedule`] over `ops`
+/// then [`run_sampled_windows`]. Deterministic: identical `(ops,
+/// design, cfg, start, plan)` give identical results.
 pub fn run_sampled_uops(
     ops: &[MicroOp],
     design: DesignSpec,
@@ -441,8 +476,8 @@ pub fn run_sampled_uops(
     start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let schedule = warm_schedule(ops, cfg, start, plan);
-    run_sampled_windows(ops, design, cfg, plan, &schedule)
+    let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, cfg, start, plan);
+    run_sampled_windows(design, cfg, &schedule)
 }
 
 /// The primary estimator: a Student-t interval over per-window CPI
@@ -766,41 +801,95 @@ mod tests {
         );
     }
 
-    // The schedule is the accumulator's state at each window start,
-    // whichever state it starts from and however many windows fit. A
-    // schedule chained from a fast-forward's accumulator is the exact
-    // continuation: it equals a cold accumulation of the whole trace up
-    // to each window.
+    /// The schedule a stream of `n` ops from `stream` builds, checked
+    /// against slicing `full`, of which the stream is the suffix from
+    /// `skip` on: window `k` holds a cold accumulation of `full` up to
+    /// its start and the ops from its start to its drain margin's end.
+    /// Returns the windows and how many ops the builder read.
+    fn check_schedule(
+        cfg: &ExperimentConfig,
+        full: &[MicroOp],
+        skip: usize,
+        (stream, n): (impl Iterator<Item = MicroOp>, u64),
+        start: Option<&WarmAccumulator>,
+        p: &SamplePlan,
+    ) -> (Vec<SampleWindow>, u64) {
+        let mut read = 0;
+        let stream = stream.inspect(|_| read += 1);
+        let schedule = warm_schedule(stream, n, cfg, start, p);
+        let windows = plan_windows(p, n);
+        assert_eq!(schedule.len(), windows.len(), "one entry per window");
+        let drain = 4 * cfg.sim.rob_entries;
+        for (k, (w, s)) in windows.iter().zip(&schedule).enumerate() {
+            assert_eq!(s.window, *w, "window {k}");
+            let at = skip + w.warm_start as usize;
+            let mut acc = WarmAccumulator::new(&cfg.sim, cfg.geometry);
+            acc.warm_gap(&full[..at]);
+            assert!(s.warm == acc.warm_state(), "window {k}: state differs");
+            let end = (skip + w.end as usize + drain).min(skip + n as usize);
+            assert_eq!(s.ops, full[at..end], "window {k}: slice differs");
+        }
+        (windows, read)
+    }
+
+    // The schedule is the accumulator's state at each window start plus
+    // the window's detail slice, whichever state it starts from, however
+    // many windows fit, and whether the ops come from a stored trace or
+    // straight from a machine. A schedule chained from a fast-forward's
+    // accumulator is the exact continuation: it equals a cold
+    // accumulation of the whole trace up to each window. The builder
+    // reads the stream no further than the last slice.
     #[test]
-    fn warm_schedule_holds_the_accumulator_state_at_each_window_start() {
+    fn warm_schedule_streams_the_states_and_slices_of_the_full_trace() {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let full = uops.ops();
-        // `ops` is the suffix of `full` from `skip` on, warmed from
-        // `start`.
-        let check =
-            |skip: usize, ops: &[MicroOp], start: Option<&WarmAccumulator>, p: &SamplePlan| {
-                let windows = plan_windows(p, ops.len() as u64);
-                let schedule = warm_schedule(ops, &cfg, start, p);
-                assert_eq!(schedule.len(), windows.len(), "one state per window");
-                for (k, (w, state)) in windows.iter().zip(&schedule).enumerate() {
-                    let mut acc = WarmAccumulator::new(&cfg.sim, cfg.geometry);
-                    acc.warm_gap(&full[..skip + w.warm_start as usize]);
-                    assert!(*state == acc.warm_state(), "window {k}: state differs");
-                }
-                windows.len()
-            };
-        assert_eq!(check(0, full, None, &plan(8, 300, 50)), 8);
+        fn trace(ops: &[MicroOp]) -> (impl Iterator<Item = MicroOp> + '_, u64) {
+            (ops.iter().copied(), ops.len() as u64)
+        }
+        let machine = |n: u64| {
+            let mut m = Benchmark::Compress.build(&cfg.workload).instantiate();
+            (std::iter::from_fn(move || m.step()), n)
+        };
+        let n = full.len() as u64;
+
+        let p = plan(8, 300, 50);
+        let (ws, read) = check_schedule(&cfg, full, 0, trace(full), None, &p);
+        assert_eq!(ws.len(), 8);
+        assert_eq!(read, ws[7].end + 256, "reads to the last slice's end");
+        assert_eq!(check_schedule(&cfg, full, 0, machine(n), None, &p).0, ws);
+
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let skip = wt.start as usize;
         assert_eq!(&full[skip..], wt.tail.ops());
+        let tail = trace(wt.tail.ops());
+        let (ws, _) = check_schedule(&cfg, full, skip, tail, Some(&wt.acc), &plan(6, 200, 50));
+        assert_eq!(ws.len(), 6);
+
+        // 900 ops hold three 250-op windows back to back, not the eight
+        // asked for, and each 256-op drain margin runs past the next
+        // window's start: ops 500..506 sit in all three slices. The
+        // stream runs on past 900; the builder stops there.
+        let p = plan(8, 200, 50);
+        for (ws, read) in [
+            check_schedule(&cfg, full, 0, trace(&full[..900]), None, &p),
+            check_schedule(&cfg, full, 0, machine(900), None, &p),
+        ] {
+            assert_eq!(
+                ws.iter().map(|w| w.warm_start).collect::<Vec<_>>(),
+                [0, 250, 500]
+            );
+            assert_eq!(read, 900);
+        }
+        // A stream shorter than one window: one clamped window, its
+        // slice the whole stream.
+        let (ws, read) = check_schedule(&cfg, full, 0, machine(60), None, &plan(4, 1000, 250));
         assert_eq!(
-            check(skip, wt.tail.ops(), Some(&wt.acc), &plan(6, 200, 50)),
-            6
+            (ws.len(), ws[0].warm_start, ws[0].end, read),
+            (1, 0, 60, 60)
         );
-        // 900 ops hold three 250-op windows, not the eight asked for.
-        assert_eq!(check(0, &full[..900], None, &plan(8, 200, 50)), 3);
+        assert!(warm_schedule(machine(0).0, 0, &cfg, None, &p).is_empty());
     }
 
     /// Logs every commit cycle with the running committed count, and
@@ -827,11 +916,15 @@ mod tests {
         let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let ops = uops.ops();
         let p = plan(6, 400, 100);
-        let schedule = warm_schedule(ops, &cfg, None, &p);
-        for (w, warm) in plan_windows(&p, ops.len() as u64).iter().zip(&schedule) {
+        let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, &cfg, None, &p);
+        for ScheduledWindow {
+            window: w,
+            warm,
+            ops: slice,
+        } in &schedule
+        {
             let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
             let (mut gate, mut log) = (WindowGate::new(skip, limit), CommitLog::default());
-            let slice = detail_slice(ops, w, &cfg);
             run_cell(slice, design, &cfg, warm, Tee::new(&mut gate, &mut log));
             let first_reaching = |n: u64| *log.0.iter().find(|&&(_, t)| t >= n).unwrap();
             let open = first_reaching(skip).0;
@@ -861,16 +954,15 @@ mod tests {
         ] {
             let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
             let ops = uops.ops();
-            let windows = plan_windows(&p, ops.len() as u64);
-            let schedule = warm_schedule(ops, &cfg, None, &p);
+            let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, &cfg, None, &p);
             for design in DesignSpec::TABLE2 {
-                let cell = run_sampled_windows(ops, design, &cfg, &p, &schedule);
+                let cell = run_sampled_windows(design, &cfg, &schedule);
                 let (mut stopped_cycles, mut full_cycles) = (0, 0);
-                for ((w, warm), got) in windows.iter().zip(&schedule).zip(&cell.windows) {
+                for (s, got) in schedule.iter().zip(&cell.windows) {
+                    let (w, warm, slice) = (&s.window, &s.warm, &s.ops);
                     let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
                     let mut gate = WindowGate::new(skip, limit);
                     let tee = Tee::new(&mut gate, hbat_obs::NullRecorder);
-                    let slice = detail_slice(ops, w, &cfg);
                     full_cycles += run_cell(slice, design, &cfg, warm, tee).cycles;
                     let mut want = gate.record();
                     want.start = w.meas_start;

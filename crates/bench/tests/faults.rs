@@ -231,6 +231,44 @@ fn corrupt_trace_fault_is_rejected_by_the_reader() {
 }
 
 #[test]
+fn corrupt_trace_fault_on_a_sampled_cell_is_rejected_by_the_reader() {
+    // A sampled sweep holds no trace: the faulted cell serialises its
+    // detail slices instead. It is its program's first cell, so it
+    // builds the schedule its siblings then share before it fails.
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    let sample = Some(SamplePlan::parse("12:400:100", 1996).expect("valid plan"));
+    let faulted = 2 * designs().len();
+    let run = |faults: FaultPlan| {
+        let opts = SweepOptions {
+            threads: THREADS,
+            faults,
+            sample,
+            ..SweepOptions::default()
+        };
+        sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).expect("no journal I/O")
+    };
+    let clean = run(FaultPlan::none());
+    let r = run(FaultPlan::none().with(faulted, FaultKind::CorruptTrace));
+    assert_eq!(r.manifest.len(), 1, "{}", r.manifest.render());
+    let f = &r.manifest.failures[0];
+    assert_eq!(f.index, faulted);
+    assert!(
+        f.detail.contains("corrupt trace rejected"),
+        "the reader must reject the corrupt image, got: {}",
+        f.detail
+    );
+    for (row, clean_row) in r.cells.iter().zip(&clean.cells) {
+        for (cell, clean_cell) in row.iter().zip(clean_row) {
+            if let Some(c) = cell.ok() {
+                let e = clean_cell.ok().expect("clean sweep completes");
+                assert_eq!(c.metrics, e.metrics, "{}/{:?}", c.bench, c.design);
+                assert_eq!(c.windows, e.windows, "{}/{:?}", c.bench, c.design);
+            }
+        }
+    }
+}
+
+#[test]
 fn trace_build_failure_skips_only_that_benchmarks_cells() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let bad_bench = 2usize;

@@ -13,10 +13,11 @@
 //!   CI covers the full-run IPC, and a rerun is identical;
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
-//! * a sweep warms each program once and shares the schedule across
-//!   its designs, and every cell still equals a standalone
-//!   `run_sampled_uops` of it, at 1 and 4 workers, with and without
-//!   `--ff`;
+//! * a sweep warms each program once, streaming it from its machine
+//!   without building a trace, and shares the schedule across its
+//!   designs, and every cell still equals a standalone
+//!   `run_sampled_uops` of it on the full trace, at 1 and 4 workers,
+//!   with and without `--ff`;
 //! * `--sample` with `--observe`/`--intervals` is rejected before any
 //!   cell runs.
 
@@ -320,7 +321,9 @@ fn sampling_composes_with_checkpointed_fast_forward() {
 /// and checks every cell against `standalone(bench)`, the program's
 /// row of standalone `run_sampled_uops` cells in Table-2 order: the
 /// shared warm schedule must change nothing, and no design may disturb
-/// the states the other designs install after it.
+/// the states the other designs install after it. The sweep streams
+/// each program from its machine, so it builds no trace and asks its
+/// trace cache for none.
 fn assert_grid_matches_standalone(
     checkpoint: impl Fn(usize) -> Option<CheckpointOptions>,
     standalone: impl Fn(Benchmark) -> Vec<SampledCell>,
@@ -334,8 +337,12 @@ fn assert_grid_matches_standalone(
             checkpoint: checkpoint(threads),
             ..SweepOptions::default()
         };
-        let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &TraceCache::new()).unwrap();
+        let cache = TraceCache::new();
+        let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &cache).unwrap();
         assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+        assert_eq!((cache.misses(), cache.hits()), (0, 0), "no trace built");
+        let t = &r.telemetry;
+        assert_eq!((t.traces_built, t.trace_cache_hits), (0, 0));
         for (row, erow) in r.cells.iter().zip(&expected) {
             for (cell, e) in row.iter().zip(erow) {
                 let c = cell.ok().unwrap();

@@ -14,7 +14,7 @@
 //! outputs:
 //!
 //! * [`WarmExport`] is the *exact* accumulator state: every key with its
-//!   last-touch stamp, the stamp counter, and the [`SteadyTlb`] model's
+//!   last-touch stamp, the stamp counter, and the `SteadyTlb` model's
 //!   slots and RNG counter. This is what a checkpoint serialises, and
 //!   [`WarmAccumulator::import`] rebuilds from it an accumulator that
 //!   continues bit-identically to one that accumulated the whole prefix
@@ -36,13 +36,13 @@
 //! streams predecoded [`MicroOp`]s through
 //! [`warm_gap`](WarmAccumulator::warm_gap), so the per-instruction cost
 //! is a few multiplicative-hash stamp updates — the maps here are a
-//! hand-rolled open-addressing table ([`StampMap`]) rather than the
+//! hand-rolled open-addressing table (`StampMap`) rather than the
 //! standard `HashMap`, which cuts the gap loop's cost several-fold and
 //! removes the only iteration-order hazard this module had.
 
 use std::collections::HashMap;
 
-use hbat_core::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
+use hbat_core::addr::{PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_core::hash::FastHashBuilder;
 use hbat_core::pagetable::PageTable;
@@ -82,7 +82,7 @@ pub struct WarmState {
     pub page_table: PageTable,
     /// Data VPNs to warm the TLB with, oldest touch first.
     pub tlb: Vec<u64>,
-    /// Residents of the [`SteadyTlb`] random-replacement model, oldest
+    /// Residents of the `SteadyTlb` random-replacement model, oldest
     /// touch first. Installers replay this instead of `tlb` when `tlb`
     /// exceeds the design's eviction-free capacity: the model carries
     /// the random-replacement steady state (which pages survive is
@@ -486,9 +486,14 @@ impl WarmAccumulator {
     /// If a warm data block lies on a page that was never touched; every
     /// noted access records its page, so this is a corrupted accumulator.
     pub fn warm_state(&self) -> WarmState {
+        // The walk's frames, kept in a hash map for the block
+        // translation below: one lookup per block instead of a probe of
+        // the page table's ordered map.
         let mut page_table = PageTable::new(self.geom);
+        let mut frames: HashMap<u64, Ppn, FastHashBuilder> =
+            HashMap::with_capacity_and_hasher(self.pages.len(), FastHashBuilder);
         for &vpn in &self.pages {
-            page_table.walk(Vpn(vpn));
+            frames.insert(vpn, page_table.walk(Vpn(vpn)).ppn);
         }
         let geom = self.geom;
         let pas: Vec<u64> = self
@@ -496,10 +501,10 @@ impl WarmAccumulator {
             .newest_keys(WARM_DBLOCK_CAP)
             .into_iter()
             .map(|va| {
-                let e = page_table
-                    .probe(geom.vpn(VirtAddr(va)))
+                let ppn = frames
+                    .get(&geom.vpn(VirtAddr(va)).0)
                     .expect("warm data block outside the touched-page set");
-                geom.splice(e.ppn, VirtAddr(va)).0
+                geom.splice(*ppn, VirtAddr(va)).0
             })
             .collect();
         let mut dcache = Cache::new(self.dcache);
