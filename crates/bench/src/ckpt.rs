@@ -129,7 +129,7 @@ impl WarmStart {
     /// step budget.
     pub fn tail_len(&self) -> Result<u64, CkptError> {
         let mut machine = self.machine.clone();
-        let n = machine.run(self.max_steps, |_| {});
+        let n = machine.execute(self.max_steps, &mut ());
         self.check_halted(&machine)?;
         Ok(n)
     }

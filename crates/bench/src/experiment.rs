@@ -30,7 +30,7 @@ use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_obs::{
     prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
 };
-use hbat_stats::agg::runtime_weighted_ipc;
+use hbat_stats::agg::weighted_average;
 use hbat_stats::chart::BarChart;
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum_opt, percent_opt, TextTable};
@@ -139,25 +139,33 @@ pub struct SweepResult {
     /// The sample plan when this was a sampled sweep (`None` for full
     /// detailed runs); the renderers then show confidence intervals.
     pub sample: Option<SamplePlan>,
+    /// Per program, in [`Benchmark::ALL`] order: the committed ops its
+    /// cells time from (the whole run, or the tail past an `--ff`
+    /// boundary), as the timing input's build counted them. `None`
+    /// where that build failed. A sampled sweep weights each program by
+    /// this count (see [`Self::weighted_ipc`]).
+    pub program_ops: Vec<Option<u64>>,
 }
 
 /// The fewest windows a sampled cell needs to enter a weighted
 /// confidence interval: one window has no spread to estimate from.
 const MIN_INTERVAL_WINDOWS: usize = 2;
 
-/// One benchmark's completed cells behind a figure aggregate: the
-/// design's cell and the weight (T4) cell.
-type Pair<'a> = (&'a CellResult, &'a CellResult);
+/// One benchmark behind a figure aggregate: the design's cell, the
+/// weight (T4) cell, and the program's run-time weight
+/// ([`SweepResult::weight`]).
+type Row<'a> = (&'a CellResult, &'a CellResult, f64);
 
-/// The run-time weighted mean of `ipc` over `rows`, each row weighted
-/// by its weight cell's cycles; `None` when there are no rows.
-fn runtime_weighted(rows: &[Pair<'_>], ipc: impl Fn(&Pair<'_>) -> f64) -> Option<f64> {
+/// The run-time weighted mean of `ipc` over `rows`: the direct weighted
+/// mean of IPCs, which is what the paper's "run-time weighted average
+/// IPC" denotes. `None` when there are no rows.
+fn runtime_weighted(rows: &[Row<'_>], ipc: impl Fn(&Row<'_>) -> f64) -> Option<f64> {
     if rows.is_empty() {
         return None;
     }
     let ipcs: Vec<f64> = rows.iter().map(ipc).collect();
-    let weights: Vec<u64> = rows.iter().map(|(_, w)| w.metrics.cycles).collect();
-    Some(runtime_weighted_ipc(&ipcs, &weights))
+    let weights: Vec<f64> = rows.iter().map(|&(_, _, weight)| weight).collect();
+    Some(weighted_average(&ipcs, &weights))
 }
 
 impl SweepResult {
@@ -172,26 +180,53 @@ impl SweepResult {
         self.designs.iter().position(|d| *d == T4).unwrap_or(0)
     }
 
+    /// Program `bench`'s weight in the figure aggregates: its run time
+    /// under the weight design, from its weight cell `w`. A full sweep
+    /// has it exactly, as the cell's cycles. A sampled cell times only
+    /// its windows, so a sampled sweep estimates the whole run: the
+    /// program's op count times the cell's window CPI (0 when the cell
+    /// timed nothing). `None` when a sampled program's op count is
+    /// unknown; the program then leaves the aggregates.
+    fn weight(&self, bench: usize, w: &CellResult) -> Option<f64> {
+        #![allow(clippy::cast_precision_loss)]
+        if self.sample.is_none() {
+            return Some(w.metrics.cycles as f64);
+        }
+        let n = (*self.program_ops.get(bench)?)?;
+        if w.metrics.committed == 0 {
+            return Some(0.0);
+        }
+        Some(n as f64 * w.metrics.cycles as f64 / w.metrics.committed as f64)
+    }
+
     /// The rows where both `design`'s cell and the
-    /// [weight cell](Self::weight_col) completed. `None` when `design` is
-    /// not part of the sweep.
-    fn completed_pairs(&self, design: DesignSpec) -> Option<Vec<Pair<'_>>> {
+    /// [weight cell](Self::weight_col) completed and the program's
+    /// [weight](Self::weight) is known. `None` when `design` is not part
+    /// of the sweep.
+    fn completed_rows(&self, design: DesignSpec) -> Option<Vec<Row<'_>>> {
         let weight_col = self.weight_col();
         let col = self.designs.iter().position(|d| *d == design)?;
         Some(
             self.cells
                 .iter()
-                .filter_map(|row| Some((row.get(col)?.ok()?, row.get(weight_col)?.ok()?)))
+                .enumerate()
+                .filter_map(|(bi, row)| {
+                    let w = row.get(weight_col)?.ok()?;
+                    Some((row.get(col)?.ok()?, w, self.weight(bi, w)?))
+                })
                 .collect(),
         )
     }
 
     /// Run-time weighted IPC (weighted by each benchmark's T4 run time,
     /// per the paper) over the benchmarks where both this design's cell
-    /// and the weight cell completed. `None` when the design is absent
-    /// from the sweep or no benchmark has both cells.
+    /// and the weight cell completed. A sampled sweep estimates the run
+    /// time as the program's op count ([`Self::program_ops`]) times the
+    /// T4 cell's window CPI, and leaves out a program whose count is
+    /// unknown. `None` when the design is absent from the sweep or no
+    /// benchmark has both cells.
     pub fn weighted_ipc(&self, design: DesignSpec) -> Option<f64> {
-        runtime_weighted(&self.completed_pairs(design)?, |(c, _)| c.metrics.ipc())
+        runtime_weighted(&self.completed_rows(design)?, |(c, _, _)| c.metrics.ipc())
     }
 
     /// IPC of `design` normalised to T4's over the same benchmarks (the
@@ -202,20 +237,20 @@ impl SweepResult {
         if !self.designs.contains(&T4) {
             return None;
         }
-        let rows = self.completed_pairs(design)?;
-        let t4 = runtime_weighted(&rows, |(_, w)| w.metrics.ipc())?;
+        let rows = self.completed_rows(design)?;
+        let t4 = runtime_weighted(&rows, |(_, w, _)| w.metrics.ipc())?;
         if t4 == 0.0 {
             return Some(0.0);
         }
-        Some(runtime_weighted(&rows, |(c, _)| c.metrics.ipc())? / t4)
+        Some(runtime_weighted(&rows, |(c, _, _)| c.metrics.ipc())? / t4)
     }
 
     /// Run-time weighted IPC as a 95% confidence interval, for sampled
     /// sweeps: the weighted mean of the per-benchmark window-estimate
     /// means, with a *conservatively* weighted half-width
     /// (`Σw·hw / Σw` — at least as wide as a pooled-variance interval,
-    /// never narrower). Weights are the weight cell's sampled cycles, as
-    /// in [`Self::weighted_ipc`], so a benchmark whose weight cell timed
+    /// never narrower). Weights are the estimated run times of
+    /// [`Self::weighted_ipc`], so a benchmark whose weight cell timed
     /// nothing (an `--ff` boundary past its end) drops out of both the
     /// mean and the half-width. `None` when the sweep was not sampled,
     /// the design is absent, or no benchmark has weight. A weighted cell
@@ -229,13 +264,11 @@ impl SweepResult {
         let mut mean_sum = 0.0f64;
         let mut hw_sum = 0.0f64;
         let mut n_min = u64::MAX;
-        for (c, w) in self.completed_pairs(design)? {
-            if w.metrics.cycles == 0 || c.windows.len() < MIN_INTERVAL_WINDOWS {
+        for (c, _, weight) in self.completed_rows(design)? {
+            if weight == 0.0 || c.windows.len() < MIN_INTERVAL_WINDOWS {
                 continue;
             }
             let ci = ipc_interval(&c.windows, ConfLevel::P95);
-            #[allow(clippy::cast_precision_loss)]
-            let weight = w.metrics.cycles as f64;
             w_sum += weight;
             mean_sum += weight * ci.mean;
             hw_sum += weight * ci.half_width;
@@ -249,28 +282,34 @@ impl SweepResult {
         })
     }
 
-    /// The programs some design's [`Self::weighted_ipc_interval`] leaves
-    /// out, each with the fewest windows of its completed cells: those
-    /// whose weight cell timed something but whose cell under some design
-    /// has fewer than two windows. Empty for a full sweep.
-    fn programs_outside_interval(&self) -> Vec<(Benchmark, usize)> {
+    /// The programs whose weight cell timed something but that some
+    /// design's [`Self::weighted_ipc_interval`] leaves out, each with
+    /// why: its op count is unknown, so it has no weight, or its cell
+    /// under some design has fewer than two windows (the fewest are
+    /// given). Empty for a full sweep.
+    fn programs_outside_interval(&self) -> Vec<(Benchmark, String)> {
         if self.sample.is_none() {
             return Vec::new();
         }
         let weight_col = self.weight_col();
-        Benchmark::ALL
-            .iter()
-            .zip(&self.cells)
-            .filter_map(|(bench, row)| {
-                if row.get(weight_col)?.ok()?.metrics.cycles == 0 {
+        (0..)
+            .zip(Benchmark::ALL.iter().zip(&self.cells))
+            .filter_map(|(bi, (bench, row))| {
+                let w = row.get(weight_col)?.ok()?;
+                if w.metrics.cycles == 0 {
                     return None;
+                }
+                if self.weight(bi, w).is_none() {
+                    return Some((*bench, "op count unknown".to_owned()));
                 }
                 let fewest = row
                     .iter()
                     .filter_map(|o| o.ok())
                     .map(|c| c.windows.len())
                     .min()?;
-                (fewest < MIN_INTERVAL_WINDOWS).then_some((*bench, fewest))
+                let plural = if fewest == 1 { "" } else { "s" };
+                (fewest < MIN_INTERVAL_WINDOWS)
+                    .then(|| (*bench, format!("{fewest} window{plural}")))
             })
             .collect()
     }
@@ -315,13 +354,7 @@ impl SweepResult {
         if !outside.is_empty() {
             let names: Vec<String> = outside
                 .iter()
-                .map(|(b, n)| {
-                    format!(
-                        "{} ({n} window{})",
-                        b.name(),
-                        if *n == 1 { "" } else { "s" }
-                    )
-                })
+                .map(|(b, why)| format!("{} ({why})", b.name()))
                 .collect();
             out.push_str(&format!("not in the 95% CI: {}\n", names.join(", ")));
         }
@@ -852,7 +885,10 @@ pub fn sweep_ft_on(
                     Some(ctx.cancel_flag()),
                 )
                 .unwrap_or_else(|e| fail(e)),
-                None if opts.sample.is_some() => WarmStart::program_start(bench, cfg),
+                None if opts.sample.is_some() => {
+                    let _build = prof::scope("workload-build");
+                    WarmStart::program_start(bench, cfg)
+                }
                 None => {
                     return BenchInput::Trace {
                         ops: cache.get_or_build_uops(bench, &cfg.workload).1,
@@ -862,7 +898,10 @@ pub fn sweep_ft_on(
             };
             match opts.sample {
                 Some(plan) => BenchInput::Stream {
-                    n: start.tail_len().unwrap_or_else(|e| fail(e)),
+                    n: {
+                        let _count = prof::scope("count");
+                        start.tail_len().unwrap_or_else(|e| fail(e))
+                    },
                     start: Box::new(start),
                     plan,
                 },
@@ -886,6 +925,15 @@ pub fn sweep_ft_on(
         });
         traces.push(outcome.into_ok());
     }
+    let program_ops = traces
+        .iter()
+        .map(|input| {
+            input.as_ref().map(|input| match input {
+                BenchInput::Trace { ops, .. } => ops.len() as u64,
+                BenchInput::Stream { n, .. } => *n,
+            })
+        })
+        .collect();
 
     // Phase 2: one queue of benchmark × design cells. Restored cells
     // return without executing (and without re-journalling); fresh
@@ -969,9 +1017,8 @@ pub fn sweep_ft_on(
                         let schedule = schedules[bi].get_or_build(|| {
                             // A clone, so a build retried after a panic
                             // starts afresh.
-                            let mut machine = start.machine.clone();
-                            let ops = std::iter::from_fn(|| machine.step());
-                            warm_schedule(ops, *n, cfg, Some(&start.acc), plan)
+                            let machine = start.machine.clone();
+                            warm_schedule(machine, *n, cfg, Some(&start.acc), plan)
                         });
                         if corrupt {
                             run_with_corrupt_trace(
@@ -1105,6 +1152,7 @@ pub fn sweep_ft_on(
         manifest,
         resumed: restored_in_row.iter().sum(),
         sample: opts.sample,
+        program_ops,
         telemetry: SweepTelemetry {
             threads,
             cells: n_cells,
@@ -1183,7 +1231,8 @@ mod tests {
     }
 
     /// A T4/T1 sampled sweep, one row per `(t4, t1)` pair of window
-    /// lists; each cell's metrics are its windows' sums.
+    /// lists; each cell's metrics are its windows' sums, and every
+    /// program runs 1,000 ops.
     fn sampled_result(rows: Vec<(Vec<IntervalRecord>, Vec<IntervalRecord>)>) -> SweepResult {
         let designs = vec![T4, DesignSpec::MultiPorted { ports: 1 }];
         let cell = |design, windows: Vec<IntervalRecord>| {
@@ -1199,6 +1248,7 @@ mod tests {
             })
         };
         SweepResult {
+            program_ops: vec![Some(1_000); rows.len()],
             cells: rows
                 .into_iter()
                 .map(|(t4, t1)| vec![cell(designs[0], t4), cell(designs[1], t1)])
@@ -1223,6 +1273,50 @@ mod tests {
             ..IntervalRecord::default()
         };
         commits.iter().map(window).collect()
+    }
+
+    // A sampled sweep weights each program by its estimated whole-run
+    // T4 time, op count x window CPI. The windows' cycles would weight
+    // every program about the same, since each times the same number of
+    // ops; a full sweep still weights by the cells' cycles.
+    #[test]
+    fn sampled_figures_weight_programs_by_estimated_run_time() {
+        let t1 = DesignSpec::MultiPorted { ports: 1 };
+        // Both programs' T4 windows take 300 cycles. Program 0 runs
+        // 1,000 ops at T4 CPI 1 and program 1 runs 100,000 at CPI 2, so
+        // their weights are 1,000 and 200,000 cycles.
+        let mut r = sampled_result(vec![
+            (windows(&[100, 100, 100]), windows(&[50, 50, 50])),
+            (windows(&[50, 50, 50]), windows(&[40, 40, 40])),
+        ]);
+        r.program_ops = vec![Some(1_000), Some(100_000)];
+        let (w0, w1) = (1_000.0, 200_000.0);
+        let t4 = (w0 * 1.0 + w1 * 0.5) / (w0 + w1);
+        let t1_ipc = (w0 * 0.5 + w1 * 0.4) / (w0 + w1);
+        assert!((r.weighted_ipc(T4).unwrap() - t4).abs() < 1e-12);
+        assert!((r.relative_ipc(t1).unwrap() - t1_ipc / t4).abs() < 1e-12);
+        let ci = r.weighted_ipc_interval(T4).unwrap();
+        assert!((ci.mean - t4).abs() < 1e-12, "{ci:?}");
+        assert!(!r.render_figure("t").contains("not in the 95% CI"));
+
+        // Weighted by the windows' cycles, as a full sweep weights its
+        // cells, the two programs would count the same.
+        let sample = r.sample.take();
+        assert!((r.weighted_ipc(T4).unwrap() - 0.75).abs() < 1e-12);
+        assert!((r.relative_ipc(t1).unwrap() - 0.9 / 1.5).abs() < 1e-12);
+        r.sample = sample;
+
+        // A program whose op count is unknown leaves the aggregates and
+        // is named under the table.
+        r.program_ops[1] = None;
+        assert!((r.weighted_ipc(T4).unwrap() - 1.0).abs() < 1e-12);
+        assert!((r.relative_ipc(t1).unwrap() - 0.5).abs() < 1e-12);
+        assert!((r.weighted_ipc_interval(T4).unwrap().mean - 1.0).abs() < 1e-12);
+        let fig = r.render_figure("t");
+        assert!(
+            fig.contains("not in the 95% CI: Doduc (op count unknown)\n"),
+            "{fig}"
+        );
     }
 
     #[test]

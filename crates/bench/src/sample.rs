@@ -35,8 +35,9 @@
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::{RunMetrics, WarmAccumulator, WarmState};
+use hbat_isa::executor::OpSource;
 use hbat_isa::uop::MicroOp;
-use hbat_obs::{IntervalRecord, OccupancySample, Recorder, StallCause};
+use hbat_obs::{prof, IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 
 use crate::experiment::{run_cell, ExperimentConfig};
@@ -371,15 +372,18 @@ pub struct ScheduledWindow {
 
 /// The design-independent half of a sampled cell: one
 /// [`ScheduledWindow`] per window of `plan_windows(plan, n)`, from a
-/// single functional-warming pass over `ops`, a stream of `n` committed
-/// micro-ops, that continues a clone of `start` (`None` = cold start,
-/// i.e. the stream begins at program start). Window `k`'s state is what
-/// the accumulator holds at its `warm_start`.
+/// single functional-warming pass over `src`, a stream of `n` committed
+/// instructions, that continues a clone of `start` (`None` = cold
+/// start, i.e. the stream begins at program start). Window `k`'s state
+/// is what the accumulator holds at its `warm_start`.
 ///
-/// The stream is read only as far as the last detail slice reaches, and
-/// only the slices are kept, so a schedule holds the windows, not the
-/// stream: a sweep feeds it straight from a functional machine, and
-/// [`run_sampled_uops`] from a stored trace.
+/// The stream is read only as far as the last detail slice reaches, in
+/// chunks between the points where a window starts, a slice ends or
+/// warming stops. Outside the slices the source runs straight into the
+/// accumulator and no [`MicroOp`] is built; only the slices' ops are
+/// built and kept, so a schedule holds the windows, not the stream. A
+/// sweep feeds it from a functional machine, and [`run_sampled_uops`]
+/// from a stored trace, through the one [`OpSource`] interface.
 ///
 /// Nothing here depends on the translation design, so a sweep builds
 /// the schedule once per program and every design's
@@ -387,10 +391,10 @@ pub struct ScheduledWindow {
 ///
 /// # Panics
 ///
-/// If `ops` ends before a planned window starts: the caller's `n`
+/// If `src` ends before a planned window starts: the caller's `n`
 /// overstates the stream.
 pub fn warm_schedule(
-    ops: impl IntoIterator<Item = MicroOp>,
+    mut src: impl OpSource,
     n: u64,
     cfg: &ExperimentConfig,
     start: Option<&WarmAccumulator>,
@@ -412,23 +416,55 @@ pub fn warm_schedule(
     let mut schedule: Vec<ScheduledWindow> = Vec::with_capacity(windows.len());
     // Slices `open..schedule.len()` are still collecting ops.
     let mut open = 0;
-    for (i, op) in (0..stop).zip(ops) {
+    let mut i = 0;
+    while i < stop {
         if let Some(&window) = windows.get(schedule.len()).filter(|w| w.warm_start == i) {
+            let warm = {
+                let _warm = prof::scope("warm-state");
+                acc.warm_state()
+            };
             schedule.push(ScheduledWindow {
                 window,
-                warm: acc.warm_state(),
+                warm,
                 ops: Vec::with_capacity((slice_end(&window) - i) as usize),
             });
         }
-        if i < last_start {
-            acc.note_uop(&op);
+        // The chunk runs to the next window start (the last one ends the
+        // warming) or the end of the oldest open slice, whichever comes
+        // first.
+        let mut next = stop;
+        if let Some(w) = windows.get(schedule.len()) {
+            next = next.min(w.warm_start);
         }
-        for w in &mut schedule[open..] {
-            w.ops.push(op);
+        if let Some(w) = schedule.get(open) {
+            next = next.min(slice_end(&w.window));
         }
+        let want = next - i;
+        let fed = match schedule[open..].split_last_mut() {
+            // No slice is open, so this is a gap before the last window.
+            None => src.feed(want, &mut acc),
+            // The newest slice collects the chunk's ops; older open
+            // slices copy them.
+            Some((newest, older)) => {
+                let from = newest.ops.len();
+                let fed = if i < last_start {
+                    src.feed(want, &mut (&mut acc, &mut newest.ops))
+                } else {
+                    src.feed(want, &mut newest.ops)
+                };
+                for w in older {
+                    w.ops.extend_from_slice(&newest.ops[from..]);
+                }
+                fed
+            }
+        };
+        if fed < want {
+            break;
+        }
+        i = next;
         while schedule
             .get(open)
-            .is_some_and(|w| slice_end(&w.window) == i + 1)
+            .is_some_and(|w| slice_end(&w.window) == i)
         {
             open += 1;
         }
@@ -476,7 +512,7 @@ pub fn run_sampled_uops(
     start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, cfg, start, plan);
+    let schedule = warm_schedule(ops, ops.len() as u64, cfg, start, plan);
     run_sampled_windows(design, cfg, &schedule)
 }
 
@@ -532,6 +568,7 @@ pub fn ipc_interval(windows: &[IntervalRecord], level: ConfLevel) -> ConfidenceI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_isa::Machine;
     use hbat_obs::Tee;
     use hbat_workloads::Scale;
 
@@ -801,22 +838,22 @@ mod tests {
         );
     }
 
-    /// The schedule a stream of `n` ops from `stream` builds, checked
+    /// The schedule a stream of `n` ops from `src` builds, checked
     /// against slicing `full`, of which the stream is the suffix from
     /// `skip` on: window `k` holds a cold accumulation of `full` up to
     /// its start and the ops from its start to its drain margin's end.
-    /// Returns the windows and how many ops the builder read.
-    fn check_schedule(
+    /// Returns the windows and how many ops the builder read, as
+    /// `read(src)` counts them.
+    fn check_schedule<S: OpSource>(
         cfg: &ExperimentConfig,
         full: &[MicroOp],
         skip: usize,
-        (stream, n): (impl Iterator<Item = MicroOp>, u64),
+        (mut src, n): (S, u64),
+        read: impl Fn(&S) -> u64,
         start: Option<&WarmAccumulator>,
         p: &SamplePlan,
     ) -> (Vec<SampleWindow>, u64) {
-        let mut read = 0;
-        let stream = stream.inspect(|_| read += 1);
-        let schedule = warm_schedule(stream, n, cfg, start, p);
+        let schedule = warm_schedule(&mut src, n, cfg, start, p);
         let windows = plan_windows(p, n);
         assert_eq!(schedule.len(), windows.len(), "one entry per window");
         let drain = 4 * cfg.sim.rob_entries;
@@ -829,7 +866,7 @@ mod tests {
             let end = (skip + w.end as usize + drain).min(skip + n as usize);
             assert_eq!(s.ops, full[at..end], "window {k}: slice differs");
         }
-        (windows, read)
+        (windows, read(&src))
     }
 
     // The schedule is the accumulator's state at each window start plus
@@ -845,26 +882,35 @@ mod tests {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let full = uops.ops();
-        fn trace(ops: &[MicroOp]) -> (impl Iterator<Item = MicroOp> + '_, u64) {
-            (ops.iter().copied(), ops.len() as u64)
+        fn trace(ops: &[MicroOp]) -> (&[MicroOp], u64) {
+            (ops, ops.len() as u64)
         }
-        let machine = |n: u64| {
-            let mut m = Benchmark::Compress.build(&cfg.workload).instantiate();
-            (std::iter::from_fn(move || m.step()), n)
-        };
+        let trace_read = |rest: &&[MicroOp]| (full.len() - rest.len()) as u64;
+        let machine = |n: u64| (Benchmark::Compress.build(&cfg.workload).instantiate(), n);
+        let machine_read = |m: &Machine| m.instructions_retired();
         let n = full.len() as u64;
 
         let p = plan(8, 300, 50);
-        let (ws, read) = check_schedule(&cfg, full, 0, trace(full), None, &p);
+        let (ws, read) = check_schedule(&cfg, full, 0, trace(full), trace_read, None, &p);
         assert_eq!(ws.len(), 8);
         assert_eq!(read, ws[7].end + 256, "reads to the last slice's end");
-        assert_eq!(check_schedule(&cfg, full, 0, machine(n), None, &p).0, ws);
+        let (mws, mread) = check_schedule(&cfg, full, 0, machine(n), machine_read, None, &p);
+        assert_eq!((mws, mread), (ws, read));
 
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let skip = wt.start as usize;
         assert_eq!(&full[skip..], wt.tail.ops());
         let tail = trace(wt.tail.ops());
-        let (ws, _) = check_schedule(&cfg, full, skip, tail, Some(&wt.acc), &plan(6, 200, 50));
+        let tail_read = |rest: &&[MicroOp]| (wt.tail.len() - rest.len()) as u64;
+        let (ws, _) = check_schedule(
+            &cfg,
+            full,
+            skip,
+            tail,
+            tail_read,
+            Some(&wt.acc),
+            &plan(6, 200, 50),
+        );
         assert_eq!(ws.len(), 6);
 
         // 900 ops hold three 250-op windows back to back, not the eight
@@ -873,8 +919,8 @@ mod tests {
         // stream runs on past 900; the builder stops there.
         let p = plan(8, 200, 50);
         for (ws, read) in [
-            check_schedule(&cfg, full, 0, trace(&full[..900]), None, &p),
-            check_schedule(&cfg, full, 0, machine(900), None, &p),
+            check_schedule(&cfg, full, 0, (full, 900), trace_read, None, &p),
+            check_schedule(&cfg, full, 0, machine(900), machine_read, None, &p),
         ] {
             assert_eq!(
                 ws.iter().map(|w| w.warm_start).collect::<Vec<_>>(),
@@ -884,12 +930,58 @@ mod tests {
         }
         // A stream shorter than one window: one clamped window, its
         // slice the whole stream.
-        let (ws, read) = check_schedule(&cfg, full, 0, machine(60), None, &plan(4, 1000, 250));
+        let p = plan(4, 1000, 250);
+        let (ws, read) = check_schedule(&cfg, full, 0, machine(60), machine_read, None, &p);
         assert_eq!(
             (ws.len(), ws[0].warm_start, ws[0].end, read),
             (1, 0, 60, 60)
         );
         assert!(warm_schedule(machine(0).0, 0, &cfg, None, &p).is_empty());
+    }
+
+    // Fed from a machine or from its stored trace, the schedule is the
+    // same in windows, warm states and slice ops, on every workload,
+    // from program start and chained from a fast-forward's accumulator,
+    // and under a plan whose drain margins overlap the next windows.
+    #[test]
+    fn machine_fed_schedule_equals_the_slice_fed_one_on_every_workload() {
+        use hbat_ckpt::fast_forward;
+        use hbat_workloads::Benchmark;
+        let cfg = ExperimentConfig::baseline(Scale::Test);
+        for bench in Benchmark::ALL {
+            let mut start = crate::ckpt::WarmStart::program_start(bench, &cfg);
+            let ops = start.machine.clone().run_to_uops(start.max_steps);
+            let cold = (start.machine.clone(), ops);
+            fast_forward(
+                &mut start.machine,
+                &mut start.acc,
+                0,
+                1_000,
+                1_000,
+                None,
+                |_, _, _| Ok(()),
+            )
+            .unwrap();
+            let tail = start.machine.clone().run_to_uops(start.max_steps);
+            let chained = (start.machine.clone(), tail);
+            for ((machine, ops), acc) in [(cold, None), (chained, Some(&start.acc))] {
+                let n = ops.len() as u64;
+                // Three 250-op windows back to back in 900 ops, each
+                // drain margin reaching into the next window.
+                for (n, p) in [(n, plan(8, 300, 50)), (n.min(900), plan(8, 200, 50))] {
+                    let from_machine = warm_schedule(machine.clone(), n, &cfg, acc, &p);
+                    let from_slice = warm_schedule(ops.ops(), n, &cfg, acc, &p);
+                    let what = format!("{} from {:?}, {n} ops", bench.name(), acc.is_some());
+                    assert_eq!(from_machine.len(), from_slice.len(), "{what}");
+                    assert!(!from_slice.is_empty(), "{what}");
+                    for (m, s) in from_machine.iter().zip(&from_slice) {
+                        assert_eq!(m.window, s.window, "{what}");
+                        assert!(m.warm == s.warm, "{what} {:?}: state differs", s.window);
+                        assert_eq!(m.ops, s.ops, "{what} {:?}", s.window);
+                    }
+                }
+            }
+        }
     }
 
     /// Logs every commit cycle with the running committed count, and
@@ -916,7 +1008,7 @@ mod tests {
         let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let ops = uops.ops();
         let p = plan(6, 400, 100);
-        let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, &cfg, None, &p);
+        let schedule = warm_schedule(ops, ops.len() as u64, &cfg, None, &p);
         for ScheduledWindow {
             window: w,
             warm,
@@ -954,7 +1046,7 @@ mod tests {
         ] {
             let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
             let ops = uops.ops();
-            let schedule = warm_schedule(ops.iter().copied(), ops.len() as u64, &cfg, None, &p);
+            let schedule = warm_schedule(ops, ops.len() as u64, &cfg, None, &p);
             for design in DesignSpec::TABLE2 {
                 let cell = run_sampled_windows(design, &cfg, &schedule);
                 let (mut stopped_cycles, mut full_cycles) = (0, 0);

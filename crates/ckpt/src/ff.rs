@@ -15,6 +15,14 @@ use hbat_isa::Machine;
 
 use crate::format::CkptError;
 
+/// Committed instructions between checks of the cancel flag.
+const CANCEL_CHECK: u64 = 1024;
+
+/// The first multiple of `k` above `i`.
+fn next_multiple(i: u64, k: u64) -> u64 {
+    (i / k).saturating_add(1).saturating_mul(k)
+}
+
 /// How a fast-forward run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastForward {
@@ -33,7 +41,9 @@ pub struct FastForward {
 /// snapshot always sits exactly at the boundary (or the halt point), and
 /// a crash between intervals loses at most `interval` instructions of
 /// fast-forward work. `cancel`, when set, aborts with
-/// [`CkptError::Cancelled`] (checked between instructions).
+/// [`CkptError::Cancelled`] (checked every 1,024 instructions). The
+/// machine runs in chunks between those points, each straight into the
+/// accumulator, so no micro-op is built.
 ///
 /// # Panics
 ///
@@ -59,15 +69,20 @@ pub fn fast_forward(
     let mut i = from;
     while i < target && !machine.is_halted() {
         if let Some(c) = cancel {
-            if i.is_multiple_of(1024) && c.load(Ordering::Relaxed) {
+            if i.is_multiple_of(CANCEL_CHECK) && c.load(Ordering::Relaxed) {
                 return Err(CkptError::Cancelled);
             }
         }
-        let Some(u) = machine.step() else {
+        // One chunk runs the executor straight into the accumulator, up
+        // to the next snapshot, cancel check or the target.
+        let stop = target
+            .min(next_multiple(i, interval))
+            .min(next_multiple(i, CANCEL_CHECK));
+        let ran = machine.execute(stop - i, acc);
+        i += ran;
+        if i < stop {
             break; // halted: the Halt step retires nothing
-        };
-        acc.note_uop(&u);
-        i += 1;
+        }
         if i.is_multiple_of(interval) && i < target {
             emit(machine, acc, i)?;
         }
@@ -83,7 +98,7 @@ pub fn fast_forward(
 mod tests {
     use super::*;
     use hbat_core::addr::PageGeometry;
-    use hbat_cpu::SimConfig;
+    use hbat_cpu::{SimConfig, WarmExport};
     use hbat_isa::inst::{AddrMode, AluOp, Cond, Operand, Width};
     use hbat_isa::{Inst, Program, Reg};
 
@@ -192,6 +207,55 @@ mod tests {
         assert_eq!(m1.arch_state(), m3.arch_state());
         assert_eq!(a1.export(), a3.export());
         assert_eq!(a1.warm_state(), a3.warm_state());
+    }
+
+    // The chunked run (chunks end at every snapshot and every 1,024-op
+    // cancel check, here out of phase) leaves the accumulator where
+    // noting the materialised trace op by op does, at every snapshot
+    // and at the end, whether the target or the halt comes first.
+    #[test]
+    fn chunked_run_matches_noting_the_materialised_trace() {
+        let interval = 1_000;
+        for (iters, target) in [(2_000, 4_500), (600, 4_500), (2_000, 3_000)] {
+            let mut m = loop_program(iters);
+            let mut a = acc();
+            let cancel = AtomicBool::new(false);
+            let mut got = Vec::new();
+            let out = fast_forward(
+                &mut m,
+                &mut a,
+                0,
+                target,
+                interval,
+                Some(&cancel),
+                |m, a, i| {
+                    got.push((i, m.instructions_retired(), a.export()));
+                    Ok(())
+                },
+            )
+            .unwrap();
+
+            let ops = loop_program(iters).run_to_uops(target);
+            let mut want_acc = acc();
+            let mut want = Vec::new();
+            for (i, op) in (1..).zip(ops.ops()) {
+                want_acc.note_uop(op);
+                if i % interval == 0 && i < target {
+                    want.push((i, i, want_acc.export()));
+                }
+            }
+            let end = ops.len() as u64;
+            want.push((end, end, want_acc.export()));
+            assert_eq!(out.index, end, "{iters} iterations to {target}");
+            assert_eq!(out.halted, end < target);
+            let indices = |v: &[(u64, u64, WarmExport)]| v.iter().map(|e| e.0).collect::<Vec<_>>();
+            assert_eq!(
+                indices(&got),
+                indices(&want),
+                "{iters} iterations to {target}"
+            );
+            assert!(got == want, "{iters} iterations to {target}: state differs");
+        }
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! order, which pins down the page table's deterministic frame
 //! allocation), the most-recently-used TLB entries and cache blocks, the
 //! random-replacement TLB model's residents, and the trained
-//! branch-predictor tables. Fast-forward and sampling both feed it
-//! committed micro-ops through [`WarmAccumulator::note_uop`].
+//! branch-predictor tables. One body, [`WarmAccumulator::note`], takes
+//! the three fields warming reads: the instruction's static index, its
+//! flags and its effective address. The accumulator is a
+//! [`RetireSink`], so the checkpoint fast-forward and the sampled
+//! schedule build run the executor straight into it and build no
+//! [`MicroOp`]; a stored trace goes through
+//! [`note_uop`](WarmAccumulator::note_uop), a one-line wrapper.
 //!
 //! The [`WarmAccumulator`] is the one carrier of that state. It has two
 //! outputs:
@@ -32,13 +37,14 @@
 //!
 //! The accumulator is also the *gap mode* of SMARTS-style sampling
 //! (DESIGN.md §15): between detailed windows the simulator only has to
-//! keep TLB/cache/bpred state warm, with no ROB/LSQ timing. That path
-//! streams predecoded [`MicroOp`]s through
-//! [`warm_gap`](WarmAccumulator::warm_gap), so the per-instruction cost
-//! is a few multiplicative-hash stamp updates — the maps here are a
-//! hand-rolled open-addressing table (`StampMap`) rather than the
-//! standard `HashMap`, which cuts the gap loop's cost several-fold and
-//! removes the only iteration-order hazard this module had.
+//! keep TLB/cache/bpred state warm, with no ROB/LSQ timing. In a sweep
+//! that gap is the executor feeding this sink, and over a stored trace
+//! it is [`warm_gap`](WarmAccumulator::warm_gap); either way the
+//! per-instruction cost is a few multiplicative-hash stamp updates —
+//! the maps here are a hand-rolled open-addressing table (`StampMap`)
+//! rather than the standard `HashMap`, which cuts the gap loop's cost
+//! several-fold and removes the only iteration-order hazard this module
+//! had.
 
 use std::collections::HashMap;
 
@@ -46,6 +52,7 @@ use hbat_core::addr::{PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_core::hash::FastHashBuilder;
 use hbat_core::pagetable::PageTable;
+use hbat_isa::executor::{RetireSink, Retired};
 use hbat_isa::uop::MicroOp;
 use hbat_mem::cache::{Cache, CacheConfig};
 
@@ -416,32 +423,40 @@ impl WarmAccumulator {
     // stamp-map updates per instruction, no ROB/LSQ timing, no allocation
     // outside amortised table growth.
 
-    /// Notes one committed instruction: the per-instruction step of
-    /// both the checkpoint fast-forward and the sampled-run gap mode.
+    /// Notes one committed instruction from the three fields warming
+    /// reads: its static index, its flags (with the branch direction
+    /// patched in) and its effective address. This is the
+    /// per-instruction step of the checkpoint fast-forward, the sampled
+    /// schedule build and the gap mode alike.
     #[inline]
-    pub fn note_uop(&mut self, op: &MicroOp) {
+    pub fn note(&mut self, pc: u32, flags: u8, vaddr: u64) {
         // Instruction fetch: the engine's icache is physically addressed
         // at `pc * 4` (one word per instruction slot).
-        let iblock = (u64::from(op.pc) * 4) & self.iblock_mask;
+        let iblock = (u64::from(pc) * 4) & self.iblock_mask;
         self.iblocks.insert(iblock, self.stamp);
         self.stamp += 1;
 
-        if op.flags & MicroOp::F_MEM != 0 {
-            let vpn = self.geom.vpn(VirtAddr(op.vaddr)).0;
+        if flags & MicroOp::F_MEM != 0 {
+            let vpn = self.geom.vpn(VirtAddr(vaddr)).0;
             // The TLB map holds every VPN ever touched, so a fresh
             // insert *is* the first touch of the page.
             if self.tlb.insert(vpn, self.stamp) {
                 self.pages.push(vpn);
             }
             self.steady.touch(vpn);
-            self.dblocks.insert(op.vaddr & self.dblock_mask, self.stamp);
+            self.dblocks.insert(vaddr & self.dblock_mask, self.stamp);
             self.stamp += 1;
         }
 
-        if op.flags & MicroOp::F_BR_COND != 0 {
-            self.bpred
-                .update(op.pc, op.flags & MicroOp::F_BR_TAKEN != 0);
+        if flags & MicroOp::F_BR_COND != 0 {
+            self.bpred.update(pc, flags & MicroOp::F_BR_TAKEN != 0);
         }
+    }
+
+    /// [`note`](Self::note) for a stored micro-op.
+    #[inline]
+    pub fn note_uop(&mut self, op: &MicroOp) {
+        self.note(op.pc, op.flags, op.vaddr);
     }
 
     /// Functional-warming gap mode: advances the accumulator across an
@@ -548,6 +563,15 @@ impl WarmAccumulator {
         acc.stamp = e.stamp;
         acc.bpred.restore_tables(e.ghr, &e.pht);
         acc
+    }
+}
+
+/// The warming sink: the executor feeds it retired instructions, and it
+/// notes each one without building a [`MicroOp`].
+impl RetireSink for WarmAccumulator {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        self.note(r.template.pc, r.flags(), r.vaddr);
     }
 }
 

@@ -1,10 +1,18 @@
-//! The functional executor: runs a [`Program`] and emits the dynamic
-//! micro-op stream the timing models consume.
+//! The functional executor: runs a [`Program`] and hands every retired
+//! instruction to a [`RetireSink`].
 //!
 //! Execution is architecturally exact (register and memory values are
 //! real), which is what makes the workload behaviour — pointer reuse,
 //! spills, data-dependent branches, hash-table scatter — faithful. Timing
 //! is not modelled here at all.
+//!
+//! There is one handler body, [`Machine::execute`], generic over its
+//! sink. A sink sees each retired instruction as a [`Retired`] view —
+//! the predecoded template plus its serial, effective address and
+//! branch direction — and builds a [`MicroOp`] only if it keeps ops:
+//! counting a program's length (`()`) and functional warming read the
+//! view and build nothing, while [`Machine::run_to_uops`] and
+//! [`Machine::run`] materialise the stream.
 
 use hbat_core::addr::VirtAddr;
 
@@ -34,27 +42,146 @@ pub struct ArchState {
     pub halted: bool,
 }
 
-/// The integer register file, then the FP one as raw IEEE-754 bits.
-type Regs = [[i64; 32]; 2];
+/// One retired instruction, as the executor hands it to a
+/// [`RetireSink`]: a borrow of its predecoded template plus the fields
+/// that differ per dynamic instance.
+#[derive(Debug, Clone, Copy)]
+pub struct Retired<'a> {
+    /// The static instruction's micro-op template.
+    pub template: &'a MicroOp,
+    /// Program-order serial number.
+    pub serial: u64,
+    /// Effective virtual address (memory ops; the template's 0
+    /// otherwise).
+    pub vaddr: u64,
+    /// A conditional branch that was taken.
+    pub taken: bool,
+}
 
-/// Reads a register (the hardwired zero register reads 0).
-#[inline(always)]
-fn read(regs: &Regs, r: Reg) -> i64 {
-    if r.is_zero() {
-        0
-    } else {
-        // hbat-lint: allow(panic-reach) is_fp() is 0 or 1 and Reg::index() is masked to 0..32
-        regs[usize::from(r.is_fp())][r.index()]
+impl Retired<'_> {
+    /// The template's flags with [`MicroOp::F_BR_TAKEN`] patched in.
+    #[inline]
+    pub fn flags(&self) -> u8 {
+        self.template.flags | if self.taken { MicroOp::F_BR_TAKEN } else { 0 }
+    }
+
+    /// The full micro-op: the template with the dynamic fields patched.
+    #[inline]
+    pub fn uop(&self) -> MicroOp {
+        MicroOp {
+            serial: self.serial,
+            vaddr: self.vaddr,
+            flags: self.flags(),
+            ..*self.template
+        }
     }
 }
 
-/// Writes a register (writes to the zero register are discarded).
+/// Where the executor sends retired instructions.
+///
+/// `()` keeps nothing (a run then only counts), a `Vec<MicroOp>`
+/// collects the micro-ops, `&mut S` forwards, and a pair feeds both
+/// halves in order.
+pub trait RetireSink {
+    /// Receives one retired instruction.
+    fn retire(&mut self, r: Retired<'_>);
+}
+
+impl RetireSink for () {
+    #[inline]
+    fn retire(&mut self, _: Retired<'_>) {}
+}
+
+impl RetireSink for Vec<MicroOp> {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        self.push(r.uop());
+    }
+}
+
+impl<S: RetireSink + ?Sized> RetireSink for &mut S {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        (**self).retire(r);
+    }
+}
+
+impl<A: RetireSink, B: RetireSink> RetireSink for (A, B) {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        self.0.retire(r);
+        self.1.retire(r);
+    }
+}
+
+/// Hands each micro-op to a closure ([`Machine::run`]).
+struct EachUop<F>(F);
+
+impl<F: FnMut(MicroOp)> RetireSink for EachUop<F> {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        (self.0)(r.uop());
+    }
+}
+
+/// A stream of retired instructions that can be drained into a sink in
+/// pieces: a [`Machine`] executing, or a stored trace (`&[MicroOp]`,
+/// which advances past what it feeds).
+pub trait OpSource {
+    /// Feeds up to `max` instructions to `sink` and returns how many it
+    /// fed; fewer than `max` only when the stream has ended.
+    fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64;
+}
+
+impl<T: OpSource + ?Sized> OpSource for &mut T {
+    #[inline]
+    fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
+        (**self).feed(max, sink)
+    }
+}
+
+impl OpSource for Machine {
+    #[inline]
+    fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
+        self.execute(max, sink)
+    }
+}
+
+impl OpSource for &[MicroOp] {
+    fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
+        let n = usize::try_from(max).unwrap_or(usize::MAX).min(self.len());
+        let (fed, rest) = self.split_at(n);
+        for op in fed {
+            sink.retire(Retired {
+                template: op,
+                serial: op.serial,
+                vaddr: op.vaddr,
+                taken: op.flags & MicroOp::F_BR_TAKEN != 0,
+            });
+        }
+        *self = rest;
+        n as u64
+    }
+}
+
+/// The register file, indexed by [`Reg::code`]: integer registers
+/// 0–31, then the FP ones as raw IEEE-754 bits. Slot 0 is the hardwired
+/// zero register; every write re-zeroes it.
+type Regs = [i64; 64];
+
+/// Reads a register.
+#[inline(always)]
+fn read(regs: &Regs, r: Reg) -> i64 {
+    // hbat-lint: allow(panic-reach) the code is masked to 0..64
+    regs[usize::from(r.code() & 63)]
+}
+
+/// Writes a register, then restores the zero register.
 #[inline(always)]
 fn write(regs: &mut Regs, r: Reg, v: i64) {
-    if !r.is_zero() {
-        // hbat-lint: allow(panic-reach) is_fp() is 0 or 1 and Reg::index() is masked to 0..32
-        regs[usize::from(r.is_fp())][r.index()] = v;
-    }
+    // hbat-lint: allow(panic-reach) the code is masked to 0..64
+    regs[usize::from(r.code() & 63)] = v;
+    regs[0] = 0;
 }
 
 /// Effective address from a predecoded memory instruction's
@@ -69,13 +196,13 @@ fn ea(regs: &Regs, di: &DecodedInst) -> VirtAddr {
     }
 }
 
-/// Architectural machine state plus the micro-op generator.
+/// Architectural machine state plus the predecoded program.
 ///
 /// The program is predecoded once at construction into a flat
-/// [`PredecodedProgram`] table, so [`Machine::step`] is an indexed
-/// handler dispatch with pre-extracted operands that emits the entry's
-/// [`MicroOp`] template — the `Inst` enum is never re-matched and no
-/// micro-op is re-encoded on the hot path.
+/// [`PredecodedProgram`] table, so [`Machine::execute`] is an indexed
+/// handler dispatch with pre-extracted operands that hands the entry's
+/// [`MicroOp`] template to its sink — the `Inst` enum is never
+/// re-matched and no micro-op is re-encoded on the hot path.
 #[derive(Debug, Clone)]
 pub struct Machine {
     code: PredecodedProgram,
@@ -91,7 +218,7 @@ impl Machine {
     pub fn new(program: Program) -> Self {
         Machine {
             code: PredecodedProgram::from_program(&program),
-            regs: [[0; 32]; 2],
+            regs: [0; 64],
             mem: Memory::new(),
             pc: 0,
             serial: 0,
@@ -133,10 +260,16 @@ impl Machine {
     /// checkpointing. FP registers are exported as raw IEEE-754 bits so
     /// a snapshot round-trip is exact even for NaN payloads.
     pub fn arch_state(&self) -> ArchState {
-        let [iregs, fp] = self.regs;
+        let (mut iregs, mut freg_bits) = ([0; 32], [0; 32]);
+        for (r, &v) in iregs.iter_mut().zip(&self.regs) {
+            *r = v;
+        }
+        for (r, &v) in freg_bits.iter_mut().zip(self.regs.iter().skip(32)) {
+            *r = v as u64;
+        }
         ArchState {
             iregs,
-            freg_bits: fp.map(|v| v as u64),
+            freg_bits,
             pc: self.pc,
             serial: self.serial,
             halted: self.halted,
@@ -158,22 +291,29 @@ impl Machine {
                 self.code.code().len()
             ));
         }
-        self.regs = [s.iregs, s.freg_bits.map(|bits| bits as i64)];
+        let (int, fp) = self.regs.split_at_mut(32);
+        int.copy_from_slice(&s.iregs);
+        for (r, &bits) in fp.iter_mut().zip(&s.freg_bits) {
+            *r = bits as i64;
+        }
+        self.regs[0] = 0;
         self.pc = s.pc;
         self.serial = s.serial;
         self.halted = s.halted;
         Ok(())
     }
 
-    // hbat-lint: hot — predecoded handler dispatch, one table access per step
-    /// Executes one instruction, returning its micro-op, or `None` if the
-    /// machine has halted.
+    // hbat-lint: hot — predecoded handler dispatch, one table access per instruction
+    /// Runs until halt or `max_steps` instructions, handing each retired
+    /// instruction to `sink`. Returns the number executed. The `Halt`
+    /// itself retires nothing.
     ///
-    /// The dependence lists, class, and static memory/branch fields come
-    /// from the predecoded template; only the serial number, effective
-    /// address, and branch direction are patched per dynamic instance.
+    /// The dependence lists, class, and static memory/branch fields stay
+    /// in the predecoded template; only the serial number, effective
+    /// address, and branch direction vary per dynamic instance, and the
+    /// sink decides whether to build a [`MicroOp`] from them.
     // hbat-lint: allow(panic) a pc run past the last instruction is a program bug
-    pub fn step(&mut self) -> Option<MicroOp> {
+    pub fn execute<S: RetireSink>(&mut self, max_steps: u64, sink: &mut S) -> u64 {
         let Machine {
             code,
             regs,
@@ -183,104 +323,107 @@ impl Machine {
             halted,
         } = self;
         if *halted {
-            return None;
+            return 0;
         }
-        let di = &code.code()[*pc as usize];
-        let mut next_pc = *pc + 1;
-
-        let mut u = di.template;
-        u.serial = *serial;
-        match di.handler {
-            Handler::Halt => {
-                *halted = true;
-                return None;
-            }
-            Handler::Nop => {}
-            Handler::Li => write(regs, di.d, di.imm),
-            Handler::AluRR => {
-                let v = di.alu.apply(read(regs, di.a), read(regs, di.b));
-                write(regs, di.d, v);
-            }
-            Handler::AluRI => {
-                let v = di.alu.apply(read(regs, di.a), di.imm);
-                write(regs, di.d, v);
-            }
-            Handler::Mul => {
-                let v = read(regs, di.a).wrapping_mul(read(regs, di.b));
-                write(regs, di.d, v);
-            }
-            Handler::Div => {
-                let bv = read(regs, di.b);
-                let v = if bv == 0 {
-                    0
-                } else {
-                    read(regs, di.a).wrapping_div(bv)
-                };
-                write(regs, di.d, v);
-            }
-            Handler::Fpu => {
-                debug_assert!(di.d.is_fp() && di.a.is_fp() && di.b.is_fp());
-                let f = |r| f64::from_bits(read(regs, r) as u64);
-                let v = di.fpu.apply(f(di.a), f(di.b));
-                write(regs, di.d, v.to_bits() as i64);
-            }
-            Handler::Load => {
-                let (ea, width) = (ea(regs, di), di.template.width);
-                debug_assert!(!di.d.is_fp() || width == Width::B8, "FP loads are 8 bytes");
-                // Zero-extended into an integer register; raw bits into an
-                // FP one.
-                write(regs, di.d, mem.read_le(ea, width.bytes()) as i64);
-                u.vaddr = ea.0;
-                if di.mode == AddrKind::PostInc {
-                    // Base writeback after the destination write: base wins
-                    // when d == base, matching the legacy decoder.
-                    let nv = read(regs, di.a).wrapping_add(di.imm);
-                    write(regs, di.a, nv);
+        let code = code.code();
+        let start = *serial;
+        let end = start.saturating_add(max_steps);
+        while *serial < end {
+            let di = &code[*pc as usize];
+            let mut next_pc = *pc + 1;
+            let mut vaddr = di.template.vaddr;
+            let mut taken = false;
+            match di.handler {
+                Handler::Halt => {
+                    *halted = true;
+                    break;
                 }
-            }
-            Handler::Store => {
-                let (ea, width) = (ea(regs, di), di.template.width);
-                debug_assert!(!di.d.is_fp() || width == Width::B8, "FP stores are 8 bytes");
-                mem.write_le(ea, read(regs, di.d) as u64, width.bytes());
-                u.vaddr = ea.0;
-                if di.mode == AddrKind::PostInc {
-                    let nv = read(regs, di.a).wrapping_add(di.imm);
-                    write(regs, di.a, nv);
+                Handler::Nop => {}
+                Handler::Li => write(regs, di.d, di.imm),
+                Handler::AluRR => {
+                    let v = di.alu.apply(read(regs, di.a), read(regs, di.b));
+                    write(regs, di.d, v);
                 }
-            }
-            Handler::Branch => {
-                if di.cond.holds(read(regs, di.a), read(regs, di.b)) {
+                Handler::AluRI => {
+                    let v = di.alu.apply(read(regs, di.a), di.imm);
+                    write(regs, di.d, v);
+                }
+                Handler::Mul => {
+                    let v = read(regs, di.a).wrapping_mul(read(regs, di.b));
+                    write(regs, di.d, v);
+                }
+                Handler::Div => {
+                    let bv = read(regs, di.b);
+                    let v = if bv == 0 {
+                        0
+                    } else {
+                        read(regs, di.a).wrapping_div(bv)
+                    };
+                    write(regs, di.d, v);
+                }
+                Handler::Fpu => {
+                    debug_assert!(di.d.is_fp() && di.a.is_fp() && di.b.is_fp());
+                    let f = |r| f64::from_bits(read(regs, r) as u64);
+                    let v = di.fpu.apply(f(di.a), f(di.b));
+                    write(regs, di.d, v.to_bits() as i64);
+                }
+                Handler::Load => {
+                    let (ea, width) = (ea(regs, di), di.template.width);
+                    debug_assert!(!di.d.is_fp() || width == Width::B8, "FP loads are 8 bytes");
+                    // Zero-extended into an integer register; raw bits
+                    // into an FP one.
+                    write(regs, di.d, mem.read_le(ea, width.bytes()) as i64);
+                    vaddr = ea.0;
+                    if di.mode == AddrKind::PostInc {
+                        // Base writeback after the destination write: base
+                        // wins when d == base, matching the legacy decoder.
+                        let nv = read(regs, di.a).wrapping_add(di.imm);
+                        write(regs, di.a, nv);
+                    }
+                }
+                Handler::Store => {
+                    let (ea, width) = (ea(regs, di), di.template.width);
+                    debug_assert!(!di.d.is_fp() || width == Width::B8, "FP stores are 8 bytes");
+                    mem.write_le(ea, read(regs, di.d) as u64, width.bytes());
+                    vaddr = ea.0;
+                    if di.mode == AddrKind::PostInc {
+                        let nv = read(regs, di.a).wrapping_add(di.imm);
+                        write(regs, di.a, nv);
+                    }
+                }
+                Handler::Branch => {
+                    if di.cond.holds(read(regs, di.a), read(regs, di.b)) {
+                        next_pc = di.template.target;
+                        taken = true;
+                    }
+                }
+                Handler::Jump => {
                     next_pc = di.template.target;
-                    u.flags |= MicroOp::F_BR_TAKEN;
                 }
             }
-            Handler::Jump => {
-                next_pc = di.template.target;
-            }
+            sink.retire(Retired {
+                template: &di.template,
+                serial: *serial,
+                vaddr,
+                taken,
+            });
+            *pc = next_pc;
+            *serial += 1;
         }
-
-        *pc = next_pc;
-        *serial += 1;
-        Some(u)
+        *serial - start
     }
     // hbat-lint: cold
 
     /// Runs until halt or `max_steps`, feeding each micro-op to `sink`.
     /// Returns the number of instructions executed.
-    pub fn run<F: FnMut(MicroOp)>(&mut self, max_steps: u64, mut sink: F) -> u64 {
-        let mut n = 0;
-        while n < max_steps {
-            let Some(u) = self.step() else { break };
-            sink(u);
-            n += 1;
-        }
-        n
+    pub fn run<F: FnMut(MicroOp)>(&mut self, max_steps: u64, sink: F) -> u64 {
+        self.execute(max_steps, &mut EachUop(sink))
     }
 
     /// Runs until halt or `max_steps`, collecting the micro-ops.
     pub fn run_to_uops(&mut self, max_steps: u64) -> PredecodedTrace {
         let mut ops = Vec::new();
-        self.run(max_steps, |u| ops.push(u));
+        self.execute(max_steps, &mut ops);
         PredecodedTrace::from(ops)
     }
 

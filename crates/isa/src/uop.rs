@@ -4,10 +4,11 @@
 //!
 //! * [`PredecodedProgram`] flattens the *static* program into
 //!   [`DecodedInst`] records — a [`Handler`] index, pre-extracted
-//!   operands and a prebuilt [`MicroOp`] template — so `Machine::step`
-//!   is an indexed table dispatch that patches three fields of the
-//!   template (serial, effective address, branch direction) and emits
-//!   it. [`MicroOp::encode`] runs once per *static* instruction.
+//!   operands and a prebuilt [`MicroOp`] template — so
+//!   `Machine::execute` is an indexed table dispatch that hands its sink
+//!   the template and the three fields that vary (serial, effective
+//!   address, branch direction); a sink that keeps ops patches them into
+//!   a copy. [`MicroOp::encode`] runs once per *static* instruction.
 //! * [`MicroOp`] is the fixed-size record the timing engine scans:
 //!   register codes as sentinel-coded bytes, the memory/branch records
 //!   as plain fields behind a flags byte, and the address-generation

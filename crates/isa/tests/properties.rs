@@ -11,6 +11,7 @@ use hbat_isa::mem::Memory;
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
 use hbat_isa::tracefile::{read_trace, write_trace};
+use hbat_isa::uop::MicroOp;
 
 /// Strategy: a random straight-line ALU/memory program over registers
 /// r1..r7 that is always valid (targets in range, halt at end).
@@ -85,6 +86,33 @@ proptest! {
                 m1.read_reg(Reg::int(r)),
                 m2.read_reg(Reg::int(r))
             );
+        }
+    }
+
+    /// The sinks see one run: the no-op sink retires as many
+    /// instructions as the materialising run keeps, a run fed in chunks
+    /// keeps the same ops, and all three leave the same registers and
+    /// memory image, whether the program halts or hits the step cap.
+    #[test]
+    fn sinks_see_the_same_run(insts in straightline(), cap in 1u64..80, chunk in 1u64..9) {
+        let p = Program::new(insts).expect("valid");
+        let mut counted = Machine::new(p.clone());
+        let mut kept = Machine::new(p.clone());
+        let mut chunked = Machine::new(p);
+        let n = counted.execute(cap, &mut ());
+        let ops = kept.run_to_uops(cap);
+        let mut pieces: Vec<MicroOp> = Vec::new();
+        while (pieces.len() as u64) < cap {
+            let want = chunk.min(cap - pieces.len() as u64);
+            if chunked.execute(want, &mut pieces) < want {
+                break;
+            }
+        }
+        prop_assert_eq!(n, ops.len() as u64);
+        prop_assert_eq!(&pieces[..], ops.ops());
+        for m in [&counted, &chunked] {
+            prop_assert_eq!(m.arch_state(), kept.arch_state());
+            prop_assert_eq!(m.memory().export_chunks(), kept.memory().export_chunks());
         }
     }
 

@@ -22,7 +22,7 @@ pub enum Rule {
     HotProp,
     /// R6: panic reachability — `panic!`/`unwrap`/`expect`/computed
     /// indexing in any function transitively reachable from the engine
-    /// hot entry points (`Engine::run`, `Machine::step`).
+    /// hot entry points (`Engine::run`, `Machine::execute`).
     PanicReach,
 }
 

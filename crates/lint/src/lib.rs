@@ -15,7 +15,7 @@
 //!   transitively reachable from a hot region, across files and crates;
 //! * **R6 panic reachability** — no undocumented panic sites in any
 //!   function transitively reachable from the engine hot entry points
-//!   (`Engine::run`, `Machine::step`).
+//!   (`Engine::run`, `Machine::execute`).
 //!
 //! The tool is deliberately dependency-free: it lexes Rust with its own
 //! lightweight lexer ([`lexer`]), parses items with its own item-level

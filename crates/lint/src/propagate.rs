@@ -9,7 +9,7 @@
 //! * **R6 panic reachability** — every `panic!`-family macro,
 //!   `.unwrap()`/`.expect(`, and computed-index site in a function
 //!   transitively reachable from the engine hot entry points
-//!   (`Engine::run`, `Machine::step`) is reported, honoring the
+//!   (`Engine::run`, `Machine::execute`) is reported, honoring the
 //!   `# Panics` doc convention and `allow(panic)`/`allow(panic-reach)`
 //!   suppressions from PR 2's panic policy.
 //!
@@ -25,7 +25,7 @@ use crate::parse::{FileInfo, FnDef};
 
 /// The engine hot entry points whose transitive callees must not panic:
 /// `(impl type, method)`.
-pub const PANIC_ENTRY_POINTS: &[(&str, &str)] = &[("Engine", "run"), ("Machine", "step")];
+pub const PANIC_ENTRY_POINTS: &[(&str, &str)] = &[("Engine", "run"), ("Machine", "execute")];
 
 /// The result of both propagation passes, also consumed by `--graph`.
 #[derive(Debug, Default)]

@@ -71,9 +71,9 @@ pub fn reset() {
 /// [`scope`] — inactive (and free) when profiling is off.
 #[must_use = "a prof scope measures the span it is alive for"]
 pub struct Scope {
-    /// Full `/`-joined path, `None` when profiling is off.
-    path: Option<String>,
-    start: Instant, // hbat-lint: allow(determinism) observational timing only
+    /// Full `/`-joined path and start time, `None` when profiling is
+    /// off.
+    live: Option<(String, Instant)>, // hbat-lint: allow(determinism) observational timing only
 }
 
 /// Opens a named scope. Nested scopes *on the same thread* record
@@ -82,10 +82,7 @@ pub struct Scope {
 /// to stay meaningful either way).
 pub fn scope(name: &'static str) -> Scope {
     if !enabled() {
-        return Scope {
-            path: None,
-            start: Instant::now(), // hbat-lint: allow(determinism) observational timing only
-        };
+        return Scope { live: None };
     }
     let path = STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
@@ -101,17 +98,16 @@ pub fn scope(name: &'static str) -> Scope {
         path
     });
     Scope {
-        path: Some(path),
-        start: Instant::now(), // hbat-lint: allow(determinism) observational timing only
+        live: Some((path, Instant::now())), // hbat-lint: allow(determinism) observational timing only
     }
 }
 
 impl Drop for Scope {
     fn drop(&mut self) {
-        let Some(path) = self.path.take() else {
+        let Some((path, start)) = self.live.take() else {
             return;
         };
-        let nanos = self.start.elapsed().as_nanos();
+        let nanos = start.elapsed().as_nanos();
         STACK.with(|stack| {
             stack.borrow_mut().pop();
         });

@@ -22,17 +22,6 @@ pub fn weighted_average(values: &[f64], weights: &[f64]) -> f64 {
     values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / mass
 }
 
-/// The paper's aggregate: per-benchmark IPCs combined into one number by
-/// weighting each benchmark with its T4 run time in cycles.
-///
-/// Equivalent formulation: total instructions over total cycles if every
-/// benchmark ran for its T4-cycle duration. We use the direct weighted
-/// mean of IPCs, which is what "run-time weighted average IPC" denotes.
-pub fn runtime_weighted_ipc(ipcs: &[f64], t4_cycles: &[u64]) -> f64 {
-    let weights: Vec<f64> = t4_cycles.iter().map(|&c| c as f64).collect();
-    weighted_average(ipcs, &weights)
-}
-
 /// An accumulator for min/max/mean/stddev summaries.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
@@ -125,13 +114,6 @@ mod tests {
     #[should_panic(expected = "pair up")]
     fn mismatched_lengths_panic() {
         weighted_average(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn runtime_weighting_prefers_long_benchmarks() {
-        // A slow, long benchmark dominates the average.
-        let v = runtime_weighted_ipc(&[1.0, 3.0], &[900, 100]);
-        assert!((v - 1.2).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub mod chart;
 pub mod ci;
 pub mod table;
 
-pub use agg::{runtime_weighted_ipc, weighted_average, Summary};
+pub use agg::{weighted_average, Summary};
 pub use chart::BarChart;
 pub use ci::{t_critical, ConfLevel, ConfidenceInterval};
 pub use table::{fnum, percent, Align, TextTable};
