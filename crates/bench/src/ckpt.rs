@@ -25,7 +25,7 @@ use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::WarmAccumulator;
-use hbat_isa::uop::PredecodedTrace;
+use hbat_isa::tape::Tape;
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
 use hbat_workloads::Benchmark;
@@ -51,8 +51,9 @@ pub struct CheckpointOptions {
 /// trace plus the warm state at its start.
 #[derive(Debug, Clone)]
 pub struct WarmTrace {
-    /// Predecoded committed-path tail, from the boundary to the end.
-    pub tail: PredecodedTrace,
+    /// Committed-path tail, from the boundary to the end, as a tape of
+    /// the program's templates.
+    pub tail: Tape,
     /// The warm-state accumulator at the boundary. A full run installs
     /// its [`warm_state`](WarmAccumulator::warm_state); the sampled
     /// runner clones it to *continue* accumulation through the
@@ -140,7 +141,7 @@ impl WarmStart {
     ///
     /// As [`Self::tail_len`].
     pub fn into_trace(mut self) -> Result<WarmTrace, CkptError> {
-        let tail = self.machine.run_to_uops(self.max_steps);
+        let tail = self.machine.run_to_tape(self.max_steps);
         self.check_halted(&self.machine)?;
         Ok(WarmTrace {
             tail,
@@ -441,14 +442,8 @@ pub fn verify_restore_equivalence(
     }
     let (cold_warm, restored_warm) = (cold.acc.warm_state(), restored.acc.warm_state());
     for design in designs {
-        let a = run_cell(cold.tail.ops(), *design, cfg, &cold_warm, NullRecorder);
-        let b = run_cell(
-            restored.tail.ops(),
-            *design,
-            cfg,
-            &restored_warm,
-            NullRecorder,
-        );
+        let a = run_cell(&cold.tail, *design, cfg, &cold_warm, NullRecorder);
+        let b = run_cell(&restored.tail, *design, cfg, &restored_warm, NullRecorder);
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",
@@ -501,7 +496,7 @@ mod tests {
         .unwrap();
         assert_eq!(cold.start, ck.start);
         assert_eq!(cold.acc.export(), ck.acc.export());
-        assert_eq!(cold.tail.ops(), ck.tail.ops());
+        assert_eq!(cold.tail, ck.tail);
         assert!(ck.restored_from.is_none(), "first pass cold-starts");
 
         // A second pass restores from the boundary snapshot and skips

@@ -5,7 +5,7 @@
 //! A sweep runs in two phases, each scheduled at cell granularity:
 //!
 //! 1. **Trace build** — each benchmark runs once, in parallel, straight
-//!    to micro-ops, published through the [`TraceCache`], so later
+//!    to a [`Tape`], published through the [`TraceCache`], so later
 //!    sweeps in the same process reuse it.
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
@@ -28,9 +28,10 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+use hbat_isa::tape::Tape;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, WorkloadConfig};
 
@@ -233,6 +234,30 @@ where
     }
 }
 
+/// Set when a pool's last cell finishes. The heartbeat and watchdog
+/// threads sleep on it between polls, so they exit as soon as the pool
+/// drains instead of up to a poll interval later.
+#[derive(Default)]
+struct Drained {
+    flag: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Drained {
+    fn set(&self) {
+        *unpoisoned(self.flag.lock()) = true;
+        self.cv.notify_all();
+    }
+
+    /// Sleeps for `d`, or until the pool drains if that comes first.
+    fn sleep(&self, d: Duration) {
+        let flag = unpoisoned(self.flag.lock());
+        drop(unpoisoned(
+            self.cv.wait_timeout_while(flag, d, |drained| !*drained),
+        ));
+    }
+}
+
 /// Runs `job(0..n)` across `threads` workers with per-cell fault
 /// isolation, returning one [`CellOutcome`] per index, in index order.
 ///
@@ -265,13 +290,14 @@ where
     let slots: Vec<Mutex<Option<CellOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cancelled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let started: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let drained = Drained::default();
     let epoch = Instant::now();
     std::thread::scope(|scope| {
         if let Some(interval) = policy.heartbeat.filter(|d| !d.is_zero()) {
-            // Progress reporter: wakes often enough to exit promptly
-            // once the pool drains, prints every full interval.
+            // Progress reporter: prints every full interval, and is
+            // woken when the pool drains.
             let poll = interval.min(Duration::from_millis(50));
-            let (done, failed, retried) = (&done, &failed, &retried);
+            let (done, failed, retried, drained) = (&done, &failed, &retried, &drained);
             let ckpt_base = CkptCounters::now();
             scope.spawn(move || {
                 let mut last_report = Instant::now();
@@ -282,7 +308,7 @@ where
                     std::collections::VecDeque::with_capacity(WINDOW + 1);
                 samples.push_back((0.0, 0));
                 while done.load(Ordering::SeqCst) < n {
-                    std::thread::sleep(poll);
+                    drained.sleep(poll);
                     if last_report.elapsed() >= interval {
                         last_report = Instant::now();
                         let d = done.load(Ordering::SeqCst);
@@ -318,10 +344,10 @@ where
         if let Some(deadline) = policy.timeout {
             let deadline_ms = deadline.as_millis() as u64;
             let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
-            let (done, cancelled, started) = (&done, &cancelled, &started);
+            let (done, cancelled, started, drained) = (&done, &cancelled, &started, &drained);
             scope.spawn(move || {
                 while done.load(Ordering::SeqCst) < n {
-                    std::thread::sleep(poll);
+                    drained.sleep(poll);
                     let now = epoch.elapsed().as_millis() as u64;
                     for (flag, start) in cancelled.iter().zip(started) {
                         let s = start.load(Ordering::SeqCst);
@@ -347,7 +373,9 @@ where
                 }
                 // hbat-lint: allow(panic) cell index bounded by the claim guard above
                 *unpoisoned(slots[i].lock()) = Some(outcome);
-                done.fetch_add(1, Ordering::SeqCst);
+                if done.fetch_add(1, Ordering::SeqCst) + 1 == n {
+                    drained.set();
+                }
             });
         }
         // hbat-lint: cold
@@ -402,11 +430,15 @@ where
     out
 }
 
-/// A process-wide cache of benchmark micro-op traces, keyed by the
-/// complete workload identity. Each workload runs once straight to
-/// micro-ops (`Workload::uops`), the one form the cache holds. The micro-ops are immutable once built and shared as
-/// `Arc<PredecodedTrace>`; a multi-figure binary that sweeps the same
-/// workload under several machine models builds each trace exactly once.
+/// A process-wide cache of benchmark traces, keyed by the complete
+/// workload identity. Each workload runs once straight to a [`Tape`]
+/// (`Workload::tape`: the program's micro-op templates plus 12 bytes
+/// per op), the one form the cache holds. Tapes are immutable once
+/// built and shared as `Arc<Tape>`; a multi-figure binary that sweeps
+/// the same workload under several machine models builds each trace
+/// exactly once. [`TraceCache::get_or_build_uops`] materialises a
+/// cached tape's micro-ops for callers that take `&[MicroOp]`; no sweep
+/// path does.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     /// One slot per workload; the `OnceLock` lets concurrent requesters
@@ -416,8 +448,8 @@ pub struct TraceCache {
     misses: AtomicU64,
 }
 
-/// A shared once-built micro-op slot in the [`TraceCache`].
-type TraceSlot = Arc<OnceLock<Arc<PredecodedTrace>>>;
+/// A shared once-built tape slot in the [`TraceCache`].
+type TraceSlot = Arc<OnceLock<Arc<Tape>>>;
 
 impl TraceCache {
     /// An empty cache (tests use private caches; sweeps share
@@ -432,10 +464,10 @@ impl TraceCache {
         GLOBAL.get_or_init(TraceCache::new)
     }
 
-    /// Returns the micro-ops of `bench` under `cfg`, building and
-    /// publishing them if no other caller has yet, and whether this call
-    /// built them. Concurrent requests for the same workload build it
-    /// once; the rest block and share the result.
+    /// Returns the tape of `bench` under `cfg`, building and publishing
+    /// it if no other caller has yet, and whether this call built it.
+    /// Concurrent requests for the same workload build it once; the
+    /// rest block and share the result.
     ///
     /// # Panics
     ///
@@ -443,18 +475,32 @@ impl TraceCache {
     /// wedged by that: the builder panic leaves the `OnceLock`
     /// uninitialized, so the next requester retries the build (see the
     /// builder-panic regression test).
+    pub fn get_or_build_tape(&self, bench: Benchmark, cfg: &WorkloadConfig) -> (bool, Arc<Tape>) {
+        self.get_or_build_with(bench, cfg, || {
+            let _prof = hbat_obs::prof::scope("workload-build");
+            bench.build(cfg).tape()
+        })
+    }
+
+    /// [`TraceCache::get_or_build_tape`], with the tape's micro-ops
+    /// materialised into a new [`PredecodedTrace`] on every call: the
+    /// boundary for callers that take `&[MicroOp]`.
+    ///
+    /// [`MicroOp`]: hbat_isa::uop::MicroOp
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceCache::get_or_build_tape`].
     pub fn get_or_build_uops(
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
     ) -> (bool, Arc<PredecodedTrace>) {
-        self.get_or_build_with(bench, cfg, || {
-            let _prof = hbat_obs::prof::scope("workload-build");
-            bench.build(cfg).uops()
-        })
+        let (built, tape) = self.get_or_build_tape(bench, cfg);
+        (built, Arc::new(tape.to_ops().into()))
     }
 
-    /// [`TraceCache::get_or_build_uops`] with an explicit builder — the
+    /// [`TraceCache::get_or_build_tape`] with an explicit builder — the
     /// form the fault-injection tests drive to exercise builder panics.
     ///
     /// # Panics
@@ -464,8 +510,8 @@ impl TraceCache {
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
-        build: impl FnOnce() -> PredecodedTrace,
-    ) -> (bool, Arc<PredecodedTrace>) {
+        build: impl FnOnce() -> Tape,
+    ) -> (bool, Arc<Tape>) {
         let slot = {
             // Poison-tolerant: the map lock is never held across the
             // builder, so a poisoned lock only means another worker
@@ -474,7 +520,7 @@ impl TraceCache {
             slots.entry((bench, *cfg)).or_default().clone()
         };
         let mut built = false;
-        let uops = slot
+        let tape = slot
             .get_or_init(|| {
                 built = true;
                 Arc::new(build())
@@ -482,7 +528,18 @@ impl TraceCache {
             .clone();
         let counter = if built { &self.misses } else { &self.hits };
         counter.fetch_add(1, Ordering::Relaxed);
-        (built, uops)
+        (built, tape)
+    }
+
+    /// The tapes held: one per workload built so far.
+    pub fn len(&self) -> usize {
+        let slots = unpoisoned(self.slots.lock());
+        slots.values().filter(|slot| slot.get().is_some()).count()
+    }
+
+    /// True if no tape has been built.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Requests served from an already-built trace.
@@ -670,6 +727,26 @@ mod tests {
         );
     }
 
+    // The heartbeat and watchdog threads sleep up to 50 ms between
+    // polls; the pool must not wait out that sleep after its last cell.
+    #[test]
+    fn heartbeat_and_watchdog_wake_when_the_pool_drains() {
+        let long = Duration::from_secs(30);
+        let policy = RunPolicy {
+            timeout: Some(long),
+            ..RunPolicy::default()
+        }
+        .with_heartbeat(long);
+        let t0 = Instant::now();
+        let out = parallel_map_outcomes(4, 4, &policy, |i, _ctx| {
+            std::thread::sleep(Duration::from_millis(5));
+            i
+        });
+        let took = t0.elapsed();
+        assert!(out.iter().enumerate().all(|(i, o)| o.ok() == Some(&i)));
+        assert!(took < Duration::from_millis(40), "returned after {took:?}");
+    }
+
     #[test]
     fn heartbeat_line_reports_progress_and_eta() {
         let s = heartbeat_line(25, 100, 2, 3, 5.0, None, CkptCounters::default());
@@ -744,24 +821,29 @@ mod tests {
     fn trace_cache_counts_hits_and_misses() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
-        let (built, a) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        let (built, a) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
         assert!(built);
         assert_eq!((cache.misses(), cache.hits()), (1, 0));
-        let (built, b) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        let (built, b) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
         assert!(!built);
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared trace");
+        // The materialising boundary counts as a request too and hands
+        // out the tape's ops.
+        let (built, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        assert!(!built && uops.ops() == a.to_ops());
         // A different workload identity is a different trace.
-        cache.get_or_build_uops(Benchmark::Compress, &cfg.with_small_regs());
-        cache.get_or_build_uops(Benchmark::Xlisp, &cfg);
-        assert_eq!((cache.misses(), cache.hits()), (3, 1));
+        cache.get_or_build_tape(Benchmark::Compress, &cfg.with_small_regs());
+        cache.get_or_build_tape(Benchmark::Xlisp, &cfg);
+        assert_eq!((cache.misses(), cache.hits()), (3, 2));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn concurrent_requests_build_once() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
-        let got = parallel_map(8, 4, |_| cache.get_or_build_uops(Benchmark::Doduc, &cfg));
+        let got = parallel_map(8, 4, |_| cache.get_or_build_tape(Benchmark::Doduc, &cfg));
         assert_eq!(cache.misses(), 1, "one builder, everyone else waits");
         assert_eq!(cache.hits(), 7);
         assert_eq!(got.iter().filter(|(built, _)| *built).count(), 1);
@@ -778,13 +860,14 @@ mod tests {
         }));
         assert!(r.is_err());
         assert_eq!((cache.misses(), cache.hits()), (0, 0));
+        assert!(cache.is_empty());
         // …but the slot is not deadlocked or poisoned: the next
         // requester retries the build and succeeds.
-        let (built, trace) = cache.get_or_build_uops(Benchmark::Gcc, &cfg);
+        let (built, trace) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
         assert!(built && !trace.is_empty());
         assert_eq!((cache.misses(), cache.hits()), (1, 0));
         // And a plain hit still works afterwards.
-        let (built, again) = cache.get_or_build_uops(Benchmark::Gcc, &cfg);
+        let (built, again) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
         assert!(!built && Arc::ptr_eq(&trace, &again));
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
@@ -799,12 +882,12 @@ mod tests {
         let outcomes = parallel_map_outcomes(6, 3, &RunPolicy::default(), |i, _ctx| {
             cache.get_or_build_with(Benchmark::Perl, &cfg, || {
                 assert!(i != 0, "first builder exploded");
-                Benchmark::Perl.build(&cfg).uops()
+                Benchmark::Perl.build(&cfg).tape()
             })
         });
         let completed = outcomes.iter().filter(|o| o.is_ok()).count();
         assert!(completed >= 5, "only the panicking builder may fail");
-        let (_, trace) = cache.get_or_build_uops(Benchmark::Perl, &cfg);
+        let (_, trace) = cache.get_or_build_tape(Benchmark::Perl, &cfg);
         assert!(!trace.is_empty());
     }
 

@@ -2,8 +2,8 @@
 //! suite, exactly as Section 4 of the paper does.
 //!
 //! Traces are generated once per benchmark (functional execution),
-//! published through the process-wide [`TraceCache`], and replayed
-//! against every design. The benchmark × design cells are scheduled
+//! stored as [`Tape`]s, published through the process-wide
+//! [`TraceCache`], and replayed against every design. The benchmark × design cells are scheduled
 //! individually across a worker pool (see [`crate::executor`]), so a
 //! full Table-2 sweep keeps every core busy until the last cell drains;
 //! results are bit-identical to a serial sweep regardless of worker
@@ -25,6 +25,7 @@ use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
+use hbat_isa::tape::Tape;
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_obs::{
@@ -389,16 +390,22 @@ impl SweepResult {
     }
 }
 
-/// The micro-ops of one benchmark's trace under `cfg`,
-/// through the process-wide cache: the first request builds it, later
-/// requests for the same workload share the stored copy.
-pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
+/// The tape of one benchmark's trace under `cfg`, through the
+/// process-wide cache: the first request builds it, later requests for
+/// the same workload share the stored copy.
+pub fn tape_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<Tape> {
     TraceCache::global()
-        .get_or_build_uops(bench, &cfg.workload)
+        .get_or_build_tape(bench, &cfg.workload)
         .1
 }
 
-/// Runs one cell: `design` times `ops` in detail from `warm`, reporting
+/// [`tape_for`]'s ops, materialised anew on every call: the boundary
+/// for callers that take `&[MicroOp]`.
+pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
+    Arc::new(tape_for(bench, cfg).to_ops().into())
+}
+
+/// Runs one cell: `design` times the tape `ops` in detail from `warm`, reporting
 /// to `rec` ([`NullRecorder`] for an unobserved run; a [`TraceRecorder`]
 /// for the stall taxonomy, an [`IntervalRecorder`], a [`Tee`] of both,
 /// or a sampled window's gate). The one cell runner: a full cell starts
@@ -407,7 +414,7 @@ pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace
 /// whatever `R` is, unless the recorder
 /// [`finished`](hbat_obs::Recorder::finished) early.
 pub fn run_cell<R: hbat_obs::Recorder>(
-    ops: &[MicroOp],
+    ops: &Tape,
     design: DesignSpec,
     cfg: &ExperimentConfig,
     warm: &WarmState,
@@ -422,15 +429,21 @@ pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfi
     run_cell_uops_with(uops, design, cfg, NullRecorder)
 }
 
-/// [`run_cell`] of a full trace from the empty state, under `rec`.
+/// [`run_cell`] of a full trace from the empty state, under `rec`; the
+/// ops are stored as a tape first.
+///
+/// # Panics
+///
+/// If the serials of `uops` are not contiguous.
 pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     uops: &[MicroOp],
     design: DesignSpec,
     cfg: &ExperimentConfig,
     rec: R,
 ) -> RunMetrics {
+    let tape = Tape::from_ops(uops).unwrap_or_else(|e| panic!("not a trace: {e}"));
     let cold = WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state();
-    run_cell(uops, design, cfg, &cold, rec)
+    run_cell(&tape, design, cfg, &cold, rec)
 }
 
 /// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
@@ -614,13 +627,15 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
 
 /// What phase 1 built for one program. A full sweep times the whole
 /// trace from the empty state, or with `--ff` the tail past the boundary
-/// from the fast-forwarded state. A sampled sweep keeps the machine at
+/// from the fast-forwarded state, held as a tape (the program's
+/// templates plus 12 bytes per op). A sampled sweep keeps the machine at
 /// the timing start instead of its trace.
 enum BenchInput {
     /// A full sweep's input.
     Trace {
-        /// The ops every cell of the program times.
-        ops: Arc<PredecodedTrace>,
+        /// The ops every cell of the program times: the cached tape, or
+        /// the `--ff` tail's.
+        ops: Arc<Tape>,
         /// The install form of the state at the first op, which every
         /// cell of the program starts from.
         warm: Box<WarmState>,
@@ -728,12 +743,12 @@ fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
 ///
 /// Always — both branches diverge by design; the surrounding cell
 /// isolation turns the panic into a manifest entry.
-fn run_with_corrupt_trace<'o>(
+fn run_with_corrupt_trace(
     index: usize,
-    ops: impl IntoIterator<Item = &'o MicroOp>,
+    ops: impl IntoIterator<Item = MicroOp>,
     plan: &FaultPlan,
 ) -> ! {
-    let insts: Vec<_> = ops.into_iter().map(MicroOp::decode).collect();
+    let insts: Vec<_> = ops.into_iter().map(|op| op.decode()).collect();
     let mut buf = Vec::new();
     if let Err(e) = write_trace(&mut buf, &insts) {
         panic!("injected fault: trace serialisation failed: {e}");
@@ -891,7 +906,7 @@ pub fn sweep_ft_on(
                 }
                 None => {
                     return BenchInput::Trace {
-                        ops: cache.get_or_build_uops(bench, &cfg.workload).1,
+                        ops: cache.get_or_build_tape(bench, &cfg.workload).1,
                         warm: Box::new(WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state()),
                     }
                 }
@@ -1023,7 +1038,7 @@ pub fn sweep_ft_on(
                         if corrupt {
                             run_with_corrupt_trace(
                                 i,
-                                schedule.iter().flat_map(|w| &w.ops),
+                                schedule.iter().flat_map(|w| w.ops.iter()),
                                 &opts.faults,
                             );
                         }
@@ -1036,9 +1051,8 @@ pub fn sweep_ft_on(
                         (cell.metrics, None, Some((cell.windows, 0)))
                     }
                     BenchInput::Trace { ops, warm } => {
-                        let ops = ops.ops();
                         if corrupt {
-                            run_with_corrupt_trace(i, ops, &opts.faults);
+                            run_with_corrupt_trace(i, ops.iter(), &opts.faults);
                         }
                         // The recorder combination (none / trace /
                         // interval / both via Tee) is picked here with
@@ -1435,7 +1449,7 @@ mod tests {
                 end: 1,
             },
             warm: WarmAccumulator::new(&SimConfig::baseline(), PageGeometry::KB4).warm_state(),
-            ops: Vec::new(),
+            ops: Tape::default(),
         }
     }
 

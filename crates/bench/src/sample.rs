@@ -36,6 +36,7 @@
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::{RunMetrics, WarmAccumulator, WarmState};
 use hbat_isa::executor::OpSource;
+use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
 use hbat_obs::{prof, IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
@@ -366,8 +367,9 @@ pub struct ScheduledWindow {
     /// [`WindowGate`] finishes at its close and the run ends there, so
     /// the margin is fetched behind the measured ops but not simulated
     /// past the close. A margin can reach into the next window, so on
-    /// short streams one op may sit in more than one slice.
-    pub ops: Vec<MicroOp>,
+    /// short streams one op may sit in more than one slice. Stored as a
+    /// [`Tape`] that shares the source's templates.
+    pub ops: Tape,
 }
 
 /// The design-independent half of a sampled cell: one
@@ -380,10 +382,11 @@ pub struct ScheduledWindow {
 /// The stream is read only as far as the last detail slice reaches, in
 /// chunks between the points where a window starts, a slice ends or
 /// warming stops. Outside the slices the source runs straight into the
-/// accumulator and no [`MicroOp`] is built; only the slices' ops are
-/// built and kept, so a schedule holds the windows, not the stream. A
-/// sweep feeds it from a functional machine, and [`run_sampled_uops`]
-/// from a stored trace, through the one [`OpSource`] interface.
+/// accumulator and nothing is kept; only the slices' ops are kept, as
+/// tapes of the source's templates, so a schedule holds the windows,
+/// not the stream. A sweep feeds it from a functional machine, and
+/// [`run_sampled_uops`] from a stored trace, through the one
+/// [`OpSource`] interface.
 ///
 /// Nothing here depends on the translation design, so a sweep builds
 /// the schedule once per program and every design's
@@ -423,11 +426,9 @@ pub fn warm_schedule(
                 let _warm = prof::scope("warm-state");
                 acc.warm_state()
             };
-            schedule.push(ScheduledWindow {
-                window,
-                warm,
-                ops: Vec::with_capacity((slice_end(&window) - i) as usize),
-            });
+            let mut ops = src.tape();
+            ops.reserve((slice_end(&window) - i) as usize);
+            schedule.push(ScheduledWindow { window, warm, ops });
         }
         // The chunk runs to the next window start (the last one ends the
         // warming) or the end of the oldest open slice, whichever comes
@@ -453,7 +454,9 @@ pub fn warm_schedule(
                     src.feed(want, &mut newest.ops)
                 };
                 for w in older {
-                    w.ops.extend_from_slice(&newest.ops[from..]);
+                    let mut copy = newest.ops.reader();
+                    copy.feed(from as u64, &mut ());
+                    copy.feed(fed, &mut w.ops);
                 }
                 fed
             }
@@ -503,8 +506,13 @@ pub fn run_sampled_windows(
 }
 
 /// Runs one sampled (trace, design) cell: [`warm_schedule`] over `ops`
-/// then [`run_sampled_windows`]. Deterministic: identical `(ops,
-/// design, cfg, start, plan)` give identical results.
+/// (stored as a tape first) then [`run_sampled_windows`].
+/// Deterministic: identical `(ops, design, cfg, start, plan)` give
+/// identical results.
+///
+/// # Panics
+///
+/// If the serials of `ops` are not contiguous.
 pub fn run_sampled_uops(
     ops: &[MicroOp],
     design: DesignSpec,
@@ -512,7 +520,8 @@ pub fn run_sampled_uops(
     start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let schedule = warm_schedule(ops, ops.len() as u64, cfg, start, plan);
+    let tape = Tape::from_ops(ops).unwrap_or_else(|e| panic!("not a trace: {e}"));
+    let schedule = warm_schedule(tape.reader(), ops.len() as u64, cfg, start, plan);
     run_sampled_windows(design, cfg, &schedule)
 }
 
@@ -568,6 +577,7 @@ pub fn ipc_interval(windows: &[IntervalRecord], level: ConfLevel) -> ConfidenceI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_isa::tape::TapeReader;
     use hbat_isa::Machine;
     use hbat_obs::Tee;
     use hbat_workloads::Scale;
@@ -780,11 +790,11 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
         let p = plan(12, 400, 100);
 
-        let a = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
-        let b = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
+        let a = run_sampled_uops(&ops, design, &cfg, None, &p);
+        let b = run_sampled_uops(&ops, design, &cfg, None, &p);
         assert_eq!(a.windows, b.windows, "sampling must be deterministic");
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.windows.len(), 12);
@@ -797,7 +807,7 @@ mod tests {
             );
         }
 
-        let full = crate::experiment::run_cell_uops(uops.ops(), design, &cfg);
+        let full = crate::experiment::run_cell_uops(&ops, design, &cfg);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -823,12 +833,13 @@ mod tests {
         let design = DesignSpec::MultiPorted { ports: 4 };
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let p = plan(6, 200, 50);
-        let a = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
-        let b = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
+        let tail = wt.tail.to_ops();
+        let a = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
+        let b = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
         let warm = wt.acc.warm_state();
-        let full = run_cell(wt.tail.ops(), design, &cfg, &warm, hbat_obs::NullRecorder);
+        let full = run_cell(&wt.tail, design, &cfg, &warm, hbat_obs::NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -864,24 +875,24 @@ mod tests {
             acc.warm_gap(&full[..at]);
             assert!(s.warm == acc.warm_state(), "window {k}: state differs");
             let end = (skip + w.end as usize + drain).min(skip + n as usize);
-            assert_eq!(s.ops, full[at..end], "window {k}: slice differs");
+            assert_eq!(s.ops.to_ops(), full[at..end], "window {k}: slice differs");
         }
         (windows, read(&src))
     }
 
     // The schedule is the accumulator's state at each window start plus
     // the window's detail slice, whichever state it starts from, however
-    // many windows fit, and whether the ops come from a stored trace or
-    // straight from a machine. A schedule chained from a fast-forward's
-    // accumulator is the exact continuation: it equals a cold
-    // accumulation of the whole trace up to each window. The builder
-    // reads the stream no further than the last slice.
+    // many windows fit, and whether the ops come from a stored trace (a
+    // slice or a tape) or straight from a machine. A schedule chained
+    // from a fast-forward's accumulator is the exact continuation: it
+    // equals a cold accumulation of the whole trace up to each window.
+    // The builder reads the stream no further than the last slice.
     #[test]
     fn warm_schedule_streams_the_states_and_slices_of_the_full_trace() {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
-        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
-        let full = uops.ops();
+        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
+        let full = &ops[..];
         fn trace(ops: &[MicroOp]) -> (&[MicroOp], u64) {
             (ops, ops.len() as u64)
         }
@@ -899,9 +910,9 @@ mod tests {
 
         let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let skip = wt.start as usize;
-        assert_eq!(&full[skip..], wt.tail.ops());
-        let tail = trace(wt.tail.ops());
-        let tail_read = |rest: &&[MicroOp]| (wt.tail.len() - rest.len()) as u64;
+        assert_eq!(full[skip..], wt.tail.to_ops());
+        let tail = (wt.tail.reader(), wt.tail.len() as u64);
+        let tail_read = |r: &TapeReader| r.pos() as u64;
         let (ws, _) = check_schedule(
             &cfg,
             full,
@@ -939,10 +950,11 @@ mod tests {
         assert!(warm_schedule(machine(0).0, 0, &cfg, None, &p).is_empty());
     }
 
-    // Fed from a machine or from its stored trace, the schedule is the
-    // same in windows, warm states and slice ops, on every workload,
-    // from program start and chained from a fast-forward's accumulator,
-    // and under a plan whose drain margins overlap the next windows.
+    // Fed from a machine, from its stored ops or from its tape, the
+    // schedule is the same in windows, warm states and slice ops, on
+    // every workload, from program start and chained from a
+    // fast-forward's accumulator, and under a plan whose drain margins
+    // overlap the next windows.
     #[test]
     fn machine_fed_schedule_equals_the_slice_fed_one_on_every_workload() {
         use hbat_ckpt::fast_forward;
@@ -952,6 +964,7 @@ mod tests {
             let mut start = crate::ckpt::WarmStart::program_start(bench, &cfg);
             let ops = start.machine.clone().run_to_uops(start.max_steps);
             let cold = (start.machine.clone(), ops);
+            let tape = start.machine.clone().run_to_tape(start.max_steps);
             fast_forward(
                 &mut start.machine,
                 &mut start.acc,
@@ -964,20 +977,27 @@ mod tests {
             .unwrap();
             let tail = start.machine.clone().run_to_uops(start.max_steps);
             let chained = (start.machine.clone(), tail);
-            for ((machine, ops), acc) in [(cold, None), (chained, Some(&start.acc))] {
+            let tail_tape = start.machine.clone().run_to_tape(start.max_steps);
+            for ((machine, ops), tape, acc) in
+                [(cold, &tape, None), (chained, &tail_tape, Some(&start.acc))]
+            {
                 let n = ops.len() as u64;
                 // Three 250-op windows back to back in 900 ops, each
                 // drain margin reaching into the next window.
                 for (n, p) in [(n, plan(8, 300, 50)), (n.min(900), plan(8, 200, 50))] {
                     let from_machine = warm_schedule(machine.clone(), n, &cfg, acc, &p);
-                    let from_slice = warm_schedule(ops.ops(), n, &cfg, acc, &p);
+                    let from_slice = warm_schedule(&ops[..], n, &cfg, acc, &p);
+                    let from_tape = warm_schedule(tape.reader(), n, &cfg, acc, &p);
                     let what = format!("{} from {:?}, {n} ops", bench.name(), acc.is_some());
                     assert_eq!(from_machine.len(), from_slice.len(), "{what}");
+                    assert_eq!(from_tape.len(), from_slice.len(), "{what}");
                     assert!(!from_slice.is_empty(), "{what}");
-                    for (m, s) in from_machine.iter().zip(&from_slice) {
+                    for ((m, s), t) in from_machine.iter().zip(&from_slice).zip(&from_tape) {
                         assert_eq!(m.window, s.window, "{what}");
                         assert!(m.warm == s.warm, "{what} {:?}: state differs", s.window);
+                        assert!(t.warm == s.warm, "{what} {:?}: state differs", s.window);
                         assert_eq!(m.ops, s.ops, "{what} {:?}", s.window);
+                        assert_eq!(t.ops, s.ops, "{what} {:?}", s.window);
                     }
                 }
             }
@@ -1005,10 +1025,9 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
-        let ops = uops.ops();
+        let tape = crate::experiment::tape_for(Benchmark::Compress, &cfg);
         let p = plan(6, 400, 100);
-        let schedule = warm_schedule(ops, ops.len() as u64, &cfg, None, &p);
+        let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &p);
         for ScheduledWindow {
             window: w,
             warm,
@@ -1044,9 +1063,8 @@ mod tests {
             ExperimentConfig::baseline(Scale::Test),
             ExperimentConfig::baseline(Scale::Test).with_inorder(),
         ] {
-            let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
-            let ops = uops.ops();
-            let schedule = warm_schedule(ops, ops.len() as u64, &cfg, None, &p);
+            let tape = crate::experiment::tape_for(Benchmark::Compress, &cfg);
+            let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &p);
             for design in DesignSpec::TABLE2 {
                 let cell = run_sampled_windows(design, &cfg, &schedule);
                 let (mut stopped_cycles, mut full_cycles) = (0, 0);
@@ -1075,8 +1093,8 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 1 };
-        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
-        let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan(5, 300, 50));
+        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
+        let cell = run_sampled_uops(&ops, design, &cfg, None, &plan(5, 300, 50));
         let rebuilt = SampledCell::from_windows(cell.windows.clone());
         assert_eq!(
             rebuilt.metrics, cell.metrics,

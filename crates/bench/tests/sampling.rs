@@ -195,9 +195,10 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     for bench in Benchmark::ALL {
         let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, 2_000).unwrap();
         let warm = wt.acc.warm_state();
+        let tail = wt.tail.to_ops();
         for design in designs() {
-            let truth = run_cell(wt.tail.ops(), design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
-            let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &p);
+            let truth = run_cell(&wt.tail, design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
+            let cell = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
                 ci.covers(truth),
@@ -226,11 +227,15 @@ fn sampled_figure_tracks_the_full_figure_at_test_scale() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let cache = TraceCache::new();
     let full = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &SweepOptions::default(), &cache).unwrap();
+    // The full sweep leaves one tape per program in its cache, and the
+    // sampled sweep adds none.
+    assert_eq!(cache.len(), Benchmark::ALL.len(), "one tape per program");
     let opts = SweepOptions {
         sample: Some(SamplePlan::parse("6:400:100", 1996).unwrap()),
         ..SweepOptions::default()
     };
     let sampled = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &cache).unwrap();
+    assert_eq!(cache.len(), Benchmark::ALL.len(), "one tape per program");
     for design in DesignSpec::TABLE2 {
         let (want, got) = (full.relative_ipc(design), sampled.relative_ipc(design));
         let (want, got) = (want.unwrap(), got.unwrap());
@@ -375,6 +380,7 @@ fn assert_grid_matches_standalone(
         let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &cache).unwrap();
         assert!(r.manifest.is_empty(), "{}", r.manifest.render());
         assert_eq!((cache.misses(), cache.hits()), (0, 0), "no trace built");
+        assert!(cache.is_empty(), "no tape held");
         let t = &r.telemetry;
         assert_eq!((t.traces_built, t.trace_cache_hits), (0, 0));
         for (row, erow) in r.cells.iter().zip(&expected) {
@@ -419,8 +425,9 @@ fn shared_warm_schedules_match_standalone_cells_under_fast_forward() {
         },
         |bench| {
             let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, boundary).unwrap();
+            let tail = wt.tail.to_ops();
             DesignSpec::TABLE2
-                .map(|design| run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.acc), &plan()))
+                .map(|design| run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &plan()))
                 .to_vec()
         },
     );

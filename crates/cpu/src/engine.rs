@@ -1,6 +1,6 @@
 //! The cycle-timing engine: an 8-way superscalar processor in the mould of
 //! the paper's baseline simulator (Table 1), driven by the committed-path
-//! dynamic trace from `hbat-isa`.
+//! dynamic trace from `hbat-isa`, stored as a [`Tape`].
 //!
 //! One engine serves both issue disciplines: out-of-order issue over a
 //! 64-entry re-order buffer with a 32-entry load/store queue, or in-order
@@ -40,6 +40,8 @@ use hbat_core::cycle::Cycle;
 use hbat_core::request::{TranslateRequest, WritebackKind};
 use hbat_core::translator::AddressTranslator;
 use hbat_core::Outcome;
+use hbat_isa::executor::Retired;
+use hbat_isa::tape::Tape;
 use hbat_isa::trace::OpClass;
 use hbat_isa::uop::{MicroOp, NO_REG};
 use hbat_mem::cache::{Cache, CacheAccess};
@@ -301,11 +303,13 @@ struct ObsFlags {
 /// bit-identical to an unobserved one, and observed runs keep the
 /// sleep/wake fast path of the issue scan (see the `asleep` field).
 ///
-/// It replays predecoded [`MicroOp`]s (see `hbat_isa::uop`): every
-/// operand fetch in the per-cycle scans is a plain field read.
+/// It replays a [`Tape`], rebuilding each fetched op as a predecoded
+/// [`MicroOp`] (see `hbat_isa::uop`) from its template, so every operand
+/// fetch in the per-cycle scans is a plain field read of the ROB slot's
+/// copy.
 pub struct Engine<'a, R: Recorder = NullRecorder> {
     cfg: &'a SimConfig,
-    trace: &'a [MicroOp],
+    trace: &'a Tape,
     translator: &'a mut dyn AddressTranslator,
     now: Cycle,
     /// Re-order buffer storage: a power-of-two ring indexed by slot id.
@@ -436,7 +440,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// translator's.
     pub fn new(
         cfg: &'a SimConfig,
-        trace: &'a [MicroOp],
+        trace: &'a Tape,
         translator: &'a mut dyn AddressTranslator,
         warm: &WarmState,
         rec: R,
@@ -1594,7 +1598,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// phantom stream) and enqueues it.
     ///
     /// # Panics
-    /// If the fetch pointer escapes the trace slice, or phantom mode is
+    /// If the fetch pointer escapes the tape, or phantom mode is
     /// entered without a speculation epoch — both broken fetch
     /// invariants.
     fn dispatch(&mut self) -> bool {
@@ -1620,15 +1624,15 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let mut fetched = 0usize;
         let mut branches = 0usize;
         let mut block: Option<u64> = None;
-        // Reborrowed from the shared slice so each op is read in place
-        // (copying the record out costs more than everything else this
-        // loop does per instruction).
-        let trace = self.trace;
-        while fetched < self.cfg.width && ptr < trace.len() {
+        let (trace, end) = (self.trace, self.trace.len());
+        while fetched < self.cfg.width && ptr < end {
             if self.rob_len == self.cfg.rob_entries {
                 break;
             }
-            let t = &trace[ptr];
+            // Static fields are read from the op's template; `enqueue`
+            // rebuilds the whole op into its ROB slot.
+            let r = trace.retired(ptr);
+            let t = r.template;
             if t.is_mem() && self.lsq_occupancy == self.cfg.lsq_entries {
                 break;
             }
@@ -1666,18 +1670,20 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     break; // prediction bandwidth exhausted
                 }
                 branches += 1;
+                // The direction is the op's, not the template's.
+                let taken = r.taken;
                 if br.conditional {
                     if phantom_mode {
                         // Phantom branches consult but never train the
                         // predictor; a second misprediction ends the
                         // speculative fetch stream.
-                        if self.bpred.predict(t.pc) != br.taken {
+                        if self.bpred.predict(t.pc) != taken {
                             self.spec.as_mut().expect("phantom mode").fetch_stopped = true;
                             end_group = true;
                         }
                     } else {
                         self.metrics.cond_branches += 1;
-                        let correct = self.bpred.update(t.pc, br.taken);
+                        let correct = self.bpred.update(t.pc, taken);
                         if correct {
                             self.metrics.bpred_correct += 1;
                         } else {
@@ -1686,7 +1692,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         }
                     }
                 }
-                if !mispredicted && br.taken {
+                if !mispredicted && taken {
                     // Redirect within the same block may continue (the
                     // collapsing buffer); otherwise the group ends.
                     let tblock = (br.target as u64 * 4) >> self.iblock_shift;
@@ -1696,7 +1702,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 }
             }
 
-            self.enqueue(ptr, phantom_mode, mispredicted);
+            self.enqueue(r, phantom_mode, mispredicted);
             ptr += 1;
             fetched += 1;
             if mispredicted {
@@ -1724,23 +1730,19 @@ impl<'a, R: Recorder> Engine<'a, R> {
         fetched > 0
     }
 
-    /// Allocates a ROB slot for `t`, recording producers and updating the
+    /// Allocates a ROB slot for `r`, recording producers and updating the
     /// rename map and the pretranslation writeback queue.
     ///
     /// # Panics
-    /// If `ptr` is outside the trace slice or an operand register code
-    /// exceeds the rename map — both broken trace invariants.
+    /// If an operand register code exceeds the rename map — a broken
+    /// trace invariant.
     ///
     /// Force-inlined into its single call site (the dispatch loop):
     /// out-of-line, every call marshals the op record by value and the
     /// slot is built on the stack before being copied into the ring.
     #[inline(always)]
-    fn enqueue(&mut self, ptr: usize, phantom: bool, mispredicted: bool) {
-        // Reborrow the op from the shared trace slice (not through
-        // `self`) so its fields stay readable across the `&mut self`
-        // bookkeeping below without a 40-byte stack copy.
-        let trace = self.trace;
-        let t = &trace[ptr];
+    fn enqueue(&mut self, r: Retired<'_>, phantom: bool, mispredicted: bool) {
+        let t = r.template;
         let srcs = t.srcs;
         // Producers already readable at dispatch are pruned to the "no
         // producer" sentinel: readiness is monotone (a completed value
@@ -1788,7 +1790,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     }
                 }
                 self.pending_wb.push_back(PendingWb {
-                    serial: t.serial,
+                    serial: r.serial,
                     dest,
                     srcs: wsrcs,
                     kind: t.dest_kind(),
@@ -1796,7 +1798,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             }
             if aux != NO_REG {
                 self.pending_wb.push_back(PendingWb {
-                    serial: t.serial,
+                    serial: r.serial,
                     dest: aux,
                     srcs: [Some(aux), None, None],
                     kind: WritebackKind::PointerArith,
@@ -1807,7 +1809,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.lsq_occupancy += 1;
         }
         if t.class == OpClass::Store {
-            let lo = t.vaddr;
+            let lo = r.vaddr;
             self.stores.push_back(StoreRec {
                 id,
                 lo,
@@ -1818,7 +1820,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
         self.push_slot(Slot {
             id,
-            t: *t,
+            t: r.uop(),
             phantom,
             state: State::Waiting,
             finish: Cycle::ZERO,

@@ -6,10 +6,12 @@
 //! 32-entry load/store queue) or in-order issue with stall-on-hazard.
 //!
 //! The simulator is trace-driven: the functional executor in `hbat-isa`
-//! emits the committed-path dynamic trace as flat `MicroOp` records
-//! (`Machine::run_to_uops`), and [`simulate_uops`] replays it against any
-//! address-translation design from `hbat-core`, measuring how
-//! translation bandwidth and latency shape IPC.
+//! stores the committed-path dynamic trace as a `Tape`
+//! (`Machine::run_to_tape`), and the [`engine::Engine`] replays it
+//! against any address-translation design from `hbat-core`, measuring
+//! how translation bandwidth and latency shape IPC. [`simulate_uops`]
+//! and its variants take the trace as flat `MicroOp` records
+//! (`Machine::run_to_uops`) and store them as a tape first.
 //!
 //! ```
 //! use hbat_core::designs::spec::DesignSpec;
@@ -47,14 +49,18 @@ pub use metrics::RunMetrics;
 pub use warm::{WarmAccumulator, WarmExport, WarmState};
 
 use hbat_core::translator::AddressTranslator;
+use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
 
 /// Replays the predecoded micro-op trace `uops` (see
 /// `hbat_isa::uop::PredecodedTrace`) on the machine described by `cfg`,
 /// translating data addresses through `translator`, and returns the run
-/// metrics. The hot loop reads flat fixed-size records, and the
-/// predecode cost is paid once per workload rather than once per design
-/// cell.
+/// metrics.
+///
+/// # Panics
+///
+/// If the serials of `uops` are not contiguous (see
+/// [`Tape::from_ops`]).
 pub fn simulate_uops(
     cfg: &SimConfig,
     uops: &[MicroOp],
@@ -111,5 +117,6 @@ pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     warm: &WarmState,
     rec: R,
 ) -> RunMetrics {
-    engine::Engine::new(cfg, uops, translator, warm, rec).run()
+    let tape = Tape::from_ops(uops).unwrap_or_else(|e| panic!("not a trace: {e}"));
+    engine::Engine::new(cfg, &tape, translator, warm, rec).run()
 }

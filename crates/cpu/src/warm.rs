@@ -12,8 +12,9 @@
 //! flags and its effective address. The accumulator is a
 //! [`RetireSink`], so the checkpoint fast-forward and the sampled
 //! schedule build run the executor straight into it and build no
-//! [`MicroOp`]; a stored trace goes through
-//! [`note_uop`](WarmAccumulator::note_uop), a one-line wrapper.
+//! [`MicroOp`]; a stored tape feeds it the same way through its reader,
+//! and a `&[MicroOp]` through [`note_uop`](WarmAccumulator::note_uop),
+//! a one-line wrapper.
 //!
 //! The [`WarmAccumulator`] is the one carrier of that state. It has two
 //! outputs:

@@ -11,8 +11,11 @@
 //! the predecoded template plus its serial, effective address and
 //! branch direction — and builds a [`MicroOp`] only if it keeps ops:
 //! counting a program's length (`()`) and functional warming read the
-//! view and build nothing, while [`Machine::run_to_uops`] and
-//! [`Machine::run`] materialise the stream.
+//! view and build nothing, [`Machine::run_to_tape`] stores the view as
+//! a [`Tape`], and [`Machine::run_to_uops`] and [`Machine::run`]
+//! materialise the stream.
+
+use std::sync::Arc;
 
 use hbat_core::addr::VirtAddr;
 
@@ -20,6 +23,7 @@ use crate::inst::Width;
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::reg::Reg;
+use crate::tape::Tape;
 use crate::trace::TraceInst;
 use crate::uop::{AddrKind, DecodedInst, Handler, MicroOp, PredecodedProgram, PredecodedTrace};
 
@@ -79,9 +83,9 @@ impl Retired<'_> {
 
 /// Where the executor sends retired instructions.
 ///
-/// `()` keeps nothing (a run then only counts), a `Vec<MicroOp>`
-/// collects the micro-ops, `&mut S` forwards, and a pair feeds both
-/// halves in order.
+/// `()` keeps nothing (a run then only counts), a [`Tape`] stores the
+/// views, a `Vec<MicroOp>` collects the micro-ops, `&mut S` forwards,
+/// and a pair feeds both halves in order.
 pub trait RetireSink {
     /// Receives one retired instruction.
     fn retire(&mut self, r: Retired<'_>);
@@ -125,12 +129,19 @@ impl<F: FnMut(MicroOp)> RetireSink for EachUop<F> {
 }
 
 /// A stream of retired instructions that can be drained into a sink in
-/// pieces: a [`Machine`] executing, or a stored trace (`&[MicroOp]`,
-/// which advances past what it feeds).
+/// pieces: a [`Machine`] executing, or a stored trace (a
+/// [`TapeReader`](crate::tape::TapeReader), or `&[MicroOp]`; both
+/// advance past what they feed).
 pub trait OpSource {
     /// Feeds up to `max` instructions to `sink` and returns how many it
     /// fed; fewer than `max` only when the stream has ended.
     fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64;
+
+    /// An empty [`Tape`] to keep this stream's ops in: one that starts
+    /// from the stream's templates when it has them.
+    fn tape(&self) -> Tape {
+        Tape::default()
+    }
 }
 
 impl<T: OpSource + ?Sized> OpSource for &mut T {
@@ -138,12 +149,20 @@ impl<T: OpSource + ?Sized> OpSource for &mut T {
     fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
         (**self).feed(max, sink)
     }
+
+    fn tape(&self) -> Tape {
+        (**self).tape()
+    }
 }
 
 impl OpSource for Machine {
     #[inline]
     fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
         self.execute(max, sink)
+    }
+
+    fn tape(&self) -> Tape {
+        Tape::with_templates(self.templates.clone())
     }
 }
 
@@ -206,6 +225,9 @@ fn ea(regs: &Regs, di: &DecodedInst) -> VirtAddr {
 #[derive(Debug, Clone)]
 pub struct Machine {
     code: PredecodedProgram,
+    /// The templates' static parts, by pc: the template table of every
+    /// [`Tape`] this machine fills.
+    templates: Arc<Vec<MicroOp>>,
     regs: Regs,
     mem: Memory,
     pc: u32,
@@ -216,8 +238,11 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine at the entry of `program` with zeroed state.
     pub fn new(program: Program) -> Self {
+        let code = PredecodedProgram::from_program(&program);
+        let templates = code.code().iter().map(|di| di.template.static_part());
         Machine {
-            code: PredecodedProgram::from_program(&program),
+            templates: Arc::new(templates.collect()),
+            code,
             regs: [0; 64],
             mem: Memory::new(),
             pc: 0,
@@ -316,6 +341,7 @@ impl Machine {
     pub fn execute<S: RetireSink>(&mut self, max_steps: u64, sink: &mut S) -> u64 {
         let Machine {
             code,
+            templates: _,
             regs,
             mem,
             pc,
@@ -418,6 +444,15 @@ impl Machine {
     /// Returns the number of instructions executed.
     pub fn run<F: FnMut(MicroOp)>(&mut self, max_steps: u64, sink: F) -> u64 {
         self.execute(max_steps, &mut EachUop(sink))
+    }
+
+    /// Runs until halt or `max_steps`, storing the run as a [`Tape`] of
+    /// this program's templates (12 bytes per op).
+    pub fn run_to_tape(&mut self, max_steps: u64) -> Tape {
+        let mut tape = OpSource::tape(self);
+        self.execute(max_steps, &mut tape);
+        tape.shrink_to_fit();
+        tape
     }
 
     /// Runs until halt or `max_steps`, collecting the micro-ops.

@@ -9,6 +9,8 @@
 //! * [`mem`] — sparse, zero-filled functional memory;
 //! * [`executor`] — an architecturally exact interpreter emitting the
 //!   [`uop`] micro-ops the cycle-timing models in `hbat-cpu` consume;
+//! * [`tape`] — [`Tape`], a stored trace as the program's micro-op
+//!   templates plus 12 bytes per retired op;
 //! * [`trace`] — [`TraceInst`], the `Option`-shaped view of a micro-op;
 //! * [`tracefile`] — a compact binary on-disk trace format (dump once,
 //!   replay against many designs).
@@ -37,6 +39,7 @@ pub mod inst;
 pub mod mem;
 pub mod program;
 pub mod reg;
+pub mod tape;
 pub mod trace;
 pub mod tracefile;
 pub mod uop;
@@ -45,5 +48,6 @@ pub use executor::Machine;
 pub use inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 pub use program::{Program, ProgramError};
 pub use reg::Reg;
+pub use tape::{Tape, TapeError, TapeReader};
 pub use trace::{BranchRec, MemRef, OpClass, TraceInst};
 pub use uop::{DecodedInst, MicroOp, PredecodedProgram, PredecodedTrace, NO_REG};

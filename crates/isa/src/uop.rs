@@ -46,7 +46,7 @@ pub const NO_REG: u8 = u8::MAX;
 /// discriminants; and `addr_src_mask` precomputes which source slots
 /// feed address generation (the engine used to re-derive that from the
 /// memory record on every wakeup check).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicroOp {
     /// Program-order serial number.
     pub serial: u64,
@@ -201,6 +201,20 @@ impl MicroOp {
                 target: self.target,
                 conditional: self.flags & Self::F_BR_COND != 0,
             }),
+        }
+    }
+
+    /// The static instruction's part of this op: the op with its
+    /// dynamic fields (serial, effective address, taken bit) cleared.
+    /// Ops of one static instruction share it; a [`Tape`](crate::tape::Tape)
+    /// stores it once as their template.
+    #[inline]
+    pub fn static_part(&self) -> MicroOp {
+        MicroOp {
+            serial: 0,
+            vaddr: 0,
+            flags: self.flags & !Self::F_BR_TAKEN,
+            ..*self
         }
     }
 

@@ -5,13 +5,82 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hbat_core::addr::VirtAddr;
-use hbat_isa::executor::Machine;
+use hbat_isa::executor::{Machine, OpSource, RetireSink, Retired};
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::mem::Memory;
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
+use hbat_isa::tape::{Tape, TapeError};
+use hbat_isa::trace::OpClass;
 use hbat_isa::tracefile::{read_trace, write_trace};
-use hbat_isa::uop::MicroOp;
+use hbat_isa::uop::{MicroOp, NO_REG};
+use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
+
+/// Every field of each [`Retired`] view a source feeds: the op it
+/// stands for, its template's static part, serial, address, direction
+/// and flags.
+#[derive(Default)]
+struct Views(Vec<(MicroOp, MicroOp, u64, u64, bool, u8)>);
+
+impl RetireSink for Views {
+    fn retire(&mut self, r: Retired<'_>) {
+        let t = r.template.static_part();
+        self.0
+            .push((r.uop(), t, r.serial, r.vaddr, r.taken, r.flags()));
+    }
+}
+
+/// A tape holds exactly `ops`: the same length, `op(i) == ops[i]`, and
+/// its reader feeds the same views as the slice does, whole or in
+/// chunks of `chunk`.
+fn check_tape(tape: &Tape, ops: &[MicroOp], chunk: u64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(tape.len(), ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        prop_assert_eq!(tape.op(i), *op, "op {}", i);
+    }
+    prop_assert!(tape.iter().eq(ops.iter().copied()));
+    let (mut from_tape, mut from_slice) = (Views::default(), Views::default());
+    let mut reader = tape.reader();
+    while reader.feed(chunk, &mut from_tape) == chunk {}
+    let mut slice = ops;
+    slice.feed(u64::MAX, &mut from_slice);
+    prop_assert_eq!(reader.pos(), ops.len());
+    prop_assert!(from_tape.0 == from_slice.0, "the views differ");
+    Ok(())
+}
+
+/// Strategy: micro-ops with few pcs and varied static fields, so ops at
+/// one pc often differ in a static field, plus the odd pc far outside
+/// any program.
+fn scrambled_op() -> impl Strategy<Value = MicroOp> {
+    const CLASSES: [OpClass; 4] = [
+        OpClass::IntAlu,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Branch,
+    ];
+    let pc = prop_oneof![0u32..4, 0u32..4, 0u32..4, any::<u32>()];
+    let srcs = (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, c)| [a, b, c]);
+    let statics = (0usize..4, srcs, 0u8..3, -1i32..1);
+    (pc, any::<u64>(), any::<u8>(), statics).prop_map(
+        |(pc, vaddr, flags, (class, srcs, dest, offset))| MicroOp {
+            serial: 0,
+            vaddr,
+            pc,
+            target: pc ^ 1,
+            offset,
+            class: CLASSES[class],
+            flags,
+            srcs,
+            dest,
+            aux_dest: NO_REG,
+            base_reg: 0,
+            index_reg: NO_REG,
+            width: Width::B8,
+            addr_src_mask: 0,
+        },
+    )
+}
 
 /// Strategy: a random straight-line ALU/memory program over registers
 /// r1..r7 that is always valid (targets in range, halt at end).
@@ -113,6 +182,52 @@ proptest! {
         for m in [&counted, &chunked] {
             prop_assert_eq!(m.arch_state(), kept.arch_state());
             prop_assert_eq!(m.memory().export_chunks(), kept.memory().export_chunks());
+        }
+    }
+
+    /// A tape stores a run losslessly, whether the program halts or hits
+    /// the step cap: the executor-built tape and `Tape::from_ops` of the
+    /// materialised ops both hold exactly those ops.
+    #[test]
+    fn tape_stores_executor_runs_losslessly(
+        insts in straightline(),
+        cap in 1u64..80,
+        chunk in 1u64..9,
+    ) {
+        let p = Program::new(insts).expect("valid");
+        let ops = Machine::new(p.clone()).run_to_uops(cap);
+        let tape = Machine::new(p).run_to_tape(cap);
+        check_tape(&tape, ops.ops(), chunk)?;
+        check_tape(&Tape::from_ops(ops.ops()).expect("contiguous"), ops.ops(), chunk)?;
+    }
+
+    /// `from_ops` stays lossless when ops at one pc differ in a static
+    /// field, and refuses serials that skip, never returning a wrong op.
+    #[test]
+    fn tape_from_ops_is_lossless_or_refuses(
+        mut ops in prop::collection::vec(scrambled_op(), 0..64),
+        first in prop_oneof![Just(0u64), any::<u64>()],
+        skip in prop_oneof![Just(None), (0usize..64, 1u64..4).prop_map(Some)],
+    ) {
+        for (i, op) in ops.iter_mut().enumerate() {
+            op.serial = first.wrapping_add(i as u64);
+        }
+        let mut broken = None;
+        if let Some((at, by)) = skip.filter(|&(at, _)| at < ops.len()) {
+            for op in &mut ops[at..] {
+                op.serial = op.serial.wrapping_add(by);
+            }
+            broken = Some(at);
+        }
+        let wraps = ops.len() > 1 && first.checked_add(ops.len() as u64 - 1).is_none();
+        match Tape::from_ops(&ops) {
+            Ok(tape) => {
+                prop_assert!(!wraps && broken.is_none_or(|at| at == 0));
+                check_tape(&tape, &ops, 5)?;
+            }
+            Err(TapeError::SerialGap { at, .. }) => {
+                prop_assert!(wraps || broken.is_some_and(|b| b > 0 && at <= b));
+            }
         }
     }
 
@@ -405,6 +520,22 @@ proptest! {
         }
         for (&a, &b) in &model.bytes {
             prop_assert_eq!(m.read_u8(VirtAddr(a)), b);
+        }
+    }
+}
+
+/// Every test-scale workload's executor-built tape, and `from_ops` of
+/// its materialised ops, hold exactly those ops.
+#[test]
+fn tape_stores_every_test_scale_workload() {
+    let cfg = WorkloadConfig::new(Scale::Test);
+    for bench in Benchmark::ALL {
+        let w = bench.build(&cfg);
+        let ops = w.uops();
+        let tape = w.tape();
+        let from_ops = Tape::from_ops(ops.ops()).expect("contiguous");
+        for t in [&tape, &from_ops] {
+            check_tape(t, ops.ops(), 4096).unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
         }
     }
 }

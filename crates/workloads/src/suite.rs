@@ -8,6 +8,7 @@
 
 use hbat_isa::executor::Machine;
 use hbat_isa::program::Program;
+use hbat_isa::tape::Tape;
 use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::PredecodedTrace;
 
@@ -38,22 +39,39 @@ impl Workload {
         m
     }
 
-    /// Runs the workload to completion, returning its micro-ops.
+    /// Runs the workload to completion, returning its trace as a
+    /// [`Tape`]: the stored form sweeps hold.
     ///
     /// # Panics
     ///
     /// Panics if the program fails to halt within `max_steps` (a workload
     /// bug, not an input condition).
+    pub fn tape(&self) -> Tape {
+        let mut m = self.instantiate();
+        let tape = m.run_to_tape(self.max_steps);
+        self.check_halted(&m);
+        tape
+    }
+
+    /// Runs the workload to completion, returning its micro-ops.
+    ///
+    /// # Panics
+    ///
+    /// As [`Workload::tape`].
     pub fn uops(&self) -> PredecodedTrace {
         let mut m = self.instantiate();
         let uops = m.run_to_uops(self.max_steps);
+        self.check_halted(&m);
+        uops
+    }
+
+    fn check_halted(&self, m: &Machine) {
         assert!(
             m.is_halted(),
             "workload {} did not halt within {} steps",
             self.name,
             self.max_steps
         );
-        uops
     }
 
     /// [`Workload::uops`] as the [`TraceInst`] decode view, for the
@@ -164,5 +182,24 @@ mod tests {
         let names: std::collections::HashSet<_> = Benchmark::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 10);
         assert_eq!(Benchmark::Compress.to_string(), "Compress");
+    }
+
+    // A stored trace costs 12 heap bytes per op (a template index and an
+    // address) plus one 40-byte template per static instruction, where
+    // a materialised one costs a whole `MicroOp` per op.
+    #[test]
+    fn a_tape_holds_twelve_bytes_per_op_plus_the_templates() {
+        use hbat_isa::uop::MicroOp;
+        let w = Benchmark::Xlisp.build(&crate::WorkloadConfig::new(crate::Scale::Test));
+        let tape = w.tape();
+        let statics = w.program.instructions().len();
+        let budget = 12 * tape.len() + statics * std::mem::size_of::<MicroOp>();
+        assert!(tape.len() > 10_000, "{} ops", tape.len());
+        assert!(
+            tape.heap_bytes() <= budget,
+            "{} heap bytes for {} ops of a {statics}-instruction program",
+            tape.heap_bytes(),
+            tape.len()
+        );
     }
 }
