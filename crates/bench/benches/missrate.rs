@@ -9,10 +9,10 @@ use hbat_isa::uop::MicroOp;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn bench_missrate(c: &mut Criterion) {
-    let uops = Benchmark::Compress
+    let tape = Benchmark::Compress
         .build(&WorkloadConfig::new(Scale::Test))
-        .uops();
-    let refs = uops
+        .tape();
+    let refs = tape
         .iter()
         .filter(|op| op.flags & MicroOp::F_MEM != 0)
         .count() as u64;
@@ -20,7 +20,7 @@ fn bench_missrate(c: &mut Criterion) {
     group.throughput(Throughput::Elements(refs));
     for (entries, policy) in FIG6_SIZES {
         group.bench_function(format!("{entries}_entries"), |b| {
-            b.iter(|| black_box(miss_count(&uops, entries, policy, PageGeometry::KB4, 1996)))
+            b.iter(|| black_box(miss_count(&tape, entries, policy, PageGeometry::KB4, 1996)))
         });
     }
     group.finish();

@@ -14,31 +14,36 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
-use hbat_bench::experiment::{scale_from_args, uops_for, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
 use hbat_core::designs::multilevel::MultiLevelTlb;
 use hbat_core::designs::ported::PortedTlb;
 use hbat_core::designs::pretranslation::PretranslationTlb;
 use hbat_core::designs::victim::VictimTlb;
 use hbat_core::pagetable::PageTable;
 use hbat_core::translator::AddressTranslator;
-use hbat_cpu::{simulate_uops, SimConfig};
-use hbat_isa::uop::MicroOp;
+use hbat_cpu::engine::Engine;
+use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator};
+use hbat_isa::tape::Tape;
+use hbat_obs::NullRecorder;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
 
 const SEED: u64 = 1996;
 
-fn run(uops: &[MicroOp], mut t: Box<dyn AddressTranslator>) -> (u64, f64, f64) {
-    let m = simulate_uops(&SimConfig::baseline(), uops, t.as_mut());
-    (m.cycles, m.ipc(), m.tlb.shield_rate())
+/// Times `tape` on the baseline machine from the cold state, translating
+/// through `t`.
+fn simulate(tape: &Tape, t: &mut dyn AddressTranslator) -> RunMetrics {
+    let cfg = SimConfig::baseline();
+    let cold = WarmAccumulator::new(&cfg, t.geometry()).warm_state();
+    Engine::new(&cfg, tape, t, &cold, NullRecorder).run()
 }
 
 fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale);
     // One locality-poor and one locality-rich program.
-    let compress = uops_for(Benchmark::Compress, &cfg);
-    let xlisp = uops_for(Benchmark::Xlisp, &cfg);
+    let compress = Benchmark::Compress.build(&cfg.workload).tape();
+    let xlisp = Benchmark::Xlisp.build(&cfg.workload).tape();
     let pt = || PageTable::new(cfg.geometry);
 
     println!(
@@ -55,21 +60,15 @@ fn main() {
     ]);
     t.numeric();
     for l1 in [1usize, 2, 4, 8, 16, 32, 64] {
-        let (_, ic, sc) = run(
-            &compress,
-            Box::new(MultiLevelTlb::new("Mx", l1, 4, 128, 1, pt(), SEED)),
-        );
-        let (_, ix, sx) = run(
-            &xlisp,
-            Box::new(MultiLevelTlb::new("Mx", l1, 4, 128, 1, pt(), SEED)),
-        );
-        t.row(vec![
-            l1.to_string(),
-            fnum(ic, 3),
-            fnum(sc * 100.0, 1),
-            fnum(ix, 3),
-            fnum(sx * 100.0, 1),
-        ]);
+        let mut row = vec![l1.to_string()];
+        for tape in [&compress, &xlisp] {
+            let m = simulate(
+                tape,
+                &mut MultiLevelTlb::new("Mx", l1, 4, 128, 1, pt(), SEED),
+            );
+            row.extend([fnum(m.ipc(), 3), fnum(m.tlb.shield_rate() * 100.0, 1)]);
+        }
+        t.row(row);
     }
     println!("A1. Multi-level TLB: L1 size sweep\n{}", t.render());
 
@@ -82,16 +81,12 @@ fn main() {
     ]);
     t.numeric();
     for pb in [0usize, 1, 2, 3, 7] {
-        let (_, ic, _) = run(
-            &compress,
-            Box::new(PortedTlb::new("PBx", 1, 1, pb, 128, pt(), SEED)),
-        );
-        let mut xt: Box<dyn AddressTranslator> =
-            Box::new(PortedTlb::new("PBx", 1, 1, pb, 128, pt(), SEED));
-        let mx = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
+        let mk = || PortedTlb::new("PBx", 1, 1, pb, 128, pt(), SEED);
+        let mc = simulate(&compress, &mut mk());
+        let mx = simulate(&xlisp, &mut mk());
         t.row(vec![
             pb.to_string(),
-            fnum(ic, 3),
+            fnum(mc.ipc(), 3),
             fnum(mx.ipc(), 3),
             mx.tlb.shielded.to_string(),
         ]);
@@ -109,11 +104,9 @@ fn main() {
     t.numeric();
     for entries in [4usize, 8, 16] {
         for bits in [0u32, 4] {
-            let mut xt: Box<dyn AddressTranslator> = Box::new(
-                PretranslationTlb::new("Px", entries, 4, 128, pt(), SEED)
-                    .with_offset_tag_bits(bits),
-            );
-            let m = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
+            let mut xt = PretranslationTlb::new("Px", entries, 4, 128, pt(), SEED)
+                .with_offset_tag_bits(bits);
+            let m = simulate(&xlisp, &mut xt);
             t.row(vec![
                 entries.to_string(),
                 bits.to_string(),
@@ -138,11 +131,9 @@ fn main() {
     ]);
     t.numeric();
     for banks in [2usize, 4, 8, 16] {
-        let mk = || Box::new(PortedTlb::new("Ix", banks, 1, 0, 128, pt(), SEED));
-        let mut ct: Box<dyn AddressTranslator> = mk();
-        let mc = simulate_uops(&SimConfig::baseline(), &compress, ct.as_mut());
-        let mut xt: Box<dyn AddressTranslator> = mk();
-        let mx = simulate_uops(&SimConfig::baseline(), &xlisp, xt.as_mut());
+        let mk = || PortedTlb::new("Ix", banks, 1, 0, 128, pt(), SEED);
+        let mc = simulate(&compress, &mut mk());
+        let mx = simulate(&xlisp, &mut mk());
         t.row(vec![
             banks.to_string(),
             fnum(mc.ipc(), 3),
@@ -158,12 +149,13 @@ fn main() {
     t.numeric();
     for v in [0usize, 4, 8, 16] {
         let m = if v == 0 {
-            let mut base: Box<dyn AddressTranslator> =
-                Box::new(PortedTlb::new("T1", 1, 1, 0, 128, pt(), SEED));
-            simulate_uops(&SimConfig::baseline(), &compress, base.as_mut())
+            simulate(
+                &compress,
+                &mut PortedTlb::new("T1", 1, 1, 0, 128, pt(), SEED),
+            )
         } else {
             let mut vt = VictimTlb::new("V", 1, 128, v, pt(), SEED);
-            let m = simulate_uops(&SimConfig::baseline(), &compress, &mut vt);
+            let m = simulate(&compress, &mut vt);
             t.row(vec![
                 v.to_string(),
                 fnum(m.ipc(), 3),

@@ -2,9 +2,10 @@
 //! to 128 entries (LRU replacement up to 16 entries, random from 32), per
 //! benchmark plus the run-time weighted average.
 
-use hbat_bench::experiment::{run_cell_uops, scale_from_args, uops_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
 use hbat_bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::NullRecorder;
 use hbat_stats::agg::weighted_average;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
@@ -21,13 +22,13 @@ fn main() {
     // Weights: T4 run time in cycles, per the paper's aggregation.
     let mut weights = Vec::new();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); FIG6_SIZES.len()];
+    let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
-        let uops = uops_for(bench, &cfg);
-        let t4 = run_cell_uops(uops.ops(), DesignSpec::MultiPorted { ports: 4 }, &cfg);
-        weights.push(t4.cycles as f64);
+        let tape = bench.build(&cfg.workload).tape();
+        weights.push(run_cell(&tape, t4, &cfg, &cold, NullRecorder).cycles as f64);
         let mut cells = vec![bench.name().to_owned()];
         for (i, (entries, policy)) in FIG6_SIZES.iter().enumerate() {
-            let rate = miss_rate_percent(uops.ops(), *entries, *policy, cfg.geometry, 1996);
+            let rate = miss_rate_percent(&tape, *entries, *policy, cfg.geometry, 1996);
             rates[i].push(rate);
             cells.push(fnum(rate, 2));
         }

@@ -1,17 +1,13 @@
 //! Regenerates every IPC figure (5, 7, 8, 9) in a single process.
 //!
-//! Running them together exercises the process-wide trace cache: Figures
-//! 5, 7 and 8 sweep the same workloads (only the machine model or page
-//! size changes), so their traces are generated once and replayed three
-//! times; only Figure 9's reduced-register workloads need a second
-//! generation pass. The cache and scheduling statistics are printed at
-//! the end. Each figure prints as its relative-IPC table and chart
-//! followed by the per-benchmark IPC detail.
+//! Each figure is its own sweep, which runs every program afresh and
+//! holds a program's tape only while its cells run. Each figure prints
+//! as its relative-IPC table and chart followed by the per-benchmark
+//! IPC detail, and its scheduling statistics go to stderr.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin figs [scale]`
 
 use hbat_bench::experiment::{scale_from_args, sweep, ExperimentConfig};
-use hbat_bench::TraceCache;
 use hbat_core::designs::spec::DesignSpec;
 
 fn main() {
@@ -40,10 +36,4 @@ fn main() {
         println!("Per-benchmark IPC detail:\n\n{}", r.render_details());
         eprintln!("[{}] {}", &title[..8], r.telemetry.summary());
     }
-    let cache = TraceCache::global();
-    eprintln!(
-        "trace cache: {} built, {} served from cache",
-        cache.misses(),
-        cache.hits()
-    );
 }

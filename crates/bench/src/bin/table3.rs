@@ -6,8 +6,9 @@
 //! cycle, and branch prediction rate are the comparable columns. Wrong
 //! paths are not simulated, so issue and commit rates coincide here.
 
-use hbat_bench::experiment::{run_cell_uops, scale_from_args, uops_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::NullRecorder;
 use hbat_stats::table::{fnum, percent, TextTable};
 use hbat_workloads::Benchmark;
 
@@ -26,9 +27,10 @@ fn main() {
         "Br Pred Rate",
     ]);
     t.numeric();
+    let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
-        let uops = uops_for(bench, &cfg);
-        let m = run_cell_uops(uops.ops(), DesignSpec::MultiPorted { ports: 4 }, &cfg);
+        let tape = bench.build(&cfg.workload).tape();
+        let m = run_cell(&tape, t4, &cfg, &cold, NullRecorder);
         t.row(vec![
             bench.name().to_owned(),
             fnum(m.committed as f64 / 1e3, 1),

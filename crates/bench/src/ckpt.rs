@@ -69,10 +69,10 @@ pub struct WarmTrace {
 }
 
 /// One benchmark at the start of detailed timing: the machine, ready to
-/// run the timing tail, and the warm state there. A full cell times the
-/// tail [`into_trace`](Self::into_trace) collects; a sampled sweep keeps
-/// the machine instead and streams a clone of it through the warm
-/// schedule, so it never holds the tail.
+/// run the timing tail, and the warm state there. Every sweep keeps
+/// this, not the tail: a program's first cell runs a clone of the
+/// machine, into the [`tail`](Self::tail) a full sweep times or through
+/// a sampled sweep's warm schedule.
 #[derive(Debug)]
 pub struct WarmStart {
     /// The benchmark.
@@ -108,11 +108,13 @@ impl WarmStart {
         }
     }
 
-    /// Fails unless `machine`, run from this start, halted within the
-    /// workload's step budget.
-    fn check_halted(&self, machine: &Machine) -> Result<(), CkptError> {
+    /// `run` of a clone of the machine with the workload's step budget,
+    /// failing unless the clone halted within it.
+    fn run_clone<T>(&self, run: impl FnOnce(&mut Machine, u64) -> T) -> Result<T, CkptError> {
+        let mut machine = self.machine.clone();
+        let out = run(&mut machine, self.max_steps);
         if machine.is_halted() {
-            return Ok(());
+            return Ok(out);
         }
         Err(CkptError::Malformed(format!(
             "workload {} did not halt within {} tail steps",
@@ -129,22 +131,27 @@ impl WarmStart {
     /// [`CkptError::Malformed`] if the program does not halt within its
     /// step budget.
     pub fn tail_len(&self) -> Result<u64, CkptError> {
-        let mut machine = self.machine.clone();
-        let n = machine.execute(self.max_steps, &mut ());
-        self.check_halted(&machine)?;
-        Ok(n)
+        self.run_clone(|machine, max| machine.execute(max, &mut ()))
     }
 
-    /// Runs the machine to halt, collecting the timing tail.
+    /// The timing tail as a tape: runs a clone of the machine to halt
+    /// and keeps every op, the twin of [`Self::tail_len`].
     ///
     /// # Errors
     ///
     /// As [`Self::tail_len`].
-    pub fn into_trace(mut self) -> Result<WarmTrace, CkptError> {
-        let tail = self.machine.run_to_tape(self.max_steps);
-        self.check_halted(&self.machine)?;
+    pub fn tail(&self) -> Result<Tape, CkptError> {
+        self.run_clone(Machine::run_to_tape)
+    }
+
+    /// The timing tail with the warm state at its start.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::tail_len`].
+    pub fn into_trace(self) -> Result<WarmTrace, CkptError> {
         Ok(WarmTrace {
-            tail,
+            tail: self.tail()?,
             acc: self.acc,
             start: self.start,
             restored_from: self.restored_from,

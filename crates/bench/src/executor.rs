@@ -1,16 +1,18 @@
 //! The cell-level sweep executor: a self-scheduling worker pool over
-//! (benchmark, design) cells, with a process-wide trace cache and
-//! fault-tolerant cell execution.
+//! (benchmark, design) cells, with fault-tolerant cell execution, and
+//! the process-wide trace cache that single-cell callers share.
 //!
 //! A sweep runs in two phases, each scheduled at cell granularity:
 //!
-//! 1. **Trace build** — each benchmark runs once, in parallel, straight
-//!    to a [`Tape`], published through the [`TraceCache`], so later
-//!    sweeps in the same process reuse it.
+//! 1. **Start and count** — each benchmark, in parallel, builds its
+//!    machine at the timing start (or fast-forwards to the `--ff`
+//!    boundary) and counts the ops it runs from there on a clone.
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
 //!    until the queue drains, so a slow cell never idles the other
-//!    workers.
+//!    workers. A benchmark's first cell builds the timing input its
+//!    designs share, a [`Tape`] of the whole tail or a sampled
+//!    schedule, and its last cell drops it.
 //!
 //! Execution is *isolated per cell*: each attempt runs under
 //! `catch_unwind`, so one panicking cell becomes a
@@ -21,7 +23,7 @@
 //!
 //! Scheduling is invisible in the results: every cell seeds its design's
 //! replacement RNG from the experiment's `design_seed` and replays an
-//! immutable shared trace, so the metrics are bit-identical to a
+//! immutable shared input, so the metrics are bit-identical to a
 //! one-worker sweep regardless of worker count or claim order (tested in
 //! `tests/executor.rs`).
 
@@ -434,31 +436,29 @@ where
 /// workload identity. Each workload runs once straight to a [`Tape`]
 /// (`Workload::tape`: the program's micro-op templates plus 12 bytes
 /// per op), the one form the cache holds. Tapes are immutable once
-/// built and shared as `Arc<Tape>`; a multi-figure binary that sweeps
-/// the same workload under several machine models builds each trace
-/// exactly once. [`TraceCache::get_or_build_uops`] materialises a
-/// cached tape's micro-ops for callers that take `&[MicroOp]`; no sweep
-/// path does.
+/// built and shared as `Arc<Tape>`, and kept until the cache is
+/// dropped, so sweeps, which hold a program's tape only while its
+/// cells run, never use it; single cells reach it through `tape_for`.
+/// [`TraceCache::get_or_build_uops`] materialises a cached tape's
+/// micro-ops for callers that take `&[MicroOp]`.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     /// One slot per workload; the `OnceLock` lets concurrent requesters
     /// of the same trace block on a single builder instead of racing.
     slots: Mutex<HashMap<(Benchmark, WorkloadConfig), TraceSlot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 /// A shared once-built tape slot in the [`TraceCache`].
 type TraceSlot = Arc<OnceLock<Arc<Tape>>>;
 
 impl TraceCache {
-    /// An empty cache (tests use private caches; sweeps share
+    /// An empty cache (tests use private caches; `tape_for` shares
     /// [`TraceCache::global`]).
     pub fn new() -> Self {
         TraceCache::default()
     }
 
-    /// The process-wide cache used by `sweep`.
+    /// The process-wide cache `tape_for` uses.
     pub fn global() -> &'static TraceCache {
         static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
         GLOBAL.get_or_init(TraceCache::new)
@@ -526,8 +526,6 @@ impl TraceCache {
                 Arc::new(build())
             })
             .clone();
-        let counter = if built { &self.misses } else { &self.hits };
-        counter.fetch_add(1, Ordering::Relaxed);
         (built, tape)
     }
 
@@ -541,16 +539,6 @@ impl TraceCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Requests served from an already-built trace.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that had to generate the trace.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
 }
 
 /// Where a sweep's wall time went, for throughput reporting.
@@ -560,13 +548,10 @@ pub struct SweepTelemetry {
     pub threads: usize,
     /// Benchmark × design cells executed.
     pub cells: usize,
-    /// Traces generated by this sweep (cache misses). A sampled sweep
-    /// streams each program from its machine and builds none.
-    pub traces_built: u64,
-    /// Traces reused from the cache (none in a sampled sweep).
-    pub trace_cache_hits: u64,
-    /// Wall time of the trace-build phase: building traces, or in a
-    /// sampled sweep counting each program's ops.
+    /// Wall time of the start-and-count phase: building each program's
+    /// machine at the timing start (fast-forwarding under `--ff`) and
+    /// counting its ops. Tapes and schedules are built in the cell
+    /// phase.
     pub trace_build: Duration,
     /// Wall time of the cell-execution phase.
     pub cell_exec: Duration,
@@ -578,17 +563,14 @@ impl SweepTelemetry {
         self.trace_build + self.cell_exec
     }
 
-    /// One-line human summary (figure binaries print this to stderr). A
-    /// sampled sweep shows no traces built or cached, and its setup time
-    /// is the op count of each program.
+    /// One-line human summary (figure binaries print this to stderr).
+    /// The setup time is the start-and-count phase.
     pub fn summary(&self) -> String {
         format!(
-            "{} cells on {} threads in {:.2?} (traces: {} built, {} cached; setup {:.2?}, cells {:.2?})",
+            "{} cells on {} threads in {:.2?} (setup {:.2?}, cells {:.2?})",
             self.cells,
             self.threads,
             self.wall(),
-            self.traces_built,
-            self.trace_cache_hits,
             self.trace_build,
             self.cell_exec,
         )
@@ -818,24 +800,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_counts_hits_and_misses() {
+    fn trace_cache_builds_each_workload_once() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
         let (built, a) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
         assert!(built);
-        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        assert_eq!(cache.len(), 1);
         let (built, b) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
         assert!(!built);
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared trace");
-        // The materialising boundary counts as a request too and hands
-        // out the tape's ops.
+        // The materialising boundary shares the slot and hands out the
+        // tape's ops.
         let (built, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
         assert!(!built && uops.ops() == a.to_ops());
         // A different workload identity is a different trace.
-        cache.get_or_build_tape(Benchmark::Compress, &cfg.with_small_regs());
-        cache.get_or_build_tape(Benchmark::Xlisp, &cfg);
-        assert_eq!((cache.misses(), cache.hits()), (3, 2));
+        let small_regs = cfg.with_small_regs();
+        assert!(cache.get_or_build_tape(Benchmark::Compress, &small_regs).0);
+        assert!(cache.get_or_build_tape(Benchmark::Xlisp, &cfg).0);
         assert_eq!(cache.len(), 3);
     }
 
@@ -844,9 +825,9 @@ mod tests {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
         let got = parallel_map(8, 4, |_| cache.get_or_build_tape(Benchmark::Doduc, &cfg));
-        assert_eq!(cache.misses(), 1, "one builder, everyone else waits");
-        assert_eq!(cache.hits(), 7);
-        assert_eq!(got.iter().filter(|(built, _)| *built).count(), 1);
+        let builders = got.iter().filter(|(built, _)| *built).count();
+        assert_eq!(builders, 1, "one builder, everyone else waits");
+        assert_eq!(cache.len(), 1);
         assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0].1, &w[1].1)));
     }
 
@@ -859,17 +840,16 @@ mod tests {
             cache.get_or_build_with(Benchmark::Gcc, &cfg, || panic!("builder exploded"))
         }));
         assert!(r.is_err());
-        assert_eq!((cache.misses(), cache.hits()), (0, 0));
         assert!(cache.is_empty());
         // …but the slot is not deadlocked or poisoned: the next
         // requester retries the build and succeeds.
         let (built, trace) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
         assert!(built && !trace.is_empty());
-        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        assert_eq!(cache.len(), 1);
         // And a plain hit still works afterwards.
         let (built, again) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
         assert!(!built && Arc::ptr_eq(&trace, &again));
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The experiment runner: sweeps translation designs over the benchmark
 //! suite, exactly as Section 4 of the paper does.
 //!
-//! Traces are generated once per benchmark (functional execution),
-//! stored as [`Tape`]s, published through the process-wide
-//! [`TraceCache`], and replayed against every design. The benchmark × design cells are scheduled
-//! individually across a worker pool (see [`crate::executor`]), so a
-//! full Table-2 sweep keeps every core busy until the last cell drains;
-//! results are bit-identical to a serial sweep regardless of worker
-//! count because each cell's replacement RNG is seeded independently
-//! from the experiment's `design_seed`.
+//! Each benchmark is kept as the machine at its timing start (its first
+//! instruction, or the `--ff` boundary) with its op count. The first of
+//! its cells to run builds the timing input every design replays: the
+//! whole tail as a [`Tape`] in a full sweep, the warm schedule's windows
+//! in a sampled one. The last of its cells drops it. The benchmark ×
+//! design cells are scheduled individually across a worker pool (see
+//! [`crate::executor`]), so a full Table-2 sweep keeps every core busy
+//! until the last cell drains; results are bit-identical to a serial
+//! sweep regardless of worker count because each cell's replacement RNG
+//! is seeded independently from the experiment's `design_seed`.
 //!
-//! There is one sweep body, [`sweep_ft_on`]; [`sweep`] is its fail-fast
+//! There is one sweep body, [`sweep_ft`]; [`sweep`] is its fail-fast
 //! convenience. Both return one [`SweepResult`], whose
 //! [`SweepResult::render_figure`] and [`SweepResult::render_details`]
 //! render every figure: full or sampled, complete or partial.
@@ -27,7 +29,7 @@ use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
 use hbat_isa::tape::Tape;
 use hbat_isa::tracefile::{read_trace, write_trace};
-use hbat_isa::uop::{MicroOp, PredecodedTrace};
+use hbat_isa::uop::MicroOp;
 use hbat_obs::{
     prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
 };
@@ -47,7 +49,7 @@ use crate::journal::{
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
-    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, ScheduledWindow,
+    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, SampleWindow, ScheduledWindow,
 };
 
 /// The four-ported TLB: the design every figure normalises IPC to.
@@ -103,6 +105,12 @@ impl ExperimentConfig {
         self.workload = self.workload.with_small_regs();
         self
     }
+
+    /// The state a run from program start begins in: the install form
+    /// of an accumulator that has seen nothing.
+    pub fn cold_state(&self) -> WarmState {
+        WarmAccumulator::new(&self.sim, self.geometry).warm_state()
+    }
 }
 
 /// One (benchmark, design) timing result.
@@ -142,9 +150,10 @@ pub struct SweepResult {
     pub sample: Option<SamplePlan>,
     /// Per program, in [`Benchmark::ALL`] order: the committed ops its
     /// cells time from (the whole run, or the tail past an `--ff`
-    /// boundary), as the timing input's build counted them. `None`
-    /// where that build failed. A sampled sweep weights each program by
-    /// this count (see [`Self::weighted_ipc`]).
+    /// boundary), as the count pass over a clone of its start machine
+    /// counted them before any cell ran. `None` where that phase failed.
+    /// A sampled sweep weights each program by this count (see
+    /// [`Self::weighted_ipc`]).
     pub program_ops: Vec<Option<u64>>,
 }
 
@@ -399,12 +408,6 @@ pub fn tape_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<Tape> {
         .1
 }
 
-/// [`tape_for`]'s ops, materialised anew on every call: the boundary
-/// for callers that take `&[MicroOp]`.
-pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
-    Arc::new(tape_for(bench, cfg).to_ops().into())
-}
-
 /// Runs one cell: `design` times the tape `ops` in detail from `warm`, reporting
 /// to `rec` ([`NullRecorder`] for an unobserved run; a [`TraceRecorder`]
 /// for the stall taxonomy, an [`IntervalRecorder`], a [`Tee`] of both,
@@ -442,19 +445,18 @@ pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     rec: R,
 ) -> RunMetrics {
     let tape = Tape::from_ops(uops).unwrap_or_else(|e| panic!("not a trace: {e}"));
-    let cold = WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state();
-    run_cell(&tape, design, cfg, &cold, rec)
+    run_cell(&tape, design, cfg, &cfg.cold_state(), rec)
 }
 
 /// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
-/// workers, sharing traces through the process-wide cache: the
-/// fail-fast convenience over [`sweep_ft_on`] with default options.
+/// workers: the fail-fast convenience over [`sweep_ft`] with default
+/// options.
 ///
 /// # Panics
 ///
 /// If any cell fails, with the rendered failure manifest.
 pub fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
-    let r = sweep_ft_on(designs, cfg, &SweepOptions::default(), TraceCache::global())
+    let r = sweep_ft(designs, cfg, &SweepOptions::default())
         .expect("a sweep without a journal does no I/O");
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
     r
@@ -625,36 +627,52 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
     out
 }
 
-/// What phase 1 built for one program. A full sweep times the whole
-/// trace from the empty state, or with `--ff` the tail past the boundary
-/// from the fast-forwarded state, held as a tape (the program's
-/// templates plus 12 bytes per op). A sampled sweep keeps the machine at
-/// the timing start instead of its trace.
-enum BenchInput {
-    /// A full sweep's input.
-    Trace {
-        /// The ops every cell of the program times: the cached tape, or
-        /// the `--ff` tail's.
-        ops: Arc<Tape>,
-        /// The install form of the state at the first op, which every
-        /// cell of the program starts from.
-        warm: Box<WarmState>,
-    },
-    /// A sampled sweep's input: the program's first cell streams a clone
-    /// of `start.machine` through [`warm_schedule`], continuing a clone
-    /// of `start.acc`, so no trace of the program is ever held.
-    Stream {
-        /// The machine and accumulator at the timing start.
-        start: Box<WarmStart>,
-        /// The ops the machine runs from there to halt.
-        n: u64,
-        /// The sweep's sample plan.
-        plan: SamplePlan,
-    },
+/// What phase 1 built for one program: the machine and accumulator at
+/// its timing start (the first instruction, or the `--ff` boundary) and
+/// the ops it runs from there to halt. The program's first cell builds
+/// the [`SharedSchedule`] its designs time from a clone of `start`, so
+/// no sweep holds a program's trace before its cells run.
+struct BenchInput {
+    /// The machine and accumulator at the timing start.
+    start: WarmStart,
+    /// The ops the machine runs from there to halt.
+    n: u64,
 }
 
-/// One program's warm schedule in a sampled sweep (DESIGN.md §15). The
-/// first of the program's cells to run builds it, the other designs
+impl BenchInput {
+    /// The schedule every cell of the program times. A sampled sweep's
+    /// is [`warm_schedule`] of a clone of the machine, continuing a
+    /// clone of the accumulator. A full sweep's is one window over the
+    /// whole tail, held as a tape, from the install form of the state
+    /// at its first op.
+    ///
+    /// # Panics
+    ///
+    /// If the program does not halt within its step budget, which the
+    /// op count already ruled out.
+    fn schedule(&self, cfg: &ExperimentConfig, plan: Option<&SamplePlan>) -> Vec<ScheduledWindow> {
+        let start = &self.start;
+        if let Some(plan) = plan {
+            return warm_schedule(start.machine.clone(), self.n, cfg, Some(&start.acc), plan);
+        }
+        let ops = start
+            .tail()
+            .unwrap_or_else(|e| panic!("timing input for {}: {e}", start.bench.name()));
+        vec![ScheduledWindow {
+            window: SampleWindow {
+                warm_start: 0,
+                meas_start: 0,
+                end: self.n,
+            },
+            warm: start.acc.warm_state(),
+            ops,
+        }]
+    }
+}
+
+/// One program's timing input (DESIGN.md §15): a sampled sweep's warm
+/// schedule, or a full sweep's one-window schedule over the whole tail.
+/// The first of the program's cells to run builds it, the other designs
 /// share it, and the last cell to finish drops it, so only programs
 /// with cells still to run hold one.
 struct SharedSchedule {
@@ -711,11 +729,10 @@ impl SharedSchedule {
 /// grid indices. Each program's first cell is handed out `lookahead`
 /// programs early, ahead of the current program's remaining cells: at
 /// lookahead 1 the order is `p0d0, p1d0, p0d1..dN, p2d0, p1d1..dN, …`.
-/// In a sampled sweep the first cell builds the program's warm
-/// schedule, so with `threads − 1` lookahead a worker that would wait
-/// on the current program's build builds the next one instead, and
-/// about `threads + 1` schedules are held at once. Lookahead 0 is grid
-/// order.
+/// The first cell builds the program's [`SharedSchedule`], so with
+/// `threads − 1` lookahead a worker that would wait on the current
+/// program's build builds the next one instead, and about `threads + 1`
+/// schedules are held at once. Lookahead 0 is grid order.
 fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
     if cols == 0 {
         return Vec::new();
@@ -760,12 +777,64 @@ fn run_with_corrupt_trace(
     }
 }
 
+/// [`sweep_ft`], for callers that still pass a trace cache; the sweep
+/// holds no trace, so `_cache` is neither read nor filled.
+///
+/// # Errors
+///
+/// As [`sweep_ft`].
+pub fn sweep_ft_on(
+    designs: &[DesignSpec],
+    cfg: &ExperimentConfig,
+    opts: &SweepOptions,
+    _cache: &TraceCache,
+) -> io::Result<SweepResult> {
+    sweep_ft(designs, cfg, opts)
+}
+
+/// `windows` of a cell: interval records plus how many the recorder
+/// dropped on buffer overflow; `None` when the cell records none.
+type Windows = Option<(Vec<IntervalRecord>, u64)>;
+
+/// [`run_cell`] of a full sweep's cell under the recorder combination
+/// `opts` asks for: none, the trace recorder, the interval recorder, or
+/// both through a [`Tee`]. Picked with static dispatch, so the
+/// unobserved arm stays the [`NullRecorder`] hot loop.
+fn run_recorded(
+    ops: &Tape,
+    design: DesignSpec,
+    cfg: &ExperimentConfig,
+    warm: &WarmState,
+    opts: &SweepOptions,
+) -> (RunMetrics, Option<TraceRecorder>, Windows) {
+    match (opts.observe, opts.intervals) {
+        (false, None) => (run_cell(ops, design, cfg, warm, NullRecorder), None, None),
+        (true, None) => {
+            let mut rec = TraceRecorder::new();
+            let metrics = run_cell(ops, design, cfg, warm, &mut rec);
+            (metrics, Some(rec), None)
+        }
+        (false, Some(width)) => {
+            let mut iv = IntervalRecorder::new(width);
+            let metrics = run_cell(ops, design, cfg, warm, &mut iv);
+            iv.finish();
+            let wins = (iv.windows().to_vec(), iv.dropped_windows());
+            (metrics, None, Some(wins))
+        }
+        (true, Some(width)) => {
+            let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
+            let metrics = run_cell(ops, design, cfg, warm, &mut tee);
+            tee.b.finish();
+            let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
+            (metrics, Some(tee.a), Some(wins))
+        }
+    }
+}
+
 /// The one sweep body: every benchmark × design cell of `designs` over
-/// all ten benchmarks, traces shared through `cache` (the process-wide
-/// [`TraceCache::global`], or a private one as the fault-injection
-/// tests use). Each cell runs isolated, with retries and deadlines per
-/// `opts.policy`; completed cells are journalled, and failed ones leave
-/// partial results (see [`SweepResult`]).
+/// all ten benchmarks. Each cell runs isolated, with retries and
+/// deadlines per `opts.policy`; completed cells are journalled, and
+/// failed ones leave partial results (see [`SweepResult`]).
 ///
 /// # Errors
 ///
@@ -773,11 +842,10 @@ fn run_with_corrupt_trace(
 /// or reading it under `opts.resume`), and options that need a journal
 /// without one; cell failures are reported through the result's
 /// manifest instead.
-pub fn sweep_ft_on(
+pub fn sweep_ft(
     designs: &[DesignSpec],
     cfg: &ExperimentConfig,
     opts: &SweepOptions,
-    cache: &TraceCache,
 ) -> io::Result<SweepResult> {
     let benches = Benchmark::ALL;
     let threads = if opts.threads == 0 {
@@ -828,7 +896,6 @@ pub fn sweep_ft_on(
         opts.checkpoint.as_ref().map(|ck| ck.boundary),
         opts.sample.as_ref(),
     );
-    let (hits0, misses0) = (cache.hits(), cache.misses());
 
     // Resume: restore completed cells from the journal. Records keyed
     // for a different configuration simply never match.
@@ -868,11 +935,10 @@ pub fn sweep_ft_on(
         _ => None,
     };
 
-    // Phase 1: every program's timing input, built in parallel, isolated
-    // per benchmark — a failed build skips that benchmark's cells
-    // instead of aborting the sweep. A full sweep builds traces; a
-    // sampled one counts each program's ops on a clone of its machine
-    // and keeps the machine.
+    // Phase 1: every program's start and op count, built in parallel,
+    // isolated per benchmark — a failed build skips that benchmark's
+    // cells instead of aborting the sweep. Each program counts its ops
+    // on a clone of its machine and keeps the machine.
     let phase_trace_build = prof::scope("trace-build");
     // hbat-lint: allow(panic) bi < benches.len() by parallel_map_outcomes' contract; an escaped panic here is caught per-cell anyway
     let (trace_outcomes, trace_build) = timed(|| {
@@ -900,34 +966,16 @@ pub fn sweep_ft_on(
                     Some(ctx.cancel_flag()),
                 )
                 .unwrap_or_else(|e| fail(e)),
-                None if opts.sample.is_some() => {
+                None => {
                     let _build = prof::scope("workload-build");
                     WarmStart::program_start(bench, cfg)
                 }
-                None => {
-                    return BenchInput::Trace {
-                        ops: cache.get_or_build_tape(bench, &cfg.workload).1,
-                        warm: Box::new(WarmAccumulator::new(&cfg.sim, cfg.geometry).warm_state()),
-                    }
-                }
             };
-            match opts.sample {
-                Some(plan) => BenchInput::Stream {
-                    n: {
-                        let _count = prof::scope("count");
-                        start.tail_len().unwrap_or_else(|e| fail(e))
-                    },
-                    start: Box::new(start),
-                    plan,
-                },
-                None => {
-                    let wt = start.into_trace().unwrap_or_else(|e| fail(e));
-                    BenchInput::Trace {
-                        ops: Arc::new(wt.tail),
-                        warm: Box::new(wt.acc.warm_state()),
-                    }
-                }
-            }
+            let n = {
+                let _count = prof::scope("count");
+                start.tail_len().unwrap_or_else(|e| fail(e))
+            };
+            BenchInput { start, n }
         })
     });
     drop(phase_trace_build);
@@ -942,12 +990,7 @@ pub fn sweep_ft_on(
     }
     let program_ops = traces
         .iter()
-        .map(|input| {
-            input.as_ref().map(|input| match input {
-                BenchInput::Trace { ops, .. } => ops.len() as u64,
-                BenchInput::Stream { n, .. } => *n,
-            })
-        })
+        .map(|input| input.as_ref().map(|input| input.n))
         .collect();
 
     // Phase 2: one queue of benchmark × design cells. Restored cells
@@ -960,9 +1003,8 @@ pub fn sweep_ft_on(
         config: fingerprint.clone(),
         seed: cfg.design_seed,
     };
-    // A sampled sweep warms each program once: its cells still to run
-    // share one schedule, built lazily here in the cell phase from the
-    // program's machine. A full sweep has none.
+    // Each program runs its machine once more: its cells still to run
+    // share one schedule, built lazily here in the cell phase.
     let restored_in_row: Vec<usize> = (0..benches.len())
         .map(|bi| {
             (0..designs.len())
@@ -970,21 +1012,14 @@ pub fn sweep_ft_on(
                 .count()
         })
         .collect();
-    let schedules: Vec<SharedSchedule> = match opts.sample {
-        Some(_) => restored_in_row
-            .iter()
-            .map(|restored| SharedSchedule::new(designs.len() - restored))
-            .collect(),
-        None => Vec::new(),
-    };
-    // A sampled sweep looks ahead so schedule builds overlap other
-    // programs' windows; see `dispatch_order`. Everything but the order
-    // the workers claim cells in stays indexed by grid position.
-    let lookahead = match opts.sample {
-        Some(_) => threads.saturating_sub(1),
-        None => 0,
-    };
-    let order = dispatch_order(benches.len(), designs.len(), lookahead);
+    let schedules: Vec<SharedSchedule> = restored_in_row
+        .iter()
+        .map(|restored| SharedSchedule::new(designs.len() - restored))
+        .collect();
+    // Look ahead so schedule builds overlap other programs' cells; see
+    // `dispatch_order`. Everything but the order the workers claim cells
+    // in stays indexed by grid position.
+    let order = dispatch_order(benches.len(), designs.len(), threads.saturating_sub(1));
     let phase_detailed = prof::scope("detailed-run");
     // hbat-lint: allow(panic) bi/di derive from i < n_cells, and a panic inside a cell job is exactly what the isolation layer catches
     let (by_claim, cell_exec) = timed(|| {
@@ -1024,70 +1059,29 @@ pub fn sweep_ft_on(
             // intervals from the recorder (which can drop on buffer
             // overflow) and sampled measurement windows (which never
             // drop — the plan bounds them up front).
-            type Windows = Option<(Vec<IntervalRecord>, u64)>;
-            let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
+            let (metrics, rec, windows) = {
                 let _cell = prof::scope("cell-run");
-                match input {
-                    BenchInput::Stream { start, n, plan } => {
-                        let schedule = schedules[bi].get_or_build(|| {
-                            // A clone, so a build retried after a panic
-                            // starts afresh.
-                            let machine = start.machine.clone();
-                            warm_schedule(machine, *n, cfg, Some(&start.acc), plan)
-                        });
-                        if corrupt {
-                            run_with_corrupt_trace(
-                                i,
-                                schedule.iter().flat_map(|w| w.ops.iter()),
-                                &opts.faults,
-                            );
-                        }
-                        let cell = {
-                            let _windows = prof::scope("windows");
-                            run_sampled_windows(design, cfg, &schedule)
-                        };
-                        drop(schedule);
-                        schedules[bi].finish_cell();
+                let schedule =
+                    schedules[bi].get_or_build(|| input.schedule(cfg, opts.sample.as_ref()));
+                if corrupt {
+                    run_with_corrupt_trace(
+                        i,
+                        schedule.iter().flat_map(|w| w.ops.iter()),
+                        &opts.faults,
+                    );
+                }
+                let out = match (opts.sample, &schedule[..]) {
+                    (Some(_), _) => {
+                        let _windows = prof::scope("windows");
+                        let cell = run_sampled_windows(design, cfg, &schedule);
                         (cell.metrics, None, Some((cell.windows, 0)))
                     }
-                    BenchInput::Trace { ops, warm } => {
-                        if corrupt {
-                            run_with_corrupt_trace(i, ops.iter(), &opts.faults);
-                        }
-                        // The recorder combination (none / trace /
-                        // interval / both via Tee) is picked here with
-                        // static dispatch, so the unobserved arm stays
-                        // the NullRecorder hot loop.
-                        match (opts.observe, opts.intervals) {
-                            (false, None) => {
-                                (run_cell(ops, design, cfg, warm, NullRecorder), None, None)
-                            }
-                            (true, None) => {
-                                let mut rec = TraceRecorder::new();
-                                let metrics = run_cell(ops, design, cfg, warm, &mut rec);
-                                (metrics, Some(rec), None)
-                            }
-                            (false, Some(width)) => {
-                                let mut iv = IntervalRecorder::new(width);
-                                let metrics = run_cell(ops, design, cfg, warm, &mut iv);
-                                iv.finish();
-                                (
-                                    metrics,
-                                    None,
-                                    Some((iv.windows().to_vec(), iv.dropped_windows())),
-                                )
-                            }
-                            (true, Some(width)) => {
-                                let mut tee =
-                                    Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                                let metrics = run_cell(ops, design, cfg, warm, &mut tee);
-                                tee.b.finish();
-                                let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
-                                (metrics, Some(tee.a), Some(wins))
-                            }
-                        }
-                    }
-                }
+                    (None, [whole]) => run_recorded(&whole.ops, design, cfg, &whole.warm, opts),
+                    (None, _) => unreachable!("a full sweep's schedule is one window"),
+                };
+                drop(schedule);
+                schedules[bi].finish_cell();
+                out
             };
             if let Some(w) = &writer {
                 let _journal = prof::scope("journal-append");
@@ -1170,8 +1164,6 @@ pub fn sweep_ft_on(
         telemetry: SweepTelemetry {
             threads,
             cells: n_cells,
-            traces_built: cache.misses() - misses0,
-            trace_cache_hits: cache.hits() - hits0,
             trace_build,
             cell_exec,
         },
@@ -1513,12 +1505,12 @@ mod tests {
                 },
             ),
         ] {
-            let cache = TraceCache::new();
-            let err = sweep_ft_on(&designs, &cfg, &opts, &cache).expect_err(flag);
+            // An error at all means no cell ran: a sweep that reaches
+            // its cells reports their failures in the manifest instead.
+            let err = sweep_ft(&designs, &cfg, &opts).expect_err(flag);
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{flag}");
             let want = format!("{flag} needs --journal <path>");
             assert!(err.to_string().starts_with(&want), "{err}");
-            assert_eq!(cache.misses(), 0, "{flag}: rejected before any work");
         }
     }
 

@@ -8,7 +8,7 @@
 //! | `table2` | the thirteen analysed designs |
 //! | `table3` | per-program execution statistics |
 //! | `fig6` | TLB miss rate vs TLB size |
-//! | `figs` | relative IPC: Figures 5 (out-of-order baseline), 7 (in-order issue), 8 (8 KB pages) and 9 (8 int / 8 fp registers), in one process sharing cached traces |
+//! | `figs` | relative IPC: Figures 5 (out-of-order baseline), 7 (in-order issue), 8 (8 KB pages) and 9 (8 int / 8 fp registers), in one process |
 //! | `anatomy` | trace-anatomy ceilings per benchmark (extension) |
 //! | `ablation` | design-parameter sweeps (extension) |
 //! | `scaling` | TLB bandwidth demand vs machine width (extension) |
@@ -20,7 +20,7 @@
 //! Sweeps run on the cell-level parallel executor in [`executor`]
 //! (worker count from `HBAT_THREADS`, default all cores) and are
 //! bit-identical to the same sweep on one worker. Every sweep goes
-//! through [`sweep_ft_on`] ([`sweep`] is its fail-fast convenience) and
+//! through [`sweep_ft`] ([`sweep`] is its fail-fast convenience) and
 //! returns one [`SweepResult`], which renders each figure.
 //!
 //! The executor is fault-tolerant: each cell runs under `catch_unwind`
@@ -52,7 +52,8 @@ pub use executor::{
 pub use experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_interval_record,
     render_obs_record, run_cell, run_cell_uops, run_cell_uops_with, scale_from_args, sweep,
-    sweep_fingerprint, sweep_ft_on, CellResult, ExperimentConfig, SweepOptions, SweepResult,
+    sweep_fingerprint, sweep_ft, sweep_ft_on, CellResult, ExperimentConfig, SweepOptions,
+    SweepResult,
 };
 pub use faults::{CkptFault, FaultKind, FaultPlan};
 pub use journal::{

@@ -9,6 +9,7 @@ use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::bank::TlbBank;
 use hbat_core::entry::{Protection, TlbEntry};
 use hbat_core::replacement::ReplacementPolicy;
+use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
 
 /// The TLB sizes of Figure 6 with their replacement policies.
@@ -24,7 +25,7 @@ pub const FIG6_SIZES: [(usize, ReplacementPolicy); 6] = [
 /// Runs the data references of `ops` through one fully-associative TLB
 /// and returns `(misses, references)`.
 pub fn miss_count(
-    ops: &[MicroOp],
+    ops: &Tape,
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
@@ -34,8 +35,8 @@ pub fn miss_count(
     let mut misses = 0u64;
     let mut refs = 0u64;
     let mut next_ppn = 0x100u64;
-    for op in ops {
-        if op.flags & MicroOp::F_MEM == 0 {
+    for op in (0..ops.len()).map(|i| ops.retired(i)) {
+        if op.flags() & MicroOp::F_MEM == 0 {
             continue;
         }
         refs += 1;
@@ -55,7 +56,7 @@ pub fn miss_count(
 
 /// Miss rate (percent of references) for one trace and size.
 pub fn miss_rate_percent(
-    ops: &[MicroOp],
+    ops: &Tape,
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
@@ -72,11 +73,10 @@ pub fn miss_rate_percent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_isa::uop::PredecodedTrace;
     use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-    fn uops(bench: Benchmark) -> PredecodedTrace {
-        bench.build(&WorkloadConfig::new(Scale::Test)).uops()
+    fn uops(bench: Benchmark) -> Tape {
+        bench.build(&WorkloadConfig::new(Scale::Test)).tape()
     }
 
     #[test]
@@ -114,7 +114,7 @@ mod tests {
     fn counts_only_memory_references() {
         let ops = uops(Benchmark::Doduc);
         let (_, refs) = miss_count(&ops, 128, ReplacementPolicy::Random, PageGeometry::KB4, 1);
-        let mem = ops.iter().filter(|u| u.is_mem()).count() as u64;
+        let mem = ops.iter().filter(MicroOp::is_mem).count() as u64;
         assert_eq!(refs, mem);
     }
 }

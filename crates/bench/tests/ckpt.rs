@@ -15,11 +15,10 @@ use std::path::PathBuf;
 use hbat_bench::ckpt::{verify_restore_equivalence, CheckpointOptions};
 use hbat_bench::executor::RunPolicy;
 use hbat_bench::experiment::{
-    sweep_fingerprint, sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult,
+    sweep_fingerprint, sweep_ft, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_bench::faults::{CkptFault, FaultPlan};
 use hbat_bench::journal::read_journal;
-use hbat_bench::TraceCache;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::designs::BASE_TLB_ENTRIES;
 use hbat_workloads::{Benchmark, Scale};
@@ -112,7 +111,7 @@ fn checkpointed_sweep_completes_and_resumes() {
     let mut opts = checkpointed(&dir);
     opts.journal = Some(journal.clone());
 
-    let first = sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let first = sweep_ft(designs(), &cfg, &opts).unwrap();
     let n = Benchmark::ALL.len() * designs().len();
     assert_eq!(first.completed(), n, "{:?}", first.manifest);
     assert_eq!(first.resumed, 0);
@@ -128,7 +127,7 @@ fn checkpointed_sweep_completes_and_resumes() {
     // Resume: every cell restores from the journal, none re-execute,
     // metrics bit-identical.
     opts.resume = true;
-    let resumed = sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let resumed = sweep_ft(designs(), &cfg, &opts).unwrap();
     assert_eq!(resumed.resumed, n);
     assert_same_metrics(&resumed, &first, "resume");
     std::fs::remove_dir_all(&dir).ok();
@@ -141,20 +140,14 @@ fn checkpointed_sweep_completes_and_resumes() {
 fn ff_crash_retries_from_last_good_checkpoint() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let clean_dir = temp_dir("ffcrash-clean");
-    let clean = sweep_ft_on(
-        designs(),
-        &cfg,
-        &checkpointed(&clean_dir),
-        &TraceCache::new(),
-    )
-    .unwrap();
+    let clean = sweep_ft(designs(), &cfg, &checkpointed(&clean_dir)).unwrap();
 
     let dir = temp_dir("ffcrash");
     let mut opts = checkpointed(&dir);
     opts.faults = FaultPlan::none().with_ckpt_fault(0, CkptFault::FfPanic);
     opts.policy = RunPolicy::default().with_retries(1);
     let restored_before = hbat_ckpt::events::restored();
-    let r = sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let r = sweep_ft(designs(), &cfg, &opts).unwrap();
 
     let n = Benchmark::ALL.len() * designs().len();
     assert_eq!(r.completed(), n, "{:?}", r.manifest);
@@ -177,7 +170,7 @@ fn every_snapshot_corruption_is_detected_and_recovered() {
     let opts = checkpointed(&dir);
 
     // Populate the store with good snapshots.
-    let clean = sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let clean = sweep_ft(designs(), &cfg, &opts).unwrap();
     let n = Benchmark::ALL.len() * designs().len();
     assert_eq!(clean.completed(), n, "{:?}", clean.manifest);
 
@@ -190,7 +183,7 @@ fn every_snapshot_corruption_is_detected_and_recovered() {
         .with_ckpt_fault(3, CkptFault::VersionMismatch)
         .with_ckpt_fault(4, CkptFault::FingerprintMismatch);
     let rejected_before = hbat_ckpt::events::rejected();
-    let r = sweep_ft_on(designs(), &cfg, &faulted, &TraceCache::new()).unwrap();
+    let r = sweep_ft(designs(), &cfg, &faulted).unwrap();
 
     assert_eq!(r.completed(), n, "{:?}", r.manifest);
     assert!(
@@ -217,7 +210,7 @@ fn checkpoint_crash_resume_flow() {
         hbat_bench::faults::FaultKind::Panic { failures: u32::MAX },
     );
 
-    let crashed = sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let crashed = sweep_ft(designs(), &cfg, &opts).unwrap();
     let n = Benchmark::ALL.len() * designs().len();
     assert_eq!(crashed.completed(), n - 1);
     assert_eq!(crashed.manifest.failures.len(), 1);
@@ -228,7 +221,7 @@ fn checkpoint_crash_resume_flow() {
     let mut retry = checkpointed(&dir);
     retry.journal = Some(journal);
     retry.resume = true;
-    let recovered = sweep_ft_on(designs(), &cfg, &retry, &TraceCache::new()).unwrap();
+    let recovered = sweep_ft(designs(), &cfg, &retry).unwrap();
     assert_eq!(recovered.completed(), n);
     assert_eq!(recovered.resumed, n - 1, "only the crashed cell re-runs");
     // Every cell the crashed run completed is bit-identical after resume.

@@ -1,27 +1,29 @@
 //! The parallel sweep executor is a pure optimisation: whatever the
-//! worker count, claim order, or trace sharing, the metrics must be
-//! bit-identical to the reference: the same sweep on one worker and a
-//! fresh trace cache.
+//! worker count or claim order, the metrics must be bit-identical to
+//! the reference: the same sweep on one worker.
 
 use proptest::prelude::*;
 
-use hbat_bench::executor::TraceCache;
-use hbat_bench::experiment::{sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult};
+use hbat_bench::ckpt::CheckpointOptions;
+use hbat_bench::experiment::{sweep_ft, ExperimentConfig, SweepOptions, SweepResult};
 use hbat_core::designs::spec::DesignSpec;
-use hbat_workloads::Scale;
+use hbat_workloads::{Benchmark, Scale};
 
-/// A fail-fast sweep on `threads` workers over `cache`.
-fn sweep_with(
-    designs: &[DesignSpec],
-    cfg: &ExperimentConfig,
-    threads: usize,
-    cache: &TraceCache,
-) -> SweepResult {
-    let opts = SweepOptions {
-        threads,
-        ..SweepOptions::default()
-    };
-    let r = sweep_ft_on(designs, cfg, &opts, cache).expect("no journal, no I/O");
+/// A fail-fast sweep on `threads` workers.
+fn sweep_with(designs: &[DesignSpec], cfg: &ExperimentConfig, threads: usize) -> SweepResult {
+    sweep_opts(
+        designs,
+        cfg,
+        SweepOptions {
+            threads,
+            ..SweepOptions::default()
+        },
+    )
+}
+
+/// A fail-fast sweep under `opts`.
+fn sweep_opts(designs: &[DesignSpec], cfg: &ExperimentConfig, opts: SweepOptions) -> SweepResult {
+    let r = sweep_ft(designs, cfg, &opts).expect("no journal, no I/O");
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
     r
 }
@@ -53,27 +55,50 @@ fn parallel_sweep_matches_serial_reference() {
         DesignSpec::MultiPorted { ports: 1 },
         DesignSpec::MultiLevel { l1_entries: 8 },
     ];
-    let reference = sweep_with(&designs, &cfg, 1, &TraceCache::new());
+    let reference = sweep_with(&designs, &cfg, 1);
     for threads in [1, 3, 8] {
-        let cache = TraceCache::new();
-        let parallel = sweep_with(&designs, &cfg, threads, &cache);
+        let parallel = sweep_with(&designs, &cfg, threads);
         assert_identical(&reference, &parallel);
         assert_eq!(parallel.telemetry.threads, threads);
         assert_eq!(parallel.telemetry.cells, 10 * designs.len());
     }
 }
 
+/// A full sweep counts each program's ops on its machine before any
+/// cell builds the tape it times: the count must be what the T4 cell
+/// commits, from program start and from an `--ff` boundary.
 #[test]
-fn cached_traces_do_not_change_results() {
+fn program_ops_count_what_the_full_cells_commit() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let designs = [DesignSpec::MultiPorted { ports: 2 }];
-    let cache = TraceCache::new();
-    let cold = sweep_with(&designs, &cfg, 2, &cache);
-    assert_eq!(cold.telemetry.traces_built, 10, "cold cache builds all");
-    let warm = sweep_with(&designs, &cfg, 2, &cache);
-    assert_eq!(warm.telemetry.traces_built, 0, "warm cache builds none");
-    assert_eq!(warm.telemetry.trace_cache_hits, 10);
-    assert_identical(&cold, &warm);
+    let dir = std::env::temp_dir().join(format!("hbat-exec-it-ops-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ff = CheckpointOptions {
+        dir: dir.clone(),
+        interval: 5_000,
+        boundary: 20_000,
+    };
+    for checkpoint in [None, Some(ff)] {
+        let tag = if checkpoint.is_some() {
+            "--ff"
+        } else {
+            "plain"
+        };
+        let opts = SweepOptions {
+            threads: 2,
+            checkpoint,
+            ..SweepOptions::default()
+        };
+        let r = sweep_opts(&[DesignSpec::MultiPorted { ports: 4 }], &cfg, opts);
+        for (bi, bench) in Benchmark::ALL.iter().enumerate() {
+            let t4 = r.cells[bi][0].ok().unwrap();
+            assert_eq!(
+                r.program_ops[bi],
+                Some(t4.metrics.committed),
+                "{tag} {bench}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -88,9 +113,8 @@ proptest! {
     ) {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let designs = [DesignSpec::TABLE2[first], DesignSpec::TABLE2[second]];
-        let reference = sweep_with(&designs, &cfg, 1, &TraceCache::new());
-        let cache = TraceCache::new();
-        let parallel = sweep_with(&designs, &cfg, threads, &cache);
+        let reference = sweep_with(&designs, &cfg, 1);
+        let parallel = sweep_with(&designs, &cfg, threads);
         for (ref_row, cand_row) in reference.cells.iter().zip(&parallel.cells) {
             for (r, c) in ref_row.iter().zip(cand_row) {
                 prop_assert_eq!(&r.ok().unwrap().metrics, &c.ok().unwrap().metrics);

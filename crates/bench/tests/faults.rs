@@ -15,13 +15,12 @@ use std::time::Duration;
 
 use hbat_bench::executor::RunPolicy;
 use hbat_bench::experiment::{
-    iv_sidecar_path, sweep_ft_on, ExperimentConfig, SweepOptions, SweepResult,
+    iv_sidecar_path, sweep_ft, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_bench::faults::{FaultKind, FaultPlan};
 use hbat_bench::journal::read_journal;
 use hbat_bench::outcome::CellOutcome;
 use hbat_bench::sample::SamplePlan;
-use hbat_bench::TraceCache;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_workloads::Scale;
 
@@ -39,14 +38,13 @@ fn temp_journal(tag: &str) -> PathBuf {
     path
 }
 
-/// The serial reference: an unfaulted sweep on one worker and a fresh
-/// trace cache.
+/// The serial reference: an unfaulted sweep on one worker.
 fn reference_sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
     let opts = SweepOptions {
         threads: 1,
         ..SweepOptions::default()
     };
-    let r = sweep_ft_on(designs, cfg, &opts, &TraceCache::new()).expect("no journal, no I/O");
+    let r = sweep_ft(designs, cfg, &opts).expect("no journal, no I/O");
     assert!(
         r.manifest.is_empty(),
         "an unfaulted sweep completes every cell"
@@ -80,7 +78,7 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
     let journal = temp_journal("panics");
 
     // Faulted sweep: n − k cells complete, exactly k manifest entries.
-    let faulted = sweep_ft_on(
+    let faulted = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -89,7 +87,6 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
             journal: Some(journal.clone()),
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert_eq!(faulted.completed(), n - k);
@@ -110,7 +107,7 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
 
     // Resume without faults: only the k failed cells re-execute, and the
     // merged result is bit-identical to an unfaulted serial sweep.
-    let resumed = sweep_ft_on(
+    let resumed = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -119,7 +116,6 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
             resume: true,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert!(resumed.manifest.is_empty(), "{}", resumed.manifest.render());
@@ -140,7 +136,7 @@ fn transient_panics_recover_through_retries() {
     let plan = FaultPlan::none()
         .with(5, FaultKind::Panic { failures: 1 })
         .with(11, FaultKind::Panic { failures: 2 });
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -149,7 +145,6 @@ fn transient_panics_recover_through_retries() {
             faults: plan,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("no journal I/O");
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
@@ -162,7 +157,7 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
     let stalled = 4usize;
     let journal = temp_journal("stall");
     let n = hbat_workloads::Benchmark::ALL.len() * designs().len();
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -172,7 +167,6 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
             journal: Some(journal.clone()),
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert_eq!(r.manifest.len(), 1, "{}", r.manifest.render());
@@ -187,7 +181,7 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
     assert_eq!(records.len(), n - 1);
 
     // Resuming (no faults, no timeout) finishes the one missing cell.
-    let resumed = sweep_ft_on(
+    let resumed = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -196,7 +190,6 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
             resume: true,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert!(resumed.manifest.is_empty());
@@ -208,7 +201,7 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
 #[test]
 fn corrupt_trace_fault_is_rejected_by_the_reader() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -216,7 +209,6 @@ fn corrupt_trace_fault_is_rejected_by_the_reader() {
             faults: FaultPlan::none().with(7, FaultKind::CorruptTrace),
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("no journal I/O");
     assert_eq!(r.manifest.len(), 1, "{}", r.manifest.render());
@@ -245,7 +237,7 @@ fn corrupt_trace_fault_on_a_sampled_cell_is_rejected_by_the_reader() {
             sample,
             ..SweepOptions::default()
         };
-        sweep_ft_on(designs(), &cfg, &opts, &TraceCache::new()).expect("no journal I/O")
+        sweep_ft(designs(), &cfg, &opts).expect("no journal I/O")
     };
     let clean = run(FaultPlan::none());
     let r = run(FaultPlan::none().with(faulted, FaultKind::CorruptTrace));
@@ -272,7 +264,7 @@ fn corrupt_trace_fault_on_a_sampled_cell_is_rejected_by_the_reader() {
 fn trace_build_failure_skips_only_that_benchmarks_cells() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let bad_bench = 2usize;
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -280,7 +272,6 @@ fn trace_build_failure_skips_only_that_benchmarks_cells() {
             faults: FaultPlan::none().with_trace_fault(bad_bench),
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("no journal I/O");
     assert_eq!(r.manifest.len(), designs().len());
@@ -313,7 +304,7 @@ fn partial_results_render_with_explicit_missing_markers() {
             FaultKind::Panic { failures: u32::MAX },
         );
     }
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -321,7 +312,6 @@ fn partial_results_render_with_explicit_missing_markers() {
             faults: plan,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("no journal I/O");
     assert_eq!(r.weighted_ipc(designs()[1]), None);
@@ -347,7 +337,7 @@ fn partial_results_render_with_explicit_missing_markers() {
     // Fail only Compress x design 1: its relative IPC is normalised to
     // T4 over the nine benchmarks where both cells completed, not over
     // all ten of T4's.
-    let r = sweep_ft_on(
+    let r = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -355,7 +345,6 @@ fn partial_results_render_with_explicit_missing_markers() {
             faults: FaultPlan::none().with(1, FaultKind::Panic { failures: u32::MAX }),
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("no journal I/O");
     assert_eq!(r.manifest.len(), 1, "{}", r.manifest.render());
@@ -394,7 +383,7 @@ fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
     let first = 3 * designs().len();
     let stalled = first + 2;
     let clean_journal = temp_journal("sampled-clean");
-    let clean = sweep_ft_on(
+    let clean = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -403,7 +392,6 @@ fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
             sample,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert!(clean.manifest.is_empty(), "{}", clean.manifest.render());
@@ -421,8 +409,7 @@ fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
         sample,
         ..SweepOptions::default()
     };
-    let faulted =
-        sweep_ft_on(designs(), &cfg, &faulted_opts, &TraceCache::new()).expect("journal I/O");
+    let faulted = sweep_ft(designs(), &cfg, &faulted_opts).expect("journal I/O");
     assert_eq!(faulted.manifest.len(), 1, "{}", faulted.manifest.render());
     assert_eq!(faulted.manifest.failures[0].index, stalled);
     assert_eq!(faulted.manifest.failures[0].kind, "timed_out");
@@ -467,7 +454,7 @@ fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
 
     // Resuming without faults runs the stalled cell alone and converges
     // on the clean line sets.
-    let resumed = sweep_ft_on(
+    let resumed = sweep_ft(
         designs(),
         &cfg,
         &SweepOptions {
@@ -477,7 +464,6 @@ fn sampled_sweep_recovers_from_a_panicking_schedule_builder_and_a_stall() {
             sample,
             ..SweepOptions::default()
         },
-        &TraceCache::new(),
     )
     .expect("journal I/O");
     assert!(resumed.manifest.is_empty(), "{}", resumed.manifest.render());

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell_uops, run_cell_uops_with, sweep_ft_on, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, run_cell_uops, run_cell_uops_with, sweep_ft, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::journal::parse_json_object;
 use hbat_bench::WindowGate;
@@ -49,7 +49,7 @@ fn run_sweep(journal: &Path, intervals: Option<u64>) -> hbat_bench::SweepResult 
         intervals,
         ..SweepOptions::default()
     };
-    sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap()
+    sweep_ft(&designs(), &cfg, &opts).unwrap()
 }
 
 /// Checks the window accounting of one finished recorder against the
@@ -321,7 +321,7 @@ fn degenerate_widths_are_rejected_before_any_cell_runs() {
             intervals: Some(width),
             ..SweepOptions::default()
         };
-        let err = sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap_err();
+        let err = sweep_ft(&designs(), &cfg, &opts).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("interval width"), "{err}");
         assert!(

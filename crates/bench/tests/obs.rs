@@ -7,8 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use hbat_bench::executor::TraceCache;
-use hbat_bench::experiment::{obs_sidecar_path, sweep_ft_on, ExperimentConfig, SweepOptions};
+use hbat_bench::experiment::{obs_sidecar_path, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_bench::journal::parse_json_object;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_workloads::Scale;
@@ -36,7 +35,7 @@ fn run_sweep(journal: &Path, observe: bool) -> hbat_bench::SweepResult {
         observe,
         ..SweepOptions::default()
     };
-    sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap()
+    sweep_ft(&designs(), &cfg, &opts).unwrap()
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
 //! * a sweep warms each program once, streaming it from its machine
-//!   without building a trace, and shares the schedule across its
+//!   and leaving the trace cache empty, and shares the schedule across its
 //!   designs, and every cell still equals a standalone
 //!   `run_sampled_uops` of it on the full trace, at 1 and 4 workers,
 //!   with and without `--ff`;
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use hbat_bench::ckpt::CheckpointOptions;
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell, run_cell_uops, sweep_fingerprint, sweep_ft_on, ExperimentConfig,
+    iv_sidecar_path, run_cell, run_cell_uops, sweep_fingerprint, sweep_ft, ExperimentConfig,
     SweepOptions,
 };
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
@@ -66,7 +66,7 @@ fn run_sampled_sweep(journal: &Path, resume: bool) -> SweepResult {
         sample: Some(plan()),
         ..SweepOptions::default()
     };
-    sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap()
+    sweep_ft(&designs(), &cfg, &opts).unwrap()
 }
 
 #[test]
@@ -225,17 +225,22 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
 #[test]
 fn sampled_figure_tracks_the_full_figure_at_test_scale() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
-    let full = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &SweepOptions::default(), &cache).unwrap();
-    // The full sweep leaves one tape per program in its cache, and the
-    // sampled sweep adds none.
-    assert_eq!(cache.len(), Benchmark::ALL.len(), "one tape per program");
+    let full = sweep_ft(&DesignSpec::TABLE2, &cfg, &SweepOptions::default()).unwrap();
+    // Neither sweep leaves a tape in the process-wide cache (no test in
+    // this file fills it).
+    assert!(
+        TraceCache::global().is_empty(),
+        "the full sweep holds no tape"
+    );
     let opts = SweepOptions {
         sample: Some(SamplePlan::parse("6:400:100", 1996).unwrap()),
         ..SweepOptions::default()
     };
-    let sampled = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &cache).unwrap();
-    assert_eq!(cache.len(), Benchmark::ALL.len(), "one tape per program");
+    let sampled = sweep_ft(&DesignSpec::TABLE2, &cfg, &opts).unwrap();
+    assert!(
+        TraceCache::global().is_empty(),
+        "the sampled sweep holds no tape"
+    );
     for design in DesignSpec::TABLE2 {
         let (want, got) = (full.relative_ipc(design), sampled.relative_ipc(design));
         let (want, got) = (want.unwrap(), got.unwrap());
@@ -325,7 +330,7 @@ fn sampling_composes_with_checkpointed_fast_forward() {
         }),
         ..SweepOptions::default()
     };
-    let r = sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap();
+    let r = sweep_ft(&designs(), &cfg, &opts).unwrap();
     assert_eq!(r.completed(), 30);
     for row in &r.cells {
         for cell in row {
@@ -361,8 +366,8 @@ fn sampling_composes_with_checkpointed_fast_forward() {
 /// row of standalone `run_sampled_uops` cells in Table-2 order: the
 /// shared warm schedule must change nothing, and no design may disturb
 /// the states the other designs install after it. The sweep streams
-/// each program from its machine, so it builds no trace and asks its
-/// trace cache for none.
+/// each program from its machine, so it leaves the process-wide trace
+/// cache empty.
 fn assert_grid_matches_standalone(
     checkpoint: impl Fn(usize) -> Option<CheckpointOptions>,
     standalone: impl Fn(Benchmark) -> Vec<SampledCell>,
@@ -376,13 +381,9 @@ fn assert_grid_matches_standalone(
             checkpoint: checkpoint(threads),
             ..SweepOptions::default()
         };
-        let cache = TraceCache::new();
-        let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &opts, &cache).unwrap();
+        let r = sweep_ft(&DesignSpec::TABLE2, &cfg, &opts).unwrap();
         assert!(r.manifest.is_empty(), "{}", r.manifest.render());
-        assert_eq!((cache.misses(), cache.hits()), (0, 0), "no trace built");
-        assert!(cache.is_empty(), "no tape held");
-        let t = &r.telemetry;
-        assert_eq!((t.traces_built, t.trace_cache_hits), (0, 0));
+        assert!(TraceCache::global().is_empty(), "no tape held");
         for (row, erow) in r.cells.iter().zip(&expected) {
             for (cell, e) in row.iter().zip(erow) {
                 let c = cell.ok().unwrap();
@@ -448,7 +449,7 @@ fn sample_with_observe_or_intervals_is_rejected_before_any_cell_runs() {
             sample: Some(plan()),
             ..SweepOptions::default()
         };
-        let err = sweep_ft_on(&designs(), &cfg, &opts, &TraceCache::new()).unwrap_err();
+        let err = sweep_ft(&designs(), &cfg, &opts).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("--sample"), "{err}");
         assert!(

@@ -64,11 +64,12 @@ use std::time::Duration;
 
 use hbat_suite::analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
-use hbat_suite::bench::executor::{RunPolicy, TraceCache};
-use hbat_suite::bench::experiment::{sweep_ft_on, ExperimentConfig, SweepOptions};
+use hbat_suite::bench::executor::RunPolicy;
+use hbat_suite::bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
-use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
+use hbat_suite::bench::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
+use hbat_suite::isa::tape::Tape;
 use hbat_suite::isa::tracefile;
 use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
@@ -429,11 +430,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds and runs `bench` under `cfg`: the `trace-build` phase of
-/// `run` and `trace`.
-fn build_uops(bench: Benchmark, cfg: &ExperimentConfig) -> PredecodedTrace {
+/// Builds and runs `bench` under `cfg` into a tape: the `trace-build`
+/// phase of `run` and `trace`.
+fn build_tape(bench: Benchmark, cfg: &ExperimentConfig) -> Tape {
     let _p = prof::scope("trace-build");
-    bench.build(&cfg.workload).uops()
+    bench.build(&cfg.workload).tape()
 }
 
 fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
@@ -453,13 +454,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let uops = build_uops(bench, &cfg);
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
+            let tape = build_tape(bench, &cfg);
             let m = {
                 let _p = prof::scope("detailed-run");
-                simulate_uops(&cfg.sim, &uops, tlb.as_mut())
+                run_cell(&tape, design, &cfg, &cfg.cold_state(), NullRecorder)
             };
-            println!("{bench}: {} instructions\n", uops.len());
+            println!("{bench}: {} instructions\n", tape.len());
             print_metrics(design, &m);
             Ok(())
         }
@@ -467,7 +467,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let uops = build_uops(bench, &cfg);
+            let tape = build_tape(bench, &cfg);
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
                     return Err(
@@ -476,13 +476,14 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     );
                 }
                 let phase = prof::scope("sampled-run");
-                let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan);
+                let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &plan);
+                let cell = run_sampled_windows(design, &cfg, &schedule);
                 drop(phase);
                 println!(
                     "{bench} on {} ({}): {} instructions, sampled {} (windows:len:warmup)\n",
                     design.mnemonic(),
                     design.description(),
-                    uops.len(),
+                    tape.len(),
                     plan.render()
                 );
                 print_sample_windows(&cell.windows);
@@ -493,8 +494,8 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     "measured          : {measured} committed micro-ops in {} window(s) \
                      ({:.1}% of the trace's {} micro-ops)",
                     cell.windows.len(),
-                    measured as f64 / uops.ops().len().max(1) as f64 * 100.0,
-                    uops.ops().len()
+                    measured as f64 / tape.len().max(1) as f64 * 100.0,
+                    tape.len()
                 );
                 if let Some(path) = &opts.out {
                     let mut out = String::new();
@@ -511,20 +512,20 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 }
                 return Ok(());
             }
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
             // With --intervals the run is recorded twice at once: the
             // event/stall recorder feeds the summary below, the interval
             // recorder the time series — one simulation, statically teed.
             let phase = prof::scope("detailed-run");
+            let cold = cfg.cold_state();
             let (m, rec, iv) = match opts.intervals {
                 None => {
                     let mut rec = TraceRecorder::new();
-                    let m = simulate_uops_with_recorder(&cfg.sim, &uops, tlb.as_mut(), &mut rec);
+                    let m = run_cell(&tape, design, &cfg, &cold, &mut rec);
                     (m, rec, None)
                 }
                 Some(width) => {
                     let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                    let m = simulate_uops_with_recorder(&cfg.sim, &uops, tlb.as_mut(), &mut tee);
+                    let m = run_cell(&tape, design, &cfg, &cold, &mut tee);
                     tee.b.finish();
                     (m, tee.a, Some(tee.b))
                 }
@@ -534,7 +535,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 "{bench} on {} ({}): {} instructions, {} cycles, IPC {:.3}\n",
                 design.mnemonic(),
                 design.description(),
-                uops.len(),
+                tape.len(),
                 m.cycles,
                 m.ipc()
             );
@@ -651,8 +652,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 checkpoint,
                 sample,
             };
-            let r = sweep_ft_on(&DesignSpec::TABLE2, &cfg, &sweep_opts, TraceCache::global())
-                .map_err(|e| e.to_string())?;
+            let r = sweep_ft(&DesignSpec::TABLE2, &cfg, &sweep_opts).map_err(|e| e.to_string())?;
             let title = if sample.is_some() {
                 "design sweep (sampled)"
             } else {

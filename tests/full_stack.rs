@@ -94,10 +94,10 @@ fn in_order_reduces_bandwidth_sensitivity() {
 fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in Benchmark::ALL {
-        let uops = bench.build(&cfg).uops();
+        let tape = bench.build(&cfg).tape();
         let mut last = f64::INFINITY;
         for (entries, policy) in FIG6_SIZES {
-            let rate = miss_rate_percent(&uops, entries, policy, PageGeometry::KB4, 1);
+            let rate = miss_rate_percent(&tape, entries, policy, PageGeometry::KB4, 1);
             // Random replacement adds noise; allow a small inversion.
             assert!(
                 rate <= last + 1.5,

@@ -31,10 +31,9 @@
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
 use hbat_suite::bench::ckpt::CheckpointOptions;
-use hbat_suite::bench::executor::TraceCache;
 use hbat_suite::bench::experiment::{
-    config_fingerprint, render_obs_record, run_cell_uops_with, sweep, sweep_ft_on, uops_for,
-    ExperimentConfig, SweepOptions, SweepResult,
+    config_fingerprint, render_obs_record, run_cell, sweep, sweep_ft, tape_for, ExperimentConfig,
+    SweepOptions, SweepResult,
 };
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
@@ -138,7 +137,7 @@ fn fig9_small_regs() {
 
 /// The Figure-5 sweep under `opts`, failing on any failed cell.
 fn fig5_with(opts: &SweepOptions) -> SweepResult {
-    let r = sweep_ft_on(&DesignSpec::TABLE2, &test_cfg(), opts, TraceCache::global()).unwrap();
+    let r = sweep_ft(&DesignSpec::TABLE2, &test_cfg(), opts).unwrap();
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
     r
 }
@@ -242,9 +241,9 @@ fn fig6_miss_counts() {
     let cfg = test_cfg();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let uops = uops_for(bench, &cfg);
+        let tape = tape_for(bench, &cfg);
         for (entries, policy) in FIG6_SIZES {
-            let (misses, refs) = miss_count(uops.ops(), entries, policy, cfg.geometry, 1996);
+            let (misses, refs) = miss_count(&tape, entries, policy, cfg.geometry, 1996);
             text.push_str(&format!("{}/{entries} {misses} {refs}\n", bench.name()));
         }
     }
@@ -258,7 +257,7 @@ fn uop_streams() {
     let cfg = test_cfg();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        for op in uops_for(bench, &cfg).ops() {
+        for op in tape_for(bench, &cfg).iter() {
             text.push_str(&format!("{bench} {op:?}\n"));
         }
     }
@@ -270,12 +269,13 @@ fn uop_streams() {
 /// stall taxonomy accounts for every cycle.
 fn obs_records(designs: &[DesignSpec]) -> String {
     let cfg = test_cfg();
+    let cold = cfg.cold_state();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let (_, uops) = TraceCache::global().get_or_build_uops(bench, &cfg.workload);
+        let tape = tape_for(bench, &cfg);
         for &design in designs {
             let mut rec = TraceRecorder::new();
-            run_cell_uops_with(uops.ops(), design, &cfg, &mut rec);
+            run_cell(&tape, design, &cfg, &cold, &mut rec);
             // Every cycle is an issue cycle or charged to one stall cause.
             assert_eq!(
                 rec.issue_cycles() + rec.stall_total(),
@@ -324,11 +324,11 @@ fn observed_cells_render_the_same_obs_records_on_table2() {
 fn interval_windows() {
     let cfg = test_cfg();
     let design = DesignSpec::parse("T1").unwrap();
+    let cold = cfg.cold_state();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let (_, uops) = TraceCache::global().get_or_build_uops(bench, &cfg.workload);
         let mut iv = IntervalRecorder::new(256);
-        run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+        run_cell(&tape_for(bench, &cfg), design, &cfg, &cold, &mut iv);
         iv.finish();
         for w in iv.windows() {
             text.push_str(&format!("{bench} {w:?}\n"));
