@@ -8,7 +8,8 @@
 //!
 //! Figure 6 is pinned the same way, over the `(misses, references)` of
 //! every workload and Figure-6 TLB size, and the functional executor
-//! over every workload's micro-op stream.
+//! over every workload's micro-op stream. The trace analyses are pinned
+//! over every workload's profiles, as the `anatomy` binary reads them.
 //!
 //! The rendered text is pinned too: each of Figures 5/7/8/9 exactly as
 //! the `figs` binary prints it, and a sampled Figure 5 exactly as
@@ -30,6 +31,7 @@
 //!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
+use hbat_suite::analysis::{page_stream, working_set, BankConflictProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::experiment::{
     config_fingerprint, render_obs_record, run_cell, sweep, sweep_ft, tape_for, ExperimentConfig,
@@ -262,6 +264,30 @@ fn uop_streams() {
         }
     }
     assert_eq!(fnv1a_hex(&text), "8fd1127759a78881");
+}
+
+/// Pins the trace analyses: every test-scale workload's reuse,
+/// adjacency (window 4), pointer and bank-conflict (4-bank bit-select,
+/// window 4) profiles and its working set per 1,000 references, as the
+/// `anatomy` binary computes them.
+#[test]
+fn anatomy_profiles() {
+    let cfg = test_cfg();
+    let geom = cfg.geometry;
+    let mut text = String::new();
+    for bench in Benchmark::ALL {
+        let trace = bench.build(&cfg.workload).trace();
+        let pages = page_stream(&trace, geom);
+        let reuse = ReuseProfile::of_trace(&trace, geom);
+        let adj = AdjacencyProfile::of_trace(&trace, geom, 4);
+        let ptr = PointerProfile::of_trace(&trace, geom);
+        let bc = BankConflictProfile::of_trace(&trace, geom, BankSelect::BitSelect, 4, 4);
+        let ws = working_set(&pages, 1000);
+        text.push_str(&format!(
+            "{bench} {reuse:?} {adj:?} {ptr:?} {bc:?} {ws:?}\n"
+        ));
+    }
+    assert_eq!(fnv1a_hex(&text), "8e4a2f998b4e778e");
 }
 
 /// The traced records of every workload under each of `designs`,
