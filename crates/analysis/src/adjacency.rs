@@ -10,9 +10,6 @@
 
 use std::collections::BTreeSet;
 
-use hbat_core::addr::PageGeometry;
-use hbat_isa::trace::TraceInst;
-
 /// Same-page structure of a reference stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdjacencyProfile {
@@ -38,17 +35,15 @@ pub struct AdjacencyProfile {
 }
 
 impl AdjacencyProfile {
-    /// Profiles `trace` with windows of `window` consecutive references.
+    /// Profiles a page-number stream
+    /// ([`page_stream`](crate::footprint::page_stream)) with windows of
+    /// `window` consecutive references.
     ///
     /// # Panics
     ///
     /// Panics if `window == 0`.
-    pub fn of_trace(trace: &[TraceInst], geometry: PageGeometry, window: usize) -> Self {
+    pub fn of_pages(pages: &[u64], window: usize) -> Self {
         assert!(window > 0, "window must be positive");
-        let pages: Vec<u64> = trace
-            .iter()
-            .filter_map(|t| t.mem.map(|m| geometry.vpn(m.vaddr).0))
-            .collect();
         let mut p = AdjacencyProfile {
             window,
             references: pages.len() as u64,
@@ -146,35 +141,10 @@ impl AdjacencyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_core::addr::VirtAddr;
-    use hbat_core::request::AccessKind;
-    use hbat_isa::inst::Width;
-    use hbat_isa::reg::Reg;
-    use hbat_isa::trace::{MemRef, OpClass, TraceInst};
-
-    fn mem_trace(pages: &[u64]) -> Vec<TraceInst> {
-        pages
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let mut t = TraceInst::blank(i as u64, i as u32, OpClass::Load);
-                t.mem = Some(MemRef {
-                    vaddr: VirtAddr(p << 12),
-                    kind: AccessKind::Load,
-                    width: Width::B8,
-                    base_reg: Reg::int(1),
-                    index_reg: None,
-                    offset: 0,
-                });
-                t
-            })
-            .collect()
-    }
 
     #[test]
     fn all_same_page_is_fully_combinable() {
-        let t = mem_trace(&[5; 16]);
-        let p = AdjacencyProfile::of_trace(&t, PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&[5; 16], 4);
         assert_eq!(p.windows, 4);
         assert_eq!(p.single_page_fraction(), 1.0);
         assert_eq!(p.combinable, 4 * 3);
@@ -186,7 +156,7 @@ mod tests {
     #[test]
     fn all_distinct_pages_cannot_combine() {
         let pages: Vec<u64> = (0..16).collect();
-        let p = AdjacencyProfile::of_trace(&mem_trace(&pages), PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&pages, 4);
         assert_eq!(p.combinable, 0);
         assert_eq!(p.single_page_fraction(), 0.0);
         assert!((p.mean_distinct_pages() - 4.0).abs() < 1e-12);
@@ -195,7 +165,7 @@ mod tests {
     #[test]
     fn mixed_stream_counts_pairs() {
         // Pages: a a b b — one window of 4 with 2 distinct.
-        let p = AdjacencyProfile::of_trace(&mem_trace(&[1, 1, 2, 2]), PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&[1, 1, 2, 2], 4);
         assert_eq!(p.windows, 1);
         assert_eq!(p.combinable, 2);
         assert_eq!(p.same_page_pairs, 2);
@@ -206,8 +176,7 @@ mod tests {
     fn regrouping_beats_aligned_chunking() {
         // a b b b b a a a: aligned windows absorb 2 + 2; the best
         // partition (a)(b b b b)(a a a) absorbs 3 + 2.
-        let p =
-            AdjacencyProfile::of_trace(&mem_trace(&[1, 2, 2, 2, 2, 1, 1, 1]), PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&[1, 2, 2, 2, 2, 1, 1, 1], 4);
         assert_eq!(p.combinable, 4);
         assert_eq!(p.max_combinable, 5);
         assert!(p.regrouped_combinable_fraction() > p.combinable_fraction());
@@ -215,13 +184,13 @@ mod tests {
 
     #[test]
     fn regrouping_matches_aligned_when_alignment_is_perfect() {
-        let p = AdjacencyProfile::of_trace(&mem_trace(&[5; 16]), PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&[5; 16], 4);
         assert_eq!(p.max_combinable, 12, "4 windows of 4 absorb 3 each");
     }
 
     #[test]
     fn ragged_tail_ignored() {
-        let p = AdjacencyProfile::of_trace(&mem_trace(&[1, 1, 1, 1, 1]), PageGeometry::KB4, 4);
+        let p = AdjacencyProfile::of_pages(&[1, 1, 1, 1, 1], 4);
         assert_eq!(p.windows, 1);
         assert_eq!(p.references, 5);
     }
@@ -229,6 +198,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
-        AdjacencyProfile::of_trace(&[], PageGeometry::KB4, 0);
+        AdjacencyProfile::of_pages(&[], 0);
     }
 }

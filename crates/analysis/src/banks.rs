@@ -8,9 +8,8 @@
 //! and how many of those collisions are same-page (unfixable by any
 //! selection function, but combinable by piggyback ports)?
 
-use hbat_core::addr::PageGeometry;
+use hbat_core::addr::Vpn;
 use hbat_core::designs::interleaved::BankSelect;
-use hbat_isa::trace::TraceInst;
 
 /// Bank-conflict statistics for one (selection function, bank count).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -29,25 +28,17 @@ pub struct BankConflictProfile {
 }
 
 impl BankConflictProfile {
-    /// Profiles `trace` under `select`/`banks`, using windows of
-    /// `window` consecutive memory references as the simultaneity proxy.
+    /// Profiles a page-number stream
+    /// ([`page_stream`](crate::footprint::page_stream)) under
+    /// `select`/`banks`, using windows of `window` consecutive memory
+    /// references as the simultaneity proxy.
     ///
     /// # Panics
     ///
     /// Panics if `window == 0` or `banks` is not a power of two.
-    pub fn of_trace(
-        trace: &[TraceInst],
-        geometry: PageGeometry,
-        select: BankSelect,
-        banks: usize,
-        window: usize,
-    ) -> Self {
+    pub fn of_pages(pages: &[u64], select: BankSelect, banks: usize, window: usize) -> Self {
         assert!(window > 0, "window must be positive");
         assert!(banks.is_power_of_two(), "banks must be a power of two");
-        let pages: Vec<u64> = trace
-            .iter()
-            .filter_map(|t| t.mem.map(|m| geometry.vpn(m.vaddr).0))
-            .collect();
         let mut p = BankConflictProfile::default();
         let mut claimed: Vec<Option<u64>> = vec![None; banks]; // page holding the bank
         for chunk in pages.chunks(window) {
@@ -58,7 +49,7 @@ impl BankConflictProfile {
             p.references += chunk.len() as u64;
             claimed.fill(None);
             for &page in chunk {
-                let bank = select.bank_of_vpn(hbat_core::addr::Vpn(page), banks);
+                let bank = select.bank_of_vpn(Vpn(page), banks);
                 match claimed[bank] {
                     None => claimed[bank] = Some(page),
                     Some(holder) => {
@@ -96,40 +87,16 @@ impl BankConflictProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_core::addr::VirtAddr;
-    use hbat_core::request::AccessKind;
-    use hbat_isa::inst::Width;
-    use hbat_isa::reg::Reg;
-    use hbat_isa::trace::{MemRef, OpClass};
-
-    fn mem_trace(pages: &[u64]) -> Vec<TraceInst> {
-        pages
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let mut t = TraceInst::blank(i as u64, i as u32, OpClass::Load);
-                t.mem = Some(MemRef {
-                    vaddr: VirtAddr(p << 12),
-                    kind: AccessKind::Load,
-                    width: Width::B8,
-                    base_reg: Reg::int(1),
-                    index_reg: None,
-                    offset: 0,
-                });
-                t
-            })
-            .collect()
-    }
 
     #[test]
     fn same_page_windows_conflict_maximally_and_unfixably() {
-        let t = mem_trace(&[3; 16]);
+        let t = [3; 16];
         for sel in [
             BankSelect::BitSelect,
             BankSelect::XorFold,
             BankSelect::Multiplicative,
         ] {
-            let p = BankConflictProfile::of_trace(&t, PageGeometry::KB4, sel, 8, 4);
+            let p = BankConflictProfile::of_pages(&t, sel, 8, 4);
             assert_eq!(p.conflicts, 4 * 3, "{sel:?}");
             assert_eq!(p.same_page_share(), 1.0, "{sel:?}: all same-page");
         }
@@ -138,8 +105,8 @@ mod tests {
     #[test]
     fn bank_spread_pages_do_not_conflict_under_bit_select() {
         // Pages 0..4 land on distinct banks with bit-select over 4 banks.
-        let t = mem_trace(&[0, 1, 2, 3, 0, 1, 2, 3]);
-        let p = BankConflictProfile::of_trace(&t, PageGeometry::KB4, BankSelect::BitSelect, 4, 4);
+        let t = [0, 1, 2, 3, 0, 1, 2, 3];
+        let p = BankConflictProfile::of_pages(&t, BankSelect::BitSelect, 4, 4);
         assert_eq!(p.conflicts, 0);
         assert_eq!(p.conflict_fraction(), 0.0);
     }
@@ -147,8 +114,8 @@ mod tests {
     #[test]
     fn distinct_pages_same_bank_conflict_fixably() {
         // Pages 0, 4, 8, 12 all map to bank 0 under 4-bank bit-select.
-        let t = mem_trace(&[0, 4, 8, 12]);
-        let p = BankConflictProfile::of_trace(&t, PageGeometry::KB4, BankSelect::BitSelect, 4, 4);
+        let t = [0, 4, 8, 12];
+        let p = BankConflictProfile::of_pages(&t, BankSelect::BitSelect, 4, 4);
         assert!(p.conflicts > 0);
         assert_eq!(
             p.same_page_conflicts, 0,
@@ -160,10 +127,8 @@ mod tests {
     fn more_banks_reduce_fixable_conflicts_only() {
         // Mix of same-page bursts and distinct pages.
         let pages: Vec<u64> = (0..64).map(|i| if i % 2 == 0 { 7 } else { i }).collect();
-        let t = mem_trace(&pages);
-        let p4 = BankConflictProfile::of_trace(&t, PageGeometry::KB4, BankSelect::BitSelect, 4, 4);
-        let p16 =
-            BankConflictProfile::of_trace(&t, PageGeometry::KB4, BankSelect::BitSelect, 16, 4);
+        let p4 = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 4, 4);
+        let p16 = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 16, 4);
         assert!(p16.conflicts <= p4.conflicts);
         assert!(
             p16.same_page_conflicts >= p16.conflicts / 2,

@@ -6,16 +6,23 @@
 //! * The **working set** (Denning): distinct pages inside a sliding window
 //!   of references — what a TLB of a given reach actually has to hold.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
-use hbat_core::addr::PageGeometry;
-use hbat_isa::trace::TraceInst;
+use hbat_core::addr::{PageGeometry, VirtAddr};
+use hbat_isa::uop::MicroOp;
 
-/// Extracts the page-number stream of a trace's data references.
-pub fn page_stream(trace: &[TraceInst], geometry: PageGeometry) -> Vec<u64> {
-    trace
-        .iter()
-        .filter_map(|t| t.mem.map(|m| geometry.vpn(m.vaddr).0))
+/// Extracts the page-number stream of a trace's data references, in
+/// program order: the input of every page-level analysis. Takes any
+/// micro-op sequence, a tape's `iter()` or a slice of ops alike.
+pub fn page_stream<I>(ops: I, geometry: PageGeometry) -> Vec<u64>
+where
+    I: IntoIterator,
+    I::Item: Borrow<MicroOp>,
+{
+    ops.into_iter()
+        .filter(|op| op.borrow().is_mem())
+        .map(|op| geometry.vpn(VirtAddr(op.borrow().vaddr)).0)
         .collect()
 }
 
@@ -63,6 +70,40 @@ pub fn working_set(pages: &[u64], window: usize) -> (f64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_isa::inst::{AddrMode, Inst, Width};
+    use hbat_isa::{Machine, Program, Reg};
+
+    #[test]
+    fn page_stream_keeps_data_references_in_order() {
+        let at = |offset| AddrMode::BaseOffset {
+            base: Reg::int(1),
+            offset,
+        };
+        let program = Program::new(vec![
+            Inst::Li {
+                d: Reg::int(1),
+                imm: 0x5000,
+            },
+            Inst::Load {
+                d: Reg::int(2),
+                addr: at(0x1008),
+                width: Width::B8,
+            },
+            Inst::Store {
+                s: Reg::int(2),
+                addr: at(0),
+                width: Width::B8,
+            },
+            Inst::Halt,
+        ])
+        .unwrap();
+        let mut machine = Machine::new(program);
+        let (tape, uops) = (machine.clone().run_to_tape(10), machine.run_to_uops(10));
+        // A tape's by-value ops and a slice's borrowed ops read alike.
+        assert_eq!(page_stream(tape.iter(), PageGeometry::KB4), vec![6, 5]);
+        assert_eq!(page_stream(&*uops, PageGeometry::KB4), vec![6, 5]);
+        assert_eq!(page_stream(&*uops, PageGeometry::KB8), vec![3, 2]);
+    }
 
     #[test]
     fn footprint_of_streaming_grows_linearly() {

@@ -3,7 +3,10 @@
 //! The paper's arguments rest on measurable stream properties: reference
 //! locality (Figure 6 and the multi-level TLB), same-page simultaneity
 //! (piggyback ports), and register-pointer reuse (pretranslation). This
-//! crate measures all three for any `hbat-isa` trace:
+//! crate measures all three for any `hbat-isa` micro-op sequence (a
+//! tape's `iter()`, or a slice of ops). [`page_stream`] extracts the
+//! data-page stream once; the page-level passes read that stream, and
+//! only the pointer pass reads the ops themselves:
 //!
 //! * [`reuse`] — LRU reuse-distance profiles: every LRU TLB size's miss
 //!   rate from one pass (the Figure-6 generalisation);
@@ -13,14 +16,13 @@
 //!   pretranslation shielding;
 //! * [`banks`] — interleaved-TLB bank conflicts, split into fixable
 //!   (different-page) and unfixable (same-page) collisions;
-//! * [`footprint`] — footprint curves and Denning working sets.
+//! * [`footprint`] — the page stream, footprint curves and Denning
+//!   working sets.
 //!
 //! ```
 //! use hbat_analysis::reuse::ReuseProfile;
-//! use hbat_core::addr::Vpn;
 //!
-//! let stream = [1u64, 2, 3, 1, 2, 3].map(Vpn);
-//! let profile = ReuseProfile::of_pages(stream);
+//! let profile = ReuseProfile::of_pages(&[1, 2, 3, 1, 2, 3]);
 //! assert_eq!(profile.distinct_pages(), 3);
 //! assert!(profile.lru_miss_rate(3) < profile.lru_miss_rate(2));
 //! ```

@@ -7,12 +7,12 @@
 //! lifetimes are (dereferences between redefinitions), and how often
 //! pointer arithmetic carries an attachment to a new register.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use hbat_core::addr::PageGeometry;
+use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::request::WritebackKind;
-use hbat_isa::reg::Reg;
-use hbat_isa::trace::TraceInst;
+use hbat_isa::uop::{MicroOp, NO_REG};
 
 /// Register-pointer behaviour of a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,22 +38,28 @@ pub struct PointerProfile {
 }
 
 impl PointerProfile {
-    /// Profiles `trace` under `geometry`, simulating an ideal (unbounded)
-    /// attachment per register with the paper's propagation rule.
-    pub fn of_trace(trace: &[TraceInst], geometry: PageGeometry) -> Self {
+    /// Profiles a micro-op sequence under `geometry`, simulating an
+    /// ideal (unbounded) attachment per register with the paper's
+    /// propagation rule. Registers are the ops' register codes.
+    pub fn of_ops<I>(ops: I, geometry: PageGeometry) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<MicroOp>,
+    {
         let mut p = PointerProfile::default();
         // Per register: (attached page, dereferences in current lifetime).
-        let mut attached: BTreeMap<Reg, (Option<u64>, u64)> = BTreeMap::new();
+        let mut attached: BTreeMap<u8, (Option<u64>, u64)> = BTreeMap::new();
         let end_lifetime = |p: &mut PointerProfile, e: Option<(Option<u64>, u64)>| {
             if let Some((Some(_), derefs)) = e {
                 p.lifetimes += 1;
                 p.lifetime_derefs += derefs;
             }
         };
-        for t in trace {
-            if let Some(mem) = t.mem {
-                let page = geometry.vpn(mem.vaddr).0;
-                let entry = attached.entry(mem.base_reg).or_insert((None, 0));
+        for op in ops {
+            let op = op.borrow();
+            if op.is_mem() {
+                let page = geometry.vpn(VirtAddr(op.vaddr)).0;
+                let entry = attached.entry(op.base_reg).or_insert((None, 0));
                 match entry.0 {
                     Some(prev) if prev == page => p.same_page_reuses += 1,
                     Some(_) => p.page_crossings += 1,
@@ -63,26 +69,25 @@ impl PointerProfile {
                 entry.1 += 1;
                 p.derefs += 1;
             }
+            let srcs = || op.srcs.into_iter().filter(|&s| s != NO_REG);
             // Writebacks after the use (a load redefines its own dest).
-            for d in t.dest_regs() {
-                let is_aux = t.aux_dest == Some(d) && t.dest != Some(d);
+            for d in [op.dest, op.aux_dest].into_iter().filter(|&d| d != NO_REG) {
+                let is_aux = op.aux_dest == d && op.dest != d;
                 let kind = if is_aux {
                     WritebackKind::PointerArith
                 } else {
-                    t.dest_kind
+                    op.dest_kind()
                 };
                 match kind {
                     WritebackKind::PointerArith => {
                         // Propagate from the first attached source.
-                        let src_attach = t
-                            .src_regs()
-                            .find_map(|s| attached.get(&s).and_then(|e| e.0));
+                        let src_attach = srcs().find_map(|s| attached.get(&s).and_then(|e| e.0));
                         if let Some(page) = src_attach {
-                            if t.src_regs().all(|s| s != d) {
+                            if srcs().all(|s| s != d) {
                                 p.propagations += 1;
                             }
                             let old = attached.insert(d, (Some(page), 0));
-                            if t.src_regs().all(|s| s != d) {
+                            if srcs().all(|s| s != d) {
                                 end_lifetime(&mut p, old);
                             } else if let Some(old) = old {
                                 // In-place pointer bump: lifetime continues.
@@ -124,44 +129,55 @@ impl PointerProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_core::addr::VirtAddr;
-    use hbat_core::request::AccessKind;
     use hbat_isa::inst::Width;
-    use hbat_isa::trace::{MemRef, OpClass};
+    use hbat_isa::reg::Reg;
+    use hbat_isa::OpClass;
 
-    fn load(serial: u64, base: u8, addr: u64) -> TraceInst {
-        let mut t = TraceInst::blank(serial, serial as u32, OpClass::Load);
-        t.dest = Some(Reg::int(20)); // loads define an unrelated register
-        t.mem = Some(MemRef {
-            vaddr: VirtAddr(addr),
-            kind: AccessKind::Load,
-            width: Width::B8,
-            base_reg: Reg::int(base),
-            index_reg: None,
+    fn op(serial: u64, class: OpClass, dest: u8) -> MicroOp {
+        MicroOp {
+            serial,
+            vaddr: 0,
+            pc: serial as u32,
+            target: 0,
             offset: 0,
-        });
-        t
+            class,
+            flags: 0,
+            srcs: [NO_REG; 3],
+            dest: Reg::int(dest).code(),
+            aux_dest: NO_REG,
+            base_reg: NO_REG,
+            index_reg: NO_REG,
+            width: Width::B8,
+            addr_src_mask: 0,
+        }
     }
 
-    fn arith(serial: u64, dest: u8, src: u8) -> TraceInst {
-        let mut t = TraceInst::blank(serial, serial as u32, OpClass::IntAlu);
-        t.dest = Some(Reg::int(dest));
-        t.dest_kind = WritebackKind::PointerArith;
-        t.srcs[0] = Some(Reg::int(src));
-        t
+    fn load(serial: u64, base: u8, addr: u64) -> MicroOp {
+        // Loads define an unrelated register.
+        MicroOp {
+            vaddr: addr,
+            flags: MicroOp::F_MEM,
+            base_reg: Reg::int(base).code(),
+            ..op(serial, OpClass::Load, 20)
+        }
     }
 
-    fn opaque(serial: u64, dest: u8) -> TraceInst {
-        let mut t = TraceInst::blank(serial, serial as u32, OpClass::IntAlu);
-        t.dest = Some(Reg::int(dest));
-        t.dest_kind = WritebackKind::Opaque;
-        t
+    fn arith(serial: u64, dest: u8, src: u8) -> MicroOp {
+        MicroOp {
+            flags: MicroOp::F_DEST_PTR,
+            srcs: [Reg::int(src).code(), NO_REG, NO_REG],
+            ..op(serial, OpClass::IntAlu, dest)
+        }
+    }
+
+    fn opaque(serial: u64, dest: u8) -> MicroOp {
+        op(serial, OpClass::IntAlu, dest)
     }
 
     #[test]
     fn repeated_same_page_derefs_reuse() {
         let trace: Vec<_> = (0..10).map(|i| load(i, 5, 0x4000 + i * 8)).collect();
-        let p = PointerProfile::of_trace(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
         assert_eq!(p.derefs, 10);
         assert_eq!(p.fresh_pointers, 1);
         assert_eq!(p.same_page_reuses, 9);
@@ -171,7 +187,7 @@ mod tests {
     #[test]
     fn page_crossing_detected() {
         let trace = vec![load(0, 5, 0x4000), load(1, 5, 0x5000)];
-        let p = PointerProfile::of_trace(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
         assert_eq!(p.page_crossings, 1);
         assert_eq!(p.same_page_reuses, 0);
     }
@@ -184,7 +200,7 @@ mod tests {
             opaque(2, 5),
             load(3, 5, 0x4010),
         ];
-        let p = PointerProfile::of_trace(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
         assert_eq!(p.fresh_pointers, 2, "redefinition forces a fresh start");
         assert_eq!(p.lifetimes, 1);
         assert_eq!(p.lifetime_derefs, 2);
@@ -198,7 +214,7 @@ mod tests {
             arith(1, 6, 5),     // r6 = r5 + k
             load(2, 6, 0x4008), // same page through r6: a reuse
         ];
-        let p = PointerProfile::of_trace(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
         assert_eq!(p.propagations, 1);
         assert_eq!(p.same_page_reuses, 1);
         assert_eq!(p.fresh_pointers, 1);
@@ -206,10 +222,8 @@ mod tests {
 
     #[test]
     fn in_place_increment_keeps_the_lifetime() {
-        let mut bump = arith(1, 5, 5);
-        bump.srcs[0] = Some(Reg::int(5));
-        let trace = vec![load(0, 5, 0x4000), bump, load(2, 5, 0x4008)];
-        let p = PointerProfile::of_trace(&trace, PageGeometry::KB4);
+        let trace = vec![load(0, 5, 0x4000), arith(1, 5, 5), load(2, 5, 0x4008)];
+        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
         assert_eq!(p.same_page_reuses, 1);
         assert_eq!(p.lifetimes, 0, "the lifetime is still open");
     }

@@ -6,9 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use hbat_core::addr::{PageGeometry, Vpn};
-use hbat_isa::trace::TraceInst;
-
 /// Histogram of LRU stack distances for a page-reference stream.
 #[derive(Debug, Clone, Default)]
 pub struct ReuseProfile {
@@ -21,27 +18,19 @@ pub struct ReuseProfile {
 }
 
 impl ReuseProfile {
-    /// Computes the profile of `trace`'s data references under `geometry`.
+    /// Computes the profile of a page-number stream
+    /// ([`page_stream`](crate::footprint::page_stream)).
     ///
     /// The implementation keeps the LRU stack as a vector of pages, most
     /// recent last; each reference scans back for its page. Cost is
     /// O(refs × live-distance), ample for the suite's stream lengths.
-    pub fn of_trace(trace: &[TraceInst], geometry: PageGeometry) -> Self {
-        Self::of_pages(
-            trace
-                .iter()
-                .filter_map(|t| t.mem.map(|m| geometry.vpn(m.vaddr))),
-        )
-    }
-
-    /// Computes the profile of a raw page-number stream.
-    pub fn of_pages<I: IntoIterator<Item = Vpn>>(pages: I) -> Self {
-        let mut stack: Vec<Vpn> = Vec::new();
-        let mut index: BTreeMap<Vpn, usize> = BTreeMap::new(); // vpn → slot
+    pub fn of_pages(pages: &[u64]) -> Self {
+        let mut stack: Vec<u64> = Vec::new();
+        let mut index: BTreeMap<u64, usize> = BTreeMap::new(); // page → slot
         let mut profile = ReuseProfile::default();
-        for vpn in pages {
+        for &page in pages {
             profile.total += 1;
-            match index.get(&vpn).copied() {
+            match index.get(&page).copied() {
                 Some(slot) => {
                     // Distance = number of distinct pages above the slot.
                     let distance = stack.len() - 1 - slot;
@@ -54,13 +43,13 @@ impl ReuseProfile {
                     for (i, p) in stack.iter().enumerate().skip(slot) {
                         index.insert(*p, i);
                     }
-                    stack.push(vpn);
-                    index.insert(vpn, stack.len() - 1);
+                    stack.push(page);
+                    index.insert(page, stack.len() - 1);
                 }
                 None => {
                     profile.cold += 1;
-                    stack.push(vpn);
-                    index.insert(vpn, stack.len() - 1);
+                    stack.push(page);
+                    index.insert(page, stack.len() - 1);
                 }
             }
         }
@@ -105,14 +94,10 @@ impl ReuseProfile {
 mod tests {
     use super::*;
 
-    fn vpns(seq: &[u64]) -> Vec<Vpn> {
-        seq.iter().map(|&p| Vpn(p)).collect()
-    }
-
     #[test]
     fn classic_example() {
         // a b c a: the second 'a' has distance 2.
-        let p = ReuseProfile::of_pages(vpns(&[1, 2, 3, 1]));
+        let p = ReuseProfile::of_pages(&[1, 2, 3, 1]);
         assert_eq!(p.references(), 4);
         assert_eq!(p.cold_references(), 3);
         // Three compulsory misses; the reuse hits only with ≥3 entries.
@@ -122,7 +107,7 @@ mod tests {
 
     #[test]
     fn repeated_single_page() {
-        let p = ReuseProfile::of_pages(vpns(&[7; 100]));
+        let p = ReuseProfile::of_pages(&[7; 100]);
         assert_eq!(p.cold_references(), 1);
         assert!((p.lru_miss_rate(1) - 0.01).abs() < 1e-12);
     }
@@ -131,7 +116,7 @@ mod tests {
     fn cyclic_thrash() {
         // Cycling 0..4 with capacity 4: LRU always misses.
         let seq: Vec<u64> = (0..100).map(|i| i % 5).collect();
-        let p = ReuseProfile::of_pages(vpns(&seq));
+        let p = ReuseProfile::of_pages(&seq);
         assert_eq!(p.lru_miss_rate(4), 1.0);
         assert!(p.lru_miss_rate(5) < 0.06);
     }
@@ -139,7 +124,7 @@ mod tests {
     #[test]
     fn miss_rate_is_monotone_in_size() {
         let seq: Vec<u64> = (0..500).map(|i| (i * i) % 37).collect();
-        let p = ReuseProfile::of_pages(vpns(&seq));
+        let p = ReuseProfile::of_pages(&seq);
         let mut last = 1.0f64;
         for n in 1..40 {
             let r = p.lru_miss_rate(n);
@@ -152,13 +137,14 @@ mod tests {
 
     #[test]
     fn matches_a_real_lru_bank() {
+        use hbat_core::addr::Vpn;
         use hbat_core::bank::TlbBank;
         use hbat_core::entry::{Protection, TlbEntry};
         use hbat_core::replacement::ReplacementPolicy;
         // Differential check: profile-predicted misses equal an actual
         // LRU bank's misses for several sizes.
         let seq: Vec<u64> = (0..400).map(|i| (i * 7 + i / 3) % 23).collect();
-        let p = ReuseProfile::of_pages(vpns(&seq));
+        let p = ReuseProfile::of_pages(&seq);
         for entries in [1usize, 2, 4, 8, 16, 32] {
             let mut bank = TlbBank::new(entries, ReplacementPolicy::Lru, 0);
             let mut misses = 0u64;
@@ -184,7 +170,7 @@ mod tests {
     #[test]
     fn entries_for_target() {
         let seq: Vec<u64> = (0..1000).map(|i| i % 10).collect();
-        let p = ReuseProfile::of_pages(vpns(&seq));
+        let p = ReuseProfile::of_pages(&seq);
         assert_eq!(p.entries_for_miss_rate(0.05), Some(10));
         assert!(
             p.entries_for_miss_rate(0.0).is_none(),

@@ -5,36 +5,13 @@ use proptest::prelude::*;
 use hbat_analysis::adjacency::AdjacencyProfile;
 use hbat_analysis::footprint::{footprint_curve, working_set};
 use hbat_analysis::reuse::ReuseProfile;
-use hbat_core::addr::{PageGeometry, Ppn, VirtAddr, Vpn};
+use hbat_core::addr::{Ppn, Vpn};
 use hbat_core::bank::TlbBank;
 use hbat_core::entry::{Protection, TlbEntry};
 use hbat_core::replacement::ReplacementPolicy;
-use hbat_core::request::AccessKind;
-use hbat_isa::inst::Width;
-use hbat_isa::reg::Reg;
-use hbat_isa::trace::{MemRef, OpClass, TraceInst};
 
 fn page_stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..30, 1..400)
-}
-
-fn mem_trace(pages: &[u64]) -> Vec<TraceInst> {
-    pages
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let mut t = TraceInst::blank(i as u64, i as u32, OpClass::Load);
-            t.mem = Some(MemRef {
-                vaddr: VirtAddr(p << 12),
-                kind: AccessKind::Load,
-                width: Width::B8,
-                base_reg: Reg::int(1),
-                index_reg: None,
-                offset: 0,
-            });
-            t
-        })
-        .collect()
 }
 
 proptest! {
@@ -42,7 +19,7 @@ proptest! {
     /// for every size — on arbitrary streams.
     #[test]
     fn reuse_profile_equals_real_lru_banks(pages in page_stream(), entries in 1usize..20) {
-        let profile = ReuseProfile::of_pages(pages.iter().map(|&p| Vpn(p)));
+        let profile = ReuseProfile::of_pages(&pages);
         let mut bank = TlbBank::new(entries, ReplacementPolicy::Lru, 0);
         let mut misses = 0u64;
         for &p in &pages {
@@ -59,7 +36,7 @@ proptest! {
     /// below by the compulsory rate.
     #[test]
     fn reuse_rates_are_monotone(pages in page_stream()) {
-        let profile = ReuseProfile::of_pages(pages.iter().map(|&p| Vpn(p)));
+        let profile = ReuseProfile::of_pages(&pages);
         let compulsory = profile.cold_references() as f64 / pages.len() as f64;
         let mut last = 1.0 + 1e-12;
         for n in 1..35 {
@@ -74,8 +51,7 @@ proptest! {
     /// references, and the ceilings are sane.
     #[test]
     fn adjacency_accounting_balances(pages in page_stream(), window in 1usize..9) {
-        let trace = mem_trace(&pages);
-        let a = AdjacencyProfile::of_trace(&trace, PageGeometry::KB4, window);
+        let a = AdjacencyProfile::of_pages(&pages, window);
         let distinct_sum: u64 = a
             .distinct_hist
             .iter()

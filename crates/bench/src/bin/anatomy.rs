@@ -33,12 +33,12 @@ fn main() {
     t.numeric();
 
     for bench in Benchmark::ALL {
-        let trace = bench.build(&cfg.workload).trace();
-        let pages = page_stream(&trace, geom);
-        let reuse = ReuseProfile::of_pages(pages.iter().map(|&p| hbat_core::addr::Vpn(p)));
-        let adj = AdjacencyProfile::of_trace(&trace, geom, 4);
-        let ptr = PointerProfile::of_trace(&trace, geom);
-        let bc = BankConflictProfile::of_trace(&trace, geom, BankSelect::BitSelect, 4, 4);
+        let tape = bench.build(&cfg.workload).tape();
+        let pages = page_stream(tape.iter(), geom);
+        let reuse = ReuseProfile::of_pages(&pages);
+        let adj = AdjacencyProfile::of_pages(&pages, 4);
+        let ptr = PointerProfile::of_ops(tape.iter(), geom);
+        let bc = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 4, 4);
         let (ws_mean, _) = working_set(&pages, 1000);
         t.row(vec![
             bench.name().to_owned(),

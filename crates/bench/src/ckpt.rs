@@ -47,27 +47,6 @@ pub struct CheckpointOptions {
     pub boundary: u64,
 }
 
-/// One benchmark's warm timing input: the detailed-timing tail of the
-/// trace plus the warm state at its start.
-#[derive(Debug, Clone)]
-pub struct WarmTrace {
-    /// Committed-path tail, from the boundary to the end, as a tape of
-    /// the program's templates.
-    pub tail: Tape,
-    /// The warm-state accumulator at the boundary. A full run installs
-    /// its [`warm_state`](WarmAccumulator::warm_state); the sampled
-    /// runner clones it to *continue* accumulation through the
-    /// functional gaps between detailed windows.
-    pub acc: WarmAccumulator,
-    /// Where timing starts: `min(F, halt point)`.
-    pub start: u64,
-    /// The snapshot index this build restored from (`None` = cold start).
-    pub restored_from: Option<u64>,
-    /// Snapshots rejected during the restore scan, newest first, with
-    /// their typed errors rendered — evidence of detection-plus-recovery.
-    pub rejected: Vec<(PathBuf, String)>,
-}
-
 /// One benchmark at the start of detailed timing: the machine, ready to
 /// run the timing tail, and the warm state there. Every sweep keeps
 /// this, not the tail: a program's first cell runs a clone of the
@@ -143,36 +122,21 @@ impl WarmStart {
     pub fn tail(&self) -> Result<Tape, CkptError> {
         self.run_clone(Machine::run_to_tape)
     }
-
-    /// The timing tail with the warm state at its start.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::tail_len`].
-    pub fn into_trace(self) -> Result<WarmTrace, CkptError> {
-        Ok(WarmTrace {
-            tail: self.tail()?,
-            acc: self.acc,
-            start: self.start,
-            restored_from: self.restored_from,
-            rejected: self.rejected,
-        })
-    }
 }
 
-/// Builds a benchmark's warm trace with *no* disk involvement: a pure
-/// in-memory fast-forward to `boundary`. This is the differential
-/// reference the checkpointed path must match bit for bit.
+/// Fast-forwards a benchmark to `boundary` with *no* disk involvement:
+/// a pure in-memory fast-forward. This is the differential reference
+/// [`build_warm_start`] must match bit for bit.
 ///
 /// # Errors
 ///
 /// Fails only if the workload misbehaves (does not halt within its step
 /// budget).
-pub fn build_warm_trace_cold(
+pub fn build_warm_start_cold(
     bench: Benchmark,
     cfg: &ExperimentConfig,
     boundary: u64,
-) -> Result<WarmTrace, CkptError> {
+) -> Result<WarmStart, CkptError> {
     let _prof = hbat_obs::prof::scope("warm-build");
     let mut ws = WarmStart::program_start(bench, cfg);
     let out = fast_forward(
@@ -185,7 +149,7 @@ pub fn build_warm_trace_cold(
         |_, _, _| Ok(()),
     )?;
     ws.start = out.index;
-    ws.into_trace()
+    Ok(ws)
 }
 
 /// Re-signs a snapshot image so only the deliberately-wrong field can be
@@ -245,7 +209,7 @@ fn corrupt_newest(store: &CheckpointStore, fault: CkptFault) -> Result<(), CkptE
 /// (cold-starting past any rejected ones), fast-forwards the remainder
 /// while publishing snapshots every `opts.interval` instructions, and
 /// returns the machine and warm state there. Bit-identical to
-/// [`build_warm_trace_cold`] wherever it restores from, which
+/// [`build_warm_start_cold`] wherever it restores from, which
 /// [`verify_restore_equivalence`] checks.
 ///
 /// `attempt` is the executor's 1-based retry attempt; an armed
@@ -345,27 +309,6 @@ pub fn build_warm_start(
     Ok(ws)
 }
 
-/// [`build_warm_start`], run on to collect the timing tail.
-///
-/// # Errors
-///
-/// As [`build_warm_start`], or a workload that does not halt.
-///
-/// # Panics
-///
-/// As [`build_warm_start`].
-pub fn build_warm_trace(
-    bench: Benchmark,
-    bi: usize,
-    cfg: &ExperimentConfig,
-    opts: &CheckpointOptions,
-    faults: &FaultPlan,
-    attempt: u32,
-    cancel: Option<&AtomicBool>,
-) -> Result<WarmTrace, CkptError> {
-    build_warm_start(bench, bi, cfg, opts, faults, attempt, cancel)?.into_trace()
-}
-
 /// What [`verify_restore_equivalence`] proved.
 #[derive(Debug)]
 pub struct EquivalenceReport {
@@ -380,9 +323,9 @@ pub struct EquivalenceReport {
     pub pages_touched: usize,
 }
 
-/// Differential proof that restore is exact: builds the benchmark's warm
-/// trace cold (pure in-memory) and through the checkpoint store with a
-/// forced mid-stream restore, then runs both against every design in
+/// Differential proof that restore is exact: fast-forwards the benchmark
+/// cold (pure in-memory) and through the checkpoint store with a forced
+/// mid-stream restore, then times both tails against every design in
 /// `designs` and demands bit-identical [`RunMetrics`](hbat_cpu::RunMetrics).
 ///
 /// The checkpointed side is populated by a first (cold) checkpointing
@@ -403,10 +346,10 @@ pub fn verify_restore_equivalence(
     let err = |stage: &str, e: CkptError| format!("{}: {stage}: {e}", bench.name());
 
     let cold =
-        build_warm_trace_cold(bench, cfg, opts.boundary).map_err(|e| err("cold build", e))?;
+        build_warm_start_cold(bench, cfg, opts.boundary).map_err(|e| err("cold build", e))?;
 
     // Pass 1: populate the store (itself a cold start).
-    let first = build_warm_trace(bench, 0, cfg, opts, &FaultPlan::none(), 1, None)
+    let first = build_warm_start(bench, 0, cfg, opts, &FaultPlan::none(), 1, None)
         .map_err(|e| err("checkpointing pass", e))?;
     if first.restored_from.is_some() {
         return Err(format!(
@@ -430,7 +373,7 @@ pub fn verify_restore_equivalence(
     }
 
     // Pass 2: restore and resume.
-    let restored = build_warm_trace(bench, 0, cfg, opts, &FaultPlan::none(), 1, None)
+    let restored = build_warm_start(bench, 0, cfg, opts, &FaultPlan::none(), 1, None)
         .map_err(|e| err("restore pass", e))?;
     let Some(restored_from) = restored.restored_from else {
         return Err(format!(
@@ -448,9 +391,11 @@ pub fn verify_restore_equivalence(
         ));
     }
     let (cold_warm, restored_warm) = (cold.acc.warm_state(), restored.acc.warm_state());
+    let cold_tail = cold.tail().map_err(|e| err("cold tail", e))?;
+    let restored_tail = restored.tail().map_err(|e| err("restored tail", e))?;
     for design in designs {
-        let a = run_cell(&cold.tail, *design, cfg, &cold_warm, NullRecorder);
-        let b = run_cell(&restored.tail, *design, cfg, &restored_warm, NullRecorder);
+        let a = run_cell(&cold_tail, *design, cfg, &cold_warm, NullRecorder);
+        let b = run_cell(&restored_tail, *design, cfg, &restored_warm, NullRecorder);
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",
@@ -490,8 +435,8 @@ mod tests {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let dir = tdir("match");
         let o = opts(dir.clone());
-        let cold = build_warm_trace_cold(Benchmark::Compress, &cfg, o.boundary).unwrap();
-        let ck = build_warm_trace(
+        let cold = build_warm_start_cold(Benchmark::Compress, &cfg, o.boundary).unwrap();
+        let ck = build_warm_start(
             Benchmark::Compress,
             0,
             &cfg,
@@ -503,12 +448,12 @@ mod tests {
         .unwrap();
         assert_eq!(cold.start, ck.start);
         assert_eq!(cold.acc.export(), ck.acc.export());
-        assert_eq!(cold.tail, ck.tail);
+        assert_eq!(cold.tail().unwrap(), ck.tail().unwrap());
         assert!(ck.restored_from.is_none(), "first pass cold-starts");
 
         // A second pass restores from the boundary snapshot and skips
         // straight to the tail.
-        let again = build_warm_trace(
+        let again = build_warm_start(
             Benchmark::Compress,
             0,
             &cfg,
@@ -552,7 +497,7 @@ mod tests {
         ] {
             let dir = tdir(&format!("corrupt-{tag}"));
             let o = opts(dir.clone());
-            let clean = build_warm_trace(
+            let clean = build_warm_start(
                 Benchmark::Compress,
                 0,
                 &cfg,
@@ -564,7 +509,7 @@ mod tests {
             .unwrap();
             let plan = FaultPlan::none().with_ckpt_fault(0, fault);
             let recovered =
-                build_warm_trace(Benchmark::Compress, 0, &cfg, &o, &plan, 1, None).unwrap();
+                build_warm_start(Benchmark::Compress, 0, &cfg, &o, &plan, 1, None).unwrap();
             assert!(
                 !recovered.rejected.is_empty(),
                 "{fault:?}: corruption must be detected"
@@ -590,16 +535,16 @@ mod tests {
         let o = opts(dir.clone());
         let plan = FaultPlan::none().with_ckpt_fault(0, CkptFault::FfPanic);
         let attempt1 = std::panic::catch_unwind(|| {
-            build_warm_trace(Benchmark::Compress, 0, &cfg, &o, &plan, 1, None)
+            build_warm_start(Benchmark::Compress, 0, &cfg, &o, &plan, 1, None)
         });
         assert!(attempt1.is_err(), "attempt 1 must panic after a snapshot");
 
         // The panic landed after a checkpoint was durably published, so
         // attempt 2 restores instead of cold-starting.
-        let attempt2 = build_warm_trace(Benchmark::Compress, 0, &cfg, &o, &plan, 2, None).unwrap();
+        let attempt2 = build_warm_start(Benchmark::Compress, 0, &cfg, &o, &plan, 2, None).unwrap();
         assert!(attempt2.restored_from.is_some(), "retry must restore");
 
-        let cold = build_warm_trace_cold(Benchmark::Compress, &cfg, o.boundary).unwrap();
+        let cold = build_warm_start_cold(Benchmark::Compress, &cfg, o.boundary).unwrap();
         assert_eq!(
             attempt2.acc.export(),
             cold.acc.export(),

@@ -28,7 +28,6 @@ use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
 use hbat_isa::tape::Tape;
-use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::MicroOp;
 use hbat_obs::{
     prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
@@ -43,7 +42,7 @@ use crate::ckpt::{build_warm_start, CheckpointOptions, WarmStart};
 use crate::executor::{
     parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::journal::{
     fnv1a_hex, read_interval_sidecar, read_journal, CellKey, JournalRecord, JournalWriter,
 };
@@ -747,36 +746,6 @@ fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
     order
 }
 
-/// Exercises the corrupt-input recovery path for a `CorruptTrace`
-/// fault: the ops the cell times (a sampled cell's detail slices) are
-/// decoded back to `TraceInst` records and serialised, the image is
-/// truncated at the plan's deterministic offset, and fed back through
-/// [`read_trace`], which must reject it. Diverges either way: the
-/// rejection (the expected path) fails the cell cleanly into the
-/// manifest, and an accepted corrupt image is a hardening bug surfaced
-/// loudly.
-///
-/// # Panics
-///
-/// Always — both branches diverge by design; the surrounding cell
-/// isolation turns the panic into a manifest entry.
-fn run_with_corrupt_trace(
-    index: usize,
-    ops: impl IntoIterator<Item = MicroOp>,
-    plan: &FaultPlan,
-) -> ! {
-    let insts: Vec<_> = ops.into_iter().map(|op| op.decode()).collect();
-    let mut buf = Vec::new();
-    if let Err(e) = write_trace(&mut buf, &insts) {
-        panic!("injected fault: trace serialisation failed: {e}");
-    }
-    buf.truncate(plan.corruption_offset(index, buf.len()));
-    match read_trace(&mut &buf[..]) {
-        Err(e) => panic!("injected fault: corrupt trace rejected: {e}"),
-        Ok(_) => panic!("corrupt trace image was accepted by read_trace"),
-    }
-}
-
 /// [`sweep_ft`], for callers that still pass a trace cache; the sweep
 /// holds no trace, so `_cache` is neither read nor filled.
 ///
@@ -1053,7 +1022,6 @@ pub fn sweep_ft(
                 !ctx.cancelled(),
                 "injected fault: cell {i} stalled past its deadline"
             );
-            let corrupt = opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace);
             let design = designs[di];
             // `windows` unifies the two interval sources: cycle-width
             // intervals from the recorder (which can drop on buffer
@@ -1063,13 +1031,6 @@ pub fn sweep_ft(
                 let _cell = prof::scope("cell-run");
                 let schedule =
                     schedules[bi].get_or_build(|| input.schedule(cfg, opts.sample.as_ref()));
-                if corrupt {
-                    run_with_corrupt_trace(
-                        i,
-                        schedule.iter().flat_map(|w| w.ops.iter()),
-                        &opts.faults,
-                    );
-                }
                 let out = match (opts.sample, &schedule[..]) {
                     (Some(_), _) => {
                         let _windows = prof::scope("windows");
@@ -1448,20 +1409,24 @@ mod tests {
     #[test]
     fn shared_schedule_builds_once_and_drops_after_the_last_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let slot = SharedSchedule::new(3);
-        let builds = AtomicUsize::new(0);
-        let build = || {
-            builds.fetch_add(1, Ordering::SeqCst);
-            vec![cold_window(); 2]
-        };
-        let got = parallel_map(3, 3, |_| slot.get_or_build(build));
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build, shared");
-        assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
-        slot.finish_cell();
-        slot.finish_cell();
-        assert!(slot.is_held(), "a cell is still to finish");
-        slot.finish_cell();
-        assert!(!slot.is_held(), "the last cell drops the schedule");
+        // (cells that finish, held afterwards): all three, or two while
+        // the third fails after taking the schedule and never finishes.
+        for (finishing, held) in [(3, false), (2, true)] {
+            let slot = SharedSchedule::new(3);
+            let builds = AtomicUsize::new(0);
+            let build = || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                vec![cold_window(); 2]
+            };
+            let got = parallel_map(3, 3, |_| slot.get_or_build(build));
+            assert_eq!(builds.load(Ordering::SeqCst), 1, "one build, shared");
+            assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+            for _ in 0..finishing {
+                assert!(slot.is_held(), "a cell is still to finish");
+                slot.finish_cell();
+            }
+            assert_eq!(slot.is_held(), held, "{finishing} of 3 cells finished");
+        }
     }
 
     #[test]

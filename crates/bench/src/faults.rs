@@ -2,18 +2,17 @@
 //!
 //! A [`FaultPlan`] is a seeded, reproducible assignment of faults to
 //! cell indices: a cell can be made to panic (for its first `k`
-//! attempts or forever), to stall until the watchdog cancels it, or to
-//! receive a corrupted trace image that the `hbat-isa` reader must
-//! reject. The plan is pure data — the same seed and cell count always
-//! select the same cells — so every recovery path in the executor
-//! (catch-and-continue, bounded retry, deadline cancellation, corrupt
-//! input rejection) can be exercised by deterministic tests and CI.
+//! attempts or forever) or to stall until the watchdog cancels it. The
+//! plan is pure data — the same seed and cell count always select the
+//! same cells — so every recovery path in the executor
+//! (catch-and-continue, bounded retry, deadline cancellation) can be
+//! exercised by deterministic tests and CI.
 //!
 //! Plans can also be armed from the environment for end-to-end runs:
 //!
 //! ```text
-//! HBAT_FAULT_PLAN="seed=7,panic=3,stall=1,corrupt=2"   seeded random cells
-//! HBAT_FAULT_PLAN="panic@4,stall@9,corrupt@12"          explicit cells
+//! HBAT_FAULT_PLAN="seed=7,panic=3,stall=1"   seeded random cells
+//! HBAT_FAULT_PLAN="panic@4,stall@9"          explicit cells
 //! ```
 //!
 //! Checkpoint faults target the snapshot subsystem instead of cells and
@@ -44,9 +43,6 @@ pub enum FaultKind {
     /// Spin (cooperatively) until the watchdog sets the cell's cancel
     /// flag — a bounded stand-in for a wedged simulation.
     Stall,
-    /// The cell's trace image is corrupted before use; the reader must
-    /// reject it and the cell fails cleanly into the manifest.
-    CorruptTrace,
 }
 
 /// Faults against the checkpoint subsystem, keyed by *benchmark* index
@@ -81,7 +77,6 @@ pub struct FaultPlan {
     trace_faults: BTreeMap<usize, ()>,
     /// Benchmark indices whose checkpoint pipeline is sabotaged.
     ckpt_faults: BTreeMap<usize, CkptFault>,
-    seed: u64,
 }
 
 /// SplitMix64 — the tiny, high-quality step generator used to pick
@@ -111,25 +106,15 @@ impl FaultPlan {
     }
 
     /// Builds a seeded plan over `n_cells` cells: `panics` cells panic
-    /// on every attempt, `stalls` cells stall, and `corrupts` cells get
-    /// corrupt traces. Cells are chosen without replacement; the same
-    /// `(seed, n_cells, counts)` always selects the same cells.
-    pub fn seeded(
-        seed: u64,
-        n_cells: usize,
-        panics: usize,
-        stalls: usize,
-        corrupts: usize,
-    ) -> Self {
-        let mut plan = FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        };
+    /// on every attempt and `stalls` cells stall. Cells are chosen
+    /// without replacement; the same `(seed, n_cells, counts)` always
+    /// selects the same cells.
+    pub fn seeded(seed: u64, n_cells: usize, panics: usize, stalls: usize) -> Self {
+        let mut plan = FaultPlan::default();
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let kinds = [
             (panics, FaultKind::Panic { failures: u32::MAX }),
             (stalls, FaultKind::Stall),
-            (corrupts, FaultKind::CorruptTrace),
         ];
         for (count, kind) in kinds {
             let mut placed = 0;
@@ -188,25 +173,6 @@ impl FaultPlan {
         self.faults.keys().copied().collect()
     }
 
-    /// Deterministic per-cell corruption point: the byte offset at which
-    /// a [`FaultKind::CorruptTrace`] fault truncates an `len`-byte trace
-    /// image (truncation mid-stream is always detectable, unlike a bit
-    /// flip in a dense varint body). Offsets land past the 16-byte
-    /// header so the corruption exercises record parsing, not just the
-    /// magic check (unless the image is header-only).
-    pub fn corruption_offset(&self, index: usize, len: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        let mut state = self.seed ^ (index as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        let body = len.saturating_sub(16);
-        if body == 0 {
-            (splitmix64(&mut state) % len as u64) as usize
-        } else {
-            16 + (splitmix64(&mut state) % body as u64) as usize
-        }
-    }
-
     /// Executes the cell fault armed on `index`, if any, for the given
     /// 1-based `attempt`. Called by the sweep's cell job before the real
     /// simulation. Stalls spin in short sleeps until `cancelled` is set
@@ -243,7 +209,7 @@ impl FaultPlan {
     /// sweep's cell count, or `usize::MAX` to defer bounding).
     pub fn parse(spec: &str, n_cells: usize) -> Self {
         let mut seed = 0u64;
-        let mut counts = [0usize; 3]; // panic, stall, corrupt
+        let mut counts = [0usize; 2]; // panic, stall
         let mut explicit: Vec<(usize, FaultKind)> = Vec::new();
         let mut explicit_ckpt: Vec<(usize, CkptFault)> = Vec::new();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -252,7 +218,6 @@ impl FaultPlan {
                     ("seed", Ok(v)) => seed = v,
                     ("panic", Ok(v)) => counts[0] = v as usize,
                     ("stall", Ok(v)) => counts[1] = v as usize,
-                    ("corrupt", Ok(v)) => counts[2] = v as usize,
                     _ => eprintln!("warning: ignoring fault-plan term {part:?}"),
                 }
             } else if let Some((kind, at)) = part.split_once('@') {
@@ -260,7 +225,6 @@ impl FaultPlan {
                     "panic" => Some(FaultKind::Panic { failures: u32::MAX }),
                     "panic_once" => Some(FaultKind::Panic { failures: 1 }),
                     "stall" => Some(FaultKind::Stall),
-                    "corrupt" => Some(FaultKind::CorruptTrace),
                     _ => None,
                 };
                 let ckpt_kind = match kind.trim() {
@@ -286,7 +250,7 @@ impl FaultPlan {
         } else {
             n_cells
         };
-        let mut plan = FaultPlan::seeded(seed, bound, counts[0], counts[1], counts[2]);
+        let mut plan = FaultPlan::seeded(seed, bound, counts[0], counts[1]);
         for (idx, kind) in explicit {
             plan = plan.with(idx, kind);
         }
@@ -303,21 +267,21 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_disjoint() {
-        let a = FaultPlan::seeded(7, 130, 3, 2, 1);
-        let b = FaultPlan::seeded(7, 130, 3, 2, 1);
+        let a = FaultPlan::seeded(7, 130, 3, 2);
+        let b = FaultPlan::seeded(7, 130, 3, 2);
         assert_eq!(a.cells(), b.cells());
-        assert_eq!(a.len(), 6, "faults land on distinct cells");
+        assert_eq!(a.len(), 5, "faults land on distinct cells");
         for idx in a.cells() {
             assert!(idx < 130);
             assert_eq!(a.fault_for(idx), b.fault_for(idx));
         }
-        let c = FaultPlan::seeded(8, 130, 3, 2, 1);
+        let c = FaultPlan::seeded(8, 130, 3, 2);
         assert_ne!(a.cells(), c.cells(), "different seed, different cells");
     }
 
     #[test]
     fn saturated_plan_stops_at_cell_count() {
-        let p = FaultPlan::seeded(1, 4, 10, 10, 10);
+        let p = FaultPlan::seeded(1, 4, 10, 10);
         assert_eq!(p.len(), 4);
     }
 
@@ -342,24 +306,16 @@ mod tests {
     }
 
     #[test]
-    fn corruption_offsets_hit_the_body_deterministically() {
-        let plan = FaultPlan::seeded(42, 10, 0, 0, 1);
-        let a = plan.corruption_offset(5, 1000);
-        assert_eq!(a, plan.corruption_offset(5, 1000));
-        assert!((16..1000).contains(&a));
-        assert!(plan.corruption_offset(5, 8) < 8, "tiny images still hit");
-        assert_eq!(plan.corruption_offset(5, 0), 0);
-    }
-
-    #[test]
     fn parse_counts_and_explicit_cells() {
-        let p = FaultPlan::parse("seed=9, panic=2, stall@7, corrupt@11", 100);
-        assert!(p.len() >= 4);
+        let p = FaultPlan::parse("seed=9, panic=2, stall@7, panic_once@11", 100);
+        assert!(p.len() >= 3);
         assert_eq!(p.fault_for(7), Some(FaultKind::Stall));
-        assert_eq!(p.fault_for(11), Some(FaultKind::CorruptTrace));
+        assert_eq!(p.fault_for(11), Some(FaultKind::Panic { failures: 1 }));
         let q = FaultPlan::parse("panic_once@0", 10);
         assert_eq!(q.fault_for(0), Some(FaultKind::Panic { failures: 1 }));
         assert!(FaultPlan::parse("garbage", 10).is_empty());
+        // Unknown fault kinds are ignored with a warning.
+        assert!(FaultPlan::parse("corrupt@3, corrupt=2", 10).is_empty());
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod outcome;
 pub mod sample;
 
 pub use ckpt::{
-    build_warm_start, build_warm_trace, build_warm_trace_cold, verify_restore_equivalence,
-    CheckpointOptions, EquivalenceReport, WarmStart, WarmTrace,
+    build_warm_start, build_warm_start_cold, verify_restore_equivalence, CheckpointOptions,
+    EquivalenceReport, WarmStart,
 };
 pub use executor::{
     parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,

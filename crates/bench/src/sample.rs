@@ -831,15 +831,16 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
+        let ws = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let p = plan(6, 200, 50);
-        let tail = wt.tail.to_ops();
-        let a = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
-        let b = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
+        let tape = ws.tail().unwrap();
+        let tail = tape.to_ops();
+        let a = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
+        let b = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
-        let warm = wt.acc.warm_state();
-        let full = run_cell(&wt.tail, design, &cfg, &warm, hbat_obs::NullRecorder);
+        let warm = ws.acc.warm_state();
+        let full = run_cell(&tape, design, &cfg, &warm, hbat_obs::NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -908,10 +909,11 @@ mod tests {
         let (mws, mread) = check_schedule(&cfg, full, 0, machine(n), machine_read, None, &p);
         assert_eq!((mws, mread), (ws, read));
 
-        let wt = crate::ckpt::build_warm_trace_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
-        let skip = wt.start as usize;
-        assert_eq!(full[skip..], wt.tail.to_ops());
-        let tail = (wt.tail.reader(), wt.tail.len() as u64);
+        let start = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
+        let skip = start.start as usize;
+        let tape = start.tail().unwrap();
+        assert_eq!(full[skip..], tape.to_ops());
+        let tail = (tape.reader(), tape.len() as u64);
         let tail_read = |r: &TapeReader| r.pos() as u64;
         let (ws, _) = check_schedule(
             &cfg,
@@ -919,7 +921,7 @@ mod tests {
             skip,
             tail,
             tail_read,
-            Some(&wt.acc),
+            Some(&start.acc),
             &plan(6, 200, 50),
         );
         assert_eq!(ws.len(), 6);

@@ -193,12 +193,13 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let p = plan();
     for bench in Benchmark::ALL {
-        let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, 2_000).unwrap();
-        let warm = wt.acc.warm_state();
-        let tail = wt.tail.to_ops();
+        let ws = hbat_bench::ckpt::build_warm_start_cold(bench, &cfg, 2_000).unwrap();
+        let warm = ws.acc.warm_state();
+        let tape = ws.tail().unwrap();
+        let tail = tape.to_ops();
         for design in designs() {
-            let truth = run_cell(&wt.tail, design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
-            let cell = run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &p);
+            let truth = run_cell(&tape, design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
+            let cell = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
                 ci.covers(truth),
@@ -425,10 +426,10 @@ fn shared_warm_schedules_match_standalone_cells_under_fast_forward() {
             })
         },
         |bench| {
-            let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, boundary).unwrap();
-            let tail = wt.tail.to_ops();
+            let ws = hbat_bench::ckpt::build_warm_start_cold(bench, &cfg, boundary).unwrap();
+            let tail = ws.tail().unwrap().to_ops();
             DesignSpec::TABLE2
-                .map(|design| run_sampled_uops(&tail, design, &cfg, Some(&wt.acc), &plan()))
+                .map(|design| run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &plan()))
                 .to_vec()
         },
     );

@@ -25,7 +25,7 @@
 //! are rejected as [`CkptError::UnsupportedVersion`]; the store then
 //! falls back to a cold start.
 //!
-//! Decoding is hardened the way `read_trace` was: every read is
+//! Decoding is hardened against any input bytes: every read is
 //! bounds-checked (truncation at any byte is a typed error, never a
 //! panic), element counts are validated against section lengths before
 //! any allocation, preallocation is capped, and trailing bytes after the

@@ -1,9 +1,9 @@
-//! Adversarial hardening of the snapshot reader, in the mould of the
-//! `read_trace` hardening: the decoder must return a typed error — never
-//! panic, never silently succeed — for *every* truncation offset, every
-//! header bit flip, and arbitrary byte-level mutations. Deterministic
-//! exhaustive loops cover the structured cases; the proptest sweep fires
-//! random shotgun corruption at the rest.
+//! Adversarial hardening of the snapshot reader: the decoder must
+//! return a typed error — never panic, never silently succeed — for
+//! *every* truncation offset, every header bit flip, and arbitrary
+//! byte-level mutations. Deterministic exhaustive loops cover the
+//! structured cases; the proptest sweep fires random shotgun corruption
+//! at the rest.
 
 use proptest::prelude::*;
 

@@ -11,9 +11,7 @@
 //!   [`uop`] micro-ops the cycle-timing models in `hbat-cpu` consume;
 //! * [`tape`] — [`Tape`], a stored trace as the program's micro-op
 //!   templates plus 12 bytes per retired op;
-//! * [`trace`] — [`TraceInst`], the `Option`-shaped view of a micro-op;
-//! * [`tracefile`] — a compact binary on-disk trace format (dump once,
-//!   replay against many designs).
+//! * [`trace`] — [`TraceInst`], the `Option`-shaped view of a micro-op.
 //!
 //! ## Example: run a tiny loop to micro-ops
 //!
@@ -41,7 +39,6 @@ pub mod program;
 pub mod reg;
 pub mod tape;
 pub mod trace;
-pub mod tracefile;
 pub mod uop;
 
 pub use executor::Machine;

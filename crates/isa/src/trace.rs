@@ -1,6 +1,8 @@
 //! Dynamic trace records: the `Option`-shaped view of a micro-op
-//! ([`MicroOp::decode`](crate::uop::MicroOp::decode)) that the trace
-//! analyses and the on-disk trace file read.
+//! ([`MicroOp::decode`](crate::uop::MicroOp::decode)). The predecoder
+//! encodes each static instruction's template from one, and the
+//! lossless encode/decode round trip is pinned against it; no analysis,
+//! sweep or binary of the workspace reads it.
 //!
 //! A [`TraceInst`] carries exactly the information the cycle-timing models
 //! need — register dependences for scheduling, the effective address and

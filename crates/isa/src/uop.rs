@@ -16,8 +16,8 @@
 //!   words with zero `Option` chasing. [`PredecodedTrace`] is a
 //!   workload's micro-ops in program order (`Machine::run_to_uops`).
 //!
-//! [`TraceInst`] is a decode view derived with [`MicroOp::decode`], for
-//! analyses that want `Option`-shaped records. Both predecoded forms are
+//! [`TraceInst`] is a decode view derived with [`MicroOp::decode`]; the
+//! predecoder builds each template from one. Both predecoded forms are
 //! lossless: [`MicroOp::decode`] reproduces a [`TraceInst`] that
 //! [`MicroOp::encode`] maps back byte-for-byte, and
 //! [`DecodedInst::reencode`] reproduces the original [`Inst`], which is
@@ -272,9 +272,9 @@ impl From<Vec<MicroOp>> for PredecodedTrace {
 }
 
 impl PredecodedTrace {
-    /// Encodes a decode-view trace (a trace file read back from disk, or
-    /// a hand-built trace in tests); the executor emits micro-ops
-    /// directly and never comes through here.
+    /// Encodes a decode-view trace (a hand-built trace in tests, or the
+    /// benchmark harness's decoded rebuild); the executor emits
+    /// micro-ops directly and never comes through here.
     pub fn predecode(trace: &[TraceInst]) -> PredecodedTrace {
         PredecodedTrace {
             ops: trace.iter().map(MicroOp::encode).collect(),

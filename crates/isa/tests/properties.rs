@@ -2,8 +2,6 @@
 
 use proptest::prelude::*;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::{Machine, OpSource, RetireSink, Retired};
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
@@ -12,7 +10,6 @@ use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
 use hbat_isa::tape::{Tape, TapeError};
 use hbat_isa::trace::OpClass;
-use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, NO_REG};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
@@ -351,74 +348,6 @@ proptest! {
         prop_assert_eq!(Cond::Le.holds(a, b), lt || eq);
         prop_assert_eq!(Cond::Ge.holds(a, b), gt || eq);
         prop_assert_eq!(Cond::Ne.holds(a, b), !eq);
-    }
-
-    /// Truncating a serialised trace at *every* byte offset yields a
-    /// clean `Err` — never a panic and never an OOM-sized allocation
-    /// (the declared record count only bounds a capped pre-allocation).
-    #[test]
-    fn truncated_traces_always_error(insts in straightline()) {
-        let p = Program::new(insts).expect("valid");
-        let trace = Machine::new(p).run_to_vec(10_000);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("serialise");
-        for cut in 0..buf.len() {
-            match catch_unwind(AssertUnwindSafe(|| read_trace(&mut &buf[..cut]))) {
-                Ok(parsed) => prop_assert!(
-                    parsed.is_err(),
-                    "truncation at byte {} of {} was accepted",
-                    cut,
-                    buf.len()
-                ),
-                Err(_) => prop_assert!(false, "read_trace panicked at cut {}", cut),
-            }
-        }
-        // The intact buffer still round-trips.
-        prop_assert_eq!(read_trace(&mut buf.as_slice()).expect("intact"), trace);
-    }
-
-    /// Flipping any bit of the 16-byte header (magic + record count)
-    /// yields a clean `Err`: a corrupted magic is rejected outright, a
-    /// grown count hits end-of-stream, and a shrunk count leaves
-    /// trailing bytes — all detected, none panicking or pre-allocating
-    /// by the corrupt count.
-    #[test]
-    fn header_bit_flips_always_error(insts in straightline()) {
-        let p = Program::new(insts).expect("valid");
-        let trace = Machine::new(p).run_to_vec(10_000);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("serialise");
-        for byte in 0..16 {
-            for bit in 0..8 {
-                let mut corrupt = buf.clone();
-                corrupt[byte] ^= 1 << bit;
-                match catch_unwind(AssertUnwindSafe(|| read_trace(&mut corrupt.as_slice()))) {
-                    Ok(parsed) => prop_assert!(
-                        parsed.is_err(),
-                        "flip of header byte {} bit {} was accepted",
-                        byte,
-                        bit
-                    ),
-                    Err(_) => prop_assert!(
-                        false,
-                        "read_trace panicked on header byte {} bit {}",
-                        byte,
-                        bit
-                    ),
-                }
-            }
-        }
-    }
-
-    /// `read_trace` never panics on arbitrary input bytes.
-    #[test]
-    fn read_trace_never_panics_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..512)
-    ) {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _ = read_trace(&mut bytes.as_slice());
-        }));
-        prop_assert!(r.is_ok(), "read_trace panicked on arbitrary bytes");
     }
 
     /// Memory round-trips arbitrary values at arbitrary (possibly

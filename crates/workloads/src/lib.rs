@@ -13,8 +13,8 @@
 //! use hbat_workloads::suite::Benchmark;
 //!
 //! let w = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let trace = w.trace();
-//! assert!(trace.iter().any(|t| t.is_mem()));
+//! let tape = w.tape();
+//! assert!(tape.iter().any(|op| op.is_mem()));
 //! ```
 
 pub mod builder;

@@ -153,10 +153,10 @@ mod tests {
     #[test]
     fn both_branch_directions_are_exercised() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         let (mut taken, mut not) = (0u64, 0u64);
-        for t in &trace {
-            if let Some(br) = t.branch {
+        for t in trace.iter() {
+            if let Some(br) = t.branch() {
                 if br.conditional {
                     if br.taken {
                         taken += 1;
@@ -171,8 +171,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = build(&WorkloadConfig::new(Scale::Test)).trace();
-        let c = build(&WorkloadConfig::new(Scale::Test)).trace();
+        let a = build(&WorkloadConfig::new(Scale::Test)).uops();
+        let c = build(&WorkloadConfig::new(Scale::Test)).uops();
         assert_eq!(a.len(), c.len());
         assert_eq!(a[100], c[100]);
     }

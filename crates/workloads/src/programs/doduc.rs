@@ -117,7 +117,7 @@ mod tests {
     use super::*;
     use crate::config::Scale;
     use crate::programs::testutil::profile;
-    use hbat_isa::trace::OpClass;
+    use hbat_isa::OpClass;
 
     #[test]
     fn runs_and_is_fp_heavy_with_small_footprint() {
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn divides_occur_but_rarely() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         let divs = trace.iter().filter(|t| t.class == OpClass::FpDiv).count();
         assert!(divs > 10);
         assert!((divs as f64) < trace.len() as f64 * 0.05);
@@ -148,11 +148,11 @@ mod tests {
     #[test]
     fn acceptance_branch_is_data_dependent() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         use std::collections::HashMap;
         let mut per_pc: HashMap<u32, (u64, u64)> = HashMap::new();
-        for t in &trace {
-            if let Some(br) = t.branch {
+        for t in trace.iter() {
+            if let Some(br) = t.branch() {
                 if br.conditional {
                     let e = per_pc.entry(t.pc).or_default();
                     if br.taken {

@@ -151,12 +151,14 @@ mod tests {
     #[test]
     fn branches_are_mostly_loop_branches() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
-        let branches = trace.iter().filter(|t| t.is_conditional_branch()).count();
-        let taken = trace
+        let trace = w.uops();
+        let conditional: Vec<_> = trace
             .iter()
-            .filter(|t| t.branch.map(|b| b.conditional && b.taken).unwrap_or(false))
-            .count();
+            .filter_map(|t| t.branch())
+            .filter(|b| b.conditional)
+            .collect();
+        let branches = conditional.len();
+        let taken = conditional.iter().filter(|b| b.taken).count();
         // Loop branches dominate, tempered by the cube-data checks.
         let rate = taken as f64 / branches as f64;
         assert!((0.35..0.95).contains(&rate), "taken rate {rate}");

@@ -187,12 +187,12 @@ mod tests {
     #[test]
     fn descend_branches_are_data_dependent() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         // The (k < key) branches at fixed pcs should be near 50/50.
         use std::collections::HashMap;
         let mut per_pc: HashMap<u32, (u64, u64)> = HashMap::new();
-        for t in &trace {
-            if let Some(br) = t.branch {
+        for t in trace.iter() {
+            if let Some(br) = t.branch() {
                 if br.conditional {
                     let e = per_pc.entry(t.pc).or_default();
                     if br.taken {
@@ -221,10 +221,11 @@ mod tests {
         // Within one iteration the four node-key loads hit four distinct
         // tree locations: count distinct load pages in a short window.
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         let loads: Vec<u64> = trace
             .iter()
-            .filter_map(|t| t.mem.map(|m| m.vaddr.0))
+            .filter(|t| t.is_mem())
+            .map(|t| t.vaddr)
             .collect();
         let mut windows_with_spread = 0;
         for win in loads.windows(8).take(2000) {

@@ -128,11 +128,11 @@ mod tests {
         assert!(trace.len() > 5_000);
         assert!((0.15..0.45).contains(&mem_frac), "mem fraction {mem_frac}");
         let (mut loads, mut stores) = (0u64, 0u64);
-        for t in &trace {
-            match t.mem.map(|m| m.kind) {
-                Some(AccessKind::Load) => loads += 1,
-                Some(AccessKind::Store) => stores += 1,
-                None => {}
+        for t in trace.iter() {
+            match (t.is_mem(), t.mem_kind()) {
+                (true, AccessKind::Load) => loads += 1,
+                (true, AccessKind::Store) => stores += 1,
+                (false, _) => {}
             }
         }
         let ratio = loads as f64 / stores as f64;
@@ -145,21 +145,19 @@ mod tests {
     #[test]
     fn spans_have_spatial_locality() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         // Consecutive frame-buffer stores should mostly be 4 bytes apart.
         let mut prev: Option<u64> = None;
         let (mut seq, mut total) = (0u64, 0u64);
-        for t in &trace {
-            if let Some(m) = t.mem {
-                if m.kind == AccessKind::Store && m.width == hbat_isa::inst::Width::B4 {
-                    if let Some(p) = prev {
-                        total += 1;
-                        if m.vaddr.0 == p + 4 {
-                            seq += 1;
-                        }
+        for t in trace.iter() {
+            if t.is_mem() && t.mem_kind() == AccessKind::Store && t.width == Width::B4 {
+                if let Some(p) = prev {
+                    total += 1;
+                    if t.vaddr == p + 4 {
+                        seq += 1;
                     }
-                    prev = Some(m.vaddr.0);
                 }
+                prev = Some(t.vaddr);
             }
         }
         assert!(

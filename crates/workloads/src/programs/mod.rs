@@ -19,16 +19,18 @@ pub mod xlisp;
 #[cfg(test)]
 pub(crate) mod testutil {
     use crate::suite::Workload;
-    use hbat_isa::trace::TraceInst;
+    use hbat_isa::uop::PredecodedTrace;
     use std::collections::HashSet;
 
-    /// Runs the workload and returns (trace, mem fraction, distinct 4K pages).
-    pub fn profile(w: &Workload) -> (Vec<TraceInst>, f64, usize) {
-        let trace = w.trace();
+    /// Runs the workload and returns (micro-ops, mem fraction, distinct
+    /// 4K pages).
+    pub fn profile(w: &Workload) -> (PredecodedTrace, f64, usize) {
+        let trace = w.uops();
         let mem = trace.iter().filter(|t| t.is_mem()).count();
         let pages: HashSet<u64> = trace
             .iter()
-            .filter_map(|t| t.mem.map(|m| m.vaddr.0 >> 12))
+            .filter(|t| t.is_mem())
+            .map(|t| t.vaddr >> 12)
             .collect();
         let frac = mem as f64 / trace.len() as f64;
         (trace, frac, pages.len())

@@ -142,16 +142,15 @@ mod tests {
     #[test]
     fn decode_is_read_modify_write() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         use hbat_core::request::AccessKind;
-        let loads = trace
-            .iter()
-            .filter(|t| t.mem.map(|m| m.kind == AccessKind::Load).unwrap_or(false))
-            .count();
-        let stores = trace
-            .iter()
-            .filter(|t| t.mem.map(|m| m.kind == AccessKind::Store).unwrap_or(false))
-            .count();
+        let count = |kind| {
+            trace
+                .iter()
+                .filter(|t| t.is_mem() && t.mem_kind() == kind)
+                .count()
+        };
+        let (loads, stores) = (count(AccessKind::Load), count(AccessKind::Store));
         // ~9 loads (8 ref rows + 1 stream read) per 8 stores.
         let ratio = loads as f64 / stores as f64;
         assert!((0.8..1.6).contains(&ratio), "load/store ratio {ratio}");

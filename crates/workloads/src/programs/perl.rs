@@ -215,12 +215,12 @@ mod tests {
     #[test]
     fn dispatch_ladder_is_unpredictable() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         // The first ladder compare (op == 0?) should go both ways a lot.
         use std::collections::HashMap;
         let mut per_pc: HashMap<u32, (u64, u64)> = HashMap::new();
-        for t in &trace {
-            if let Some(br) = t.branch {
+        for t in trace.iter() {
+            if let Some(br) = t.branch() {
                 if br.conditional {
                     let e = per_pc.entry(t.pc).or_default();
                     if br.taken {
@@ -241,14 +241,14 @@ mod tests {
     #[test]
     fn stack_pointer_stays_in_bounds() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
-        for t in &trace {
-            if let Some(m) = t.mem {
+        let trace = w.uops();
+        for t in trace.iter() {
+            if t.is_mem() {
                 assert!(
-                    m.vaddr.0 >= crate::layout::HEAP_BASE
-                        && m.vaddr.0 < crate::layout::STACK_BASE + (1 << 20),
-                    "access escaped the address space: {}",
-                    m.vaddr
+                    t.vaddr >= crate::layout::HEAP_BASE
+                        && t.vaddr < crate::layout::STACK_BASE + (1 << 20),
+                    "access escaped the address space: {:#x}",
+                    t.vaddr
                 );
             }
         }

@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::config::Scale;
     use crate::programs::testutil::profile;
-    use hbat_isa::trace::OpClass;
+    use hbat_isa::OpClass;
 
     #[test]
     fn runs_with_fp_butterflies() {
@@ -187,10 +187,10 @@ mod tests {
     #[test]
     fn bit_reversal_guard_goes_both_ways() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         let (mut taken, mut not) = (0, 0);
-        for t in &trace {
-            if let Some(br) = t.branch {
+        for t in trace.iter() {
+            if let Some(br) = t.branch() {
                 if br.conditional {
                     if br.taken {
                         taken += 1

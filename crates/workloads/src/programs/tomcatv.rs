@@ -191,8 +191,8 @@ mod tests {
     #[test]
     fn loop_branches_predict_well() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
-        let branches: Vec<_> = trace.iter().filter_map(|t| t.branch).collect();
+        let trace = w.uops();
+        let branches: Vec<_> = trace.iter().filter_map(|t| t.branch()).collect();
         let taken = branches.iter().filter(|b| b.taken).count();
         // Counted loops dominate, tempered by the residual-threshold
         // decision branch.

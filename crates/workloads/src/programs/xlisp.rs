@@ -158,14 +158,12 @@ mod tests {
     #[test]
     fn list_traversal_is_pointer_chasing() {
         let w = build(&WorkloadConfig::new(Scale::Test));
-        let trace = w.trace();
+        let trace = w.uops();
         // cdr loads at offset 8 exist in volume.
         let cdr_loads = trace
             .iter()
             .filter(|t| {
-                t.mem
-                    .map(|m| m.kind == hbat_core::request::AccessKind::Load && m.offset == 8)
-                    .unwrap_or(false)
+                t.is_mem() && t.mem_kind() == hbat_core::request::AccessKind::Load && t.offset == 8
             })
             .count();
         assert!(cdr_loads > 1_000, "only {cdr_loads} cdr loads");

@@ -9,7 +9,6 @@
 use hbat_isa::executor::Machine;
 use hbat_isa::program::Program;
 use hbat_isa::tape::Tape;
-use hbat_isa::trace::TraceInst;
 use hbat_isa::uop::PredecodedTrace;
 
 use crate::config::WorkloadConfig;
@@ -72,16 +71,6 @@ impl Workload {
             self.name,
             self.max_steps
         );
-    }
-
-    /// [`Workload::uops`] as the [`TraceInst`] decode view, for the
-    /// analyses that read `Option`-shaped records.
-    ///
-    /// # Panics
-    ///
-    /// As [`Workload::uops`].
-    pub fn trace(&self) -> Vec<TraceInst> {
-        self.uops().decode()
     }
 }
 

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{Cond, Width};
+use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
 use hbat_workloads::builder::Builder;
 use hbat_workloads::layout::{HEAP_BASE, STACK_BASE};
@@ -117,9 +118,9 @@ fn all_benchmarks_run_under_both_budgets() {
     for bench in Benchmark::ALL {
         let full = bench.build(&WorkloadConfig::new(Scale::Test));
         let small = bench.build(&WorkloadConfig::new(Scale::Test).with_small_regs());
-        let tf = full.trace();
-        let ts = small.trace();
-        let mem = |t: &[hbat_isa::trace::TraceInst]| t.iter().filter(|i| i.is_mem()).count();
+        let tf = full.tape();
+        let ts = small.tape();
+        let mem = |t: &Tape| t.iter().filter(|i| i.is_mem()).count();
         assert!(
             mem(&ts) >= mem(&tf),
             "{bench}: small budget should not reduce memory traffic ({} vs {})",
@@ -135,11 +136,11 @@ fn all_benchmarks_run_under_both_budgets() {
 fn small_budget_inflates_memory_traffic_substantially() {
     let mut inflated = 0;
     for bench in Benchmark::ALL {
-        let tf = bench.build(&WorkloadConfig::new(Scale::Test)).trace();
+        let tf = bench.build(&WorkloadConfig::new(Scale::Test)).tape();
         let ts = bench
             .build(&WorkloadConfig::new(Scale::Test).with_small_regs())
-            .trace();
-        let mem = |t: &[hbat_isa::trace::TraceInst]| t.iter().filter(|i| i.is_mem()).count() as f64;
+            .tape();
+        let mem = |t: &Tape| t.iter().filter(|i| i.is_mem()).count() as f64;
         if mem(&ts) > mem(&tf) * 1.3 {
             inflated += 1;
         }
@@ -151,10 +152,10 @@ fn small_budget_inflates_memory_traffic_substantially() {
 }
 
 /// The decode view loses nothing: every micro-op of every workload
-/// re-encodes from its `TraceInst` view byte-for-byte. The
-/// sweeps serialise a workload's trace from its micro-ops (the
-/// corrupt-trace fault path), so this must hold on every workload, not
-/// only on the instruction forms `hbat-isa` tests.
+/// re-encodes from its `TraceInst` view byte-for-byte. The benchmark
+/// harness's traced rebuild decodes every workload's trace and
+/// predecodes it back, so this must hold on every workload, not only
+/// on the instruction forms `hbat-isa` tests.
 #[test]
 fn every_workload_predecodes_losslessly() {
     let cfg = WorkloadConfig::new(Scale::Test);

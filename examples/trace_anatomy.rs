@@ -15,16 +15,16 @@ fn main() {
         .find(|b| b.name().eq_ignore_ascii_case(&which))
         .unwrap_or(Benchmark::Perl);
     let uops = bench.build(&WorkloadConfig::new(Scale::Small)).uops();
-    let trace = uops.decode();
     let geom = PageGeometry::KB4;
 
     // Ceilings from the trace alone.
-    let reuse = ReuseProfile::of_trace(&trace, geom);
-    let adj = AdjacencyProfile::of_trace(&trace, geom, 4);
-    let ptr = PointerProfile::of_trace(&trace, geom);
+    let pages = page_stream(uops.iter(), geom);
+    let reuse = ReuseProfile::of_pages(&pages);
+    let adj = AdjacencyProfile::of_pages(&pages, 4);
+    let ptr = PointerProfile::of_ops(uops.iter(), geom);
     println!(
         "{bench}: {} instructions, {} pages touched",
-        trace.len(),
+        uops.len(),
         reuse.distinct_pages()
     );
     println!(

@@ -6,8 +6,6 @@
 //! hbat trace <bench> <design> [opts]    one run with stall attribution
 //! hbat sweep [opts]                     all 13 designs × 10 benchmarks
 //! hbat anatomy <bench> [opts]           trace-anatomy ceilings
-//! hbat dump <bench> <file> [opts]       write a binary trace file
-//! hbat replay <file> <design> [opts]    simulate a dumped trace
 //! hbat ckpt <file> [--json]             inspect and verify a snapshot
 //!
 //! options: --scale test|small|reference   (default small)
@@ -62,7 +60,6 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hbat_suite::analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::executor::RunPolicy;
 use hbat_suite::bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
@@ -70,7 +67,6 @@ use hbat_suite::bench::faults::FaultPlan;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
 use hbat_suite::isa::tape::Tape;
-use hbat_suite::isa::tracefile;
 use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
 use hbat_suite::stats::chart::BarChart;
@@ -404,7 +400,7 @@ fn print_sample_windows(windows: &[hbat_suite::obs::IntervalRecord]) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: hbat <list|run|trace|sweep|anatomy|dump|replay|ckpt> …");
+        eprintln!("usage: hbat <list|run|trace|sweep|anatomy|ckpt> …");
         return ExitCode::FAILURE;
     };
     let opts = match parse_args(rest) {
@@ -682,11 +678,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
         "anatomy" => {
             let bench = opts.bench(0)?;
             let cfg = opts.experiment();
-            let trace = bench.build(&cfg.workload).trace();
-            let reuse = ReuseProfile::of_trace(&trace, cfg.geometry);
-            let adj = AdjacencyProfile::of_trace(&trace, cfg.geometry, 4);
-            let ptr = PointerProfile::of_trace(&trace, cfg.geometry);
-            println!("{bench}: {} instructions", trace.len());
+            let tape = bench.build(&cfg.workload).tape();
+            let pages = page_stream(tape.iter(), cfg.geometry);
+            let reuse = ReuseProfile::of_pages(&pages);
+            let adj = AdjacencyProfile::of_pages(&pages, 4);
+            let ptr = PointerProfile::of_ops(tape.iter(), cfg.geometry);
+            println!("{bench}: {} instructions", tape.len());
             println!("distinct pages        : {}", reuse.distinct_pages());
             for n in [4usize, 8, 16, 64, 128] {
                 println!(
@@ -702,17 +699,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 "pointer-page reuse    : {:.1}%",
                 ptr.reuse_fraction() * 100.0
             );
-            Ok(())
-        }
-        "dump" => {
-            let bench = opts.bench(0)?;
-            let path = opts.positional.get(1).ok_or("missing output path")?;
-            let cfg = opts.experiment();
-            let trace = bench.build(&cfg.workload).trace();
-            let mut f =
-                std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
-            tracefile::write_trace(&mut f, &trace).map_err(|e| e.to_string())?;
-            println!("wrote {} records to {path}", trace.len());
             Ok(())
         }
         "ckpt" => {
@@ -769,21 +755,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 println!("branch predictor  : {} PHT entries", snap.warm.pht.len());
                 println!("status            : valid");
             }
-            Ok(())
-        }
-        "replay" => {
-            let path = opts.positional.first().ok_or("missing trace path")?;
-            let design = opts.design(1)?;
-            let mut f =
-                std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
-            let uops = PredecodedTrace::predecode(
-                &tracefile::read_trace(&mut f).map_err(|e| e.to_string())?,
-            );
-            let cfg = opts.experiment();
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
-            let m = simulate_uops(&cfg.sim, &uops, tlb.as_mut());
-            println!("{path}: {} instructions\n", uops.len());
-            print_metrics(design, &m);
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),

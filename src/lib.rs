@@ -52,7 +52,7 @@ pub use hbat_workloads as workloads;
 
 /// The names most users need, in one import.
 pub mod prelude {
-    pub use hbat_analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
+    pub use hbat_analysis::{page_stream, AdjacencyProfile, PointerProfile, ReuseProfile};
     pub use hbat_bench::experiment::{sweep, ExperimentConfig};
     pub use hbat_core::designs::spec::DesignSpec;
     pub use hbat_core::{

@@ -10,8 +10,8 @@ fn poor_locality_trio_tops_the_reuse_profile() {
     // sit above every locality-friendly program's.
     let cfg = WorkloadConfig::new(Scale::Test);
     let rate = |b: Benchmark| {
-        let trace = b.build(&cfg).trace();
-        ReuseProfile::of_trace(&trace, PageGeometry::KB4).lru_miss_rate(8)
+        let uops = b.build(&cfg).uops();
+        ReuseProfile::of_pages(&page_stream(uops.iter(), PageGeometry::KB4)).lru_miss_rate(8)
     };
     let friendly = [Benchmark::Espresso, Benchmark::Tomcatv, Benchmark::Xlisp]
         .map(rate)
@@ -33,9 +33,8 @@ fn reuse_profile_predicts_the_multilevel_shield() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Espresso, Benchmark::Perl, Benchmark::Tomcatv] {
         let uops = bench.build(&cfg).uops();
-        let trace = uops.decode();
-        let predicted_hit =
-            1.0 - ReuseProfile::of_trace(&trace, PageGeometry::KB4).lru_miss_rate(8);
+        let pages = page_stream(uops.iter(), PageGeometry::KB4);
+        let predicted_hit = 1.0 - ReuseProfile::of_pages(&pages).lru_miss_rate(8);
         let mut tlb = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
         let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         let measured = m.tlb.shield_rate();
@@ -60,8 +59,8 @@ fn adjacency_bounds_piggyback_combining() {
         Benchmark::Xlisp,
     ] {
         let uops = bench.build(&cfg).uops();
-        let trace = uops.decode();
-        let profile = AdjacencyProfile::of_trace(&trace, PageGeometry::KB4, 4);
+        let pages = page_stream(uops.iter(), PageGeometry::KB4);
+        let profile = AdjacencyProfile::of_pages(&pages, 4);
         let ceiling = profile.regrouped_combinable_fraction();
         let mut tlb = DesignSpec::parse("PB1")
             .unwrap()
@@ -84,8 +83,7 @@ fn pointer_profile_bounds_pretranslation() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Perl, Benchmark::Tomcatv, Benchmark::Gcc] {
         let uops = bench.build(&cfg).uops();
-        let trace = uops.decode();
-        let ceiling = PointerProfile::of_trace(&trace, PageGeometry::KB4).reuse_fraction();
+        let ceiling = PointerProfile::of_ops(uops.iter(), PageGeometry::KB4).reuse_fraction();
         let mut tlb = DesignSpec::parse("P8").unwrap().build(PageGeometry::KB4, 7);
         let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         assert!(

@@ -38,32 +38,6 @@ fn run_reports_metrics() {
 }
 
 #[test]
-fn dump_and_replay_round_trip() {
-    let dir = std::env::temp_dir().join("hbat-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("perl.trc");
-    let path_s = path.to_str().unwrap();
-
-    let (ok, stdout, stderr) = hbat(&["dump", "Perl", path_s, "--scale", "test"]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("wrote"));
-
-    // Replaying the dump gives the same cycle count as a direct run.
-    let (ok, replay_out, _) = hbat(&["replay", path_s, "T2", "--scale", "test"]);
-    assert!(ok);
-    let (ok, direct_out, _) = hbat(&["run", "Perl", "T2", "--scale", "test"]);
-    assert!(ok);
-    let cycles = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("cycles"))
-            .map(str::to_owned)
-            .expect("cycles line")
-    };
-    assert_eq!(cycles(&replay_out), cycles(&direct_out));
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
 fn errors_are_reported_not_panicked() {
     let (ok, _, stderr) = hbat(&["run", "NoSuchBench", "T4"]);
     assert!(!ok);
@@ -77,9 +51,12 @@ fn errors_are_reported_not_panicked() {
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
 
-    let (ok, _, stderr) = hbat(&["replay", "/nonexistent/trace.trc", "T4"]);
-    assert!(!ok);
-    assert!(!stderr.is_empty());
+    // Trace files are gone: `dump` and `replay` are unknown commands.
+    for cmd in ["dump", "replay"] {
+        let (ok, _, stderr) = hbat(&[cmd, "/nonexistent/trace.trc", "T4"]);
+        assert!(!ok);
+        assert!(stderr.contains("unknown command"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]

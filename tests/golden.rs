@@ -31,7 +31,7 @@
 //!
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
-use hbat_suite::analysis::{page_stream, working_set, BankConflictProfile};
+use hbat_suite::analysis::{working_set, BankConflictProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::experiment::{
     config_fingerprint, render_obs_record, run_cell, sweep, sweep_ft, tape_for, ExperimentConfig,
@@ -276,12 +276,12 @@ fn anatomy_profiles() {
     let geom = cfg.geometry;
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let trace = bench.build(&cfg.workload).trace();
-        let pages = page_stream(&trace, geom);
-        let reuse = ReuseProfile::of_trace(&trace, geom);
-        let adj = AdjacencyProfile::of_trace(&trace, geom, 4);
-        let ptr = PointerProfile::of_trace(&trace, geom);
-        let bc = BankConflictProfile::of_trace(&trace, geom, BankSelect::BitSelect, 4, 4);
+        let tape = bench.build(&cfg.workload).tape();
+        let pages = page_stream(tape.iter(), geom);
+        let reuse = ReuseProfile::of_pages(&pages);
+        let adj = AdjacencyProfile::of_pages(&pages, 4);
+        let ptr = PointerProfile::of_ops(tape.iter(), geom);
+        let bc = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 4, 4);
         let ws = working_set(&pages, 1000);
         text.push_str(&format!(
             "{bench} {reuse:?} {adj:?} {ptr:?} {bc:?} {ws:?}\n"
