@@ -15,9 +15,8 @@
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
 use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
-use hbat_core::designs::multilevel::MultiLevelTlb;
 use hbat_core::designs::ported::PortedTlb;
-use hbat_core::designs::pretranslation::PretranslationTlb;
+use hbat_core::designs::shielded::ShieldedTlb;
 use hbat_core::designs::victim::VictimTlb;
 use hbat_core::pagetable::PageTable;
 use hbat_core::translator::AddressTranslator;
@@ -64,7 +63,7 @@ fn main() {
         for tape in [&compress, &xlisp] {
             let m = simulate(
                 tape,
-                &mut MultiLevelTlb::new("Mx", l1, 4, 128, 1, pt(), SEED),
+                &mut ShieldedTlb::multilevel("Mx", l1, 128, pt(), SEED),
             );
             row.extend([fnum(m.ipc(), 3), fnum(m.tlb.shield_rate() * 100.0, 1)]);
         }
@@ -104,8 +103,7 @@ fn main() {
     t.numeric();
     for entries in [4usize, 8, 16] {
         for bits in [0u32, 4] {
-            let mut xt = PretranslationTlb::new("Px", entries, 4, 128, pt(), SEED)
-                .with_offset_tag_bits(bits);
+            let mut xt = ShieldedTlb::pretranslation("Px", entries, bits, 128, pt(), SEED);
             let m = simulate(&xlisp, &mut xt);
             t.row(vec![
                 entries.to_string(),

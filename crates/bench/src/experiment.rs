@@ -1131,24 +1131,19 @@ pub fn sweep_ft(
     })
 }
 
-/// Parses the scale from the first CLI argument (`test`, `small`,
-/// `reference`; default `small`); used by the figure binaries.
+/// Parses the scale from the first CLI argument ([`Scale::parse`];
+/// default `small`); used by the figure binaries. An unknown scale
+/// prints a usage line and exits with status 2, before any work.
 pub fn scale_from_args() -> Scale {
-    let arg = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "small".to_owned());
-    match arg.to_ascii_lowercase().as_str() {
-        "test" => Scale::Test,
-        "reference" | "ref" | "full" => Scale::Reference,
-        "small" => Scale::Small,
-        other => {
-            eprintln!(
-                "warning: unrecognized scale {other:?} (expected test, small, or reference); \
-                 defaulting to small"
-            );
-            Scale::Small
-        }
-    }
+    let mut args = std::env::args();
+    let prog = args.next().unwrap_or_default();
+    let Some(arg) = args.next() else {
+        return Scale::Small;
+    };
+    Scale::parse(&arg).unwrap_or_else(|| {
+        eprintln!("error: unknown scale `{arg}`\nusage: {prog} [test|small|reference]");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]

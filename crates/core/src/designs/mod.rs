@@ -4,18 +4,17 @@
 //! |---|---|---|
 //! | Multi-ported TLB | [`ported`] | T4, T2, T1 |
 //! | Interleaved TLB | [`ported`], banks chosen by [`interleaved`] | I8, I4, X4 |
-//! | Multi-level TLB | [`multilevel`] | M16, M8, M4 |
+//! | Multi-level TLB | [`shielded`], an LRU L1 shield | M16, M8, M4 |
 //! | Piggyback ports | [`ported`] | PB2, PB1, I4/PB |
-//! | Pretranslation | [`pretranslation`] | P8 |
+//! | Pretranslation | [`shielded`], a pretranslation-cache shield | P8 |
 //! | Unlimited reference | [`unlimited`] | — (testing/golden model) |
 //! | Victim-buffered TLB | [`victim`] | — (extension beyond the paper) |
 //!
 //! [`spec`] turns the paper's mnemonics into configured design instances.
 
 pub mod interleaved;
-pub mod multilevel;
 pub mod ported;
-pub mod pretranslation;
+pub mod shielded;
 pub mod spec;
 pub mod unlimited;
 pub mod victim;
@@ -36,8 +35,8 @@ pub const BASE_TLB_ENTRIES: usize = 128;
 ///
 /// Returns the outcome (relative to service starting at `start`, with
 /// `extra_latency` added to a hit) and the entry evicted to make room, if
-/// any (the pretranslation design flushes its cache on base-TLB
-/// replacement). Victim status bits are written back to the page table.
+/// any (a shielded design keeps its shield coherent with the base TLB's
+/// replacements). Victim status bits are written back to the page table.
 pub(crate) fn access_base_bank(
     bank: &mut TlbBank,
     pt: &mut PageTable,

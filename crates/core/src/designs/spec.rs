@@ -13,9 +13,8 @@ use crate::pagetable::PageTable;
 use crate::translator::AddressTranslator;
 
 use super::interleaved::BankSelect;
-use super::multilevel::MultiLevelTlb;
 use super::ported::PortedTlb;
-use super::pretranslation::PretranslationTlb;
+use super::shielded::ShieldedTlb;
 use super::unlimited::UnlimitedTlb;
 use super::BASE_TLB_ENTRIES;
 
@@ -257,16 +256,15 @@ impl DesignSpec {
                 let piggyback_ports = if piggyback { usize::MAX } else { 0 };
                 Box::new(ported(banks, 1, piggyback_ports, pt).with_select(select))
             }
-            DesignSpec::MultiLevel { l1_entries } => Box::new(MultiLevelTlb::new(
+            DesignSpec::MultiLevel { l1_entries } => Box::new(ShieldedTlb::multilevel(
                 name,
                 l1_entries,
-                4,
                 BASE_TLB_ENTRIES,
-                1,
                 pt,
                 seed,
             )),
-            DesignSpec::Pretranslation { ptc_entries } => Box::new(PretranslationTlb::new(
+            // The paper tags the cache with 4 offset bits.
+            DesignSpec::Pretranslation { ptc_entries } => Box::new(ShieldedTlb::pretranslation(
                 name,
                 ptc_entries,
                 4,

@@ -12,12 +12,13 @@
 //!   baseline everything is normalised to;
 //! * **interleaved TLBs** ([`designs::ported`]) — banking with
 //!   bit-select or XOR-fold bank selection ([`designs::interleaved`]);
-//! * **multi-level TLBs** ([`designs::multilevel`]) — a tiny multi-ported
+//! * **multi-level TLBs** ([`designs::shielded`]) — a tiny multi-ported
 //!   LRU L1 TLB shields a large single-ported L2;
 //! * **piggyback ports** ([`designs::ported`]) — simultaneous requests
 //!   to the same page combine at the access port;
-//! * **pretranslation** ([`designs::pretranslation`]) — translations ride
-//!   on base-register values and are reused across dereferences.
+//! * **pretranslation** ([`designs::shielded`]) — translations ride
+//!   on base-register values and are reused across dereferences, a
+//!   different shield in front of the same single-ported base TLB.
 //!
 //! Every design implements the cycle-level [`translator::AddressTranslator`]
 //! trait, owns a [`pagetable::PageTable`], and accounts its behaviour in

@@ -38,6 +38,18 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses a scale name: `test`, `small`, or `reference` (also `ref`
+    /// or `full`), in any case. Both the figure binaries' first argument
+    /// and `hbat --scale` go through it.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name.to_ascii_lowercase().as_str() {
+            "test" => Some(Scale::Test),
+            "small" => Some(Scale::Small),
+            "reference" | "ref" | "full" => Some(Scale::Reference),
+            _ => None,
+        }
+    }
+
     /// A scale-dependent value: picks `(test, small, reference)`.
     pub fn pick(self, test: u64, small: u64, reference: u64) -> u64 {
         match self {
@@ -92,6 +104,25 @@ mod tests {
         assert_eq!(Scale::Test.pick(1, 2, 3), 1);
         assert_eq!(Scale::Small.pick(1, 2, 3), 2);
         assert_eq!(Scale::Reference.pick(1, 2, 3), 3);
+    }
+
+    #[test]
+    fn scale_parses_every_spelling_in_any_case() {
+        for (name, scale) in [
+            ("test", Scale::Test),
+            ("small", Scale::Small),
+            ("reference", Scale::Reference),
+            ("ref", Scale::Reference),
+            ("full", Scale::Reference),
+            ("TEST", Scale::Test),
+            ("Small", Scale::Small),
+            ("Ref", Scale::Reference),
+        ] {
+            assert_eq!(Scale::parse(name), Some(scale), "{name}");
+        }
+        for junk in ["", "referenc", "tests", "big", " test"] {
+            assert_eq!(Scale::parse(junk), None, "{junk:?}");
+        }
     }
 
     #[test]

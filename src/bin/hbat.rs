@@ -126,12 +126,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                o.scale = match v.as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "reference" | "ref" => Scale::Reference,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
+                o.scale = Scale::parse(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             }
             "--inorder" => o.inorder = true,
             "--pages-8k" => o.pages_8k = true,
