@@ -25,6 +25,10 @@
 //! every cell's metrics, and every window of the same sweep sampled
 //! under `6:400:100`.
 //!
+//! Functional warming is pinned by every program's `6:400:100` warm
+//! schedule (window placements, install-form states and slice ops) and
+//! by its accumulator export at instruction 20,000.
+//!
 //! The ported, banked and piggybacked translators are pinned directly,
 //! under seeded request batches that evict from their 128 entries, since
 //! no test-scale workload fills a 128-entry TLB. The shielded
@@ -34,14 +38,14 @@
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
 use hbat_suite::analysis::{working_set, BankConflictProfile};
-use hbat_suite::bench::ckpt::CheckpointOptions;
+use hbat_suite::bench::ckpt::{build_warm_start_cold, CheckpointOptions, WarmStart};
 use hbat_suite::bench::experiment::{
     config_fingerprint, render_obs_record, run_cell, sweep, sweep_ft, tape_for, ExperimentConfig,
     SweepOptions, SweepResult,
 };
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
-use hbat_suite::bench::sample::SamplePlan;
+use hbat_suite::bench::sample::{warm_schedule, SamplePlan};
 use hbat_suite::core::designs::interleaved::BankSelect;
 use hbat_suite::core::designs::ported::PortedTlb;
 use hbat_suite::core::designs::shielded::ShieldedTlb;
@@ -268,6 +272,32 @@ fn uop_streams() {
         }
     }
     assert_eq!(fnv1a_hex(&text), "8fd1127759a78881");
+}
+
+/// Pins functional warming directly: for every test-scale program, the
+/// `6:400:100` warm schedule a sampled sweep builds (each window's
+/// placement, the `{:?}` of its install-form `WarmState`, and its slice
+/// ops), then the exact accumulator export after a cold fast-forward to
+/// instruction 20,000. The sampled digests see warm states only through
+/// the timing of the windows that install them.
+#[test]
+fn warm_schedules() {
+    let cfg = test_cfg();
+    let plan = sample_6_400_100().unwrap();
+    let mut text = String::new();
+    for bench in Benchmark::ALL {
+        let start = WarmStart::program_start(bench, &cfg);
+        let n = start.tail_len().unwrap();
+        for s in warm_schedule(start.machine.clone(), n, &cfg, None, &plan) {
+            text.push_str(&format!("{bench} {:?} {:?}\n", s.window, s.warm));
+            for op in s.ops.iter() {
+                text.push_str(&format!("{op:?}\n"));
+            }
+        }
+        let ff = build_warm_start_cold(bench, &cfg, 20_000).unwrap();
+        text.push_str(&format!("{bench} {:?}\n", ff.acc.export()));
+    }
+    assert_eq!(fnv1a_hex(&text), "88f0e262ca40a8a1");
 }
 
 /// Pins the trace analyses: every test-scale workload's reuse,
