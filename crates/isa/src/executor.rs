@@ -17,15 +17,13 @@
 
 use std::sync::Arc;
 
-use hbat_core::addr::VirtAddr;
-
-use crate::inst::Width;
 use crate::mem::Memory;
+use crate::opcode::{step, Flow};
 use crate::program::Program;
 use crate::reg::Reg;
 use crate::tape::Tape;
 use crate::trace::TraceInst;
-use crate::uop::{AddrKind, DecodedInst, Handler, MicroOp, PredecodedProgram, PredecodedTrace};
+use crate::uop::{MicroOp, PredecodedProgram, PredecodedTrace};
 
 /// A complete export of a [`Machine`]'s architectural register and
 /// control state (everything except memory and the static program),
@@ -186,42 +184,31 @@ impl OpSource for &[MicroOp] {
 /// The register file, indexed by [`Reg::code`]: integer registers
 /// 0–31, then the FP ones as raw IEEE-754 bits. Slot 0 is the hardwired
 /// zero register; every write re-zeroes it.
-type Regs = [i64; 64];
+pub(crate) type Regs = [i64; 64];
 
 /// Reads a register.
 #[inline(always)]
-fn read(regs: &Regs, r: Reg) -> i64 {
-    // hbat-lint: allow(panic-reach) the code is masked to 0..64
+pub(crate) fn read(regs: &Regs, r: Reg) -> i64 {
+    // hbat-lint: allow(panic, panic-reach) the code is masked to 0..64
     regs[usize::from(r.code() & 63)]
 }
 
 /// Writes a register, then restores the zero register.
 #[inline(always)]
-fn write(regs: &mut Regs, r: Reg, v: i64) {
-    // hbat-lint: allow(panic-reach) the code is masked to 0..64
+pub(crate) fn write(regs: &mut Regs, r: Reg, v: i64) {
+    // hbat-lint: allow(panic, panic-reach) the code is masked to 0..64
     regs[usize::from(r.code() & 63)] = v;
     regs[0] = 0;
-}
-
-/// Effective address from a predecoded memory instruction's
-/// pre-extracted operands.
-#[inline(always)]
-fn ea(regs: &Regs, di: &DecodedInst) -> VirtAddr {
-    let base = read(regs, di.a) as u64;
-    match di.mode {
-        AddrKind::BaseOffset => VirtAddr(base.wrapping_add(di.imm as u64)),
-        AddrKind::BaseIndex => VirtAddr(base.wrapping_add(read(regs, di.b) as u64)),
-        AddrKind::PostInc => VirtAddr(base),
-    }
 }
 
 /// Architectural machine state plus the predecoded program.
 ///
 /// The program is predecoded once at construction into a flat
-/// [`PredecodedProgram`] table, so [`Machine::execute`] is an indexed
-/// handler dispatch with pre-extracted operands that hands the entry's
-/// [`MicroOp`] template to its sink — the `Inst` enum is never
-/// re-matched and no micro-op is re-encoded on the hot path.
+/// [`PredecodedProgram`] table, so [`Machine::execute`] is one
+/// dispatch on each entry's [`Opcode`](crate::opcode::Opcode), with
+/// pre-extracted operands, that hands the entry's [`MicroOp`] template
+/// to its sink — the `Inst` enum is never re-matched and no micro-op is
+/// re-encoded on the hot path.
 #[derive(Debug, Clone)]
 pub struct Machine {
     code: PredecodedProgram,
@@ -328,7 +315,7 @@ impl Machine {
         Ok(())
     }
 
-    // hbat-lint: hot — predecoded handler dispatch, one table access per instruction
+    // hbat-lint: hot — one opcode dispatch per instruction
     /// Runs until halt or `max_steps` instructions, handing each retired
     /// instruction to `sink`. Returns the number executed. The `Halt`
     /// itself retires nothing.
@@ -344,99 +331,42 @@ impl Machine {
             templates: _,
             regs,
             mem,
-            pc,
-            serial,
+            pc: pc_out,
+            serial: serial_out,
             halted,
         } = self;
         if *halted {
             return 0;
         }
         let code = code.code();
-        let start = *serial;
+        // Locals, written back at the end, so the loop keeps them in
+        // registers across the memory calls.
+        let (mut pc, start) = (*pc_out, *serial_out);
         let end = start.saturating_add(max_steps);
-        while *serial < end {
-            let di = &code[*pc as usize];
-            let mut next_pc = *pc + 1;
-            let mut vaddr = di.template.vaddr;
-            let mut taken = false;
-            match di.handler {
-                Handler::Halt => {
+        let mut serial = start;
+        while serial < end {
+            let di = &code[pc as usize];
+            let (next_pc, vaddr, taken) = match step(di, regs, mem) {
+                Flow::Next => (pc + 1, 0, false),
+                Flow::Mem(ea) => (pc + 1, ea, false),
+                Flow::Taken => (di.template.target, 0, true),
+                Flow::Jump => (di.template.target, 0, false),
+                Flow::Halt => {
                     *halted = true;
                     break;
                 }
-                Handler::Nop => {}
-                Handler::Li => write(regs, di.d, di.imm),
-                Handler::AluRR => {
-                    let v = di.alu.apply(read(regs, di.a), read(regs, di.b));
-                    write(regs, di.d, v);
-                }
-                Handler::AluRI => {
-                    let v = di.alu.apply(read(regs, di.a), di.imm);
-                    write(regs, di.d, v);
-                }
-                Handler::Mul => {
-                    let v = read(regs, di.a).wrapping_mul(read(regs, di.b));
-                    write(regs, di.d, v);
-                }
-                Handler::Div => {
-                    let bv = read(regs, di.b);
-                    let v = if bv == 0 {
-                        0
-                    } else {
-                        read(regs, di.a).wrapping_div(bv)
-                    };
-                    write(regs, di.d, v);
-                }
-                Handler::Fpu => {
-                    debug_assert!(di.d.is_fp() && di.a.is_fp() && di.b.is_fp());
-                    let f = |r| f64::from_bits(read(regs, r) as u64);
-                    let v = di.fpu.apply(f(di.a), f(di.b));
-                    write(regs, di.d, v.to_bits() as i64);
-                }
-                Handler::Load => {
-                    let (ea, width) = (ea(regs, di), di.template.width);
-                    debug_assert!(!di.d.is_fp() || width == Width::B8, "FP loads are 8 bytes");
-                    // Zero-extended into an integer register; raw bits
-                    // into an FP one.
-                    write(regs, di.d, mem.read_le(ea, width.bytes()) as i64);
-                    vaddr = ea.0;
-                    if di.mode == AddrKind::PostInc {
-                        // Base writeback after the destination write: base
-                        // wins when d == base, matching the legacy decoder.
-                        let nv = read(regs, di.a).wrapping_add(di.imm);
-                        write(regs, di.a, nv);
-                    }
-                }
-                Handler::Store => {
-                    let (ea, width) = (ea(regs, di), di.template.width);
-                    debug_assert!(!di.d.is_fp() || width == Width::B8, "FP stores are 8 bytes");
-                    mem.write_le(ea, read(regs, di.d) as u64, width.bytes());
-                    vaddr = ea.0;
-                    if di.mode == AddrKind::PostInc {
-                        let nv = read(regs, di.a).wrapping_add(di.imm);
-                        write(regs, di.a, nv);
-                    }
-                }
-                Handler::Branch => {
-                    if di.cond.holds(read(regs, di.a), read(regs, di.b)) {
-                        next_pc = di.template.target;
-                        taken = true;
-                    }
-                }
-                Handler::Jump => {
-                    next_pc = di.template.target;
-                }
-            }
+            };
             sink.retire(Retired {
                 template: &di.template,
-                serial: *serial,
+                serial,
                 vaddr,
                 taken,
             });
-            *pc = next_pc;
-            *serial += 1;
+            pc = next_pc;
+            serial += 1;
         }
-        *serial - start
+        (*pc_out, *serial_out) = (pc, serial);
+        serial - start
     }
     // hbat-lint: cold
 
@@ -472,8 +402,9 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand};
+    use crate::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
     use crate::trace::OpClass;
+    use hbat_core::addr::VirtAddr;
     use hbat_core::request::{AccessKind, WritebackKind};
 
     fn run_program(insts: Vec<Inst>) -> (Machine, Vec<TraceInst>) {

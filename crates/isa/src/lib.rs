@@ -8,7 +8,8 @@
 //! * [`inst`] / [`reg`] / [`program`] — the static instruction set;
 //! * [`mem`] — sparse, zero-filled functional memory;
 //! * [`executor`] — an architecturally exact interpreter emitting the
-//!   [`uop`] micro-ops the cycle-timing models in `hbat-cpu` consume;
+//!   [`uop`] micro-ops the cycle-timing models in `hbat-cpu` consume,
+//!   dispatching once per instruction on its flat [`opcode`];
 //! * [`tape`] — [`Tape`], a stored trace as the program's micro-op
 //!   templates plus 12 bytes per retired op;
 //! * [`trace`] — [`TraceInst`], the `Option`-shaped view of a micro-op.
@@ -35,6 +36,7 @@
 pub mod executor;
 pub mod inst;
 pub mod mem;
+pub mod opcode;
 pub mod program;
 pub mod reg;
 pub mod tape;
@@ -43,6 +45,7 @@ pub mod uop;
 
 pub use executor::Machine;
 pub use inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
+pub use opcode::Opcode;
 pub use program::{Program, ProgramError};
 pub use reg::Reg;
 pub use tape::{Tape, TapeError, TapeReader};

@@ -3,9 +3,9 @@
 //! table-dispatch idiom of interpreter-class emulators.
 //!
 //! * [`PredecodedProgram`] flattens the *static* program into
-//!   [`DecodedInst`] records — a [`Handler`] index, pre-extracted
+//!   [`DecodedInst`] records — a flat [`Opcode`], pre-extracted
 //!   operands and a prebuilt [`MicroOp`] template — so
-//!   `Machine::execute` is an indexed table dispatch that hands its sink
+//!   `Machine::execute` is a one-level opcode dispatch that hands its sink
 //!   the template and the three fields that vary (serial, effective
 //!   address, branch direction); a sink that keeps ops patches them into
 //!   a copy. [`MicroOp::encode`] runs once per *static* instruction.
@@ -27,7 +27,8 @@
 use hbat_core::addr::VirtAddr;
 use hbat_core::request::{AccessKind, WritebackKind};
 
-use crate::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
+use crate::inst::{AddrMode, FpuOp, Inst, Operand, Width};
+use crate::opcode::Opcode;
 use crate::program::Program;
 use crate::reg::Reg;
 use crate::trace::{BranchRec, MemRef, OpClass, TraceInst};
@@ -311,40 +312,9 @@ impl std::ops::Deref for PredecodedTrace {
 
 // ---- static-program predecode --------------------------------------------
 
-/// Semantic handler index of a predecoded static instruction: the
-/// executor's dispatch table. One entry per distinct runtime behaviour
-/// (register-register and register-immediate ALU forms dispatch
-/// separately so the operand fetch is branch-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Handler {
-    /// No operation.
-    Nop,
-    /// Stop execution.
-    Halt,
-    /// `d = imm`.
-    Li,
-    /// `d = a <op> b` (register second operand).
-    AluRR,
-    /// `d = a <op> imm` (immediate second operand).
-    AluRI,
-    /// `d = a * b`.
-    Mul,
-    /// `d = a / b` (divide-by-zero yields 0).
-    Div,
-    /// Floating-point `d = a <op> b`.
-    Fpu,
-    /// Memory load.
-    Load,
-    /// Memory store.
-    Store,
-    /// Conditional branch.
-    Branch,
-    /// Unconditional jump.
-    Jump,
-}
-
 /// Flattened addressing-mode discriminant (the registers and the
-/// displacement/step live in the [`DecodedInst`] operand fields).
+/// displacement/step live in the [`DecodedInst`] operand fields). The
+/// memory [`Opcode`]s carry it, and their arms take it as a constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrKind {
     /// `base + offset` (`imm` holds the displacement).
@@ -355,28 +325,21 @@ pub enum AddrKind {
     PostInc,
 }
 
-/// One predecoded static instruction: handler index, pre-extracted
-/// operands, and a prebuilt [`MicroOp`] template whose static fields
-/// (class, dependence lists, displacement, access width, branch target)
-/// were encoded once at predecode time; the executor reads the width
-/// and target from the template. Per dynamic instance the executor patches
-/// only the serial number, the effective address, and the branch
-/// direction.
+/// One predecoded static instruction: its flat [`Opcode`],
+/// pre-extracted operands, and a prebuilt [`MicroOp`] template whose
+/// static fields (class, dependence lists, displacement, access width,
+/// branch target) were encoded once at predecode time; the executor
+/// reads the target from the template. Per dynamic instance the
+/// executor patches only the serial number, the effective address, and
+/// the branch direction.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodedInst {
     /// Prebuilt micro-op (`serial`, `vaddr`, and [`MicroOp::F_BR_TAKEN`]
     /// patched at run time).
     pub template: MicroOp,
-    /// Semantic dispatch index.
-    pub handler: Handler,
-    /// ALU operation (`AluRR`/`AluRI`).
-    pub alu: AluOp,
-    /// FP operation (`Fpu`).
-    pub fpu: FpuOp,
-    /// Branch condition (`Branch`).
-    pub cond: Cond,
-    /// Addressing mode shape (`Load`/`Store`).
-    pub mode: AddrKind,
+    /// The one-level dispatch key: handler, sub-operation, addressing
+    /// mode and width.
+    pub op: Opcode,
     /// Destination register — or the store's source register.
     pub d: Reg,
     /// First source register — the base register for memory ops.
@@ -420,11 +383,7 @@ impl DecodedInst {
         let mut t = TraceInst::blank(0, pc, OpClass::IntAlu);
         let mut di = DecodedInst {
             template: MicroOp::encode(&t),
-            handler: Handler::Nop,
-            alu: AluOp::Add,
-            fpu: FpuOp::Add,
-            cond: Cond::Eq,
-            mode: AddrKind::BaseOffset,
+            op: Opcode::of(inst),
             d: Reg::ZERO,
             a: Reg::ZERO,
             b: Reg::ZERO,
@@ -432,29 +391,22 @@ impl DecodedInst {
         };
         let t = &mut t;
         match inst {
-            Inst::Halt => di.handler = Handler::Halt,
-            Inst::Nop => di.handler = Handler::Nop,
+            Inst::Halt | Inst::Nop => {}
             Inst::Li { d, imm } => {
-                di.handler = Handler::Li;
                 di.d = d;
                 di.imm = imm;
                 set_dest(t, d, WritebackKind::Opaque);
             }
             Inst::Alu { op, d, a, b } => {
-                di.alu = op;
                 di.d = d;
                 di.a = a;
                 push_src(t, a);
                 match b {
                     Operand::Reg(r) => {
-                        di.handler = Handler::AluRR;
                         di.b = r;
                         push_src(t, r);
                     }
-                    Operand::Imm(i) => {
-                        di.handler = Handler::AluRI;
-                        di.imm = i as i64;
-                    }
+                    Operand::Imm(i) => di.imm = i as i64,
                 }
                 let kind = if op.is_pointer_arith() {
                     WritebackKind::PointerArith
@@ -463,32 +415,19 @@ impl DecodedInst {
                 };
                 set_dest(t, d, kind);
             }
-            Inst::Mul { d, a, b } => {
-                di.handler = Handler::Mul;
-                di.d = d;
-                di.a = a;
-                di.b = b;
-                t.class = OpClass::IntMul;
-                push_src(t, a);
-                push_src(t, b);
-                set_dest(t, d, WritebackKind::Opaque);
-            }
-            Inst::Div { d, a, b } => {
-                di.handler = Handler::Div;
-                di.d = d;
-                di.a = a;
-                di.b = b;
-                t.class = OpClass::IntDiv;
+            Inst::Mul { d, a, b } | Inst::Div { d, a, b } => {
+                (di.d, di.a, di.b) = (d, a, b);
+                t.class = if matches!(inst, Inst::Mul { .. }) {
+                    OpClass::IntMul
+                } else {
+                    OpClass::IntDiv
+                };
                 push_src(t, a);
                 push_src(t, b);
                 set_dest(t, d, WritebackKind::Opaque);
             }
             Inst::Fpu { op, d, a, b } => {
-                di.handler = Handler::Fpu;
-                di.fpu = op;
-                di.d = d;
-                di.a = a;
-                di.b = b;
+                (di.d, di.a, di.b) = (d, a, b);
                 t.class = match op {
                     FpuOp::Add | FpuOp::Sub => OpClass::FpAdd,
                     FpuOp::Mul => OpClass::FpMul,
@@ -500,22 +439,23 @@ impl DecodedInst {
                 set_dest(t, d, WritebackKind::Opaque);
             }
             Inst::Load { d, addr, width } => {
-                di.handler = Handler::Load;
                 di.d = d;
-                Self::decode_addr(&mut di, t, addr, width);
+                Self::decode_addr(&mut di, t, addr, width, AccessKind::Load);
                 t.class = OpClass::Load;
                 set_dest(t, d, WritebackKind::Opaque);
             }
             Inst::Store { s, addr, width } => {
-                di.handler = Handler::Store;
                 di.d = s;
                 push_src(t, s);
-                Self::decode_addr(&mut di, t, addr, width);
+                Self::decode_addr(&mut di, t, addr, width, AccessKind::Store);
                 t.class = OpClass::Store;
             }
-            Inst::Branch { cond, a, b, target } => {
-                di.handler = Handler::Branch;
-                di.cond = cond;
+            Inst::Branch {
+                cond: _,
+                a,
+                b,
+                target,
+            } => {
                 di.a = a;
                 di.b = b;
                 t.class = OpClass::Branch;
@@ -528,7 +468,6 @@ impl DecodedInst {
                 });
             }
             Inst::Jump { target } => {
-                di.handler = Handler::Jump;
                 t.class = OpClass::Branch;
                 t.branch = Some(BranchRec {
                     taken: true,
@@ -544,24 +483,25 @@ impl DecodedInst {
     /// Flattens the addressing mode and builds the static part of the
     /// memory record (source-dependence order: base before index, after
     /// any store data register).
-    fn decode_addr(di: &mut DecodedInst, t: &mut TraceInst, addr: AddrMode, width: Width) {
+    fn decode_addr(
+        di: &mut DecodedInst,
+        t: &mut TraceInst,
+        addr: AddrMode,
+        width: Width,
+        kind: AccessKind,
+    ) {
         let base = addr.base();
         di.a = base;
         push_src(t, base);
         let mut index_reg = None;
         match addr {
-            AddrMode::BaseOffset { offset, .. } => {
-                di.mode = AddrKind::BaseOffset;
-                di.imm = offset as i64;
-            }
+            AddrMode::BaseOffset { offset, .. } => di.imm = offset as i64,
             AddrMode::BaseIndex { index, .. } => {
-                di.mode = AddrKind::BaseIndex;
                 di.b = index;
                 index_reg = Some(index);
                 push_src(t, index);
             }
             AddrMode::PostInc { step, .. } => {
-                di.mode = AddrKind::PostInc;
                 di.imm = step as i64;
                 if !base.is_zero() {
                     t.aux_dest = Some(base);
@@ -570,94 +510,12 @@ impl DecodedInst {
         }
         t.mem = Some(MemRef {
             vaddr: VirtAddr(0), // patched per dynamic instance
-            kind: if di.handler == Handler::Store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            },
+            kind,
             width,
             base_reg: base,
             index_reg,
             offset: addr.displacement(),
         });
-    }
-
-    /// Reconstructs the addressing mode from the flattened operands.
-    fn addr_mode(&self) -> AddrMode {
-        match self.mode {
-            AddrKind::BaseOffset => AddrMode::BaseOffset {
-                base: self.a,
-                offset: self.imm as i32,
-            },
-            AddrKind::BaseIndex => AddrMode::BaseIndex {
-                base: self.a,
-                index: self.b,
-            },
-            AddrKind::PostInc => AddrMode::PostInc {
-                base: self.a,
-                step: self.imm as i32,
-            },
-        }
-    }
-
-    /// Reconstructs the original [`Inst`] byte-for-byte (the round-trip
-    /// regression gate: predecode must be lossless for every form).
-    pub fn reencode(&self) -> Inst {
-        match self.handler {
-            Handler::Nop => Inst::Nop,
-            Handler::Halt => Inst::Halt,
-            Handler::Li => Inst::Li {
-                d: self.d,
-                imm: self.imm,
-            },
-            Handler::AluRR => Inst::Alu {
-                op: self.alu,
-                d: self.d,
-                a: self.a,
-                b: Operand::Reg(self.b),
-            },
-            Handler::AluRI => Inst::Alu {
-                op: self.alu,
-                d: self.d,
-                a: self.a,
-                b: Operand::Imm(self.imm as i32),
-            },
-            Handler::Mul => Inst::Mul {
-                d: self.d,
-                a: self.a,
-                b: self.b,
-            },
-            Handler::Div => Inst::Div {
-                d: self.d,
-                a: self.a,
-                b: self.b,
-            },
-            Handler::Fpu => Inst::Fpu {
-                op: self.fpu,
-                d: self.d,
-                a: self.a,
-                b: self.b,
-            },
-            Handler::Load => Inst::Load {
-                d: self.d,
-                addr: self.addr_mode(),
-                width: self.template.width,
-            },
-            Handler::Store => Inst::Store {
-                s: self.d,
-                addr: self.addr_mode(),
-                width: self.template.width,
-            },
-            Handler::Branch => Inst::Branch {
-                cond: self.cond,
-                a: self.a,
-                b: self.b,
-                target: self.template.target,
-            },
-            Handler::Jump => Inst::Jump {
-                target: self.template.target,
-            },
-        }
     }
 }
 
@@ -696,6 +554,7 @@ impl PredecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{AluOp, Cond};
 
     fn mem_trace_inst() -> TraceInst {
         TraceInst {

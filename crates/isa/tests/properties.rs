@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::{Machine, OpSource, RetireSink, Retired};
-use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
+use hbat_isa::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 use hbat_isa::mem::Memory;
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
@@ -79,68 +79,380 @@ fn scrambled_op() -> impl Strategy<Value = MicroOp> {
     )
 }
 
-/// Strategy: a random straight-line ALU/memory program over registers
-/// r1..r7 that is always valid (targets in range, halt at end).
-fn straightline() -> impl Strategy<Value = Vec<Inst>> {
-    let reg = (1u8..8).prop_map(Reg::int);
-    let op = prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sub),
-        Just(AluOp::And),
-        Just(AluOp::Or),
-        Just(AluOp::Xor),
-        Just(AluOp::Sll),
-        Just(AluOp::Srl),
-        Just(AluOp::Slt),
+/// Every ALU operation, for both operand forms.
+const ALU_OPS: [AluOp; 9] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Sll,
+    AluOp::Srl,
+    AluOp::Sra,
+    AluOp::Slt,
+];
+const FPU_OPS: [FpuOp; 4] = [FpuOp::Add, FpuOp::Sub, FpuOp::Mul, FpuOp::Div];
+const CONDS: [Cond; 6] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Le, Cond::Gt];
+const WIDTHS: [Width; 4] = [Width::B1, Width::B2, Width::B4, Width::B8];
+
+/// The loop counter of [`Piece::Loop`]; no other piece writes it.
+const LOOP_REG: u8 = 8;
+
+/// One generated piece of a program. Branch and jump targets are
+/// offsets from the piece's own index, resolved when the program is
+/// assembled.
+#[derive(Debug, Clone)]
+enum Piece {
+    Inst(Inst),
+    Branch(Cond, Reg, Reg, i32),
+    Jump(i32),
+    /// Runs the next `len` pieces `count` times, counting down
+    /// [`LOOP_REG`] (nested loops are dropped).
+    Loop {
+        count: i64,
+        len: usize,
+    },
+}
+
+/// Strategy: a random program that uses every handler form: all nine
+/// ALU operations in register and immediate forms, `Mul`, `Div`
+/// (divisors include the zero register), the four FP operations, loads
+/// and stores of widths 1/2/4/8 in all three addressing modes (FP ones
+/// are 8 bytes), the six branch conditions, forward and backward
+/// branches and jumps, and counted loops. The base registers r1 and r2
+/// start in one region and move only by post-increment, so accesses
+/// share chunks and straddle chunk boundaries; branches may loop
+/// forever, so runs are cut by a step cap.
+fn any_program() -> impl Strategy<Value = Vec<Inst>> {
+    let src = (0u8..8).prop_map(Reg::int);
+    let dest = (3u8..8).prop_map(Reg::int);
+    let fp = (0u8..4).prop_map(Reg::fp);
+    let base = (1u8..3).prop_map(Reg::int);
+    let addr = prop_oneof![
+        (base.clone(), -64i32..4200)
+            .prop_map(|(base, offset)| AddrMode::BaseOffset { base, offset }),
+        (base.clone(), (0u8..8).prop_map(Reg::int))
+            .prop_map(|(base, index)| AddrMode::BaseIndex { base, index }),
+        (base, -16i32..17).prop_map(|(base, step)| AddrMode::PostInc { base, step }),
     ];
-    let inst = prop_oneof![
-        (reg.clone(), -1000i64..1000).prop_map(|(d, imm)| Inst::Li { d, imm }),
-        (op, reg.clone(), reg.clone(), reg.clone()).prop_map(|(op, d, a, b)| Inst::Alu {
-            op,
+    let width = (0usize..4).prop_map(|w| WIDTHS[w]);
+    let alu = (
+        0usize..9,
+        dest.clone(),
+        src.clone(),
+        src.clone(),
+        -70i32..70,
+        0u8..2,
+    )
+        .prop_map(|(op, d, a, b, imm, form)| Inst::Alu {
+            op: ALU_OPS[op],
             d,
             a,
-            b: Operand::Reg(b)
-        }),
-        (reg.clone(), reg.clone(), 0i32..256).prop_map(|(d, base, off)| Inst::Load {
-            d,
-            addr: AddrMode::BaseOffset {
-                base,
-                offset: off & !7
+            b: if form == 0 {
+                Operand::Reg(b)
+            } else {
+                Operand::Imm(imm)
             },
-            width: Width::B8,
-        }),
-        (reg.clone(), reg.clone(), 0i32..256).prop_map(|(s, base, off)| Inst::Store {
-            s,
-            addr: AddrMode::BaseOffset {
-                base,
-                offset: off & !7
-            },
-            width: Width::B8,
-        }),
+        });
+    let muldiv = (dest.clone(), src.clone(), src.clone(), 0u8..2).prop_map(|(d, a, b, div)| {
+        if div == 0 {
+            Inst::Mul { d, a, b }
+        } else {
+            Inst::Div { d, a, b }
+        }
+    });
+    let fpu = (0usize..4, fp.clone(), fp.clone(), fp.clone()).prop_map(|(op, d, a, b)| Inst::Fpu {
+        op: FPU_OPS[op],
+        d,
+        a,
+        b,
+    });
+    let load = (dest.clone(), addr.clone(), width.clone())
+        .prop_map(|(d, addr, width)| Inst::Load { d, addr, width });
+    let store = (src.clone(), addr.clone(), width).prop_map(|(s, addr, width)| Inst::Store {
+        s,
+        addr,
+        width,
+    });
+    let fp_mem = (fp, addr, 0u8..2).prop_map(|(r, addr, st)| {
+        if st == 0 {
+            Inst::Load {
+                d: r,
+                addr,
+                width: Width::B8,
+            }
+        } else {
+            Inst::Store {
+                s: r,
+                addr,
+                width: Width::B8,
+            }
+        }
+    });
+    let piece = prop_oneof![
+        (dest, -1000i64..1000).prop_map(|(d, imm)| Piece::Inst(Inst::Li { d, imm })),
+        alu.clone().prop_map(Piece::Inst),
+        alu.prop_map(Piece::Inst),
+        muldiv.prop_map(Piece::Inst),
+        fpu.prop_map(Piece::Inst),
+        load.clone().prop_map(Piece::Inst),
+        load.prop_map(Piece::Inst),
+        store.clone().prop_map(Piece::Inst),
+        store.prop_map(Piece::Inst),
+        fp_mem.prop_map(Piece::Inst),
+        (0usize..6, src.clone(), src, -12i32..12)
+            .prop_map(|(c, a, b, off)| Piece::Branch(CONDS[c], a, b, off)),
+        (1i32..6).prop_map(Piece::Jump),
+        (1i64..5, 1usize..8).prop_map(|(count, len)| Piece::Loop { count, len }),
+        Just(Piece::Inst(Inst::Nop)),
     ];
-    prop::collection::vec(inst, 1..60).prop_map(|mut v| {
-        // Anchor the base registers in a sane address region first.
-        let mut prog = vec![
-            Inst::Li {
-                d: Reg::int(1),
-                imm: 0x10_0000,
+    prop::collection::vec(piece, 1..60).prop_map(assemble)
+}
+
+/// Lays out generated pieces after a prologue that anchors the base
+/// registers and loads FP constants, resolving branch offsets into the
+/// program (the final `Halt` included).
+fn assemble(pieces: Vec<Piece>) -> Vec<Inst> {
+    let mut prog = vec![
+        Inst::Li {
+            d: Reg::int(1),
+            imm: 0x10_0ff0,
+        },
+        Inst::Li {
+            d: Reg::int(2),
+            imm: 0x10_1ffc,
+        },
+        Inst::Li {
+            d: Reg::int(3),
+            imm: (1.5f64).to_bits() as i64,
+        },
+        Inst::Store {
+            s: Reg::int(3),
+            addr: AddrMode::BaseOffset {
+                base: Reg::int(1),
+                offset: -8,
             },
-            Inst::Li {
-                d: Reg::int(2),
-                imm: 0x10_1000,
+            width: Width::B8,
+        },
+        Inst::Load {
+            d: Reg::fp(1),
+            addr: AddrMode::BaseOffset {
+                base: Reg::int(1),
+                offset: -8,
             },
-        ];
-        prog.append(&mut v);
-        prog.push(Inst::Halt);
-        prog
-    })
+            width: Width::B8,
+        },
+    ];
+    let counter = Reg::int(LOOP_REG);
+    // (index of the loop's first body instruction, pieces left in it)
+    let mut open: Option<(u32, usize)> = None;
+    let mut branches = Vec::new();
+    for piece in pieces {
+        match piece {
+            Piece::Inst(inst) => prog.push(inst),
+            Piece::Branch(cond, a, b, off) => {
+                branches.push(prog.len());
+                prog.push(Inst::Branch {
+                    cond,
+                    a,
+                    b,
+                    target: off as u32,
+                });
+            }
+            Piece::Jump(off) => {
+                branches.push(prog.len());
+                prog.push(Inst::Jump { target: off as u32 });
+            }
+            Piece::Loop { count, len } => {
+                if open.is_none() {
+                    prog.push(Inst::Li {
+                        d: counter,
+                        imm: count,
+                    });
+                    open = Some((prog.len() as u32, len + 1));
+                }
+            }
+        }
+        if let Some((start, left)) = open.as_mut() {
+            *left -= 1;
+            if *left == 0 {
+                prog.push(Inst::Alu {
+                    op: AluOp::Sub,
+                    d: counter,
+                    a: counter,
+                    b: Operand::Imm(1),
+                });
+                prog.push(Inst::Branch {
+                    cond: Cond::Gt,
+                    a: counter,
+                    b: Reg::ZERO,
+                    target: *start,
+                });
+                open = None;
+            }
+        }
+    }
+    prog.push(Inst::Halt);
+    let last = prog.len() as i64 - 1;
+    for at in branches {
+        let resolve = |off: u32| (at as i64 + i64::from(off as i32)).clamp(0, last) as u32;
+        match &mut prog[at] {
+            Inst::Branch { target, .. } | Inst::Jump { target } => *target = resolve(*target),
+            _ => unreachable!("branches lists only branches and jumps"),
+        }
+    }
+    prog
+}
+
+/// The architectural result of a run: registers, whether it halted,
+/// and for each retired instruction its pc, effective address (memory
+/// ops) and branch direction (conditional branches).
+#[derive(Debug, PartialEq)]
+struct RefRun {
+    regs: [i64; 64],
+    halted: bool,
+    steps: Vec<(u32, Option<u64>, Option<bool>)>,
+}
+
+/// Reference interpreter, written independently of the executor's
+/// dispatch: byte-granular memory, every handler form, at most `cap`
+/// retired instructions. Returns the run and its memory.
+fn reference_run(insts: &[Inst], cap: u64) -> (RefRun, std::collections::HashMap<u64, u8>) {
+    let mut regs = [0i64; 64];
+    let mut mem: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+    let mut steps = Vec::new();
+    let mut pc = 0u32;
+    let r = |regs: &[i64; 64], reg: Reg| regs[reg.code() as usize];
+    let set = |regs: &mut [i64; 64], reg: Reg, v: i64| {
+        if !reg.is_zero() {
+            regs[reg.code() as usize] = v;
+        }
+    };
+    let f = |regs: &[i64; 64], reg: Reg| f64::from_bits(regs[reg.code() as usize] as u64);
+    let ea_of = |regs: &[i64; 64], addr: AddrMode| -> u64 {
+        match addr {
+            AddrMode::BaseOffset { base, offset } => {
+                (regs[base.code() as usize] as u64).wrapping_add(offset as i64 as u64)
+            }
+            AddrMode::BaseIndex { base, index } => {
+                (regs[base.code() as usize] as u64).wrapping_add(regs[index.code() as usize] as u64)
+            }
+            AddrMode::PostInc { base, .. } => regs[base.code() as usize] as u64,
+        }
+    };
+    let post = |regs: &mut [i64; 64], addr: AddrMode| {
+        if let AddrMode::PostInc { base, step } = addr {
+            let v = regs[base.code() as usize].wrapping_add(step as i64);
+            if !base.is_zero() {
+                regs[base.code() as usize] = v;
+            }
+        }
+    };
+    let mut halted = false;
+    while (steps.len() as u64) < cap {
+        let inst = insts[pc as usize];
+        let mut next = pc + 1;
+        let mut step = (pc, None, None);
+        match inst {
+            Inst::Halt => {
+                halted = true;
+                break;
+            }
+            Inst::Nop => {}
+            Inst::Li { d, imm } => set(&mut regs, d, imm),
+            Inst::Alu { op, d, a, b } => {
+                let (x, y) = (
+                    r(&regs, a),
+                    match b {
+                        Operand::Reg(b) => r(&regs, b),
+                        Operand::Imm(i) => i64::from(i),
+                    },
+                );
+                let sh = (y & 63) as u32;
+                let v = match op {
+                    AluOp::Add => x.wrapping_add(y),
+                    AluOp::Sub => x.wrapping_sub(y),
+                    AluOp::And => x & y,
+                    AluOp::Or => x | y,
+                    AluOp::Xor => x ^ y,
+                    AluOp::Sll => ((x as u64) << sh) as i64,
+                    AluOp::Srl => ((x as u64) >> sh) as i64,
+                    AluOp::Sra => x >> sh,
+                    AluOp::Slt => i64::from(x < y),
+                };
+                set(&mut regs, d, v);
+            }
+            Inst::Mul { d, a, b } => {
+                let v = r(&regs, a).wrapping_mul(r(&regs, b));
+                set(&mut regs, d, v);
+            }
+            Inst::Div { d, a, b } => {
+                let (x, y) = (r(&regs, a), r(&regs, b));
+                set(&mut regs, d, if y == 0 { 0 } else { x.wrapping_div(y) });
+            }
+            Inst::Fpu { op, d, a, b } => {
+                let (x, y) = (f(&regs, a), f(&regs, b));
+                let v = match op {
+                    FpuOp::Add => x + y,
+                    FpuOp::Sub => x - y,
+                    FpuOp::Mul => x * y,
+                    FpuOp::Div => x / y,
+                };
+                set(&mut regs, d, v.to_bits() as i64);
+            }
+            Inst::Load { d, addr, width } => {
+                let ea = ea_of(&regs, addr);
+                let v = (0..width.bytes()).fold(0u64, |v, i| {
+                    v | u64::from(*mem.get(&ea.wrapping_add(i)).unwrap_or(&0)) << (8 * i)
+                });
+                set(&mut regs, d, v as i64);
+                post(&mut regs, addr);
+                step.1 = Some(ea);
+            }
+            Inst::Store { s, addr, width } => {
+                let ea = ea_of(&regs, addr);
+                let v = r(&regs, s) as u64;
+                for i in 0..width.bytes() {
+                    mem.insert(ea.wrapping_add(i), (v >> (8 * i)) as u8);
+                }
+                post(&mut regs, addr);
+                step.1 = Some(ea);
+            }
+            Inst::Branch { cond, a, b, target } => {
+                let (x, y) = (r(&regs, a), r(&regs, b));
+                let taken = match cond {
+                    Cond::Eq => x == y,
+                    Cond::Ne => x != y,
+                    Cond::Lt => x < y,
+                    Cond::Ge => x >= y,
+                    Cond::Le => x <= y,
+                    Cond::Gt => x > y,
+                };
+                if taken {
+                    next = target;
+                }
+                step.2 = Some(taken);
+            }
+            Inst::Jump { target } => next = target,
+        }
+        steps.push(step);
+        pc = next;
+    }
+    (
+        RefRun {
+            regs,
+            halted,
+            steps,
+        },
+        mem,
+    )
 }
 
 proptest! {
     /// Execution is deterministic: identical programs produce identical
     /// traces and final register files.
     #[test]
-    fn executor_is_deterministic(insts in straightline()) {
+    fn executor_is_deterministic(insts in any_program()) {
         let p = Program::new(insts).expect("generated programs are valid");
         let mut m1 = Machine::new(p.clone());
         let mut m2 = Machine::new(p);
@@ -158,9 +470,10 @@ proptest! {
     /// The sinks see one run: the no-op sink retires as many
     /// instructions as the materialising run keeps, a run fed in chunks
     /// keeps the same ops, and all three leave the same registers and
-    /// memory image, whether the program halts or hits the step cap.
+    /// memory image, whether the program halts or hits the step cap
+    /// (which often lands inside a loop).
     #[test]
-    fn sinks_see_the_same_run(insts in straightline(), cap in 1u64..80, chunk in 1u64..9) {
+    fn sinks_see_the_same_run(insts in any_program(), cap in 1u64..400, chunk in 1u64..9) {
         let p = Program::new(insts).expect("valid");
         let mut counted = Machine::new(p.clone());
         let mut kept = Machine::new(p.clone());
@@ -187,7 +500,7 @@ proptest! {
     /// materialised ops both hold exactly those ops.
     #[test]
     fn tape_stores_executor_runs_losslessly(
-        insts in straightline(),
+        insts in any_program(),
         cap in 1u64..80,
         chunk in 1u64..9,
     ) {
@@ -231,7 +544,7 @@ proptest! {
     /// The zero register reads zero whatever the program does, and every
     /// trace record's serial matches its position.
     #[test]
-    fn zero_register_and_serials_hold(insts in straightline()) {
+    fn zero_register_and_serials_hold(insts in any_program()) {
         let p = Program::new(insts).expect("valid");
         let mut m = Machine::new(p);
         let trace = m.run_to_vec(10_000);
@@ -245,81 +558,34 @@ proptest! {
     }
 
     /// Differential test: the executor agrees with an independent
-    /// reference interpreter on final registers and every effective
-    /// address, for any straight-line program.
+    /// reference interpreter on final registers, halting, every retired
+    /// pc, effective address and branch direction, and memory, for
+    /// programs that use every handler form.
     #[test]
-    fn executor_matches_reference_interpreter(insts in straightline()) {
-        // Reference interpreter for the straight-line subset, with
-        // byte-granular memory (accesses may overlap arbitrarily).
-        let mut regs = [0i64; 32];
-        let mut mem: std::collections::HashMap<u64, u8> =
-            std::collections::HashMap::new();
-        let read8 = |mem: &std::collections::HashMap<u64, u8>, ea: u64| -> u64 {
-            (0..8u64)
-                .map(|i| (*mem.get(&ea.wrapping_add(i)).unwrap_or(&0) as u64) << (8 * i))
-                .sum()
-        };
-        let mut ref_addrs = Vec::new();
-        for inst in &insts {
-            match *inst {
-                Inst::Li { d, imm } => {
-                    if !d.is_zero() {
-                        regs[d.index()] = imm;
-                    }
-                }
-                Inst::Alu { op, d, a, b } => {
-                    let bv = match b {
-                        Operand::Reg(r) => regs[r.index()],
-                        Operand::Imm(i) => i as i64,
-                    };
-                    let v = op.apply(regs[a.index()], bv);
-                    if !d.is_zero() {
-                        regs[d.index()] = v;
-                    }
-                }
-                Inst::Load { d, addr: AddrMode::BaseOffset { base, offset }, .. } => {
-                    let ea = (regs[base.index()] as u64)
-                        .wrapping_add(offset as i64 as u64);
-                    ref_addrs.push(ea);
-                    let v = read8(&mem, ea);
-                    if !d.is_zero() {
-                        regs[d.index()] = v as i64;
-                    }
-                }
-                Inst::Store { s, addr: AddrMode::BaseOffset { base, offset }, .. } => {
-                    let ea = (regs[base.index()] as u64)
-                        .wrapping_add(offset as i64 as u64);
-                    ref_addrs.push(ea);
-                    let v = regs[s.index()] as u64;
-                    for i in 0..8u64 {
-                        mem.insert(ea.wrapping_add(i), (v >> (8 * i)) as u8);
-                    }
-                }
-                Inst::Halt => break,
-                ref other => prop_assert!(false, "unexpected inst {other:?}"),
-            }
-        }
-
+    fn executor_matches_reference_interpreter(insts in any_program()) {
+        const CAP: u64 = 3_000;
+        let (want, ref_mem) = reference_run(&insts, CAP);
         let p = Program::new(insts).expect("valid");
         let mut m = Machine::new(p);
-        let trace = m.run_to_vec(10_000);
-        prop_assert!(m.is_halted());
-        for r in 0..32 {
-            prop_assert_eq!(
-                m.read_reg(Reg::int(r)),
-                regs[r as usize],
-                "register r{} diverged",
-                r
-            );
+        let trace = m.run_to_vec(CAP);
+        let mut regs = [0i64; 64];
+        for (code, r) in (0u8..).zip(regs.iter_mut()) {
+            *r = m.read_reg(Reg::from_code(code));
         }
-        let exec_addrs: Vec<u64> = trace
-            .iter()
-            .filter_map(|t| t.mem.map(|mm| mm.vaddr.0))
-            .collect();
-        prop_assert_eq!(exec_addrs, ref_addrs);
-        // Stored memory agrees too.
-        for (&ea, &v) in &mem {
-            prop_assert_eq!(m.memory().read_u8(VirtAddr(ea)), v);
+        let got = RefRun {
+            regs,
+            halted: m.is_halted(),
+            steps: trace
+                .iter()
+                .map(|t| {
+                    let taken = t.branch.filter(|b| b.conditional).map(|b| b.taken);
+                    (t.pc, t.mem.map(|mm| mm.vaddr.0), taken)
+                })
+                .collect(),
+        };
+        prop_assert_eq!(got, want);
+        for (&ea, &v) in &ref_mem {
+            prop_assert_eq!(m.memory().read_u8(VirtAddr(ea)), v, "byte at {:#x}", ea);
         }
     }
 
@@ -363,12 +629,52 @@ proptest! {
     }
 }
 
-/// One access in a memory differential test.
+/// One access in a memory differential test: the public API, or the
+/// executor's memoised `load`/`store`.
 #[derive(Debug, Clone)]
 enum MemOp {
     Read(u64, u64),
     Write(u64, u64, u64),
     Bytes(u64, Vec<u8>),
+    Load(u64, u64),
+    Store(u64, u64, u64),
+    /// `import_chunk` of chunk `.0` (0–3, or 4 for the top chunk of the
+    /// address space), filled with a pattern seeded by `.1`.
+    Import(u64, u8),
+    Clear,
+}
+
+/// The executor's memoised load of `n` bytes.
+fn memo_load(m: &mut Memory, a: u64, n: u64) -> u64 {
+    match n {
+        1 => m.load::<1>(VirtAddr(a)),
+        2 => m.load::<2>(VirtAddr(a)),
+        4 => m.load::<4>(VirtAddr(a)),
+        _ => m.load::<8>(VirtAddr(a)),
+    }
+}
+
+/// The executor's memoised store of `n` bytes.
+fn memo_store(m: &mut Memory, a: u64, v: u64, n: u64) {
+    match n {
+        1 => m.store::<1>(VirtAddr(a), v),
+        2 => m.store::<2>(VirtAddr(a), v),
+        4 => m.store::<4>(VirtAddr(a), v),
+        _ => m.store::<8>(VirtAddr(a), v),
+    }
+}
+
+/// The base and bytes of a `MemOp::Import`.
+fn import_image(chunk: u64, seed: u8) -> (u64, Vec<u8>) {
+    let base = if chunk < 4 {
+        chunk * 4096
+    } else {
+        u64::MAX - 4095
+    };
+    let bytes = (0..4096u32)
+        .map(|i| (i as u8).wrapping_mul(seed | 1))
+        .collect();
+    (base, bytes)
 }
 
 /// Strategy: an address that is chunk-straddling (offsets 4088–4095 of
@@ -386,9 +692,15 @@ fn mem_op() -> impl Strategy<Value = MemOp> {
     let width = prop_oneof![Just(1u64), Just(2u64), Just(4u64), Just(8u64)];
     prop_oneof![
         (mem_addr(), width.clone()).prop_map(|(a, n)| MemOp::Read(a, n)),
-        (mem_addr(), any::<u64>(), width).prop_map(|(a, v, n)| MemOp::Write(a, v, n)),
+        (mem_addr(), any::<u64>(), width.clone()).prop_map(|(a, v, n)| MemOp::Write(a, v, n)),
         (mem_addr(), prop::collection::vec(any::<u8>(), 0..9000))
             .prop_map(|(a, b)| MemOp::Bytes(a, b)),
+        (mem_addr(), width.clone()).prop_map(|(a, n)| MemOp::Load(a, n)),
+        (mem_addr(), width.clone()).prop_map(|(a, n)| MemOp::Load(a, n)),
+        (mem_addr(), any::<u64>(), width.clone()).prop_map(|(a, v, n)| MemOp::Store(a, v, n)),
+        (mem_addr(), any::<u64>(), width).prop_map(|(a, v, n)| MemOp::Store(a, v, n)),
+        (0u64..5, any::<u8>()).prop_map(|(c, seed)| MemOp::Import(c, seed)),
+        Just(MemOp::Clear),
     ]
 }
 
@@ -417,23 +729,34 @@ impl ByteModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `read_le`/`write_le`/`write_bytes` agree with a byte-at-a-time
-    /// model for widths 1/2/4/8, chunk-straddling offsets and addresses
-    /// that wrap past `u64::MAX`; reads never materialise a chunk, and
-    /// writes materialise exactly the chunks they touch.
+    /// The public API (`read_le`/`write_le`/`write_bytes`,
+    /// `import_chunk`, `clear`) and the executor's memoised
+    /// `load`/`store`, interleaved, agree with a byte-at-a-time model
+    /// for widths 1/2/4/8, chunk-straddling offsets and addresses that
+    /// wrap past `u64::MAX`: a memoised access after any public write,
+    /// import or clear sees it. Reads and loads never materialise a
+    /// chunk, and writes materialise exactly the chunks they touch.
     #[test]
     fn memory_matches_a_byte_model(ops in prop::collection::vec(mem_op(), 1..40)) {
         let mut m = Memory::new();
         let mut model = ByteModel::default();
         for op in &ops {
+            let before = m.chunk_count();
             match op {
                 MemOp::Read(a, n) => {
-                    let before = m.chunk_count();
                     prop_assert_eq!(m.read_le(VirtAddr(*a), *n), model.read_le(*a, *n), "{:?}", op);
                     prop_assert_eq!(m.chunk_count(), before, "a read materialised a chunk");
                 }
-                MemOp::Write(a, v, n) => {
-                    m.write_le(VirtAddr(*a), *v, *n);
+                MemOp::Load(a, n) => {
+                    prop_assert_eq!(memo_load(&mut m, *a, *n), model.read_le(*a, *n), "{:?}", op);
+                    prop_assert_eq!(m.chunk_count(), before, "a load materialised a chunk");
+                }
+                MemOp::Write(a, v, n) | MemOp::Store(a, v, n) => {
+                    if matches!(op, MemOp::Write(..)) {
+                        m.write_le(VirtAddr(*a), *v, *n);
+                    } else {
+                        memo_store(&mut m, *a, *v, *n);
+                    }
                     for i in 0..*n {
                         model.write(a.wrapping_add(i), (v >> (8 * i)) as u8);
                     }
@@ -444,13 +767,64 @@ proptest! {
                         model.write(a.wrapping_add(i), b);
                     }
                 }
+                MemOp::Import(chunk, seed) => {
+                    let (base, bytes) = import_image(*chunk, *seed);
+                    m.import_chunk(base, &bytes).expect("aligned, whole chunk");
+                    for (i, &b) in (0u64..).zip(&bytes) {
+                        model.write(base + i, b);
+                    }
+                }
+                MemOp::Clear => {
+                    m.clear();
+                    model = ByteModel::default();
+                }
             }
             prop_assert_eq!(m.chunk_count(), model.chunks.len(), "after {:?}", op);
         }
         for (&a, &b) in &model.bytes {
             prop_assert_eq!(m.read_u8(VirtAddr(a)), b);
+            prop_assert_eq!(memo_load(&mut m, a, 1), u64::from(b));
         }
     }
+}
+
+/// The memo never serves a stale chunk: a memoised load sees a
+/// `write_bytes`, a `write_le` and an `import_chunk` into a chunk it
+/// has already read (present or absent), and nothing survives `clear`.
+#[test]
+fn memo_sees_every_public_write() {
+    let mut m = Memory::new();
+    let a = VirtAddr(0x5008);
+    assert_eq!(m.load::<8>(a), 0, "an absent chunk reads as zero");
+    assert_eq!(m.chunk_count(), 0, "and stays absent");
+    m.write_bytes(VirtAddr(0x5000), &[7; 16]);
+    assert_eq!(
+        m.load::<8>(a),
+        0x0707_0707_0707_0707,
+        "write_bytes after an absent read"
+    );
+    m.write_le(a, 0x1234, 2);
+    assert_eq!(m.load::<4>(a), 0x0707_1234, "write_le after a present read");
+    m.import_chunk(0x5000, &[9; 4096]).unwrap();
+    assert_eq!(m.load::<1>(a), 9, "import_chunk over a memoised chunk");
+    m.store::<8>(VirtAddr(0xfff), u64::MAX);
+    assert_eq!(
+        m.read_le(VirtAddr(0x1000), 7),
+        (1 << 56) - 1,
+        "a store straddling chunks"
+    );
+    m.store::<4>(VirtAddr(u64::MAX - 1), 0xaabb_ccdd);
+    assert_eq!(
+        m.load::<2>(VirtAddr(0)),
+        0xaabb,
+        "a store wrapping to address 0"
+    );
+    m.clear();
+    assert_eq!(m.chunk_count(), 0);
+    assert_eq!(m.load::<8>(a), 0, "clear empties the memo with the chunks");
+    m.store::<8>(a, 5);
+    assert_eq!(m.load::<8>(a), 5);
+    assert_eq!(m.chunk_count(), 1);
 }
 
 /// Every test-scale workload's executor-built tape, and `from_ops` of
