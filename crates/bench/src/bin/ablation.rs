@@ -9,15 +9,12 @@
 //!    attachments does a register working set need, and do the paper's 4
 //!    offset bits matter?
 //! 4. Interleave factor at fixed capacity — why more banks stop helping.
-//! 5. A victim buffer behind a single-ported TLB — an extension design
-//!    that rescues hot pages random replacement evicts.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
 use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
 use hbat_core::designs::ported::PortedTlb;
 use hbat_core::designs::shielded::ShieldedTlb;
-use hbat_core::designs::victim::VictimTlb;
 use hbat_core::pagetable::PageTable;
 use hbat_core::translator::AddressTranslator;
 use hbat_cpu::engine::Engine;
@@ -142,38 +139,11 @@ fn main() {
     }
     println!("A4. Interleave factor at fixed capacity\n{}", t.render());
 
-    // 5. Victim buffer on a single-ported TLB (extension beyond Table 2).
-    let mut t = TextTable::new(vec!["victim entries", "Compress IPC", "victim hits"]);
-    t.numeric();
-    for v in [0usize, 4, 8, 16] {
-        let m = if v == 0 {
-            simulate(
-                &compress,
-                &mut PortedTlb::new("T1", 1, 1, 0, 128, pt(), SEED),
-            )
-        } else {
-            let mut vt = VictimTlb::new("V", 1, 128, v, pt(), SEED);
-            let m = simulate(&compress, &mut vt);
-            t.row(vec![
-                v.to_string(),
-                fnum(m.ipc(), 3),
-                vt.victim_hits().to_string(),
-            ]);
-            continue;
-        };
-        t.row(vec!["0 (T1)".into(), fnum(m.ipc(), 3), "-".into()]);
-    }
-    println!(
-        "A5. Victim buffer behind a single-ported TLB\n{}",
-        t.render()
-    );
     println!(
         "Findings mirror Section 4: the L1 TLB saturates within a few\n\
          entries; one or two piggyback ports capture almost all combining;\n\
          the offset-tag bits matter only when one register covers several\n\
-         pages; extra banks stop helping because simultaneous requests hit\n\
-         the same page — hence the same bank — regardless of count; and a\n\
-         small victim buffer recovers most of what random replacement\n\
-         wrongly evicts on a locality-poor program."
+         pages; and extra banks stop helping because simultaneous requests\n\
+         hit the same page — hence the same bank — regardless of count."
     );
 }

@@ -8,7 +8,6 @@
 //! | Piggyback ports | [`ported`] | PB2, PB1, I4/PB |
 //! | Pretranslation | [`shielded`], a pretranslation-cache shield | P8 |
 //! | Unlimited reference | [`unlimited`] | — (testing/golden model) |
-//! | Victim-buffered TLB | [`victim`] | — (extension beyond the paper) |
 //!
 //! [`spec`] turns the paper's mnemonics into configured design instances.
 
@@ -17,7 +16,6 @@ pub mod ported;
 pub mod shielded;
 pub mod spec;
 pub mod unlimited;
-pub mod victim;
 
 use crate::addr::Vpn;
 use crate::bank::TlbBank;
