@@ -18,7 +18,10 @@
 //!
 //! The observed path is pinned by the traced records of every workload
 //! under I4/M8/P8 and under all 13 Table-2 designs, and by the
-//! 256-cycle interval windows of every workload under T1.
+//! 256-cycle interval windows of every workload under T1. The sweep's
+//! own recorder path is pinned by the journal and sidecars of an
+//! observed Figure 5 with 256-cycle intervals, plain and `--ff 20000`,
+//! on one worker and on three.
 //!
 //! The checkpointed paths are pinned by a Figure-5 sweep fast-forwarded
 //! to instruction 20,000 (`hbat sweep --ff 20000 --ckpt-dir <dir>`):
@@ -40,8 +43,8 @@
 use hbat_suite::analysis::{working_set, BankConflictProfile};
 use hbat_suite::bench::ckpt::{build_warm_start_cold, CheckpointOptions, WarmStart};
 use hbat_suite::bench::experiment::{
-    config_fingerprint, render_obs_record, run_cell, sweep, sweep_ft, tape_for, ExperimentConfig,
-    SweepOptions, SweepResult,
+    config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_obs_record, run_cell, sweep,
+    sweep_ft, tape_for, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
@@ -396,6 +399,65 @@ fn interval_windows() {
         text.push_str(&format!("{bench} dropped {}\n", iv.dropped_windows()));
     }
     assert_eq!(fnv1a_hex(&text), "c991cf6813f44467");
+}
+
+/// The digest of an observed, journalled Figure 5 (`hbat sweep --scale
+/// test --observe --intervals 256 --journal <path>`, plus `--ff 20000`
+/// when `ff`) on `threads` workers: every line of the journal and of its
+/// `.obs.jsonl` and `.iv.jsonl` sidecars, sorted, since the cells append
+/// in the order the workers finish them.
+fn observed_sweep_digest(tag: &str, threads: usize, ff: bool) -> String {
+    let dir = std::env::temp_dir().join(format!(
+        "hbat-golden-sidecars-{tag}-{threads}-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("sweep.journal");
+    fig5_with(&SweepOptions {
+        threads,
+        journal: Some(journal.clone()),
+        observe: true,
+        intervals: Some(256),
+        checkpoint: ff.then(|| CheckpointOptions {
+            dir: dir.join("ckpt"),
+            interval: 5_000,
+            boundary: 20_000,
+        }),
+        ..SweepOptions::default()
+    });
+    let mut lines: Vec<String> = Vec::new();
+    for path in [
+        journal.clone(),
+        obs_sidecar_path(&journal),
+        iv_sidecar_path(&journal),
+    ] {
+        let text = std::fs::read_to_string(&path).unwrap();
+        lines.extend(text.lines().map(str::to_owned));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    lines.sort_unstable();
+    fnv1a_hex(&(lines.join("\n") + "\n"))
+}
+
+/// Pins the sweep's own recorder path: the journal and both sidecars of
+/// an observed Figure 5 with 256-cycle intervals, from the first
+/// instruction and fast-forwarded to instruction 20,000, on one worker
+/// and on three.
+#[test]
+fn observed_sweep_sidecars() {
+    for threads in [1, 3] {
+        assert_eq!(
+            observed_sweep_digest("full", threads, false),
+            "97acad7370f67413",
+            "full, {threads} workers"
+        );
+        assert_eq!(
+            observed_sweep_digest("ff", threads, true),
+            "c931697ab3e67e51",
+            "--ff 20000, {threads} workers"
+        );
+    }
 }
 
 /// One seeded step of splitmix64.
