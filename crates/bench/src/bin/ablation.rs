@@ -31,7 +31,7 @@ const SEED: u64 = 1996;
 fn simulate(tape: &Tape, t: &mut dyn AddressTranslator) -> RunMetrics {
     let cfg = SimConfig::baseline();
     let cold = WarmAccumulator::new(&cfg, t.geometry()).warm_state();
-    Engine::new(&cfg, tape, t, &cold, NullRecorder).run()
+    Engine::new(&cfg, tape.reader(), t, &cold, NullRecorder).run()
 }
 
 fn main() {

@@ -25,7 +25,7 @@ fn main() {
     let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
         let tape = bench.build(&cfg.workload).tape();
-        weights.push(run_cell(&tape, t4, &cfg, &cold, NullRecorder).cycles as f64);
+        weights.push(run_cell(tape.reader(), t4, &cfg, &cold, NullRecorder).cycles as f64);
         let mut cells = vec![bench.name().to_owned()];
         for (i, (entries, policy)) in FIG6_SIZES.iter().enumerate() {
             let rate = miss_rate_percent(&tape, *entries, *policy, cfg.geometry, 1996);

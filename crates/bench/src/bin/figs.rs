@@ -1,7 +1,7 @@
 //! Regenerates every IPC figure (5, 7, 8, 9) in a single process.
 //!
-//! Each figure is its own sweep, which runs every program afresh and
-//! holds a program's tape only while its cells run. Each figure prints
+//! Each figure is its own sweep, which runs every program afresh in
+//! each of its cells and stores no trace. Each figure prints
 //! as its relative-IPC table and chart followed by the per-benchmark
 //! IPC detail, and its scheduling statistics go to stderr.
 //!

@@ -30,7 +30,7 @@ fn main() {
     let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
         let tape = bench.build(&cfg.workload).tape();
-        let m = run_cell(&tape, t4, &cfg, &cold, NullRecorder);
+        let m = run_cell(tape.reader(), t4, &cfg, &cold, NullRecorder);
         t.row(vec![
             bench.name().to_owned(),
             fnum(m.committed as f64 / 1e3, 1),

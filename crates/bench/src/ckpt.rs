@@ -25,7 +25,7 @@ use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::WarmAccumulator;
-use hbat_isa::tape::Tape;
+use hbat_isa::executor::OpSource;
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
 use hbat_workloads::Benchmark;
@@ -49,9 +49,9 @@ pub struct CheckpointOptions {
 
 /// One benchmark at the start of detailed timing: the machine, ready to
 /// run the timing tail, and the warm state there. Every sweep keeps
-/// this, not the tail: a program's first cell runs a clone of the
-/// machine, into the [`tail`](Self::tail) a full sweep times or through
-/// a sampled sweep's warm schedule.
+/// this, not the tail: a full cell streams a clone of the machine into
+/// the engine, and a sampled sweep's first cell runs one through the
+/// warm schedule.
 #[derive(Debug)]
 pub struct WarmStart {
     /// The benchmark.
@@ -87,21 +87,6 @@ impl WarmStart {
         }
     }
 
-    /// `run` of a clone of the machine with the workload's step budget,
-    /// failing unless the clone halted within it.
-    fn run_clone<T>(&self, run: impl FnOnce(&mut Machine, u64) -> T) -> Result<T, CkptError> {
-        let mut machine = self.machine.clone();
-        let out = run(&mut machine, self.max_steps);
-        if machine.is_halted() {
-            return Ok(out);
-        }
-        Err(CkptError::Malformed(format!(
-            "workload {} did not halt within {} tail steps",
-            self.bench.name(),
-            self.max_steps
-        )))
-    }
-
     /// The number of ops in the timing tail: runs a clone of the machine
     /// to halt and keeps none of them.
     ///
@@ -110,17 +95,16 @@ impl WarmStart {
     /// [`CkptError::Malformed`] if the program does not halt within its
     /// step budget.
     pub fn tail_len(&self) -> Result<u64, CkptError> {
-        self.run_clone(|machine, max| machine.execute(max, &mut ()))
-    }
-
-    /// The timing tail as a tape: runs a clone of the machine to halt
-    /// and keeps every op, the twin of [`Self::tail_len`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::tail_len`].
-    pub fn tail(&self) -> Result<Tape, CkptError> {
-        self.run_clone(Machine::run_to_tape)
+        let mut machine = self.machine.clone();
+        let n = machine.execute(self.max_steps, &mut ());
+        if machine.is_halted() {
+            return Ok(n);
+        }
+        Err(CkptError::Malformed(format!(
+            "workload {} did not halt within {} tail steps",
+            self.bench.name(),
+            self.max_steps
+        )))
     }
 }
 
@@ -391,11 +375,13 @@ pub fn verify_restore_equivalence(
         ));
     }
     let (cold_warm, restored_warm) = (cold.acc.warm_state(), restored.acc.warm_state());
-    let cold_tail = cold.tail().map_err(|e| err("cold tail", e))?;
-    let restored_tail = restored.tail().map_err(|e| err("restored tail", e))?;
+    let cold_n = cold.tail_len().map_err(|e| err("cold tail", e))?;
+    let restored_n = restored.tail_len().map_err(|e| err("restored tail", e))?;
     for design in designs {
-        let a = run_cell(&cold_tail, *design, cfg, &cold_warm, NullRecorder);
-        let b = run_cell(&restored_tail, *design, cfg, &restored_warm, NullRecorder);
+        let cold_ops = cold.machine.clone().capped(cold_n);
+        let restored_ops = restored.machine.clone().capped(restored_n);
+        let a = run_cell(cold_ops, *design, cfg, &cold_warm, NullRecorder);
+        let b = run_cell(restored_ops, *design, cfg, &restored_warm, NullRecorder);
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",
@@ -448,7 +434,8 @@ mod tests {
         .unwrap();
         assert_eq!(cold.start, ck.start);
         assert_eq!(cold.acc.export(), ck.acc.export());
-        assert_eq!(cold.tail().unwrap(), ck.tail().unwrap());
+        let tail = |ws: &WarmStart| ws.machine.clone().run_to_tape(ws.max_steps);
+        assert_eq!(tail(&cold), tail(&ck));
         assert!(ck.restored_from.is_none(), "first pass cold-starts");
 
         // A second pass restores from the boundary snapshot and skips

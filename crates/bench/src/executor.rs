@@ -10,9 +10,10 @@
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
 //!    until the queue drains, so a slow cell never idles the other
-//!    workers. A benchmark's first cell builds the timing input its
-//!    designs share, a [`Tape`] of the whole tail or a sampled
-//!    schedule, and its last cell drops it.
+//!    workers. A full cell streams a clone of its benchmark's machine
+//!    into the engine, so no trace is stored. In a sampled sweep a
+//!    benchmark's first cell builds the schedule its designs share, and
+//!    its last cell drops it.
 //!
 //! Execution is *isolated per cell*: each attempt runs under
 //! `catch_unwind`, so one panicking cell becomes a
@@ -22,8 +23,8 @@
 //! deadline; see [`parallel_map_outcomes`].
 //!
 //! Scheduling is invisible in the results: every cell seeds its design's
-//! replacement RNG from the experiment's `design_seed` and replays an
-//! immutable shared input, so the metrics are bit-identical to a
+//! replacement RNG from the experiment's `design_seed` and runs its own
+//! clone of the machine or replays an immutable shared schedule, so the metrics are bit-identical to a
 //! one-worker sweep regardless of worker count or claim order (tested in
 //! `tests/executor.rs`).
 
@@ -437,8 +438,8 @@ where
 /// (`Workload::tape`: the program's micro-op templates plus 12 bytes
 /// per op), the one form the cache holds. Tapes are immutable once
 /// built and shared as `Arc<Tape>`, and kept until the cache is
-/// dropped, so sweeps, which hold a program's tape only while its
-/// cells run, never use it; single cells reach it through `tape_for`.
+/// dropped, so sweeps, which store no whole trace, never use it;
+/// single cells reach it through `tape_for`.
 /// [`TraceCache::get_or_build_uops`] materialises a cached tape's
 /// micro-ops for callers that take `&[MicroOp]`.
 #[derive(Debug, Default)]

@@ -2,10 +2,11 @@
 //! suite, exactly as Section 4 of the paper does.
 //!
 //! Each benchmark is kept as the machine at its timing start (its first
-//! instruction, or the `--ff` boundary) with its op count. The first of
-//! its cells to run builds the timing input every design replays: the
-//! whole tail as a [`Tape`] in a full sweep, the warm schedule's windows
-//! in a sampled one. The last of its cells drops it. The benchmark ×
+//! instruction, or the `--ff` boundary) with its op count. A full
+//! sweep's cell runs a clone of that machine straight into the engine,
+//! so no trace is stored. In a sampled sweep the first of the program's
+//! cells to run builds the warm schedule's windows that every design
+//! replays, and the last of its cells drops them. The benchmark ×
 //! design cells are scheduled individually across a worker pool (see
 //! [`crate::executor`]), so a full Table-2 sweep keeps every core busy
 //! until the last cell drains; results are bit-identical to a serial
@@ -20,15 +21,17 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hbat_ckpt::CkptError;
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
+use hbat_isa::executor::{Capped, OpSource};
 use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
+use hbat_isa::Machine;
 use hbat_obs::{
     prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
 };
@@ -48,7 +51,7 @@ use crate::journal::{
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
-    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, SampleWindow, ScheduledWindow,
+    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, ScheduledWindow,
 };
 
 /// The four-ported TLB: the design every figure normalises IPC to.
@@ -407,7 +410,8 @@ pub fn tape_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<Tape> {
         .1
 }
 
-/// Runs one cell: `design` times the tape `ops` in detail from `warm`, reporting
+/// Runs one cell: `design` times the op stream `ops` (a `Machine`, a
+/// `TapeReader` or a `&[MicroOp]`) in detail from `warm`, reporting
 /// to `rec` ([`NullRecorder`] for an unobserved run; a [`TraceRecorder`]
 /// for the stall taxonomy, an [`IntervalRecorder`], a [`Tee`] of both,
 /// or a sampled window's gate). The one cell runner: a full cell starts
@@ -416,7 +420,7 @@ pub fn tape_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<Tape> {
 /// whatever `R` is, unless the recorder
 /// [`finished`](hbat_obs::Recorder::finished) early.
 pub fn run_cell<R: hbat_obs::Recorder>(
-    ops: &Tape,
+    ops: impl OpSource,
     design: DesignSpec,
     cfg: &ExperimentConfig,
     warm: &WarmState,
@@ -431,20 +435,14 @@ pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfi
     run_cell_uops_with(uops, design, cfg, NullRecorder)
 }
 
-/// [`run_cell`] of a full trace from the empty state, under `rec`; the
-/// ops are stored as a tape first.
-///
-/// # Panics
-///
-/// If the serials of `uops` are not contiguous.
+/// [`run_cell`] of a full trace from the empty state, under `rec`.
 pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     uops: &[MicroOp],
     design: DesignSpec,
     cfg: &ExperimentConfig,
     rec: R,
 ) -> RunMetrics {
-    let tape = Tape::from_ops(uops).unwrap_or_else(|e| panic!("not a trace: {e}"));
-    run_cell(&tape, design, cfg, &cfg.cold_state(), rec)
+    run_cell(uops, design, cfg, &cfg.cold_state(), rec)
 }
 
 /// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
@@ -628,52 +626,44 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
 
 /// What phase 1 built for one program: the machine and accumulator at
 /// its timing start (the first instruction, or the `--ff` boundary) and
-/// the ops it runs from there to halt. The program's first cell builds
-/// the [`SharedSchedule`] its designs time from a clone of `start`, so
-/// no sweep holds a program's trace before its cells run.
+/// the ops it runs from there to halt. Each full cell streams a clone
+/// of the machine into the engine; a sampled sweep's first cell builds
+/// the [`SharedSchedule`] its designs time from another clone. So no
+/// sweep holds a program's trace.
 struct BenchInput {
     /// The machine and accumulator at the timing start.
     start: WarmStart,
     /// The ops the machine runs from there to halt.
     n: u64,
+    /// The install form of the accumulator, built by the program's
+    /// first full cell and shared by the others.
+    warm: OnceLock<WarmState>,
 }
 
 impl BenchInput {
-    /// The schedule every cell of the program times. A sampled sweep's
-    /// is [`warm_schedule`] of a clone of the machine, continuing a
-    /// clone of the accumulator. A full sweep's is one window over the
-    /// whole tail, held as a tape, from the install form of the state
-    /// at its first op.
-    ///
-    /// # Panics
-    ///
-    /// If the program does not halt within its step budget, which the
-    /// op count already ruled out.
-    fn schedule(&self, cfg: &ExperimentConfig, plan: Option<&SamplePlan>) -> Vec<ScheduledWindow> {
+    /// What a full cell times: a clone of the machine, capped at the
+    /// `n` ops phase 1 counted.
+    fn stream(&self) -> Capped<Machine> {
+        self.start.machine.clone().capped(self.n)
+    }
+
+    /// The state a full cell starts from.
+    fn warm_state(&self) -> &WarmState {
+        self.warm.get_or_init(|| self.start.acc.warm_state())
+    }
+
+    /// The windows every cell of a sampled sweep times: [`warm_schedule`]
+    /// of a clone of the machine, continuing a clone of the accumulator.
+    fn schedule(&self, cfg: &ExperimentConfig, plan: &SamplePlan) -> Vec<ScheduledWindow> {
         let start = &self.start;
-        if let Some(plan) = plan {
-            return warm_schedule(start.machine.clone(), self.n, cfg, Some(&start.acc), plan);
-        }
-        let ops = start
-            .tail()
-            .unwrap_or_else(|e| panic!("timing input for {}: {e}", start.bench.name()));
-        vec![ScheduledWindow {
-            window: SampleWindow {
-                warm_start: 0,
-                meas_start: 0,
-                end: self.n,
-            },
-            warm: start.acc.warm_state(),
-            ops,
-        }]
+        warm_schedule(start.machine.clone(), self.n, cfg, Some(&start.acc), plan)
     }
 }
 
-/// One program's timing input (DESIGN.md §15): a sampled sweep's warm
-/// schedule, or a full sweep's one-window schedule over the whole tail.
-/// The first of the program's cells to run builds it, the other designs
-/// share it, and the last cell to finish drops it, so only programs
-/// with cells still to run hold one.
+/// One program's timing input in a sampled sweep (DESIGN.md §15): its
+/// warm schedule. The first of the program's cells to run builds it,
+/// the other designs share it, and the last cell to finish drops it, so
+/// only programs with cells still to run hold one.
 struct SharedSchedule {
     /// The schedule once built, and how many of the program's cells
     /// have yet to finish with it.
@@ -728,10 +718,13 @@ impl SharedSchedule {
 /// grid indices. Each program's first cell is handed out `lookahead`
 /// programs early, ahead of the current program's remaining cells: at
 /// lookahead 1 the order is `p0d0, p1d0, p0d1..dN, p2d0, p1d1..dN, …`.
-/// The first cell builds the program's [`SharedSchedule`], so with
-/// `threads − 1` lookahead a worker that would wait on the current
-/// program's build builds the next one instead, and about `threads + 1`
-/// schedules are held at once. Lookahead 0 is grid order.
+/// In a sampled sweep the first cell builds the program's
+/// [`SharedSchedule`], so with `threads − 1` lookahead a worker that
+/// would wait on the current program's build builds the next one
+/// instead, and about `threads + 1` schedules are held at once. A full
+/// sweep's cells share only a warm state that takes microseconds to
+/// build, so there the lookahead changes nothing but the claim order.
+/// Lookahead 0 is grid order.
 fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
     if cols == 0 {
         return Vec::new();
@@ -770,7 +763,7 @@ type Windows = Option<(Vec<IntervalRecord>, u64)>;
 /// both through a [`Tee`]. Picked with static dispatch, so the
 /// unobserved arm stays the [`NullRecorder`] hot loop.
 fn run_recorded(
-    ops: &Tape,
+    ops: impl OpSource,
     design: DesignSpec,
     cfg: &ExperimentConfig,
     warm: &WarmState,
@@ -944,7 +937,11 @@ pub fn sweep_ft(
                 let _count = prof::scope("count");
                 start.tail_len().unwrap_or_else(|e| fail(e))
             };
-            BenchInput { start, n }
+            BenchInput {
+                start,
+                n,
+                warm: OnceLock::new(),
+            }
         })
     });
     drop(phase_trace_build);
@@ -972,8 +969,8 @@ pub fn sweep_ft(
         config: fingerprint.clone(),
         seed: cfg.design_seed,
     };
-    // Each program runs its machine once more: its cells still to run
-    // share one schedule, built lazily here in the cell phase.
+    // A sampled program runs its machine once more: its cells still to
+    // run share one schedule, built lazily here in the cell phase.
     let restored_in_row: Vec<usize> = (0..benches.len())
         .map(|bi| {
             (0..designs.len())
@@ -1029,20 +1026,17 @@ pub fn sweep_ft(
             // drop — the plan bounds them up front).
             let (metrics, rec, windows) = {
                 let _cell = prof::scope("cell-run");
-                let schedule =
-                    schedules[bi].get_or_build(|| input.schedule(cfg, opts.sample.as_ref()));
-                let out = match (opts.sample, &schedule[..]) {
-                    (Some(_), _) => {
+                match &opts.sample {
+                    Some(plan) => {
+                        let schedule = schedules[bi].get_or_build(|| input.schedule(cfg, plan));
                         let _windows = prof::scope("windows");
                         let cell = run_sampled_windows(design, cfg, &schedule);
+                        drop(schedule);
+                        schedules[bi].finish_cell();
                         (cell.metrics, None, Some((cell.windows, 0)))
                     }
-                    (None, [whole]) => run_recorded(&whole.ops, design, cfg, &whole.warm, opts),
-                    (None, _) => unreachable!("a full sweep's schedule is one window"),
-                };
-                drop(schedule);
-                schedules[bi].finish_cell();
-                out
+                    None => run_recorded(input.stream(), design, cfg, input.warm_state(), opts),
+                }
             };
             if let Some(w) = &writer {
                 let _journal = prof::scope("journal-append");

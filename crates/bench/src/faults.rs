@@ -31,6 +31,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use hbat_core::hash::splitmix64;
+
 /// The kinds of fault a cell can be armed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -77,16 +79,6 @@ pub struct FaultPlan {
     trace_faults: BTreeMap<usize, ()>,
     /// Benchmark indices whose checkpoint pipeline is sabotaged.
     ckpt_faults: BTreeMap<usize, CkptFault>,
-}
-
-/// SplitMix64 — the tiny, high-quality step generator used to pick
-/// fault cells deterministically (no dependency on the `rand` shim).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {

@@ -34,6 +34,7 @@
 //! identical plans give byte-identical journals and reports.
 
 use hbat_core::designs::spec::DesignSpec;
+use hbat_core::hash::splitmix64;
 use hbat_cpu::{RunMetrics, WarmAccumulator, WarmState};
 use hbat_isa::executor::OpSource;
 use hbat_isa::tape::Tape;
@@ -123,15 +124,6 @@ fn parse_field(part: Option<&str>, what: &str) -> Result<u64, String> {
     Ok(v)
 }
 
-/// SplitMix64: one multiply-xor-shift round, used to turn the plan seed
-/// into a placement offset that is decorrelated from small seed values.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One placed window, as op-index ranges into the sampled trace:
 /// detailed warmup covers `[warm_start, meas_start)`, measurement
 /// covers `[meas_start, end)`.
@@ -165,7 +157,9 @@ pub fn plan_windows(plan: &SamplePlan, n_ops: u64) -> Vec<SampleWindow> {
     // the sample stays systematic; modulo keeps window 0 inside the
     // first period.
     let slack = period - span + 1;
-    let offset = splitmix64(plan.seed) % slack;
+    // One SplitMix64 step decorrelates the offset from small seeds.
+    let mut state = plan.seed;
+    let offset = splitmix64(&mut state) % slack;
     let mut windows = Vec::with_capacity(k as usize);
     let mut s = offset;
     while s + span <= n_ops && (windows.len() as u64) < k {
@@ -496,7 +490,7 @@ pub fn run_sampled_windows(
         .map(|s| {
             let w = &s.window;
             let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-            run_cell(&s.ops, design, cfg, &s.warm, &mut gate);
+            run_cell(s.ops.reader(), design, cfg, &s.warm, &mut gate);
             let mut rec = gate.record();
             rec.start = w.meas_start;
             rec
@@ -833,14 +827,14 @@ mod tests {
         let design = DesignSpec::MultiPorted { ports: 4 };
         let ws = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let p = plan(6, 200, 50);
-        let tape = ws.tail().unwrap();
+        let tape = ws.machine.clone().run_to_tape(ws.max_steps);
         let tail = tape.to_ops();
         let a = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
         let b = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
         let warm = ws.acc.warm_state();
-        let full = run_cell(&tape, design, &cfg, &warm, hbat_obs::NullRecorder);
+        let full = run_cell(tape.reader(), design, &cfg, &warm, hbat_obs::NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -911,7 +905,7 @@ mod tests {
 
         let start = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
         let skip = start.start as usize;
-        let tape = start.tail().unwrap();
+        let tape = start.machine.clone().run_to_tape(start.max_steps);
         assert_eq!(full[skip..], tape.to_ops());
         let tail = (tape.reader(), tape.len() as u64);
         let tail_read = |r: &TapeReader| r.pos() as u64;
@@ -1038,7 +1032,13 @@ mod tests {
         {
             let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
             let (mut gate, mut log) = (WindowGate::new(skip, limit), CommitLog::default());
-            run_cell(slice, design, &cfg, warm, Tee::new(&mut gate, &mut log));
+            run_cell(
+                slice.reader(),
+                design,
+                &cfg,
+                warm,
+                Tee::new(&mut gate, &mut log),
+            );
             let first_reaching = |n: u64| *log.0.iter().find(|&&(_, t)| t >= n).unwrap();
             let open = first_reaching(skip).0;
             let (close, retired) = first_reaching(skip + limit);
@@ -1046,7 +1046,7 @@ mod tests {
             assert_eq!(gate.record().committed, limit);
 
             let mut stopped = WindowGate::new(skip, limit);
-            let m = run_cell(slice, design, &cfg, warm, &mut stopped);
+            let m = run_cell(slice.reader(), design, &cfg, warm, &mut stopped);
             assert_eq!(stopped.record(), gate.record(), "{w:?}");
             assert_eq!(m.cycles, close + 1, "stops after the closing cycle");
             assert_eq!(m.committed, retired, "reports what it retired");
@@ -1075,12 +1075,13 @@ mod tests {
                     let (skip, limit) = (w.meas_start - w.warm_start, w.end - w.meas_start);
                     let mut gate = WindowGate::new(skip, limit);
                     let tee = Tee::new(&mut gate, hbat_obs::NullRecorder);
-                    full_cycles += run_cell(slice, design, &cfg, warm, tee).cycles;
+                    full_cycles += run_cell(slice.reader(), design, &cfg, warm, tee).cycles;
                     let mut want = gate.record();
                     want.start = w.meas_start;
                     assert_eq!(*got, want, "{design:?} {:?} {w:?}", cfg.sim.issue_model);
                     let mut gate = WindowGate::new(skip, limit);
-                    stopped_cycles += run_cell(slice, design, &cfg, warm, &mut gate).cycles;
+                    stopped_cycles +=
+                        run_cell(slice.reader(), design, &cfg, warm, &mut gate).cycles;
                 }
                 assert!(
                     stopped_cycles < full_cycles,

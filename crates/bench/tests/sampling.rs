@@ -195,10 +195,10 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     for bench in Benchmark::ALL {
         let ws = hbat_bench::ckpt::build_warm_start_cold(bench, &cfg, 2_000).unwrap();
         let warm = ws.acc.warm_state();
-        let tape = ws.tail().unwrap();
+        let tape = ws.machine.clone().run_to_tape(ws.max_steps);
         let tail = tape.to_ops();
         for design in designs() {
-            let truth = run_cell(&tape, design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
+            let truth = run_cell(tape.reader(), design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
             let cell = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
@@ -427,7 +427,7 @@ fn shared_warm_schedules_match_standalone_cells_under_fast_forward() {
         },
         |bench| {
             let ws = hbat_bench::ckpt::build_warm_start_cold(bench, &cfg, boundary).unwrap();
-            let tail = ws.tail().unwrap().to_ops();
+            let tail = ws.machine.clone().run_to_uops(ws.max_steps);
             DesignSpec::TABLE2
                 .map(|design| run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &plan()))
                 .to_vec()

@@ -29,6 +29,27 @@ use std::hash::{BuildHasher, Hasher};
 /// well-mixed high bits.
 const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// One step of SplitMix64: advances `state` by 2^64 / φ and returns the
+/// mixed output. The simulator's one small deterministic generator:
+/// sample placement, fault plans and the warm TLB model's victim choice
+/// draw from it.
+///
+/// ```
+/// use hbat_core::hash::splitmix64;
+///
+/// let mut state = 0;
+/// assert_eq!(splitmix64(&mut state), 0xE220_A839_7B1D_CDAF);
+/// assert_eq!(state, 0x9E37_79B9_7F4A_7C15);
+/// ```
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(K);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// One-word-at-a-time multiply-rotate hasher (FxHash-style).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastHasher(u64);

@@ -1,6 +1,15 @@
 //! The cycle-timing engine: an 8-way superscalar processor in the mould of
 //! the paper's baseline simulator (Table 1), driven by the committed-path
-//! dynamic trace from `hbat-isa`, stored as a [`Tape`].
+//! op stream from `hbat-isa`: any [`OpSource`], a functional `Machine`
+//! executing, a [`TapeReader`](hbat_isa::tape::TapeReader) or a
+//! `&[MicroOp]`.
+//!
+//! The engine holds no whole trace. It keeps a fetch window of the
+//! stream, from the next committed fetch to the furthest phantom op (at
+//! most a re-order buffer plus a fetch group past it), and refills the
+//! window in chunks of [`FETCH_CHUNK`] ops as fetch reaches its end.
+//! Ops before the next committed fetch are never read again: a squash
+//! resumes fetch there.
 //!
 //! One engine serves both issue disciplines: out-of-order issue over a
 //! 64-entry re-order buffer with a 32-entry load/store queue, or in-order
@@ -17,8 +26,8 @@
 //! the branch resolves (plus the 3-cycle redirect penalty). This is where
 //! most of the extra translation bandwidth demand beyond the committed
 //! instruction stream comes from — the paper's issue rates run 30–60 %
-//! above its commit rates. Since the simulator is trace-driven, the
-//! phantom stream is the *upcoming committed path* rather than the true
+//! above its commit rates. Since the engine sees only the committed
+//! path, the phantom stream is the *upcoming committed path* rather than the true
 //! not-taken path; the traffic volume and timing match, and for loops
 //! (the common case) the wrong path largely is the fall-through code.
 //! Matching Section 4.1, a speculative TLB miss is not serviced —
@@ -40,7 +49,7 @@ use hbat_core::cycle::Cycle;
 use hbat_core::request::{TranslateRequest, WritebackKind};
 use hbat_core::translator::AddressTranslator;
 use hbat_core::Outcome;
-use hbat_isa::executor::Retired;
+use hbat_isa::executor::{OpSource, Retired};
 use hbat_isa::tape::Tape;
 use hbat_isa::trace::OpClass;
 use hbat_isa::uop::{MicroOp, NO_REG};
@@ -268,7 +277,7 @@ struct PendingWb {
 struct SpecEpoch {
     /// Slot id of the mispredicted branch.
     branch_id: u64,
-    /// Where phantom fetch reads the trace (never advances `next_fetch`).
+    /// Where phantom fetch reads the stream (never advances `next_fetch`).
     phantom_ptr: usize,
     /// Rename map snapshot taken right after the branch dispatched
     /// (packed via [`pack_producer`]).
@@ -277,6 +286,77 @@ struct SpecEpoch {
     fetch_stopped: bool,
     /// Resolution time of the branch, once it has issued.
     squash_at: Option<Cycle>,
+}
+
+/// Ops the fetch window asks its stream for at a time.
+pub const FETCH_CHUNK: usize = 512;
+
+/// An [`OpSource`] as the fetch window refills from it: one
+/// object-safe call per chunk, so the engine takes any stream without a
+/// type parameter.
+trait Refill {
+    /// Appends up to `max` ops to `ops`; returns how many.
+    fn refill(&mut self, max: u64, ops: &mut Tape) -> u64;
+}
+
+impl<S: OpSource> Refill for S {
+    fn refill(&mut self, max: u64, ops: &mut Tape) -> u64 {
+        self.feed_tape(max, ops)
+    }
+}
+
+/// The engine's view of its op stream: ops `base .. base + ops.len()`,
+/// counted from the stream's first op, kept as a tape of the stream's
+/// templates ([`OpSource::tape`]), so a machine's ops go in by pc and a
+/// stored tape's are copied. Fetch reads it at the next committed op or
+/// the phantom pointer, both at most one past its end; a refill drops
+/// the ops before the next committed fetch and appends a chunk.
+struct FetchWindow<'a> {
+    src: Box<dyn Refill + 'a>,
+    ops: Tape,
+    base: usize,
+    /// The stream fed less than a chunk: nothing follows `ops`.
+    ended: bool,
+}
+
+impl<'a> FetchWindow<'a> {
+    /// An empty window over `src`, sized so that a refill never
+    /// reallocates while `rob_entries + width` ops stay live.
+    fn new(src: impl OpSource + 'a, rob_entries: usize, width: usize) -> Self {
+        let mut ops = src.tape();
+        ops.reserve(FETCH_CHUNK + rob_entries + width);
+        FetchWindow {
+            src: Box::new(src),
+            ops,
+            base: 0,
+            ended: false,
+        }
+    }
+
+    /// Op `ptr` of the stream, refilling first if `ptr` is just past the
+    /// window; `None` once the stream has ended before it. `keep` is the
+    /// next committed fetch, the oldest op a refill must keep.
+    #[inline(always)]
+    fn get(&mut self, ptr: usize, keep: usize) -> Option<Retired<'_>> {
+        if ptr - self.base == self.ops.len() && !self.refill(keep) {
+            return None;
+        }
+        Some(self.ops.retired(ptr - self.base))
+    }
+
+    /// Drops the ops before `keep` and appends the stream's next chunk;
+    /// false if the stream had nothing more.
+    #[cold]
+    fn refill(&mut self, keep: usize) -> bool {
+        if self.ended {
+            return false;
+        }
+        self.ops.drain_front(keep - self.base);
+        self.base = keep;
+        let fed = self.src.refill(FETCH_CHUNK as u64, &mut self.ops);
+        self.ended = fed < FETCH_CHUNK as u64;
+        fed > 0
+    }
 }
 
 /// Per-cycle scratch flags feeding the stall classifier: set at the
@@ -303,13 +383,13 @@ struct ObsFlags {
 /// bit-identical to an unobserved one, and observed runs keep the
 /// sleep/wake fast path of the issue scan (see the `asleep` field).
 ///
-/// It replays a [`Tape`], rebuilding each fetched op as a predecoded
-/// [`MicroOp`] (see `hbat_isa::uop`) from its template, so every operand
-/// fetch in the per-cycle scans is a plain field read of the ROB slot's
-/// copy.
+/// It streams its ops through a fetch window of the stream (see the
+/// module docs) and copies each fetched [`MicroOp`] (see
+/// `hbat_isa::uop`) into its ROB slot, so every operand fetch in the
+/// per-cycle scans is a plain field read of the slot's copy.
 pub struct Engine<'a, R: Recorder = NullRecorder> {
     cfg: &'a SimConfig,
-    trace: &'a Tape,
+    window: FetchWindow<'a>,
     translator: &'a mut dyn AddressTranslator,
     now: Cycle,
     /// Re-order buffer storage: a power-of-two ring indexed by slot id.
@@ -416,7 +496,8 @@ fn replay_tlb(translator: &mut dyn AddressTranslator, warm: &WarmState) {
 }
 
 impl<'a, R: Recorder> Engine<'a, R> {
-    /// Builds an engine over `trace` that starts from `warm`,
+    /// Builds an engine over the op stream `ops` (a `Machine`, a
+    /// `TapeReader` or a `&[MicroOp]`, run to its end) that starts from `warm`,
     /// translates data addresses through `translator` and reports its
     /// probes to `rec` ([`NullRecorder`] for an uninstrumented run).
     /// Pass a recorder by `&mut` to read it back after
@@ -440,7 +521,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// translator's.
     pub fn new(
         cfg: &'a SimConfig,
-        trace: &'a Tape,
+        ops: impl OpSource + 'a,
         translator: &'a mut dyn AddressTranslator,
         warm: &WarmState,
         rec: R,
@@ -467,7 +548,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let rob_cap = cfg.rob_entries.next_power_of_two();
         Engine {
             cfg,
-            trace,
+            window: FetchWindow::new(ops, cfg.rob_entries, cfg.width),
             translator,
             now: Cycle::ZERO,
             rob: Vec::with_capacity(rob_cap),
@@ -514,7 +595,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// input condition) or if the engine stops making progress.
     pub fn run(mut self) -> RunMetrics {
         let mut idle_cycles = 0u64;
-        while (self.next_fetch < self.trace.len() || self.rob_len > 0)
+        while (self.rob_len > 0 || self.window.get(self.next_fetch, self.next_fetch).is_some())
             && !(R::ENABLED && self.rec.finished())
         {
             assert!(self.now.0 < self.cfg.max_cycles, "cycle budget exceeded");
@@ -564,7 +645,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.now += 1;
         }
         self.metrics.cycles = self.now.0;
-        // Fetched real ops less those still in the ROB: the whole trace
+        // Fetched real ops less those still in the ROB: the whole stream
         // after a complete run, the retired prefix after an early stop.
         let in_flight = (0..self.rob_len).filter(|&i| !self.slot(i).phantom).count();
         self.metrics.committed = (self.next_fetch - in_flight) as u64;
@@ -1594,13 +1675,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
 
     // ---- fetch/dispatch stage --------------------------------------------
 
-    /// Fetches up to one dispatch group from the trace (committed or
+    /// Fetches up to one dispatch group from the window (committed or
     /// phantom stream) and enqueues it.
     ///
     /// # Panics
-    /// If the fetch pointer escapes the tape, or phantom mode is
-    /// entered without a speculation epoch — both broken fetch
-    /// invariants.
+    /// If phantom mode is entered without a speculation epoch — a
+    /// broken fetch invariant.
     fn dispatch(&mut self) -> bool {
         if self.now < self.fetch_stall_until
             || self.now < self.dispatch_stall_until
@@ -1617,21 +1697,18 @@ impl<'a, R: Recorder> Engine<'a, R> {
         } else {
             self.next_fetch
         };
-        if ptr >= self.trace.len() {
-            return false;
-        }
-
         let mut fetched = 0usize;
         let mut branches = 0usize;
         let mut block: Option<u64> = None;
-        let (trace, end) = (self.trace, self.trace.len());
-        while fetched < self.cfg.width && ptr < end {
+        while fetched < self.cfg.width {
             if self.rob_len == self.cfg.rob_entries {
                 break;
             }
             // Static fields are read from the op's template; `enqueue`
             // rebuilds the whole op into its ROB slot.
-            let r = trace.retired(ptr);
+            let Some(r) = self.window.get(ptr, self.next_fetch) else {
+                break;
+            };
             let t = r.template;
             if t.is_mem() && self.lsq_occupancy == self.cfg.lsq_entries {
                 break;
@@ -1702,12 +1779,13 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 }
             }
 
-            self.enqueue(r, phantom_mode, mispredicted);
+            let op = r.uop();
+            self.enqueue(op, phantom_mode, mispredicted);
             ptr += 1;
             fetched += 1;
             if mispredicted {
                 // Enter wrong-path mode: younger fetches are phantoms of
-                // the upcoming trace, squashed when the branch resolves.
+                // the upcoming stream, squashed when the branch resolves.
                 self.spec = Some(SpecEpoch {
                     branch_id: self.next_id - 1,
                     phantom_ptr: ptr,
@@ -1730,7 +1808,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         fetched > 0
     }
 
-    /// Allocates a ROB slot for `r`, recording producers and updating the
+    /// Allocates a ROB slot for `t`, recording producers and updating the
     /// rename map and the pretranslation writeback queue.
     ///
     /// # Panics
@@ -1741,8 +1819,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// out-of-line, every call marshals the op record by value and the
     /// slot is built on the stack before being copied into the ring.
     #[inline(always)]
-    fn enqueue(&mut self, r: Retired<'_>, phantom: bool, mispredicted: bool) {
-        let t = r.template;
+    fn enqueue(&mut self, t: MicroOp, phantom: bool, mispredicted: bool) {
         let srcs = t.srcs;
         // Producers already readable at dispatch are pruned to the "no
         // producer" sentinel: readiness is monotone (a completed value
@@ -1790,7 +1867,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     }
                 }
                 self.pending_wb.push_back(PendingWb {
-                    serial: r.serial,
+                    serial: t.serial,
                     dest,
                     srcs: wsrcs,
                     kind: t.dest_kind(),
@@ -1798,7 +1875,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             }
             if aux != NO_REG {
                 self.pending_wb.push_back(PendingWb {
-                    serial: r.serial,
+                    serial: t.serial,
                     dest: aux,
                     srcs: [Some(aux), None, None],
                     kind: WritebackKind::PointerArith,
@@ -1809,7 +1886,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.lsq_occupancy += 1;
         }
         if t.class == OpClass::Store {
-            let lo = r.vaddr;
+            let lo = t.vaddr;
             self.stores.push_back(StoreRec {
                 id,
                 lo,
@@ -1820,7 +1897,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
         self.push_slot(Slot {
             id,
-            t: r.uop(),
+            t,
             phantom,
             state: State::Waiting,
             finish: Cycle::ZERO,

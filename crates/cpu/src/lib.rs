@@ -5,13 +5,14 @@
 //! functional units, and either out-of-order issue (64-entry ROB,
 //! 32-entry load/store queue) or in-order issue with stall-on-hazard.
 //!
-//! The simulator is trace-driven: the functional executor in `hbat-isa`
-//! stores the committed-path dynamic trace as a `Tape`
-//! (`Machine::run_to_tape`), and the [`engine::Engine`] replays it
-//! against any address-translation design from `hbat-core`, measuring
-//! how translation bandwidth and latency shape IPC. [`simulate_uops`]
-//! and its variants take the trace as flat `MicroOp` records
-//! (`Machine::run_to_uops`) and store them as a tape first.
+//! The [`engine::Engine`] times the committed-path op stream of the
+//! functional executor in `hbat-isa` against any address-translation
+//! design from `hbat-core`, measuring how translation bandwidth and
+//! latency shape IPC. The stream is any `OpSource`: a `Machine`
+//! executing the program as the engine fetches, a stored `Tape` played
+//! back through its reader, or flat `MicroOp` records
+//! (`Machine::run_to_uops`), which [`simulate_uops`] and its variants
+//! take. The engine holds only a fetch window of the stream.
 //!
 //! ```
 //! use hbat_core::designs::spec::DesignSpec;
@@ -49,18 +50,12 @@ pub use metrics::RunMetrics;
 pub use warm::{WarmAccumulator, WarmExport, WarmState};
 
 use hbat_core::translator::AddressTranslator;
-use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
 
 /// Replays the predecoded micro-op trace `uops` (see
 /// `hbat_isa::uop::PredecodedTrace`) on the machine described by `cfg`,
 /// translating data addresses through `translator`, and returns the run
 /// metrics.
-///
-/// # Panics
-///
-/// If the serials of `uops` are not contiguous (see
-/// [`Tape::from_ops`]).
 pub fn simulate_uops(
     cfg: &SimConfig,
     uops: &[MicroOp],
@@ -117,6 +112,5 @@ pub fn simulate_uops_warm_with_recorder<R: hbat_obs::Recorder>(
     warm: &WarmState,
     rec: R,
 ) -> RunMetrics {
-    let tape = Tape::from_ops(uops).unwrap_or_else(|e| panic!("not a trace: {e}"));
-    engine::Engine::new(cfg, &tape, translator, warm, rec).run()
+    engine::Engine::new(cfg, uops, translator, warm, rec).run()
 }

@@ -51,7 +51,7 @@ use std::collections::HashMap;
 
 use hbat_core::addr::{PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use hbat_core::designs::BASE_TLB_ENTRIES;
-use hbat_core::hash::FastHashBuilder;
+use hbat_core::hash::{splitmix64, FastHashBuilder};
 use hbat_core::pagetable::PageTable;
 use hbat_isa::executor::{RetireSink, Retired};
 use hbat_isa::uop::MicroOp;
@@ -392,8 +392,8 @@ impl RecentMap {
 /// streams differ), which is as faithful as design-agnostic functional
 /// warming gets.
 ///
-/// The eviction RNG is the same splitmix64 stream the sample planner
-/// uses, seeded by a fixed constant, so accumulation stays a pure
+/// The eviction RNG is [`splitmix64`], the generator the sample
+/// planner uses, seeded by a fixed constant, so accumulation stays a pure
 /// function of the op stream.
 #[derive(Debug, Clone)]
 struct SteadyTlb {
@@ -437,12 +437,7 @@ impl SteadyTlb {
             self.slots.push(vpn);
             return;
         }
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let slot = (z as usize) % self.cap;
+        let slot = (splitmix64(&mut self.rng) as usize) % self.cap;
         self.index.remove(&self.slots[slot]);
         self.slots[slot] = vpn;
         self.index.insert(vpn, slot as u32);

@@ -21,7 +21,7 @@ use crate::mem::Memory;
 use crate::opcode::{step, Flow};
 use crate::program::Program;
 use crate::reg::Reg;
-use crate::tape::Tape;
+use crate::tape::{ByPc, Tape};
 use crate::trace::TraceInst;
 use crate::uop::{MicroOp, PredecodedProgram, PredecodedTrace};
 
@@ -140,6 +140,50 @@ pub trait OpSource {
     fn tape(&self) -> Tape {
         Tape::default()
     }
+
+    /// [`feed`](OpSource::feed) into a tape. When `tape` came from this
+    /// stream's [`tape`](OpSource::tape), a machine stores each op under
+    /// its pc and a tape reader copies its entries, where the tape sink
+    /// would compare every op's static part with its template's.
+    fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
+        self.feed(max, tape)
+    }
+
+    /// This stream, ended after at most `n` more ops.
+    fn capped(self, n: u64) -> Capped<Self>
+    where
+        Self: Sized,
+    {
+        Capped { src: self, left: n }
+    }
+}
+
+/// An [`OpSource`] ended after a fixed number of ops
+/// ([`OpSource::capped`]).
+#[derive(Debug, Clone)]
+pub struct Capped<S> {
+    src: S,
+    /// Ops still to feed.
+    left: u64,
+}
+
+impl<S: OpSource> OpSource for Capped<S> {
+    #[inline]
+    fn feed<K: RetireSink>(&mut self, max: u64, sink: &mut K) -> u64 {
+        let fed = self.src.feed(max.min(self.left), sink);
+        self.left -= fed;
+        fed
+    }
+
+    fn tape(&self) -> Tape {
+        self.src.tape()
+    }
+
+    fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
+        let fed = self.src.feed_tape(max.min(self.left), tape);
+        self.left -= fed;
+        fed
+    }
 }
 
 impl<T: OpSource + ?Sized> OpSource for &mut T {
@@ -151,6 +195,10 @@ impl<T: OpSource + ?Sized> OpSource for &mut T {
     fn tape(&self) -> Tape {
         (**self).tape()
     }
+
+    fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
+        (**self).feed_tape(max, tape)
+    }
 }
 
 impl OpSource for Machine {
@@ -161,6 +209,17 @@ impl OpSource for Machine {
 
     fn tape(&self) -> Tape {
         Tape::with_templates(self.templates.clone())
+    }
+
+    /// Stores each op under its pc when `tape` shares this machine's
+    /// templates, whose entry `pc` is the static part of the template
+    /// the executor hands out there.
+    fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
+        if tape.shares_templates(&self.templates) {
+            self.execute(max, &mut ByPc(tape))
+        } else {
+            self.execute(max, tape)
+        }
     }
 }
 

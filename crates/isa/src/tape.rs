@@ -233,6 +233,49 @@ impl Tape {
         TapeReader { tape: self, pos: 0 }
     }
 
+    /// Drops the first `n` ops; the others keep their serials.
+    ///
+    /// # Panics
+    ///
+    /// If `n > self.len()`.
+    pub fn drain_front(&mut self, n: usize) {
+        self.ops.drain(..n);
+        self.first_serial += n as u64;
+    }
+
+    /// Whether this tape's template table is `templates` itself, so an
+    /// op of the stream that owns `templates` can be stored under its
+    /// own template index without comparing static parts.
+    pub(crate) fn shares_templates(&self, templates: &Arc<Vec<MicroOp>>) -> bool {
+        Arc::ptr_eq(&self.templates, templates)
+    }
+
+    /// Appends `r` under template index `index`.
+    ///
+    /// # Panics
+    ///
+    /// If `r`'s serial does not follow the previous op's.
+    #[inline]
+    fn push(&mut self, index: u32, r: Retired<'_>) {
+        if self.ops.is_empty() {
+            self.first_serial = r.serial;
+        }
+        assert_eq!(
+            r.serial,
+            self.first_serial + self.ops.len() as u64,
+            "a tape's serials are contiguous"
+        );
+        let taken = if r.flags() & MicroOp::F_BR_TAKEN != 0 {
+            TAKEN
+        } else {
+            0
+        };
+        self.ops.push(Entry {
+            index: index | taken,
+            vaddr: r.vaddr,
+        });
+    }
+
     /// The template index of an op whose template is `t`: its pc's
     /// slot when that holds `t`'s static part, else one found or added
     /// by [`Tape::add_template`].
@@ -286,24 +329,19 @@ impl Tape {
 impl RetireSink for Tape {
     #[inline]
     fn retire(&mut self, r: Retired<'_>) {
-        if self.ops.is_empty() {
-            self.first_serial = r.serial;
-        }
-        assert_eq!(
-            r.serial,
-            self.first_serial + self.ops.len() as u64,
-            "a tape's serials are contiguous"
-        );
-        let taken = if r.flags() & MicroOp::F_BR_TAKEN != 0 {
-            TAKEN
-        } else {
-            0
-        };
-        let index = self.template_index(r.template) | taken;
-        self.ops.push(Entry {
-            index,
-            vaddr: r.vaddr,
-        });
+        let index = self.template_index(r.template);
+        self.push(index, r);
+    }
+}
+
+/// The sink of a machine feeding a tape of its own templates
+/// ([`OpSource::feed_tape`]): each op's template index is its pc.
+pub(crate) struct ByPc<'t>(pub(crate) &'t mut Tape);
+
+impl RetireSink for ByPc<'_> {
+    #[inline]
+    fn retire(&mut self, r: Retired<'_>) {
+        self.0.push(r.template.pc, r);
     }
 }
 
@@ -322,13 +360,42 @@ impl TapeReader<'_> {
     }
 }
 
+impl TapeReader<'_> {
+    /// The position `max` ops on, cut at the tape's end.
+    fn end(&self, max: u64) -> usize {
+        let want = usize::try_from(max).unwrap_or(usize::MAX);
+        self.tape.len().min(self.pos.saturating_add(want))
+    }
+}
+
 impl OpSource for TapeReader<'_> {
     fn feed<S: RetireSink>(&mut self, max: u64, sink: &mut S) -> u64 {
-        let want = usize::try_from(max).unwrap_or(usize::MAX);
-        let end = self.tape.len().min(self.pos.saturating_add(want));
+        let end = self.end(max);
         for i in self.pos..end {
             sink.retire(self.tape.retired(i));
         }
+        let fed = end - self.pos;
+        self.pos = end;
+        fed as u64
+    }
+
+    /// Copies the ops' entries when `tape` shares this tape's templates.
+    fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
+        if !tape.shares_templates(&self.tape.templates) {
+            return self.feed(max, tape);
+        }
+        let end = self.end(max);
+        let serial = self.tape.first_serial + self.pos as u64;
+        if tape.ops.is_empty() {
+            tape.first_serial = serial;
+        }
+        assert_eq!(
+            serial,
+            tape.first_serial + tape.ops.len() as u64,
+            "a tape's serials are contiguous"
+        );
+        // hbat-lint: allow(panic) pos <= end <= len by `end`
+        tape.ops.extend_from_slice(&self.tape.ops[self.pos..end]);
         let fed = end - self.pos;
         self.pos = end;
         fed as u64

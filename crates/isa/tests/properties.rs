@@ -46,6 +46,25 @@ fn check_tape(tape: &Tape, ops: &[MicroOp], chunk: u64) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// Every op of `src`, fed in `chunk`-op pieces through
+/// [`OpSource::feed_tape`] into a tape of its templates that keeps only
+/// its newest `keep` ops between pieces ([`Tape::drain_front`]), as the
+/// timing engine's fetch window does.
+fn through_window(mut src: impl OpSource, chunk: u64, keep: usize) -> Vec<MicroOp> {
+    let mut window = src.tape();
+    let mut ops = Vec::new();
+    loop {
+        let fed = src.feed_tape(chunk, &mut window);
+        let done = window.len().saturating_sub(keep);
+        ops.extend(window.iter().take(done));
+        window.drain_front(done);
+        if fed < chunk {
+            ops.extend(window.iter());
+            return ops;
+        }
+    }
+}
+
 /// Strategy: micro-ops with few pcs and varied static fields, so ops at
 /// one pc often differ in a static field, plus the odd pc far outside
 /// any program.
@@ -509,6 +528,25 @@ proptest! {
         let tape = Machine::new(p).run_to_tape(cap);
         check_tape(&tape, ops.ops(), chunk)?;
         check_tape(&Tape::from_ops(ops.ops()).expect("contiguous"), ops.ops(), chunk)?;
+    }
+
+    /// `feed_tape` keeps a run whichever way it stores it: a machine by
+    /// pc into a tape of its own templates, a tape reader by copying its
+    /// entries, and a `&[MicroOp]` through the tape sink.
+    #[test]
+    fn feed_tape_keeps_the_run(
+        insts in any_program(),
+        cap in 1u64..400,
+        chunk in 1u64..9,
+        keep in 0usize..4,
+    ) {
+        let p = Program::new(insts).expect("valid");
+        let ops = Machine::new(p.clone()).run_to_uops(cap);
+        let tape = Machine::new(p.clone()).run_to_tape(cap);
+        let machine = Machine::new(p).capped(cap);
+        prop_assert_eq!(through_window(machine, chunk, keep), ops.ops());
+        prop_assert_eq!(through_window(tape.reader(), chunk, keep), ops.ops());
+        prop_assert_eq!(through_window(ops.ops(), chunk, keep), ops.ops());
     }
 
     /// `from_ops` stays lossless when ops at one pc differ in a static

@@ -60,13 +60,13 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hbat_suite::bench::ckpt::CheckpointOptions;
+use hbat_suite::bench::ckpt::{CheckpointOptions, WarmStart};
 use hbat_suite::bench::executor::RunPolicy;
 use hbat_suite::bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
-use hbat_suite::isa::tape::Tape;
+use hbat_suite::isa::executor::{Capped, OpSource};
 use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
 use hbat_suite::stats::chart::BarChart;
@@ -421,11 +421,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds and runs `bench` under `cfg` into a tape: the `trace-build`
-/// phase of `run` and `trace`.
-fn build_tape(bench: Benchmark, cfg: &ExperimentConfig) -> Tape {
+/// `bench` under `cfg` at its first instruction, capped at the ops it
+/// runs to halt, and that count: the `trace-build` phase of `run` and
+/// `trace`, which stream the machine into the engine.
+fn program_stream(
+    bench: Benchmark,
+    cfg: &ExperimentConfig,
+) -> Result<(Capped<Machine>, u64), String> {
     let _p = prof::scope("trace-build");
-    bench.build(&cfg.workload).tape()
+    let start = WarmStart::program_start(bench, cfg);
+    let n = start.tail_len().map_err(|e| e.to_string())?;
+    Ok((start.machine.capped(n), n))
 }
 
 fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
@@ -445,12 +451,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let tape = build_tape(bench, &cfg);
+            let (ops, n) = program_stream(bench, &cfg)?;
             let m = {
                 let _p = prof::scope("detailed-run");
-                run_cell(&tape, design, &cfg, &cfg.cold_state(), NullRecorder)
+                run_cell(ops, design, &cfg, &cfg.cold_state(), NullRecorder)
             };
-            println!("{bench}: {} instructions\n", tape.len());
+            println!("{bench}: {n} instructions\n");
             print_metrics(design, &m);
             Ok(())
         }
@@ -458,7 +464,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let tape = build_tape(bench, &cfg);
+            let (ops, n) = program_stream(bench, &cfg)?;
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
                     return Err(
@@ -467,14 +473,13 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     );
                 }
                 let phase = prof::scope("sampled-run");
-                let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &plan);
+                let schedule = warm_schedule(ops, n, &cfg, None, &plan);
                 let cell = run_sampled_windows(design, &cfg, &schedule);
                 drop(phase);
                 println!(
-                    "{bench} on {} ({}): {} instructions, sampled {} (windows:len:warmup)\n",
+                    "{bench} on {} ({}): {n} instructions, sampled {} (windows:len:warmup)\n",
                     design.mnemonic(),
                     design.description(),
-                    tape.len(),
                     plan.render()
                 );
                 print_sample_windows(&cell.windows);
@@ -483,10 +488,9 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 println!("IPC (95% CI)      : {}", ci.render(3));
                 println!(
                     "measured          : {measured} committed micro-ops in {} window(s) \
-                     ({:.1}% of the trace's {} micro-ops)",
+                     ({:.1}% of the trace's {n} micro-ops)",
                     cell.windows.len(),
-                    measured as f64 / tape.len().max(1) as f64 * 100.0,
-                    tape.len()
+                    measured as f64 / n.max(1) as f64 * 100.0,
                 );
                 if let Some(path) = &opts.out {
                     let mut out = String::new();
@@ -511,22 +515,21 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let (m, rec, iv) = match opts.intervals {
                 None => {
                     let mut rec = TraceRecorder::new();
-                    let m = run_cell(&tape, design, &cfg, &cold, &mut rec);
+                    let m = run_cell(ops, design, &cfg, &cold, &mut rec);
                     (m, rec, None)
                 }
                 Some(width) => {
                     let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                    let m = run_cell(&tape, design, &cfg, &cold, &mut tee);
+                    let m = run_cell(ops, design, &cfg, &cold, &mut tee);
                     tee.b.finish();
                     (m, tee.a, Some(tee.b))
                 }
             };
             drop(phase);
             println!(
-                "{bench} on {} ({}): {} instructions, {} cycles, IPC {:.3}\n",
+                "{bench} on {} ({}): {n} instructions, {} cycles, IPC {:.3}\n",
                 design.mnemonic(),
                 design.description(),
-                tape.len(),
                 m.cycles,
                 m.ipc()
             );

@@ -52,6 +52,7 @@ use hbat_suite::bench::sample::{warm_schedule, SamplePlan};
 use hbat_suite::core::designs::interleaved::BankSelect;
 use hbat_suite::core::designs::ported::PortedTlb;
 use hbat_suite::core::designs::shielded::ShieldedTlb;
+use hbat_suite::core::hash::splitmix64 as splitmix;
 use hbat_suite::core::request::WritebackKind;
 use hbat_suite::core::{VirtAddr, Vpn};
 use hbat_suite::obs::IntervalRecorder;
@@ -338,7 +339,7 @@ fn obs_records(designs: &[DesignSpec]) -> String {
         let tape = tape_for(bench, &cfg);
         for &design in designs {
             let mut rec = TraceRecorder::new();
-            run_cell(&tape, design, &cfg, &cold, &mut rec);
+            run_cell(tape.reader(), design, &cfg, &cold, &mut rec);
             // Every cycle is an issue cycle or charged to one stall cause.
             assert_eq!(
                 rec.issue_cycles() + rec.stall_total(),
@@ -391,7 +392,7 @@ fn interval_windows() {
     let mut text = String::new();
     for bench in Benchmark::ALL {
         let mut iv = IntervalRecorder::new(256);
-        run_cell(&tape_for(bench, &cfg), design, &cfg, &cold, &mut iv);
+        run_cell(tape_for(bench, &cfg).reader(), design, &cfg, &cold, &mut iv);
         iv.finish();
         for w in iv.windows() {
             text.push_str(&format!("{bench} {w:?}\n"));
@@ -458,15 +459,6 @@ fn observed_sweep_sidecars() {
             "--ff 20000, {threads} workers"
         );
     }
-}
-
-/// One seeded step of splitmix64.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Presents one same-cycle batch to `t` from cycle `now` on,
