@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use hbat_ckpt::CkptError;
 use hbat_core::addr::PageGeometry;
@@ -635,9 +635,6 @@ struct BenchInput {
     start: WarmStart,
     /// The ops the machine runs from there to halt.
     n: u64,
-    /// The install form of the accumulator, built by the program's
-    /// first full cell and shared by the others.
-    warm: OnceLock<WarmState>,
 }
 
 impl BenchInput {
@@ -645,11 +642,6 @@ impl BenchInput {
     /// `n` ops phase 1 counted.
     fn stream(&self) -> Capped<Machine> {
         self.start.machine.clone().capped(self.n)
-    }
-
-    /// The state a full cell starts from.
-    fn warm_state(&self) -> &WarmState {
-        self.warm.get_or_init(|| self.start.acc.warm_state())
     }
 
     /// The windows every cell of a sampled sweep times: [`warm_schedule`]
@@ -722,8 +714,8 @@ impl SharedSchedule {
 /// [`SharedSchedule`], so with `threads − 1` lookahead a worker that
 /// would wait on the current program's build builds the next one
 /// instead, and about `threads + 1` schedules are held at once. A full
-/// sweep's cells share only a warm state that takes microseconds to
-/// build, so there the lookahead changes nothing but the claim order.
+/// sweep's cells share nothing but the program's start, so there the
+/// lookahead changes nothing but the claim order.
 /// Lookahead 0 is grid order.
 fn dispatch_order(rows: usize, cols: usize, lookahead: usize) -> Vec<usize> {
     if cols == 0 {
@@ -937,11 +929,7 @@ pub fn sweep_ft(
                 let _count = prof::scope("count");
                 start.tail_len().unwrap_or_else(|e| fail(e))
             };
-            BenchInput {
-                start,
-                n,
-                warm: OnceLock::new(),
-            }
+            BenchInput { start, n }
         })
     });
     drop(phase_trace_build);
@@ -1035,7 +1023,10 @@ pub fn sweep_ft(
                         schedules[bi].finish_cell();
                         (cell.metrics, None, Some((cell.windows, 0)))
                     }
-                    None => run_recorded(input.stream(), design, cfg, input.warm_state(), opts),
+                    None => {
+                        let warm = input.start.acc.warm_state();
+                        run_recorded(input.stream(), design, cfg, &warm, opts)
+                    }
                 }
             };
             if let Some(w) = &writer {

@@ -216,6 +216,7 @@ impl OpSource for Machine {
     /// the executor hands out there.
     fn feed_tape(&mut self, max: u64, tape: &mut Tape) -> u64 {
         if tape.shares_templates(&self.templates) {
+            tape.continue_at(self.serial);
             self.execute(max, &mut ByPc(tape))
         } else {
             self.execute(max, tape)

@@ -250,21 +250,27 @@ impl Tape {
         Arc::ptr_eq(&self.templates, templates)
     }
 
-    /// Appends `r` under template index `index`.
+    /// Readies the tape for ops from serial `serial` on, its first when
+    /// it is empty.
     ///
     /// # Panics
     ///
-    /// If `r`'s serial does not follow the previous op's.
+    /// If `serial` does not follow the last op's.
     #[inline]
-    fn push(&mut self, index: u32, r: Retired<'_>) {
+    pub(crate) fn continue_at(&mut self, serial: u64) {
         if self.ops.is_empty() {
-            self.first_serial = r.serial;
+            self.first_serial = serial;
         }
         assert_eq!(
-            r.serial,
+            serial,
             self.first_serial + self.ops.len() as u64,
             "a tape's serials are contiguous"
         );
+    }
+
+    /// Appends `r`, the op after the last, under template index `index`.
+    #[inline]
+    fn push(&mut self, index: u32, r: Retired<'_>) {
         let taken = if r.flags() & MicroOp::F_BR_TAKEN != 0 {
             TAKEN
         } else {
@@ -329,13 +335,15 @@ impl Tape {
 impl RetireSink for Tape {
     #[inline]
     fn retire(&mut self, r: Retired<'_>) {
+        self.continue_at(r.serial);
         let index = self.template_index(r.template);
         self.push(index, r);
     }
 }
 
 /// The sink of a machine feeding a tape of its own templates
-/// ([`OpSource::feed_tape`]): each op's template index is its pc.
+/// ([`OpSource::feed_tape`]): each op's template index is its pc, and
+/// the machine's serials follow on from [`Tape::continue_at`].
 pub(crate) struct ByPc<'t>(pub(crate) &'t mut Tape);
 
 impl RetireSink for ByPc<'_> {
@@ -385,15 +393,7 @@ impl OpSource for TapeReader<'_> {
             return self.feed(max, tape);
         }
         let end = self.end(max);
-        let serial = self.tape.first_serial + self.pos as u64;
-        if tape.ops.is_empty() {
-            tape.first_serial = serial;
-        }
-        assert_eq!(
-            serial,
-            tape.first_serial + tape.ops.len() as u64,
-            "a tape's serials are contiguous"
-        );
+        tape.continue_at(self.tape.first_serial + self.pos as u64);
         // hbat-lint: allow(panic) pos <= end <= len by `end`
         tape.ops.extend_from_slice(&self.tape.ops[self.pos..end]);
         let fed = end - self.pos;

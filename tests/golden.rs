@@ -52,7 +52,7 @@ use hbat_suite::bench::sample::{warm_schedule, SamplePlan};
 use hbat_suite::core::designs::interleaved::BankSelect;
 use hbat_suite::core::designs::ported::PortedTlb;
 use hbat_suite::core::designs::shielded::ShieldedTlb;
-use hbat_suite::core::hash::splitmix64 as splitmix;
+use hbat_suite::core::hash::splitmix64;
 use hbat_suite::core::request::WritebackKind;
 use hbat_suite::core::{VirtAddr, Vpn};
 use hbat_suite::obs::IntervalRecorder;
@@ -498,10 +498,10 @@ fn drive_seeded(
     text: &mut String,
 ) {
     for _ in 0..batches {
-        let n = 1 + (splitmix(rng) % 8) as usize;
+        let n = 1 + (splitmix64(rng) % 8) as usize;
         let mut reqs: Vec<TranslateRequest> = Vec::with_capacity(n);
         for i in 0..n {
-            let r = splitmix(rng);
+            let r = splitmix64(rng);
             let page = if i > 0 && r.is_multiple_of(3) {
                 reqs[(r >> 8) as usize % i].vaddr.0 >> 12
             } else {
@@ -567,7 +567,7 @@ fn ported_translators() {
         drive_seeded(t, &mut rng, &mut now, 600, pages, &mut text);
         text.push_str(&format!("{:?}\nwarm\n", t.stats()));
         for _ in 0..200 {
-            let vpn = Vpn(splitmix(&mut rng) % pages);
+            let vpn = Vpn(splitmix64(&mut rng) % pages);
             let entry = t.page_table_mut().walk(vpn);
             t.warm_insert(entry);
         }
@@ -601,13 +601,13 @@ fn drive_shielded(
     const UNMAP_EVERY: usize = 25;
     let mut regs = [0u64; 9];
     for reg in &mut regs {
-        *reg = splitmix(rng) % pages;
+        *reg = splitmix64(rng) % pages;
     }
     for b in 0..batches {
-        let n = 1 + (splitmix(rng) % 8) as usize;
+        let n = 1 + (splitmix64(rng) % 8) as usize;
         let mut reqs: Vec<TranslateRequest> = Vec::with_capacity(n);
         for i in 0..n {
-            let r = splitmix(rng);
+            let r = splitmix64(rng);
             let reg = 1 + (r >> 3) as usize % 8;
             if r.is_multiple_of(4) {
                 regs[reg] = (r >> 16) % pages;
@@ -627,7 +627,7 @@ fn drive_shielded(
             });
         }
         present(t, &reqs, now, text);
-        let r = splitmix(rng);
+        let r = splitmix64(rng);
         let (dest, src) = (1 + r as usize % 8, 1 + (r >> 8) as usize % 8);
         regs[dest] = regs[src];
         t.note_writeback(dest as u8, &[src as u8, 0], WritebackKind::PointerArith);
@@ -636,7 +636,7 @@ fn drive_shielded(
         t.note_writeback(dest as u8, &[], WritebackKind::Opaque);
         *now += (r >> 40) % 8;
         if b % UNMAP_EVERY == UNMAP_EVERY - 1 {
-            let vpn = Vpn(splitmix(rng) % pages);
+            let vpn = Vpn(splitmix64(rng) % pages);
             t.page_table_mut().unmap(vpn);
             t.invalidate_page(vpn);
             text.push_str(&format!("unmap {}\n", vpn.0));
@@ -696,7 +696,7 @@ fn shielded_translators() {
         drive_shielded(t, &mut rng, &mut now, 600, pages, &mut text);
         text.push_str(&format!("{:?}\nwarm\n", t.stats()));
         for _ in 0..200 {
-            let vpn = Vpn(splitmix(&mut rng) % pages);
+            let vpn = Vpn(splitmix64(&mut rng) % pages);
             let entry = t.page_table_mut().walk(vpn);
             t.warm_insert(entry);
         }
