@@ -436,6 +436,10 @@ pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfi
 }
 
 /// [`run_cell`] of a full trace from the empty state, under `rec`.
+///
+/// # Panics
+///
+/// If the serials of `uops` are not contiguous.
 pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
     uops: &[MicroOp],
     design: DesignSpec,

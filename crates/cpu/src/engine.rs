@@ -1704,8 +1704,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             if self.rob_len == self.cfg.rob_entries {
                 break;
             }
-            // Static fields are read from the op's template; `enqueue`
-            // rebuilds the whole op into its ROB slot.
+            // Static fields are read from the op's template; the whole
+            // op is rebuilt below, for its ROB slot.
             let Some(r) = self.window.get(ptr, self.next_fetch) else {
                 break;
             };

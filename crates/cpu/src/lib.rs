@@ -56,6 +56,11 @@ use hbat_isa::uop::MicroOp;
 /// `hbat_isa::uop::PredecodedTrace`) on the machine described by `cfg`,
 /// translating data addresses through `translator`, and returns the run
 /// metrics.
+///
+/// # Panics
+///
+/// If the serials of `uops` are not contiguous: the engine's fetch
+/// window keeps them as a tape.
 pub fn simulate_uops(
     cfg: &SimConfig,
     uops: &[MicroOp],
