@@ -6,24 +6,22 @@
 //! * The **working set** (Denning): distinct pages inside a sliding window
 //!   of references — what a TLB of a given reach actually has to hold.
 
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use hbat_core::addr::{PageGeometry, VirtAddr};
-use hbat_isa::uop::MicroOp;
+use hbat_isa::executor::OpSource;
 
-/// Extracts the page-number stream of a trace's data references, in
-/// program order: the input of every page-level analysis. Takes any
-/// micro-op sequence, a tape's `iter()` or a slice of ops alike.
-pub fn page_stream<I>(ops: I, geometry: PageGeometry) -> Vec<u64>
-where
-    I: IntoIterator,
-    I::Item: Borrow<MicroOp>,
-{
-    ops.into_iter()
-        .filter(|op| op.borrow().is_mem())
-        .map(|op| geometry.vpn(VirtAddr(op.borrow().vaddr)).0)
-        .collect()
+/// Extracts the page-number stream of a program's data references, in
+/// program order: the input of every page-level analysis. Reads any op
+/// stream in one pass, a capped machine or a slice of ops alike.
+pub fn page_stream(ops: impl OpSource, geometry: PageGeometry) -> Vec<u64> {
+    let mut pages = Vec::new();
+    ops.for_each_op(|r| {
+        if r.template.is_mem() {
+            pages.push(geometry.vpn(VirtAddr(r.vaddr)).0);
+        }
+    });
+    pages
 }
 
 /// Distinct pages touched after each of `points` evenly spaced positions
@@ -97,10 +95,13 @@ mod tests {
             Inst::Halt,
         ])
         .unwrap();
-        let mut machine = Machine::new(program);
-        let (tape, uops) = (machine.clone().run_to_tape(10), machine.run_to_uops(10));
-        // A tape's by-value ops and a slice's borrowed ops read alike.
-        assert_eq!(page_stream(tape.iter(), PageGeometry::KB4), vec![6, 5]);
+        let machine = Machine::new(program);
+        let uops = machine.clone().run_to_uops(10);
+        // A machine and its ops slice give the same stream.
+        assert_eq!(
+            page_stream(machine.capped(10), PageGeometry::KB4),
+            vec![6, 5]
+        );
         assert_eq!(page_stream(&*uops, PageGeometry::KB4), vec![6, 5]);
         assert_eq!(page_stream(&*uops, PageGeometry::KB8), vec![3, 2]);
     }

@@ -3,10 +3,10 @@
 //! The paper's arguments rest on measurable stream properties: reference
 //! locality (Figure 6 and the multi-level TLB), same-page simultaneity
 //! (piggyback ports), and register-pointer reuse (pretranslation). This
-//! crate measures all three for any `hbat-isa` micro-op sequence (a
-//! tape's `iter()`, or a slice of ops). [`page_stream`] extracts the
-//! data-page stream once; the page-level passes read that stream, and
-//! only the pointer pass reads the ops themselves:
+//! crate measures all three for any `hbat-isa` op stream (a capped
+//! machine, or a slice of ops). [`page_stream`] extracts the data-page
+//! stream in one pass; the page-level passes read that stream, and only
+//! the pointer pass reads the ops themselves, in a pass of its own:
 //!
 //! * [`reuse`] — LRU reuse-distance profiles: every LRU TLB size's miss
 //!   rate from one pass (the Figure-6 generalisation);

@@ -7,12 +7,12 @@
 //! lifetimes are (dereferences between redefinitions), and how often
 //! pointer arithmetic carries an attachment to a new register.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::request::WritebackKind;
-use hbat_isa::uop::{MicroOp, NO_REG};
+use hbat_isa::executor::OpSource;
+use hbat_isa::uop::NO_REG;
 
 /// Register-pointer behaviour of a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,14 +38,11 @@ pub struct PointerProfile {
 }
 
 impl PointerProfile {
-    /// Profiles a micro-op sequence under `geometry`, simulating an
-    /// ideal (unbounded) attachment per register with the paper's
-    /// propagation rule. Registers are the ops' register codes.
-    pub fn of_ops<I>(ops: I, geometry: PageGeometry) -> Self
-    where
-        I: IntoIterator,
-        I::Item: Borrow<MicroOp>,
-    {
+    /// Profiles an op stream (a capped machine or a slice of ops) under
+    /// `geometry` in one pass, simulating an ideal (unbounded)
+    /// attachment per register with the paper's propagation rule.
+    /// Registers are the ops' register codes.
+    pub fn of_ops(ops: impl OpSource, geometry: PageGeometry) -> Self {
         let mut p = PointerProfile::default();
         // Per register: (attached page, dereferences in current lifetime).
         let mut attached: BTreeMap<u8, (Option<u64>, u64)> = BTreeMap::new();
@@ -55,10 +52,10 @@ impl PointerProfile {
                 p.lifetime_derefs += derefs;
             }
         };
-        for op in ops {
-            let op = op.borrow();
+        ops.for_each_op(|r| {
+            let op = r.template;
             if op.is_mem() {
-                let page = geometry.vpn(VirtAddr(op.vaddr)).0;
+                let page = geometry.vpn(VirtAddr(r.vaddr)).0;
                 let entry = attached.entry(op.base_reg).or_insert((None, 0));
                 match entry.0 {
                     Some(prev) if prev == page => p.same_page_reuses += 1,
@@ -102,7 +99,7 @@ impl PointerProfile {
                     }
                 }
             }
-        }
+        });
         p
     }
 
@@ -131,6 +128,7 @@ mod tests {
     use super::*;
     use hbat_isa::inst::Width;
     use hbat_isa::reg::Reg;
+    use hbat_isa::uop::MicroOp;
     use hbat_isa::OpClass;
 
     fn op(serial: u64, class: OpClass, dest: u8) -> MicroOp {
@@ -177,7 +175,7 @@ mod tests {
     #[test]
     fn repeated_same_page_derefs_reuse() {
         let trace: Vec<_> = (0..10).map(|i| load(i, 5, 0x4000 + i * 8)).collect();
-        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace[..], PageGeometry::KB4);
         assert_eq!(p.derefs, 10);
         assert_eq!(p.fresh_pointers, 1);
         assert_eq!(p.same_page_reuses, 9);
@@ -186,21 +184,21 @@ mod tests {
 
     #[test]
     fn page_crossing_detected() {
-        let trace = vec![load(0, 5, 0x4000), load(1, 5, 0x5000)];
-        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
+        let trace = [load(0, 5, 0x4000), load(1, 5, 0x5000)];
+        let p = PointerProfile::of_ops(&trace[..], PageGeometry::KB4);
         assert_eq!(p.page_crossings, 1);
         assert_eq!(p.same_page_reuses, 0);
     }
 
     #[test]
     fn opaque_redefinition_ends_the_lifetime() {
-        let trace = vec![
+        let trace = [
             load(0, 5, 0x4000),
             load(1, 5, 0x4008),
             opaque(2, 5),
             load(3, 5, 0x4010),
         ];
-        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace[..], PageGeometry::KB4);
         assert_eq!(p.fresh_pointers, 2, "redefinition forces a fresh start");
         assert_eq!(p.lifetimes, 1);
         assert_eq!(p.lifetime_derefs, 2);
@@ -209,12 +207,12 @@ mod tests {
 
     #[test]
     fn propagation_carries_the_attachment() {
-        let trace = vec![
+        let trace = [
             load(0, 5, 0x4000), // attach page 4 to r5
             arith(1, 6, 5),     // r6 = r5 + k
             load(2, 6, 0x4008), // same page through r6: a reuse
         ];
-        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
+        let p = PointerProfile::of_ops(&trace[..], PageGeometry::KB4);
         assert_eq!(p.propagations, 1);
         assert_eq!(p.same_page_reuses, 1);
         assert_eq!(p.fresh_pointers, 1);
@@ -222,8 +220,8 @@ mod tests {
 
     #[test]
     fn in_place_increment_keeps_the_lifetime() {
-        let trace = vec![load(0, 5, 0x4000), arith(1, 5, 5), load(2, 5, 0x4008)];
-        let p = PointerProfile::of_ops(&trace, PageGeometry::KB4);
+        let trace = [load(0, 5, 0x4000), arith(1, 5, 5), load(2, 5, 0x4008)];
+        let p = PointerProfile::of_ops(&trace[..], PageGeometry::KB4);
         assert_eq!(p.same_page_reuses, 1);
         assert_eq!(p.lifetimes, 0, "the lifetime is still open");
     }

@@ -12,6 +12,7 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin ablation [scale]`
 
+use hbat_bench::ckpt::ProgramTail;
 use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
 use hbat_core::designs::ported::PortedTlb;
 use hbat_core::designs::shielded::ShieldedTlb;
@@ -19,27 +20,26 @@ use hbat_core::pagetable::PageTable;
 use hbat_core::translator::AddressTranslator;
 use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator};
-use hbat_isa::tape::Tape;
 use hbat_obs::NullRecorder;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
 
 const SEED: u64 = 1996;
 
-/// Times `tape` on the baseline machine from the cold state, translating
-/// through `t`.
-fn simulate(tape: &Tape, t: &mut dyn AddressTranslator) -> RunMetrics {
+/// Times the program `tail` streams on the baseline machine from the
+/// cold state, translating through `t`.
+fn simulate(tail: &ProgramTail, t: &mut dyn AddressTranslator) -> RunMetrics {
     let cfg = SimConfig::baseline();
     let cold = WarmAccumulator::new(&cfg, t.geometry()).warm_state();
-    Engine::new(&cfg, tape.reader(), t, &cold, NullRecorder).run()
+    Engine::new(&cfg, tail.stream(), t, &cold, NullRecorder).run()
 }
 
 fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale);
     // One locality-poor and one locality-rich program.
-    let compress = Benchmark::Compress.build(&cfg.workload).tape();
-    let xlisp = Benchmark::Xlisp.build(&cfg.workload).tape();
+    let program = |bench| ProgramTail::program_start(bench, &cfg).unwrap_or_else(|e| panic!("{e}"));
+    let (compress, xlisp) = (program(Benchmark::Compress), program(Benchmark::Xlisp));
     let pt = || PageTable::new(cfg.geometry);
 
     println!(
@@ -57,9 +57,9 @@ fn main() {
     t.numeric();
     for l1 in [1usize, 2, 4, 8, 16, 32, 64] {
         let mut row = vec![l1.to_string()];
-        for tape in [&compress, &xlisp] {
+        for tail in [&compress, &xlisp] {
             let m = simulate(
-                tape,
+                tail,
                 &mut ShieldedTlb::multilevel("Mx", l1, 128, pt(), SEED),
             );
             row.extend([fnum(m.ipc(), 3), fnum(m.tlb.shield_rate() * 100.0, 1)]);

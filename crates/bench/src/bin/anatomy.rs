@@ -9,6 +9,7 @@
 use hbat_analysis::{
     page_stream, working_set, AdjacencyProfile, BankConflictProfile, PointerProfile, ReuseProfile,
 };
+use hbat_bench::ckpt::ProgramTail;
 use hbat_bench::experiment::{scale_from_args, ExperimentConfig};
 use hbat_core::designs::interleaved::BankSelect;
 use hbat_stats::table::{fnum, TextTable};
@@ -33,11 +34,11 @@ fn main() {
     t.numeric();
 
     for bench in Benchmark::ALL {
-        let tape = bench.build(&cfg.workload).tape();
-        let pages = page_stream(tape.iter(), geom);
+        let tail = ProgramTail::program_start(bench, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        let pages = page_stream(tail.stream(), geom);
         let reuse = ReuseProfile::of_pages(&pages);
         let adj = AdjacencyProfile::of_pages(&pages, 4);
-        let ptr = PointerProfile::of_ops(tape.iter(), geom);
+        let ptr = PointerProfile::of_ops(tail.stream(), geom);
         let bc = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 4, 4);
         let (ws_mean, _) = working_set(&pages, 1000);
         t.row(vec![

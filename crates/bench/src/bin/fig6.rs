@@ -2,6 +2,7 @@
 //! to 128 entries (LRU replacement up to 16 entries, random from 32), per
 //! benchmark plus the run-time weighted average.
 
+use hbat_bench::ckpt::ProgramTail;
 use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
 use hbat_bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_core::designs::spec::DesignSpec;
@@ -24,11 +25,12 @@ fn main() {
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); FIG6_SIZES.len()];
     let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
-        let tape = bench.build(&cfg.workload).tape();
-        weights.push(run_cell(tape.reader(), t4, &cfg, &cold, NullRecorder).cycles as f64);
+        // Each pass below streams the program again.
+        let tail = ProgramTail::program_start(bench, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        weights.push(run_cell(tail.stream(), t4, &cfg, &cold, NullRecorder).cycles as f64);
         let mut cells = vec![bench.name().to_owned()];
         for (i, (entries, policy)) in FIG6_SIZES.iter().enumerate() {
-            let rate = miss_rate_percent(&tape, *entries, *policy, cfg.geometry, 1996);
+            let rate = miss_rate_percent(tail.stream(), *entries, *policy, cfg.geometry, 1996);
             rates[i].push(rate);
             cells.push(fnum(rate, 2));
         }

@@ -6,6 +6,7 @@
 //! cycle, and branch prediction rate are the comparable columns. Wrong
 //! paths are not simulated, so issue and commit rates coincide here.
 
+use hbat_bench::ckpt::ProgramTail;
 use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_obs::NullRecorder;
@@ -29,8 +30,8 @@ fn main() {
     t.numeric();
     let (t4, cold) = (DesignSpec::MultiPorted { ports: 4 }, cfg.cold_state());
     for bench in Benchmark::ALL {
-        let tape = bench.build(&cfg.workload).tape();
-        let m = run_cell(tape.reader(), t4, &cfg, &cold, NullRecorder);
+        let tail = ProgramTail::program_start(bench, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        let m = run_cell(tail.stream(), t4, &cfg, &cold, NullRecorder);
         t.row(vec![
             bench.name().to_owned(),
             fnum(m.committed as f64 / 1e3, 1),

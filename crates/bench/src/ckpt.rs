@@ -25,13 +25,14 @@ use hbat_ckpt::format::checksum_of;
 use hbat_ckpt::{fast_forward, CheckpointStore, CkptError, Snapshot};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::WarmAccumulator;
-use hbat_isa::executor::OpSource;
+use hbat_isa::executor::{Capped, OpSource};
 use hbat_isa::Machine;
 use hbat_obs::NullRecorder;
 use hbat_workloads::Benchmark;
 
 use crate::experiment::{run_cell, sweep_fingerprint, ExperimentConfig};
 use crate::faults::{CkptFault, FaultPlan};
+use crate::sample::{warm_schedule, SamplePlan, ScheduledWindow};
 
 /// Where and how a checkpointed sweep snapshots.
 #[derive(Debug, Clone)]
@@ -48,10 +49,9 @@ pub struct CheckpointOptions {
 }
 
 /// One benchmark at the start of detailed timing: the machine, ready to
-/// run the timing tail, and the warm state there. Every sweep keeps
-/// this, not the tail: a full cell streams a clone of the machine into
-/// the engine, and a sampled sweep's first cell runs one through the
-/// warm schedule.
+/// run the timing tail, and the warm state there. Nothing keeps the
+/// tail itself: [`ProgramTail`] streams a clone of the machine to
+/// whatever reads the program's ops.
 #[derive(Debug)]
 pub struct WarmStart {
     /// The benchmark.
@@ -105,6 +105,57 @@ impl WarmStart {
             self.bench.name(),
             self.max_steps
         )))
+    }
+}
+
+/// A program from its timing start to halt: its [`WarmStart`] and the
+/// number of ops the machine runs from there, counted once. The one
+/// source of a program's ops: every sweep cell, `hbat` command, figure
+/// binary, analysis and test that reads them streams a capped clone of
+/// the machine ([`ProgramTail::stream`]), so no whole run is stored, and
+/// each reader runs the machine again instead.
+#[derive(Debug)]
+pub struct ProgramTail {
+    /// The machine and accumulator at the timing start.
+    pub start: WarmStart,
+    /// The ops the machine runs from there to halt.
+    pub n: u64,
+}
+
+impl ProgramTail {
+    /// Counts `start`'s tail ([`WarmStart::tail_len`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`WarmStart::tail_len`].
+    pub fn new(start: WarmStart) -> Result<ProgramTail, CkptError> {
+        let n = start.tail_len()?;
+        Ok(ProgramTail { start, n })
+    }
+
+    /// The whole program from its first instruction, nothing warmed
+    /// ([`WarmStart::program_start`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`WarmStart::tail_len`].
+    pub fn program_start(
+        bench: Benchmark,
+        cfg: &ExperimentConfig,
+    ) -> Result<ProgramTail, CkptError> {
+        ProgramTail::new(WarmStart::program_start(bench, cfg))
+    }
+
+    /// The tail's ops: a fresh clone of the machine, capped at the `n`
+    /// ops counted. Each call streams the tail again from its start.
+    pub fn stream(&self) -> Capped<Machine> {
+        self.start.machine.clone().capped(self.n)
+    }
+
+    /// The windows a sampled cell of the tail times: [`warm_schedule`]
+    /// of a stream, continuing a clone of the accumulator.
+    pub fn schedule(&self, cfg: &ExperimentConfig, plan: &SamplePlan) -> Vec<ScheduledWindow> {
+        warm_schedule(self.stream(), self.n, cfg, Some(&self.start.acc), plan)
     }
 }
 
@@ -374,14 +425,18 @@ pub fn verify_restore_equivalence(
             restored.start
         ));
     }
-    let (cold_warm, restored_warm) = (cold.acc.warm_state(), restored.acc.warm_state());
-    let cold_n = cold.tail_len().map_err(|e| err("cold tail", e))?;
-    let restored_n = restored.tail_len().map_err(|e| err("restored tail", e))?;
+    let cold = ProgramTail::new(cold).map_err(|e| err("cold tail", e))?;
+    let restored = ProgramTail::new(restored).map_err(|e| err("restored tail", e))?;
+    let (cold_warm, restored_warm) = (cold.start.acc.warm_state(), restored.start.acc.warm_state());
     for design in designs {
-        let cold_ops = cold.machine.clone().capped(cold_n);
-        let restored_ops = restored.machine.clone().capped(restored_n);
-        let a = run_cell(cold_ops, *design, cfg, &cold_warm, NullRecorder);
-        let b = run_cell(restored_ops, *design, cfg, &restored_warm, NullRecorder);
+        let a = run_cell(cold.stream(), *design, cfg, &cold_warm, NullRecorder);
+        let b = run_cell(
+            restored.stream(),
+            *design,
+            cfg,
+            &restored_warm,
+            NullRecorder,
+        );
         if a != b {
             return Err(format!(
                 "{}: {} metrics diverged after restore from {restored_from}:\n  cold:     {a:?}\n  restored: {b:?}",
@@ -393,7 +448,7 @@ pub fn verify_restore_equivalence(
     Ok(EquivalenceReport {
         restored_from,
         designs_checked: designs.len(),
-        pages_touched: cold.acc.export().pages.len(),
+        pages_touched: cold.start.acc.export().pages.len(),
     })
 }
 
@@ -434,8 +489,6 @@ mod tests {
         .unwrap();
         assert_eq!(cold.start, ck.start);
         assert_eq!(cold.acc.export(), ck.acc.export());
-        let tail = |ws: &WarmStart| ws.machine.clone().run_to_tape(ws.max_steps);
-        assert_eq!(tail(&cold), tail(&ck));
         assert!(ck.restored_from.is_none(), "first pass cold-starts");
 
         // A second pass restores from the boundary snapshot and skips
@@ -453,6 +506,14 @@ mod tests {
         assert_eq!(again.restored_from, Some(cold.start.min(o.boundary)));
         assert_eq!(again.acc.export(), cold.acc.export());
         std::fs::remove_dir_all(&dir).ok();
+
+        let tail = |ws| {
+            let mut ops = Vec::new();
+            let tail = ProgramTail::new(ws).unwrap();
+            tail.stream().feed(u64::MAX, &mut ops);
+            ops
+        };
+        assert_eq!(tail(cold), tail(ck));
     }
 
     #[test]

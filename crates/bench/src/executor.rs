@@ -1,6 +1,8 @@
 //! The cell-level sweep executor: a self-scheduling worker pool over
 //! (benchmark, design) cells, with fault-tolerant cell execution, and
-//! the process-wide trace cache that single-cell callers share.
+//! the `&[MicroOp]` builder [`TraceCache`].
+//!
+//! [`MicroOp`]: hbat_isa::uop::MicroOp
 //!
 //! A sweep runs in two phases, each scheduled at cell granularity:
 //!
@@ -28,13 +30,11 @@
 //! one-worker sweep regardless of worker count or claim order (tested in
 //! `tests/executor.rs`).
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hbat_isa::tape::Tape;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, WorkloadConfig};
 
@@ -433,112 +433,35 @@ where
     out
 }
 
-/// A process-wide cache of benchmark traces, keyed by the complete
-/// workload identity. Each workload runs once straight to a [`Tape`]
-/// (`Workload::tape`: the program's micro-op templates plus 12 bytes
-/// per op), the one form the cache holds. Tapes are immutable once
-/// built and shared as `Arc<Tape>`, and kept until the cache is
-/// dropped, so sweeps, which store no whole trace, never use it;
-/// single cells reach it through `tape_for`.
-/// [`TraceCache::get_or_build_uops`] materialises a cached tape's
-/// micro-ops for callers that take `&[MicroOp]`.
+/// The builder of a workload's micro-ops for callers that take
+/// `&[MicroOp]`. It holds nothing: every program's ops come from running
+/// its machine (see [`crate::ckpt::ProgramTail`]), and only the
+/// `&[MicroOp]` boundary materialises them, once per call.
+///
+/// [`MicroOp`]: hbat_isa::uop::MicroOp
 #[derive(Debug, Default)]
-pub struct TraceCache {
-    /// One slot per workload; the `OnceLock` lets concurrent requesters
-    /// of the same trace block on a single builder instead of racing.
-    slots: Mutex<HashMap<(Benchmark, WorkloadConfig), TraceSlot>>,
-}
-
-/// A shared once-built tape slot in the [`TraceCache`].
-type TraceSlot = Arc<OnceLock<Arc<Tape>>>;
+pub struct TraceCache;
 
 impl TraceCache {
-    /// An empty cache (tests use private caches; `tape_for` shares
-    /// [`TraceCache::global`]).
+    /// A new builder.
     pub fn new() -> Self {
-        TraceCache::default()
+        TraceCache
     }
 
-    /// The process-wide cache `tape_for` uses.
-    pub fn global() -> &'static TraceCache {
-        static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
-        GLOBAL.get_or_init(TraceCache::new)
-    }
-
-    /// Returns the tape of `bench` under `cfg`, building and publishing
-    /// it if no other caller has yet, and whether this call built it.
-    /// Concurrent requests for the same workload build it once; the
-    /// rest block and share the result.
+    /// The micro-ops of `bench` under `cfg`, built on every call at
+    /// exactly their length (`Workload::uops`), and `true`: the call
+    /// built them.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from the trace builder. The slot is *not*
-    /// wedged by that: the builder panic leaves the `OnceLock`
-    /// uninitialized, so the next requester retries the build (see the
-    /// builder-panic regression test).
-    pub fn get_or_build_tape(&self, bench: Benchmark, cfg: &WorkloadConfig) -> (bool, Arc<Tape>) {
-        self.get_or_build_with(bench, cfg, || {
-            let _prof = hbat_obs::prof::scope("workload-build");
-            bench.build(cfg).tape()
-        })
-    }
-
-    /// [`TraceCache::get_or_build_tape`], with the tape's micro-ops
-    /// materialised into a new [`PredecodedTrace`] on every call: the
-    /// boundary for callers that take `&[MicroOp]`.
-    ///
-    /// [`MicroOp`]: hbat_isa::uop::MicroOp
-    ///
-    /// # Panics
-    ///
-    /// As [`TraceCache::get_or_build_tape`].
+    /// If the workload does not halt within its step budget.
     pub fn get_or_build_uops(
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
     ) -> (bool, Arc<PredecodedTrace>) {
-        let (built, tape) = self.get_or_build_tape(bench, cfg);
-        (built, Arc::new(tape.to_ops().into()))
-    }
-
-    /// [`TraceCache::get_or_build_tape`] with an explicit builder — the
-    /// form the fault-injection tests drive to exercise builder panics.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `build` (the slot stays retryable).
-    pub fn get_or_build_with(
-        &self,
-        bench: Benchmark,
-        cfg: &WorkloadConfig,
-        build: impl FnOnce() -> Tape,
-    ) -> (bool, Arc<Tape>) {
-        let slot = {
-            // Poison-tolerant: the map lock is never held across the
-            // builder, so a poisoned lock only means another worker
-            // panicked elsewhere; the map itself is still consistent.
-            let mut slots = unpoisoned(self.slots.lock());
-            slots.entry((bench, *cfg)).or_default().clone()
-        };
-        let mut built = false;
-        let tape = slot
-            .get_or_init(|| {
-                built = true;
-                Arc::new(build())
-            })
-            .clone();
-        (built, tape)
-    }
-
-    /// The tapes held: one per workload built so far.
-    pub fn len(&self) -> usize {
-        let slots = unpoisoned(self.slots.lock());
-        slots.values().filter(|slot| slot.get().is_some()).count()
-    }
-
-    /// True if no tape has been built.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let _prof = hbat_obs::prof::scope("workload-build");
+        (true, Arc::new(bench.build(cfg).uops()))
     }
 }
 
@@ -801,75 +724,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_builds_each_workload_once() {
+    fn trace_cache_builds_the_uops_on_every_call() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
-        let (built, a) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
-        assert!(built);
-        assert_eq!(cache.len(), 1);
-        let (built, b) = cache.get_or_build_tape(Benchmark::Compress, &cfg);
-        assert!(!built);
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the shared trace");
-        // The materialising boundary shares the slot and hands out the
-        // tape's ops.
-        let (built, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
-        assert!(!built && uops.ops() == a.to_ops());
-        // A different workload identity is a different trace.
-        let small_regs = cfg.with_small_regs();
-        assert!(cache.get_or_build_tape(Benchmark::Compress, &small_regs).0);
-        assert!(cache.get_or_build_tape(Benchmark::Xlisp, &cfg).0);
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn concurrent_requests_build_once() {
-        let cache = TraceCache::new();
-        let cfg = WorkloadConfig::new(Scale::Test);
-        let got = parallel_map(8, 4, |_| cache.get_or_build_tape(Benchmark::Doduc, &cfg));
-        let builders = got.iter().filter(|(built, _)| *built).count();
-        assert_eq!(builders, 1, "one builder, everyone else waits");
-        assert_eq!(cache.len(), 1);
-        assert!(got.windows(2).all(|w| Arc::ptr_eq(&w[0].1, &w[1].1)));
-    }
-
-    #[test]
-    fn builder_panic_does_not_wedge_the_slot() {
-        let cache = TraceCache::new();
-        let cfg = WorkloadConfig::new(Scale::Test);
-        // First request: the builder panics. The panic propagates…
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_build_with(Benchmark::Gcc, &cfg, || panic!("builder exploded"))
-        }));
-        assert!(r.is_err());
-        assert!(cache.is_empty());
-        // …but the slot is not deadlocked or poisoned: the next
-        // requester retries the build and succeeds.
-        let (built, trace) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
-        assert!(built && !trace.is_empty());
-        assert_eq!(cache.len(), 1);
-        // And a plain hit still works afterwards.
-        let (built, again) = cache.get_or_build_tape(Benchmark::Gcc, &cfg);
-        assert!(!built && Arc::ptr_eq(&trace, &again));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_builder_panic_leaves_other_requesters_live() {
-        let cache = TraceCache::new();
-        let cfg = WorkloadConfig::new(Scale::Test);
-        // Several workers race the same slot while the first builder
-        // panics: every worker must terminate (no deadlock), and at
-        // least the retries must converge on a real trace.
-        let outcomes = parallel_map_outcomes(6, 3, &RunPolicy::default(), |i, _ctx| {
-            cache.get_or_build_with(Benchmark::Perl, &cfg, || {
-                assert!(i != 0, "first builder exploded");
-                Benchmark::Perl.build(&cfg).tape()
-            })
-        });
-        let completed = outcomes.iter().filter(|o| o.is_ok()).count();
-        assert!(completed >= 5, "only the panicking builder may fail");
-        let (_, trace) = cache.get_or_build_tape(Benchmark::Perl, &cfg);
-        assert!(!trace.is_empty());
+        let (built, a) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        let (again, b) = cache.get_or_build_uops(Benchmark::Compress, &cfg);
+        assert!(built && again, "nothing is cached");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(a.ops() == b.ops() && a.ops() == Benchmark::Compress.build(&cfg).uops().ops());
     }
 
     #[test]

@@ -28,10 +28,8 @@ use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::engine::Engine;
 use hbat_cpu::{RunMetrics, SimConfig, WarmAccumulator, WarmState};
-use hbat_isa::executor::{Capped, OpSource};
-use hbat_isa::tape::Tape;
+use hbat_isa::executor::OpSource;
 use hbat_isa::uop::MicroOp;
-use hbat_isa::Machine;
 use hbat_obs::{
     prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Tee, TraceRecorder,
 };
@@ -41,7 +39,7 @@ use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-use crate::ckpt::{build_warm_start, CheckpointOptions, WarmStart};
+use crate::ckpt::{build_warm_start, CheckpointOptions, ProgramTail, WarmStart};
 use crate::executor::{
     parallel_map_outcomes, timed, unpoisoned, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
@@ -50,9 +48,7 @@ use crate::journal::{
     fnv1a_hex, read_interval_sidecar, read_journal, CellKey, JournalRecord, JournalWriter,
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
-use crate::sample::{
-    ipc_interval, run_sampled_windows, warm_schedule, SamplePlan, ScheduledWindow,
-};
+use crate::sample::{ipc_interval, run_sampled_windows, SamplePlan, ScheduledWindow};
 
 /// The four-ported TLB: the design every figure normalises IPC to.
 const T4: DesignSpec = DesignSpec::MultiPorted { ports: 4 };
@@ -401,17 +397,9 @@ impl SweepResult {
     }
 }
 
-/// The tape of one benchmark's trace under `cfg`, through the
-/// process-wide cache: the first request builds it, later requests for
-/// the same workload share the stored copy.
-pub fn tape_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<Tape> {
-    TraceCache::global()
-        .get_or_build_tape(bench, &cfg.workload)
-        .1
-}
-
-/// Runs one cell: `design` times the op stream `ops` (a `Machine`, a
-/// `TapeReader` or a `&[MicroOp]`) in detail from `warm`, reporting
+/// Runs one cell: `design` times the op stream `ops` (a program's
+/// [`ProgramTail::stream`], a sampled window's `TapeReader` or a
+/// `&[MicroOp]`) in detail from `warm`, reporting
 /// to `rec` ([`NullRecorder`] for an unobserved run; a [`TraceRecorder`]
 /// for the stall taxonomy, an [`IntervalRecorder`], a [`Tee`] of both,
 /// or a sampled window's gate). The one cell runner: a full cell starts
@@ -626,34 +614,6 @@ pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
     }
     out.push_str("}}}");
     out
-}
-
-/// What phase 1 built for one program: the machine and accumulator at
-/// its timing start (the first instruction, or the `--ff` boundary) and
-/// the ops it runs from there to halt. Each full cell streams a clone
-/// of the machine into the engine; a sampled sweep's first cell builds
-/// the [`SharedSchedule`] its designs time from another clone. So no
-/// sweep holds a program's trace.
-struct BenchInput {
-    /// The machine and accumulator at the timing start.
-    start: WarmStart,
-    /// The ops the machine runs from there to halt.
-    n: u64,
-}
-
-impl BenchInput {
-    /// What a full cell times: a clone of the machine, capped at the
-    /// `n` ops phase 1 counted.
-    fn stream(&self) -> Capped<Machine> {
-        self.start.machine.clone().capped(self.n)
-    }
-
-    /// The windows every cell of a sampled sweep times: [`warm_schedule`]
-    /// of a clone of the machine, continuing a clone of the accumulator.
-    fn schedule(&self, cfg: &ExperimentConfig, plan: &SamplePlan) -> Vec<ScheduledWindow> {
-        let start = &self.start;
-        warm_schedule(start.machine.clone(), self.n, cfg, Some(&start.acc), plan)
-    }
 }
 
 /// One program's timing input in a sampled sweep (DESIGN.md §15): its
@@ -929,15 +889,12 @@ pub fn sweep_ft(
                     WarmStart::program_start(bench, cfg)
                 }
             };
-            let n = {
-                let _count = prof::scope("count");
-                start.tail_len().unwrap_or_else(|e| fail(e))
-            };
-            BenchInput { start, n }
+            let _count = prof::scope("count");
+            ProgramTail::new(start).unwrap_or_else(|e| fail(e))
         })
     });
     drop(phase_trace_build);
-    let mut traces: Vec<Option<BenchInput>> = Vec::with_capacity(benches.len());
+    let mut traces: Vec<Option<ProgramTail>> = Vec::with_capacity(benches.len());
     let mut trace_errs: Vec<String> = Vec::with_capacity(benches.len());
     for outcome in trace_outcomes {
         trace_errs.push(match &outcome {
@@ -1027,10 +984,13 @@ pub fn sweep_ft(
                         schedules[bi].finish_cell();
                         (cell.metrics, None, Some((cell.windows, 0)))
                     }
-                    None => {
-                        let warm = input.start.acc.warm_state();
-                        run_recorded(input.stream(), design, cfg, &warm, opts)
-                    }
+                    None => run_recorded(
+                        input.stream(),
+                        design,
+                        cfg,
+                        &input.start.acc.warm_state(),
+                        opts,
+                    ),
                 }
             };
             if let Some(w) = &writer {
@@ -1139,6 +1099,7 @@ pub fn scale_from_args() -> Scale {
 mod tests {
     use super::*;
     use crate::executor::parallel_map;
+    use hbat_isa::tape::Tape;
 
     #[test]
     fn dispatch_order_hands_out_first_cells_early_and_permutes_the_grid() {

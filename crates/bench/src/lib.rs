@@ -43,7 +43,7 @@ pub mod sample;
 
 pub use ckpt::{
     build_warm_start, build_warm_start_cold, verify_restore_equivalence, CheckpointOptions,
-    EquivalenceReport, WarmStart,
+    EquivalenceReport, ProgramTail, WarmStart,
 };
 pub use executor::{
     parallel_map, parallel_map_outcomes, worker_threads, CellCtx, RunPolicy, SweepTelemetry,

@@ -9,8 +9,7 @@ use hbat_core::addr::{PageGeometry, VirtAddr};
 use hbat_core::bank::TlbBank;
 use hbat_core::entry::{Protection, TlbEntry};
 use hbat_core::replacement::ReplacementPolicy;
-use hbat_isa::tape::Tape;
-use hbat_isa::uop::MicroOp;
+use hbat_isa::executor::OpSource;
 
 /// The TLB sizes of Figure 6 with their replacement policies.
 pub const FIG6_SIZES: [(usize, ReplacementPolicy); 6] = [
@@ -22,10 +21,12 @@ pub const FIG6_SIZES: [(usize, ReplacementPolicy); 6] = [
     (128, ReplacementPolicy::Random),
 ];
 
-/// Runs the data references of `ops` through one fully-associative TLB
-/// and returns `(misses, references)`.
+/// Runs the data references of `ops` (a program's
+/// [`ProgramTail::stream`](crate::ckpt::ProgramTail::stream), or a
+/// slice of ops) through one fully-associative TLB in one pass and
+/// returns `(misses, references)`.
 pub fn miss_count(
-    ops: &Tape,
+    ops: impl OpSource,
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
@@ -35,9 +36,9 @@ pub fn miss_count(
     let mut misses = 0u64;
     let mut refs = 0u64;
     let mut next_ppn = 0x100u64;
-    for op in (0..ops.len()).map(|i| ops.retired(i)) {
-        if op.flags() & MicroOp::F_MEM == 0 {
-            continue;
+    ops.for_each_op(|op| {
+        if !op.template.is_mem() {
+            return;
         }
         refs += 1;
         let vpn = geometry.vpn(VirtAddr(op.vaddr));
@@ -50,13 +51,13 @@ pub fn miss_count(
             ));
             next_ppn += 1;
         }
-    }
+    });
     (misses, refs)
 }
 
-/// Miss rate (percent of references) for one trace and size.
+/// Miss rate (percent of references) for one op stream and size.
 pub fn miss_rate_percent(
-    ops: &Tape,
+    ops: impl OpSource,
     entries: usize,
     policy: ReplacementPolicy,
     geometry: PageGeometry,
@@ -73,29 +74,31 @@ pub fn miss_rate_percent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
+    use crate::ckpt::ProgramTail;
+    use crate::experiment::ExperimentConfig;
+    use hbat_workloads::{Benchmark, Scale};
 
-    fn uops(bench: Benchmark) -> Tape {
-        bench.build(&WorkloadConfig::new(Scale::Test)).tape()
+    fn tail(bench: Benchmark) -> ProgramTail {
+        ProgramTail::program_start(bench, &ExperimentConfig::baseline(Scale::Test)).unwrap()
     }
 
     #[test]
     fn miss_rate_is_monotone_in_size_for_lru() {
-        let ops = uops(Benchmark::Gcc);
+        let gcc = tail(Benchmark::Gcc);
         let g = PageGeometry::KB4;
-        let m4 = miss_rate_percent(&ops, 4, ReplacementPolicy::Lru, g, 1);
-        let m8 = miss_rate_percent(&ops, 8, ReplacementPolicy::Lru, g, 1);
-        let m16 = miss_rate_percent(&ops, 16, ReplacementPolicy::Lru, g, 1);
+        let m4 = miss_rate_percent(gcc.stream(), 4, ReplacementPolicy::Lru, g, 1);
+        let m8 = miss_rate_percent(gcc.stream(), 8, ReplacementPolicy::Lru, g, 1);
+        let m16 = miss_rate_percent(gcc.stream(), 16, ReplacementPolicy::Lru, g, 1);
         assert!(m4 >= m8 && m8 >= m16, "LRU inclusion: {m4} {m8} {m16}");
     }
 
     #[test]
     fn locality_poor_programs_miss_more() {
         let g = PageGeometry::KB4;
-        let compress = uops(Benchmark::Compress);
-        let espresso = uops(Benchmark::Espresso);
-        let mc = miss_rate_percent(&compress, 16, ReplacementPolicy::Lru, g, 1);
-        let me = miss_rate_percent(&espresso, 16, ReplacementPolicy::Lru, g, 1);
+        let compress = tail(Benchmark::Compress);
+        let espresso = tail(Benchmark::Espresso);
+        let mc = miss_rate_percent(compress.stream(), 16, ReplacementPolicy::Lru, g, 1);
+        let me = miss_rate_percent(espresso.stream(), 16, ReplacementPolicy::Lru, g, 1);
         assert!(
             mc > me,
             "compress ({mc}%) must miss more than espresso ({me}%)"
@@ -104,17 +107,33 @@ mod tests {
 
     #[test]
     fn bigger_pages_reduce_misses() {
-        let ops = uops(Benchmark::Compress);
-        let m4k = miss_rate_percent(&ops, 32, ReplacementPolicy::Random, PageGeometry::KB4, 1);
-        let m8k = miss_rate_percent(&ops, 32, ReplacementPolicy::Random, PageGeometry::KB8, 1);
+        let compress = tail(Benchmark::Compress);
+        let rate = |g| miss_rate_percent(compress.stream(), 32, ReplacementPolicy::Random, g, 1);
+        let (m4k, m8k) = (rate(PageGeometry::KB4), rate(PageGeometry::KB8));
         assert!(m8k <= m4k, "8k pages map more memory: {m8k} vs {m4k}");
     }
 
     #[test]
     fn counts_only_memory_references() {
-        let ops = uops(Benchmark::Doduc);
-        let (_, refs) = miss_count(&ops, 128, ReplacementPolicy::Random, PageGeometry::KB4, 1);
-        let mem = ops.iter().filter(MicroOp::is_mem).count() as u64;
-        assert_eq!(refs, mem);
+        let doduc = tail(Benchmark::Doduc);
+        let (misses, refs) = miss_count(
+            doduc.stream(),
+            128,
+            ReplacementPolicy::Random,
+            PageGeometry::KB4,
+            1,
+        );
+        let uops = Benchmark::Doduc
+            .build(&ExperimentConfig::baseline(Scale::Test).workload)
+            .uops();
+        assert_eq!(refs, uops.iter().filter(|op| op.is_mem()).count() as u64);
+        let from_slice = miss_count(
+            &uops[..],
+            128,
+            ReplacementPolicy::Random,
+            PageGeometry::KB4,
+            1,
+        );
+        assert_eq!(from_slice, (misses, refs));
     }
 }

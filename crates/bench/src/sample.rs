@@ -160,7 +160,9 @@ pub fn plan_windows(plan: &SamplePlan, n_ops: u64) -> Vec<SampleWindow> {
     // One SplitMix64 step decorrelates the offset from small seeds.
     let mut state = plan.seed;
     let offset = splitmix64(&mut state) % slack;
-    let mut windows = Vec::with_capacity(k as usize);
+    // At most `n_ops / span + 1` windows fit, whatever the plan asks for.
+    let fit = n_ops / span + 1;
+    let mut windows = Vec::with_capacity(usize::try_from(k.min(fit)).unwrap_or(0));
     let mut s = offset;
     while s + span <= n_ops && (windows.len() as u64) < k {
         windows.push(SampleWindow {
@@ -378,8 +380,9 @@ pub struct ScheduledWindow {
 /// warming stops. Outside the slices the source runs straight into the
 /// accumulator and nothing is kept; only the slices' ops are kept, as
 /// tapes of the source's templates, so a schedule holds the windows,
-/// not the stream. A sweep feeds it from a functional machine, and
-/// [`run_sampled_uops`] from a stored trace, through the one
+/// not the stream. A sweep feeds it from a program's
+/// [`ProgramTail::stream`](crate::ckpt::ProgramTail::stream), and
+/// [`run_sampled_uops`] from a slice of ops, through the one
 /// [`OpSource`] interface.
 ///
 /// Nothing here depends on the translation design, so a sweep builds
@@ -499,14 +502,14 @@ pub fn run_sampled_windows(
     SampledCell::from_windows(records)
 }
 
-/// Runs one sampled (trace, design) cell: [`warm_schedule`] over `ops`
-/// (stored as a tape first) then [`run_sampled_windows`].
+/// Runs one sampled (trace, design) cell: [`warm_schedule`] straight
+/// over the slice `ops`, then [`run_sampled_windows`].
 /// Deterministic: identical `(ops, design, cfg, start, plan)` give
 /// identical results.
 ///
 /// # Panics
 ///
-/// If the serials of `ops` are not contiguous.
+/// If the serials of a window's slice are not contiguous.
 pub fn run_sampled_uops(
     ops: &[MicroOp],
     design: DesignSpec,
@@ -514,8 +517,7 @@ pub fn run_sampled_uops(
     start: Option<&WarmAccumulator>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let tape = Tape::from_ops(ops).unwrap_or_else(|e| panic!("not a trace: {e}"));
-    let schedule = warm_schedule(tape.reader(), ops.len() as u64, cfg, start, plan);
+    let schedule = warm_schedule(ops, ops.len() as u64, cfg, start, plan);
     run_sampled_windows(design, cfg, &schedule)
 }
 
@@ -571,7 +573,7 @@ pub fn ipc_interval(windows: &[IntervalRecord], level: ConfLevel) -> ConfidenceI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbat_isa::tape::TapeReader;
+    use crate::ckpt::ProgramTail;
     use hbat_isa::Machine;
     use hbat_obs::Tee;
     use hbat_workloads::Scale;
@@ -645,6 +647,22 @@ mod tests {
         assert_eq!(plan_windows(&p, 10_000), ws);
         let shifted = plan_windows(&p.with_seed(2), 10_000);
         assert_ne!(shifted, ws);
+    }
+
+    // An oversized window count plans only the windows that fit, and
+    // reserves no more than that.
+    #[test]
+    fn a_huge_window_count_plans_the_windows_that_fit() {
+        let ws = plan_windows(&plan(u64::MAX, 100, 25), 10_000);
+        assert_eq!(ws.len(), 80);
+        for w in &ws {
+            assert!(w.warm_start < w.meas_start && w.meas_start < w.end);
+            assert!(w.end <= 10_000);
+        }
+        for pair in ws.windows(2) {
+            assert!(pair[0].end <= pair[1].warm_start, "{pair:?}");
+        }
+        assert!(ws.capacity() <= 10_000 / 125 + 1);
     }
 
     #[test]
@@ -784,7 +802,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
+        let ops = Benchmark::Compress.build(&cfg.workload).uops();
         let p = plan(12, 400, 100);
 
         let a = run_sampled_uops(&ops, design, &cfg, None, &p);
@@ -826,15 +844,21 @@ mod tests {
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
         let ws = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
+        let ws = ProgramTail::new(ws).unwrap();
         let p = plan(6, 200, 50);
-        let tape = ws.machine.clone().run_to_tape(ws.max_steps);
-        let tail = tape.to_ops();
-        let a = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
-        let b = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
+        let mut tail = Vec::new();
+        ws.stream().feed(u64::MAX, &mut tail);
+        let a = run_sampled_uops(&tail, design, &cfg, Some(&ws.start.acc), &p);
+        let b = run_sampled_uops(&tail, design, &cfg, Some(&ws.start.acc), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
-        let warm = ws.acc.warm_state();
-        let full = run_cell(tape.reader(), design, &cfg, &warm, hbat_obs::NullRecorder);
+        let full = run_cell(
+            ws.stream(),
+            design,
+            &cfg,
+            &ws.start.acc.warm_state(),
+            hbat_obs::NullRecorder,
+        );
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -877,8 +901,8 @@ mod tests {
 
     // The schedule is the accumulator's state at each window start plus
     // the window's detail slice, whichever state it starts from, however
-    // many windows fit, and whether the ops come from a stored trace (a
-    // slice or a tape) or straight from a machine. A schedule chained
+    // many windows fit, and whether the ops come from a slice or
+    // straight from a machine. A schedule chained
     // from a fast-forward's accumulator is the exact continuation: it
     // equals a cold accumulation of the whole trace up to each window.
     // The builder reads the stream no further than the last slice.
@@ -886,7 +910,7 @@ mod tests {
     fn warm_schedule_streams_the_states_and_slices_of_the_full_trace() {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
-        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
+        let ops = Benchmark::Compress.build(&cfg.workload).uops();
         let full = &ops[..];
         fn trace(ops: &[MicroOp]) -> (&[MicroOp], u64) {
             (ops, ops.len() as u64)
@@ -904,18 +928,18 @@ mod tests {
         assert_eq!((mws, mread), (ws, read));
 
         let start = crate::ckpt::build_warm_start_cold(Benchmark::Compress, &cfg, 1_000).unwrap();
-        let skip = start.start as usize;
-        let tape = start.machine.clone().run_to_tape(start.max_steps);
-        assert_eq!(full[skip..], tape.to_ops());
-        let tail = (tape.reader(), tape.len() as u64);
-        let tail_read = |r: &TapeReader| r.pos() as u64;
+        let tail = ProgramTail::new(start).unwrap();
+        let skip = tail.start.start as usize;
+        let mut tail_ops = Vec::new();
+        tail.stream().feed(u64::MAX, &mut tail_ops);
+        assert_eq!(full[skip..], tail_ops);
         let (ws, _) = check_schedule(
             &cfg,
             full,
             skip,
-            tail,
-            tail_read,
-            Some(&start.acc),
+            (tail.stream(), tail.n),
+            |_| 0,
+            Some(&tail.start.acc),
             &plan(6, 200, 50),
         );
         assert_eq!(ws.len(), 6);
@@ -946,8 +970,8 @@ mod tests {
         assert!(warm_schedule(machine(0).0, 0, &cfg, None, &p).is_empty());
     }
 
-    // Fed from a machine, from its stored ops or from its tape, the
-    // schedule is the same in windows, warm states and slice ops, on
+    // Fed from a machine, from its stored ops or from a tape of them,
+    // the schedule is the same in windows, warm states and slice ops, on
     // every workload, from program start and chained from a
     // fast-forward's accumulator, and under a plan whose drain margins
     // overlap the next windows.
@@ -960,7 +984,6 @@ mod tests {
             let mut start = crate::ckpt::WarmStart::program_start(bench, &cfg);
             let ops = start.machine.clone().run_to_uops(start.max_steps);
             let cold = (start.machine.clone(), ops);
-            let tape = start.machine.clone().run_to_tape(start.max_steps);
             fast_forward(
                 &mut start.machine,
                 &mut start.acc,
@@ -973,13 +996,12 @@ mod tests {
             .unwrap();
             let tail = start.machine.clone().run_to_uops(start.max_steps);
             let chained = (start.machine.clone(), tail);
-            let tail_tape = start.machine.clone().run_to_tape(start.max_steps);
-            for ((machine, ops), tape, acc) in
-                [(cold, &tape, None), (chained, &tail_tape, Some(&start.acc))]
-            {
+            for ((machine, ops), acc) in [(cold, None), (chained, Some(&start.acc))] {
                 let n = ops.len() as u64;
                 // Three 250-op windows back to back in 900 ops, each
                 // drain margin reaching into the next window.
+                let mut tape = machine.tape();
+                machine.clone().feed_tape(start.max_steps, &mut tape);
                 for (n, p) in [(n, plan(8, 300, 50)), (n.min(900), plan(8, 200, 50))] {
                     let from_machine = warm_schedule(machine.clone(), n, &cfg, acc, &p);
                     let from_slice = warm_schedule(&ops[..], n, &cfg, acc, &p);
@@ -1021,9 +1043,8 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let tape = crate::experiment::tape_for(Benchmark::Compress, &cfg);
-        let p = plan(6, 400, 100);
-        let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &p);
+        let tail = ProgramTail::program_start(Benchmark::Compress, &cfg).unwrap();
+        let schedule = tail.schedule(&cfg, &plan(6, 400, 100));
         for ScheduledWindow {
             window: w,
             warm,
@@ -1065,8 +1086,8 @@ mod tests {
             ExperimentConfig::baseline(Scale::Test),
             ExperimentConfig::baseline(Scale::Test).with_inorder(),
         ] {
-            let tape = crate::experiment::tape_for(Benchmark::Compress, &cfg);
-            let schedule = warm_schedule(tape.reader(), tape.len() as u64, &cfg, None, &p);
+            let tail = ProgramTail::program_start(Benchmark::Compress, &cfg).unwrap();
+            let schedule = tail.schedule(&cfg, &p);
             for design in DesignSpec::TABLE2 {
                 let cell = run_sampled_windows(design, &cfg, &schedule);
                 let (mut stopped_cycles, mut full_cycles) = (0, 0);
@@ -1096,7 +1117,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 1 };
-        let ops = crate::experiment::tape_for(Benchmark::Compress, &cfg).to_ops();
+        let ops = Benchmark::Compress.build(&cfg.workload).uops();
         let cell = run_sampled_uops(&ops, design, &cfg, None, &plan(5, 300, 50));
         let rebuilt = SampledCell::from_windows(cell.windows.clone());
         assert_eq!(

@@ -16,7 +16,6 @@
 
 use std::path::{Path, PathBuf};
 
-use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
     iv_sidecar_path, run_cell_uops, run_cell_uops_with, sweep_ft, ExperimentConfig, SweepOptions,
 };
@@ -170,9 +169,8 @@ fn interval_sidecar_is_valid_jsonl_with_stable_schema_and_deterministic() {
 #[test]
 fn per_window_invariant_holds_for_every_workload_and_design() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
     for bench in Benchmark::ALL {
-        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        let uops = bench.build(&cfg.workload).uops();
         for design in designs() {
             let mut iv = IntervalRecorder::new(512);
             let m = run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
@@ -190,8 +188,7 @@ fn per_window_invariant_holds_for_every_workload_and_design() {
 #[test]
 fn metrics_are_bit_identical_across_all_table2_designs() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = Benchmark::Compress.build(&cfg.workload).uops();
     for design in DesignSpec::TABLE2 {
         let plain = run_cell_uops(uops.ops(), design, &cfg);
         let mut iv = IntervalRecorder::new(777);
@@ -210,8 +207,7 @@ fn metrics_are_bit_identical_across_all_table2_designs() {
 #[test]
 fn short_runs_and_awkward_widths_produce_correct_partial_windows() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = Benchmark::Compress.build(&cfg.workload).uops();
     let design = DesignSpec::parse("M8").unwrap();
 
     // A width wider than the whole run: exactly one partial window.
@@ -269,9 +265,8 @@ fn window_sum(windows: &[IntervalRecord]) -> IntervalRecord {
 #[test]
 fn trace_interval_and_gate_recorders_agree() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
     for bench in Benchmark::ALL {
-        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        let uops = bench.build(&cfg.workload).uops();
         for mnemonic in ["T1", "I4", "M8", "P8"] {
             let tag = format!("{bench}/{mnemonic}");
             let design = DesignSpec::parse(mnemonic).unwrap();

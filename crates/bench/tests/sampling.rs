@@ -16,9 +16,8 @@
 //!   CI covers the full-run IPC, and a rerun is identical;
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
-//! * a sweep warms each program once, streaming it from its machine
-//!   and leaving the trace cache empty, and shares the schedule across its
-//!   designs, and every cell still equals a standalone
+//! * a sweep warms each program once, streaming it from its machine,
+//!   and shares the schedule across its designs, and every cell still equals a standalone
 //!   `run_sampled_uops` of it on the full trace, at 1 and 4 workers,
 //!   with and without `--ff`;
 //! * `--sample` with `--observe`/`--intervals` is rejected before any
@@ -26,8 +25,7 @@
 
 use std::path::{Path, PathBuf};
 
-use hbat_bench::ckpt::CheckpointOptions;
-use hbat_bench::executor::TraceCache;
+use hbat_bench::ckpt::{CheckpointOptions, ProgramTail};
 use hbat_bench::experiment::{
     iv_sidecar_path, run_cell, run_cell_uops, sweep_fingerprint, sweep_ft, ExperimentConfig,
     SweepOptions,
@@ -35,6 +33,7 @@ use hbat_bench::experiment::{
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, SampledCell};
 use hbat_bench::SweepResult;
 use hbat_core::designs::spec::DesignSpec;
+use hbat_isa::executor::OpSource;
 use hbat_stats::ConfLevel;
 use hbat_workloads::{Benchmark, Scale};
 
@@ -194,12 +193,13 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     let p = plan();
     for bench in Benchmark::ALL {
         let ws = hbat_bench::ckpt::build_warm_start_cold(bench, &cfg, 2_000).unwrap();
-        let warm = ws.acc.warm_state();
-        let tape = ws.machine.clone().run_to_tape(ws.max_steps);
-        let tail = tape.to_ops();
+        let ws = ProgramTail::new(ws).unwrap();
+        let warm = ws.start.acc.warm_state();
+        let mut tail = Vec::new();
+        ws.stream().feed(u64::MAX, &mut tail);
         for design in designs() {
-            let truth = run_cell(tape.reader(), design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
-            let cell = run_sampled_uops(&tail, design, &cfg, Some(&ws.acc), &p);
+            let truth = run_cell(ws.stream(), design, &cfg, &warm, hbat_obs::NullRecorder).ipc();
+            let cell = run_sampled_uops(&tail, design, &cfg, Some(&ws.start.acc), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
                 ci.covers(truth),
@@ -227,21 +227,11 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
 fn sampled_figure_tracks_the_full_figure_at_test_scale() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let full = sweep_ft(&DesignSpec::TABLE2, &cfg, &SweepOptions::default()).unwrap();
-    // Neither sweep leaves a tape in the process-wide cache (no test in
-    // this file fills it).
-    assert!(
-        TraceCache::global().is_empty(),
-        "the full sweep holds no tape"
-    );
     let opts = SweepOptions {
         sample: Some(SamplePlan::parse("6:400:100", 1996).unwrap()),
         ..SweepOptions::default()
     };
     let sampled = sweep_ft(&DesignSpec::TABLE2, &cfg, &opts).unwrap();
-    assert!(
-        TraceCache::global().is_empty(),
-        "the sampled sweep holds no tape"
-    );
     for design in DesignSpec::TABLE2 {
         let (want, got) = (full.relative_ipc(design), sampled.relative_ipc(design));
         let (want, got) = (want.unwrap(), got.unwrap());
@@ -260,8 +250,7 @@ fn sampled_figure_tracks_the_full_figure_at_test_scale() {
 #[test]
 fn sampled_cis_cover_ground_truth_on_all_thirteen_table2_designs() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = Benchmark::Compress.build(&cfg.workload).uops();
     let p = plan();
     for design in DesignSpec::TABLE2 {
         let truth = run_cell_uops(uops.ops(), design, &cfg).ipc();
@@ -284,7 +273,7 @@ fn reference_cell_sampled_ipc_is_within_two_percent_of_the_full_run() {
     let cfg = ExperimentConfig::baseline(Scale::Reference);
     let design = DesignSpec::parse("M8").unwrap();
     let p = SamplePlan::parse("25:1000:250", 1996).unwrap();
-    let (_, uops) = TraceCache::new().get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = Benchmark::Compress.build(&cfg.workload).uops();
 
     let full_ipc = run_cell_uops(uops.ops(), design, &cfg).ipc();
     let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
@@ -384,7 +373,6 @@ fn assert_grid_matches_standalone(
         };
         let r = sweep_ft(&DesignSpec::TABLE2, &cfg, &opts).unwrap();
         assert!(r.manifest.is_empty(), "{}", r.manifest.render());
-        assert!(TraceCache::global().is_empty(), "no tape held");
         for (row, erow) in r.cells.iter().zip(&expected) {
             for (cell, e) in row.iter().zip(erow) {
                 let c = cell.ok().unwrap();
@@ -400,11 +388,10 @@ fn assert_grid_matches_standalone(
 #[test]
 fn shared_warm_schedules_match_standalone_cells_on_the_table2_grid() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
-    let cache = TraceCache::new();
     assert_grid_matches_standalone(
         |_| None,
         |bench| {
-            let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+            let uops = bench.build(&cfg.workload).uops();
             DesignSpec::TABLE2
                 .map(|design| run_sampled_uops(uops.ops(), design, &cfg, None, &plan()))
                 .to_vec()

@@ -91,12 +91,14 @@ fn run_stream(cfg: &SimConfig, design: &str, ops: impl OpSource) -> (RunMetrics,
 }
 
 /// The engine's three op streams agree: the program's machine
-/// executing, a reader of its tape and its micro-ops give identical
+/// executing, a reader of a tape of its ops (as a sampled window's slice
+/// holds them) and its micro-ops give identical
 /// metrics and recorder state under T1, I4/PB, M8 and P8, out of order
 /// and in order. Returns the run length and the out-of-order T1 metrics.
 fn streams_agree(insts: Vec<Inst>) -> (usize, RunMetrics) {
     let machine = Machine::new(Program::new(insts).expect("a valid program"));
-    let tape = machine.clone().run_to_tape(50_000);
+    let mut tape = machine.tape();
+    machine.clone().feed_tape(50_000, &mut tape);
     let uops = machine.clone().run_to_uops(50_000);
     let mut t1 = None;
     for cfg in [SimConfig::baseline(), SimConfig::baseline_inorder()] {

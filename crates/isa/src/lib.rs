@@ -48,6 +48,6 @@ pub use inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 pub use opcode::Opcode;
 pub use program::{Program, ProgramError};
 pub use reg::Reg;
-pub use tape::{Tape, TapeError, TapeReader};
+pub use tape::{Tape, TapeReader};
 pub use trace::{BranchRec, MemRef, OpClass, TraceInst};
 pub use uop::{DecodedInst, MicroOp, PredecodedProgram, PredecodedTrace, NO_REG};

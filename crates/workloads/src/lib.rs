@@ -13,8 +13,8 @@
 //! use hbat_workloads::suite::Benchmark;
 //!
 //! let w = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let tape = w.tape();
-//! assert!(tape.iter().any(|op| op.is_mem()));
+//! let uops = w.uops();
+//! assert!(uops.iter().any(|op| op.is_mem()));
 //! ```
 
 pub mod builder;

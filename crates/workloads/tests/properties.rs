@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use hbat_core::addr::VirtAddr;
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{Cond, Width};
-use hbat_isa::tape::Tape;
 use hbat_isa::uop::MicroOp;
+use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::builder::Builder;
 use hbat_workloads::layout::{HEAP_BASE, STACK_BASE};
 use hbat_workloads::{Benchmark, RegBudget, Scale, WorkloadConfig};
@@ -118,9 +118,9 @@ fn all_benchmarks_run_under_both_budgets() {
     for bench in Benchmark::ALL {
         let full = bench.build(&WorkloadConfig::new(Scale::Test));
         let small = bench.build(&WorkloadConfig::new(Scale::Test).with_small_regs());
-        let tf = full.tape();
-        let ts = small.tape();
-        let mem = |t: &Tape| t.iter().filter(|i| i.is_mem()).count();
+        let tf = full.uops();
+        let ts = small.uops();
+        let mem = |t: &PredecodedTrace| t.iter().filter(|i| i.is_mem()).count();
         assert!(
             mem(&ts) >= mem(&tf),
             "{bench}: small budget should not reduce memory traffic ({} vs {})",
@@ -136,11 +136,11 @@ fn all_benchmarks_run_under_both_budgets() {
 fn small_budget_inflates_memory_traffic_substantially() {
     let mut inflated = 0;
     for bench in Benchmark::ALL {
-        let tf = bench.build(&WorkloadConfig::new(Scale::Test)).tape();
+        let tf = bench.build(&WorkloadConfig::new(Scale::Test)).uops();
         let ts = bench
             .build(&WorkloadConfig::new(Scale::Test).with_small_regs())
-            .tape();
-        let mem = |t: &Tape| t.iter().filter(|i| i.is_mem()).count() as f64;
+            .uops();
+        let mem = |t: &PredecodedTrace| t.iter().filter(|i| i.is_mem()).count() as f64;
         if mem(&ts) > mem(&tf) * 1.3 {
             inflated += 1;
         }

@@ -18,10 +18,10 @@ fn main() {
     let geom = PageGeometry::KB4;
 
     // Ceilings from the trace alone.
-    let pages = page_stream(uops.iter(), geom);
+    let pages = page_stream(&uops[..], geom);
     let reuse = ReuseProfile::of_pages(&pages);
     let adj = AdjacencyProfile::of_pages(&pages, 4);
-    let ptr = PointerProfile::of_ops(uops.iter(), geom);
+    let ptr = PointerProfile::of_ops(&uops[..], geom);
     println!(
         "{bench}: {} instructions, {} pages touched",
         uops.len(),

@@ -60,13 +60,12 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hbat_suite::bench::ckpt::{CheckpointOptions, WarmStart};
+use hbat_suite::bench::ckpt::{CheckpointOptions, ProgramTail};
 use hbat_suite::bench::executor::RunPolicy;
 use hbat_suite::bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
-use hbat_suite::bench::sample::{ipc_interval, run_sampled_windows, warm_schedule, SamplePlan};
+use hbat_suite::bench::sample::{ipc_interval, run_sampled_windows, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
-use hbat_suite::isa::executor::{Capped, OpSource};
 use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
 use hbat_suite::stats::chart::BarChart;
@@ -421,19 +420,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `bench` under `cfg` at its first instruction, capped at the ops it
-/// runs to halt, and that count: the `trace-build` phase of `run` and
-/// `trace`, which stream the machine into the engine.
-fn program_stream(
-    bench: Benchmark,
-    cfg: &ExperimentConfig,
-) -> Result<(Capped<Machine>, u64), String> {
-    let _p = prof::scope("trace-build");
-    let start = WarmStart::program_start(bench, cfg);
-    let n = start.tail_len().map_err(|e| e.to_string())?;
-    Ok((start.machine.capped(n), n))
-}
-
 fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
     match cmd {
         "list" => {
@@ -451,12 +437,15 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let (ops, n) = program_stream(bench, &cfg)?;
+            let tail = {
+                let _p = prof::scope("trace-build");
+                ProgramTail::program_start(bench, &cfg).map_err(|e| e.to_string())?
+            };
             let m = {
                 let _p = prof::scope("detailed-run");
-                run_cell(ops, design, &cfg, &cfg.cold_state(), NullRecorder)
+                run_cell(tail.stream(), design, &cfg, &cfg.cold_state(), NullRecorder)
             };
-            println!("{bench}: {n} instructions\n");
+            println!("{bench}: {} instructions\n", tail.n);
             print_metrics(design, &m);
             Ok(())
         }
@@ -464,7 +453,11 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let (ops, n) = program_stream(bench, &cfg)?;
+            let tail = {
+                let _p = prof::scope("trace-build");
+                ProgramTail::program_start(bench, &cfg).map_err(|e| e.to_string())?
+            };
+            let n = tail.n;
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
                     return Err(
@@ -473,7 +466,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     );
                 }
                 let phase = prof::scope("sampled-run");
-                let schedule = warm_schedule(ops, n, &cfg, None, &plan);
+                let schedule = tail.schedule(&cfg, &plan);
                 let cell = run_sampled_windows(design, &cfg, &schedule);
                 drop(phase);
                 println!(
@@ -515,12 +508,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let (m, rec, iv) = match opts.intervals {
                 None => {
                     let mut rec = TraceRecorder::new();
-                    let m = run_cell(ops, design, &cfg, &cold, &mut rec);
+                    let m = run_cell(tail.stream(), design, &cfg, &cold, &mut rec);
                     (m, rec, None)
                 }
                 Some(width) => {
                     let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                    let m = run_cell(ops, design, &cfg, &cold, &mut tee);
+                    let m = run_cell(tail.stream(), design, &cfg, &cold, &mut tee);
                     tee.b.finish();
                     (m, tee.a, Some(tee.b))
                 }
@@ -676,12 +669,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
         "anatomy" => {
             let bench = opts.bench(0)?;
             let cfg = opts.experiment();
-            let tape = bench.build(&cfg.workload).tape();
-            let pages = page_stream(tape.iter(), cfg.geometry);
+            let tail = ProgramTail::program_start(bench, &cfg).map_err(|e| e.to_string())?;
+            let pages = page_stream(tail.stream(), cfg.geometry);
             let reuse = ReuseProfile::of_pages(&pages);
             let adj = AdjacencyProfile::of_pages(&pages, 4);
-            let ptr = PointerProfile::of_ops(tape.iter(), cfg.geometry);
-            println!("{bench}: {} instructions", tape.len());
+            let ptr = PointerProfile::of_ops(tail.stream(), cfg.geometry);
+            println!("{bench}: {} instructions", tail.n);
             println!("distinct pages        : {}", reuse.distinct_pages());
             for n in [4usize, 8, 16, 64, 128] {
                 println!(

@@ -11,7 +11,7 @@ fn poor_locality_trio_tops_the_reuse_profile() {
     let cfg = WorkloadConfig::new(Scale::Test);
     let rate = |b: Benchmark| {
         let uops = b.build(&cfg).uops();
-        ReuseProfile::of_pages(&page_stream(uops.iter(), PageGeometry::KB4)).lru_miss_rate(8)
+        ReuseProfile::of_pages(&page_stream(&uops[..], PageGeometry::KB4)).lru_miss_rate(8)
     };
     let friendly = [Benchmark::Espresso, Benchmark::Tomcatv, Benchmark::Xlisp]
         .map(rate)
@@ -33,7 +33,7 @@ fn reuse_profile_predicts_the_multilevel_shield() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Espresso, Benchmark::Perl, Benchmark::Tomcatv] {
         let uops = bench.build(&cfg).uops();
-        let pages = page_stream(uops.iter(), PageGeometry::KB4);
+        let pages = page_stream(&uops[..], PageGeometry::KB4);
         let predicted_hit = 1.0 - ReuseProfile::of_pages(&pages).lru_miss_rate(8);
         let mut tlb = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
         let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
@@ -59,7 +59,7 @@ fn adjacency_bounds_piggyback_combining() {
         Benchmark::Xlisp,
     ] {
         let uops = bench.build(&cfg).uops();
-        let pages = page_stream(uops.iter(), PageGeometry::KB4);
+        let pages = page_stream(&uops[..], PageGeometry::KB4);
         let profile = AdjacencyProfile::of_pages(&pages, 4);
         let ceiling = profile.regrouped_combinable_fraction();
         let mut tlb = DesignSpec::parse("PB1")
@@ -83,7 +83,7 @@ fn pointer_profile_bounds_pretranslation() {
     let cfg = WorkloadConfig::new(Scale::Test);
     for bench in [Benchmark::Perl, Benchmark::Tomcatv, Benchmark::Gcc] {
         let uops = bench.build(&cfg).uops();
-        let ceiling = PointerProfile::of_ops(uops.iter(), PageGeometry::KB4).reuse_fraction();
+        let ceiling = PointerProfile::of_ops(&uops[..], PageGeometry::KB4).reuse_fraction();
         let mut tlb = DesignSpec::parse("P8").unwrap().build(PageGeometry::KB4, 7);
         let m = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
         assert!(

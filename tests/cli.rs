@@ -206,6 +206,26 @@ fn trace_sample_prints_the_window_table_deterministically() {
 }
 
 #[test]
+fn an_oversized_window_count_runs_the_windows_that_fit() {
+    // Both counts ask for more windows than memory can hold; only the
+    // 24 windows that fit in the trace are planned, as for a count of
+    // 100,000. Only the header line, which echoes the plan, differs.
+    let run = |count: &str| {
+        let args = [
+            "trace", "Compress", "T4", "--scale", "test", "--sample", count,
+        ];
+        let (ok, stdout, stderr) = hbat(&args);
+        assert!(ok, "--sample {count}: {stderr}");
+        stdout.lines().skip(1).collect::<Vec<_>>().join("\n")
+    };
+    let fit = run("100000");
+    assert!(fit.contains("in 24 window(s)"), "{fit}");
+    for count in ["1000000000000", "18446744073709551615"] {
+        assert_eq!(run(count), fit, "--sample {count}");
+    }
+}
+
+#[test]
 fn trace_intervals_prints_time_series_and_writes_interval_jsonl() {
     use hbat_suite::bench::journal::parse_json_object;
 

@@ -2,6 +2,7 @@
 //! workload generation through the timing engine to the experiment
 //! aggregation, exercised at test scale.
 
+use hbat_suite::bench::ckpt::ProgramTail;
 use hbat_suite::bench::experiment::SweepResult;
 use hbat_suite::bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_suite::prelude::*;
@@ -92,12 +93,12 @@ fn in_order_reduces_bandwidth_sensitivity() {
 
 #[test]
 fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
-    let cfg = WorkloadConfig::new(Scale::Test);
+    let cfg = ExperimentConfig::baseline(Scale::Test);
     for bench in Benchmark::ALL {
-        let tape = bench.build(&cfg).tape();
+        let tail = ProgramTail::program_start(bench, &cfg).unwrap();
         let mut last = f64::INFINITY;
         for (entries, policy) in FIG6_SIZES {
-            let rate = miss_rate_percent(&tape, entries, policy, PageGeometry::KB4, 1);
+            let rate = miss_rate_percent(tail.stream(), entries, policy, PageGeometry::KB4, 1);
             // Random replacement adds noise; allow a small inversion.
             assert!(
                 rate <= last + 1.5,

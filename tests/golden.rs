@@ -41,10 +41,10 @@
 //! One `#[test]` per figure, so the harness runs them in parallel.
 
 use hbat_suite::analysis::{working_set, BankConflictProfile};
-use hbat_suite::bench::ckpt::{build_warm_start_cold, CheckpointOptions, WarmStart};
+use hbat_suite::bench::ckpt::{build_warm_start_cold, CheckpointOptions, ProgramTail};
 use hbat_suite::bench::experiment::{
     config_fingerprint, iv_sidecar_path, obs_sidecar_path, render_obs_record, run_cell, sweep,
-    sweep_ft, tape_for, ExperimentConfig, SweepOptions, SweepResult,
+    sweep_ft, ExperimentConfig, SweepOptions, SweepResult,
 };
 use hbat_suite::bench::journal::{fnv1a_hex, CellKey};
 use hbat_suite::bench::missrate::{miss_count, FIG6_SIZES};
@@ -55,6 +55,7 @@ use hbat_suite::core::designs::shielded::ShieldedTlb;
 use hbat_suite::core::hash::splitmix64;
 use hbat_suite::core::request::WritebackKind;
 use hbat_suite::core::{VirtAddr, Vpn};
+use hbat_suite::isa::executor::OpSource;
 use hbat_suite::obs::IntervalRecorder;
 use hbat_suite::prelude::*;
 
@@ -95,6 +96,12 @@ fn assert_figure(cfg: &ExperimentConfig, title: &str, grid: &str, figure: &str) 
 
 fn test_cfg() -> ExperimentConfig {
     ExperimentConfig::baseline(Scale::Test)
+}
+
+/// `bench` under `cfg` from its first instruction: each `stream()` of it
+/// runs the program again.
+fn program(bench: Benchmark, cfg: &ExperimentConfig) -> ProgramTail {
+    ProgramTail::program_start(bench, cfg).unwrap()
 }
 
 #[test]
@@ -255,9 +262,9 @@ fn fig6_miss_counts() {
     let cfg = test_cfg();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let tape = tape_for(bench, &cfg);
+        let tail = program(bench, &cfg);
         for (entries, policy) in FIG6_SIZES {
-            let (misses, refs) = miss_count(&tape, entries, policy, cfg.geometry, 1996);
+            let (misses, refs) = miss_count(tail.stream(), entries, policy, cfg.geometry, 1996);
             text.push_str(&format!("{}/{entries} {misses} {refs}\n", bench.name()));
         }
     }
@@ -271,9 +278,9 @@ fn uop_streams() {
     let cfg = test_cfg();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        for op in tape_for(bench, &cfg).iter() {
-            text.push_str(&format!("{bench} {op:?}\n"));
-        }
+        program(bench, &cfg).stream().for_each_op(|r| {
+            text.push_str(&format!("{bench} {:?}\n", r.uop()));
+        });
     }
     assert_eq!(fnv1a_hex(&text), "8fd1127759a78881");
 }
@@ -290,9 +297,8 @@ fn warm_schedules() {
     let plan = sample_6_400_100().unwrap();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let start = WarmStart::program_start(bench, &cfg);
-        let n = start.tail_len().unwrap();
-        for s in warm_schedule(start.machine.clone(), n, &cfg, None, &plan) {
+        let tail = program(bench, &cfg);
+        for s in warm_schedule(tail.stream(), tail.n, &cfg, None, &plan) {
             text.push_str(&format!("{bench} {:?} {:?}\n", s.window, s.warm));
             for op in s.ops.iter() {
                 text.push_str(&format!("{op:?}\n"));
@@ -314,11 +320,11 @@ fn anatomy_profiles() {
     let geom = cfg.geometry;
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let tape = bench.build(&cfg.workload).tape();
-        let pages = page_stream(tape.iter(), geom);
+        let tail = program(bench, &cfg);
+        let pages = page_stream(tail.stream(), geom);
         let reuse = ReuseProfile::of_pages(&pages);
         let adj = AdjacencyProfile::of_pages(&pages, 4);
-        let ptr = PointerProfile::of_ops(tape.iter(), geom);
+        let ptr = PointerProfile::of_ops(tail.stream(), geom);
         let bc = BankConflictProfile::of_pages(&pages, BankSelect::BitSelect, 4, 4);
         let ws = working_set(&pages, 1000);
         text.push_str(&format!(
@@ -336,10 +342,10 @@ fn obs_records(designs: &[DesignSpec]) -> String {
     let cold = cfg.cold_state();
     let mut text = String::new();
     for bench in Benchmark::ALL {
-        let tape = tape_for(bench, &cfg);
+        let tail = program(bench, &cfg);
         for &design in designs {
             let mut rec = TraceRecorder::new();
-            run_cell(tape.reader(), design, &cfg, &cold, &mut rec);
+            run_cell(tail.stream(), design, &cfg, &cold, &mut rec);
             // Every cycle is an issue cycle or charged to one stall cause.
             assert_eq!(
                 rec.issue_cycles() + rec.stall_total(),
@@ -392,7 +398,7 @@ fn interval_windows() {
     let mut text = String::new();
     for bench in Benchmark::ALL {
         let mut iv = IntervalRecorder::new(256);
-        run_cell(tape_for(bench, &cfg).reader(), design, &cfg, &cold, &mut iv);
+        run_cell(program(bench, &cfg).stream(), design, &cfg, &cold, &mut iv);
         iv.finish();
         for w in iv.windows() {
             text.push_str(&format!("{bench} {w:?}\n"));
